@@ -94,9 +94,9 @@ const SERVE_HOT_PATH: [&str; 7] = [
 /// `gmlfm-net` files on the serving hot path: the frame codec, the
 /// wire codec, and the connection/accept loops. A hostile byte stream
 /// or a doomed socket must surface as a typed error or a clean close —
-/// a panic here tears down a live connection handler. (The client and
-/// load generator run on the caller's side of the wire and may be
-/// assertive about harness misuse.)
+/// a panic here tears down a live connection handler. (The client
+/// runs on the caller's side of the wire and may be assertive about
+/// misuse.)
 const NET_HOT_PATH: [&str; 3] =
     ["crates/net/src/frame.rs", "crates/net/src/wire.rs", "crates/net/src/server.rs"];
 
@@ -108,9 +108,8 @@ const ONLINE_HOT_PATH: [&str; 3] =
     ["crates/online/src/handle.rs", "crates/online/src/log.rs", "crates/online/src/trainer.rs"];
 
 /// The one accessor allowed to call `available_parallelism()` (it
-/// caches), and the benchmark report that prints machine facts.
-const AVAILABLE_PARALLELISM_ALLOWLIST: [&str; 2] =
-    ["crates/par/src/lib.rs", "crates/bench/src/bin/bench_report.rs"];
+/// caches).
+const AVAILABLE_PARALLELISM_ALLOWLIST: [&str; 1] = ["crates/par/src/lib.rs"];
 
 /// Which lints apply to a file, from its repo-relative forward-slash
 /// path. L1 (undocumented unsafe) always applies and is not listed here.
@@ -258,7 +257,6 @@ mod tests {
         assert!(scope_for("crates/net/src/wire.rs").panic_freedom);
         assert!(scope_for("crates/net/src/server.rs").panic_freedom);
         assert!(!scope_for("crates/net/src/client.rs").panic_freedom);
-        assert!(!scope_for("crates/net/src/loadgen.rs").panic_freedom);
         assert!(scope_for("crates/net/src/server.rs").ordering_justification);
         assert!(scope_for("crates/net/src/frame.rs").ordering_justification);
         assert!(!scope_for("crates/net/src/wire.rs").ordering_justification);

@@ -42,10 +42,8 @@
 pub mod distance;
 pub mod efficient;
 pub mod model;
-pub mod persist;
 pub mod relation;
 
 pub use distance::{Distance, Transform};
 pub use efficient::{DenseGmlFm, DenseTransform, DnnTransform};
 pub use model::{GmlFm, GmlFmConfig, TransformKind};
-pub use persist::{GmlFmSnapshot, PersistError};

@@ -472,7 +472,7 @@ pub fn generate_with_truth(config: &SynthConfig) -> (Dataset, GroundTruth) {
 /// up to the millions.
 ///
 /// This is the substrate of the sharded top-N retrieval workload (the
-/// `serve_millions` example and `bench_report`'s retrieval section): it
+/// `serve_millions` example and `bench_e2e`'s `req_topn_*` fixtures): it
 /// needs a big catalogue *with side features* — so ranking exercises
 /// real multi-feature candidate groups — but none of [`generate`]'s
 /// ground-truth latent machinery, whose per-item latent vectors and

@@ -556,7 +556,8 @@ impl Recommender {
             Serving::Service(server) => Ok(server.top_n(&self.with_par(req))?),
             Serving::Live { est, catalog, seen } => {
                 let backend = LiveBackend(est.as_ref());
-                let value = exec::execute_topn(&backend, catalog.as_ref(), seen.as_ref(), req, self.par)?;
+                let value =
+                    exec::execute_topn(&backend, catalog.as_ref(), seen.as_ref(), &[], req, self.par)?;
                 Ok(Response { generation: LIVE_GENERATION, value })
             }
         }
@@ -574,7 +575,7 @@ impl Recommender {
             Serving::Live { est, catalog, seen } => {
                 let backend = LiveBackend(est.as_ref());
                 let value =
-                    exec::execute_batch(&backend, &self.schema, catalog.as_ref(), seen.as_ref(), &req);
+                    exec::execute_batch(&backend, &self.schema, catalog.as_ref(), seen.as_ref(), None, &req);
                 Response { generation: LIVE_GENERATION, value }
             }
         }

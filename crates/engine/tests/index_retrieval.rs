@@ -236,6 +236,7 @@ fn default_nprobe_recall_at_10_is_at_least_095_on_10k_items() {
             index.default_nprobe(),
             Parallelism::auto(),
             &|_| false,
+            Precision::F64,
         );
         assert_eq!(got.len(), n, "complete result for user {user}");
         for (item, score) in &got {
@@ -300,6 +301,7 @@ fn index_round_trips_through_current_artifacts() {
                 idx.default_nprobe(),
                 Parallelism::serial(),
                 &|_| false,
+                Precision::F64,
             )
         };
         assert_eq!(search(index), search(loaded), "user {user}");

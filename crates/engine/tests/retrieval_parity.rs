@@ -1,7 +1,7 @@
 //! Property tests pinning sharded bounded-heap top-N retrieval
 //! **item-for-item identical** — scores bitwise, tie order included — to
 //! the full-sort reference, across all 10 freezable [`ModelSpec`]
-//! variants, shard counts {1, 3, 8}, thread counts {1, 2, 5} and
+//! variants, thread (= shard) counts {1, 2, 5} and
 //! `n ∈ {1, 5, catalog_size, catalog_size + 10}`.
 //!
 //! The reference is the pre-retrieval-redesign path, re-implemented
@@ -9,8 +9,8 @@
 //! vector under the shared total order ([`gmlfm_serve::rank_cmp`]:
 //! score desc, item id asc), truncate. The fast path must reproduce it
 //! exactly — no approximation budget — both when called directly
-//! ([`gmlfm_serve::sharded_top_n`]) and through the serving request
-//! path (`ModelServer::top_n`).
+//! ([`gmlfm_serve::scan_top_n`]) and through the serving request path
+//! (`ModelServer::top_n`).
 
 use gmlfm_core::{Distance, GmlFmConfig};
 use gmlfm_data::{generate, DatasetSpec, FieldMask};
@@ -18,13 +18,11 @@ use gmlfm_engine::ModelSpec;
 use gmlfm_models::fm::FmConfig;
 use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{rank_cmp, sharded_top_n, FrozenModel};
+use gmlfm_serve::{rank_cmp, scan_top_n, FrozenModel, Precision};
 use gmlfm_service::{Catalog, ModelServer, ModelSnapshot, TopNRequest};
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
-const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 const THREAD_COUNTS: [usize; 3] = [1, 2, 5];
 
 /// Every spec whose estimator has a frozen serving form, covering all
@@ -98,7 +96,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Direct sharded retrieval equals the full sort at every
-    /// (shard count × thread count × n) combination.
+    /// (thread count × n) combination.
     #[test]
     fn sharded_heap_matches_full_sort(variant in 0usize..10, user in 0u32..200, n_kind in 0usize..4) {
         let f = fixture();
@@ -108,21 +106,21 @@ proptest! {
         let n = [1, 5, catalog_size, catalog_size + 10][n_kind];
         let reference = reference_top_n(model, &f.catalog, user, n);
         let candidates: Vec<u32> = (0..catalog_size as u32).collect();
-        for shards in SHARD_COUNTS {
-            for threads in THREAD_COUNTS {
-                let got = sharded_top_n(
-                    &candidates,
-                    n,
-                    NonZeroUsize::new(shards).expect("non-zero"),
-                    Parallelism::threads(threads),
-                    || model.ranker(f.catalog.template(user).expect("user"), f.catalog.item_slots()),
-                    |ranker, item| ranker.score(f.catalog.item_features(item).expect("item")),
-                );
-                prop_assert_eq!(got.len(), reference.len(), "{} shards={} threads={}", name, shards, threads);
-                for (g, r) in got.iter().zip(&reference) {
-                    prop_assert_eq!(g.0, r.0, "{} item order drifted (shards={}, threads={}, n={})", name, shards, threads, n);
-                    prop_assert_eq!(g.1.to_bits(), r.1.to_bits(), "{} score drifted (shards={}, threads={}, n={})", name, shards, threads, n);
-                }
+        for threads in THREAD_COUNTS {
+            let got = scan_top_n(
+                model,
+                &f.catalog,
+                f.catalog.template(user).expect("user"),
+                f.catalog.item_slots(),
+                &candidates,
+                n,
+                Precision::F64,
+                Parallelism::threads(threads),
+            );
+            prop_assert_eq!(got.len(), reference.len(), "{} threads={}", name, threads);
+            for (g, r) in got.iter().zip(&reference) {
+                prop_assert_eq!(g.0, r.0, "{} item order drifted (threads={}, n={})", name, threads, n);
+                prop_assert_eq!(g.1.to_bits(), r.1.to_bits(), "{} score drifted (threads={}, n={})", name, threads, n);
             }
         }
     }
@@ -161,17 +159,17 @@ fn exact_ties_rank_by_item_id_on_both_paths() {
     let expected: Vec<(u32, f64)> = (0..10u32).map(|i| (i, 0.5)).collect();
     assert_eq!(reference, expected, "full sort ranks ties by ascending item id");
     let candidates: Vec<u32> = (0..n_items as u32).collect();
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            let got = sharded_top_n(
-                &candidates,
-                10,
-                NonZeroUsize::new(shards).expect("non-zero"),
-                Parallelism::threads(threads),
-                || frozen.ranker(catalog.template(0).expect("user"), catalog.item_slots()),
-                |ranker, item| ranker.score(catalog.item_features(item).expect("item")),
-            );
-            assert_eq!(got, expected, "shards={shards} threads={threads}");
-        }
+    for threads in THREAD_COUNTS {
+        let got = scan_top_n(
+            &frozen,
+            &catalog,
+            catalog.template(0).expect("user"),
+            catalog.item_slots(),
+            &candidates,
+            10,
+            Precision::F64,
+            Parallelism::threads(threads),
+        );
+        assert_eq!(got, expected, "threads={threads}");
     }
 }

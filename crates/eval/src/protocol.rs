@@ -227,7 +227,7 @@ pub fn evaluate_topn_backend<B: ScoringBackend + Sync + ?Sized>(
                     .include_seen()
                     .parallelism(Parallelism::serial());
                 let scored =
-                    exec::execute_candidate_scores(backend, catalog, seen, &req, Parallelism::serial())?;
+                    exec::execute_candidate_scores(backend, catalog, seen, &[], &req, Parallelism::serial())?;
                 let mut heap = TopNHeap::new(k);
                 for (i, &(_, s)) in scored[1..].iter().enumerate() {
                     heap.push(i as u32, s);

@@ -19,19 +19,16 @@
 //! * [`client`] — blocking client with connect/request timeouts and
 //!   jittered exponential-backoff retries (safe: every request is an
 //!   idempotent read).
-//! * [`loadgen`] — closed-loop load generator behind `BENCH_net.json`.
 //!
 //! See the README's "Network serving" section for the wire grammar and
 //! the failure-mode table.
 
 pub mod client;
 pub mod frame;
-pub mod loadgen;
 pub mod server;
 pub mod wire;
 
 pub use client::{ClientConfig, ClientError, NetClient};
 pub use frame::{FrameError, DEFAULT_MAX_FRAME_BYTES};
-pub use loadgen::{run_closed_loop, LoadStats};
 pub use server::{DrainReport, NetServer, ServerConfig};
 pub use wire::{NetError, NetReply, NetRequest, NetResponse};

@@ -99,13 +99,6 @@ impl Parallelism {
         self.0.get()
     }
 
-    /// The requested thread count as a [`NonZeroUsize`] — the form the
-    /// sharded-retrieval helpers consume, with non-zeroness carried by
-    /// the type instead of re-asserted at call sites.
-    pub fn get_nonzero(self) -> NonZeroUsize {
-        self.0
-    }
-
     /// True when this request runs inline on the calling thread.
     pub fn is_serial(self) -> bool {
         self.0.get() == 1
@@ -130,8 +123,7 @@ pub fn global() -> &'static ThreadPool {
 ///
 /// This is the partition every `par_*` helper uses internally; it is
 /// public so callers that need an *explicit* shard structure — notably
-/// serving's sharded top-N retrieval, whose shard count is independent
-/// of the worker count — cut their work the same way.
+/// serving's sharded top-N scan driver — cut their work the same way.
 pub fn block_ranges(n: usize, blocks: usize) -> Vec<Range<usize>> {
     let blocks = blocks.min(n).max(1);
     let base = n / blocks;

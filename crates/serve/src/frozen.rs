@@ -213,21 +213,6 @@ impl FrozenModel {
         self.precision
     }
 
-    /// The low-precision table set, when built and supported.
-    pub(crate) fn lowp_tables(&self) -> Option<&LowPrec> {
-        self.lowp.as_deref()
-    }
-
-    /// The f32 packed scoring table, when built (bench/test introspection).
-    pub fn hat_q32(&self) -> Option<&crate::lowp::HatQ32> {
-        self.lowp.as_deref().map(|lp| &lp.hat32)
-    }
-
-    /// The i8-quantized scoring table, when built (bench/test introspection).
-    pub fn quant_hat(&self) -> Option<&crate::lowp::QuantHatQ> {
-        self.lowp.as_deref().map(|lp| &lp.qhat)
-    }
-
     /// Number of one-hot features `n`.
     pub fn n_features(&self) -> usize {
         self.v.rows()

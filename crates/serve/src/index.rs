@@ -55,10 +55,9 @@
 
 use crate::frozen::{dot, FrozenModel, HatQ, SecondOrder};
 use crate::lowp::Precision;
-use crate::rank::rerank_pool;
 #[allow(unused_imports)] // rustdoc links
 use crate::rank::TopNRanker;
-use crate::topn::{merge_sharded, TopNHeap};
+use crate::topn::Scan;
 use gmlfm_core::Distance;
 use gmlfm_par::Parallelism;
 use gmlfm_tensor::Matrix;
@@ -73,18 +72,19 @@ use gmlfm_tensor::Matrix;
 /// The strategies differ only in *which candidates are considered*:
 ///
 /// * [`Exact`](RetrievalStrategy::Exact) scores every surviving
-///   candidate — the PR-5 sharded bounded-heap path, item-for-item
-///   identical to a full sort at every shard and thread count.
+///   candidate — the list scan of [`crate::scan_top_n`], item-for-item
+///   identical to a full sort at every thread count.
 /// * [`Ivf`](RetrievalStrategy::Ivf) visits at most `nprobe` item
 ///   clusters (best upper bound first) and scores only their members,
 ///   so items whose cluster was not probed can be missed — the
-///   *candidate set* is approximate, with measured recall reported in
-///   `BENCH_ann.json`. `nprobe = None` uses the index's built-in
-///   default; `nprobe ≥ n_clusters` makes the result exactly equal to
-///   [`Exact`](RetrievalStrategy::Exact). Requests an index cannot
-///   serve (candidate-restricted requests, catalogs below the index's
-///   `min_candidates`, models without the metric linearisation) fall
-///   back to [`Exact`](RetrievalStrategy::Exact) automatically.
+///   *candidate set* is approximate, with recall measured as
+///   `bench_e2e`'s `serve.index.recall_at_10`. `nprobe = None` uses the
+///   index's built-in default; `nprobe ≥ n_clusters` makes the result
+///   exactly equal to [`Exact`](RetrievalStrategy::Exact). Requests an
+///   index cannot serve (candidate-restricted requests, catalogs below
+///   the index's `min_candidates`, models without the metric
+///   linearisation) fall back to [`Exact`](RetrievalStrategy::Exact)
+///   automatically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalStrategy {
     /// Score every candidate (sharded bounded heaps) — exact candidate
@@ -619,51 +619,36 @@ impl IvfIndex {
         Ok(())
     }
 
-    /// Top-`n` retrieval through the index: rank clusters by their
-    /// score upper bound, visit at most `nprobe` of them (best first),
-    /// prune clusters whose slackened bound cannot strictly beat the
-    /// current heap threshold, and re-rank every surviving member
-    /// exactly through [`TopNRanker::score`] — skipping items for which
-    /// `skip` returns `true` (exclusions, seen items).
+    /// Top-`n` retrieval through the index — the probe-list source of
+    /// the scan driver ([`crate::topn`]): rank clusters by their
+    /// centroid score, visit at most `nprobe` of them (best first),
+    /// prune clusters and members whose slackened Cauchy–Schwarz bound
+    /// cannot strictly beat the current heap threshold, and score every
+    /// surviving member — skipping items for which `skip` returns `true`
+    /// (exclusions, seen items).
     ///
     /// Results follow the retrieval total order ([`crate::rank_cmp`])
     /// and are identical at every thread count: the probe list is fixed
     /// before the scan fans out, per-shard pruning is sound (a pruned
     /// cluster cannot contribute to the final top `n`), and scores are
-    /// bitwise the ranker's. With `nprobe >= n_clusters()` the result
-    /// is item-for-item the exhaustive scan over the non-skipped items.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search<S: ItemFeatureSource + ?Sized>(
-        &self,
-        model: &FrozenModel,
-        items: &S,
-        template: &[u32],
-        item_slots: &[usize],
-        n: usize,
-        nprobe: usize,
-        par: Parallelism,
-        skip: &(impl Fn(u32) -> bool + Sync),
-    ) -> Vec<(u32, f64)> {
-        self.search_prec(model, items, template, item_slots, n, nprobe, par, skip, Precision::F64)
-    }
-
-    /// [`IvfIndex::search`] with an explicit probe-scan [`Precision`].
+    /// bitwise [`TopNRanker::score`]'s. With `nprobe >= n_clusters()`
+    /// and [`Precision::F64`] the result is item-for-item the exhaustive
+    /// scan over the non-skipped items.
     ///
     /// With `Precision::F32`/`Precision::I8` (and a model carrying the
     /// low-precision tables), the member delta scan runs over the
-    /// narrowed tables into a [`rerank_pool`]-sized pool per shard, and
-    /// the pooled survivors are re-scored by the exact f64 ranker — so
+    /// narrowed tables into an over-fetched pool per shard, and the
+    /// pooled survivors are re-scored by the exact f64 ranker — so
     /// returned scores are *always* bitwise the model's, whatever the
     /// probe precision; only which items survive the probe is
-    /// approximate (measured as recall in `BENCH_kernel.json`). The
-    /// Cauchy–Schwarz bounds stay exact f64; they are compared against
-    /// the approximate pool threshold, which the [`rerank_pool`] margin
-    /// cushions (quantization bias in the threshold can still prune a
-    /// borderline true member — the residual recall gap vs the f64
-    /// probe). When the model has no tables for the requested
+    /// approximate. The Cauchy–Schwarz bounds stay exact f64; they are
+    /// compared against the approximate pool threshold, which the pool
+    /// margin cushions (quantization bias in the threshold can still
+    /// prune a borderline true member — the residual recall gap vs the
+    /// f64 probe). When the model has no tables for the requested
     /// precision the scan silently runs exact.
     #[allow(clippy::too_many_arguments)]
-    pub fn search_prec<S: ItemFeatureSource + ?Sized>(
+    pub fn search<S: ItemFeatureSource + ?Sized>(
         &self,
         model: &FrozenModel,
         items: &S,
@@ -688,49 +673,9 @@ impl IvfIndex {
         };
         let probe = self.probe_order(model, &tables, template, item_slots, nprobe);
         let ctx_score = probe.ctx_score;
-
-        let shards = par.get().clamp(1, probe.clusters.len().max(1));
-        let ranges = gmlfm_par::block_ranges(probe.clusters.len(), shards);
-
-        let low_probe =
-            precision != Precision::F64 && model.low_ranker(template, item_slots, precision).is_some();
-        if low_probe {
-            let pool_n = rerank_pool(n);
-            let shard_tops = gmlfm_par::par_map(par, &ranges, |range| {
-                // Constructible by the `low_probe` check above.
-                let Some(mut low) = model.low_ranker(template, item_slots, precision) else {
-                    return Vec::new();
-                };
-                let mut heap = TopNHeap::new(pool_n);
-                for &(c, mean_score, ub) in &probe.clusters[range.clone()] {
-                    if let Some((_, threshold)) = heap.threshold() {
-                        if ctx_score + ub + bound_slack(ctx_score, ub) < threshold {
-                            continue;
-                        }
-                    }
-                    for (&item, &norm) in self.members[c].iter().zip(&self.member_norms[c]) {
-                        if skip(item) {
-                            continue;
-                        }
-                        if let Some((_, threshold)) = heap.threshold() {
-                            let item_ub = mean_score + probe.norm_g * norm;
-                            if ctx_score + item_ub + bound_slack(ctx_score, item_ub) < threshold {
-                                continue;
-                            }
-                        }
-                        heap.push(item, low.approx_score(items.features_of(item)));
-                    }
-                }
-                heap.into_sorted()
-            });
-            let pool = merge_sharded(pool_n, shard_tops);
-            return crate::topn::exact_rerank(model, items, pool, template, item_slots, n);
-        }
-
-        let shard_tops = gmlfm_par::par_map(par, &ranges, |range| {
-            let mut ranker = model.ranker(template, item_slots);
-            let mut heap = TopNHeap::new(n);
-            for &(c, mean_score, ub) in &probe.clusters[range.clone()] {
+        let scan = Scan { model, items, template, item_slots, n, precision, par };
+        scan.run(true, &probe.clusters, |scanner, clusters, heap| {
+            for &(c, mean_score, ub) in clusters {
                 if let Some((_, threshold)) = heap.threshold() {
                     // Slackened Cauchy–Schwarz prune: only a *strict*
                     // miss is safe — at equality a member tying the
@@ -752,12 +697,10 @@ impl IvfIndex {
                             continue;
                         }
                     }
-                    heap.push(item, ranker.score(items.features_of(item)));
+                    heap.push(item, scanner.score(items.features_of(item)));
                 }
             }
-            heap.into_sorted()
-        });
-        merge_sharded(n, shard_tops)
+        })
     }
 
     /// The probe list for a query context: clusters ranked by their
@@ -1070,6 +1013,29 @@ mod tests {
         scored
     }
 
+    /// `index.search` over the fixture's own request, exact scan.
+    fn search(
+        fx: &Fixture,
+        index: &IvfIndex,
+        n: usize,
+        nprobe: usize,
+        threads: usize,
+        skip: impl Fn(u32) -> bool + Sync,
+    ) -> Vec<(u32, f64)> {
+        let par = Parallelism::threads(threads);
+        index.search(
+            &fx.model,
+            &fx.items,
+            &fx.template,
+            &fx.item_slots,
+            n,
+            nprobe,
+            par,
+            &skip,
+            Precision::F64,
+        )
+    }
+
     #[test]
     fn linearisation_matches_ranker_scores() {
         for weighted in [true, false] {
@@ -1101,16 +1067,7 @@ mod tests {
             assert_eq!(index.n_items(), 300);
             for n in [1usize, 10, 300] {
                 for threads in [1usize, 3] {
-                    let got = index.search(
-                        &fx.model,
-                        &fx.items,
-                        &fx.template,
-                        &fx.item_slots,
-                        n,
-                        index.n_clusters(),
-                        Parallelism::threads(threads),
-                        &|_| false,
-                    );
+                    let got = search(&fx, &index, n, index.n_clusters(), threads, |_| false);
                     let want = reference_top_n(&fx, n, |_| false);
                     assert_eq!(got.len(), want.len(), "weighted={weighted} n={n}");
                     for (g, w) in got.iter().zip(&want) {
@@ -1150,16 +1107,7 @@ mod tests {
             let index =
                 IvfIndex::build(&fx.model, &fx.items, &opts, Parallelism::serial()).expect("metric model");
             for n in [1usize, 10, 50] {
-                let got = index.search(
-                    &fx.model,
-                    &fx.items,
-                    &fx.template,
-                    &fx.item_slots,
-                    n,
-                    index.n_clusters(),
-                    Parallelism::serial(),
-                    &|_| false,
-                );
+                let got = search(&fx, &index, n, index.n_clusters(), 1, |_| false);
                 let want = reference_top_n(&fx, n, |_| false);
                 assert_eq!(got.len(), want.len(), "weighted={weighted} n={n}");
                 for (g, w) in got.iter().zip(&want) {
@@ -1182,16 +1130,7 @@ mod tests {
         )
         .expect("metric model");
         let skip = |item: u32| item.is_multiple_of(3);
-        let got = index.search(
-            &fx.model,
-            &fx.items,
-            &fx.template,
-            &fx.item_slots,
-            15,
-            index.n_clusters(),
-            Parallelism::serial(),
-            &skip,
-        );
+        let got = search(&fx, &index, 15, index.n_clusters(), 1, skip);
         assert!(got.iter().all(|(i, _)| i % 3 != 0));
         assert_eq!(got, reference_top_n(&fx, 15, skip));
     }
@@ -1235,6 +1174,7 @@ mod tests {
             index.default_nprobe(),
             Parallelism::serial(),
             &|_| false,
+            Precision::F64,
         );
         let hits = got.iter().filter(|(i, _)| truth.contains(i)).count();
         assert!(hits >= 9, "recall@10 {}/10 at default nprobe {}", hits, index.default_nprobe());
@@ -1264,27 +1204,7 @@ mod tests {
         assert_eq!(rebuilt.members, index.members);
         assert_eq!(rebuilt.member_norms, index.member_norms);
         assert_eq!(rebuilt.radius, index.radius, "radius re-derives from the member norms");
-        let a = index.search(
-            &fx.model,
-            &fx.items,
-            &fx.template,
-            &fx.item_slots,
-            7,
-            3,
-            Parallelism::serial(),
-            &|_| false,
-        );
-        let b = rebuilt.search(
-            &fx.model,
-            &fx.items,
-            &fx.template,
-            &fx.item_slots,
-            7,
-            3,
-            Parallelism::serial(),
-            &|_| false,
-        );
-        assert_eq!(a, b);
+        assert_eq!(search(&fx, &index, 7, 3, 1, |_| false), search(&fx, &rebuilt, 7, 3, 1, |_| false));
     }
 
     #[test]

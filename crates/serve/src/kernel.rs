@@ -18,9 +18,9 @@
 //! deliberately avoided — baseline x86-64 has no FMA, so `mul_add`
 //! lowers to a libm call and changes results besides being slow.
 //!
-//! The naive single-accumulator references (`naive_*`) are kept both as
-//! the parity oracle for the ≤1e-12 kernel tests and as the honest
-//! "old path" baseline for `bench_report`'s kernel section.
+//! The naive single-accumulator references (`naive_*`) are test-only:
+//! the parity oracle for the ≤1e-12 kernel tests here and for the
+//! scalar-loop ranker reference in `rank.rs`'s tests.
 
 /// Accumulator width of the chunked kernels.
 ///
@@ -159,17 +159,20 @@ pub fn dequant_into(codes: &[i8], lo: f32, scale: f32, out: &mut [f32]) {
 }
 
 /// Single-accumulator reference for [`dot`]: the historical serial loop.
-pub fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Single-accumulator reference for [`sq_dist`].
-pub fn naive_sq_dist(a: &[f64], b: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn naive_sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 /// Single-accumulator reference for [`axpy`].
-pub fn naive_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+#[cfg(test)]
+pub(crate) fn naive_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (y, x) in y.iter_mut().zip(x) {
         *y += alpha * x;
     }

@@ -28,11 +28,21 @@
 //!   partial sums computed once per user and only an `O(k²)` (or `O(k)`)
 //!   delta per candidate item; every distance, the order-dependent
 //!   TransFM mode included, scores by item delta.
-//! * [`topn`] — sharded top-N retrieval: per-shard bounded
-//!   [`TopNHeap`]s (size `n`, threshold-rejecting) merged under the
-//!   deterministic [`rank_cmp`] total order (score desc, item id asc),
-//!   so a whole-catalogue request costs `O(C·k + C·log n)` instead of a
-//!   full `O(C·log C)` sort — and returns the *identical* ranking.
+//! * [`topn`] — top-N retrieval: the one sharded scan driver
+//!   (per-shard scanner + bounded [`TopNHeap`], threshold-rejecting,
+//!   merged under the deterministic [`rank_cmp`] total order — score
+//!   desc, item id asc), so a whole-catalogue request costs
+//!   `O(C·k + C·log n)` instead of a full `O(C·log C)` sort — and
+//!   returns the *identical* ranking. [`scan_top_n`] feeds it an
+//!   explicit candidate list.
+//! * [`index`] — the metric-space [`IvfIndex`]: sublinear candidate
+//!   generation for the squared-Euclidean metric modes, feeding the same
+//!   driver a probe list under sound Cauchy–Schwarz bounds
+//!   ([`RetrievalStrategy`] selects between the two sources).
+//! * [`kernel`] — the fixed-width chunked `dot`/`axpy`/`sq_dist`
+//!   primitives every scoring loop runs on.
+//! * [`lowp`] — the opt-in `f32`/`i8` candidate tables behind the
+//!   [`Precision`] scan knob.
 //!
 //! Parity with the autograd path is pinned to ≤1e-9 by the tests in this
 //! crate and by `tests/frozen_parity.rs`; the `serve_speedup` bench in
@@ -51,8 +61,6 @@ pub use batch::{score_chunked, score_chunked_par};
 pub use freeze::Freeze;
 pub use frozen::{FrozenModel, HatQ, SecondOrder};
 pub use index::{ItemFeatureSource, IvfBuildOptions, IvfIndex, RetrievalStrategy};
-pub use lowp::{HatQ32, Precision, QuantHatQ};
-pub use rank::{LowRanker, TopNRanker};
-pub use topn::{
-    exact_rerank, merge_sharded, rank_cmp, scan_top_n_prec, sharded_top_n, sharded_top_n_blocks, TopNHeap,
-};
+pub use lowp::Precision;
+pub use rank::TopNRanker;
+pub use topn::{rank_cmp, scan_top_n, TopNHeap};

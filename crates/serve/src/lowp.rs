@@ -9,8 +9,8 @@
 //! * [`HatQ32`] — an f32 copy of the packed table (plus an f32 copy of
 //!   `V` for the weighted pair-weight dot), halving bytes scanned.
 //!   Scores computed from it carry ~1e-6 relative error, enough to
-//!   reorder near-ties; see the README "Kernels" section for the
-//!   tie-order caveat.
+//!   reorder near-ties; see the README "Vectorized kernels & scan
+//!   precision" section for the tie-order caveat.
 //! * [`QuantHatQ`] — an i8 affine quantization of `v̂` (and `V`) with
 //!   per-row scale and zero point: `real ≈ lo + scale·(code + 128)`,
 //!   `scale = (hi − lo)/255`, so reconstruction error is at most
@@ -50,7 +50,7 @@ pub enum Precision {
     /// i8-quantized probe scan with exact f64 re-rank of the
     /// survivors. Returned scores are bitwise the model's; items whose
     /// quantized score falls outside the re-rank pool may be missed
-    /// (measured as recall in `BENCH_kernel.json`).
+    /// (measured as `bench_e2e`'s `serve.lowp.i8_recall_at_10`).
     I8,
 }
 
@@ -113,11 +113,6 @@ impl HatQ32 {
         let w = self.k + 1;
         let row = &self.data[i * w..(i + 1) * w];
         (&row[..self.k], row[self.k])
-    }
-
-    /// Table footprint in bytes (bench reporting).
-    pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
     }
 }
 

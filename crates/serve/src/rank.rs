@@ -60,7 +60,7 @@ enum Cross<'m> {
     /// `hw` holds `h ⊙ vᵢ`, `vh` the `v̂ᵢ` rows, `q` the norms — so the
     /// per-candidate loop is contiguous kernel dots with no per-pair
     /// `h` re-multiplication or row gather.
-    MetricWeightedDirect { hat: &'m HatQ, h: &'m [f64], hw: Vec<f64>, vh: Vec<f64>, q: Vec<f64> },
+    MetricWeightedDirect { hat: &'m HatQ, hw: Vec<f64>, vh: Vec<f64>, q: Vec<f64> },
     /// Unweighted metric: `s = Σ v̂_f`, `u = Σ q_f` — `O(k)` per
     /// candidate feature. Built only for wide contexts (`|ctx| > k`),
     /// where the decoupled form's speedup outweighs its cancellation
@@ -299,7 +299,7 @@ impl<'m> TopNRanker<'m> {
                             vh.extend_from_slice(vhi);
                             q.push(qi);
                         }
-                        return State::Decoupled(Cross::MetricWeightedDirect { hat, h, hw, vh, q });
+                        return State::Decoupled(Cross::MetricWeightedDirect { hat, hw, vh, q });
                     }
                     let (a, b, c) = model.metric_partials(ctx, hat);
                     State::Decoupled(Cross::MetricWeighted { a, b, c, hat, h })
@@ -376,20 +376,13 @@ impl<'m> TopNRanker<'m> {
             }
             State::Decoupled(cross) => {
                 for &f in item_feats {
-                    out += self.cross_delta(cross, f);
+                    out += cross_delta(model, &self.ctx, cross, f);
                 }
                 // Pairs within the candidate group (item id × its
                 // attributes).
                 out + group_pairs(model, &mut self.scratch, item_feats)
             }
         }
-    }
-
-    /// `Σ_{i ∈ ctx} w_ij · D(v̂ᵢ, v̂ⱼ)` for one candidate feature `j`,
-    /// from the context partial sums (or, in the pairwise modes, the
-    /// context features directly).
-    fn cross_delta(&self, cross: &Cross<'m>, j: u32) -> f64 {
-        cross_delta(self.model, &self.ctx, cross, j)
     }
 
     /// TransFM cross pairs for one candidate feature `j` sitting at
@@ -478,103 +471,12 @@ impl<'m> TopNRanker<'m> {
             }
         }
     }
-
-    /// [`TopNRanker::score`] computed with the single-accumulator
-    /// reference kernels ([`kernel::naive_dot`] and friends) instead of
-    /// the chunked ones. This is the honest "old path" baseline the
-    /// kernel section of `bench_report` measures against; it is not a
-    /// serving entry point.
-    #[doc(hidden)]
-    pub fn score_scalar(&mut self, item_feats: &[u32]) -> f64 {
-        assert_eq!(
-            item_feats.len(),
-            self.item_slots.len(),
-            "TopNRanker::score_scalar: candidate has {} features, template has {} item slots",
-            item_feats.len(),
-            self.item_slots.len()
-        );
-        let model = self.model;
-        let mut out = self.ctx_score;
-        for &f in item_feats {
-            out += model.w[f as usize];
-        }
-        match &self.state {
-            State::Translated { v_trans } => {
-                for (&slot, &f) in self.item_slots.iter().zip(item_feats) {
-                    out += self.translated_cross_delta(v_trans, slot, f);
-                }
-                out + self.translated_candidate_pairs(v_trans, item_feats)
-            }
-            State::Decoupled(cross) => {
-                for &f in item_feats {
-                    out += self.cross_delta_scalar(cross, f);
-                }
-                out + model.second_order(item_feats)
-            }
-        }
-    }
-
-    /// [`TopNRanker::cross_delta`] with naive single-accumulator loops:
-    /// the same formulas evaluated the way the pre-kernel code did.
-    fn cross_delta_scalar(&self, cross: &Cross<'m>, j: u32) -> f64 {
-        let model = self.model;
-        let k = model.k();
-        let vj = model.v.row(j as usize);
-        match cross {
-            Cross::Dot { a } => kernel::naive_dot(a, vj),
-            Cross::MetricWeighted { a, b, c, hat, h } => {
-                let (vhj, qj) = hat.row(j as usize);
-                let mut first = 0.0;
-                let mut cross = 0.0;
-                for r in 0..k {
-                    let hv = h[r] * vj[r];
-                    if hv == 0.0 {
-                        continue;
-                    }
-                    first += hv * (b[r] + qj * a[r]);
-                    cross += hv * kernel::naive_dot(c.row(r), vhj);
-                }
-                first - 2.0 * cross
-            }
-            Cross::MetricUnweighted { s, u, hat } => {
-                let (vhj, qj) = hat.row(j as usize);
-                u + self.ctx.len() as f64 * qj - 2.0 * kernel::naive_dot(s, vhj)
-            }
-            Cross::MetricUnweightedDirect { hat, .. } => {
-                let vhj = hat.v_hat(j as usize);
-                let mut out = 0.0;
-                for &i in &self.ctx {
-                    out += kernel::naive_sq_dist(hat.v_hat(i as usize), vhj);
-                }
-                out
-            }
-            Cross::MetricWeightedDirect { hat, h, .. } => {
-                let (vhj, qj) = hat.row(j as usize);
-                let mut out = 0.0;
-                for &i in &self.ctx {
-                    let w_ij = model.pair_weight(Some(h), i, j);
-                    let (vhi, qi) = hat.row(i as usize);
-                    let d = qi + qj - 2.0 * kernel::naive_dot(vhi, vhj);
-                    out += w_ij * d;
-                }
-                out
-            }
-            Cross::MetricPairwise { hat, h, distance } => {
-                let vhj = hat.v_hat(j as usize);
-                let mut out = 0.0;
-                for &i in &self.ctx {
-                    let w_ij = model.pair_weight(*h, i, j);
-                    out += w_ij * distance.eval(hat.v_hat(i as usize), vhj);
-                }
-                out
-            }
-        }
-    }
 }
 
-/// `Σ_{i ∈ ctx} w_ij · D(v̂ᵢ, v̂ⱼ)` for one candidate feature `j` — the
-/// body of [`TopNRanker::cross_delta`], free-standing so the block scan
-/// can call it while holding the slot memos mutably.
+/// `Σ_{i ∈ ctx} w_ij · D(v̂ᵢ, v̂ⱼ)` for one candidate feature `j`, from
+/// the context partial sums (or, in the pairwise modes, the context
+/// features directly) — free-standing so the block scan can call it
+/// while holding the slot memos mutably.
 fn cross_delta(model: &FrozenModel, ctx: &[u32], cross: &Cross<'_>, j: u32) -> f64 {
     let k = model.k();
     let vj = model.v.row(j as usize);
@@ -724,6 +626,50 @@ fn group_pairs_tabled(model: &FrozenModel, scratch: &mut [f64], pairs: &[PairTab
     }
 }
 
+/// Which table a request's candidate scan reads. [`ScanMode::choose`] is
+/// the one place that decides between a low-precision scan and the exact
+/// f64 fall-back, [`ScanMode::reranks`] the one place that decides
+/// whether the scanned pool is re-scored exactly; `Low` carries the
+/// resolved tables, so a [`Scanner`] built from it cannot disagree.
+#[derive(Clone, Copy)]
+pub(crate) enum ScanMode<'m> {
+    /// Exact f64 scan through [`TopNRanker`].
+    Exact,
+    /// f32 (or dequantized-i8, when `quantized`) cross deltas over the
+    /// model's low-precision tables.
+    Low { lp: &'m LowPrec, hat: &'m HatQ, h: Option<&'m [f64]>, quantized: bool },
+}
+
+impl<'m> ScanMode<'m> {
+    /// The scan a model serves `precision` with: low precision only when
+    /// it was requested, the model carries the tables
+    /// ([`FrozenModel::with_precision`]) and its second-order form has
+    /// the decoupled squared-Euclidean delta they narrow — exact f64
+    /// otherwise.
+    pub(crate) fn choose(model: &'m FrozenModel, precision: Precision) -> Self {
+        match (precision, model.lowp.as_deref(), &model.second) {
+            (
+                Precision::F32 | Precision::I8,
+                Some(lp),
+                SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h },
+            ) => ScanMode::Low { lp, hat, h: h.as_deref(), quantized: precision == Precision::I8 },
+            _ => ScanMode::Exact,
+        }
+    }
+
+    /// Whether the scanned pool must be re-scored by the exact f64
+    /// ranker before it is returned: always after an i8 scan (the
+    /// quantized tables are probe-only), after an f32 scan when the
+    /// caller's contract is `exact_scores` (index probes), never after
+    /// an exact scan.
+    pub(crate) fn reranks(self, exact_scores: bool) -> bool {
+        match self {
+            ScanMode::Exact => false,
+            ScanMode::Low { quantized, .. } => quantized || exact_scores,
+        }
+    }
+}
+
 /// Context-side partial sums for the low-precision scan, all narrowed
 /// to f32 once at construction.
 enum LowCross {
@@ -738,95 +684,103 @@ enum LowCross {
     Weighted { a: Vec<f32>, b: Vec<f32>, c: Vec<f32>, h: Vec<f32>, k: usize },
 }
 
-/// Where the candidate-side f32 rows come from.
-enum LowRows<'m> {
-    /// Straight reads from the f32 tables.
-    F32 { lp: &'m LowPrec },
-    /// Per-candidate dequantization of the i8 table into one scratch
-    /// row (`[v̂ⱼ | vⱼ]` when the table is paired).
-    I8 { lp: &'m LowPrec, scratch: Vec<f32> },
-}
-
-/// Low-precision candidate scanner: [`TopNRanker`] context state plus
-/// f32 (or dequantized-i8) candidate deltas.
-///
-/// `approx_score` keeps the context score, first-order weights, and
-/// within-group second-order term in f64 — only the context × candidate
-/// cross delta (the part that streams the big tables) is low precision.
-/// Build one with [`FrozenModel::low_ranker`]; construction fails
-/// (returns `None`) when the model carries no low-precision tables or
-/// its second-order form has no decoupled squared-Euclidean delta, in
-/// which case callers fall back to the exact f64 scan.
-pub struct LowRanker<'m> {
-    base: TopNRanker<'m>,
-    cross: LowCross,
-    rows: LowRows<'m>,
-}
-
-impl<'m> LowRanker<'m> {
-    fn new(base: TopNRanker<'m>, lp: &'m LowPrec, precision: Precision) -> Option<Self> {
+impl LowCross {
+    fn new(base: &TopNRanker<'_>, lp: &LowPrec, hat: &HatQ, h: Option<&[f64]>) -> Self {
         let model = base.model;
         let k = model.k();
-        let cross = match &model.second {
-            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } => {
-                if let Some(h) = h.as_deref() {
-                    if base.ctx.len() <= k {
-                        let mut hv = Vec::with_capacity(base.ctx.len() * k);
-                        let mut vh = Vec::with_capacity(base.ctx.len() * k);
-                        let mut q = Vec::with_capacity(base.ctx.len());
-                        for &i in &base.ctx {
-                            let vi = model.v.row(i as usize);
-                            hv.extend(h.iter().zip(vi).map(|(&hr, &vr)| (hr * vr) as f32));
-                            let (vhi, qi) = hat.row(i as usize);
-                            vh.extend(vhi.iter().map(|&x| x as f32));
-                            q.push(qi as f32);
-                        }
-                        LowCross::WeightedDirect { hv, vh, q, k }
-                    } else {
-                        let (a, b, c) = model.metric_partials(&base.ctx, hat);
-                        LowCross::Weighted {
-                            a: a.iter().map(|&x| x as f32).collect(),
-                            b: b.iter().map(|&x| x as f32).collect(),
-                            c: c.as_slice().iter().map(|&x| x as f32).collect(),
-                            h: lp.h32.clone().unwrap_or_else(|| h.iter().map(|&x| x as f32).collect()),
-                            k,
-                        }
-                    }
-                } else {
-                    let mut s = vec![0.0f64; k];
-                    let mut u = 0.0f64;
-                    for &i in &base.ctx {
-                        let (vhi, qi) = hat.row(i as usize);
-                        u += qi;
-                        for (slot, &x) in s.iter_mut().zip(vhi) {
-                            *slot += x;
-                        }
-                    }
-                    LowCross::Unweighted {
-                        s: s.iter().map(|&x| x as f32).collect(),
-                        u: u as f32,
-                        m: base.ctx.len() as f32,
-                    }
+        let Some(h) = h else {
+            let mut s = vec![0.0f64; k];
+            let mut u = 0.0f64;
+            for &i in &base.ctx {
+                let (vhi, qi) = hat.row(i as usize);
+                u += qi;
+                for (slot, &x) in s.iter_mut().zip(vhi) {
+                    *slot += x;
                 }
             }
-            _ => return None,
+            return LowCross::Unweighted {
+                s: s.iter().map(|&x| x as f32).collect(),
+                u: u as f32,
+                m: base.ctx.len() as f32,
+            };
         };
-        let rows = match precision {
-            Precision::F64 => return None,
-            Precision::F32 => LowRows::F32 { lp },
-            Precision::I8 => LowRows::I8 { lp, scratch: vec![0.0f32; lp.qhat.row_width()] },
+        if base.ctx.len() <= k {
+            let mut hv = Vec::with_capacity(base.ctx.len() * k);
+            let mut vh = Vec::with_capacity(base.ctx.len() * k);
+            let mut q = Vec::with_capacity(base.ctx.len());
+            for &i in &base.ctx {
+                let vi = model.v.row(i as usize);
+                hv.extend(h.iter().zip(vi).map(|(&hr, &vr)| (hr * vr) as f32));
+                let (vhi, qi) = hat.row(i as usize);
+                vh.extend(vhi.iter().map(|&x| x as f32));
+                q.push(qi as f32);
+            }
+            LowCross::WeightedDirect { hv, vh, q, k }
+        } else {
+            let (a, b, c) = model.metric_partials(&base.ctx, hat);
+            LowCross::Weighted {
+                a: a.iter().map(|&x| x as f32).collect(),
+                b: b.iter().map(|&x| x as f32).collect(),
+                c: c.as_slice().iter().map(|&x| x as f32).collect(),
+                h: lp.h32.clone().unwrap_or_else(|| h.iter().map(|&x| x as f32).collect()),
+                k,
+            }
+        }
+    }
+}
+
+/// The one candidate scanner of the top-N scan driver
+/// ([`crate::topn`]): a [`TopNRanker`] scoring exactly, or — under
+/// [`ScanMode::Low`] — the same context state with f32 (or
+/// dequantized-i8) candidate deltas.
+///
+/// The low-precision score keeps the context score, first-order weights
+/// and within-group second-order term in f64 — only the context ×
+/// candidate cross delta (the part that streams the big tables) is low
+/// precision.
+pub(crate) struct Scanner<'m> {
+    base: TopNRanker<'m>,
+    low: Option<Low<'m>>,
+}
+
+/// The low-precision half of a [`Scanner`]: the narrowed context
+/// partials and where the candidate-side f32 rows come from — straight
+/// reads of the f32 tables, or (when `dequant` is set) per-candidate
+/// dequantization of the i8 table into that scratch row (`[v̂ⱼ | vⱼ]`
+/// when the table is paired).
+struct Low<'m> {
+    cross: LowCross,
+    lp: &'m LowPrec,
+    dequant: Option<Vec<f32>>,
+}
+
+impl<'m> Scanner<'m> {
+    pub(crate) fn new(
+        model: &'m FrozenModel,
+        template: &[u32],
+        item_slots: &[usize],
+        mode: ScanMode<'m>,
+    ) -> Self {
+        let base = model.ranker(template, item_slots);
+        let low = match mode {
+            ScanMode::Exact => None,
+            ScanMode::Low { lp, hat, h, quantized } => Some(Low {
+                cross: LowCross::new(&base, lp, hat, h),
+                lp,
+                dequant: quantized.then(|| vec![0.0f32; lp.qhat.row_width()]),
+            }),
         };
-        Some(Self { base, cross, rows })
+        Self { base, low }
     }
 
-    /// Approximate score of one candidate: f64 context score and
-    /// first-order terms, f32 cross delta per item feature, exact f64
-    /// within-group second-order term.
-    pub fn approx_score(&mut self, item_feats: &[u32]) -> f64 {
+    /// Scores one candidate: [`TopNRanker::score`], or its
+    /// low-precision approximation.
+    pub(crate) fn score(&mut self, item_feats: &[u32]) -> f64 {
+        let Some(low) = &mut self.low else { return self.base.score(item_feats) };
         assert_eq!(
             item_feats.len(),
             self.base.item_slots.len(),
-            "LowRanker::approx_score: candidate has {} features, template has {} item slots",
+            "Scanner::score: candidate has {} features, template has {} item slots",
             item_feats.len(),
             self.base.item_slots.len()
         );
@@ -836,38 +790,43 @@ impl<'m> LowRanker<'m> {
             out += model.w[f as usize];
         }
         for &f in item_feats {
-            out += self.cross_delta32(f) as f64;
+            out += low.cross_delta(f) as f64;
         }
         out + model.second_order(item_feats)
     }
 
-    /// Block twin of [`LowRanker::approx_score`], mirroring
-    /// [`TopNRanker::score_block`].
-    pub fn approx_score_block<S: ItemFeatureSource + ?Sized>(
+    /// Scores a block of candidate items, appending one score per id to
+    /// `out`: [`TopNRanker::score_block`], or [`Scanner::score`] per id
+    /// in order.
+    pub(crate) fn score_block<S: ItemFeatureSource + ?Sized>(
         &mut self,
         items: &S,
         ids: &[u32],
         out: &mut Vec<f64>,
     ) {
+        if self.low.is_none() {
+            return self.base.score_block(items, ids, out);
+        }
         out.reserve(ids.len());
         for &id in ids {
-            let score = self.approx_score(items.features_of(id));
+            let score = self.score(items.features_of(id));
             out.push(score);
         }
     }
+}
 
+impl Low<'_> {
     /// The f32 cross delta for one candidate feature `j`.
-    fn cross_delta32(&mut self, j: u32) -> f32 {
-        let j = j as usize;
-        let (vhj, qj, vj): (&[f32], f32, Option<&[f32]>) = match &mut self.rows {
-            LowRows::F32 { lp } => {
+    fn cross_delta(&mut self, j: u32) -> f32 {
+        let (j, lp) = (j as usize, self.lp);
+        let (vhj, qj, vj): (&[f32], f32, Option<&[f32]>) = match &mut self.dequant {
+            None => {
                 let (vh, q) = lp.hat32.row(j);
                 (vh, q, lp.v32_row(j))
             }
-            LowRows::I8 { lp, scratch } => {
+            Some(scratch) => {
                 lp.qhat.dequant_into(j, scratch);
-                let k = lp.qhat.k();
-                let (vh, v) = scratch.split_at(k);
+                let (vh, v) = scratch.split_at(lp.qhat.k());
                 (vh, lp.qhat.q(j), lp.qhat.paired().then_some(v))
             }
         };
@@ -903,41 +862,108 @@ impl<'m> LowRanker<'m> {
     }
 }
 
-/// How many candidates the i8 probe keeps for the exact f64 re-rank: an
-/// 8x (and at least `n + 64`) pool absorbs quantization-induced
-/// reordering near the cutoff — including the compounding with IVF
-/// pruning, whose skip threshold tracks the approximate probe heap —
-/// so recall stays at the exact scan's level while returned scores stay
-/// bitwise the model's. The re-rank itself is a few dozen exact scores
-/// per request, noise next to the catalogue scan.
-pub fn rerank_pool(n: usize) -> usize {
-    (8 * n).max(n + 64)
-}
-
-impl FrozenModel {
-    /// Builds a low-precision candidate scanner over the same template
-    /// contract as [`FrozenModel::ranker`]. Returns `None` — callers
-    /// fall back to the exact f64 scan — when `precision` is
-    /// [`Precision::F64`], when no low-precision tables were built
-    /// ([`FrozenModel::with_precision`]), or when the model's
-    /// second-order form has no decoupled squared-Euclidean delta.
-    pub fn low_ranker<'m>(
-        &'m self,
-        template: &[u32],
-        item_slots: &[usize],
-        precision: Precision,
-    ) -> Option<LowRanker<'m>> {
-        let lp = self.lowp_tables()?;
-        LowRanker::new(self.ranker(template, item_slots), lp, precision)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gmlfm_data::Instance;
     use gmlfm_tensor::init::normal;
     use gmlfm_tensor::seeded_rng;
+    use proptest::prelude::*;
+
+    /// The scalar-loop reference the chunked kernels are pinned against
+    /// (a test oracle, not a serving entry point).
+    impl<'m> TopNRanker<'m> {
+        /// [`TopNRanker::score`] computed with the single-accumulator
+        /// reference kernels ([`kernel::naive_dot`] and friends) instead of
+        /// the chunked ones: the same formulas evaluated the way the
+        /// pre-kernel code did.
+        fn score_scalar(&mut self, item_feats: &[u32]) -> f64 {
+            assert_eq!(
+                item_feats.len(),
+                self.item_slots.len(),
+                "TopNRanker::score_scalar: candidate has {} features, template has {} item slots",
+                item_feats.len(),
+                self.item_slots.len()
+            );
+            let model = self.model;
+            let mut out = self.ctx_score;
+            for &f in item_feats {
+                out += model.w[f as usize];
+            }
+            match &self.state {
+                State::Translated { v_trans } => {
+                    for (&slot, &f) in self.item_slots.iter().zip(item_feats) {
+                        out += self.translated_cross_delta(v_trans, slot, f);
+                    }
+                    out + self.translated_candidate_pairs(v_trans, item_feats)
+                }
+                State::Decoupled(cross) => {
+                    for &f in item_feats {
+                        out += self.cross_delta_scalar(cross, f);
+                    }
+                    out + model.second_order(item_feats)
+                }
+            }
+        }
+
+        /// [`cross_delta`] with naive single-accumulator loops: the same
+        /// formulas evaluated the way the pre-kernel code did.
+        fn cross_delta_scalar(&self, cross: &Cross<'m>, j: u32) -> f64 {
+            let model = self.model;
+            let k = model.k();
+            let vj = model.v.row(j as usize);
+            match cross {
+                Cross::Dot { a } => kernel::naive_dot(a, vj),
+                Cross::MetricWeighted { a, b, c, hat, h } => {
+                    let (vhj, qj) = hat.row(j as usize);
+                    let mut first = 0.0;
+                    let mut cross = 0.0;
+                    for r in 0..k {
+                        let hv = h[r] * vj[r];
+                        if hv == 0.0 {
+                            continue;
+                        }
+                        first += hv * (b[r] + qj * a[r]);
+                        cross += hv * kernel::naive_dot(c.row(r), vhj);
+                    }
+                    first - 2.0 * cross
+                }
+                Cross::MetricUnweighted { s, u, hat } => {
+                    let (vhj, qj) = hat.row(j as usize);
+                    u + self.ctx.len() as f64 * qj - 2.0 * kernel::naive_dot(s, vhj)
+                }
+                Cross::MetricUnweightedDirect { hat, .. } => {
+                    let vhj = hat.v_hat(j as usize);
+                    let mut out = 0.0;
+                    for &i in &self.ctx {
+                        out += kernel::naive_sq_dist(hat.v_hat(i as usize), vhj);
+                    }
+                    out
+                }
+                Cross::MetricWeightedDirect { hat, .. } => {
+                    let SecondOrder::Metric { h, .. } = &model.second else { unreachable!() };
+                    let (vhj, qj) = hat.row(j as usize);
+                    let mut out = 0.0;
+                    for &i in &self.ctx {
+                        let w_ij = model.pair_weight(h.as_deref(), i, j);
+                        let (vhi, qi) = hat.row(i as usize);
+                        let d = qi + qj - 2.0 * kernel::naive_dot(vhi, vhj);
+                        out += w_ij * d;
+                    }
+                    out
+                }
+                Cross::MetricPairwise { hat, h, distance } => {
+                    let vhj = hat.v_hat(j as usize);
+                    let mut out = 0.0;
+                    for &i in &self.ctx {
+                        let w_ij = model.pair_weight(*h, i, j);
+                        out += w_ij * distance.eval(hat.v_hat(i as usize), vhj);
+                    }
+                    out
+                }
+            }
+        }
+    }
 
     fn metric_model(weighted: bool, distance: Distance, seed: u64) -> FrozenModel {
         let n = 40;
@@ -1116,5 +1142,64 @@ mod tests {
         let model = metric_model(true, Distance::SquaredEuclidean, 6);
         let mut ranker = model.ranker(&[0, 10, 20], &[1]);
         let _ = ranker.score(&[1, 2]);
+    }
+
+    /// A 33-item catalogue (one candidate block plus a remainder) of
+    /// `[item id, attribute]` groups under every second-order mode the
+    /// ranker serves; modes 1 and 3 put 17 features in the context, so
+    /// the wide (`ctx > k`) delta forms run for every `k` swept below.
+    fn mode_fixture(mode: usize, k: usize, seed: u64) -> (FrozenModel, Vec<Vec<u32>>, Vec<u32>, Vec<usize>) {
+        let (n_users, n_items, n_attrs) = (4usize, 33usize, 9usize);
+        let dim = n_users + n_items + n_attrs;
+        let mut rng = seeded_rng(seed);
+        let v = normal(&mut rng, dim, k, 0.0, 0.4);
+        let v_hat = normal(&mut rng, dim, k, 0.0, 0.4);
+        let h = normal(&mut rng, 1, k, 0.0, 0.4).into_vec();
+        let w = normal(&mut rng, 1, dim, 0.0, 0.1).into_vec();
+        let q: Vec<f64> = (0..dim).map(|r| v_hat.row(r).iter().map(|x| x * x).sum()).collect();
+        let metric = |h: Option<Vec<f64>>, d: Distance| SecondOrder::metric(v_hat.clone(), q.clone(), h, d);
+        let second = match mode {
+            0 | 1 => metric(Some(h), Distance::SquaredEuclidean),
+            2 | 3 => metric(None, Distance::SquaredEuclidean),
+            4 => metric(Some(h), Distance::Manhattan),
+            5 => metric(None, Distance::Chebyshev),
+            6 => metric(Some(h), Distance::Cosine),
+            7 => SecondOrder::Translated { v_trans: normal(&mut rng, dim, k, 0.0, 0.3) },
+            _ => SecondOrder::Dot,
+        };
+        let attr = |a: usize| (n_users + n_items + a % n_attrs) as u32;
+        let items = (0..n_items).map(|i| vec![(n_users + i) as u32, attr(i * 7 + 3)]).collect();
+        let (template, item_slots) = if mode == 1 || mode == 3 {
+            let mut t = vec![1u32];
+            t.extend((0..16).map(attr));
+            t.extend([0, 0]);
+            (t, vec![17, 18])
+        } else {
+            (vec![1, 0, 0], vec![1, 2])
+        };
+        (FrozenModel::from_parts(0.1, w, v, second), items, template, item_slots)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Chunked kernels vs the naive scalar accumulation — at most
+        /// pairwise-reassociation rounding apart, in every mode and at
+        /// factor widths straddling the 8-lane kernel chunk.
+        #[test]
+        fn chunked_scores_match_the_scalar_loop(mode in 0usize..9, k_idx in 0usize..4, seed in 0u64..50) {
+            let k = [1usize, 2, 7, 16][k_idx];
+            let (model, items, template, item_slots) = mode_fixture(mode, k, seed);
+            let mut chunked = model.ranker(&template, &item_slots);
+            let mut scalar = model.ranker(&template, &item_slots);
+            for (item, feats) in items.iter().enumerate() {
+                let a = chunked.score(feats);
+                let b = scalar.score_scalar(feats);
+                prop_assert!(
+                    (a - b).abs() <= 1e-12 * a.abs().max(1.0),
+                    "mode {} k {} item {}: chunked {} vs scalar {}", mode, k, item, a, b
+                );
+            }
+        }
     }
 }

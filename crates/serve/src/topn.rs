@@ -1,16 +1,25 @@
-//! Sharded top-N retrieval: bounded-heap selection with a deterministic
-//! merge.
+//! Top-N retrieval: one sharded bounded-heap scan driver with a
+//! deterministic merge.
 //!
 //! The serving workload the paper optimises for (Eq. 10/11 decoupled
 //! scoring) ranks a whole catalogue per request but returns only the
 //! best `n` — and `n` is tiny next to the catalogue. Scoring every
 //! candidate is unavoidable without an index, but *sorting* every
 //! candidate is not: this module selects the top `n` with one bounded
-//! heap per contiguous candidate shard, so a request over `C` candidates
-//! costs `O(C·k + C·log n)` time and `O(shards·n)` selection memory
-//! instead of the full sort's `O(C·k + C·log C)` time and `O(C)` score
-//! buffer. At a million items and `n = 10` the difference is the sort
-//! and the 16 MB score vector, every request.
+//! heap per contiguous shard of the work, so a request over `C`
+//! candidates costs `O(C·k + C·log n)` time and `O(shards·n)` selection
+//! memory instead of the full sort's `O(C·k + C·log C)` time and `O(C)`
+//! score buffer. At a million items and `n = 10` the difference is the
+//! sort and the 16 MB score vector, every request.
+//!
+//! Every retrieval mode is the same loop — cut the work into shards,
+//! give each shard one scanner and one [`TopNHeap`], merge under
+//! [`rank_cmp`], re-score the pool exactly when the scan was a
+//! low-precision probe — so it exists once, as the private `Scan::run`
+//! driver. The two candidate sources are expressed over it: an explicit
+//! candidate list scored in [`kernel::CAND_BLOCK`] runs
+//! ([`scan_top_n`]), and an IVF probe list scored per member under the
+//! Cauchy–Schwarz bounds ([`crate::IvfIndex::search`]).
 //!
 //! Three guarantees make the fast path a drop-in replacement for the
 //! full sort, not an approximation of it:
@@ -26,23 +35,22 @@
 //! 3. **Deterministic merge.** Shard results are concatenated in shard
 //!    order and resolved by the same total order, so the final ranking
 //!    is independent of shard count and thread count — pinned by the
-//!    `retrieval_parity` proptests across shard counts {1, 3, 8} and
-//!    threads {1, 2, 5}.
+//!    `kernel_parity` and `retrieval_parity` proptests across threads
+//!    {1, 2, 5}.
 
 use crate::frozen::FrozenModel;
 use crate::index::ItemFeatureSource;
 use crate::kernel;
 use crate::lowp::Precision;
-use crate::rank::rerank_pool;
+use crate::rank::{ScanMode, Scanner};
 use gmlfm_par::Parallelism;
 use std::cmp::Ordering;
-use std::num::NonZeroUsize;
 
 /// The retrieval total order over `(item, score)` pairs, best first:
 /// score descending ([`f64::total_cmp`], so not even NaN breaks
 /// totality), then item id ascending.
 ///
-/// Every ranking surface — [`TopNHeap`], [`merge_sharded`], the
+/// Every ranking surface — [`TopNHeap`], the shard merge, the
 /// request-path sort in `gmlfm-service`, the full-sort references in
 /// tests — uses this one comparator, which is what makes equal-score
 /// ordering an explicit contract instead of a sort-implementation
@@ -173,152 +181,123 @@ impl TopNHeap {
 /// finished in. (Duplicate candidates are legal and retained: two copies
 /// of one item compare `Equal` and are indistinguishable, so any
 /// interleaving of them is the same ranking.)
-pub fn merge_sharded(n: usize, shards: impl IntoIterator<Item = Vec<(u32, f64)>>) -> Vec<(u32, f64)> {
+fn merge_sharded(n: usize, shards: impl IntoIterator<Item = Vec<(u32, f64)>>) -> Vec<(u32, f64)> {
     let mut all: Vec<(u32, f64)> = shards.into_iter().flatten().collect();
     all.sort_by(rank_cmp);
     all.truncate(n);
     all
 }
 
-/// Sharded bounded-heap top-N over a candidate list: `candidates` is cut
-/// into `shards` contiguous ranges ([`gmlfm_par::block_ranges`]), each
-/// shard builds its own scoring state with `init` (one
-/// [`crate::TopNRanker`] per shard in the serving path — the context
-/// partials are computed once per shard, not once per candidate) and
-/// fills a [`TopNHeap`] of size `n`, and the shard heaps are merged with
-/// [`merge_sharded`]. Shards are fanned across the `gmlfm-par` pool
-/// under `par`.
-///
-/// The result is item-for-item identical — scores bitwise, tie order
-/// included — to the full-sort reference
-/// `sort_by(rank_cmp) + truncate(n)` over the same scores, at every
-/// shard count and every thread count, because `score` is pure per
-/// candidate and [`rank_cmp`] is total.
-pub fn sharded_top_n<S>(
-    candidates: &[u32],
-    n: usize,
-    shards: NonZeroUsize,
-    par: Parallelism,
-    init: impl Fn() -> S + Sync,
-    score: impl Fn(&mut S, u32) -> f64 + Sync,
-) -> Vec<(u32, f64)> {
-    let ranges = gmlfm_par::block_ranges(candidates.len(), shards.get());
-    let shard_tops = gmlfm_par::par_map(par, &ranges, |range| {
-        let mut state = init();
-        let mut heap = TopNHeap::new(n);
-        for &item in &candidates[range.clone()] {
-            heap.push(item, score(&mut state, item));
-        }
-        heap.into_sorted()
-    });
-    merge_sharded(n, shard_tops)
+/// How many candidates a low-precision probe keeps for the exact f64
+/// re-rank: an 8x (and at least `n + 64`) pool absorbs
+/// quantization-induced reordering near the cutoff — including the
+/// compounding with IVF pruning, whose skip threshold tracks the
+/// approximate probe heap — so recall stays at the exact scan's level
+/// while returned scores stay bitwise the model's. The re-rank itself is
+/// a few dozen exact scores per request, noise next to the catalogue
+/// scan.
+fn rerank_pool(n: usize) -> usize {
+    (8 * n).max(n + 64)
 }
 
-/// [`sharded_top_n`] driven through a block scorer: each shard's
+/// One top-`n` request against a frozen model: what a candidate source
+/// hands the scan driver ([`Scan::run`]). `template` is the user's
+/// feature template, `item_slots` the positions a candidate's features
+/// fill (the [`FrozenModel::ranker`] contract).
+pub(crate) struct Scan<'a, S: ItemFeatureSource + ?Sized> {
+    pub(crate) model: &'a FrozenModel,
+    pub(crate) items: &'a S,
+    pub(crate) template: &'a [u32],
+    pub(crate) item_slots: &'a [usize],
+    pub(crate) n: usize,
+    pub(crate) precision: Precision,
+    pub(crate) par: Parallelism,
+}
+
+impl<S: ItemFeatureSource + ?Sized> Scan<'_, S> {
+    /// The scan driver: `work` is cut into one contiguous shard per
+    /// requested worker, each shard builds its own [`Scanner`] (context
+    /// partials computed once per shard, not once per candidate) and
+    /// lets `scan_shard` push its share of the work into a
+    /// [`TopNHeap`], and the shard heaps are merged under [`rank_cmp`].
+    /// With `scan_shard` pushing pure per-candidate scores the result
+    /// is item-for-item `sort_by(rank_cmp) + truncate(n)` over those
+    /// scores at every thread count.
+    ///
+    /// The scan reads the tables [`ScanMode::choose`] picks for
+    /// `self.precision`. When that mode re-ranks — `exact_scores` is
+    /// the caller's contract that returned scores are the f64 model's
+    /// — the heaps keep a [`rerank_pool`]-sized pool and the merged
+    /// pool is re-scored by the exact ranker, which is what makes every
+    /// approximate probe's returned scores bitwise the model's.
+    pub(crate) fn run<W: Sync>(
+        &self,
+        exact_scores: bool,
+        work: &[W],
+        scan_shard: impl Fn(&mut Scanner<'_>, &[W], &mut TopNHeap) + Sync,
+    ) -> Vec<(u32, f64)> {
+        let mode = ScanMode::choose(self.model, self.precision);
+        let rerank = mode.reranks(exact_scores);
+        let pool_n = if rerank { rerank_pool(self.n) } else { self.n };
+        let ranges = gmlfm_par::block_ranges(work.len(), self.par.get());
+        let shard_tops = gmlfm_par::par_map(self.par, &ranges, |range| {
+            let mut scanner = Scanner::new(self.model, self.template, self.item_slots, mode);
+            let mut heap = TopNHeap::new(pool_n);
+            scan_shard(&mut scanner, &work[range.clone()], &mut heap);
+            heap.into_sorted()
+        });
+        let mut pool = merge_sharded(pool_n, shard_tops);
+        if rerank {
+            let mut ranker = self.model.ranker(self.template, self.item_slots);
+            for (item, score) in &mut pool {
+                *score = ranker.score(self.items.features_of(*item));
+            }
+            pool.sort_by(rank_cmp);
+            pool.truncate(self.n);
+        }
+        pool
+    }
+}
+
+/// Top `n` of an explicit candidate list, best first under
+/// [`rank_cmp`] — the list source of the scan driver: each shard's
 /// candidates are scored in [`kernel::CAND_BLOCK`]-sized runs
-/// (`score_block` fills one score per id, in order) and pushed into the
-/// shard heap. Same bitwise-identical-to-full-sort contract as
-/// [`sharded_top_n`], because the blocks preserve candidate order and
-/// the block scorer is defined as the per-item scorer applied in order.
-pub fn sharded_top_n_blocks<S>(
+/// ([`crate::TopNRanker::score_block`], bitwise the per-item score) and
+/// pushed into the shard heap in candidate order. `template` and
+/// `item_slots` follow the [`FrozenModel::ranker`] contract; candidate
+/// ids must be in range for `items`.
+///
+/// * [`Precision::F64`] — and any precision the model carries no table
+///   for ([`FrozenModel::with_precision`]) — is the exact scan:
+///   item-for-item the full sort of the per-item scores.
+/// * [`Precision::F32`] returns the approximate table scores directly
+///   (error bound and tie-order caveat: README "Vectorized kernels &
+///   scan precision").
+/// * [`Precision::I8`] scans the quantized tables into an over-fetched
+///   pool, then re-scores the pool exactly — returned scores are
+///   bitwise the model's.
+#[allow(clippy::too_many_arguments)]
+pub fn scan_top_n<S: ItemFeatureSource + ?Sized>(
+    model: &FrozenModel,
+    items: &S,
+    template: &[u32],
+    item_slots: &[usize],
     candidates: &[u32],
     n: usize,
-    shards: NonZeroUsize,
+    precision: Precision,
     par: Parallelism,
-    init: impl Fn() -> S + Sync,
-    score_block: impl Fn(&mut S, &[u32], &mut Vec<f64>) + Sync,
 ) -> Vec<(u32, f64)> {
-    let ranges = gmlfm_par::block_ranges(candidates.len(), shards.get());
-    let shard_tops = gmlfm_par::par_map(par, &ranges, |range| {
-        let mut state = init();
-        let mut heap = TopNHeap::new(n);
+    let scan = Scan { model, items, template, item_slots, n, precision, par };
+    scan.run(false, candidates, |scanner, ids, heap| {
         let mut scores = Vec::with_capacity(kernel::CAND_BLOCK);
-        for block in candidates[range.clone()].chunks(kernel::CAND_BLOCK) {
+        for block in ids.chunks(kernel::CAND_BLOCK) {
             scores.clear();
-            score_block(&mut state, block, &mut scores);
+            scanner.score_block(items, block, &mut scores);
             for (&item, &score) in block.iter().zip(&scores) {
                 heap.push(item, score);
             }
         }
-        heap.into_sorted()
-    });
-    merge_sharded(n, shard_tops)
-}
-
-/// Full-candidate top-N scan at a requested [`Precision`], or `None`
-/// when the exact f64 path should run instead (precision is
-/// [`Precision::F64`], the model carries no low-precision tables, or
-/// its second-order form has no decoupled squared-Euclidean delta).
-///
-/// * [`Precision::F32`] returns the approximate scores directly — see
-///   the README "Kernels" section for the error bound and tie-order
-///   caveat.
-/// * [`Precision::I8`] scans with the quantized tables into a
-///   [`rerank_pool`]-sized pool, then re-scores the pool with the exact
-///   f64 ranker ([`exact_rerank`]) — returned scores are bitwise the
-///   model's.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_top_n_prec<S: ItemFeatureSource + ?Sized + Sync>(
-    model: &FrozenModel,
-    items: &S,
-    candidates: &[u32],
-    template: &[u32],
-    item_slots: &[usize],
-    n: usize,
-    precision: Precision,
-    shards: NonZeroUsize,
-    par: Parallelism,
-) -> Option<Vec<(u32, f64)>> {
-    // One up-front probe so the per-shard constructor below can't fail.
-    model.low_ranker(template, item_slots, precision)?;
-    let approx = |pool_n: usize| {
-        let ranges = gmlfm_par::block_ranges(candidates.len(), shards.get());
-        let shard_tops = gmlfm_par::par_map(par, &ranges, |range| {
-            let Some(mut low) = model.low_ranker(template, item_slots, precision) else {
-                return Vec::new();
-            };
-            let mut heap = TopNHeap::new(pool_n);
-            let mut scores = Vec::with_capacity(kernel::CAND_BLOCK);
-            for block in candidates[range.clone()].chunks(kernel::CAND_BLOCK) {
-                scores.clear();
-                low.approx_score_block(items, block, &mut scores);
-                for (&item, &score) in block.iter().zip(&scores) {
-                    heap.push(item, score);
-                }
-            }
-            heap.into_sorted()
-        });
-        merge_sharded(pool_n, shard_tops)
-    };
-    match precision {
-        Precision::F64 => None,
-        Precision::F32 => Some(approx(n)),
-        Precision::I8 => {
-            let pool = approx(rerank_pool(n));
-            Some(exact_rerank(model, items, pool, template, item_slots, n))
-        }
-    }
-}
-
-/// Re-scores a candidate pool with the exact f64 ranker and returns the
-/// top `n` under [`rank_cmp`] — the step that makes every approximate
-/// probe's returned scores bitwise the model's.
-pub fn exact_rerank<S: ItemFeatureSource + ?Sized>(
-    model: &FrozenModel,
-    items: &S,
-    pool: Vec<(u32, f64)>,
-    template: &[u32],
-    item_slots: &[usize],
-    n: usize,
-) -> Vec<(u32, f64)> {
-    let mut ranker = model.ranker(template, item_slots);
-    let mut out: Vec<(u32, f64)> = pool
-        .into_iter()
-        .map(|(id, _)| (id, ranker.score(items.features_of(id))))
-        .collect();
-    out.sort_by(rank_cmp);
-    out.truncate(n);
-    out
+    })
 }
 
 #[cfg(test)]
@@ -407,39 +386,37 @@ mod tests {
         }
     }
 
+    /// A model whose score for item `i` is exactly `score(i)`: zero
+    /// factors, the score in the item feature's first-order weight.
+    fn scripted(n_items: u32, score: impl Fn(u32) -> f64) -> (FrozenModel, Vec<Vec<u32>>) {
+        let mut w = vec![0.0];
+        w.extend((0..n_items).map(score));
+        let v = gmlfm_tensor::Matrix::zeros(w.len(), 2);
+        let model = FrozenModel::from_parts(0.0, w, v, crate::SecondOrder::Dot);
+        (model, (0..n_items).map(|i| vec![1 + i]).collect())
+    }
+
     #[test]
-    fn sharded_top_n_matches_reference_across_shards_and_threads() {
+    fn scan_matches_full_sort_across_threads() {
+        let (model, items) = scripted(211, chunky_score);
         let candidates: Vec<u32> = (0..211u32).collect();
         let scored: Vec<(u32, f64)> = candidates.iter().map(|&i| (i, chunky_score(i))).collect();
         for n in [1usize, 5, 211, 221] {
             let reference = full_sort(&scored, n);
-            for shards in [1usize, 3, 8] {
-                for threads in [1usize, 2, 5] {
-                    let got = sharded_top_n(
-                        &candidates,
-                        n,
-                        NonZeroUsize::new(shards).expect("non-zero"),
-                        Parallelism::threads(threads),
-                        || (),
-                        |(), item| chunky_score(item),
-                    );
-                    assert_eq!(got, reference, "n={n} shards={shards} threads={threads}");
-                }
+            for threads in [1usize, 2, 5] {
+                let par = Parallelism::threads(threads);
+                let got = scan_top_n(&model, &items, &[0, 0], &[1], &candidates, n, Precision::F64, par);
+                assert_eq!(got, reference, "n={n} threads={threads}");
             }
         }
     }
 
     #[test]
     fn all_equal_scores_rank_by_item_id() {
+        let (model, items) = scripted(40, |_| 0.25);
         let candidates: Vec<u32> = (0..40u32).rev().collect();
-        let got = sharded_top_n(
-            &candidates,
-            5,
-            NonZeroUsize::new(4).expect("non-zero"),
-            Parallelism::serial(),
-            || (),
-            |(), _| 0.25,
-        );
+        let par = Parallelism::threads(4);
+        let got = scan_top_n(&model, &items, &[0, 0], &[1], &candidates, 5, Precision::F64, par);
         assert_eq!(got, vec![(0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)]);
     }
 }

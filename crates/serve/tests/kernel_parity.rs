@@ -1,38 +1,38 @@
-//! Kernel-parity sweep for the chunked scoring hot path.
+//! Kernel-parity sweep for the chunked scoring hot path and the top-N
+//! scan driver over it.
 //!
-//! Three layers of pinning, from strictest to loosest:
+//! Three layers of pinning, from strictest to loosest (the ≤1e-12
+//! "chunked kernels vs the scalar loop" layer lives beside its
+//! test-only scalar reference, in `rank.rs`'s unit tests):
 //!
 //! 1. **Block scan ≡ per-item scan, bitwise** — `score_block` (the
-//!    `CAND_BLOCK`-wide entry the sharded retrieval path uses) must
-//!    reproduce the per-item `score` loop bit for bit across every
-//!    metric mode, factor widths straddling the kernel lane width, and
-//!    candidate counts straddling the block width (remainder-loop
-//!    coverage on both axes).
-//! 2. **Chunked kernels ≈ scalar loop, ≤1e-12** — the `score_scalar`
-//!    baseline mirrors every delta form with naive serial accumulation;
-//!    the chunked kernels may round differently but never beyond a
-//!    pairwise-reassociation bound.
+//!    `CAND_BLOCK`-wide entry the list scan uses) must reproduce the
+//!    per-item `score` loop bit for bit across every metric mode, factor
+//!    widths straddling the kernel lane width, and candidate counts
+//!    straddling the block width (remainder-loop coverage on both axes).
+//! 2. **Scan driver ≡ full sort, bitwise** — both candidate sources of
+//!    the one driver (`scan_top_n` over a candidate list, a full-probe
+//!    `IvfIndex::search`) at `F64` and `I8`, threads {1, 2, 5}, equal
+//!    the full sort of per-item `TopNRanker::score` under `rank_cmp`:
+//!    ids and score bits.
 //! 3. **Low-precision tables** — the `f32` scan stays inside its
 //!    documented error bound against the exact scores; the `i8` probe +
 //!    exact re-rank returns scores **bitwise** the `f64` model's.
 
 use gmlfm_core::Distance;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{
-    scan_top_n_prec, sharded_top_n, sharded_top_n_blocks, FrozenModel, IvfBuildOptions, IvfIndex, Precision,
-    SecondOrder,
-};
+use gmlfm_serve::{rank_cmp, scan_top_n, FrozenModel, IvfBuildOptions, IvfIndex, Precision, SecondOrder};
 use gmlfm_tensor::init::normal;
 use gmlfm_tensor::seeded_rng;
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 
 const N_USERS: usize = 4;
 const N_ATTRS: usize = 9;
 
 /// One candidate count per interesting remainder class of the 32-wide
-/// candidate block: below, at, one past, and two-blocks-plus-remainder.
-const CAND_COUNTS: [usize; 5] = [1, 31, 32, 33, 65];
+/// candidate block — below, at, one past, and two-blocks-plus-remainder
+/// — plus 1 and 4, fewer candidates than a 5-thread scan has shards.
+const CAND_COUNTS: [usize; 6] = [1, 4, 31, 32, 33, 65];
 
 /// Factor widths straddling the 8-lane kernel chunk.
 const KS: [usize; 4] = [1, 2, 7, 16];
@@ -86,70 +86,114 @@ fn fixture(mode: usize, k: usize, n_items: usize, seed: u64) -> Fixture {
     Fixture { model, items, template, item_slots }
 }
 
+impl Fixture {
+    /// The slow, obviously-right oracle every fast path is held to: one
+    /// ranker's per-item `score` over the whole catalogue, fully sorted
+    /// under `rank_cmp`, truncated.
+    fn full_sort(&self, n: usize) -> Vec<(u32, f64)> {
+        let mut ranker = self.model.ranker(&self.template, &self.item_slots);
+        let mut scored: Vec<(u32, f64)> = self
+            .items
+            .iter()
+            .enumerate()
+            .map(|(i, feats)| (i as u32, ranker.score(feats)))
+            .collect();
+        scored.sort_by(rank_cmp);
+        scored.truncate(n);
+        scored
+    }
+
+    fn scan(&self, n: usize, precision: Precision, threads: usize) -> Vec<(u32, f64)> {
+        let candidates: Vec<u32> = (0..self.items.len() as u32).collect();
+        let par = Parallelism::threads(threads);
+        scan_top_n(&self.model, &self.items, &self.template, &self.item_slots, &candidates, n, precision, par)
+    }
+}
+
+/// Ids and score bits.
+fn assert_same_ranking(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "{}", what);
+    for (g, w) in got.iter().zip(want) {
+        prop_assert_eq!(g.0, w.0, "{}", what);
+        prop_assert_eq!(g.1.to_bits(), w.1.to_bits(), "{}: {} vs {}", what, g.1, w.1);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Layer 1: the block entry is the per-item loop, bit for bit, at
-    /// every shard/thread split.
+    /// Layer 1: the block entry is the per-item loop, bit for bit.
     #[test]
     fn block_scan_is_bitwise_the_per_item_scan(
         mode in 0usize..9,
         k_idx in 0usize..KS.len(),
         count_idx in 0usize..CAND_COUNTS.len(),
-        threads in 1usize..4,
         seed in 0u64..50,
     ) {
         let count = CAND_COUNTS[count_idx];
         let fx = fixture(mode, KS[k_idx], count, seed);
         let candidates: Vec<u32> = (0..count as u32).collect();
-        let shards = NonZeroUsize::new(threads).expect("threads >= 1");
-        let par = Parallelism::threads(threads);
-        let per_item = sharded_top_n(
-            &candidates,
-            count,
-            shards,
-            par,
-            || fx.model.ranker(&fx.template, &fx.item_slots),
-            |ranker, item| ranker.score(&fx.items[item as usize]),
-        );
-        let blocked = sharded_top_n_blocks(
-            &candidates,
-            count,
-            shards,
-            par,
-            || fx.model.ranker(&fx.template, &fx.item_slots),
-            |ranker, ids, out| ranker.score_block(&fx.items, ids, out),
-        );
-        prop_assert_eq!(per_item.len(), blocked.len());
-        for (p, b) in per_item.iter().zip(&blocked) {
-            prop_assert_eq!(p.0, b.0, "mode {} k {} count {}", mode, KS[k_idx], count);
+        let mut per_item = fx.model.ranker(&fx.template, &fx.item_slots);
+        let mut blocked = fx.model.ranker(&fx.template, &fx.item_slots);
+        let mut scores = Vec::new();
+        for block in candidates.chunks(gmlfm_serve::kernel::CAND_BLOCK) {
+            blocked.score_block(&fx.items, block, &mut scores);
+        }
+        prop_assert_eq!(scores.len(), count);
+        for (&item, b) in candidates.iter().zip(&scores) {
+            let p = per_item.score(&fx.items[item as usize]);
             prop_assert_eq!(
-                p.1.to_bits(), b.1.to_bits(),
-                "mode {} k {} count {}: per-item {} vs blocked {}", mode, KS[k_idx], count, p.1, b.1
+                p.to_bits(), b.to_bits(),
+                "mode {} k {} count {} item {}: per-item {} vs blocked {}", mode, KS[k_idx], count, item, p, b
             );
         }
     }
 
-    /// Layer 2: chunked kernels vs the naive scalar accumulation — at
-    /// most pairwise-reassociation rounding apart.
+    /// Layer 2: the one scan driver, through both of its candidate
+    /// sources, equals the full sort of per-item scores — at every
+    /// thread count, and at `I8` as at `F64` (every count here fits the
+    /// i8 probe's over-fetched pool, so the probe drops nothing and the
+    /// exact re-rank must reproduce the oracle; modes without the
+    /// low-precision tables fall back to the exact scan).
     #[test]
-    fn chunked_scores_match_the_scalar_loop(
+    fn scan_driver_matches_the_full_sort(
         mode in 0usize..9,
         k_idx in 0usize..KS.len(),
+        count_idx in 0usize..CAND_COUNTS.len(),
+        n_kind in 0usize..4,
         seed in 0u64..50,
     ) {
-        let count = 33; // one full block plus a remainder item
-        let fx = fixture(mode, KS[k_idx], count, seed);
-        let mut chunked = fx.model.ranker(&fx.template, &fx.item_slots);
-        let mut scalar = fx.model.ranker(&fx.template, &fx.item_slots);
-        for item in 0..count as u32 {
-            let feats = &fx.items[item as usize];
-            let a = chunked.score(feats);
-            let b = scalar.score_scalar(feats);
-            prop_assert!(
-                (a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                "mode {} k {} item {}: chunked {} vs scalar {}", mode, KS[k_idx], item, a, b
-            );
+        let count = CAND_COUNTS[count_idx];
+        let mut fx = fixture(mode, KS[k_idx], count, seed);
+        fx.model = fx.model.with_precision(Precision::I8);
+        let n = [1, 10, count, count + 10][n_kind];
+        let want = fx.full_sort(n);
+        let opts = IvfBuildOptions { clusters: Some(3), ..IvfBuildOptions::default() };
+        let index = IvfIndex::build(&fx.model, &fx.items, &opts, Parallelism::serial());
+        // Only the squared-Euclidean metric modes have the index's
+        // linearisation.
+        prop_assert_eq!(index.is_some(), mode < 4);
+        for precision in [Precision::F64, Precision::I8] {
+            for threads in [1usize, 2, 5] {
+                let what = format!(
+                    "mode {mode} k {} count {count} n {n} {precision:?} threads {threads}", KS[k_idx]
+                );
+                assert_same_ranking(&fx.scan(n, precision, threads), &want, &format!("list, {what}"))?;
+                let Some(index) = &index else { continue };
+                let probed = index.search(
+                    &fx.model,
+                    &fx.items,
+                    &fx.template,
+                    &fx.item_slots,
+                    n,
+                    index.n_clusters(),
+                    Parallelism::threads(threads),
+                    &|_| false,
+                    precision,
+                );
+                assert_same_ranking(&probed, &want, &format!("full probe, {what}"))?;
+            }
         }
     }
 }
@@ -159,59 +203,38 @@ proptest! {
 #[test]
 fn f32_scan_is_error_bounded_against_f64() {
     for seed in [3u64, 17, 40] {
-        let fx = fixture(0, 8, 200, seed);
-        let model = fx.model.with_precision(Precision::F32);
-        assert_eq!(model.precision(), Precision::F32);
-        let candidates: Vec<u32> = (0..200).collect();
-        let got = scan_top_n_prec(
-            &model,
-            &fx.items,
-            &candidates,
-            &fx.template,
-            &fx.item_slots,
-            200,
-            Precision::F32,
-            NonZeroUsize::new(2).expect("nonzero"),
-            Parallelism::threads(2),
-        )
-        .expect("metric SquaredEuclidean models carry f32 tables");
+        let mut fx = fixture(0, 8, 200, seed);
+        fx.model = fx.model.with_precision(Precision::F32);
+        assert_eq!(fx.model.precision(), Precision::F32);
+        let got = fx.scan(200, Precision::F32, 2);
         assert_eq!(got.len(), 200);
-        let mut exact = model.ranker(&fx.template, &fx.item_slots);
+        let mut exact = fx.model.ranker(&fx.template, &fx.item_slots);
+        let mut approximated = false;
         for (item, approx) in &got {
             let want = exact.score(&fx.items[*item as usize]);
+            approximated |= approx.to_bits() != want.to_bits();
             assert!(
                 (approx - want).abs() <= 1e-5 * want.abs().max(1.0),
                 "seed {seed} item {item}: f32 {approx} vs f64 {want}"
             );
         }
+        assert!(approximated, "seed {seed}: an f32 list scan returns the table scores, not a re-rank");
     }
 }
 
 /// Layer 3b: the `i8` scan over-fetches and re-ranks exactly, so its
 /// returned scores are **bitwise** the exact ranker's — and with the
-/// 4x pool on a smooth synthetic model, the returned ranking is the
+/// 8x pool on a smooth synthetic model, the returned ranking is the
 /// exact top-n itself.
 #[test]
 fn i8_scan_returns_bitwise_exact_scores() {
     for seed in [5u64, 23, 41] {
-        let fx = fixture(0, 8, 300, seed);
-        let model = fx.model.with_precision(Precision::I8);
-        let candidates: Vec<u32> = (0..300).collect();
+        let mut fx = fixture(0, 8, 300, seed);
+        fx.model = fx.model.with_precision(Precision::I8);
         let n = 10;
-        let got = scan_top_n_prec(
-            &model,
-            &fx.items,
-            &candidates,
-            &fx.template,
-            &fx.item_slots,
-            n,
-            Precision::I8,
-            NonZeroUsize::new(3).expect("nonzero"),
-            Parallelism::threads(3),
-        )
-        .expect("metric SquaredEuclidean models carry i8 tables");
+        let got = fx.scan(n, Precision::I8, 3);
         assert_eq!(got.len(), n);
-        let mut exact = model.ranker(&fx.template, &fx.item_slots);
+        let mut exact = fx.model.ranker(&fx.template, &fx.item_slots);
         for (item, score) in &got {
             let want = exact.score(&fx.items[*item as usize]);
             assert_eq!(
@@ -220,15 +243,7 @@ fn i8_scan_returns_bitwise_exact_scores() {
                 "seed {seed} item {item}: i8 re-rank must return the exact score"
             );
         }
-        let reference = sharded_top_n(
-            &candidates,
-            n,
-            NonZeroUsize::new(1).expect("nonzero"),
-            Parallelism::serial(),
-            || model.ranker(&fx.template, &fx.item_slots),
-            |ranker, item| ranker.score(&fx.items[item as usize]),
-        );
-        assert_eq!(got, reference, "seed {seed}: 4x pool covers the exact top-{n} here");
+        assert_eq!(got, fx.full_sort(n), "seed {seed}: 8x pool covers the exact top-{n} here");
     }
 }
 
@@ -237,38 +252,35 @@ fn i8_scan_returns_bitwise_exact_scores() {
 /// scan still reproduces the exact retrieval on this fixture.
 #[test]
 fn i8_ivf_probe_keeps_scores_bitwise_exact() {
-    let fx = fixture(0, 8, 300, 13);
-    let model = fx.model.with_precision(Precision::I8);
+    let mut fx = fixture(0, 8, 300, 13);
+    fx.model = fx.model.with_precision(Precision::I8);
     let opts = IvfBuildOptions { clusters: Some(12), ..IvfBuildOptions::default() };
-    let index = IvfIndex::build(&model, &fx.items, &opts, Parallelism::serial()).expect("metric model");
+    let index = IvfIndex::build(&fx.model, &fx.items, &opts, Parallelism::serial()).expect("metric model");
     let n = 10;
     for threads in [1usize, 3] {
-        let got = index.search_prec(
-            &model,
-            &fx.items,
-            &fx.template,
-            &fx.item_slots,
-            n,
-            index.n_clusters(),
-            Parallelism::threads(threads),
-            &|_| false,
-            Precision::I8,
-        );
-        let exact = index.search(
-            &model,
-            &fx.items,
-            &fx.template,
-            &fx.item_slots,
-            n,
-            index.n_clusters(),
-            Parallelism::threads(threads),
-            &|_| false,
-        );
-        let mut ranker = model.ranker(&fx.template, &fx.item_slots);
+        let search = |precision| {
+            index.search(
+                &fx.model,
+                &fx.items,
+                &fx.template,
+                &fx.item_slots,
+                n,
+                index.n_clusters(),
+                Parallelism::threads(threads),
+                &|_| false,
+                precision,
+            )
+        };
+        let got = search(Precision::I8);
+        let mut ranker = fx.model.ranker(&fx.template, &fx.item_slots);
         for (item, score) in &got {
             let want = ranker.score(&fx.items[*item as usize]);
             assert_eq!(score.to_bits(), want.to_bits(), "threads {threads} item {item}");
         }
-        assert_eq!(got, exact, "threads {threads}: full i8 probe matches the exact search here");
+        assert_eq!(
+            got,
+            search(Precision::F64),
+            "threads {threads}: full i8 probe matches the exact search here"
+        );
     }
 }

@@ -14,8 +14,7 @@ use crate::protocol::{BatchRequest, Interaction, Reply, Request, ScoreRequest, T
 use gmlfm_data::{FieldKind, Schema};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{
-    scan_top_n_prec, sharded_top_n_blocks, FrozenModel, ItemFeatureSource, IvfIndex, Precision,
-    RetrievalStrategy, TopNHeap,
+    scan_top_n, FrozenModel, ItemFeatureSource, IvfIndex, Precision, RetrievalStrategy, TopNHeap,
 };
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -39,7 +38,7 @@ pub trait ScoringBackend {
     ///
     /// The template is the validation evidence: it only exists for an
     /// in-range user, so implementations never re-check the user id.
-    /// Candidates come out of [`resolve_candidates`] against the same
+    /// Candidates come out of the request validation against the same
     /// catalog, so their item-table rows are in range by construction.
     fn candidate_scores(
         &self,
@@ -49,26 +48,38 @@ pub trait ScoringBackend {
         par: Parallelism,
     ) -> Vec<f64>;
 
+    /// The precision this backend serves at when a request doesn't pin
+    /// its own ([`TopNRequest::precision`] is `None`). The default —
+    /// and every backend without low-precision scoring tables — is
+    /// [`Precision::F64`]: exact scores.
+    fn default_precision(&self) -> Precision {
+        Precision::F64
+    }
+
     /// Selects the top `n` of resolved `candidates` for the user with
     /// feature `template` under the retrieval total order
     /// ([`gmlfm_serve::rank_cmp`]: score descending, ties by ascending
-    /// item id), best first.
+    /// item id), best first, scanning at the given scoring-table
+    /// [`Precision`].
     ///
-    /// The default implementation scores everything through
-    /// [`candidate_scores`] and selects with one bounded [`TopNHeap`] —
-    /// `O(C·log n)` selection, never a full sort. The frozen
-    /// implementation overrides this with per-shard rankers
-    /// ([`sharded_top_n`]), which also skips materialising the `O(C)`
-    /// score vector. Both produce item-for-item identical rankings.
+    /// The default implementation — backends without low-precision
+    /// tables, which serve every precision exactly — scores everything
+    /// through [`candidate_scores`] and selects with one bounded
+    /// [`TopNHeap`]: `O(C·log n)` selection, never a full sort. The
+    /// frozen implementation is the sharded scan driver
+    /// ([`gmlfm_serve::scan_top_n`]), which also skips materialising the
+    /// `O(C)` score vector and applies the `precision` contract
+    /// documented there. At [`Precision::F64`] both produce
+    /// item-for-item identical rankings.
     ///
     /// [`candidate_scores`]: ScoringBackend::candidate_scores
-    /// [`sharded_top_n`]: gmlfm_serve::sharded_top_n
-    fn select_top_n(
+    fn select_top_n_prec(
         &self,
         catalog: &Catalog,
         template: &[u32],
         candidates: &[u32],
         n: usize,
+        _precision: Precision,
         par: Parallelism,
     ) -> Vec<(u32, f64)> {
         let scores = self.candidate_scores(catalog, template, candidates, par);
@@ -79,40 +90,9 @@ pub trait ScoringBackend {
         heap.into_sorted()
     }
 
-    /// The precision this backend serves at when a request doesn't pin
-    /// its own ([`TopNRequest::precision`] is `None`). The default —
-    /// and every backend without low-precision scoring tables — is
-    /// [`Precision::F64`]: exact scores.
-    fn default_precision(&self) -> Precision {
-        Precision::F64
-    }
-
-    /// [`select_top_n`] with an explicit scoring-table [`Precision`].
-    ///
-    /// Backends without low-precision tables (the default
-    /// implementation) serve every precision exactly. The frozen
-    /// implementation scans its `f32`/`i8` table when the model carries
-    /// one — [`Precision::F32`] returns the approximate table scores,
-    /// [`Precision::I8`] re-ranks an over-fetched pool exactly so
-    /// returned scores stay bitwise the `f64` model's — and falls back
-    /// to the exact scan when it doesn't.
-    ///
-    /// [`select_top_n`]: ScoringBackend::select_top_n
-    fn select_top_n_prec(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        n: usize,
-        _precision: Precision,
-        par: Parallelism,
-    ) -> Vec<(u32, f64)> {
-        self.select_top_n(catalog, template, candidates, n, par)
-    }
-
     /// Index-backed whole-catalogue retrieval, when this backend can
     /// serve it: the top `n` non-excluded items via an IVF probe
-    /// ([`gmlfm_serve::IvfIndex::search_prec`]), scores bitwise the
+    /// ([`gmlfm_serve::IvfIndex::search`]), scores bitwise the
     /// exact ranker's at every `precision` (a low-precision probe only
     /// picks the candidate pool; survivors are re-scored in `f64`).
     /// `excluded` is the **sorted, deduplicated** union of the request's
@@ -121,8 +101,9 @@ pub trait ScoringBackend {
     /// Returns `None` when the backend holds no usable index for this
     /// request (no index, candidate pool below the index's
     /// `min_candidates`, `n` too large a fraction of the pool, catalogue
-    /// size mismatch) — the caller then falls back to the sharded heap
-    /// scan. The default implementation always falls back.
+    /// size mismatch) — the caller then falls back to
+    /// [`ScoringBackend::select_top_n_prec`]. The default implementation
+    /// always falls back.
     #[allow(clippy::too_many_arguments)]
     fn select_top_n_indexed(
         &self,
@@ -166,17 +147,6 @@ impl ScoringBackend for IndexedModel<'_> {
         self.frozen.candidate_scores(catalog, template, candidates, par)
     }
 
-    fn select_top_n(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        n: usize,
-        par: Parallelism,
-    ) -> Vec<(u32, f64)> {
-        self.frozen.select_top_n(catalog, template, candidates, n, par)
-    }
-
     fn default_precision(&self) -> Precision {
         self.frozen.precision()
     }
@@ -215,7 +185,7 @@ impl ScoringBackend for IndexedModel<'_> {
             return None;
         }
         let nprobe = nprobe.unwrap_or_else(|| index.default_nprobe()).clamp(1, index.n_clusters());
-        Some(index.search_prec(
+        Some(index.search(
             self.frozen,
             catalog,
             template,
@@ -253,43 +223,16 @@ impl ScoringBackend for FrozenModel {
         })
     }
 
-    /// Sharded bounded-heap retrieval: one contiguous candidate shard
-    /// per requested worker, each with its own [`gmlfm_serve::TopNRanker`]
-    /// (context partials computed once per shard) and size-`n`
-    /// [`TopNHeap`], merged in shard order under [`gmlfm_serve::rank_cmp`]. No full
-    /// score vector and no full sort — `O(C·k + C·log n)` per request.
-    /// Candidates are scored in fixed-width blocks
-    /// ([`gmlfm_serve::TopNRanker::score_block`]) so the delta-scan inner
-    /// loops stay in the chunked kernels; block scoring is bitwise the
-    /// per-item path.
-    fn select_top_n(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        n: usize,
-        par: Parallelism,
-    ) -> Vec<(u32, f64)> {
-        let item_slots = catalog.item_slots();
-        sharded_top_n_blocks(
-            candidates,
-            n,
-            par.get_nonzero(),
-            par,
-            || self.ranker(template, item_slots),
-            |ranker, ids, out| ranker.score_block(catalog, ids, out),
-        )
-    }
-
     fn default_precision(&self) -> Precision {
         self.precision()
     }
 
-    /// Low-precision candidate scan when the model carries the matching
-    /// table ([`gmlfm_serve::scan_top_n_prec`]): `f32` scans return the
-    /// approximate table scores, `i8` scans over-fetch and re-rank
-    /// exactly. [`Precision::F64`] — and any precision the model has no
-    /// table for — serves through the exact sharded block scan.
+    /// The sharded scan driver over the candidate list
+    /// ([`gmlfm_serve::scan_top_n`]): one contiguous candidate shard per
+    /// requested worker, each with its own scanner (context partials
+    /// computed once per shard) and bounded [`TopNHeap`], merged in
+    /// shard order under [`gmlfm_serve::rank_cmp`]. No full score vector
+    /// and no full sort — `O(C·k + C·log n)` per request.
     fn select_top_n_prec(
         &self,
         catalog: &Catalog,
@@ -299,21 +242,7 @@ impl ScoringBackend for FrozenModel {
         precision: Precision,
         par: Parallelism,
     ) -> Vec<(u32, f64)> {
-        let low = match precision {
-            Precision::F64 => None,
-            _ => scan_top_n_prec(
-                self,
-                catalog,
-                candidates,
-                template,
-                catalog.item_slots(),
-                n,
-                precision,
-                par.get_nonzero(),
-                par,
-            ),
-        };
-        low.unwrap_or_else(|| self.select_top_n(catalog, template, candidates, n, par))
+        scan_top_n(self, catalog, template, catalog.item_slots(), candidates, n, precision, par)
     }
 }
 
@@ -441,43 +370,15 @@ fn validate_topn<'c>(catalog: &'c Catalog, req: &TopNRequest) -> Result<&'c [u32
     Ok(template)
 }
 
-/// Fills `out` with the surviving candidates of a *validated* request:
-/// the requested set (or the whole catalogue) minus the explicit
-/// exclusions and — unless opted out — the user's training-time seen
-/// items plus any `live` overlay items (interactions fed since the
-/// snapshot was published; sorted ascending like a seen list). Order of
-/// the surviving candidates is preserved.
-fn fill_candidates(
-    catalog: &Catalog,
-    seen: Option<&SeenItems>,
-    live: &[u32],
-    req: &TopNRequest,
-    out: &mut Vec<u32>,
-) {
-    out.clear();
-    let seen_items: &[u32] = match (req.exclude_seen, seen) {
-        (true, Some(seen)) => seen.items(req.user),
-        _ => &[],
-    };
-    let live: &[u32] = if req.exclude_seen { live } else { &[] };
-    // Explicit exclusion lists are tiny in practice; the seen and live
-    // lists are sorted, so membership there is a binary search.
-    let keep = |item: u32| {
-        !req.exclude.contains(&item)
-            && seen_items.binary_search(&item).is_err()
-            && live.binary_search(&item).is_err()
-    };
-    match &req.candidates {
-        Some(candidates) => out.extend(candidates.iter().copied().filter(|&i| keep(i))),
-        None => out.extend((0..catalog.n_items() as u32).filter(|&i| keep(i))),
-    }
-}
-
-/// Fills `out` with the sorted, deduplicated union of the request's
-/// explicit exclusions, the user's seen items, and the `live` overlay —
-/// the skip set the indexed retrieval path probes against (equivalent,
-/// item for item, to the filtering of [`fill_candidates`] on a
-/// whole-catalogue request).
+/// Fills `out` with the request's exclusion set: the sorted,
+/// deduplicated union of its explicit exclusions and — unless opted out
+/// — the user's training-time seen items plus the `live` overlay items
+/// (interactions fed since the snapshot was published; sorted ascending
+/// like a seen list). Built once per request, it is the one
+/// representation of "what is excluded" both retrieval paths filter
+/// against by binary search — `req.exclude` is outside input bounded
+/// only by the frame size, so membership must never be a linear scan
+/// per catalogue item.
 fn fill_excluded(seen: Option<&SeenItems>, live: &[u32], req: &TopNRequest, out: &mut Vec<u32>) {
     out.clear();
     if req.exclude_seen {
@@ -491,39 +392,26 @@ fn fill_excluded(seen: Option<&SeenItems>, live: &[u32], req: &TopNRequest, out:
     out.dedup();
 }
 
-/// Validates a [`TopNRequest`] and resolves the candidate list: the
-/// requested set (or the whole catalogue) minus the explicit exclusions
-/// and — unless opted out — the user's training-time seen items. Order
-/// of the surviving candidates is preserved.
-pub fn resolve_candidates(
-    catalog: &Catalog,
-    seen: Option<&SeenItems>,
-    req: &TopNRequest,
-) -> Result<Vec<u32>, RequestError> {
-    let _template = validate_topn(catalog, req)?;
-    let mut out = Vec::new();
-    fill_candidates(catalog, seen, &[], req, &mut out);
-    Ok(out)
+/// Fills `out` with the surviving candidates of a *validated* request:
+/// the requested set (or the whole catalogue) minus `excluded`
+/// ([`fill_excluded`]). Order of the surviving candidates is preserved.
+fn fill_candidates(catalog: &Catalog, excluded: &[u32], req: &TopNRequest, out: &mut Vec<u32>) {
+    out.clear();
+    let keep = |item: &u32| excluded.binary_search(item).is_err();
+    match &req.candidates {
+        Some(candidates) => out.extend(candidates.iter().copied().filter(keep)),
+        None => out.extend((0..catalog.n_items() as u32).filter(keep)),
+    }
 }
 
 /// Validates and runs a [`TopNRequest`] through `backend`, returning
 /// `(item, score)` pairs **in candidate order** (no sort, `n` ignored) —
 /// the shape the leave-one-out evaluation protocols consume.
+///
+/// `live` is the user's sorted live seen overlay (interactions fed since
+/// the snapshot was published; empty for callers without one), excluded
+/// under the same `exclude_seen` semantics as the snapshot seen sets.
 pub fn execute_candidate_scores<B: ScoringBackend + ?Sized>(
-    backend: &B,
-    catalog: Option<&Catalog>,
-    seen: Option<&SeenItems>,
-    req: &TopNRequest,
-    default_par: Parallelism,
-) -> Result<Vec<(u32, f64)>, RequestError> {
-    execute_candidate_scores_live(backend, catalog, seen, &[], req, default_par)
-}
-
-/// [`execute_candidate_scores`] with a live seen overlay: `live` is the
-/// user's sorted overlay items (interactions fed since the snapshot was
-/// published), excluded under the same `exclude_seen` semantics as the
-/// snapshot seen sets. The [`crate::ModelServer`] read paths route here.
-pub fn execute_candidate_scores_live<B: ScoringBackend + ?Sized>(
     backend: &B,
     catalog: Option<&Catalog>,
     seen: Option<&SeenItems>,
@@ -533,8 +421,9 @@ pub fn execute_candidate_scores_live<B: ScoringBackend + ?Sized>(
 ) -> Result<Vec<(u32, f64)>, RequestError> {
     let catalog = catalog.ok_or(RequestError::MissingCatalog)?;
     let template = validate_topn(catalog, req)?;
-    let mut candidates = Vec::new();
-    fill_candidates(catalog, seen, live, req, &mut candidates);
+    let (mut excluded, mut candidates) = (Vec::new(), Vec::new());
+    fill_excluded(seen, live, req, &mut excluded);
+    fill_candidates(catalog, &excluded, req, &mut candidates);
     let par = req.par.unwrap_or(default_par);
     let scores = backend.candidate_scores(catalog, template, &candidates, par);
     Ok(candidates.into_iter().zip(scores).collect())
@@ -566,29 +455,19 @@ thread_local! {
 /// [`ScoringBackend::select_top_n_indexed`] (the IVF path of indexed
 /// snapshots — approximate candidate set, exact scores); everything
 /// else, and any request the index declines, goes through
-/// [`ScoringBackend::select_top_n`] — sharded bounded heaps for frozen
-/// snapshots — never a full sort. Exclusion filtering (explicit lists
-/// and seen items) runs **before** selection on both paths, so excluded
-/// items never occupy result slots. `req.n = 0` yields an empty
-/// ranking; `req.n` beyond the surviving candidate count yields every
-/// survivor.
+/// [`ScoringBackend::select_top_n_prec`] — the sharded scan driver for
+/// frozen snapshots — never a full sort. Exclusion filtering (explicit
+/// lists and seen items) runs **before** selection on both paths, so
+/// excluded items never occupy result slots. `req.n = 0` yields an
+/// empty ranking; `req.n` beyond the surviving candidate count yields
+/// every survivor.
+///
+/// `live` is the user's sorted live seen overlay (interactions fed since
+/// the snapshot was published; empty for callers without one), excluded
+/// — on both the indexed and the exact path — under the same
+/// `exclude_seen` semantics as the snapshot seen sets. This is how a fed
+/// event leaves a user's recommendations *before* any retrain publishes.
 pub fn execute_topn<B: ScoringBackend + ?Sized>(
-    backend: &B,
-    catalog: Option<&Catalog>,
-    seen: Option<&SeenItems>,
-    req: &TopNRequest,
-    default_par: Parallelism,
-) -> Result<Vec<(u32, f64)>, RequestError> {
-    execute_topn_live(backend, catalog, seen, &[], req, default_par)
-}
-
-/// [`execute_topn`] with a live seen overlay: `live` is the user's
-/// sorted overlay items (interactions fed since the snapshot was
-/// published), excluded — on both the indexed and the exact path —
-/// under the same `exclude_seen` semantics as the snapshot seen sets.
-/// This is how a fed event leaves a user's recommendations *before* any
-/// retrain publishes.
-pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
     backend: &B,
     catalog: Option<&Catalog>,
     seen: Option<&SeenItems>,
@@ -601,6 +480,7 @@ pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
     let par = req.par.unwrap_or(default_par);
     let precision = req.precision.unwrap_or_else(|| backend.default_precision());
     let mut scratch = TOPN_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    fill_excluded(seen, live, req, &mut scratch.excluded);
 
     // Indexed retrieval: only whole-catalogue requests are eligible —
     // an explicit candidate list already *is* a (usually small)
@@ -611,7 +491,6 @@ pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
             Some(RetrievalStrategy::Ivf { nprobe }) => nprobe,
             _ => None,
         };
-        fill_excluded(seen, live, req, &mut scratch.excluded);
         backend.select_top_n_indexed(catalog, template, req.n, nprobe, &scratch.excluded, precision, par)
     } else {
         None
@@ -619,7 +498,7 @@ pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
     let value = match indexed {
         Some(value) => value,
         None => {
-            fill_candidates(catalog, seen, live, req, &mut scratch.candidates);
+            fill_candidates(catalog, &scratch.excluded, req, &mut scratch.candidates);
             backend.select_top_n_prec(catalog, template, &scratch.candidates, req.n, precision, par)
         }
     };
@@ -632,20 +511,11 @@ pub fn execute_topn_live<B: ScoringBackend + ?Sized>(
 /// and fails independently; top-n sub-requests default to serial inside
 /// the batch (the batch itself is the fan-out) unless they carry an
 /// explicit [`TopNRequest::parallelism`].
-pub fn execute_batch<B: ScoringBackend + Sync + ?Sized>(
-    backend: &B,
-    schema: &Schema,
-    catalog: Option<&Catalog>,
-    seen: Option<&SeenItems>,
-    req: &BatchRequest,
-) -> Vec<Result<Reply, RequestError>> {
-    execute_batch_live(backend, schema, catalog, seen, None, req)
-}
-
-/// [`execute_batch`] with a live seen overlay: `live` is a point-in-time
-/// copy of the server's overlay table, consulted per sub-request user
+///
+/// `live` is a point-in-time copy of the server's live seen overlay
+/// (`None` for callers without one), consulted per sub-request user
 /// under the same `exclude_seen` semantics as the snapshot seen sets.
-pub fn execute_batch_live<B: ScoringBackend + Sync + ?Sized>(
+pub fn execute_batch<B: ScoringBackend + Sync + ?Sized>(
     backend: &B,
     schema: &Schema,
     catalog: Option<&Catalog>,
@@ -658,7 +528,7 @@ pub fn execute_batch_live<B: ScoringBackend + Sync + ?Sized>(
         Request::Score(score) => execute_score(backend, schema, catalog, score).map(Reply::Score),
         Request::TopN(topn) => {
             let user_live = live.map(|l| l.items(topn.user)).unwrap_or(&[]);
-            execute_topn_live(backend, catalog, seen, user_live, topn, Parallelism::serial()).map(Reply::TopN)
+            execute_topn(backend, catalog, seen, user_live, topn, Parallelism::serial()).map(Reply::TopN)
         }
     })
 }

@@ -288,16 +288,18 @@ impl ModelServer {
 
     /// Answers a [`TopNRequest`] against the current snapshot: `(item,
     /// score)` pairs, best first, ties broken by ascending item id.
-    /// Retrieval is the sharded bounded-heap path — one
-    /// [`gmlfm_serve::TopNRanker`] and size-`n` [`gmlfm_serve::TopNHeap`]
-    /// per worker shard, merged deterministically — so a request over a
-    /// million-item catalogue never sorts (or even materialises) the
-    /// full score vector.
+    /// Retrieval is [`exec::execute_topn`] over the snapshot's
+    /// [`IndexedModel`]: the IVF probe when the snapshot carries an
+    /// index that can serve the request, the candidate-list scan
+    /// otherwise — either way one scanner and one bounded
+    /// [`gmlfm_serve::TopNHeap`] per worker shard, merged
+    /// deterministically, so a request over a million-item catalogue
+    /// never sorts (or even materialises) the full score vector.
     pub fn top_n(&self, req: &TopNRequest) -> Result<Response<Vec<(u32, f64)>>, RequestError> {
         let state = self.state();
         let backend = IndexedModel { frozen: &state.snap.frozen, index: state.snap.index.as_ref() };
         let live = if req.exclude_seen { self.live_seen(req.user) } else { Vec::new() };
-        let value = exec::execute_topn_live(
+        let value = exec::execute_topn(
             &backend,
             state.snap.catalog.as_ref(),
             state.snap.seen.as_ref(),
@@ -314,7 +316,7 @@ impl ModelServer {
     pub fn candidate_scores(&self, req: &TopNRequest) -> Result<Response<Vec<(u32, f64)>>, RequestError> {
         let state = self.state();
         let live = if req.exclude_seen { self.live_seen(req.user) } else { Vec::new() };
-        let value = exec::execute_candidate_scores_live(
+        let value = exec::execute_candidate_scores(
             &state.snap.frozen,
             state.snap.catalog.as_ref(),
             state.snap.seen.as_ref(),
@@ -334,7 +336,7 @@ impl ModelServer {
         // One point-in-time overlay copy for the whole batch, so every
         // sub-request filters against the same live state.
         let live = if self.slot.lock_overlay().is_empty() { None } else { Some(self.overlay_seen()) };
-        let value = exec::execute_batch_live(
+        let value = exec::execute_batch(
             &backend,
             &state.snap.schema,
             state.snap.catalog.as_ref(),

@@ -16,13 +16,18 @@
 //!   catalogue, empty or huge or duplicate-laden candidate lists — are
 //!   well-formed and answer completely, as documented on
 //!   [`TopNRequest`].
+//!
+//! `exclude` is outside input bounded only by the frame size, so the
+//! last section feeds the exclusion filter unsorted, duplicate-laden
+//! and whole-catalogue-sized lists: the exact and the indexed path
+//! filter against one exclusion set and must answer identically.
 
 use gmlfm_data::{FieldKind, Schema};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{rank_cmp, FrozenModel};
+use gmlfm_serve::{rank_cmp, FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
 use gmlfm_service::{
-    exec, BatchRequest, Catalog, ModelServer, ModelSnapshot, Reply, Request, RequestError, ScoreRequest,
-    SeenItems, TopNRequest,
+    exec, BatchRequest, Catalog, IndexedModel, ModelServer, ModelSnapshot, Reply, Request, RequestError,
+    ScoreRequest, ScoringBackend, SeenItems, TopNRequest,
 };
 use proptest::prelude::*;
 
@@ -215,6 +220,7 @@ proptest! {
             &snap.frozen,
             snap.catalog.as_ref(),
             snap.seen.as_ref(),
+            &[],
             &req,
             Parallelism::serial(),
         ).expect("same validation");
@@ -270,4 +276,129 @@ proptest! {
 fn fixture() -> &'static ModelServer {
     static SERVER: std::sync::OnceLock<ModelServer> = std::sync::OnceLock::new();
     SERVER.get_or_init(server)
+}
+
+const WIDE_USERS: usize = 4;
+const WIDE_ITEMS: usize = 240;
+const WIDE_CATEGORIES: usize = 6;
+
+/// A catalogue wide enough for the indexed path to engage, served from a
+/// snapshot that carries an index (`min_candidates` lowered to 1, so
+/// only the "`n` is too large a share of the survivors" rule can decline
+/// a request).
+fn wide_fixture() -> &'static ModelServer {
+    static SERVER: std::sync::OnceLock<ModelServer> = std::sync::OnceLock::new();
+    SERVER.get_or_init(|| {
+        let item_off = WIDE_USERS as u32;
+        let category_off = (WIDE_USERS + WIDE_ITEMS) as u32;
+        let category = |i: u32| category_off + i % WIDE_CATEGORIES as u32;
+        let catalog = Catalog::new(
+            vec![1, 2],
+            (0..WIDE_USERS as u32).map(|u| vec![u, item_off, category(0)]).collect(),
+            (0..WIDE_ITEMS as u32).map(|i| vec![item_off + i, category(i)]).collect(),
+        );
+        let schema = Schema::from_specs(&[
+            ("user", WIDE_USERS, FieldKind::User),
+            ("item", WIDE_ITEMS, FieldKind::Item),
+            ("category", WIDE_CATEGORIES, FieldKind::Category),
+        ]);
+        let frozen = FrozenModel::synthetic_metric(schema.total_dim(), 5, 29);
+        let opts = IvfBuildOptions { clusters: Some(8), min_candidates: 1, ..IvfBuildOptions::default() };
+        let index = IvfIndex::build(&frozen, &catalog, &opts, Parallelism::serial());
+        assert!(index.is_some(), "metric models build an index");
+        let seen = SeenItems::new((0..WIDE_USERS as u32).map(|u| vec![u, 7 * u + 3, 100 + u]).collect());
+        ModelServer::new(ModelSnapshot { schema, frozen, catalog: Some(catalog), seen: Some(seen), index })
+            .expect("consistent snapshot")
+    })
+}
+
+/// Exclusion lists as a hostile client would send them: unsorted,
+/// duplicate-laden, and — the second arm — as long as the catalogue or
+/// several times longer.
+fn exclude_list() -> impl Strategy<Value = Vec<u32>> {
+    prop_oneof![
+        proptest::collection::vec(0u32..WIDE_ITEMS as u32, 0..12),
+        proptest::collection::vec(0u32..WIDE_ITEMS as u32, WIDE_ITEMS..3 * WIDE_ITEMS),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One exclusion set, two retrieval paths: whatever shape the
+    /// `exclude` list arrives in, pinning `Exact` and probing every
+    /// cluster answer identically, equal the full sort over the
+    /// survivors, and equal the reply to the list's canonical (sorted,
+    /// deduplicated) form.
+    #[test]
+    fn exclude_lists_filter_identically_on_the_exact_and_indexed_paths(
+        user in 0u32..WIDE_USERS as u32,
+        n in 1usize..12,
+        exclude in exclude_list(),
+        exclude_seen in any::<bool>(),
+        threads in 1usize..4,
+    ) {
+        let server = wide_fixture();
+        let (_, snap) = server.snapshot();
+        let (catalog, seen) = (snap.catalog.as_ref().expect("catalog"), snap.seen.as_ref().expect("seen"));
+        let index = snap.index.as_ref().expect("index");
+        let base = TopNRequest::new(user, n).exclude(exclude.clone()).parallelism(Parallelism::threads(threads));
+        let base = if exclude_seen { base } else { base.include_seen() };
+        let full_probe = RetrievalStrategy::Ivf { nprobe: Some(index.n_clusters()) };
+
+        let excluded = |i: u32| exclude.contains(&i) || (exclude_seen && seen.contains(user, i));
+        let survivors: Vec<u32> = (0..WIDE_ITEMS as u32).filter(|&i| !excluded(i)).collect();
+        let template = catalog.template(user).expect("user in range");
+        let mut ranker = snap.frozen.ranker(template, catalog.item_slots());
+        let mut want: Vec<(u32, f64)> = survivors
+            .iter()
+            .map(|&i| (i, ranker.score(catalog.item_features(i).expect("item in range"))))
+            .collect();
+        want.sort_by(rank_cmp);
+        want.truncate(n);
+
+        let exact = server.top_n(&base.clone().strategy(RetrievalStrategy::Exact)).expect("well-formed").value;
+        let probed = server.top_n(&base.clone().strategy(full_probe)).expect("well-formed").value;
+        prop_assert_eq!(&exact, &want, "exact path vs the full sort over the survivors");
+        prop_assert_eq!(&probed, &want, "full probe vs the full sort over the survivors");
+
+        // The indexed reply really came off the index whenever the
+        // request is eligible for it (not from a silent exact fallback).
+        let mut canonical: Vec<u32> = (0..WIDE_ITEMS as u32).filter(|&i| excluded(i)).collect();
+        let backend = IndexedModel { frozen: &snap.frozen, index: Some(index) };
+        let via_index = backend.select_top_n_indexed(
+            catalog, template, n, Some(index.n_clusters()), &canonical, Precision::F64, Parallelism::serial(),
+        );
+        prop_assert_eq!(via_index.is_some(), 4 * n <= survivors.len());
+        if let Some(via_index) = via_index {
+            prop_assert_eq!(&via_index, &want);
+        }
+
+        // The canonical form of the same list is the same request.
+        canonical.retain(|i| exclude.contains(i));
+        let tidy = server.top_n(&base.clone().exclude(canonical).strategy(full_probe)).expect("well-formed").value;
+        prop_assert_eq!(&tidy, &want);
+
+        // Explicit candidates keep their order through the filter.
+        let listed: Vec<u32> = (0..WIDE_ITEMS as u32).rev().step_by(3).collect();
+        let scored = server.candidate_scores(&base.clone().candidates(listed.clone())).expect("well-formed").value;
+        let kept: Vec<u32> = listed.into_iter().filter(|&i| !excluded(i)).collect();
+        prop_assert_eq!(scored.iter().map(|&(i, _)| i).collect::<Vec<_>>(), kept);
+    }
+}
+
+/// Excluding the whole catalogue — here twice over and back to front —
+/// is a well-formed request with an empty answer on every path.
+#[test]
+fn excluding_everything_yields_the_empty_ranking() {
+    let server = wide_fixture();
+    let everything: Vec<u32> = (0..WIDE_ITEMS as u32).rev().chain(0..WIDE_ITEMS as u32).collect();
+    let base = TopNRequest::new(1, 10).exclude(everything);
+    for strategy in [RetrievalStrategy::Exact, RetrievalStrategy::Ivf { nprobe: None }] {
+        let got = server.top_n(&base.clone().strategy(strategy)).expect("well-formed").value;
+        assert!(got.is_empty(), "{strategy:?}: {got:?}");
+    }
+    assert!(server.candidate_scores(&base).expect("well-formed").value.is_empty());
+    let listed = base.candidates(vec![5, 5, 200, 0]);
+    assert!(server.top_n(&listed).expect("well-formed").value.is_empty());
 }

@@ -4,7 +4,7 @@
 //! from `exec::execute_candidate_scores` + sort + truncate) and must
 //! agree item-for-item, scores bitwise.
 //!
-//! Filtering runs **pre-heap** ([`exec::resolve_candidates`] before
+//! Filtering runs **pre-heap** (the exclusion set is applied before
 //! selection), so excluded and seen items never occupy heap slots —
 //! which is what makes "all candidates excluded" an empty result rather
 //! than a padded or partial one.
@@ -50,6 +50,7 @@ fn full_sort_reference(server: &ModelServer, req: &TopNRequest) -> Vec<(u32, f64
         &snap.frozen,
         snap.catalog.as_ref(),
         snap.seen.as_ref(),
+        &[],
         req,
         Parallelism::serial(),
     )

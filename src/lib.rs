@@ -15,7 +15,7 @@
 //! | [`train`] | `gmlfm-train` | SGD/Adam, squared + BPR losses, trainers |
 //! | [`models`] | `gmlfm-models` | the twelve baselines the paper compares against |
 //! | [`par`] | `gmlfm-par` | scoped thread pool, `par_map`/`par_chunks`/`par_blocks`, Hogwild cells |
-//! | [`core`] | `gmlfm-core` | **GML-FM** itself: distances, transforms, efficient evaluation, persistence |
+//! | [`core`] | `gmlfm-core` | **GML-FM** itself: distances, transforms, efficient evaluation |
 //! | [`serve`] | `gmlfm-serve` | autograd-free serving: `Freeze`, `FrozenModel`, Eq. 10/11 ranking, sharded bounded-heap top-N |
 //! | [`service`] | `gmlfm-service` | **online serving API**: typed requests/responses, hot-swappable `ModelServer` |
 //! | [`net`] | `gmlfm-net` | **fault-tolerant TCP serving**: length-prefixed JSON frames, deadlines, backpressure, graceful drain |
