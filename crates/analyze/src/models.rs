@@ -1,4 +1,4 @@
-//! Interleaving models of the workspace's three unsafe concurrency
+//! Interleaving models of the workspace's two unsafe concurrency
 //! protocols, checked exhaustively by [`crate::sched`].
 //!
 //! Each model mirrors one protocol step for step at the granularity of
@@ -15,13 +15,11 @@
 //!   waiting scope helps drain the queue and rechecks the count under
 //!   the same lock before parking. Checked: the scope always
 //!   terminates (no lost wakeup) and every job runs exactly once.
-//! * [`RacyModel`] — `gmlfm-par`'s `RacySlice::fetch_add` CAS loop on a
-//!   dense cell. Checked: no delta is lost under any schedule.
 //!
-//! Each has a deliberately broken **hazard variant** reintroducing the
+//! Each has deliberately broken **hazard variants** reintroducing a
 //! bug its real counterpart's structure rules out — torn publication
-//! through split cells, parking on a stale check outside the lock, a
-//! load/store `add` on a contended cell. The regression tests assert
+//! through split cells, freeing a superseded state on swap, parking on
+//! a stale check outside the lock. The regression tests assert
 //! the checker *finds* those (so "the models pass" stays falsifiable),
 //! and the passing models document *why* the real structure is the fix.
 
@@ -513,89 +511,5 @@ impl Model for LostWakeupLatchModel {
 
     fn check_final(&self) -> Result<(), String> {
         self.inner.check_final()
-    }
-}
-
-// ---------------------------------------------------------------------
-// RacySlice dense-cell accumulation
-// ---------------------------------------------------------------------
-
-/// The lossless CAS loop of `RacySlice::fetch_add`: each thread adds 1
-/// to one shared cell `adds` times; a read step seeds the expected
-/// value, a CAS step either commits `expected + 1` or reseeds from the
-/// current value and retries. Every delta must land under every
-/// schedule. (The search is finite: a CAS can only fail when another
-/// thread's CAS succeeded since the read, and successes are bounded.)
-#[derive(Clone)]
-pub struct RacyModel {
-    cell: u64,
-    adds_left: Vec<usize>,
-    /// Per-thread staged read (`cur` in the real loop); `None` between
-    /// operations.
-    staged: Vec<Option<u64>>,
-    total: usize,
-    /// True = the correct CAS protocol; false = the hazard variant's
-    /// plain load/store `add`, which loses concurrent deltas.
-    cas: bool,
-}
-
-impl RacyModel {
-    /// `threads` threads, `adds` lossless increments each.
-    pub fn new(threads: usize, adds: usize) -> Self {
-        Self {
-            cell: 0,
-            adds_left: vec![adds; threads],
-            staged: vec![None; threads],
-            total: threads * adds,
-            cas: true,
-        }
-    }
-
-    /// Hazard variant: the same schedule space driven through
-    /// `RacySlice::add`'s non-atomic load + store pair — correct only
-    /// in the sparse-collision regime, and provably lossy here.
-    pub fn lossy(threads: usize, adds: usize) -> Self {
-        Self { cas: false, ..Self::new(threads, adds) }
-    }
-}
-
-impl Model for RacyModel {
-    fn thread_count(&self) -> usize {
-        self.adds_left.len()
-    }
-
-    fn done(&self, tid: usize) -> bool {
-        self.adds_left[tid] == 0
-    }
-
-    fn step(&mut self, tid: usize) -> Result<(), String> {
-        match self.staged[tid] {
-            None => self.staged[tid] = Some(self.cell),
-            Some(expected) => {
-                if !self.cas {
-                    // Unconditional store: the racing-add bug.
-                    self.cell = expected + 1;
-                    self.staged[tid] = None;
-                    self.adds_left[tid] -= 1;
-                } else if self.cell == expected {
-                    // CAS success.
-                    self.cell = expected + 1;
-                    self.staged[tid] = None;
-                    self.adds_left[tid] -= 1;
-                } else {
-                    // CAS failure: reseed and retry (the `Err(now)` arm).
-                    self.staged[tid] = Some(self.cell);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        if self.cell as usize == self.total {
-            Ok(())
-        } else {
-            Err(format!("lost update: {} deltas landed of {}", self.cell, self.total))
-        }
     }
 }

@@ -78,9 +78,7 @@ impl<'a> FitData<'a> {
 pub trait Estimator: Send + Sync {
     /// Trains the model in place. `cfg` drives the autograd trainers;
     /// hand-derived SGD models carry their own optimisation
-    /// hyper-parameters in their spec and read only
-    /// [`TrainConfig::hogwild_threads`] from it (their opt-in lock-free
-    /// parallel epoch mode; `1` keeps the exact serial loop).
+    /// hyper-parameters in their spec and ignore it.
     fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError>;
 
     /// The trained model as a scorer (the autograd path for graph
@@ -194,11 +192,11 @@ pub(crate) mod adapters {
     }
 
     impl Estimator for FmEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
+        fn fit(&mut self, data: &FitData<'_>, _cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
             if data.train.is_empty() {
                 return Err(EngineError::EmptyTrainingSet);
             }
-            Ok(sgd_report(self.model.fit_hogwild(data.train, cfg.hogwild_threads)))
+            Ok(sgd_report(self.model.fit(data.train)))
         }
         fn scorer(&self) -> &dyn Scorer {
             &self.model
@@ -235,11 +233,11 @@ pub(crate) mod adapters {
     }
 
     impl Estimator for MfEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
+        fn fit(&mut self, data: &FitData<'_>, _cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
             if data.train.is_empty() {
                 return Err(EngineError::EmptyTrainingSet);
             }
-            Ok(sgd_report(self.model.fit_hogwild(data.train, cfg.hogwild_threads)))
+            Ok(sgd_report(self.model.fit(data.train)))
         }
         fn scorer(&self) -> &dyn Scorer {
             &self.model
@@ -254,11 +252,11 @@ pub(crate) mod adapters {
     }
 
     impl Estimator for PmfEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
+        fn fit(&mut self, data: &FitData<'_>, _cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
             if data.train.is_empty() {
                 return Err(EngineError::EmptyTrainingSet);
             }
-            Ok(sgd_report(self.model.fit_hogwild(data.train, cfg.hogwild_threads)))
+            Ok(sgd_report(self.model.fit(data.train)))
         }
         fn scorer(&self) -> &dyn Scorer {
             &self.model
@@ -273,9 +271,9 @@ pub(crate) mod adapters {
     }
 
     impl Estimator for BprMfEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
+        fn fit(&mut self, data: &FitData<'_>, _cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
             let (pairs, user_items) = pair_data(data, "BPR-MF")?;
-            Ok(sgd_report(self.model.fit_hogwild(pairs, user_items, cfg.hogwild_threads)))
+            Ok(sgd_report(self.model.fit(pairs, user_items)))
         }
         fn scorer(&self) -> &dyn Scorer {
             &self.model

@@ -156,8 +156,7 @@ impl EngineBuilder {
     }
 
     /// Training-loop hyper-parameters for the autograd trainers
-    /// (hand-derived SGD models carry their own in the spec; the
-    /// `hogwild_threads` field opts them into parallel epochs).
+    /// (hand-derived SGD models carry their own in the spec).
     pub fn train_config(mut self, train: TrainConfig) -> Self {
         self.train = train;
         self
@@ -756,20 +755,15 @@ impl std::fmt::Debug for Recommender {
 
 impl Scorer for Recommender {
     /// Batch scoring over trusted, pre-validated instances (the holdout
-    /// evaluation path): frozen recommenders fan fixed-size chunks
-    /// across the pool against the server's *current* snapshot; public
+    /// evaluation path): frozen recommenders fan the batch across the
+    /// pool against the server's *current* snapshot; public
     /// per-request entry points go through [`Recommender::handle_score`]
     /// instead, which validates.
     fn scores(&self, instances: &[Instance]) -> Vec<f64> {
         match &self.serving {
             Serving::Service(server) => {
                 let (_, snap) = server.snapshot();
-                gmlfm_serve::score_chunked_par(
-                    &snap.frozen,
-                    instances,
-                    gmlfm_train::EVAL_CHUNK_SIZE,
-                    self.par,
-                )
+                snap.frozen.scores_with(instances, self.par)
             }
             Serving::Live { est, .. } => est.scorer().scores(instances),
         }

@@ -15,10 +15,9 @@ use gmlfm_eval::{evaluate_rating, evaluate_topn_frozen_with};
 use gmlfm_models::fm::FmConfig;
 use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{score_chunked, score_chunked_par, FrozenModel};
+use gmlfm_serve::FrozenModel;
 use gmlfm_train::{Scorer, TrainConfig};
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 5];
@@ -75,19 +74,18 @@ struct ParScorer<'m>(&'m FrozenModel, Parallelism);
 
 impl Scorer for ParScorer<'_> {
     fn scores(&self, instances: &[Instance]) -> Vec<f64> {
-        score_chunked_par(self.0, instances, NonZeroUsize::new(64).expect("non-zero"), self.1)
+        self.0.scores_with(instances, self.1)
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Parallel chunked scoring is bit-identical to serial for random
-    /// instance batches, chunk sizes and thread counts.
+    /// Parallel batch scoring is bit-identical to per-instance `predict`
+    /// for random instance batches and thread counts.
     #[test]
-    fn score_chunked_parallel_is_bit_identical(
+    fn scores_with_parallel_is_bit_identical(
         variant in 0usize..10,
-        chunk in 1usize..80,
         raw in proptest::collection::vec(proptest::collection::vec(0u32..100_000, 1..5), 1..60),
     ) {
         let f = fixture();
@@ -102,10 +100,9 @@ proptest! {
                 Instance::new(feats, 1.0)
             })
             .collect();
-        let chunk = NonZeroUsize::new(chunk).expect("non-zero");
-        let serial = score_chunked(model, &instances, chunk);
+        let serial: Vec<f64> = instances.iter().map(|inst| model.predict(inst)).collect();
         for t in THREAD_COUNTS {
-            let par = score_chunked_par(model, &instances, chunk, Parallelism::threads(t));
+            let par = model.scores_with(&instances, Parallelism::threads(t));
             prop_assert_eq!(
                 par.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                 serial.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -180,24 +177,4 @@ fn engine_threads_knob_is_output_invariant() {
     let b = parallel.evaluate_topn(10).unwrap();
     assert_eq!(a.per_user_hr, b.per_user_hr);
     assert_eq!(a.per_user_ndcg, b.per_user_ndcg);
-}
-
-/// Hogwild opt-in through the engine trains and serves end to end (the
-/// result is not reproducible across runs by design, so this pins only
-/// that the mode works and produces finite, usable models).
-#[test]
-fn engine_hogwild_opt_in_trains_end_to_end() {
-    let dataset = generate(&DatasetSpec::AmazonAuto.config(95).scaled(0.15));
-    let rec = Engine::builder()
-        .dataset(dataset)
-        .split(SplitPlan::rating(7))
-        .spec(ModelSpec::fm(FmConfig { k: 6, epochs: 3, ..FmConfig::default() }))
-        .train_config(TrainConfig { hogwild_threads: 3, ..TrainConfig::default() })
-        .fit()
-        .expect("hogwild pipeline");
-    let report = rec.report().expect("fit keeps a report");
-    assert_eq!(report.train_losses.len(), 3);
-    assert!(report.train_losses.iter().all(|l| l.is_finite()));
-    let metrics = rec.evaluate_rating().expect("rating holdout");
-    assert!(metrics.rmse.is_finite() && metrics.rmse > 0.0);
 }

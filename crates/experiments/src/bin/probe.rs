@@ -65,15 +65,7 @@ fn main() {
             let init_std = lr; // reuse the printed column for lr
             let _ = init_std;
             let mut model = GmlFm::new(dataset.schema.total_dim(), &gcfg);
-            let tc = TrainConfig {
-                lr,
-                epochs,
-                batch_size: 256,
-                weight_decay: 1e-4,
-                patience: 12,
-                seed: 5,
-                ..TrainConfig::default()
-            };
+            let tc = TrainConfig { lr, epochs, batch_size: 256, weight_decay: 1e-4, patience: 12, seed: 5 };
             let report = fit_regression(&mut model, &rating.train, Some(&rating.val), &tc);
             let m = evaluate_rating(&model, &rating.test);
 

@@ -50,7 +50,6 @@ impl ExpConfig {
             weight_decay: 1e-5,
             patience: 3,
             seed: self.seed ^ 0x5f5f,
-            ..TrainConfig::default()
         }
     }
 }

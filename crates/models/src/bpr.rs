@@ -5,7 +5,6 @@
 use crate::common::{PairCodec, Scorer};
 use crate::mf::MfConfig;
 use gmlfm_data::Instance;
-use gmlfm_par::RacySlice;
 use gmlfm_tensor::init::normal;
 use gmlfm_tensor::{seeded_rng, Matrix};
 use gmlfm_train::loss::bpr;
@@ -75,93 +74,6 @@ impl BprMf {
         losses
     }
 
-    /// [`BprMf::fit`] in Hogwild! epoch mode: each epoch's shuffled
-    /// positive pairs are split into one contiguous block per worker;
-    /// every worker rejection-samples its own negatives (from a seed
-    /// derived per epoch × worker) and applies the BPR updates
-    /// lock-free over the **shared** `b_i`/`P`/`Q` buffers (see
-    /// [`gmlfm_par::hogwild`] for the benign-race contract — each triple
-    /// touches one user row and two item rows, the sparse-update regime
-    /// Hogwild! was built for).
-    ///
-    /// `threads <= 1` falls back to the serial fit, bit-for-bit; more
-    /// threads trade run-to-run reproducibility for throughput, which is
-    /// why the mode is opt-in.
-    pub fn fit_hogwild(
-        &mut self,
-        train_pairs: &[(u32, u32)],
-        user_items: &[HashSet<u32>],
-        threads: usize,
-    ) -> Vec<f64> {
-        assert!(!train_pairs.is_empty(), "BprMf::fit_hogwild: no training pairs");
-        if threads <= 1 {
-            return self.fit(train_pairs, user_items);
-        }
-        let n_items = self.codec.n_items();
-        let MfConfig { k, lr, reg, epochs, seed } = self.cfg.clone();
-        let mut rng = seeded_rng(seed.wrapping_add(1));
-        let mut order: Vec<usize> = (0..train_pairs.len()).collect();
-        let mut losses = Vec::with_capacity(epochs);
-        let Self { bi, p, q, .. } = self;
-        let bi_cell = RacySlice::new(bi.as_mut_slice());
-        let p_cell = RacySlice::new(p.as_mut_slice());
-        let q_cell = RacySlice::new(q.as_mut_slice());
-        let (bi_cell, p_cell, q_cell) = (&bi_cell, &p_cell, &q_cell);
-        let pool = gmlfm_par::global();
-        let block_len = train_pairs.len().div_ceil(threads).max(1);
-        for epoch in 0..epochs {
-            order.shuffle(&mut rng);
-            let mut totals = vec![0.0f64; order.len().div_ceil(block_len)];
-            pool.scoped(|s| {
-                for (worker, (block, total)) in order.chunks(block_len).zip(totals.iter_mut()).enumerate() {
-                    s.spawn(move || {
-                        // NOTE: mirrors the serial `fit` update math —
-                        // keep the two in lockstep. All touched cells
-                        // (one user row, two item rows) are sparse, so
-                        // the racy `add` fast path applies throughout.
-                        // Per-worker sampling stream, decorrelated across
-                        // epochs and workers.
-                        let mut wrng = seeded_rng(
-                            seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                                ^ (worker as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9),
-                        );
-                        let mut block_loss = 0.0;
-                        for &idx in block {
-                            let (u, i) = train_pairs[idx];
-                            let (u, i) = (u as usize, i as usize);
-                            let j = loop {
-                                let cand = wrng.gen_range(0..n_items) as u32;
-                                if !user_items[u].contains(&cand) {
-                                    break cand as usize;
-                                }
-                            };
-                            let mut x_uij = bi_cell.load(i) - bi_cell.load(j);
-                            for d in 0..k {
-                                let pu = p_cell.load(u * k + d);
-                                x_uij += pu * (q_cell.load(i * k + d) - q_cell.load(j * k + d));
-                            }
-                            let (loss, g) = bpr(x_uij);
-                            block_loss += loss;
-                            bi_cell.add(i, -lr * (g + reg * bi_cell.load(i)));
-                            bi_cell.add(j, -lr * (-g + reg * bi_cell.load(j)));
-                            for d in 0..k {
-                                let pu = p_cell.load(u * k + d);
-                                let qi = q_cell.load(i * k + d);
-                                let qj = q_cell.load(j * k + d);
-                                p_cell.add(u * k + d, -lr * (g * (qi - qj) + reg * pu));
-                                q_cell.add(i * k + d, -lr * (g * pu + reg * qi));
-                                q_cell.add(j * k + d, -lr * (-g * pu + reg * qj));
-                            }
-                        }
-                        *total = block_loss;
-                    });
-                }
-            });
-            losses.push(totals.iter().sum::<f64>() / train_pairs.len() as f64);
-        }
-        losses
-    }
-
     /// Raw score for a `(user, item)` pair.
     pub fn predict_pair(&self, u: usize, i: usize) -> f64 {
         let mut dot = 0.0;
@@ -218,50 +130,6 @@ mod tests {
         }
         let auc = wins as f64 / total as f64;
         assert!(auc > 0.75, "training AUC {auc}");
-    }
-
-    #[test]
-    fn hogwild_bpr_still_ranks_above_chance() {
-        let d = generate(&DatasetSpec::AmazonAuto.config(31).scaled(0.25));
-        let mask = FieldMask::base(&d.schema);
-        let split = loo_split(&d, &mask, 2, 20, 5);
-        let codec = PairCodec::from_schema(&d.schema);
-        let mut model = BprMf::new(codec, MfConfig { epochs: 40, lr: 0.05, ..MfConfig::default() });
-        let losses = model.fit_hogwild(&split.train_pairs, &split.train_user_items, 3);
-        assert!(losses.iter().all(|l| l.is_finite()));
-        assert!(losses.last().unwrap() < &losses[0], "losses {losses:?}");
-        let mut wins = 0usize;
-        let mut total = 0usize;
-        for &(u, i) in split.train_pairs.iter().take(300) {
-            let pos = model.predict_pair(u as usize, i as usize);
-            for j in 0..5 {
-                let neg_item = (i as usize + 37 * (j + 1)) % d.n_items;
-                if split.train_user_items[u as usize].contains(&(neg_item as u32)) {
-                    continue;
-                }
-                total += 1;
-                if pos > model.predict_pair(u as usize, neg_item) {
-                    wins += 1;
-                }
-            }
-        }
-        let auc = wins as f64 / total as f64;
-        assert!(auc > 0.7, "hogwild training AUC {auc}");
-    }
-
-    #[test]
-    fn hogwild_single_thread_is_the_serial_fit() {
-        let d = generate(&DatasetSpec::AmazonAuto.config(33).scaled(0.2));
-        let mask = FieldMask::base(&d.schema);
-        let split = loo_split(&d, &mask, 2, 10, 5);
-        let codec = PairCodec::from_schema(&d.schema);
-        let cfg = MfConfig { epochs: 3, ..MfConfig::default() };
-        let mut serial = BprMf::new(codec, cfg.clone());
-        let mut hog = BprMf::new(codec, cfg);
-        assert_eq!(
-            serial.fit(&split.train_pairs, &split.train_user_items),
-            hog.fit_hogwild(&split.train_pairs, &split.train_user_items, 1)
-        );
     }
 
     #[test]

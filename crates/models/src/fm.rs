@@ -8,7 +8,6 @@
 
 use crate::common::Scorer;
 use gmlfm_data::Instance;
-use gmlfm_par::RacySlice;
 use gmlfm_tensor::init::normal;
 use gmlfm_tensor::{seeded_rng, Matrix};
 use gmlfm_train::loss::squared;
@@ -162,93 +161,6 @@ impl FactorizationMachine {
         }
         losses
     }
-
-    /// [`FactorizationMachine::fit`] in Hogwild! epoch mode: each epoch
-    /// shuffles the instances once, splits them into one contiguous
-    /// block per worker, and runs the same per-instance SGD updates
-    /// concurrently over the **shared** parameter buffers with no locks
-    /// (see [`gmlfm_par::hogwild`] for the benign-race contract —
-    /// one-hot instances touch few rows, so colliding updates are rare
-    /// and statistically benign).
-    ///
-    /// `threads <= 1` falls back to the serial [`FactorizationMachine::fit`],
-    /// bit-for-bit. With more threads the final parameters (and the
-    /// returned per-epoch losses, summed per worker in block order) are
-    /// *not* reproducible run to run — that is the Hogwild trade, which
-    /// is why this mode is opt-in.
-    pub fn fit_hogwild(&mut self, train: &[Instance], threads: usize) -> Vec<f64> {
-        assert!(!train.is_empty(), "FactorizationMachine::fit_hogwild: empty training set");
-        if threads <= 1 {
-            return self.fit(train);
-        }
-        let FmConfig { k, lr, reg, epochs, seed } = self.cfg.clone();
-        let mut rng = seeded_rng(seed.wrapping_add(1));
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut losses = Vec::with_capacity(epochs);
-        // Disjoint racy views over the parameter buffers (the borrow of
-        // `self` is split field-by-field, so the views cannot alias each
-        // other through safe code).
-        let Self { w0, w, v, cfg: _, sum_buf: _ } = self;
-        let w0_cell = RacySlice::new(std::slice::from_mut(w0));
-        let w_cell = RacySlice::new(w.as_mut_slice());
-        let v_cell = RacySlice::new(v.as_mut_slice());
-        let (w0_cell, w_cell, v_cell) = (&w0_cell, &w_cell, &v_cell);
-        let pool = gmlfm_par::global();
-        let block_len = train.len().div_ceil(threads).max(1);
-        for _ in 0..epochs {
-            order.shuffle(&mut rng);
-            let mut totals = vec![0.0f64; order.len().div_ceil(block_len)];
-            pool.scoped(|s| {
-                for (block, total) in order.chunks(block_len).zip(totals.iter_mut()) {
-                    s.spawn(move || {
-                        // NOTE: this worker body mirrors the serial
-                        // `fit` update math exactly — keep the two in
-                        // lockstep (pinned statistically by the
-                        // hogwild-vs-serial quality test below).
-                        let mut sum_buf = vec![0.0; k];
-                        let mut block_loss = 0.0;
-                        for &idx in block {
-                            let inst = &train[idx];
-                            let mut linear = w0_cell.load(0);
-                            for &f in &inst.feats {
-                                linear += w_cell.load(f as usize);
-                            }
-                            let mut pair = 0.0;
-                            for (d, s_slot) in sum_buf.iter_mut().enumerate() {
-                                let mut sum = 0.0;
-                                let mut sum2 = 0.0;
-                                for &f in &inst.feats {
-                                    let vfd = v_cell.load(f as usize * k + d);
-                                    sum += vfd;
-                                    sum2 += vfd * vfd;
-                                }
-                                *s_slot = sum;
-                                pair += sum * sum - sum2;
-                            }
-                            let pred = linear + 0.5 * pair;
-                            let (loss, g) = squared(pred, inst.label);
-                            block_loss += loss;
-                            // w0 is dense (every worker, every instance):
-                            // the lossless CAS add keeps it unbiased.
-                            w0_cell.fetch_add(0, -lr * g);
-                            for &f in &inst.feats {
-                                let f = f as usize;
-                                w_cell.add(f, -lr * (g + reg * w_cell.load(f)));
-                                for (d, &sum) in sum_buf.iter().enumerate() {
-                                    let vfd = v_cell.load(f * k + d);
-                                    let grad = g * (sum - vfd) + reg * vfd;
-                                    v_cell.add(f * k + d, -lr * grad);
-                                }
-                            }
-                        }
-                        *total = block_loss;
-                    });
-                }
-            });
-            losses.push(totals.iter().sum::<f64>() / train.len() as f64);
-        }
-        losses
-    }
 }
 
 impl Scorer for FactorizationMachine {
@@ -308,63 +220,5 @@ mod tests {
         let mut a = FactorizationMachine::new(d.schema.total_dim(), cfg.clone());
         let mut b = FactorizationMachine::new(d.schema.total_dim(), cfg);
         assert_eq!(a.fit(&s.train), b.fit(&s.train));
-    }
-
-    #[test]
-    fn hogwild_single_thread_falls_back_to_serial_exactly() {
-        let d = generate(&DatasetSpec::AmazonAuto.config(47).scaled(0.2));
-        let mask = FieldMask::all(&d.schema);
-        let s = rating_split(&d, &mask, 2, 7);
-        let cfg = FmConfig { epochs: 3, ..FmConfig::default() };
-        let mut serial = FactorizationMachine::new(d.schema.total_dim(), cfg.clone());
-        let mut hog = FactorizationMachine::new(d.schema.total_dim(), cfg);
-        assert_eq!(serial.fit(&s.train), hog.fit_hogwild(&s.train, 1));
-        assert_eq!(serial.v.as_slice(), hog.v.as_slice());
-    }
-
-    /// Statistical lockstep net for the duplicated update math: the
-    /// hogwild body must implement the *same* gradients as the serial
-    /// `fit`, so after identical training schedules the two models'
-    /// generalisation must land in the same neighbourhood (races add
-    /// noise, they do not change the objective). A sign error or a
-    /// dropped regulariser in either copy blows the tolerance.
-    #[test]
-    fn hogwild_and_serial_reach_comparable_quality() {
-        let d = generate(&DatasetSpec::AmazonAuto.config(53).scaled(0.25));
-        let mask = FieldMask::all(&d.schema);
-        let s = rating_split(&d, &mask, 2, 7);
-        let cfg = FmConfig { epochs: 15, ..FmConfig::default() };
-        let mut serial = FactorizationMachine::new(d.schema.total_dim(), cfg.clone());
-        let serial_losses = serial.fit(&s.train);
-        let mut hog = FactorizationMachine::new(d.schema.total_dim(), cfg);
-        let hog_losses = hog.fit_hogwild(&s.train, 3);
-        let rmse = |m: &FactorizationMachine| {
-            let preds = m.scores(&s.test);
-            (preds.iter().zip(&s.test).map(|(p, t)| (p - t.label).powi(2)).sum::<f64>() / s.test.len() as f64)
-                .sqrt()
-        };
-        let (serial_rmse, hog_rmse) = (rmse(&serial), rmse(&hog));
-        assert!(
-            (hog_rmse - serial_rmse).abs() <= 0.15 * serial_rmse,
-            "hogwild test RMSE {hog_rmse} drifted from serial {serial_rmse}"
-        );
-        let (sl, hl) = (serial_losses.last().unwrap(), hog_losses.last().unwrap());
-        assert!((hl - sl).abs() <= 0.25 * sl, "hogwild final loss {hl} vs serial {sl}");
-    }
-
-    #[test]
-    fn hogwild_epochs_still_learn() {
-        let d = generate(&DatasetSpec::AmazonAuto.config(49).scaled(0.25));
-        let mask = FieldMask::all(&d.schema);
-        let s = rating_split(&d, &mask, 2, 7);
-        let mut fm =
-            FactorizationMachine::new(d.schema.total_dim(), FmConfig { epochs: 20, ..FmConfig::default() });
-        let losses = fm.fit_hogwild(&s.train, 3);
-        assert_eq!(losses.len(), 20);
-        assert!(losses.iter().all(|l| l.is_finite()));
-        // Convergence is statistical under Hogwild races; the loss must
-        // still fall clearly from its starting point.
-        assert!(losses.last().unwrap() < &(losses[0] * 0.85), "losses {losses:?}");
-        assert!(fm.scores(&s.test).iter().all(|p| p.is_finite()));
     }
 }

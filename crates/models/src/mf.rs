@@ -2,7 +2,6 @@
 
 use crate::common::{PairCodec, Scorer};
 use gmlfm_data::Instance;
-use gmlfm_par::RacySlice;
 use gmlfm_tensor::init::normal;
 use gmlfm_tensor::{seeded_rng, Matrix};
 use gmlfm_train::loss::squared;
@@ -84,76 +83,6 @@ impl MatrixFactorization {
         losses
     }
 
-    /// [`MatrixFactorization::fit`] in Hogwild! epoch mode: each epoch's
-    /// shuffled instances are split into one contiguous block per worker
-    /// and the per-instance SGD updates run concurrently over the
-    /// **shared** `μ`/`b_u`/`b_i`/`P`/`Q` buffers with no locks (see
-    /// [`gmlfm_par::hogwild`] for the benign-race contract — each
-    /// instance touches one user row and one item row, so collisions
-    /// are rare and statistically benign).
-    ///
-    /// `threads <= 1` falls back to the serial fit, bit-for-bit; more
-    /// threads trade run-to-run reproducibility for throughput, which is
-    /// why the mode is opt-in.
-    pub fn fit_hogwild(&mut self, train: &[Instance], threads: usize) -> Vec<f64> {
-        if threads <= 1 {
-            return self.fit(train);
-        }
-        let MfConfig { k, lr, reg, epochs, seed } = self.cfg.clone();
-        let mut rng = seeded_rng(seed.wrapping_add(1));
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut losses = Vec::with_capacity(epochs);
-        let codec = self.codec;
-        // Disjoint racy views over the shared parameters.
-        let Self { mu, bu, bi, p, q, .. } = self;
-        let mu_cell = RacySlice::new(std::slice::from_mut(mu));
-        let bu_cell = RacySlice::new(bu.as_mut_slice());
-        let bi_cell = RacySlice::new(bi.as_mut_slice());
-        let p_cell = RacySlice::new(p.as_mut_slice());
-        let q_cell = RacySlice::new(q.as_mut_slice());
-        let (mu_cell, bu_cell, bi_cell, p_cell, q_cell) = (&mu_cell, &bu_cell, &bi_cell, &p_cell, &q_cell);
-        let pool = gmlfm_par::global();
-        let block_len = train.len().div_ceil(threads).max(1);
-        for _ in 0..epochs {
-            order.shuffle(&mut rng);
-            let mut totals = vec![0.0f64; order.len().div_ceil(block_len)];
-            pool.scoped(|s| {
-                for (block, total) in order.chunks(block_len).zip(totals.iter_mut()) {
-                    s.spawn(move || {
-                        // NOTE: mirrors the serial `fit` update math —
-                        // keep the two in lockstep.
-                        let mut block_loss = 0.0;
-                        for &idx in block {
-                            let inst = &train[idx];
-                            let (u, i) = codec.decode(inst);
-                            let mut dot = 0.0;
-                            for d in 0..k {
-                                dot += p_cell.load(u * k + d) * q_cell.load(i * k + d);
-                            }
-                            let pred = mu_cell.load(0) + bu_cell.load(u) + bi_cell.load(i) + dot;
-                            let (loss, g) = squared(pred, inst.label);
-                            block_loss += loss;
-                            // μ is dense (every worker, every instance):
-                            // the lossless CAS add keeps it unbiased.
-                            mu_cell.fetch_add(0, -lr * g);
-                            bu_cell.add(u, -lr * (g + reg * bu_cell.load(u)));
-                            bi_cell.add(i, -lr * (g + reg * bi_cell.load(i)));
-                            for d in 0..k {
-                                let pu = p_cell.load(u * k + d);
-                                let qi = q_cell.load(i * k + d);
-                                p_cell.add(u * k + d, -lr * (g * qi + reg * pu));
-                                q_cell.add(i * k + d, -lr * (g * pu + reg * qi));
-                            }
-                        }
-                        *total = block_loss;
-                    });
-                }
-            });
-            losses.push(totals.iter().sum::<f64>() / train.len().max(1) as f64);
-        }
-        losses
-    }
-
     /// Raw prediction for a `(user, item)` pair.
     pub fn predict_pair(&self, u: usize, i: usize) -> f64 {
         let mut dot = 0.0;
@@ -219,59 +148,6 @@ impl Pmf {
                 }
             }
             losses.push(total / train.len().max(1) as f64);
-        }
-        losses
-    }
-
-    /// [`Pmf::fit`] in Hogwild! epoch mode; see
-    /// [`MatrixFactorization::fit_hogwild`] for the semantics
-    /// (`threads <= 1` is the exact serial fit; more threads run the
-    /// same sparse updates lock-free over the shared factor matrices).
-    pub fn fit_hogwild(&mut self, train: &[Instance], threads: usize) -> Vec<f64> {
-        if threads <= 1 {
-            return self.fit(train);
-        }
-        let MfConfig { k, lr, reg, epochs, seed } = self.cfg.clone();
-        let mut rng = seeded_rng(seed.wrapping_add(1));
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut losses = Vec::with_capacity(epochs);
-        let codec = self.codec;
-        let Self { p, q, .. } = self;
-        let p_cell = RacySlice::new(p.as_mut_slice());
-        let q_cell = RacySlice::new(q.as_mut_slice());
-        let (p_cell, q_cell) = (&p_cell, &q_cell);
-        let pool = gmlfm_par::global();
-        let block_len = train.len().div_ceil(threads).max(1);
-        for _ in 0..epochs {
-            order.shuffle(&mut rng);
-            let mut totals = vec![0.0f64; order.len().div_ceil(block_len)];
-            pool.scoped(|s| {
-                for (block, total) in order.chunks(block_len).zip(totals.iter_mut()) {
-                    s.spawn(move || {
-                        // NOTE: mirrors the serial `fit` update math —
-                        // keep the two in lockstep.
-                        let mut block_loss = 0.0;
-                        for &idx in block {
-                            let inst = &train[idx];
-                            let (u, i) = codec.decode(inst);
-                            let mut pred = 0.0;
-                            for d in 0..k {
-                                pred += p_cell.load(u * k + d) * q_cell.load(i * k + d);
-                            }
-                            let (loss, g) = squared(pred, inst.label);
-                            block_loss += loss;
-                            for d in 0..k {
-                                let pu = p_cell.load(u * k + d);
-                                let qi = q_cell.load(i * k + d);
-                                p_cell.add(u * k + d, -lr * (g * qi + reg * pu));
-                                q_cell.add(i * k + d, -lr * (g * pu + reg * qi));
-                            }
-                        }
-                        *total = block_loss;
-                    });
-                }
-            });
-            losses.push(totals.iter().sum::<f64>() / train.len().max(1) as f64);
         }
         losses
     }
@@ -351,27 +227,5 @@ mod tests {
         let la = a.fit(&train);
         let lb = b.fit(&train);
         assert_eq!(la, lb);
-    }
-
-    #[test]
-    fn hogwild_single_thread_is_the_serial_fit() {
-        let (codec, train, _) = tiny_split();
-        let cfg = MfConfig { epochs: 4, ..MfConfig::default() };
-        let mut serial = MatrixFactorization::new(codec, cfg.clone());
-        let mut hog = MatrixFactorization::new(codec, cfg);
-        assert_eq!(serial.fit(&train), hog.fit_hogwild(&train, 1));
-    }
-
-    #[test]
-    fn hogwild_mf_and_pmf_still_learn() {
-        let (codec, train, _) = tiny_split();
-        let mut mf = MatrixFactorization::new(codec, MfConfig { epochs: 25, ..MfConfig::default() });
-        let losses = mf.fit_hogwild(&train, 3);
-        assert!(losses.iter().all(|l| l.is_finite()));
-        assert!(losses.last().unwrap() < &(losses[0] * 0.8), "MF losses {losses:?}");
-        let mut pmf = Pmf::new(codec, MfConfig { epochs: 15, ..MfConfig::default() });
-        let losses = pmf.fit_hogwild(&train, 3);
-        assert!(losses.iter().all(|l| l.is_finite()));
-        assert!(losses.last().unwrap() < &losses[0], "PMF losses {losses:?}");
     }
 }

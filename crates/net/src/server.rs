@@ -34,7 +34,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gmlfm_service::{FeedSink, ModelServer};
+use gmlfm_par::Parallelism;
+use gmlfm_service::{FeedSink, ModelServer, Request};
 
 use crate::frame::{
     read_frame_deadline, write_frame_deadline, Deadlines, FrameError, DEFAULT_MAX_FRAME_BYTES,
@@ -327,7 +328,10 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) {
             // still frame-synchronised, so answer typed and keep the
             // connection.
             Err(e) => wire::encode_error(code::BAD_REQUEST, &e.message),
-            Ok(req) => answer(&inner.model, inner.feed.as_deref(), &req),
+            Ok(mut req) => {
+                bound_par(&mut req);
+                answer(&inner.model, inner.feed.as_deref(), &req)
+            }
         };
         // ORDERING: Relaxed — statistics counter only; final values
         // are read after the drain joins this thread.
@@ -346,6 +350,32 @@ fn reply(inner: &Inner, stream: &mut TcpStream, payload: &str) -> Result<(), Fra
         inner.config.write_timeout,
         inner.config.poll,
     )
+}
+
+/// Caps every client-chosen `par` at the pool's worker count. On the
+/// wire `par` is an arbitrary integer, and it sets the number of scan
+/// shards (one scanner, one heap and one pool job each) or batch
+/// blocks. The global pool owns exactly [`Parallelism::auto`] workers,
+/// so a wider fan-out can never run concurrently — it only multiplies
+/// the per-shard set-up, by a factor the client would get to choose.
+fn bound_par(req: &mut NetRequest) {
+    fn cap(par: &mut Option<Parallelism>) {
+        if let Some(p) = par {
+            *p = Parallelism::threads(p.get().min(Parallelism::auto().get()));
+        }
+    }
+    match req {
+        NetRequest::TopN(topn) => cap(&mut topn.par),
+        NetRequest::Batch(batch) => {
+            cap(&mut batch.par);
+            for member in &mut batch.requests {
+                if let Request::TopN(topn) = member {
+                    cap(&mut topn.par);
+                }
+            }
+        }
+        NetRequest::Score(_) | NetRequest::Feed(_) => {}
+    }
 }
 
 /// Answers one decoded request against the shared model. Each arm makes
@@ -393,5 +423,48 @@ fn answer(model: &ModelServer, feed: Option<&dyn FeedSink>, req: &NetRequest) ->
                 Err(e) => wire::encode_error(e.code(), &e.to_string()),
             },
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gmlfm_service::{BatchRequest, ScoreRequest, TopNRequest};
+
+    /// `par` as the connection loop sees it: decoded from the wire, then
+    /// bounded.
+    fn served_par(wire_par: &str) -> Option<Parallelism> {
+        let text = format!(r#"{{"op":"topn","user":0,"n":10,"par":{wire_par}}}"#);
+        let mut req = wire::decode_request(text.as_bytes()).expect("well-formed request");
+        bound_par(&mut req);
+        match req {
+            NetRequest::TopN(topn) => topn.par,
+            other => panic!("a topn frame decoded to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wire_par_is_bounded_by_the_pool() {
+        let auto = Parallelism::auto();
+        // The hostile frame: far more shards than the pool has workers.
+        assert_eq!(served_par("4294967295"), Some(auto));
+        // In-range values pass through, `0` means 1, absent stays the
+        // server's default.
+        assert_eq!(served_par(&auto.get().to_string()), Some(auto));
+        assert_eq!(served_par("1"), Some(Parallelism::serial()));
+        assert_eq!(served_par("0"), Some(Parallelism::serial()));
+        assert_eq!(served_par("null"), None);
+
+        // `batch.par` and the `par` of every member fan out the same way.
+        let hostile = Parallelism::threads(usize::MAX);
+        let members = |par| {
+            vec![
+                Request::Score(ScoreRequest::pair(0, 1)),
+                Request::TopN(TopNRequest::new(1, 2).parallelism(par)),
+            ]
+        };
+        let mut batch = NetRequest::Batch(BatchRequest::new(members(hostile)).parallelism(hostile));
+        bound_par(&mut batch);
+        assert_eq!(batch, NetRequest::Batch(BatchRequest::new(members(auto)).parallelism(auto)));
     }
 }

@@ -11,6 +11,7 @@ use common::{fast_config, marker, snapshot, start};
 use gmlfm_net::frame::{read_frame, DEFAULT_MAX_FRAME_BYTES};
 use gmlfm_net::wire::{self, code};
 use gmlfm_net::{ClientConfig, NetClient, NetReply, NetRequest, ServerConfig};
+use gmlfm_par::Parallelism;
 use gmlfm_service::{BatchRequest, Request, ScoreRequest, TopNRequest};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -178,6 +179,34 @@ fn connection_storms_shed_typed_overloaded_replies() {
     let report = server.shutdown();
     assert!(report.shed >= 8, "all storm connections were shed: {report:?}");
     assert_eq!(report.worker_panics, 0);
+}
+
+#[test]
+fn a_hostile_par_is_answered_like_the_request_without_it() {
+    let server = start(fast_config());
+    let mut client = NetClient::connect(server.local_addr()).expect("resolve");
+    let mut top = |req: TopNRequest| match client.request(&NetRequest::TopN(req)).expect("answered").reply {
+        NetReply::TopN(items) => {
+            items.into_iter().map(|(id, score)| (id, score.to_bits())).collect::<Vec<_>>()
+        }
+        other => panic!("topn answered with {other:?}"),
+    };
+    // `"par":4294967295` on the wire: one shard per catalogue item if
+    // the server took the client's word for it.
+    let hostile = top(TopNRequest::new(0, 10).parallelism(Parallelism::threads(u32::MAX as usize)));
+    let plain = top(TopNRequest::new(0, 10));
+    assert_eq!(hostile.len(), 10);
+    assert_eq!(hostile, plain);
+
+    let batch = BatchRequest::new(vec![Request::TopN(TopNRequest::new(1, 3)); 4])
+        .parallelism(Parallelism::threads(u32::MAX as usize));
+    let NetReply::Batch(slots) = client.request(&NetRequest::Batch(batch)).expect("answered").reply else {
+        panic!("batch answered with another kind");
+    };
+    assert_eq!(slots.len(), 4);
+    assert!(slots.iter().all(|slot| slot == &slots[0] && slot.is_ok()), "slots: {slots:?}");
+
+    assert_eq!(server.shutdown().worker_panics, 0);
 }
 
 #[test]

@@ -31,7 +31,7 @@ pub trait OnlineModel: Send {
     /// Continues training from the current parameters over `train`
     /// (base + accumulated interactions). `cfg` carries the per-round
     /// knobs; SGD trainers with their own epoch configuration may
-    /// consume only `cfg.hogwild_threads`.
+    /// ignore it.
     fn warm_fit(&mut self, train: &[Instance], cfg: &TrainConfig) -> Result<(), OnlineError>;
 
     /// Extracts the frozen serving candidate at the current weights.
@@ -39,13 +39,12 @@ pub trait OnlineModel: Send {
 }
 
 impl OnlineModel for gmlfm_models::FactorizationMachine {
-    fn warm_fit(&mut self, train: &[Instance], cfg: &TrainConfig) -> Result<(), OnlineError> {
+    fn warm_fit(&mut self, train: &[Instance], _cfg: &TrainConfig) -> Result<(), OnlineError> {
         if train.is_empty() {
             return Err(OnlineError::Train("empty training set".into()));
         }
-        // Epochs/lr come from the FM's own `FmConfig`; the round config
-        // only sizes the Hogwild pool.
-        self.fit_hogwild(train, cfg.hogwild_threads.max(1));
+        // Epochs/lr come from the FM's own `FmConfig`.
+        self.fit(train);
         Ok(())
     }
 

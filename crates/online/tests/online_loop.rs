@@ -80,7 +80,7 @@ fn holdout() -> Vec<LooTestCase> {
 fn fitted_fm(base: &[Instance]) -> (FactorizationMachine, ModelSnapshot) {
     let mut fm =
         FactorizationMachine::new(N_FEATS, FmConfig { k: 4, lr: 0.05, reg: 0.01, epochs: 5, seed: 7 });
-    fm.fit_hogwild(base, 1);
+    fm.fit(base);
     let snapshot = ModelSnapshot {
         schema: schema(),
         frozen: Freeze::freeze(&fm),

@@ -1,26 +1,24 @@
 //! # gmlfm-par
 //!
 //! Std-only parallel execution for the GML-FM workspace: a persistent
-//! [scoped thread pool](pool::ThreadPool), data-parallel helpers over
-//! slices and index ranges, and the [`hogwild::RacySlice`] cell that
-//! powers the trainers' opt-in Hogwild! epoch mode.
+//! scoped thread pool (private to this crate) and two order-preserving
+//! data-parallel helpers over it.
 //!
 //! The vendored dependency set has no rayon, so this crate provides the
-//! minimal primitives the serving/eval/training hot paths need:
+//! minimal primitives the serving/eval hot paths need:
 //!
-//! * [`par_map`] / [`par_chunks`] — order-preserving maps whose merged
-//!   output is **bit-identical** to the serial evaluation for pure
-//!   per-element functions, at every thread count. Serving and
-//!   evaluation ride on these, which is what lets the eval protocols
-//!   stay exactly reproducible while scaling across cores.
-//! * [`par_blocks`] — the indexed building block: splits `0..n` into
-//!   contiguous blocks (one per requested thread) and concatenates the
-//!   per-block outputs in input order. Use it when each worker wants its
-//!   own scratch state (e.g. a `TopNRanker` per block of users).
-//! * [`par_map_reduce`] — indexed map-reduce; partial results are
-//!   reduced in block order. Deterministic for a fixed [`Parallelism`],
-//!   but floating-point reductions re-associate across thread counts —
-//!   prefer the map helpers when bit-stability across counts matters.
+//! * [`par_blocks`] — the one fan-out primitive: splits `0..n` into
+//!   contiguous blocks (one per requested thread), runs them on the
+//!   pool and concatenates the per-block outputs in input order. Use it
+//!   directly when each worker wants its own scratch state (e.g. a
+//!   `TopNRanker` per block of users).
+//! * [`par_map`] — the per-element map over a slice, a one-line wrapper
+//!   over [`par_blocks`].
+//!
+//! Both are **bit-identical** to the serial evaluation for pure
+//! functions, at every thread count. Serving and evaluation ride on
+//! them, which is what lets the eval protocols stay exactly
+//! reproducible while scaling across cores.
 //!
 //! How many threads run is a per-call [`Parallelism`] value, defaulting
 //! to [`Parallelism::auto`]: the `GMLFM_THREADS` environment variable
@@ -32,29 +30,26 @@
 //! explicit `Parallelism::threads(n > 1)` still partitions its work and
 //! dispatches to the (single-worker, hence sequentially draining) pool;
 //! the env var changes defaults, it does not override explicit
-//! requests. Results are unaffected either way: the order-preserving
-//! helpers are bit-identical at every thread count.
+//! requests. Results are unaffected either way.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod hogwild;
-pub mod pool;
+mod pool;
 
-pub use hogwild::RacySlice;
-pub use pool::{Scope, ThreadPool};
+use pool::ThreadPool;
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Environment variable that sets the workspace's default parallelism
-/// — the [`Parallelism::auto`] value and the [`global`] pool size.
+/// — the [`Parallelism::auto`] value and the global pool size.
 /// `GMLFM_THREADS=1` makes every defaulted call run inline and leaves a
 /// one-worker pool for explicit requests; read once per process.
 pub const THREADS_ENV: &str = "GMLFM_THREADS";
 
 /// How many threads a parallel helper may use for one call.
 ///
-/// This is a *request*, independent of the [`global`] pool's size: work
+/// This is a *request*, independent of the global pool's size: work
 /// is partitioned into this many blocks, and the pool schedules the
 /// blocks on however many workers it owns. Results of the order-
 /// preserving helpers do not depend on either number.
@@ -113,7 +108,7 @@ impl Default for Parallelism {
 
 /// The process-wide pool the `par_*` helpers run on, built on first use
 /// with [`Parallelism::auto`] workers.
-pub fn global() -> &'static ThreadPool {
+fn global() -> &'static ThreadPool {
     static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
     GLOBAL.get_or_init(|| ThreadPool::new(NonZeroUsize::new(Parallelism::auto().get()).expect("non-zero")))
 }
@@ -121,8 +116,8 @@ pub fn global() -> &'static ThreadPool {
 /// Splits `0..n` into at most `blocks` contiguous, near-equal ranges in
 /// order (the first `n % blocks` ranges are one element longer).
 ///
-/// This is the partition every `par_*` helper uses internally; it is
-/// public so callers that need an *explicit* shard structure — notably
+/// This is the partition [`par_blocks`] uses internally; it is public
+/// so callers that need an *explicit* shard structure — notably
 /// serving's sharded top-N scan driver — cut their work the same way.
 pub fn block_ranges(n: usize, blocks: usize) -> Vec<Range<usize>> {
     let blocks = blocks.min(n).max(1);
@@ -140,54 +135,9 @@ pub fn block_ranges(n: usize, blocks: usize) -> Vec<Range<usize>> {
 
 /// Maps `f` over `items`, preserving order. The output is bit-identical
 /// to `items.iter().map(f).collect()` for pure `f`, at every
-/// [`Parallelism`]: items are split into contiguous blocks and the
-/// per-block outputs are concatenated in input order.
+/// [`Parallelism`].
 pub fn par_map<T: Sync, R: Send>(par: Parallelism, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if par.is_serial() || items.len() < 2 {
-        return items.iter().map(f).collect();
-    }
-    let blocks = block_ranges(items.len(), par.get());
-    let mut outs: Vec<Vec<R>> = Vec::new();
-    outs.resize_with(blocks.len(), Vec::new);
-    let f = &f;
-    global().scoped(|s| {
-        for (range, out) in blocks.into_iter().zip(outs.iter_mut()) {
-            let block = &items[range];
-            s.spawn(move || *out = block.iter().map(f).collect());
-        }
-    });
-    outs.into_iter().flatten().collect()
-}
-
-/// Applies `f` to fixed-size chunks of `items` (the last chunk may be
-/// short) and concatenates the outputs in chunk order — the parallel
-/// counterpart of serving's chunked batch scoring. Chunks are scheduled
-/// dynamically, so uneven per-chunk cost balances across workers; the
-/// merged output is still bit-identical to the serial chunk loop for
-/// pure `f`.
-pub fn par_chunks<T: Sync, R: Send>(
-    par: Parallelism,
-    items: &[T],
-    chunk_size: NonZeroUsize,
-    f: impl Fn(&[T]) -> Vec<R> + Sync,
-) -> Vec<R> {
-    let n_chunks = items.len().div_ceil(chunk_size.get().max(1));
-    if par.is_serial() || n_chunks < 2 {
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in items.chunks(chunk_size.get()) {
-            out.extend(f(chunk));
-        }
-        return out;
-    }
-    let mut outs: Vec<Vec<R>> = Vec::new();
-    outs.resize_with(n_chunks, Vec::new);
-    let f = &f;
-    global().scoped(|s| {
-        for (chunk, out) in items.chunks(chunk_size.get()).zip(outs.iter_mut()) {
-            s.spawn(move || *out = f(chunk));
-        }
-    });
-    outs.into_iter().flatten().collect()
+    par_blocks(par, items.len(), |range| items[range].iter().map(&f).collect())
 }
 
 /// Splits `0..n` into one contiguous block per requested thread, runs
@@ -214,45 +164,6 @@ pub fn par_blocks<R: Send>(par: Parallelism, n: usize, f: impl Fn(Range<usize>) 
     outs.into_iter().flatten().collect()
 }
 
-/// Indexed map-reduce over `0..n`: each block folds `map(i)` with
-/// `reduce`, and the per-block partials are reduced in block order.
-/// Returns `None` for `n == 0`.
-///
-/// Deterministic for a fixed [`Parallelism`]; across *different* thread
-/// counts a floating-point `reduce` re-associates, so pin the thread
-/// count (or use [`par_map`]) where bit-stability matters.
-pub fn par_map_reduce<A: Send>(
-    par: Parallelism,
-    n: usize,
-    map: impl Fn(usize) -> A + Sync,
-    reduce: impl Fn(A, A) -> A + Sync,
-) -> Option<A> {
-    let fold_range = |range: Range<usize>| {
-        let mut acc: Option<A> = None;
-        for i in range {
-            let v = map(i);
-            acc = Some(match acc {
-                Some(a) => reduce(a, v),
-                None => v,
-            });
-        }
-        acc
-    };
-    if par.is_serial() || n < 2 {
-        return fold_range(0..n);
-    }
-    let blocks = block_ranges(n, par.get());
-    let mut outs: Vec<Option<A>> = Vec::new();
-    outs.resize_with(blocks.len(), || None);
-    let fold_range = &fold_range;
-    global().scoped(|s| {
-        for (range, out) in blocks.into_iter().zip(outs.iter_mut()) {
-            s.spawn(move || *out = fold_range(range));
-        }
-    });
-    outs.into_iter().flatten().reduce(reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,22 +187,15 @@ mod tests {
 
     #[test]
     fn par_map_matches_serial_at_every_thread_count() {
-        let items: Vec<u64> = (0..257).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for t in [1usize, 2, 3, 5, 16] {
-            let got = par_map(Parallelism::threads(t), &items, |x| x * 3 + 1);
-            assert_eq!(got, serial, "threads={t}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_matches_serial_chunking() {
-        let items: Vec<i64> = (0..1001).collect();
-        let chunk = NonZeroUsize::new(64).unwrap();
-        let serial: Vec<i64> = items.iter().map(|x| -x).collect();
-        for t in [1usize, 2, 4] {
-            let got = par_chunks(Parallelism::threads(t), &items, chunk, |c| c.iter().map(|x| -x).collect());
-            assert_eq!(got, serial, "threads={t}");
+        // Empty, single-element and shorter-than-thread-count inputs
+        // ride along with the long one.
+        for n in [0u64, 1, 3, 257] {
+            let items: Vec<u64> = (0..n).collect();
+            let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+            for t in [1usize, 2, 3, 5, 16] {
+                let got = par_map(Parallelism::threads(t), &items, |x| x * 3 + 1);
+                assert_eq!(got, serial, "n={n} threads={t}");
+            }
         }
     }
 
@@ -301,15 +205,6 @@ mod tests {
             let got = par_blocks(Parallelism::threads(t), 100, |range| range.collect());
             let want: Vec<usize> = (0..100).collect();
             assert_eq!(got, want, "threads={t}");
-        }
-    }
-
-    #[test]
-    fn par_map_reduce_sums_and_handles_empty() {
-        assert_eq!(par_map_reduce(Parallelism::threads(4), 0, |i| i, |a, b| a + b), None);
-        for t in [1usize, 2, 5] {
-            let got = par_map_reduce(Parallelism::threads(t), 101, |i| i as u64, |a, b| a + b);
-            assert_eq!(got, Some(5050), "threads={t}");
         }
     }
 
@@ -324,8 +219,6 @@ mod tests {
 
     #[test]
     fn global_pool_is_usable() {
-        let n = global().threads();
-        assert!(n >= 1);
         let out = par_map(Parallelism::threads(2), &[1, 2, 3], |x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }

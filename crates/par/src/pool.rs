@@ -48,14 +48,12 @@ impl PoolShared {
 
 /// A fixed-size pool of persistent worker threads with scoped execution.
 ///
-/// Most callers never construct one: [`crate::global`] lazily builds a
-/// process-wide pool sized by [`crate::Parallelism::auto`], and the
-/// `par_*` helpers in this crate run on it. Build a private pool only
-/// when a test or benchmark needs an isolated worker set.
+/// [`crate::global`] lazily builds the one process-wide pool, sized by
+/// [`crate::Parallelism::auto`], and [`crate::par_blocks`] runs on it;
+/// this module's tests build private pools for an isolated worker set.
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
     workers: Vec<thread::JoinHandle<()>>,
-    threads: usize,
 }
 
 impl ThreadPool {
@@ -75,12 +73,7 @@ impl ThreadPool {
                     .expect("gmlfm-par: failed to spawn worker thread")
             })
             .collect();
-        Self { shared, workers, threads: threads.get() }
-    }
-
-    /// Number of worker threads in this pool.
-    pub fn threads(&self) -> usize {
-        self.threads
+        Self { shared, workers }
     }
 
     /// Runs `f` with a [`Scope`] whose jobs may borrow from the current

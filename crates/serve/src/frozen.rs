@@ -28,6 +28,7 @@
 
 use gmlfm_core::Distance;
 use gmlfm_data::Instance;
+use gmlfm_par::Parallelism;
 use gmlfm_tensor::Matrix;
 use gmlfm_train::Scorer;
 
@@ -246,6 +247,14 @@ impl FrozenModel {
     /// Scores one instance: `w₀ + Σ_f w[x_f] + second-order`.
     pub fn predict(&self, inst: &Instance) -> f64 {
         self.predict_feats(&inst.feats)
+    }
+
+    /// [`FrozenModel::predict`] over a batch, fanned across `par` pool
+    /// workers and merged in input order: prediction is a pure
+    /// per-instance map, so the output is bit-identical to the serial
+    /// loop at every thread count.
+    pub fn scores_with(&self, instances: &[Instance], par: Parallelism) -> Vec<f64> {
+        gmlfm_par::par_map(par, instances, |inst| self.predict(inst))
     }
 
     /// [`FrozenModel::predict`] over raw feature indices.
@@ -504,12 +513,7 @@ impl FrozenModel {
 
 impl Scorer for FrozenModel {
     fn scores(&self, instances: &[Instance]) -> Vec<f64> {
-        crate::batch::score_chunked_par(
-            self,
-            instances,
-            gmlfm_train::EVAL_CHUNK_SIZE,
-            gmlfm_par::Parallelism::auto(),
-        )
+        self.scores_with(instances, Parallelism::auto())
     }
 }
 

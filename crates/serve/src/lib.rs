@@ -17,13 +17,13 @@
 //!   same at serving time.
 //! * [`FrozenModel`] — tape-free scoring of sparse instances; implements
 //!   [`gmlfm_train::Scorer`], so every evaluation protocol in
-//!   `gmlfm-eval` consumes it unchanged. Batch scoring reuses
-//!   [`gmlfm_train::EVAL_CHUNK_SIZE`] as its chunking unit and fans the
-//!   chunks out across the `gmlfm-par` pool ([`batch::score_chunked_par`]);
-//!   results are bit-identical to serial at every thread count, and
-//!   `GMLFM_THREADS=1` forces the serial path. The precomputed tables
-//!   live in the packed [`HatQ`] layout (`[v̂ᵢ | qᵢ]` rows), so each
-//!   worker's candidate delta is one linear scan.
+//!   `gmlfm-eval` consumes it unchanged. Batch scoring
+//!   ([`FrozenModel::scores_with`]) fans the instances out across the
+//!   `gmlfm-par` pool; results are bit-identical to serial at every
+//!   thread count, and `GMLFM_THREADS=1` forces the serial path. The
+//!   precomputed tables live in the packed [`HatQ`] layout
+//!   (`[v̂ᵢ | qᵢ]` rows), so each worker's candidate delta is one
+//!   linear scan.
 //! * [`TopNRanker`] — leave-one-out ranking with the context-side
 //!   partial sums computed once per user and only an `O(k²)` (or `O(k)`)
 //!   delta per candidate item; every distance, the order-dependent
@@ -48,7 +48,6 @@
 //! crate and by `tests/frozen_parity.rs`; the `serve_speedup` bench in
 //! `gmlfm-bench` measures the resulting wall-clock separation.
 
-pub mod batch;
 pub mod freeze;
 pub mod frozen;
 pub mod index;
@@ -57,7 +56,6 @@ pub mod lowp;
 pub mod rank;
 pub mod topn;
 
-pub use batch::{score_chunked, score_chunked_par};
 pub use freeze::Freeze;
 pub use frozen::{FrozenModel, HatQ, SecondOrder};
 pub use index::{ItemFeatureSource, IvfBuildOptions, IvfIndex, RetrievalStrategy};

@@ -10,8 +10,7 @@ use rand::seq::SliceRandom;
 use std::num::NonZeroUsize;
 
 /// Number of instances scored per evaluation graph in
-/// [`GraphModel::predict`], and the batching unit reused by the
-/// `gmlfm-serve` frozen scoring path.
+/// [`GraphModel::predict`].
 ///
 /// Chunking keeps each eval tape small (bounded peak memory) without
 /// paying per-instance graph setup. Override per call with
@@ -108,26 +107,11 @@ pub struct TrainConfig {
     pub patience: usize,
     /// Seed for batch shuffling and dropout masks.
     pub seed: u64,
-    /// Hogwild! worker count for the hand-derived SGD trainers (FM, MF,
-    /// PMF, BPR-MF): `> 1` opts into lock-free parallel epochs over
-    /// shared parameters. Off by default (`1` = serial, bit-for-bit
-    /// reproducible). The autograd trainers in this module ignore it —
-    /// their updates are dense batch steps, not sparse per-instance
-    /// writes, so Hogwild's benign-race argument does not apply to them.
-    pub hogwild_threads: usize,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        Self {
-            lr: 0.01,
-            epochs: 20,
-            batch_size: 256,
-            weight_decay: 1e-5,
-            patience: 3,
-            seed: 17,
-            hogwild_threads: 1,
-        }
+        Self { lr: 0.01, epochs: 20, batch_size: 256, weight_decay: 1e-5, patience: 3, seed: 17 }
     }
 }
 
@@ -338,15 +322,8 @@ mod tests {
         let train = toy_data(400, 1);
         let val = toy_data(100, 2);
         let mut model = LinearToy::new(10, 3);
-        let cfg = TrainConfig {
-            lr: 0.05,
-            epochs: 60,
-            batch_size: 32,
-            weight_decay: 0.0,
-            patience: 0,
-            seed: 4,
-            ..TrainConfig::default()
-        };
+        let cfg =
+            TrainConfig { lr: 0.05, epochs: 60, batch_size: 32, weight_decay: 0.0, patience: 0, seed: 4 };
         let report = fit_regression(&mut model, &train, Some(&val), &cfg);
         assert!(report.best_val_rmse < 0.3, "val rmse {}", report.best_val_rmse);
         // Training loss decreased substantially.
@@ -358,15 +335,8 @@ mod tests {
         let train = toy_data(200, 5);
         let val = toy_data(50, 6);
         let mut model = LinearToy::new(10, 7);
-        let cfg = TrainConfig {
-            lr: 0.2,
-            epochs: 200,
-            batch_size: 64,
-            weight_decay: 0.0,
-            patience: 3,
-            seed: 8,
-            ..TrainConfig::default()
-        };
+        let cfg =
+            TrainConfig { lr: 0.2, epochs: 200, batch_size: 64, weight_decay: 0.0, patience: 3, seed: 8 };
         let report = fit_regression(&mut model, &train, Some(&val), &cfg);
         assert!(report.epochs_run < 200, "expected early stop, ran {}", report.epochs_run);
     }
@@ -401,15 +371,8 @@ mod tests {
                 .collect()
         };
         let mut model = LinearToy::new(10, 2);
-        let cfg = TrainConfig {
-            lr: 0.05,
-            epochs: 30,
-            batch_size: 32,
-            weight_decay: 0.0,
-            patience: 0,
-            seed: 3,
-            ..TrainConfig::default()
-        };
+        let cfg =
+            TrainConfig { lr: 0.05, epochs: 30, batch_size: 32, weight_decay: 0.0, patience: 0, seed: 3 };
         let report = fit_bpr(
             &mut model,
             &positives,

@@ -14,7 +14,7 @@
 //! | [`data`] | `gmlfm-data` | schemas, synthetic Table-2 datasets, splits, sampling |
 //! | [`train`] | `gmlfm-train` | SGD/Adam, squared + BPR losses, trainers |
 //! | [`models`] | `gmlfm-models` | the twelve baselines the paper compares against |
-//! | [`par`] | `gmlfm-par` | scoped thread pool, `par_map`/`par_chunks`/`par_blocks`, Hogwild cells |
+//! | [`par`] | `gmlfm-par` | `Parallelism`, the order-preserving `par_blocks` fan-out and its `par_map` wrapper |
 //! | [`core`] | `gmlfm-core` | **GML-FM** itself: distances, transforms, efficient evaluation |
 //! | [`serve`] | `gmlfm-serve` | autograd-free serving: `Freeze`, `FrozenModel`, Eq. 10/11 ranking, sharded bounded-heap top-N |
 //! | [`service`] | `gmlfm-service` | **online serving API**: typed requests/responses, hot-swappable `ModelServer` |
