@@ -1,32 +1,7 @@
-//! Shared fixtures for the Criterion benches: tiny, seeded datasets and
-//! pre-built splits so each bench measures model work, not setup.
-
-use gmlfm_data::{generate, loo_split, rating_split, Dataset, DatasetSpec, FieldMask, LooSplit, RatingSplit};
-
-/// Scale used by all benches: big enough to exercise real code paths,
-/// small enough that `cargo bench --workspace` stays in minutes.
-pub const BENCH_SCALE: f64 = 0.15;
-
-/// A dataset plus both protocol splits, ready for training benches.
-pub struct Fixture {
-    /// The generated dataset.
-    pub dataset: Dataset,
-    /// All-fields mask.
-    pub mask: FieldMask,
-    /// Rating-prediction split.
-    pub rating: RatingSplit,
-    /// Leave-one-out split (20 candidates to keep eval fast).
-    pub loo: LooSplit,
-}
-
-/// Builds the standard bench fixture for a dataset spec.
-pub fn fixture(spec: DatasetSpec) -> Fixture {
-    let dataset = generate(&spec.config(2023).scaled(BENCH_SCALE));
-    let mask = FieldMask::all(&dataset.schema);
-    let rating = rating_split(&dataset, &mask, 2, 7);
-    let loo = loo_split(&dataset, &mask, 2, 20, 8);
-    Fixture { dataset, mask, rating, loo }
-}
+//! The one helper the `bench_e2e` binary (`src/bin/bench_e2e/`, the
+//! workspace's only benchmark — see `BENCHMARK.json`) takes from a
+//! library: its stand-alone manifest depends on this crate for
+//! [`percentile`].
 
 /// Nearest-rank percentile over an ascending-sorted sample, clamped on
 /// both ends: `p` outside `[0, 1]` (or NaN) clamps into range, and the
@@ -48,14 +23,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixture_is_small_but_nonempty() {
-        let f = fixture(DatasetSpec::AmazonAuto);
-        assert!(!f.rating.train.is_empty());
-        assert!(!f.loo.test.is_empty());
-        assert!(f.rating.train.len() < 2500, "bench fixture should stay small");
-    }
 
     #[test]
     fn percentile_on_a_single_sample_answers_every_p() {

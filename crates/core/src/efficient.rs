@@ -16,8 +16,8 @@
 //!   `f(x) = aᵀ diag(h) b − Σⱼ xⱼ vⱼᵀ diag(h) C v̂ⱼ` — `O(k²n)`.
 //!
 //! Exact equality between the pairwise and simplified forms is pinned by
-//! property tests; the `efficiency_scaling` bench shows the linear-vs-
-//! quadratic wall-clock separation the paper claims.
+//! property tests; `repro efficiency` shows the linear-vs-quadratic
+//! wall-clock separation the paper claims.
 
 use gmlfm_tensor::{linalg::quadratic_form, Matrix};
 

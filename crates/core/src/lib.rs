@@ -29,9 +29,8 @@
 //! [`efficient`] implements both the naive `O(k²n²)` double-loop
 //! evaluation of the second-order term for dense real-valued inputs and
 //! the paper's simplified `O(k²n)` forms (Eq. 10 for Mahalanobis, Eq. 11
-//! for DNN). Property tests pin their exact equality; the
-//! `efficiency_scaling` bench reproduces the claimed linear-vs-quadratic
-//! scaling.
+//! for DNN). Property tests pin their exact equality; `repro efficiency`
+//! reproduces the claimed linear-vs-quadratic scaling.
 //!
 //! ## Relation to vanilla FMs (paper Section 3.6)
 //!

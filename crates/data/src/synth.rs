@@ -471,8 +471,8 @@ pub fn generate_with_truth(config: &SynthConfig) -> (Dataset, GroundTruth) {
 /// schema + attribute tables + a light interaction set for item counts
 /// up to the millions.
 ///
-/// This is the substrate of the sharded top-N retrieval workload (the
-/// `serve_millions` example and `bench_e2e`'s `req_topn_*` fixtures): it
+/// This is the substrate of the sharded top-N retrieval workload
+/// (`bench_e2e`'s `req_topn_*` fixtures): it
 /// needs a big catalogue *with side features* — so ranking exercises
 /// real multi-feature candidate groups — but none of [`generate`]'s
 /// ground-truth latent machinery, whose per-item latent vectors and

@@ -2,9 +2,9 @@
 //! trainers, hand-derived SGD and pairwise BPR alike.
 //!
 //! Each model keeps its native training loop (the engine does not
-//! re-implement any of them); the private per-model adapters only
-//! translate between the unified [`FitData`] view of a split and
-//! whatever the model's own `fit` wants — `fit_regression` over the autograd tape,
+//! re-implement any of them); the one private adapter only translates
+//! between the unified [`FitData`] view of a split and whatever the
+//! model's own `fit` wants — `fit_regression` over the autograd tape,
 //! per-instance SGD over labelled instances, or `(user, item)` pairs plus
 //! per-user item sets for the pairwise rankers.
 
@@ -18,7 +18,7 @@ use gmlfm_models::{
 };
 use gmlfm_serve::{Freeze, FrozenModel};
 use gmlfm_tensor::Matrix;
-use gmlfm_train::{fit_regression, GraphModel, Scorer, TrainConfig, TrainReport};
+use gmlfm_train::{fit_regression, Scorer, TrainConfig, TrainReport};
 use std::collections::HashSet;
 
 /// A unified, borrow-only view of training data, constructible from
@@ -97,15 +97,12 @@ pub trait Estimator: Send + Sync {
     }
 }
 
-fn fit_graph<M: GraphModel>(
-    model: &mut M,
-    data: &FitData<'_>,
-    cfg: &TrainConfig,
-) -> Result<TrainReport, EngineError> {
-    if data.train.is_empty() {
+/// `xs`, or the typed error every protocol answers an empty fit with.
+fn non_empty<T>(xs: &[T]) -> Result<&[T], EngineError> {
+    if xs.is_empty() {
         return Err(EngineError::EmptyTrainingSet);
     }
-    Ok(fit_regression(model, data.train, data.val, cfg))
+    Ok(xs)
 }
 
 /// Wraps a hand-derived SGD loss curve in the trainer's report type.
@@ -118,268 +115,134 @@ fn sgd_report(losses: Vec<f64>) -> TrainReport {
     }
 }
 
-/// Pairwise training inputs: positive pairs plus per-user item sets.
-type PairData<'x> = (&'x [(u32, u32)], &'x [HashSet<u32>]);
+/// `fit_regression` over the autograd tape.
+type GraphFit<M> = fn(&mut M, &[Instance], Option<&[Instance]>, &TrainConfig) -> TrainReport;
+/// Hand-derived per-instance SGD over labelled instances.
+type PointwiseFit<M> = fn(&mut M, &[Instance]) -> Vec<f64>;
+/// Pairwise SGD over positive `(user, item)` pairs plus per-user item
+/// sets.
+type PairwiseFit<M> = fn(&mut M, &[(u32, u32)], &[HashSet<u32>]) -> Vec<f64>;
 
-fn pair_data<'x>(data: &FitData<'x>, model: &str) -> Result<PairData<'x>, EngineError> {
-    match (data.pairs, data.user_items) {
-        (Some([]), Some(_)) => Err(EngineError::EmptyTrainingSet),
-        (Some(pairs), Some(user_items)) => Ok((pairs, user_items)),
-        _ => Err(EngineError::MissingPairData { model: model.to_string() }),
+/// The workspace's three training protocols, each holding the model's
+/// own `fit`.
+enum Protocol<M> {
+    Graph(GraphFit<M>),
+    Pointwise(PointwiseFit<M>),
+    Pairwise(PairwiseFit<M>),
+}
+
+/// The one [`Estimator`] adapter: a model, its training protocol, and
+/// the capabilities only some models have.
+struct Adapter<M> {
+    /// The paper's display name, for [`EngineError::MissingPairData`].
+    name: &'static str,
+    model: M,
+    train: Protocol<M>,
+    freeze: Option<fn(&M) -> FrozenModel>,
+    factors: Option<fn(&M) -> &Matrix>,
+}
+
+impl<M: Scorer + Send + Sync> Estimator for Adapter<M> {
+    fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
+        let model = &mut self.model;
+        match self.train {
+            Protocol::Graph(fit) => Ok(fit(model, non_empty(data.train)?, data.val, cfg)),
+            Protocol::Pointwise(fit) => Ok(sgd_report(fit(model, non_empty(data.train)?))),
+            Protocol::Pairwise(fit) => match (data.pairs, data.user_items) {
+                (Some(pairs), Some(user_items)) => Ok(sgd_report(fit(model, non_empty(pairs)?, user_items))),
+                _ => Err(EngineError::MissingPairData { model: self.name.to_string() }),
+            },
+        }
+    }
+    fn scorer(&self) -> &dyn Scorer {
+        &self.model
+    }
+    fn freeze_if_supported(&self) -> Option<FrozenModel> {
+        self.freeze.map(|freeze| freeze(&self.model))
+    }
+    fn factors(&self) -> Option<&Matrix> {
+        self.factors.map(|factors| factors(&self.model))
     }
 }
 
-/// The per-model [`Estimator`] adapters and the spec-driven constructor.
+/// The spec-driven constructor.
 pub(crate) mod adapters {
     use super::*;
     use gmlfm_data::{FieldMask, Schema};
+    use Protocol::{Graph, Pairwise, Pointwise};
+
+    fn adapter<M: Scorer + Send + Sync + 'static>(
+        name: &'static str,
+        model: M,
+        train: Protocol<M>,
+        freeze: Option<fn(&M) -> FrozenModel>,
+        factors: Option<fn(&M) -> &Matrix>,
+    ) -> Box<dyn Estimator> {
+        Box::new(Adapter { name, model, train, freeze, factors })
+    }
 
     /// Instantiates the untrained model named by `spec` behind the
     /// [`Estimator`] interface — the single constructor the whole
-    /// workspace dispatches through.
+    /// workspace dispatches through, and the only per-model table:
+    /// model, training protocol, frozen form, factor table.
     pub(crate) fn build(spec: &ModelSpec, schema: &Schema, mask: &FieldMask) -> Box<dyn Estimator> {
+        let name = spec.display_name();
         let n = schema.total_dim();
         let m = mask.n_active();
+        let codec = || PairCodec::from_schema(schema);
         match spec {
-            ModelSpec::GmlFm { config } => Box::new(GmlFmEstimator { model: GmlFm::new(n, config) }),
-            ModelSpec::Fm { config } => {
-                Box::new(FmEstimator { model: FactorizationMachine::new(n, config.clone()) })
-            }
-            ModelSpec::TransFm { config } => Box::new(TransFmEstimator { model: TransFm::new(n, config) }),
-            ModelSpec::Mf { config } => Box::new(MfEstimator {
-                model: MatrixFactorization::new(PairCodec::from_schema(schema), config.clone()),
-            }),
+            ModelSpec::GmlFm { config } => adapter(
+                name,
+                GmlFm::new(n, config),
+                Graph(fit_regression),
+                Some(Freeze::freeze),
+                Some(GmlFm::factors),
+            ),
+            ModelSpec::Fm { config } => adapter(
+                name,
+                FactorizationMachine::new(n, config.clone()),
+                Pointwise(FactorizationMachine::fit),
+                Some(Freeze::freeze),
+                Some(FactorizationMachine::factors),
+            ),
+            ModelSpec::TransFm { config } => adapter(
+                name,
+                TransFm::new(n, config),
+                Graph(fit_regression),
+                Some(Freeze::freeze),
+                Some(TransFm::factors),
+            ),
+            ModelSpec::Mf { config } => adapter(
+                name,
+                MatrixFactorization::new(codec(), config.clone()),
+                Pointwise(MatrixFactorization::fit),
+                None,
+                None,
+            ),
             ModelSpec::Pmf { config } => {
-                Box::new(PmfEstimator { model: Pmf::new(PairCodec::from_schema(schema), config.clone()) })
+                adapter(name, Pmf::new(codec(), config.clone()), Pointwise(Pmf::fit), None, None)
             }
             ModelSpec::BprMf { config } => {
-                Box::new(BprMfEstimator { model: BprMf::new(PairCodec::from_schema(schema), config.clone()) })
+                adapter(name, BprMf::new(codec(), config.clone()), Pairwise(BprMf::fit), None, None)
             }
             ModelSpec::Ngcf { config } => {
-                Box::new(NgcfEstimator { model: Ngcf::new(PairCodec::from_schema(schema), config.clone()) })
+                adapter(name, Ngcf::new(codec(), config.clone()), Pairwise(Ngcf::fit), None, None)
             }
             ModelSpec::Ncf { config } => {
-                Box::new(NcfEstimator { model: Ncf::new(PairCodec::from_schema(schema), config) })
+                adapter(name, Ncf::new(codec(), config), Graph(fit_regression), None, None)
             }
-            ModelSpec::Nfm { config } => Box::new(NfmEstimator { model: Nfm::new(n, config) }),
-            ModelSpec::Afm { config } => Box::new(AfmEstimator { model: Afm::new(n, config) }),
-            ModelSpec::DeepFm { config } => Box::new(DeepFmEstimator { model: DeepFm::new(n, m, config) }),
-            ModelSpec::XDeepFm { config } => Box::new(XDeepFmEstimator { model: XDeepFm::new(n, m, config) }),
-        }
-    }
-
-    struct GmlFmEstimator {
-        model: GmlFm,
-    }
-
-    impl Estimator for GmlFmEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            fit_graph(&mut self.model, data, cfg)
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            Some(self.model.freeze())
-        }
-        fn factors(&self) -> Option<&Matrix> {
-            Some(self.model.factors())
-        }
-    }
-
-    struct FmEstimator {
-        model: FactorizationMachine,
-    }
-
-    impl Estimator for FmEstimator {
-        fn fit(&mut self, data: &FitData<'_>, _cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            if data.train.is_empty() {
-                return Err(EngineError::EmptyTrainingSet);
+            ModelSpec::Nfm { config } => {
+                adapter(name, Nfm::new(n, config), Graph(fit_regression), None, Some(Nfm::factors))
             }
-            Ok(sgd_report(self.model.fit(data.train)))
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            Some(self.model.freeze())
-        }
-        fn factors(&self) -> Option<&Matrix> {
-            Some(self.model.factors())
-        }
-    }
-
-    struct TransFmEstimator {
-        model: TransFm,
-    }
-
-    impl Estimator for TransFmEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            fit_graph(&mut self.model, data, cfg)
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            Some(self.model.freeze())
-        }
-        fn factors(&self) -> Option<&Matrix> {
-            Some(self.model.factors())
-        }
-    }
-
-    struct MfEstimator {
-        model: MatrixFactorization,
-    }
-
-    impl Estimator for MfEstimator {
-        fn fit(&mut self, data: &FitData<'_>, _cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            if data.train.is_empty() {
-                return Err(EngineError::EmptyTrainingSet);
+            ModelSpec::Afm { config } => {
+                adapter(name, Afm::new(n, config), Graph(fit_regression), None, None)
             }
-            Ok(sgd_report(self.model.fit(data.train)))
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            None
-        }
-    }
-
-    struct PmfEstimator {
-        model: Pmf,
-    }
-
-    impl Estimator for PmfEstimator {
-        fn fit(&mut self, data: &FitData<'_>, _cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            if data.train.is_empty() {
-                return Err(EngineError::EmptyTrainingSet);
+            ModelSpec::DeepFm { config } => {
+                adapter(name, DeepFm::new(n, m, config), Graph(fit_regression), None, None)
             }
-            Ok(sgd_report(self.model.fit(data.train)))
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            None
-        }
-    }
-
-    struct BprMfEstimator {
-        model: BprMf,
-    }
-
-    impl Estimator for BprMfEstimator {
-        fn fit(&mut self, data: &FitData<'_>, _cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            let (pairs, user_items) = pair_data(data, "BPR-MF")?;
-            Ok(sgd_report(self.model.fit(pairs, user_items)))
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            None
-        }
-    }
-
-    struct NgcfEstimator {
-        model: Ngcf,
-    }
-
-    impl Estimator for NgcfEstimator {
-        fn fit(&mut self, data: &FitData<'_>, _cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            let (pairs, user_items) = pair_data(data, "NGCF")?;
-            Ok(sgd_report(self.model.fit(pairs, user_items)))
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            None
-        }
-    }
-
-    struct NcfEstimator {
-        model: Ncf,
-    }
-
-    impl Estimator for NcfEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            fit_graph(&mut self.model, data, cfg)
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            None
-        }
-    }
-
-    struct NfmEstimator {
-        model: Nfm,
-    }
-
-    impl Estimator for NfmEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            fit_graph(&mut self.model, data, cfg)
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            None
-        }
-        fn factors(&self) -> Option<&Matrix> {
-            Some(self.model.factors())
-        }
-    }
-
-    struct AfmEstimator {
-        model: Afm,
-    }
-
-    impl Estimator for AfmEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            fit_graph(&mut self.model, data, cfg)
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            None
-        }
-    }
-
-    struct DeepFmEstimator {
-        model: DeepFm,
-    }
-
-    impl Estimator for DeepFmEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            fit_graph(&mut self.model, data, cfg)
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            None
-        }
-    }
-
-    struct XDeepFmEstimator {
-        model: XDeepFm,
-    }
-
-    impl Estimator for XDeepFmEstimator {
-        fn fit(&mut self, data: &FitData<'_>, cfg: &TrainConfig) -> Result<TrainReport, EngineError> {
-            fit_graph(&mut self.model, data, cfg)
-        }
-        fn scorer(&self) -> &dyn Scorer {
-            &self.model
-        }
-        fn freeze_if_supported(&self) -> Option<FrozenModel> {
-            None
+            ModelSpec::XDeepFm { config } => {
+                adapter(name, XDeepFm::new(n, m, config), Graph(fit_regression), None, None)
+            }
         }
     }
 }

@@ -437,6 +437,9 @@ impl Deserialize for ModelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EngineError, FitData};
+    use gmlfm_data::{FieldKind, Instance, RatingSplit};
+    use gmlfm_train::TrainConfig;
 
     fn all_specs() -> Vec<ModelSpec> {
         vec![
@@ -487,6 +490,45 @@ mod tests {
         }
         assert!(!ModelSpec::BprMf { config: MfConfig::default() }.supports_rating());
         assert!(!ModelSpec::Mf { config: MfConfig::default() }.supports_topn());
+    }
+
+    /// What the estimator behind every spec promises and the support
+    /// matrix documents: bad training data is a typed error naming the
+    /// paper's row, never a panic in the model's own `fit`, and the
+    /// frozen form exists exactly where `supports_freezing` says.
+    #[test]
+    fn every_estimator_types_bad_fit_data_and_freezes_as_documented() {
+        let schema = Schema::from_specs(&[("user", 3, FieldKind::User), ("item", 4, FieldKind::Item)]);
+        let mask = FieldMask::all(&schema);
+        let cfg = TrainConfig::default();
+        let one = vec![Instance::new(vec![0, 3], 1.0)];
+        let rating = RatingSplit { train: one.clone(), val: one.clone(), test: one };
+        let no_pairs = FitData { pairs: Some(&[]), user_items: Some(&[]), ..FitData::instances(&[]) };
+        for spec in all_specs() {
+            let name = spec.display_name();
+            let mut est = spec.build(&schema, &mask);
+            assert_eq!(est.freeze_if_supported().is_some(), spec.supports_freezing(), "{name}");
+            let has_factors = matches!(
+                spec,
+                ModelSpec::GmlFm { .. }
+                    | ModelSpec::Fm { .. }
+                    | ModelSpec::TransFm { .. }
+                    | ModelSpec::Nfm { .. }
+            );
+            assert_eq!(est.factors().is_some(), has_factors, "{name}");
+
+            let pairwise = matches!(spec, ModelSpec::BprMf { .. } | ModelSpec::Ngcf { .. });
+            let empty = if pairwise { no_pairs } else { FitData::instances(&[]) };
+            let err = est.fit(&empty, &cfg).unwrap_err();
+            assert!(matches!(err, EngineError::EmptyTrainingSet), "{name}: {err}");
+            if pairwise {
+                let err = est.fit(&FitData::rating(&rating), &cfg).unwrap_err();
+                assert!(
+                    matches!(&err, EngineError::MissingPairData { model } if model == name),
+                    "{name}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

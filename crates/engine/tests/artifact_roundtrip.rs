@@ -3,32 +3,15 @@
 //! recommender for every freezable [`ModelSpec`] variant, and version
 //! mismatches must fail with a typed error, not a panic.
 
-use gmlfm_core::{Distance, GmlFmConfig};
+mod common;
+
+use common::freezable_specs;
 use gmlfm_data::{generate, DatasetSpec, Instance};
 use gmlfm_engine::{Engine, EngineError, ModelSpec, Recommender, SplitPlan, ARTIFACT_VERSION};
-use gmlfm_models::fm::FmConfig;
 use gmlfm_models::mf::MfConfig;
-use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_train::TrainConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-
-/// Every spec whose estimator has a frozen serving form, covering all
-/// transform/distance/weight corners of GML-FM plus FM and TransFM.
-fn freezable_specs() -> Vec<ModelSpec> {
-    vec![
-        ModelSpec::gml_fm_md(6),
-        ModelSpec::gml_fm(GmlFmConfig::mahalanobis(6).without_weight()),
-        ModelSpec::gml_fm(GmlFmConfig::euclidean_plain(6)),
-        ModelSpec::gml_fm_dnn(6, 0),
-        ModelSpec::gml_fm_dnn(6, 2),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Manhattan)),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Chebyshev)),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Cosine)),
-        ModelSpec::fm(FmConfig { k: 6, epochs: 2, ..FmConfig::default() }),
-        ModelSpec::trans_fm(TransFmConfig { k: 6, seed: 29 }),
-    ]
-}
 
 struct Fixture {
     name: &'static str,

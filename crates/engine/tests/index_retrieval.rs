@@ -17,38 +17,19 @@
 //!    artifacts — which predate the `index` field — still load, with
 //!    no index and exact serving.
 
-use gmlfm_core::{Distance, GmlFmConfig};
+mod common;
+
+use common::{freezable_specs, reference_top_n};
 use gmlfm_data::{generate, generate_scale, DatasetSpec, FieldKind, FieldMask, ScaleConfig};
 use gmlfm_engine::{Engine, ModelSpec, SplitPlan, TopNRequest};
-use gmlfm_models::fm::FmConfig;
-use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{rank_cmp, FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
+use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
 use gmlfm_service::{Catalog, IndexedModel, ModelServer, ModelSnapshot, ScoringBackend};
 use gmlfm_train::TrainConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 5];
-
-/// Every spec whose estimator has a frozen serving form, covering all
-/// transform/distance/weight corners of GML-FM plus FM and TransFM.
-/// Only the squared-Euclidean metric variants get an index; the rest
-/// pin the exact fallback.
-fn freezable_specs() -> Vec<ModelSpec> {
-    vec![
-        ModelSpec::gml_fm_md(6),
-        ModelSpec::gml_fm(GmlFmConfig::mahalanobis(6).without_weight()),
-        ModelSpec::gml_fm(GmlFmConfig::euclidean_plain(6)),
-        ModelSpec::gml_fm_dnn(6, 0),
-        ModelSpec::gml_fm_dnn(6, 2),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Manhattan)),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Chebyshev)),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Cosine)),
-        ModelSpec::fm(FmConfig { k: 6, epochs: 1, ..FmConfig::default() }),
-        ModelSpec::trans_fm(TransFmConfig { k: 6, seed: 29 }),
-    ]
-}
 
 struct Variant {
     name: &'static str,
@@ -99,19 +80,6 @@ fn fixture() -> &'static Fixture {
             .collect();
         Fixture { catalog, variants }
     })
-}
-
-/// The exact reference: one ranker over the whole catalogue, stable
-/// sort under the shared total order, truncate.
-fn reference_top_n(model: &FrozenModel, catalog: &Catalog, user: u32, n: usize) -> Vec<(u32, f64)> {
-    let template = catalog.template(user).expect("user in catalog");
-    let mut ranker = model.ranker(template, catalog.item_slots());
-    let mut scored: Vec<(u32, f64)> = (0..catalog.n_items() as u32)
-        .map(|item| (item, ranker.score(catalog.item_features(item).expect("item in catalog"))))
-        .collect();
-    scored.sort_by(rank_cmp);
-    scored.truncate(n);
-    scored
 }
 
 proptest! {

@@ -8,12 +8,12 @@
 //! count, not even one larger than the machine's core count, may change
 //! a single bit of any score or per-user metric.
 
-use gmlfm_core::{Distance, GmlFmConfig};
+mod common;
+
+use common::freezable_specs;
 use gmlfm_data::{generate, loo_split, DatasetSpec, FieldMask, Instance, LooSplit};
 use gmlfm_engine::{Engine, ModelSpec, SplitPlan};
 use gmlfm_eval::{evaluate_rating, evaluate_topn_frozen_with};
-use gmlfm_models::fm::FmConfig;
-use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
 use gmlfm_serve::FrozenModel;
 use gmlfm_train::{Scorer, TrainConfig};
@@ -21,23 +21,6 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 5];
-
-/// Every spec whose estimator has a frozen serving form, covering all
-/// transform/distance/weight corners of GML-FM plus FM and TransFM.
-fn freezable_specs() -> Vec<ModelSpec> {
-    vec![
-        ModelSpec::gml_fm_md(6),
-        ModelSpec::gml_fm(GmlFmConfig::mahalanobis(6).without_weight()),
-        ModelSpec::gml_fm(GmlFmConfig::euclidean_plain(6)),
-        ModelSpec::gml_fm_dnn(6, 0),
-        ModelSpec::gml_fm_dnn(6, 2),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Manhattan)),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Chebyshev)),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Cosine)),
-        ModelSpec::fm(FmConfig { k: 6, epochs: 1, ..FmConfig::default() }),
-        ModelSpec::trans_fm(TransFmConfig { k: 6, seed: 29 }),
-    ]
-}
 
 struct Fixture {
     dataset: gmlfm_data::Dataset,

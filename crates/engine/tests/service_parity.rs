@@ -12,33 +12,17 @@
 //! persisted in v2 artifacts (with the v1 decode fallback), and hot
 //! swaps through `Recommender::serve()`.
 
-use gmlfm_core::{Distance, GmlFmConfig};
+mod common;
+
+use common::{freezable_specs, reference_top_n};
+use gmlfm_core::GmlFmConfig;
 use gmlfm_data::{generate, DatasetSpec};
 use gmlfm_engine::{
     Engine, EngineError, ModelSpec, Recommender, RequestError, ScoreRequest, SplitPlan, TopNRequest,
 };
-use gmlfm_models::fm::FmConfig;
-use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_train::TrainConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-
-/// Every spec whose estimator has a frozen serving form, covering all
-/// transform/distance/weight corners of GML-FM plus FM and TransFM.
-fn freezable_specs() -> Vec<ModelSpec> {
-    vec![
-        ModelSpec::gml_fm_md(6),
-        ModelSpec::gml_fm(GmlFmConfig::mahalanobis(6).without_weight()),
-        ModelSpec::gml_fm(GmlFmConfig::euclidean_plain(6)),
-        ModelSpec::gml_fm_dnn(6, 0),
-        ModelSpec::gml_fm_dnn(6, 2),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Manhattan)),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Chebyshev)),
-        ModelSpec::gml_fm(GmlFmConfig::dnn(6, 1).with_distance(Distance::Cosine)),
-        ModelSpec::fm(FmConfig { k: 6, epochs: 1, ..FmConfig::default() }),
-        ModelSpec::trans_fm(TransFmConfig { k: 6, seed: 29 }),
-    ]
-}
 
 struct Fixture {
     name: &'static str,
@@ -66,21 +50,6 @@ fn fixtures() -> &'static [Fixture] {
             })
             .collect()
     })
-}
-
-/// The pre-redesign `Recommender::top_n`: serial whole-catalogue ranking
-/// with one ranker, sorted best-first with ties broken by item id.
-fn reference_top_n(rec: &Recommender, user: u32, n: usize) -> Vec<(u32, f64)> {
-    let frozen = rec.frozen().expect("freezable spec");
-    let catalog = rec.catalog().expect("fit keeps a catalog");
-    let template = catalog.template(user).expect("user in catalog");
-    let mut ranker = frozen.ranker(template, catalog.item_slots());
-    let mut scored: Vec<(u32, f64)> = (0..catalog.n_items() as u32)
-        .map(|item| (item, ranker.score(catalog.item_features(item).expect("item in catalog"))))
-        .collect();
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    scored.truncate(n);
-    scored
 }
 
 proptest! {
@@ -120,7 +89,12 @@ proptest! {
         let fixture = &fixtures()[variant];
         let n_users = fixture.rec.catalog().expect("catalog").n_users() as u32;
         let user = user % n_users;
-        let reference = reference_top_n(&fixture.rec, user, 10);
+        let reference = reference_top_n(
+            fixture.rec.frozen().expect("freezable spec"),
+            fixture.rec.catalog().expect("fit keeps a catalog"),
+            user,
+            10,
+        );
         let wrapper = fixture.rec.top_n(user, 10).expect("user in catalog");
         prop_assert_eq!(&wrapper, &reference, "{} wrapper drifted for user {}", fixture.name, user);
         let req = TopNRequest::new(user, 10)

@@ -7,14 +7,16 @@
 
 mod common;
 
-use common::{fast_config, marker, snapshot, start};
+use common::{fast_config, marker, snapshot, start, N_ITEMS, N_USERS};
 use gmlfm_net::frame::{read_frame, DEFAULT_MAX_FRAME_BYTES};
 use gmlfm_net::wire::{self, code};
-use gmlfm_net::{ClientConfig, NetClient, NetReply, NetRequest, ServerConfig};
+use gmlfm_net::{ClientConfig, NetClient, NetReply, NetRequest, NetServer, ServerConfig};
 use gmlfm_par::Parallelism;
-use gmlfm_service::{BatchRequest, Request, ScoreRequest, TopNRequest};
+use gmlfm_serve::{FrozenModel, Precision};
+use gmlfm_service::{BatchRequest, ModelServer, ModelSnapshot, Request, ScoreRequest, TopNRequest};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn score_payload() -> String {
@@ -181,20 +183,23 @@ fn connection_storms_shed_typed_overloaded_replies() {
     assert_eq!(report.worker_panics, 0);
 }
 
+/// A top-n reply as ids + score bits.
+fn top_bits(client: &mut NetClient, req: TopNRequest) -> Vec<(u32, u64)> {
+    match client.request(&NetRequest::TopN(req)).expect("answered").reply {
+        NetReply::TopN(items) => items.into_iter().map(|(id, score)| (id, score.to_bits())).collect(),
+        other => panic!("topn answered with {other:?}"),
+    }
+}
+
 #[test]
 fn a_hostile_par_is_answered_like_the_request_without_it() {
     let server = start(fast_config());
     let mut client = NetClient::connect(server.local_addr()).expect("resolve");
-    let mut top = |req: TopNRequest| match client.request(&NetRequest::TopN(req)).expect("answered").reply {
-        NetReply::TopN(items) => {
-            items.into_iter().map(|(id, score)| (id, score.to_bits())).collect::<Vec<_>>()
-        }
-        other => panic!("topn answered with {other:?}"),
-    };
     // `"par":4294967295` on the wire: one shard per catalogue item if
     // the server took the client's word for it.
-    let hostile = top(TopNRequest::new(0, 10).parallelism(Parallelism::threads(u32::MAX as usize)));
-    let plain = top(TopNRequest::new(0, 10));
+    let hostile =
+        top_bits(&mut client, TopNRequest::new(0, 10).parallelism(Parallelism::threads(u32::MAX as usize)));
+    let plain = top_bits(&mut client, TopNRequest::new(0, 10));
     assert_eq!(hostile.len(), 10);
     assert_eq!(hostile, plain);
 
@@ -205,6 +210,24 @@ fn a_hostile_par_is_answered_like_the_request_without_it() {
     };
     assert_eq!(slots.len(), 4);
     assert!(slots.iter().all(|slot| slot == &slots[0] && slot.is_ok()), "slots: {slots:?}");
+
+    assert_eq!(server.shutdown().worker_panics, 0);
+}
+
+#[test]
+fn a_hostile_n_on_an_i8_scan_is_answered_like_the_whole_catalogue() {
+    // The marker model's dot form carries no low-precision tables and
+    // would scan exact f64; the metric form builds them.
+    let frozen = FrozenModel::synthetic_metric(N_USERS + N_ITEMS, 4, 7).with_precision(Precision::I8);
+    let model = ModelServer::new(ModelSnapshot { frozen, ..snapshot(1) }).expect("consistent snapshot");
+    let server = NetServer::bind(Arc::new(model), "127.0.0.1:0", fast_config()).expect("bind loopback");
+    let mut client = NetClient::connect(server.local_addr()).expect("resolve");
+    // `"n":18446744073709551615` on the wire: the i8 probe over-fetches
+    // a multiple of the request's `n` for the exact re-rank.
+    let hostile = top_bits(&mut client, TopNRequest::new(0, usize::MAX).precision(Precision::I8));
+    let whole = top_bits(&mut client, TopNRequest::new(0, N_ITEMS).precision(Precision::I8));
+    assert_eq!(hostile.len(), N_ITEMS);
+    assert_eq!(hostile, whole);
 
     assert_eq!(server.shutdown().worker_panics, 0);
 }

@@ -45,8 +45,8 @@
 //!   [`Precision`] scan knob.
 //!
 //! Parity with the autograd path is pinned to ≤1e-9 by the tests in this
-//! crate and by `tests/frozen_parity.rs`; the `serve_speedup` bench in
-//! `gmlfm-bench` measures the resulting wall-clock separation.
+//! crate and by `tests/frozen_parity.rs`; `bench_e2e` in `gmlfm-bench`
+//! measures the frozen path (`serve.predict_ns`, `eval.topn_cases_per_s`).
 
 pub mod freeze;
 pub mod frozen;

@@ -195,9 +195,10 @@ fn merge_sharded(n: usize, shards: impl IntoIterator<Item = Vec<(u32, f64)>>) ->
 /// approximate probe heap — so recall stays at the exact scan's level
 /// while returned scores stay bitwise the model's. The re-rank itself is
 /// a few dozen exact scores per request, noise next to the catalogue
-/// scan.
+/// scan. Saturating: `n` is the request's, and the wire decodes any
+/// `usize`.
 fn rerank_pool(n: usize) -> usize {
-    (8 * n).max(n + 64)
+    n.saturating_mul(8).max(n.saturating_add(64))
 }
 
 /// One top-`n` request against a frozen model: what a candidate source

@@ -161,13 +161,14 @@ proptest! {
         mode in 0usize..9,
         k_idx in 0usize..KS.len(),
         count_idx in 0usize..CAND_COUNTS.len(),
-        n_kind in 0usize..4,
+        n_kind in 0usize..5,
         seed in 0u64..50,
     ) {
         let count = CAND_COUNTS[count_idx];
         let mut fx = fixture(mode, KS[k_idx], count, seed);
         fx.model = fx.model.with_precision(Precision::I8);
-        let n = [1, 10, count, count + 10][n_kind];
+        // `usize::MAX` is what the wire decodes a hostile `n` to.
+        let n = [1, 10, count, count + 10, usize::MAX][n_kind];
         let want = fx.full_sort(n);
         let opts = IvfBuildOptions { clusters: Some(3), ..IvfBuildOptions::default() };
         let index = IvfIndex::build(&fx.model, &fx.items, &opts, Parallelism::serial());

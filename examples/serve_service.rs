@@ -5,20 +5,24 @@
 //!
 //! 1. train once, `serve()` the recommender, and share the handle;
 //! 2. answer catalog requests — including the production default of
-//!    *not* recommending items the user already interacted with;
+//!    *not* recommending items the user already interacted with, and
+//!    candidate slates with explicit exclusions;
 //! 3. score a **cold-start user the model never saw in training**, by
 //!    side features alone (the paper's side-feature design is what makes
 //!    this well-defined: an instance is just active one-hot fields, so a
 //!    missing user id is simply one fewer field);
-//! 4. hot-swap a retrained model mid-traffic — generation bumps, no
-//!    request is ever torn between the two models.
+//! 4. hot-swap a retrained model, shipped as a serialised artifact,
+//!    mid-traffic — generation bumps, no request is ever torn between
+//!    the two models.
 //!
 //! ```sh
 //! cargo run --release --example serve_service
 //! ```
 
 use gml_fm::data::{generate, DatasetSpec};
-use gml_fm::engine::{BatchRequest, Engine, ModelSpec, Reply, Request, ScoreRequest, SplitPlan, TopNRequest};
+use gml_fm::engine::{
+    Artifact, BatchRequest, Engine, ModelSpec, Reply, Request, ScoreRequest, SplitPlan, TopNRequest,
+};
 use gml_fm::train::TrainConfig;
 
 fn main() {
@@ -55,6 +59,24 @@ fn main() {
         println!("  #{:<2} item {:<5} score {score:.4}", rank + 1, item);
     }
 
+    // A request can narrow the catalogue to a candidate slate and exclude
+    // items on top of the seen set: both are filtered before selection,
+    // so an excluded item never takes a top-n slot.
+    let slate: Vec<u32> = (0..dataset.n_items as u32).step_by(2).collect();
+    let banned = slate[..5].to_vec();
+    let req = TopNRequest::new(user, 5).candidates(slate.clone()).exclude(banned.clone());
+    let resp = server.top_n(&req).expect("valid request");
+    assert!(resp
+        .value
+        .iter()
+        .all(|(item, _)| slate.contains(item) && !banned.contains(item)));
+    println!(
+        "slate of {} candidates, {} excluded -> top-{} served",
+        slate.len(),
+        banned.len(),
+        resp.value.len()
+    );
+
     // Malformed requests are typed errors, never panics or garbage.
     let err = server.score(&ScoreRequest::pair(user, 999_999)).unwrap_err();
     println!("\nout-of-catalog request rejected: {err}");
@@ -90,12 +112,17 @@ fn main() {
     // it into a snapshot and swaps it in. Readers never block: in-flight
     // requests finish on the old generation, new ones see the new model.
     let retrained = train(2);
-    let snapshot = retrained.artifact().expect("freezable").into_snapshot().expect("decodes");
+    let shipped = retrained.artifact().expect("freezable").to_json();
+    let snapshot = Artifact::from_json(&shipped).expect("parses").into_snapshot().expect("decodes");
     let generation = server.swap(snapshot).expect("schema-identical retrain");
     let resp = server.score(&ScoreRequest::pair(user, 5)).expect("same catalog");
     println!("\nhot-swapped retrained model: generation {generation}");
     println!("score(user {user}, item 5) = {:.4}   [generation {}]", resp.value, resp.generation);
     assert_eq!(resp.generation, generation);
+    // Whole-catalogue ranking now comes from the reloaded artifact.
+    let top = server.top_n(&TopNRequest::new(user, 5)).expect("valid request");
+    assert_eq!(top.generation, generation);
+    println!("top item for user {user} from the reloaded artifact: {}", top.value[0].0);
 
     // The recommender that handed out the handle serves the new model
     // too — `serve()` shares state, it does not copy it.
