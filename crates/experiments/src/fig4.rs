@@ -1,7 +1,8 @@
 //! Figure 4: cold-start rating prediction on MovieLens — GML-FM vs the
 //! MAMO-lite meta-learning baseline across the four warm/cold quadrants.
 //!
-//! Protocol (adapted, documented in DESIGN.md): a MovieLens-like dataset
+//! Protocol (adapted to the synthetic substrate — "Substitutions" in the
+//! [`gmlfm_models`] crate docs): a MovieLens-like dataset
 //! is generated with per-user activity down to a single interaction. For
 //! every user, 30% of interactions (at least one) are held out as
 //! queries; the rest are the support set. Users are *warm* when their

@@ -1,7 +1,8 @@
 //! The paper's reported numbers and model roster, embedded verbatim so
 //! every experiment can print "paper vs measured" side by side (absolute
 //! values are not expected to match — the substrate is synthetic — but
-//! the *shape* should: see DESIGN.md §4).
+//! the *shape* should: see "Substitutions" in the [`gmlfm_models`] crate
+//! docs).
 //!
 //! [`ModelKind`] is the paper-facing identity of each table row; its
 //! [`ModelKind::spec`] table is the only place the per-model

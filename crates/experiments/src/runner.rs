@@ -20,7 +20,9 @@ pub use crate::paper::ModelKind;
 /// Global experiment knobs, shared by every table/figure.
 #[derive(Debug, Clone)]
 pub struct ExpConfig {
-    /// Dataset scale factor (1.0 = the DESIGN.md sizes).
+    /// Dataset scale factor (1.0 = the ≈ ÷10 sizes of
+    /// [`gmlfm_data::DatasetSpec`]; "Substitutions" in the
+    /// [`gmlfm_models`] crate docs).
     pub scale: f64,
     /// Embedding size.
     pub k: usize,

@@ -42,7 +42,7 @@ pub fn run(cfg: &ExpConfig) {
     println!("{}", table.to_markdown());
     println!(
         "Shape check: sparsity ordering (MovieLens densest -> Mercari-Books sparsest) \
-         mirrors the paper; absolute sizes are scaled per DESIGN.md."
+         mirrors the paper; absolute sizes are scaled (gmlfm-models crate docs, \"Substitutions\")."
     );
     table.write_csv(cfg.out_dir.join("table2.csv")).expect("write table2.csv");
 }

@@ -22,7 +22,9 @@
 //! encoding; MF-family models additionally decode `(user, item)` pairs via
 //! [`common::PairCodec`].
 //!
-//! ### Substitutions (documented per DESIGN.md)
+//! ### Substitutions
+//!
+//! Where this reproduction departs from the paper's set-up, on purpose:
 //!
 //! * **NGCF** uses the simplified linear propagation of LightGCN
 //!   (He et al., SIGIR'20): the per-layer `W₁/W₂` feature transforms are
@@ -32,6 +34,13 @@
 //!   with an attribute-conditioned user-embedding initialiser (the paper's
 //!   "personalised initialisation" memory) and per-user local adaptation,
 //!   rather than the full dual-memory architecture.
+//! * **Datasets** are synthetic (`gmlfm_data::synth`): the six of Table 2
+//!   with users and items scaled ≈ ÷10 (scale factor 1.0) and the
+//!   paper's sparsity *ordering* kept, so measured numbers are compared
+//!   with the paper's by shape — who wins, in which order — not by
+//!   value. Figure 4's cold-start protocol (hold-out share, warm/cold
+//!   thresholds) is adapted to that substrate and stated in
+//!   `gmlfm_experiments::fig4`.
 
 pub mod afm;
 pub mod bpr;

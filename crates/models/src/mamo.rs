@@ -3,8 +3,8 @@
 //!
 //! The full MAMO couples two memory matrices to a MeLU-style base model.
 //! This implementation keeps the two properties that matter for its role
-//! as a cold-start comparator and is documented as a substitution in
-//! DESIGN.md:
+//! as a cold-start comparator and is listed under "Substitutions" in the
+//! [crate docs](crate):
 //!
 //! 1. **personalised initialisation** — a user's embedding is initialised
 //!    from a global vector plus attribute-conditioned memory rows

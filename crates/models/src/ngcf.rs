@@ -10,7 +10,7 @@
 //! with `Â` the symmetrically normalised adjacency. The propagation is
 //! linear, so backpropagation through it is exact: `∂L/∂E = (I + Â + Â²)ᵀ
 //! ∂L/∂Ê / 3 = (I + Â + Â²) ∂L/∂Ê / 3` (`Â` is symmetric). This
-//! substitution is documented in DESIGN.md.
+//! substitution is listed under "Substitutions" in the [crate docs](crate).
 
 use crate::common::{PairCodec, Scorer};
 use crate::mf::MfConfig;

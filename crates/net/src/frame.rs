@@ -11,6 +11,11 @@
 //! * **Oversized lengths are rejected *before* allocation.** The header
 //!   is decoded and checked against `max` by [`frame_len`]; a hostile
 //!   4-GiB length never reaches `Vec::with_capacity`.
+//! * **One frame, one write.** Header and payload leave as one buffer
+//!   ([`write_frame`], [`write_frame_deadline`]). Written as two
+//!   segments, the second waits under Nagle's algorithm for the ACK of
+//!   the first, and a peer that delays its ACK (40 ms on Linux) stalls
+//!   every reply by that much.
 //! * **Deadlines, not hangs.** The `*_deadline` variants drive a socket
 //!   in short poll quanta ([`Deadlines::poll`]) and enforce two budgets:
 //!   an *idle* budget while waiting for a frame to start, and a *frame*
@@ -144,12 +149,21 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R, max: usize) -> Result<Vec<u8>, Fr
     Ok(payload)
 }
 
-/// Blocking frame write to any byte sink: header (size-gated) then
-/// payload.
-pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8], max: usize) -> Result<(), FrameError> {
+/// A whole frame in one buffer: the size-gated header, then the
+/// payload. The gate runs first, so the allocation is bounded by `max`.
+fn frame_bytes(payload: &[u8], max: usize) -> Result<Vec<u8>, FrameError> {
     let header = encode_header(payload.len(), max)?;
-    w.write_all(&header).map_err(FrameError::Io)?;
-    w.write_all(payload).map_err(FrameError::Io)?;
+    let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&header);
+    frame.extend_from_slice(payload);
+    Ok(frame)
+}
+
+/// Blocking frame write to any byte sink: the size gate, then header
+/// and payload in **one** write.
+pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8], max: usize) -> Result<(), FrameError> {
+    let frame = frame_bytes(payload, max)?;
+    w.write_all(&frame).map_err(FrameError::Io)?;
     w.flush().map_err(FrameError::Io)
 }
 
@@ -259,7 +273,8 @@ fn read_section(
 }
 
 /// Deadline-driven frame write to a socket: the whole frame (header +
-/// payload) must drain within `timeout`, re-checked every `poll`. A
+/// payload, handed over as one buffer) must drain within `timeout`,
+/// re-checked every `poll`. A
 /// peer that stops reading — the write-side slow-loris — is reaped with
 /// [`FrameError::TimedOut`].
 pub fn write_frame_deadline(
@@ -269,25 +284,23 @@ pub fn write_frame_deadline(
     timeout: Duration,
     poll: Duration,
 ) -> Result<(), FrameError> {
-    let header = encode_header(payload.len(), max)?;
+    let frame = frame_bytes(payload, max)?;
     stream
         .set_write_timeout(Some(poll.max(Duration::from_millis(1))))
         .map_err(FrameError::Io)?;
     let deadline = Instant::now() + timeout;
-    for section in [&header[..], payload] {
-        let mut off = 0usize;
-        while off < section.len() {
-            match stream.write(&section[off..]) {
-                Ok(0) => return Err(FrameError::Closed),
-                Ok(n) => off += n,
-                Err(e) if is_poll_timeout(&e) => {
-                    if Instant::now() >= deadline {
-                        return Err(FrameError::TimedOut { phase: "write" });
-                    }
+    let mut off = 0usize;
+    while off < frame.len() {
+        match stream.write(&frame[off..]) {
+            Ok(0) => return Err(FrameError::Closed),
+            Ok(n) => off += n,
+            Err(e) if is_poll_timeout(&e) => {
+                if Instant::now() >= deadline {
+                    return Err(FrameError::TimedOut { phase: "write" });
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(FrameError::Io(e)),
             }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
         }
     }
     Ok(())
@@ -324,6 +337,38 @@ mod tests {
         let err = write_frame(&mut buf, &[0u8; 100], 10).unwrap_err();
         assert!(matches!(err, FrameError::Oversized { len: 100, max: 10 }));
         assert!(buf.is_empty(), "nothing must reach the wire");
+    }
+
+    /// A sink that counts `write` calls: on a socket each call is a
+    /// segment, and a second segment waits for the ACK of the first.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [&b"hello"[..], b"", &[7u8; 70_000]] {
+            let mut sink = CountingSink::default();
+            write_frame(&mut sink, payload, 1 << 20).unwrap();
+            assert_eq!((sink.writes, sink.bytes), (1, HEADER_BYTES + payload.len()));
+        }
+        let mut sink = CountingSink::default();
+        assert!(write_frame(&mut sink, &[0u8; 100], 10).is_err());
+        assert_eq!(sink.writes, 0, "the size gate runs before anything is written");
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! ## Lifecycle
 //!
 //! [`NetServer::bind`] spawns one accept thread; every accepted
-//! connection gets its own handler thread running a strict
-//! request-reply loop (one frame in, one frame out). Admission is
+//! connection is switched to `TCP_NODELAY` and gets its own handler
+//! thread running a strict request-reply loop (one frame in, one frame
+//! out, each reply handed to the socket as one write — see
+//! [`crate::frame`]). Admission is
 //! guarded by a **connection budget**: a connection over the budget
 //! receives a typed `overloaded` reply and a clean close — never a
 //! silent drop — without ever occupying a serving slot.
@@ -254,6 +256,10 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
         }
         match conn {
             Ok((stream, _peer)) => {
+                // Never hold a reply's tail segment back for the ACK of
+                // the one before it (a `topn` reply can span several). A
+                // socket that refuses the option still serves, slower.
+                let _ = stream.set_nodelay(true);
                 let worker_inner = Arc::clone(inner);
                 let spawned = std::thread::Builder::new()
                     .name("gmlfm-net-conn".into())

@@ -15,9 +15,8 @@
 //! One deliberate lossy corner: [`ScoreRequest::Instance`] encodes as a
 //! `"feats"` request, because scoring ignores the instance label — the
 //! two are indistinguishable to the server, and the wire keeps the
-//! smaller shape. And one precision bound: generation stamps ride a
-//! JSON number, exact up to 2^53 — generations increment by 1 per
-//! hot swap, so the bound is unreachable in any real deployment.
+//! smaller shape. Integers — ids, counts, generation stamps — decode
+//! from the literal's text, exactly, over each type's full range.
 
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{Precision, RetrievalStrategy};
@@ -657,5 +656,41 @@ mod tests {
         }
         assert!(decode_response(b"{\"ok\":true}").is_err());
         assert!(decode_response(b"{\"ok\":false}").is_err());
+    }
+
+    #[test]
+    fn wire_integers_are_exact_over_their_whole_range() {
+        // Neighbouring feed ids above 2^53 are two ids, not one f64.
+        let id_of = |id: &str| {
+            let text = format!(r#"{{"op":"feed","user":1,"item":2,"id":{id}}}"#);
+            match decode_request(text.as_bytes()) {
+                Ok(NetRequest::Feed(event)) => event.id,
+                other => panic!("a feed frame decoded to {other:?}"),
+            }
+        };
+        assert_eq!(id_of("9007199254740993"), Some(9_007_199_254_740_993));
+        assert_eq!(id_of("9007199254740992"), Some(9_007_199_254_740_992));
+        assert_eq!(id_of("18446744073709551615"), Some(u64::MAX));
+
+        // 2^64 fits no field: a typed error, never a saturating cast.
+        for hostile in [
+            r#"{"op":"topn","user":1,"n":18446744073709551616}"#,
+            r#"{"op":"topn","user":18446744073709551616,"n":1}"#,
+            r#"{"op":"feed","user":1,"item":2,"id":18446744073709551616}"#,
+        ] {
+            let err = decode_request(hostile.as_bytes()).expect_err(hostile);
+            assert!(err.message.contains("does not fit"), "{hostile}: {}", err.message);
+        }
+
+        // The extremes round-trip through the codec.
+        for req in [
+            NetRequest::TopN(TopNRequest::new(u32::MAX, usize::MAX)),
+            NetRequest::Feed(Interaction::new(u32::MAX, u32::MAX).id(u64::MAX)),
+        ] {
+            let text = encode_request(&req);
+            assert_eq!(decode_request(text.as_bytes()).unwrap(), req, "wire text: {text}");
+        }
+        let resp = NetResponse { generation: u64::MAX, reply: NetReply::Score(1.0) };
+        assert_eq!(decode_response(encode_response(&resp).as_bytes()).unwrap().unwrap(), resp);
     }
 }

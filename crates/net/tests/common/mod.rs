@@ -17,18 +17,6 @@ use gmlfm_tensor::Matrix;
 pub const N_USERS: usize = 8;
 pub const N_ITEMS: usize = 12;
 
-pub fn schema() -> Schema {
-    Schema::from_specs(&[("user", N_USERS, FieldKind::User), ("item", N_ITEMS, FieldKind::Item)])
-}
-
-pub fn catalog() -> Catalog {
-    Catalog::new(
-        vec![1],
-        (0..N_USERS as u32).map(|u| vec![u, N_USERS as u32]).collect(),
-        (0..N_ITEMS as u32).map(|i| vec![N_USERS as u32 + i]).collect(),
-    )
-}
-
 /// The score every request against generation `g` must return.
 pub fn marker(generation: u64) -> f64 {
     generation as f64 * 1000.0
@@ -36,10 +24,22 @@ pub fn marker(generation: u64) -> f64 {
 
 /// A snapshot whose every score is exactly `marker(generation)`.
 pub fn snapshot(generation: u64) -> ModelSnapshot {
-    let n = N_USERS + N_ITEMS;
-    let frozen =
-        FrozenModel::from_parts(marker(generation), vec![0.0; n], Matrix::zeros(n, 3), SecondOrder::Dot);
-    ModelSnapshot { schema: schema(), frozen, catalog: Some(catalog()), seen: None, index: None }
+    constant_snapshot(N_ITEMS, marker(generation))
+}
+
+/// A snapshot over `N_USERS` users and `n_items` items whose every
+/// score is exactly `score`.
+pub fn constant_snapshot(n_items: usize, score: f64) -> ModelSnapshot {
+    let n = N_USERS + n_items;
+    let schema =
+        Schema::from_specs(&[("user", N_USERS, FieldKind::User), ("item", n_items, FieldKind::Item)]);
+    let catalog = Catalog::new(
+        vec![1],
+        (0..N_USERS as u32).map(|u| vec![u, N_USERS as u32]).collect(),
+        (0..n_items as u32).map(|i| vec![N_USERS as u32 + i]).collect(),
+    );
+    let frozen = FrozenModel::from_parts(score, vec![0.0; n], Matrix::zeros(n, 3), SecondOrder::Dot);
+    ModelSnapshot { schema, frozen, catalog: Some(catalog), seen: None, index: None }
 }
 
 /// Timeouts small enough that fault-injection tests finish in seconds

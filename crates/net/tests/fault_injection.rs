@@ -98,6 +98,34 @@ fn garbage_byte_streams_never_panic_the_server() {
 }
 
 #[test]
+fn a_megabyte_of_open_brackets_is_answered_typed_on_a_live_connection() {
+    use gmlfm_net::frame::write_frame;
+    let server = start(fast_config());
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+
+    // 1 MB of `[` inside a well-formed frame, an eighth of the frame cap.
+    // The parser recursed once per bracket: a stack overflow aborts the
+    // process, every connection with it, and is not a panic a drain
+    // could count.
+    write_frame(&mut stream, &vec![b'['; 1_000_000], DEFAULT_MAX_FRAME_BYTES).expect("send nesting");
+    let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES).expect("typed reply");
+    let err = wire::decode_response(&reply).expect("envelope").expect_err("error envelope");
+    assert_eq!(err.code, code::BAD_REQUEST);
+    assert!(err.message.contains("nesting"), "names the fault: {}", err.message);
+
+    // The frame was well-formed, so the same connection keeps serving.
+    write_frame(&mut stream, score_payload().as_bytes(), DEFAULT_MAX_FRAME_BYTES).expect("send valid");
+    let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES).expect("reply");
+    let resp = wire::decode_response(&reply).expect("envelope").expect("success");
+    assert_eq!(resp.reply, NetReply::Score(marker(resp.generation)));
+
+    let report = server.shutdown();
+    assert_eq!(report.served, 2, "both frames were answered: {report:?}");
+    assert_eq!(report.worker_panics, 0);
+}
+
+#[test]
 fn byte_at_a_time_writes_within_the_deadline_still_succeed() {
     let config = ServerConfig { frame_timeout: Duration::from_secs(5), ..fast_config() };
     let server = start(config);

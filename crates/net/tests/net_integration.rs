@@ -265,3 +265,67 @@ fn malformed_json_in_a_valid_frame_keeps_the_connection_alive() {
     assert_eq!(report.served, 2, "both frames were answered");
     assert_eq!(report.worker_panics, 0);
 }
+
+/// `rounds` request/reply exchanges on ONE kept-alive connection;
+/// returns the wall time of all of them and the size of a reply.
+fn exchanges_on_one_connection(server: &NetServer, req: &NetRequest, rounds: usize) -> (Duration, usize) {
+    use gmlfm_net::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let payload = gmlfm_net::wire::encode_request(req);
+    let mut reply_bytes = 0;
+    let started = std::time::Instant::now();
+    for _ in 0..rounds {
+        write_frame(&mut stream, payload.as_bytes(), DEFAULT_MAX_FRAME_BYTES).expect("send");
+        reply_bytes = read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES).expect("reply").len();
+    }
+    (started.elapsed(), reply_bytes)
+}
+
+/// The one test here that reads a clock, because a socket option has no
+/// counter. A reply written as two segments, or a tail segment held back
+/// by Nagle's algorithm, waits for the client's delayed ACK — 40 ms, a
+/// kernel timer — so 50 exchanges take ≈ 2 s with the defect and tens of
+/// milliseconds without: the bound has a ≥ 10× margin on both sides.
+#[test]
+fn replies_never_wait_for_a_delayed_ack() {
+    const ROUNDS: usize = 50;
+    const BUDGET: Duration = Duration::from_millis(500);
+
+    // ≈ 1 KB replies: header and payload must leave as one segment.
+    let server = start(fast_config());
+    let batch = BatchRequest::new(vec![Request::Score(ScoreRequest::pair(1, 2)); 24]);
+    let (took, reply_bytes) = exchanges_on_one_connection(&server, &NetRequest::Batch(batch), ROUNDS);
+    assert!((512..4096).contains(&reply_bytes), "a small reply: {reply_bytes} bytes");
+    assert!(took < BUDGET, "{ROUNDS} small exchanges took {took:?}");
+    let report = server.shutdown();
+    assert_eq!((report.served, report.worker_panics), (ROUNDS as u64, 0));
+
+    // A whole-catalogue top-n of 17-digit scores: a reply of several
+    // loopback segments (64 KB each), whose tail must not wait either.
+    let n_items = 5_000;
+    let big = common::constant_snapshot(n_items, 0.123_456_789_012_345_67);
+    let model = Arc::new(ModelServer::new(big).expect("consistent snapshot"));
+    let whole = TopNRequest::new(0, n_items);
+    // Scanning and encoding 5 000 items is ≈ 6 ms a reply in a debug
+    // build — not the socket's doing, so the same work is timed
+    // in-process and taken off.
+    let started = std::time::Instant::now();
+    for _ in 0..ROUNDS {
+        let resp = model.top_n(&whole).expect("valid request");
+        std::hint::black_box(gmlfm_net::wire::encode_response(&gmlfm_net::NetResponse {
+            generation: resp.generation,
+            reply: NetReply::TopN(resp.value),
+        }));
+    }
+    let in_process = started.elapsed();
+    let server = NetServer::bind(model, "127.0.0.1:0", fast_config()).expect("bind loopback");
+    let (took, reply_bytes) = exchanges_on_one_connection(&server, &NetRequest::TopN(whole), ROUNDS);
+    assert!(reply_bytes > 128 * 1024, "a reply of several segments: {reply_bytes} bytes");
+    assert!(
+        took.saturating_sub(in_process) < BUDGET,
+        "{ROUNDS} large exchanges took {took:?}, the same answers in-process {in_process:?}"
+    );
+    let report = server.shutdown();
+    assert_eq!((report.served, report.worker_panics), (ROUNDS as u64, 0));
+}
