@@ -1,6 +1,6 @@
 //! The tape: eager forward evaluation, reverse-mode backward pass.
 
-use crate::params::{Gradients, ParamId, ParamSet};
+use crate::params::{scatter_add_rows, Gradients, ParamId, ParamSet};
 use gmlfm_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -322,6 +322,15 @@ impl Graph {
 
     /// Embedding lookup: gathers `indices` rows of a `[N,k]` node into a
     /// `[B,k]` node; the backward pass scatter-adds into the source rows.
+    ///
+    /// Gather straight from a [`Graph::param`] leaf when the table is a
+    /// parameter: [`Graph::backward`] then adds the `B` adjoint rows
+    /// directly into the parameter's gradient. From any other node the
+    /// rows go through a zero-filled `[N,k]` adjoint first. Both give the
+    /// same bits when the gathers of a table read disjoint index sets
+    /// (duplicates inside one gather are fine); where gathers share rows
+    /// the two associate the shared rows' sums differently and agree to
+    /// rounding only.
     pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
         let v = self.nodes[a.0].value.gather_rows(indices);
         self.push(Op::GatherRows(a.0, indices.to_vec()), v)
@@ -410,6 +419,17 @@ impl Graph {
     /// Runs the backward pass from a `1x1` loss node, returning gradients
     /// for every [`ParamSet`] leaf that participated.
     ///
+    /// Every node's adjoint is the sum of its consumers' contributions in
+    /// descending consumer order, each computed by the product kernels'
+    /// fixed summation order, so the pass is deterministic to the bit. A
+    /// node's first contribution is moved into its slot, later ones are
+    /// added in place. A [`Graph::gather_rows`] from a parameter leaf
+    /// skips the slot and scatter-adds into [`Gradients`] (see there for
+    /// when that is bit-identical to the dense rule), so no adjoint the
+    /// pass stores has the height of an embedding table: a training
+    /// step's only table-height work is one zero-fill per gathered
+    /// parameter and the optimizer's pass over it.
+    ///
     /// # Panics
     /// Panics when `loss` is not `1x1`.
     pub fn backward(&self, loss: Var) -> Gradients {
@@ -424,18 +444,18 @@ impl Graph {
                 Op::Constant => {}
                 Op::Param(id) => grads.accumulate(*id, &g),
                 Op::Add(a, b) => {
-                    accumulate(&mut adj, *a, &g);
-                    accumulate(&mut adj, *b, &g);
+                    accumulate(&mut adj, *a, g.clone());
+                    accumulate(&mut adj, *b, g);
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut adj, *a, &g);
-                    accumulate_scaled(&mut adj, *b, &g, -1.0);
+                    accumulate(&mut adj, *a, g.clone());
+                    accumulate_scaled(&mut adj, *b, g, -1.0);
                 }
                 Op::Mul(a, b) => {
                     let da = g.hadamard(&self.nodes[*b].value);
                     let db = g.hadamard(&self.nodes[*a].value);
-                    accumulate(&mut adj, *a, &da);
-                    accumulate(&mut adj, *b, &db);
+                    accumulate(&mut adj, *a, da);
+                    accumulate(&mut adj, *b, db);
                 }
                 Op::Div(a, b) => {
                     let bv = &self.nodes[*b].value;
@@ -444,24 +464,24 @@ impl Graph {
                     let db = Matrix::from_fn(bv.rows(), bv.cols(), |r, c| {
                         -g[(r, c)] * av[(r, c)] / (bv[(r, c)] * bv[(r, c)])
                     });
-                    accumulate(&mut adj, *a, &da);
-                    accumulate(&mut adj, *b, &db);
+                    accumulate(&mut adj, *a, da);
+                    accumulate(&mut adj, *b, db);
                 }
                 Op::MatMul(a, b) => {
                     let da = g.matmul_nt(&self.nodes[*b].value);
                     let db = self.nodes[*a].value.matmul_tn(&g);
-                    accumulate(&mut adj, *a, &da);
-                    accumulate(&mut adj, *b, &db);
+                    accumulate(&mut adj, *a, da);
+                    accumulate(&mut adj, *b, db);
                 }
                 Op::AddRowBroadcast(a, row) => {
-                    accumulate(&mut adj, *a, &g);
                     let drow = g.sum_cols();
-                    accumulate(&mut adj, *row, &drow);
+                    accumulate(&mut adj, *a, g);
+                    accumulate(&mut adj, *row, drow);
                 }
                 Op::MulColBroadcast(a, col) => {
                     let cv = &self.nodes[*col].value;
                     let av = &self.nodes[*a].value;
-                    let mut da = g.clone();
+                    let mut da = g;
                     let mut dcol = Matrix::zeros(cv.rows(), 1);
                     for r in 0..da.rows() {
                         let s = cv[(r, 0)];
@@ -472,19 +492,19 @@ impl Graph {
                         }
                         dcol[(r, 0)] = acc;
                     }
-                    accumulate(&mut adj, *a, &da);
-                    accumulate(&mut adj, *col, &dcol);
+                    accumulate(&mut adj, *a, da);
+                    accumulate(&mut adj, *col, dcol);
                 }
-                Op::Scale(a, alpha) => accumulate_scaled(&mut adj, *a, &g, *alpha),
-                Op::AddScalar(a, _) => accumulate(&mut adj, *a, &g),
-                Op::Neg(a) => accumulate_scaled(&mut adj, *a, &g, -1.0),
+                Op::Scale(a, alpha) => accumulate_scaled(&mut adj, *a, g, *alpha),
+                Op::AddScalar(a, _) => accumulate(&mut adj, *a, g),
+                Op::Neg(a) => accumulate_scaled(&mut adj, *a, g, -1.0),
                 Op::Square(a) => {
                     let da = g.zip_with(&self.nodes[*a].value, |gi, ai| 2.0 * ai * gi);
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::Abs(a) => {
                     let da = g.zip_with(&self.nodes[*a].value, |gi, ai| gi * sign(ai));
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::PowNonNeg(a, p) => {
                     let da = g.zip_with(&self.nodes[*a].value, |gi, ai| {
@@ -494,54 +514,57 @@ impl Graph {
                             0.0
                         }
                     });
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::Sqrt(a) => {
                     let y = &self.nodes[idx].value;
                     let da = g.zip_with(y, |gi, yi| if yi > 0.0 { gi * 0.5 / yi } else { 0.0 });
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::Tanh(a) => {
                     let da = g.zip_with(&self.nodes[idx].value, |gi, yi| gi * (1.0 - yi * yi));
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::Sigmoid(a) => {
                     let da = g.zip_with(&self.nodes[idx].value, |gi, yi| gi * yi * (1.0 - yi));
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::Relu(a) => {
                     let da = g.zip_with(&self.nodes[*a].value, |gi, ai| if ai > 0.0 { gi } else { 0.0 });
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::Exp(a) => {
                     let da = g.hadamard(&self.nodes[idx].value);
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::Ln(a) => {
                     let da = g.zip_with(&self.nodes[*a].value, |gi, ai| gi / ai);
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::SumAll(a) => {
                     let s = g.as_slice()[0];
                     let src = &self.nodes[*a].value;
                     let da = Matrix::filled(src.rows(), src.cols(), s);
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::MeanAll(a) => {
                     let src = &self.nodes[*a].value;
                     let s = g.as_slice()[0] / src.len() as f64;
                     let da = Matrix::filled(src.rows(), src.cols(), s);
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::SumRows(a) => {
                     let src = &self.nodes[*a].value;
-                    let da = Matrix::from_fn(src.rows(), src.cols(), |r, _| g[(r, 0)]);
-                    accumulate(&mut adj, *a, &da);
+                    let mut da = Matrix::zeros(src.rows(), src.cols());
+                    for r in 0..src.rows() {
+                        da.row_mut(r).fill(g[(r, 0)]);
+                    }
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::SumCols(a) => {
                     let src = &self.nodes[*a].value;
                     let da = Matrix::from_fn(src.rows(), src.cols(), |_, c| g[(0, c)]);
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::MaxRows(a, argmax) => {
                     let src = &self.nodes[*a].value;
@@ -549,17 +572,17 @@ impl Graph {
                     for (r, &c) in argmax.iter().enumerate() {
                         da[(r, c)] = g[(r, 0)];
                     }
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::GatherRows(a, indices) => {
-                    let src = &self.nodes[*a].value;
-                    let mut da = Matrix::zeros(src.rows(), src.cols());
-                    for (r, &idx_row) in indices.iter().enumerate() {
-                        for (o, &gi) in da.row_mut(idx_row).iter_mut().zip(g.row(r)) {
-                            *o += gi;
-                        }
+                    let src = &self.nodes[*a];
+                    if let Op::Param(id) = src.op {
+                        grads.scatter_add_rows(id, src.value.shape(), indices, &g);
+                    } else {
+                        let mut da = Matrix::zeros(src.value.rows(), src.value.cols());
+                        scatter_add_rows(&mut da, indices, &g);
+                        accumulate(&mut adj, *a, da);
                     }
-                    accumulate(&mut adj, *a, &da);
                 }
                 Op::ConcatCols(a, b) => {
                     let ac = self.nodes[*a].value.cols();
@@ -571,8 +594,8 @@ impl Graph {
                         da.row_mut(r).copy_from_slice(&g.row(r)[..ac]);
                         db.row_mut(r).copy_from_slice(&g.row(r)[ac..]);
                     }
-                    accumulate(&mut adj, *a, &da);
-                    accumulate(&mut adj, *b, &db);
+                    accumulate(&mut adj, *a, da);
+                    accumulate(&mut adj, *b, db);
                 }
                 Op::SliceCols(a, start, _end) => {
                     let src = &self.nodes[*a].value;
@@ -580,11 +603,11 @@ impl Graph {
                     for r in 0..g.rows() {
                         da.row_mut(r)[*start..*start + g.cols()].copy_from_slice(g.row(r));
                     }
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::Dropout(a, mask) => {
                     let da = g.hadamard(mask);
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::SoftmaxRows(a) => {
                     let y = &self.nodes[idx].value;
@@ -595,11 +618,11 @@ impl Graph {
                             *o = yi * (gi - gy);
                         }
                     }
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::Transpose(a) => {
                     let da = g.transpose();
-                    accumulate(&mut adj, *a, &da);
+                    accumulate(&mut adj, *a, da);
                 }
             }
         }
@@ -628,18 +651,33 @@ fn sigmoid_scalar(x: f64) -> f64 {
     }
 }
 
-fn accumulate(adj: &mut [Option<Matrix>], idx: usize, g: &Matrix) {
+/// Adds `g` to node `idx`'s adjoint. `g` is the caller's backward
+/// temporary, taken by value so a node's first contribution is moved in.
+fn accumulate(adj: &mut [Option<Matrix>], idx: usize, g: Matrix) {
+    accumulate_scaled(adj, idx, g, 1.0);
+}
+
+/// Adds `alpha * g` to node `idx`'s adjoint — the one place adjoints are
+/// stored.
+fn accumulate_scaled(adj: &mut [Option<Matrix>], idx: usize, mut g: Matrix, alpha: f64) {
+    #[cfg(test)]
+    ADJOINT_ELEMS.with(|n| n.set(n.get() + g.len()));
     match &mut adj[idx] {
-        Some(existing) => existing.axpy(1.0, g),
-        slot @ None => *slot = Some(g.clone()),
+        Some(existing) => existing.axpy(alpha, &g),
+        slot @ None => {
+            if alpha != 1.0 {
+                g.scale_inplace(alpha);
+            }
+            *slot = Some(g);
+        }
     }
 }
 
-fn accumulate_scaled(adj: &mut [Option<Matrix>], idx: usize, g: &Matrix, alpha: f64) {
-    match &mut adj[idx] {
-        Some(existing) => existing.axpy(alpha, g),
-        slot @ None => *slot = Some(g.scale(alpha)),
-    }
+#[cfg(test)]
+thread_local! {
+    /// `f64` elements handed to [`accumulate_scaled`] on this thread: the
+    /// work the table-height test counts.
+    static ADJOINT_ELEMS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -700,6 +738,63 @@ mod tests {
         let ge = grads.get(e).unwrap();
         // Row 2 gathered twice => grad 2, row 0 once => 1, row 1 never => 0.
         assert!(approx_eq(ge, &Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 0.0], &[2.0, 2.0]]), 1e-12));
+    }
+
+    /// `f64` elements stored into adjoint slots by one backward pass of a
+    /// GML-FM-shaped step (6 fields, B = 256, k = 16: six gathers of an
+    /// `n x k` factor leaf and six of an `n x 1` weight leaf, the fifteen
+    /// weighted pair terms, `mse`) over an `n`-row table.
+    fn adjoint_elems_of_a_gmlfm_shaped_step(n: usize) -> usize {
+        const FIELDS: usize = 6;
+        const B: usize = 256;
+        const K: usize = 16;
+        let mut params = ParamSet::new();
+        let v = params.add("v", Matrix::from_fn(n, K, |r, c| ((r * 31 + c) % 17) as f64 * 0.01));
+        let w = params.add("w", Matrix::filled(n, 1, 0.01));
+        let h = params.add("h", Matrix::filled(K, 1, 1.0));
+        let width = n / FIELDS;
+        let cols: Vec<Vec<usize>> = (0..FIELDS)
+            .map(|f| (0..B).map(|b| f * width + (b * 7) % width).collect())
+            .collect();
+
+        let mut g = Graph::new();
+        let (vv, wv, hv) = (g.param(&params, v), g.param(&params, w), g.param(&params, h));
+        let embeds: Vec<Var> = cols.iter().map(|col| g.gather_rows(vv, col)).collect();
+        let mut pred = g.constant(Matrix::zeros(B, 1));
+        for col in &cols {
+            let linear = g.gather_rows(wv, col);
+            pred = g.add(pred, linear);
+        }
+        for i in 0..FIELDS {
+            for j in i + 1..FIELDS {
+                let prod = g.mul(embeds[i], embeds[j]);
+                let weight = g.matmul(prod, hv);
+                let diff = g.sub(embeds[i], embeds[j]);
+                let sq = g.square(diff);
+                let dist = g.sum_rows(sq);
+                let term = g.mul(weight, dist);
+                pred = g.add(pred, term);
+            }
+        }
+        let target = g.constant(Matrix::filled(B, 1, 1.0));
+        let loss = g.mse(pred, target);
+
+        ADJOINT_ELEMS.with(|c| c.set(0));
+        let grads = g.backward(loss);
+        assert_eq!(grads.get(v).unwrap().shape(), (n, K));
+        assert_eq!(grads.get(w).unwrap().shape(), (n, 1));
+        ADJOINT_ELEMS.with(|c| c.get())
+    }
+
+    #[test]
+    fn adjoint_traffic_does_not_grow_with_the_table_height() {
+        // A count where a clock would flake. With the dense gather rule
+        // each of the twelve gathers stored an `n`-row temporary, so the
+        // count grew by 12 * 17 * 99 000 elements between these two.
+        let (small, tall) =
+            (adjoint_elems_of_a_gmlfm_shaped_step(1_000), adjoint_elems_of_a_gmlfm_shaped_step(100_000));
+        assert!(small > 0);
+        assert_eq!(small, tall, "adjoint elements stored: 1 000-row table vs 100 000-row table");
     }
 
     #[test]

@@ -21,6 +21,19 @@
 //! non-linearities, reductions, row gathers for embedding lookups, dropout,
 //! and row-wise softmax — rather than a general tensor IR.
 //!
+//! ## Embedding lookups backpropagate row-sparse
+//!
+//! A [`Graph::gather_rows`] whose source is a parameter leaf — every
+//! embedding lookup of every model in the workspace — does not build a
+//! table-sized adjoint: [`Graph::backward`] scatter-adds its `B` rows
+//! straight into that parameter's entry of [`Gradients`], which is
+//! zero-filled once per parameter per step. When the gathers of one table
+//! read disjoint index sets (each field of a one-hot schema owns its own
+//! index range) every row is summed in the order the dense rule summed
+//! it, so the gradient is the same bits; gathers that share rows agree
+//! with the dense rule to rounding. `Gradients` still hands out dense
+//! matrices.
+//!
 //! ```
 //! use gmlfm_autograd::{Graph, ParamSet};
 //! use gmlfm_tensor::Matrix;

@@ -102,6 +102,21 @@ impl Gradients {
         }
     }
 
+    /// Scatter-adds the `B` rows of `rows` into rows `indices` of the
+    /// parameter's gradient, which is zero-filled at `shape` on first
+    /// touch: the backward rule of a gather taken straight from the
+    /// parameter leaf (see `Graph::backward`).
+    pub(crate) fn scatter_add_rows(
+        &mut self,
+        id: ParamId,
+        shape: (usize, usize),
+        indices: &[usize],
+        rows: &Matrix,
+    ) {
+        let grad = self.by_param[id.0].get_or_insert_with(|| Matrix::zeros(shape.0, shape.1));
+        scatter_add_rows(grad, indices, rows);
+    }
+
     /// Gradient of a parameter, when it participated in the graph.
     pub fn get(&self, id: ParamId) -> Option<&Matrix> {
         self.by_param.get(id.0).and_then(Option::as_ref)
@@ -124,6 +139,15 @@ impl Gradients {
     pub fn scale(&mut self, alpha: f64) {
         for g in self.by_param.iter_mut().flatten() {
             g.scale_inplace(alpha);
+        }
+    }
+}
+
+/// `dst[indices[r]] += rows[r]` for every `r`, in ascending `r`.
+pub(crate) fn scatter_add_rows(dst: &mut Matrix, indices: &[usize], rows: &Matrix) {
+    for (r, &idx) in indices.iter().enumerate() {
+        for (o, &g) in dst.row_mut(idx).iter_mut().zip(rows.row(r)) {
+            *o += g;
         }
     }
 }

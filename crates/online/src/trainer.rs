@@ -208,7 +208,8 @@ impl OnlineTrainer {
     /// from (that is what makes re-fitting a *warm* start); `base` is
     /// the original training set new interactions accumulate onto.
     /// Fails typed when the server has no catalog (events could never
-    /// validate), the gate holdout is empty, or `base` is.
+    /// validate), the gate holdout is empty, `base` is, or
+    /// `cfg.train.batch_size` is 0.
     pub fn launch(
         server: ModelServer,
         log: Arc<InteractionLog>,
@@ -222,6 +223,11 @@ impl OnlineTrainer {
         }
         if base.is_empty() {
             return Err(OnlineError::Launch("base training set is empty".into()));
+        }
+        if cfg.train.batch_size == 0 {
+            // Every fit would panic on its first chunk; on the background
+            // thread that panic ends the loop without a `RoundOutcome`.
+            return Err(OnlineError::Launch("train.batch_size is 0".into()));
         }
         let gate = EvalGate::new(holdout, cfg.gate_k, cfg.gate_tolerance)?;
         let shared = Arc::new(Shared {

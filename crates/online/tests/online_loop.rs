@@ -198,6 +198,23 @@ fn backpressure_is_typed_and_retains_the_exclusion() {
     );
 }
 
+#[test]
+fn a_zero_batch_size_is_refused_at_launch() {
+    // Unchecked, the first background round panics inside `chunks(0)`,
+    // the trainer thread is gone without a `RoundOutcome::Failed`, and
+    // the server keeps serving its first generation while events pile up.
+    let base = base_train();
+    let (fm, snapshot) = fitted_fm(&base);
+    let server = ModelServer::new(snapshot).expect("consistent snapshot");
+    let cfg = OnlineConfig {
+        background: true,
+        train: TrainConfig { batch_size: 0, ..TrainConfig::default() },
+        ..OnlineConfig::default()
+    };
+    let refused = OnlineServing::launch(server, Box::new(fm), base, holdout(), cfg);
+    assert!(matches!(refused, Err(OnlineError::Launch(_))), "batch_size 0 must not launch a trainer");
+}
+
 /// A trainer whose candidate is always the planted `worse` model —
 /// simulating a retrain gone wrong (bad data, diverged SGD).
 struct Saboteur {

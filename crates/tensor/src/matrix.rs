@@ -193,6 +193,16 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
+    /// **Summation order**, the rule every path through the three product
+    /// kernels keeps: each output entry is the sum of its `lhs · rhs` terms
+    /// in ascending inner index, starting from `0.0`, one rounding per
+    /// multiply and per add. `matmul` and [`Matrix::matmul_tn`] leave out
+    /// the terms whose *left* factor is exactly `0.0`;
+    /// [`Matrix::matmul_nt`] leaves out none. A shape-specific path that
+    /// keeps the rule returns the same bits, so it moves no trained weight
+    /// and nothing computed from one — `Freeze`'s `FrozenModel` tables and
+    /// the Eq. 10/11 evaluators, which call these kernels, are unchanged.
+    ///
     /// # Panics
     /// Panics when `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
@@ -201,19 +211,40 @@ impl Matrix {
             "matmul: {}x{} * {}x{} mismatched inner dimension",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+        self.mul_ikj(rhs, true)
+    }
+
+    /// The product kernel behind [`Matrix::matmul`] (`skip_zero`) and
+    /// [`Matrix::matmul_nt`] (every term kept).
+    fn mul_ikj(&self, rhs: &Matrix, skip_zero: bool) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
+        if rhs.cols == 1 {
+            // A column on the right (the `B×k · k×1` weight products): one
+            // dot per row against the contiguous column, instead of an
+            // inner loop of length one per term.
+            for (i, o) in out.data.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (&a, &b) in self.row(i).iter().zip(&rhs.data) {
+                    if skip_zero && a == 0.0 {
+                        continue;
+                    }
+                    acc += a * b;
+                }
+                *o = acc;
+            }
+            return out;
+        }
         // i-k-j loop order keeps the inner traversal contiguous for both
-        // `rhs` and `out`, which matters for the k x k layer products in the
+        // `rhs` and `out`, and makes a row's outputs `rhs.cols` independent
+        // accumulators, which matters for the k x k layer products in the
         // DNN distance function.
         for i in 0..self.rows {
-            let a_row = self.row(i);
-            for (kk, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
+            let o_row = out.row_mut(i);
+            for (kk, &a) in self.row(i).iter().enumerate() {
+                if skip_zero && a == 0.0 {
                     continue;
                 }
-                let b_row = rhs.row(kk);
-                let o_row = out.row_mut(i);
-                for (o, &b) in o_row.iter_mut().zip(b_row) {
+                for (o, &b) in o_row.iter_mut().zip(rhs.row(kk)) {
                     *o += a * b;
                 }
             }
@@ -221,7 +252,8 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ * rhs` without materialising the transpose.
+    /// `selfᵀ * rhs` without materialising the transpose. Same summation
+    /// order and skip-on-zero rule as [`Matrix::matmul`].
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, rhs.rows,
@@ -229,6 +261,16 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.cols, rhs.cols);
+        if rhs.cols == 1 {
+            // A column on the right: `out` is one contiguous vector of
+            // `self.cols` accumulators, each row of `self` one update of it.
+            for (r, &b) in rhs.data.iter().enumerate() {
+                for (o, &a) in out.data.iter_mut().zip(self.row(r)) {
+                    *o = if a == 0.0 { *o } else { *o + a * b };
+                }
+            }
+            return out;
+        }
         for r in 0..self.rows {
             let a_row = self.row(r);
             let b_row = rhs.row(r);
@@ -245,26 +287,18 @@ impl Matrix {
         out
     }
 
-    /// `self * rhsᵀ` without materialising the transpose.
+    /// `self * rhsᵀ`: transposes `rhs` (the small operand wherever the
+    /// tape calls this — a weight matrix against a `B`-row adjoint) and
+    /// runs the i-k-j kernel, so a row's outputs are independent
+    /// accumulators rather than one serial dot chain each. Summation order
+    /// as in [`Matrix::matmul`], with no term left out.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_nt: {}x{} *ᵀ {}x{} mismatched cols",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0;
-                for (a, b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out[(i, j)] = acc;
-            }
-        }
-        out
+        self.mul_ikj(&rhs.transpose(), false)
     }
 
     /// Element-wise (Hadamard) product.

@@ -119,30 +119,24 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let ids: Vec<_> = grads.iter().map(|(id, _)| id).collect();
-        for id in ids {
-            let g = grads.get(id).expect("id from iter");
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        // `x * 1.0` is exact, so "no decay" needs no second loop body.
+        let decay = if self.weight_decay > 0.0 { 1.0 - lr * self.weight_decay } else { 1.0 };
+        for (id, g) in grads.iter() {
             let shape = params.get(id).shape();
-            let m = Self::slot(&mut self.m, id.index(), shape);
-            for (mi, &gi) in m.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-            }
-            let v = Self::slot(&mut self.v, id.index(), shape);
-            for (vi, &gi) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-            }
-            if self.weight_decay > 0.0 {
-                let decay = 1.0 - self.lr * self.weight_decay;
-                params.get_mut(id).scale_inplace(decay);
-            }
-            // Re-borrow both moments immutably for the update.
-            let m = self.m[id.index()].as_ref().expect("m initialised above");
-            let v = self.v[id.index()].as_ref().expect("v initialised above");
-            let p = params.get_mut(id);
-            for ((pi, mi), vi) in p.as_mut_slice().iter_mut().zip(m.as_slice()).zip(v.as_slice()) {
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                *pi -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            let m = Self::slot(&mut self.m, id.index(), shape).as_mut_slice();
+            let v = Self::slot(&mut self.v, id.index(), shape).as_mut_slice();
+            let p = params.get_mut(id).as_mut_slice();
+            // One pass over the four slices. Elements are independent, so
+            // running moments, decay and update per element instead of per
+            // sweep changes no bit.
+            for (((pi, mi), vi), &gi) in p.iter_mut().zip(m).zip(v).zip(g.as_slice()) {
+                *mi = beta1 * *mi + (1.0 - beta1) * gi;
+                *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+                *pi *= decay;
+                let m_hat = *mi / bc1;
+                let v_hat = *vi / bc2;
+                *pi -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         }
     }
@@ -207,6 +201,91 @@ mod tests {
         opt.step(&mut params, &grads);
         let expected = 10.0 * (1.0 - 0.1 * 0.5);
         assert!((params.get(w).as_slice()[0] - expected).abs() < 1e-12);
+    }
+
+    /// The three-pass body `Adam::step` replaced (first moment, second
+    /// moment, decay, update: four sweeps over each parameter), kept as
+    /// the oracle for the one-pass body.
+    struct ThreePassAdam {
+        hyper: Adam,
+        t: u64,
+        m: Vec<Matrix>,
+        v: Vec<Matrix>,
+    }
+
+    impl ThreePassAdam {
+        fn step(&mut self, params: &mut ParamSet, grads: &Gradients) {
+            let Adam { lr, beta1, beta2, eps, weight_decay, .. } = self.hyper;
+            self.t += 1;
+            let bc1 = 1.0 - beta1.powi(self.t as i32);
+            let bc2 = 1.0 - beta2.powi(self.t as i32);
+            for (id, g) in grads.iter() {
+                let (m, v) = (&mut self.m[id.index()], &mut self.v[id.index()]);
+                for (mi, &gi) in m.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                    *mi = beta1 * *mi + (1.0 - beta1) * gi;
+                }
+                for (vi, &gi) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                    *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+                }
+                if weight_decay > 0.0 {
+                    params.get_mut(id).scale_inplace(1.0 - lr * weight_decay);
+                }
+                let p = params.get_mut(id);
+                for ((pi, mi), vi) in p.as_mut_slice().iter_mut().zip(m.as_slice()).zip(v.as_slice()) {
+                    let m_hat = mi / bc1;
+                    let v_hat = vi / bc2;
+                    *pi -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_adam_is_bitwise_the_three_pass_body() {
+        use gmlfm_tensor::{init::normal, seeded_rng};
+        for weight_decay in [0.0, 1e-2] {
+            let mut rng = seeded_rng(41);
+            let mut fast_params = ParamSet::new();
+            let a = fast_params.add("a", normal(&mut rng, 7, 3, 0.0, 1.0));
+            let b = fast_params.add("b", normal(&mut rng, 1, 5, 0.0, 1.0));
+            let mut slow_params = fast_params.clone();
+            let mut fast = Adam::new(0.05).with_weight_decay(weight_decay);
+            let mut slow = ThreePassAdam {
+                hyper: fast.clone(),
+                t: 0,
+                m: vec![Matrix::zeros(7, 3), Matrix::zeros(1, 5)],
+                v: vec![Matrix::zeros(7, 3), Matrix::zeros(1, 5)],
+            };
+            for step in 0..50 {
+                // loss = mean (a ⊙ ca − 1)² + mean (b ⊙ cb − 1)², fresh ca, cb
+                // per step; `b` sits out every seventh step (no gradient entry).
+                let mut g = Graph::new();
+                let mut term = |g: &mut Graph, id, rows, cols| {
+                    let p = g.param(&fast_params, id);
+                    let c = g.constant(normal(&mut rng, rows, cols, 0.0, 1.0));
+                    let scaled = g.mul(p, c);
+                    let ones = g.constant(Matrix::filled(rows, cols, 1.0));
+                    g.mse(scaled, ones)
+                };
+                let mut loss = term(&mut g, a, 7, 3);
+                if step % 7 != 3 {
+                    let loss_b = term(&mut g, b, 1, 5);
+                    loss = g.add(loss, loss_b);
+                }
+                let grads = g.backward(loss);
+                fast.step(&mut fast_params, &grads);
+                slow.step(&mut slow_params, &grads);
+                for id in [a, b] {
+                    let (got, want) = (fast_params.get(id), slow_params.get(id));
+                    let same = got
+                        .as_slice()
+                        .iter()
+                        .zip(want.as_slice())
+                        .all(|(x, y)| x.to_bits() == y.to_bits());
+                    assert!(same, "wd {weight_decay}, step {step}: {got:?} vs {want:?}");
+                }
+            }
+        }
     }
 
     #[test]

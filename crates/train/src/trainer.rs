@@ -138,6 +138,7 @@ pub fn fit_regression<M: GraphModel>(
     cfg: &TrainConfig,
 ) -> TrainReport {
     assert!(!train.is_empty(), "fit_regression: empty training set");
+    assert!(cfg.batch_size > 0, "fit_regression: batch_size must be at least 1");
     let mut rng = seeded_rng(cfg.seed);
     let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
     let mut order: Vec<usize> = (0..train.len()).collect();
@@ -208,6 +209,7 @@ pub fn fit_bpr<M: GraphModel>(
     cfg: &TrainConfig,
 ) -> TrainReport {
     assert!(!positives.is_empty(), "fit_bpr: empty positive set");
+    assert!(cfg.batch_size > 0, "fit_bpr: batch_size must be at least 1");
     let mut rng = seeded_rng(cfg.seed);
     let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
     let mut order: Vec<usize> = (0..positives.len()).collect();
@@ -357,6 +359,22 @@ mod tests {
     fn empty_training_set_is_rejected() {
         let mut model = LinearToy::new(4, 1);
         let _ = fit_regression(&mut model, &[], None, &TrainConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_size")]
+    fn zero_batch_size_is_rejected_by_name() {
+        let mut model = LinearToy::new(10, 1);
+        let cfg = TrainConfig { batch_size: 0, ..TrainConfig::default() };
+        let _ = fit_regression(&mut model, &toy_data(8, 1), None, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_size")]
+    fn bpr_rejects_zero_batch_size_by_name() {
+        let mut model = LinearToy::new(10, 1);
+        let cfg = TrainConfig { batch_size: 0, ..TrainConfig::default() };
+        let _ = fit_bpr(&mut model, &toy_data(8, 1), |p, _| p.clone(), &cfg);
     }
 
     #[test]
