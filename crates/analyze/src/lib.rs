@@ -1,7 +1,7 @@
 //! `gmlfm-analyze` — the workspace's correctness tooling: a token-level
 //! lint suite for the invariants `rustc` and clippy don't know about,
 //! plus a bounded deterministic model checker for the unsafe
-//! concurrency protocols. Std-only by design: the analyzer gates CI, so
+//! concurrency protocol. Std-only by design: the analyzer gates CI, so
 //! it builds before — and independently of — everything it checks.
 //!
 //! Four lints (see [`lints`] for the rules, [`scope_for`] for which
@@ -25,10 +25,11 @@
 //!   pairing.
 //!
 //! The model checker ([`sched`]) exhaustively enumerates thread
-//! interleavings of the two unsafe protocols ([`models`]): the
-//! `ModelServer` hot-swap slot and the pool's completion latch with
-//! help-draining. Deliberately broken hazard variants prove the checker
-//! can fail — a suite whose failure path is untested is a rubber stamp.
+//! interleavings of the one unsafe protocol ([`models`]): the pool's
+//! completion latch with help-draining. A deliberately broken hazard
+//! variant proves the checker can fail — a suite whose failure path is
+//! untested is a rubber stamp.
+#![forbid(unsafe_code)]
 
 pub mod inventory;
 pub mod lexer;
@@ -183,31 +184,16 @@ impl ProtocolCheck {
     }
 }
 
-/// Runs the interleaving suite: the two real protocols (must pass
-/// exhaustively) and three planted-bug variants (must fail). Model sizes
+/// Runs the interleaving suite: the real protocol (must pass
+/// exhaustively) and its planted-bug variant (must fail). Model sizes
 /// are fixed small so the full space fits a CI-friendly budget; the
 /// regression tests run larger instances.
 pub fn run_interleave_suite(budget: usize) -> Vec<ProtocolCheck> {
     vec![
         ProtocolCheck {
-            name: "slot-swap/read (ModelServer)",
-            expect_pass: true,
-            verdict: sched::check(&models::SlotModel::new(2, 2, 2), budget),
-        },
-        ProtocolCheck {
             name: "completion latch + help-drain (pool Scope)",
             expect_pass: true,
             verdict: sched::check(&models::LatchModel::new(2, 2), budget),
-        },
-        ProtocolCheck {
-            name: "hazard: torn generation/snapshot publication",
-            expect_pass: false,
-            verdict: sched::check(&models::TornSlotModel::new(1, 1, 1), budget),
-        },
-        ProtocolCheck {
-            name: "hazard: free-on-swap (no retention table)",
-            expect_pass: false,
-            verdict: sched::check(&models::FreeOnSwapSlotModel::new(1, 1, 1), budget),
         },
         ProtocolCheck {
             name: "hazard: park on stale check (lost wakeup)",

@@ -4,7 +4,7 @@
 //! cargo run -p gmlfm-analyze -- check              # lints + UNSAFETY.md freshness + interleave suite (CI gate)
 //! cargo run -p gmlfm-analyze -- lint               # lints only
 //! cargo run -p gmlfm-analyze -- unsafety [--write] # print or write UNSAFETY.md
-//! cargo run -p gmlfm-analyze -- interleave         # model-check the unsafe protocols
+//! cargo run -p gmlfm-analyze -- interleave         # model-check the unsafe protocol
 //! ```
 //!
 //! Exit code 0 = clean; 1 = findings / stale inventory / checker

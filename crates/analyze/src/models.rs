@@ -1,295 +1,27 @@
-//! Interleaving models of the workspace's two unsafe concurrency
-//! protocols, checked exhaustively by [`crate::sched`].
+//! Interleaving model of the workspace's one unsafe concurrency
+//! protocol, checked exhaustively by [`crate::sched`].
 //!
-//! Each model mirrors one protocol step for step at the granularity of
+//! The model mirrors the protocol step for step at the granularity of
 //! its shared-memory operations:
 //!
-//! * [`SlotModel`] — `gmlfm-service`'s `ModelServer` hot-swap slot:
-//!   writer allocates a `(generation, snapshot)` state, retains it in
-//!   the append-only table, publishes it through one atomic pointer;
-//!   readers pin with one atomic load. Checked: no reader ever observes
-//!   a torn generation/snapshot pairing, no pinned state is freed, and
-//!   generations are monotone per reader.
 //! * [`LatchModel`] — `gmlfm-par`'s scope completion latch: workers pop
 //!   queued jobs and decrement the pending count under the lock; the
 //!   waiting scope helps drain the queue and rechecks the count under
 //!   the same lock before parking. Checked: the scope always
 //!   terminates (no lost wakeup) and every job runs exactly once.
 //!
-//! Each has deliberately broken **hazard variants** reintroducing a
-//! bug its real counterpart's structure rules out — torn publication
-//! through split cells, freeing a superseded state on swap, parking on
-//! a stale check outside the lock. The regression tests assert
-//! the checker *finds* those (so "the models pass" stays falsifiable),
-//! and the passing models document *why* the real structure is the fix.
+//! It has a deliberately broken **hazard variant**,
+//! [`LostWakeupLatchModel`], reintroducing the bug the real structure
+//! rules out — parking on a stale check made outside the lock. The
+//! regression tests assert the checker *finds* it (so "the model
+//! passes" stays falsifiable), and the passing model documents *why*
+//! the real structure is the fix.
+//!
+//! `gmlfm-service`'s hot-swap slot has no model here: it is safe Rust
+//! (write-once cells behind one atomic index), so the compiler checks
+//! what a model would.
 
 use crate::sched::Model;
-
-// ---------------------------------------------------------------------
-// ModelServer swap/read slot
-// ---------------------------------------------------------------------
-
-/// What one retained state holds: the generation and a "snapshot" value
-/// stamped to match it at allocation (standing in for the model
-/// pointer; any torn pairing shows up as a mismatch).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct SlotState {
-    generation: u64,
-    snapshot: u64,
-}
-
-/// The correct protocol: states are immutable after construction,
-/// retained forever (append-only table), and published through a single
-/// atomic `current` index — so a reader's one-load pin is atomic with
-/// respect to everything the state carries.
-#[derive(Clone)]
-pub struct SlotModel {
-    /// The retained-state table (`Slot::states` — append-only).
-    states: Vec<SlotState>,
-    /// The atomic `current` pointer, as an index into `states`.
-    current: usize,
-    /// Writer: swaps remaining, and the allocation staged between the
-    /// alloc step and the publish step (swap is two shared-memory
-    /// steps, exactly like `Box::into_raw` + `AtomicPtr::store`).
-    swaps_left: usize,
-    staged: Option<usize>,
-    /// Per-reader: reads remaining and the last generation observed
-    /// (for the monotonicity invariant).
-    reads_left: Vec<usize>,
-    last_gen: Vec<u64>,
-}
-
-impl SlotModel {
-    /// `readers` reader threads doing `reads` pins each, against one
-    /// writer doing `swaps` hot-swaps. Thread 0 is the writer.
-    pub fn new(readers: usize, reads: usize, swaps: usize) -> Self {
-        Self {
-            states: vec![SlotState { generation: 1, snapshot: 1 }],
-            current: 0,
-            swaps_left: swaps,
-            staged: None,
-            reads_left: vec![reads; readers],
-            last_gen: vec![0; readers],
-        }
-    }
-}
-
-impl Model for SlotModel {
-    fn thread_count(&self) -> usize {
-        1 + self.reads_left.len()
-    }
-
-    fn done(&self, tid: usize) -> bool {
-        if tid == 0 {
-            self.swaps_left == 0 && self.staged.is_none()
-        } else {
-            self.reads_left[tid - 1] == 0
-        }
-    }
-
-    fn step(&mut self, tid: usize) -> Result<(), String> {
-        if tid == 0 {
-            match self.staged.take() {
-                // Alloc step: build the immutable state and retain it.
-                None => {
-                    let generation = self.states[self.current].generation + 1;
-                    self.states.push(SlotState { generation, snapshot: generation });
-                    self.staged = Some(self.states.len() - 1);
-                }
-                // Publish step: one atomic store of `current`.
-                Some(idx) => {
-                    self.current = idx;
-                    self.swaps_left -= 1;
-                }
-            }
-            return Ok(());
-        }
-        // Reader pin: ONE atomic load of `current`, then reads of the
-        // pointed-to state. Merged into one step because the state is
-        // immutable once reachable through `current` — there is no
-        // second shared-memory access whose timing could matter.
-        let r = tid - 1;
-        let state = self.states.get(self.current).copied().ok_or("reader pinned a freed state")?;
-        if state.snapshot != state.generation {
-            return Err(format!(
-                "torn read: generation {} paired with snapshot {}",
-                state.generation, state.snapshot
-            ));
-        }
-        if state.generation < self.last_gen[r] {
-            return Err(format!(
-                "generation went backwards: {} after {}",
-                state.generation, self.last_gen[r]
-            ));
-        }
-        self.last_gen[r] = state.generation;
-        self.reads_left[r] -= 1;
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        let want = 1 + self.states.len() - 1;
-        let got = self.states[self.current].generation as usize;
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("final generation {got}, expected {want}"))
-        }
-    }
-}
-
-/// Hazard variant: generation and snapshot published through two
-/// *separate* shared cells with two separate stores (what you would get
-/// by keeping a `generation: AtomicU64` next to the pointer instead of
-/// inside the retained state). A reader's two loads can straddle a
-/// writer's two stores — the torn pairing the one-pointer protocol
-/// makes unrepresentable.
-#[derive(Clone)]
-pub struct TornSlotModel {
-    gen_cell: u64,
-    snapshot_cell: u64,
-    swaps_left: usize,
-    /// Writer mid-swap: generation stored, snapshot store pending.
-    gen_stored: bool,
-    reads_left: Vec<usize>,
-    /// Reader mid-read: the generation it loaded first.
-    pinned_gen: Vec<Option<u64>>,
-}
-
-impl TornSlotModel {
-    pub fn new(readers: usize, reads: usize, swaps: usize) -> Self {
-        Self {
-            gen_cell: 1,
-            snapshot_cell: 1,
-            swaps_left: swaps,
-            gen_stored: false,
-            reads_left: vec![reads; readers],
-            pinned_gen: vec![None; readers],
-        }
-    }
-}
-
-impl Model for TornSlotModel {
-    fn thread_count(&self) -> usize {
-        1 + self.reads_left.len()
-    }
-
-    fn done(&self, tid: usize) -> bool {
-        if tid == 0 {
-            self.swaps_left == 0 && !self.gen_stored
-        } else {
-            self.reads_left[tid - 1] == 0
-        }
-    }
-
-    fn step(&mut self, tid: usize) -> Result<(), String> {
-        if tid == 0 {
-            if !self.gen_stored {
-                self.gen_cell += 1;
-                self.gen_stored = true;
-            } else {
-                self.snapshot_cell = self.gen_cell;
-                self.gen_stored = false;
-                self.swaps_left -= 1;
-            }
-            return Ok(());
-        }
-        let r = tid - 1;
-        match self.pinned_gen[r].take() {
-            None => self.pinned_gen[r] = Some(self.gen_cell),
-            Some(generation) => {
-                let snapshot = self.snapshot_cell;
-                if snapshot != generation {
-                    return Err(format!(
-                        "torn read: generation {generation} paired with snapshot {snapshot}"
-                    ));
-                }
-                self.reads_left[r] -= 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-/// Hazard variant: the writer frees the previous state on swap instead
-/// of retaining it (no append-only table). A reader that pinned the old
-/// state dereferences freed memory — the use-after-free the retention
-/// table exists to prevent.
-#[derive(Clone)]
-pub struct FreeOnSwapSlotModel {
-    /// `live[idx]` — whether state `idx` is still allocated.
-    live: Vec<bool>,
-    states: Vec<SlotState>,
-    current: usize,
-    swaps_left: usize,
-    reads_left: Vec<usize>,
-    /// Reader mid-read: the index it pinned (pin and deref are two
-    /// steps here, as they are for any real reader that does more than
-    /// one instruction's work with the snapshot).
-    pinned: Vec<Option<usize>>,
-}
-
-impl FreeOnSwapSlotModel {
-    pub fn new(readers: usize, reads: usize, swaps: usize) -> Self {
-        Self {
-            live: vec![true],
-            states: vec![SlotState { generation: 1, snapshot: 1 }],
-            current: 0,
-            swaps_left: swaps,
-            reads_left: vec![reads; readers],
-            pinned: vec![None; readers],
-        }
-    }
-}
-
-impl Model for FreeOnSwapSlotModel {
-    fn thread_count(&self) -> usize {
-        1 + self.reads_left.len()
-    }
-
-    fn done(&self, tid: usize) -> bool {
-        if tid == 0 {
-            self.swaps_left == 0
-        } else {
-            self.reads_left[tid - 1] == 0
-        }
-    }
-
-    fn step(&mut self, tid: usize) -> Result<(), String> {
-        if tid == 0 {
-            // Swap-and-free as one writer step: publish the new state,
-            // free the old one. (Splitting it would only add schedules;
-            // the hazard needs just one reader pinned across the free.)
-            let old = self.current;
-            let generation = self.states[old].generation + 1;
-            self.states.push(SlotState { generation, snapshot: generation });
-            self.live.push(true);
-            self.current = self.states.len() - 1;
-            self.live[old] = false;
-            self.swaps_left -= 1;
-            return Ok(());
-        }
-        let r = tid - 1;
-        match self.pinned[r].take() {
-            None => self.pinned[r] = Some(self.current),
-            Some(idx) => {
-                if !self.live[idx] {
-                    return Err(format!("use-after-free: reader dereferenced freed state {idx}"));
-                }
-                self.reads_left[r] -= 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        Ok(())
-    }
-}
 
 // ---------------------------------------------------------------------
 // Scope completion latch with help-draining

@@ -1,13 +1,11 @@
-//! Regression suite for the interleaving checker: the real protocols
-//! pass *exhaustively* at sizes larger than the CI-facing suite runs,
-//! and each planted-bug variant is *found* — with a schedule that
+//! Regression suite for the interleaving checker: the real protocol
+//! passes *exhaustively* at sizes larger than the CI-facing suite runs,
+//! and its planted-bug variant is *found* — with a schedule that
 //! replays the failure deterministically. A model checker whose failure
 //! path is never exercised proves nothing by passing; these tests are
 //! the teeth.
 
-use gmlfm_analyze::models::{
-    FreeOnSwapSlotModel, LatchModel, LostWakeupLatchModel, SlotModel, TornSlotModel,
-};
+use gmlfm_analyze::models::{LatchModel, LostWakeupLatchModel};
 use gmlfm_analyze::sched::{check, Model, Stats, Verdict};
 
 const BUDGET: usize = 2_000_000;
@@ -43,37 +41,6 @@ fn expect_fail_with_replay<M: Model>(model: &M, what: &str) -> String {
         "{what}: schedule {schedule:?} did not replay failure `{error}`"
     );
     error
-}
-
-// --- ModelServer swap/read slot --------------------------------------
-
-#[test]
-fn slot_protocol_passes_exhaustively_at_regression_size() {
-    // 2 readers × 3 reads against 3 swaps: 12 steps, C(12;6,3,3) = 18480
-    // interleavings, every one visited.
-    let stats = expect_pass(&SlotModel::new(2, 3, 3), "slot swap/read");
-    assert_eq!(stats.schedules, 18_480, "the space must be covered exhaustively");
-}
-
-#[test]
-fn torn_generation_read_is_found_and_replays() {
-    let error = expect_fail_with_replay(&TornSlotModel::new(2, 2, 2), "torn publication");
-    assert!(error.contains("torn read"), "{error}");
-}
-
-#[test]
-fn free_on_swap_use_after_free_is_found() {
-    let error = expect_fail_with_replay(&FreeOnSwapSlotModel::new(2, 2, 2), "free-on-swap");
-    assert!(error.contains("use-after-free"), "{error}");
-}
-
-#[test]
-fn retention_is_what_fixes_free_on_swap() {
-    // Same thread structure, same step granularity; the only difference
-    // between these two models is the append-only retention table — so
-    // the pass/fail split isolates retention as the load-bearing piece.
-    expect_pass(&SlotModel::new(1, 1, 1), "retained slot");
-    expect_fail_with_replay(&FreeOnSwapSlotModel::new(1, 1, 1), "freed slot");
 }
 
 // --- pool completion latch -------------------------------------------
@@ -112,7 +79,7 @@ fn recheck_under_lock_is_what_fixes_the_lost_wakeup() {
 #[test]
 fn budget_exhaustion_is_never_reported_as_a_pass() {
     // A correct model under a starved budget must NOT pass.
-    match check(&SlotModel::new(2, 2, 2), 10) {
+    match check(&LatchModel::new(2, 3), 10) {
         Verdict::BudgetExceeded { budget } => assert_eq!(budget, 10),
         other => panic!("expected BudgetExceeded, got {other:?}"),
     }

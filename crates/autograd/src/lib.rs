@@ -50,6 +50,7 @@
 //! let gw = grads.get(w).unwrap();
 //! assert_eq!(gw.as_slice(), &[184.0, 230.0]);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod check;
 pub mod graph;

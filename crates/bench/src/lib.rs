@@ -2,6 +2,7 @@
 //! workspace's only benchmark — see `BENCHMARK.json`) takes from a
 //! library: its stand-alone manifest depends on this crate for
 //! [`percentile`].
+#![forbid(unsafe_code)]
 
 /// Nearest-rank percentile over an ascending-sorted sample, clamped on
 /// both ends: `p` outside `[0, 1]` (or NaN) clamps into range, and the

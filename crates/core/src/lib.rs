@@ -37,6 +37,7 @@
 //! With `w_ij = 1`, `D` squared Euclidean, and all embeddings constrained
 //! to equal norm, GML-FM reduces to a vanilla FM up to affine constants —
 //! verified numerically in [`relation`].
+#![forbid(unsafe_code)]
 
 pub mod distance;
 pub mod efficient;

@@ -25,6 +25,7 @@
 //! Sizes are scaled (≈ ÷10 users/items) to keep the full experiment grid
 //! laptop-runnable; the resulting statistics are printed by the `repro
 //! table2` command next to the paper's originals.
+#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod instance;

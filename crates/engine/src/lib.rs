@@ -39,6 +39,7 @@
 //! let top = served.top_n(0, 5).expect("rank");
 //! assert_eq!(top.len(), 5);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod artifact;
 pub mod error;

@@ -12,6 +12,7 @@
 //!   used for the †/∗ markers in Tables 3 and 4.
 //! * **Reporting** — markdown/CSV table builders shared by the `repro`
 //!   binary and EXPERIMENTS.md ([`table`]).
+#![forbid(unsafe_code)]
 
 pub mod metrics;
 pub mod protocol;

@@ -20,6 +20,7 @@
 //!
 //! Every run is deterministic in `--seed`. CSV artifacts land in `--out`
 //! (default `results/`).
+#![forbid(unsafe_code)]
 
 mod datasets;
 mod efficiency;

@@ -41,6 +41,7 @@
 //!   value. Figure 4's cold-start protocol (hold-out share, warm/cold
 //!   thresholds) is adapted to that substrate and stated in
 //!   `gmlfm_experiments::fig4`.
+#![forbid(unsafe_code)]
 
 pub mod afm;
 pub mod bpr;

@@ -22,6 +22,7 @@
 //!
 //! See the README's "Network serving" section for the wire grammar and
 //! the failure-mode table.
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod frame;

@@ -17,6 +17,7 @@
 //!    candidates come back as a typed [`GateReport`].
 //!
 //! Everything is std-only, mirroring the rest of the workspace.
+#![forbid(unsafe_code)]
 
 mod error;
 mod gate;

@@ -154,7 +154,6 @@ struct RoundState {
     /// Cached `(generation, metrics)` of the serving baseline, so the
     /// gate scores the baseline once per published generation.
     baseline: Option<(u64, GateMetrics)>,
-    last: Option<RoundOutcome>,
     /// Deterministic xorshift state of the negative sampler.
     neg_rng: u64,
 }
@@ -170,6 +169,11 @@ struct Shared {
     gate: EvalGate,
     cfg: OnlineConfig,
     round: Mutex<RoundState>,
+    /// Outcome of the most recent non-skipped round. Its own lock,
+    /// written once at the end of a round, so [`OnlineTrainer::status`]
+    /// copies it without waiting behind the round mutex — which a
+    /// retrain holds for its whole warm fit.
+    last: Mutex<Option<RoundOutcome>>,
     signal: Mutex<Signal>,
     wake: Condvar,
     shutdown: AtomicBool,
@@ -184,6 +188,10 @@ impl Shared {
         self.round.lock().unwrap_or_else(|poison| poison.into_inner())
     }
 
+    fn lock_last(&self) -> MutexGuard<'_, Option<RoundOutcome>> {
+        self.last.lock().unwrap_or_else(|poison| poison.into_inner())
+    }
+
     fn lock_signal(&self) -> MutexGuard<'_, Signal> {
         self.signal.lock().unwrap_or_else(|poison| poison.into_inner())
     }
@@ -195,7 +203,7 @@ impl Shared {
 /// metric-mode snapshots, and publishes via [`ModelServer::swap`]
 /// **only** when the [`EvalGate`] passes the candidate. Readers are
 /// never blocked: all heavy work happens off the request path, and the
-/// swap itself is the server's wait-free pointer store.
+/// swap itself is one cell write and one index store in the server.
 pub struct OnlineTrainer {
     shared: Arc<Shared>,
     worker: Option<std::thread::JoinHandle<()>>,
@@ -238,9 +246,9 @@ impl OnlineTrainer {
                 model,
                 train: base,
                 baseline: None,
-                last: None,
                 neg_rng: cfg.seed | 1, // xorshift state must be non-zero
             }),
+            last: Mutex::new(None),
             signal: Mutex::new(Signal { kicked: false }),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -281,7 +289,8 @@ impl OnlineTrainer {
         self.shared.wake.notify_all();
     }
 
-    /// Point-in-time counters and the last round's outcome.
+    /// Point-in-time counters and the last *finished* round's outcome.
+    /// Never waits for a round in flight.
     pub fn status(&self) -> OnlineStatus {
         // Independent monitoring counters; no reader derives
         // cross-variable invariants from them.
@@ -291,7 +300,7 @@ impl OnlineTrainer {
             rejected: self.shared.rejected.load(Ordering::Relaxed), // ORDERING: Relaxed — monitoring counter.
             skipped_events: self.shared.skipped_events.load(Ordering::Relaxed), // ORDERING: Relaxed — monitoring counter.
             pending: self.shared.log.pending(),
-            last: self.shared.lock_round().last.clone(),
+            last: self.shared.lock_last().clone(),
         }
     }
 
@@ -396,7 +405,7 @@ fn run_round(shared: &Shared) -> RoundOutcome {
             }
         }
     }
-    let retry_rejected = matches!(st.last, Some(RoundOutcome::Rejected { .. }));
+    let retry_rejected = matches!(*shared.lock_last(), Some(RoundOutcome::Rejected { .. }));
     if !had_new && !retry_rejected {
         return RoundOutcome::Skipped;
     }
@@ -413,7 +422,7 @@ fn run_round(shared: &Shared) -> RoundOutcome {
         }
         _ => {}
     }
-    st.last = Some(outcome.clone());
+    *shared.lock_last() = Some(outcome.clone());
     outcome
 }
 

@@ -15,7 +15,7 @@ use gmlfm_service::{
 use gmlfm_tensor::Matrix;
 use gmlfm_train::TrainConfig;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const N_USERS: usize = 6;
@@ -291,6 +291,69 @@ fn a_planted_regression_is_refused_with_a_typed_report() {
     let status = serving.shutdown();
     assert_eq!(status.published, 0);
     assert_eq!(status.rejected, 2);
+}
+
+/// A trainer whose warm fit announces itself and then parks until the
+/// test lets it go — a retrain of arbitrary length.
+struct Parked {
+    entered: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+    frozen: FrozenModel,
+}
+
+impl OnlineModel for Parked {
+    fn warm_fit(&mut self, _train: &[Instance], _cfg: &TrainConfig) -> Result<(), OnlineError> {
+        self.entered.send(()).expect("the test is listening");
+        self.release.recv().expect("the test releases the fit");
+        Ok(())
+    }
+
+    fn freeze(&self) -> Result<FrozenModel, OnlineError> {
+        Ok(self.frozen.clone())
+    }
+}
+
+#[test]
+fn status_answers_while_a_round_is_still_training() {
+    let frozen = linear_items(f64::from);
+    let snapshot = ModelSnapshot {
+        schema: schema(),
+        frozen: frozen.clone(),
+        catalog: Some(catalog()),
+        seen: None,
+        index: None,
+    };
+    let server = ModelServer::new(snapshot).expect("consistent snapshot");
+    let (entered, fit_entered) = mpsc::channel();
+    let (release_fit, release) = mpsc::channel();
+    let cfg = OnlineConfig { background: false, gate_tolerance: 1.0, ..OnlineConfig::default() };
+    let model = Parked { entered, release, frozen };
+    let serving = OnlineServing::launch(server, Box::new(model), base_train(), holdout(), cfg)
+        .expect("launch validates");
+    serving.handle().feed(&Interaction::new(0, 5)).expect("feed validates");
+
+    let trainer = serving.trainer();
+    std::thread::scope(|s| {
+        let round = s.spawn(|| trainer.run_once());
+        fit_entered.recv().expect("the round reaches its warm fit");
+
+        // The round is parked inside `warm_fit`; a status call from
+        // another thread must come back without it.
+        let (answer, answered) = mpsc::channel();
+        s.spawn(move || answer.send(trainer.status()));
+        let mid_round = answered.recv_timeout(Duration::from_secs(5));
+        // Let the fit go before asserting, so a failure reports instead
+        // of leaving the scope waiting on a parked round.
+        release_fit.send(()).expect("the fit is waiting");
+        let status = mid_round.expect("status() waited for the round in flight");
+        assert_eq!(status.rounds, 1, "the round in flight is counted");
+        assert_eq!(status.pending, 0, "its events are drained");
+        assert_eq!(status.last, None, "no round has finished yet");
+
+        let outcome = round.join().expect("round thread");
+        assert!(matches!(outcome, RoundOutcome::Published { generation: 2, .. }), "{outcome:?}");
+        assert_eq!(trainer.status().last, Some(outcome));
+    });
 }
 
 #[test]

@@ -169,17 +169,18 @@ pub struct IvfBuildOptions {
     /// this serve exactly — below it the index bookkeeping costs more
     /// than it saves.
     pub min_candidates: usize,
-    /// Lloyd iterations of the sample k-means.
-    pub kmeans_iters: usize,
-    /// Sample size per cluster for the k-means training sample.
-    pub sample_per_cluster: usize,
 }
 
 impl Default for IvfBuildOptions {
     fn default() -> Self {
-        Self { clusters: None, nprobe: None, min_candidates: 4096, kmeans_iters: 4, sample_per_cluster: 8 }
+        Self { clusters: None, nprobe: None, min_candidates: 4096 }
     }
 }
+
+/// Lloyd iterations of the sample k-means.
+const KMEANS_ITERS: usize = 4;
+/// Sample size per cluster for the k-means training sample.
+const SAMPLE_PER_CLUSTER: usize = 8;
 
 /// Which affine linearisation the index was built for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,7 +348,7 @@ impl IvfIndex {
         // 1. Strided ψ sample (deterministic, no RNG: item ids carry no
         //    order of their own, so a stride is as representative as a
         //    draw).
-        let sample_n = (opts.sample_per_cluster * n_clusters).max(1024).min(n);
+        let sample_n = (SAMPLE_PER_CLUSTER * n_clusters).max(1024).min(n);
         let mut sample = Matrix::zeros(sample_n, psi_dim);
         for i in 0..sample_n {
             let item = (i as u64 * n as u64 / sample_n as u64) as u32;
@@ -363,7 +364,7 @@ impl IvfIndex {
         }
         let mut assign = vec![0usize; sample_n];
         let mut dist = vec![0.0f64; sample_n];
-        for _ in 0..opts.kmeans_iters {
+        for _ in 0..KMEANS_ITERS {
             for i in 0..sample_n {
                 let (best, d) = nearest(sample.row(i), &centroids, 0..n_clusters);
                 assign[i] = best;

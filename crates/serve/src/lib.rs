@@ -47,6 +47,7 @@
 //! Parity with the autograd path is pinned to ≤1e-9 by the tests in this
 //! crate and by `tests/frozen_parity.rs`; `bench_e2e` in `gmlfm-bench`
 //! measures the frozen path (`serve.predict_ns`, `eval.topn_cases_per_s`).
+#![forbid(unsafe_code)]
 
 pub mod freeze;
 pub mod frozen;

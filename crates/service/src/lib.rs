@@ -26,8 +26,9 @@
 //!   ranking.
 //! * **[`ModelServer`]** — a `Clone + Send + Sync` handle over a
 //!   [`ModelSnapshot`] (schema + frozen model + catalog + [`SeenItems`])
-//!   behind an atomic pointer: readers pin the current snapshot with one
-//!   atomic load (wait-free, never blocked by writers), and
+//!   in an append-only table of write-once cells: readers pin the current
+//!   snapshot with one atomic index load (wait-free, never blocked by
+//!   writers, no `unsafe`), and
 //!   [`ModelServer::swap`] hot-reloads a newly trained snapshot
 //!   mid-traffic after a schema-compatibility check, bumping the
 //!   generation stamped into every [`Response`].
@@ -39,7 +40,7 @@
 //! `Recommender::serve()` hands out the underlying [`ModelServer`], and
 //! its `score*`/`top_n`/holdout-evaluation methods all route through
 //! [`exec`].
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod error;

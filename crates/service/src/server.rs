@@ -4,21 +4,24 @@
 //! (`Clone + Send + Sync`) handle that any number of request threads
 //! share, answering the typed protocol of [`crate::protocol`] against a
 //! single *model snapshot* — schema + frozen matrices + catalog + seen
-//! sets — held behind an atomic pointer.
+//! sets — held in an append-only, write-once generation table.
 //!
 //! ## Hot swap, without blocking readers
 //!
 //! [`ModelServer::swap`] installs a newly trained (or newly loaded)
 //! snapshot mid-traffic: writers serialise on a mutex, readers never
-//! block — a request pins the current snapshot with **one atomic load**
-//! and computes its whole response against it, so every [`Response`] is
-//! consistent with exactly one generation even while swaps race it. The
-//! vendored dependency set has no `arc-swap`, so the slot is built from
-//! `std` atomics in the same spirit as `gmlfm-par`'s pool internals:
-//! installed snapshots are retained (append-only) until the last handle
-//! drops, which is what makes the readers' raw-pointer loads sound
-//! without reference counting or epoch schemes. A model refresh is a
-//! rare, heavyweight event (retraining cadence, not request cadence), so
+//! block — a request pins the current snapshot with **one atomic index
+//! load** and two [`OnceLock::get`]s, and computes its whole response
+//! against it, so every [`Response`] is consistent with exactly one
+//! generation even while swaps race it. The vendored dependency set has
+//! no `arc-swap`, so the slot is built from `std` in safe Rust:
+//! installed snapshots live in doubling buckets of [`OnceLock`] cells
+//! (bucket `b` holds `2^b` cells, allocated on first use), a cell is
+//! written once and never moved or freed until the last handle drops,
+//! and a `&ModelSnapshot` lent from `&self` therefore stays valid across
+//! any number of later swaps — the compiler checks the lifetime, no
+//! reference counting or epoch scheme. A model refresh is a rare,
+//! heavyweight event (retraining cadence, not request cadence), so
 //! retaining superseded generations — observable via
 //! [`ModelServer::retained`] — trades a few megabytes for wait-free
 //! reads on the hot path.
@@ -36,8 +39,9 @@ use crate::protocol::{BatchRequest, Reply, Response, ScoreRequest, TopNRequest};
 use gmlfm_data::Schema;
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{FrozenModel, IvfIndex};
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Everything one model generation serves: the one-hot schema requests
 /// are validated against, the frozen matrices that score, and the
@@ -68,22 +72,41 @@ struct State {
     snap: ModelSnapshot,
 }
 
-/// The shared slot: the current state pointer plus the append-only store
-/// that keeps every installed state alive for the readers.
+/// One doubling bucket of write-once cells; bucket `b` holds `2^b`.
+type Bucket = Box<[OnceLock<State>]>;
+
+/// Where the `n`-th swapped-in generation (generation `n + 1`) lives:
+/// bucket `⌊log2 n⌋`, offset `n − 2^bucket`. There is no swap 0 —
+/// generation 1 is [`Slot::first`], not a table cell — and the argument
+/// type says so.
+fn locate(n: NonZeroUsize) -> (usize, usize) {
+    let bucket = n.ilog2() as usize;
+    (bucket, n.get() - (1 << bucket))
+}
+
+/// The shared slot: generation 1 as a plain field, every later
+/// generation in an append-only table of write-once cells, and the
+/// index of the one currently serving.
 ///
-/// States are heap-allocated with [`Box::into_raw`] and held as raw
-/// pointers *only* — never as `Box` values — because moving a `Box`
-/// (into the vector, or when the vector reallocates) retags its unique
-/// ownership and would invalidate every pointer previously derived from
-/// it under the aliasing rules. Raw pointers carry no such tag: they
-/// stay valid until the matching [`Box::from_raw`] in [`Slot::drop`].
+/// The table never moves or frees a written cell while the slot lives —
+/// growing it allocates a *new* bucket and leaves the old ones where
+/// they are — which is what lets [`ModelServer::snapshot`] lend a
+/// `&ModelSnapshot` for as long as the handle is borrowed.
 struct Slot {
-    /// Always points at a `State` allocation recorded in `states`.
-    current: AtomicPtr<State>,
-    /// Every state ever installed, in generation order. Append-only:
-    /// entries are never freed while the slot lives, which is what
-    /// keeps `current`'s target valid for lock-free readers.
-    states: Mutex<Vec<*mut State>>,
+    /// Generation 1. A plain value, so the reader's lookup always has
+    /// something to fall back on without a panic path.
+    first: State,
+    /// Generations 2.., at [`locate`]`(generation − 1)`. A bucket is
+    /// allocated by the swap that first needs it.
+    buckets: [OnceLock<Bucket>; usize::BITS as usize],
+    /// How many swaps have been published (`generation − 1` of the
+    /// serving state): 0 serves `first`, `n` serves the cell at
+    /// `locate(n)`.
+    current: AtomicUsize,
+    /// The writer lock, holding the number of installed generations
+    /// (including the first) — [`ModelServer::retained`], and the number
+    /// the next swap takes.
+    installed: Mutex<NonZeroUsize>,
     /// The **live seen overlay**: per-user sorted, deduplicated items
     /// recorded via [`ModelServer::record_seen`] since the server was
     /// created. Snapshots are immutable (that is what makes the
@@ -97,44 +120,26 @@ struct Slot {
 }
 
 impl Slot {
-    /// Locks the append-only state table, recovering from poisoning:
-    /// every mutation under this lock is a single `Vec::push`, so a
-    /// panicking writer cannot leave the table half-updated and the
-    /// poison flag carries no information worth propagating as a panic
-    /// on the request path.
-    fn lock_states(&self) -> std::sync::MutexGuard<'_, Vec<*mut State>> {
-        self.states.lock().unwrap_or_else(|poison| poison.into_inner())
+    /// The `n`-th swapped-in generation, when it has been written.
+    fn swapped(&self, n: usize) -> Option<&State> {
+        let (bucket, offset) = locate(NonZeroUsize::new(n)?);
+        self.buckets.get(bucket)?.get()?.get(offset)?.get()
+    }
+
+    /// Locks the installed count, recovering from poisoning: the only
+    /// mutation under this lock is one increment after the cell is
+    /// written, so a panicking writer cannot leave the table
+    /// half-updated and the poison flag carries no information worth
+    /// propagating as a panic on the request path.
+    fn lock_installed(&self) -> std::sync::MutexGuard<'_, NonZeroUsize> {
+        self.installed.lock().unwrap_or_else(|poison| poison.into_inner())
     }
 
     /// Locks the live seen overlay, recovering from poisoning for the
-    /// same reason as [`Slot::lock_states`]: every mutation is a single
-    /// sorted insert, so no invariant can be torn mid-update.
+    /// same reason as [`Slot::lock_installed`]: every mutation is a
+    /// single sorted insert, so no invariant can be torn mid-update.
     fn lock_overlay(&self) -> std::sync::MutexGuard<'_, Vec<Vec<u32>>> {
         self.overlay.lock().unwrap_or_else(|poison| poison.into_inner())
-    }
-}
-
-// SAFETY: the raw pointers are uniquely owned by the slot (created by
-// `Box::into_raw`, freed only in `Drop`), and `State` itself is
-// `Send + Sync`; the pointers are just the slot's way of not holding a
-// movable `Box`.
-unsafe impl Send for Slot {}
-// SAFETY: same ownership argument as `Send` above — concurrent readers
-// only ever turn the pointers back into shared `&State` borrows (the
-// pointees are immutable after publication and `State: Sync`), and the
-// pointer tables themselves are guarded by the atomic slot and mutex.
-unsafe impl Sync for Slot {}
-
-impl Drop for Slot {
-    fn drop(&mut self) {
-        let states = self.states.get_mut().unwrap_or_else(|poison| poison.into_inner());
-        for &ptr in states.iter() {
-            // SAFETY: each pointer came from `Box::into_raw`, is freed
-            // exactly once (here), and no reader can exist any more —
-            // readers borrow a `ModelServer`, and the last one is gone
-            // or this `Drop` would not run.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
     }
 }
 
@@ -155,18 +160,20 @@ impl ModelServer {
     /// [`swap`]: ModelServer::swap
     pub fn new(snap: ModelSnapshot) -> Result<Self, RequestError> {
         check_snapshot(&snap)?;
-        let ptr = Box::into_raw(Box::new(State { generation: 1, snap }));
         Ok(Self {
             slot: Arc::new(Slot {
-                current: AtomicPtr::new(ptr),
-                states: Mutex::new(vec![ptr]),
+                first: State { generation: 1, snap },
+                buckets: std::array::from_fn(|_| OnceLock::new()),
+                current: AtomicUsize::new(0),
+                installed: Mutex::new(NonZeroUsize::MIN),
                 overlay: Mutex::new(Vec::new()),
             }),
         })
     }
 
     /// The current snapshot and its generation, pinned by one atomic
-    /// load — the pair is always mutually consistent, even mid-swap.
+    /// load — the pair is always mutually consistent, even mid-swap, and
+    /// the borrow outlives any later swap.
     pub fn snapshot(&self) -> (u64, &ModelSnapshot) {
         let state = self.state();
         (state.generation, &state.snap)
@@ -200,7 +207,7 @@ impl ModelServer {
     /// How many generations the slot retains (== the number of
     /// successful installs, including the first).
     pub fn retained(&self) -> usize {
-        self.slot.lock_states().len()
+        self.slot.lock_installed().get()
     }
 
     /// Records a `(user, item)` interaction in the **live seen overlay**,
@@ -263,19 +270,25 @@ impl ModelServer {
     /// a typed [`RequestError`] is returned and nothing changes.
     pub fn swap(&self, snap: ModelSnapshot) -> Result<u64, RequestError> {
         check_snapshot(&snap)?;
-        let mut states = self.slot.lock_states();
+        let mut installed = self.slot.lock_installed();
         // Writers are serialised by the lock, so `current` cannot move
         // under us here; readers may still load it concurrently.
         let current = self.state();
         check_schema_compatible(&current.snap.schema, &snap.schema)?;
         let generation = current.generation + 1;
-        let ptr = Box::into_raw(Box::new(State { generation, snap }));
-        states.push(ptr);
-        // ORDERING: Release publishes the fully initialised `State` (and
-        // its `states` record) to readers; pairs with the Acquire load
-        // in `Slot`-dereferencing `state()`.
-        self.slot.current.store(ptr, Ordering::Release);
-        Ok(generation)
+        // `n` generations are installed, so this is swap number `n`.
+        let n = *installed;
+        let (bucket, offset) = locate(n);
+        let cells = self.slot.buckets[bucket]
+            .get_or_init(|| (0..1usize << bucket).map(|_| OnceLock::new()).collect());
+        // Swap numbers are handed out under the lock and never reused,
+        // so the cell is empty and this writes it.
+        let state = cells[offset].get_or_init(|| State { generation, snap });
+        *installed = n.saturating_add(1);
+        // ORDERING: Release publishes the written cell (and its bucket)
+        // to readers; pairs with the Acquire load in `state()`.
+        self.slot.current.store(n.get(), Ordering::Release);
+        Ok(state.generation)
     }
 
     /// Answers a [`ScoreRequest`] against the current snapshot.
@@ -347,19 +360,14 @@ impl ModelServer {
         Response { generation: state.generation, value }
     }
 
-    /// The current state, by one `Acquire` load.
+    /// The current state: one `Acquire` index load, then two
+    /// `OnceLock::get`s — O(1) however many generations were installed.
     fn state(&self) -> &State {
-        // SAFETY: `current` always holds a pointer from `Box::into_raw`,
-        // recorded in the append-only `states` vector *before* being
-        // published with `Release` ordering (the `Acquire` load here
-        // pairs with it). No `Box` value exists after `into_raw`, so
-        // nothing ever moves or retags the allocation; it is freed only
-        // in `Slot::drop`. The returned borrow is tied to `&self`,
-        // which keeps the `Arc<Slot>` — and therefore
-        // every retained state — alive.
-        // ORDERING: Acquire pairs with the Release store in `swap` /
-        // `new`, so the dereferenced `State` is fully initialised.
-        unsafe { &*self.slot.current.load(Ordering::Acquire) }
+        // ORDERING: Acquire pairs with the Release store in `swap`, so
+        // the cell `current` names is written and visible; generation 1
+        // needs no pairing (it is a field, published with the `Arc`).
+        let n = self.slot.current.load(Ordering::Acquire);
+        self.slot.swapped(n).unwrap_or(&self.slot.first)
     }
 }
 
@@ -428,4 +436,27 @@ fn check_schema_compatible(current: &Schema, incoming: &Schema) -> Result<(), Re
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn swap_numbers_fill_the_doubling_buckets_in_order() {
+        // Walk the table the way it is laid out — bucket 0 (1 cell),
+        // bucket 1 (2 cells), bucket 2 (4 cells)… — and require swap
+        // numbers 1, 2, 3… to land on exactly those cells in that order:
+        // no cell is shared by two generations and none is skipped.
+        let mut cells =
+            (0usize..).flat_map(|bucket| (0..1usize << bucket).map(move |offset| (bucket, offset)));
+        for n in 1..=10_000 {
+            let (bucket, offset) = locate(NonZeroUsize::new(n).unwrap());
+            assert!(offset < 1 << bucket, "swap {n}: offset {offset} outside bucket {bucket}");
+            assert_eq!(Some((bucket, offset)), cells.next(), "swap {n}");
+        }
+        // The last addressable swap still lands inside the bucket array.
+        let (bucket, offset) = locate(NonZeroUsize::MAX);
+        assert_eq!((bucket, offset), (usize::BITS as usize - 1, usize::MAX >> 1));
+    }
 }

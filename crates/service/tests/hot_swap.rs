@@ -17,6 +17,7 @@ use gmlfm_service::{
 };
 use gmlfm_tensor::Matrix;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 
 const N_USERS: usize = 8;
 const N_ITEMS: usize = 12;
@@ -53,11 +54,18 @@ fn swaps_under_concurrent_readers_never_tear_a_response() {
     assert_eq!(server.generation(), 1);
 
     let done = AtomicBool::new(false);
+    // Nothing is ever sent: each reader drops its sender after its first
+    // full iteration (or when it panics), and the writer's `recv` before
+    // its first swap returns once every sender is gone — so every live
+    // reader is inside its loop while the swaps happen, however late the
+    // scheduler started it.
+    let (warmed_up, all_warmed_up) = mpsc::channel::<()>();
     std::thread::scope(|s| {
         let mut readers = Vec::new();
         for reader in 0..4 {
             let server = server.clone(); // the handle under test is Clone + Send + Sync
             let done = &done;
+            let mut warmed_up = Some(warmed_up.clone());
             readers.push(s.spawn(move || {
                 let mut last_gen = 0u64;
                 let mut iterations = 0u64;
@@ -96,12 +104,15 @@ fn swaps_under_concurrent_readers_never_tear_a_response() {
                         }
                     }
                     iterations += 1;
+                    drop(warmed_up.take());
                 }
                 iterations
             }));
         }
 
         // Writer: swap through SWAPS generations while the readers run.
+        drop(warmed_up);
+        all_warmed_up.recv().expect_err("no reader sends");
         for generation in 2..=SWAPS {
             let installed = server.swap(snapshot(generation)).expect("schema-compatible swap");
             assert_eq!(installed, generation, "generations must bump by exactly 1");
@@ -121,6 +132,44 @@ fn swaps_under_concurrent_readers_never_tear_a_response() {
     assert_eq!(server.retained(), SWAPS as usize);
     // A fresh clone sees the final generation immediately.
     assert_eq!(server.clone().score(&ScoreRequest::pair(0, 0)).unwrap().value, marker(SWAPS));
+}
+
+#[test]
+fn borrows_lent_at_old_generations_outlive_seventy_installs() {
+    // 70 installs fill table buckets of 1, 2, 4, 8, 16 and 32 cells and
+    // start the 64-cell one; the borrows are taken from `first`, the
+    // 1-cell bucket, the end of the 2-cell bucket and the start of the
+    // 32-cell bucket, and must not move when later buckets appear.
+    const INSTALLS: u64 = 70;
+    let server = ModelServer::new(snapshot(1)).expect("consistent snapshot");
+    let mut held: Vec<(u64, &ModelSnapshot)> = Vec::new();
+    for generation in 2..=INSTALLS {
+        if [1, 2, 4, 33].contains(&(generation - 1)) {
+            held.push(server.snapshot());
+        }
+        if generation == 40 {
+            let mut renamed = snapshot(generation);
+            renamed.schema = Schema::from_specs(&[
+                ("member", N_USERS, FieldKind::User),
+                ("item", N_ITEMS, FieldKind::Item),
+            ]);
+            assert!(matches!(server.swap(renamed), Err(RequestError::SchemaMismatch { .. })));
+            assert_eq!(
+                (server.generation(), server.retained()),
+                (39, 39),
+                "a rejected swap installs nothing"
+            );
+        }
+        assert_eq!(server.swap(snapshot(generation)).expect("schema-compatible swap"), generation);
+    }
+    assert_eq!(server.generation(), INSTALLS);
+    assert_eq!(server.retained(), INSTALLS as usize);
+    assert_eq!(held.iter().map(|&(generation, _)| generation).collect::<Vec<_>>(), [1, 2, 4, 33]);
+    for (generation, snap) in held {
+        assert_eq!(snap.frozen.bias(), marker(generation), "borrow of generation {generation} moved");
+    }
+    let (generation, snap) = server.snapshot();
+    assert_eq!((generation, snap.frozen.bias()), (INSTALLS, marker(INSTALLS)));
 }
 
 #[test]

@@ -16,6 +16,7 @@
 //! Shape mismatches are programming errors, not runtime conditions, so the
 //! arithmetic here panics with a descriptive message instead of returning
 //! `Result` (the same contract as `ndarray` and friends).
+#![forbid(unsafe_code)]
 
 pub mod init;
 pub mod linalg;

@@ -14,6 +14,7 @@
 //!   early stopping.
 //! * [`batch`] — field-major batching utilities turning a slice of sparse
 //!   instances into per-field index vectors for embedding gathers.
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod loss;
@@ -22,4 +23,4 @@ pub mod trainer;
 
 pub use batch::{field_index_columns, labels_column};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use trainer::{fit_bpr, fit_regression, GraphModel, Scorer, TrainConfig, TrainReport, EVAL_CHUNK_SIZE};
+pub use trainer::{fit_bpr, fit_regression, GraphModel, Scorer, TrainConfig, TrainReport};

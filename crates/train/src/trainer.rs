@@ -7,19 +7,11 @@ use gmlfm_data::Instance;
 use gmlfm_tensor::seeded_rng;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use std::num::NonZeroUsize;
 
 /// Number of instances scored per evaluation graph in
-/// [`GraphModel::predict`].
-///
-/// Chunking keeps each eval tape small (bounded peak memory) without
-/// paying per-instance graph setup. Override per call with
-/// [`GraphModel::predict_chunked`]. The type is [`NonZeroUsize`] so a
-/// zero chunk size is unrepresentable rather than a runtime panic.
-pub const EVAL_CHUNK_SIZE: NonZeroUsize = match NonZeroUsize::new(512) {
-    Some(n) => n,
-    None => unreachable!(),
-};
+/// [`GraphModel::predict`]: chunking keeps each eval tape small
+/// (bounded peak memory) without paying per-instance graph setup.
+const EVAL_CHUNK_SIZE: usize = 512;
 
 /// A model trainable by [`fit_regression`]: it owns a [`ParamSet`] and can
 /// build the prediction column for a batch of instances as an autograd
@@ -43,23 +35,12 @@ pub trait GraphModel {
     ) -> Var;
 
     /// Predicts scores in evaluation mode (dropout disabled), building one
-    /// graph per [`EVAL_CHUNK_SIZE`] instances.
+    /// graph per fixed-size chunk of instances.
     fn predict(&self, instances: &[Instance]) -> Vec<f64> {
-        self.predict_chunked(instances, EVAL_CHUNK_SIZE)
-    }
-
-    /// [`GraphModel::predict`] with an explicit chunk size (larger chunks
-    /// trade peak memory for fewer graph setups). Taking [`NonZeroUsize`]
-    /// makes the zero-chunk misuse a compile-time impossibility instead
-    /// of a runtime panic.
-    fn predict_chunked(&self, instances: &[Instance], chunk_size: NonZeroUsize) -> Vec<f64> {
-        if instances.is_empty() {
-            return Vec::new();
-        }
         let mut rng = seeded_rng(0);
         let mut out = Vec::with_capacity(instances.len());
-        let mut refs: Vec<&Instance> = Vec::with_capacity(chunk_size.get().min(instances.len()));
-        for chunk in instances.chunks(chunk_size.get()) {
+        let mut refs: Vec<&Instance> = Vec::with_capacity(EVAL_CHUNK_SIZE.min(instances.len()));
+        for chunk in instances.chunks(EVAL_CHUNK_SIZE) {
             refs.clear();
             refs.extend(chunk.iter());
             let mut g = Graph::new();

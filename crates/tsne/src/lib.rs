@@ -10,6 +10,7 @@
 //! Perplexity calibration is the standard per-point binary search over
 //! the Gaussian bandwidth; the embedding is optimised with momentum
 //! gradient descent and early exaggeration.
+#![forbid(unsafe_code)]
 
 use gmlfm_tensor::init::normal;
 use gmlfm_tensor::{seeded_rng, Matrix};

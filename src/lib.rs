@@ -60,6 +60,7 @@
 //! custom protocols. See `examples/` for complete scenarios and the
 //! `repro` binary (`gmlfm-experiments`) for regenerating every table and
 //! figure of the paper.
+#![forbid(unsafe_code)]
 
 pub use gmlfm_autograd as autograd;
 pub use gmlfm_core as core;
