@@ -22,9 +22,9 @@
 //!
 //! What this checks is the *protocol* (the ordering of loads, stores,
 //! and CAS operations), not the compiled code: the models in
-//! [`crate::models`] mirror the unsafe cores of `gmlfm-par` and
-//! `gmlfm-service` step for step, under sequential consistency. That is
-//! deliberately stronger than the declared orderings — see each model's
+//! [`crate::models`] mirror the unsafe core of `gmlfm-par` step for
+//! step, under sequential consistency. That is deliberately stronger
+//! than the declared orderings — see each model's
 //! docs for why the checked interleavings still cover the failure modes
 //! the weaker orderings admit (torn publication, lost wakeups, dropped
 //! updates), which are reorderings *of these same steps*.

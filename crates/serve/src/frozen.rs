@@ -32,9 +32,10 @@ use gmlfm_par::Parallelism;
 use gmlfm_tensor::Matrix;
 use gmlfm_train::Scorer;
 
+use crate::index::ItemFeatureSource;
 use crate::kernel;
 use crate::lowp::{LowPrec, Precision};
-use crate::rank::TopNRanker;
+use crate::rank::{GroupMemo, TopNRanker};
 
 /// The packed `V̂`/`q` table: row `i` holds the transformed embedding
 /// `v̂ᵢ` immediately followed by its squared norm `qᵢ = ‖v̂ᵢ‖²`, as one
@@ -167,6 +168,10 @@ pub struct FrozenModel {
     /// Low-precision candidate tables (f32 + i8), built on demand by
     /// [`FrozenModel::with_precision`] and shared across clones.
     pub(crate) lowp: Option<std::sync::Arc<LowPrec>>,
+    /// The within-group pair term of every item of one catalogue, built
+    /// by [`FrozenModel::with_group_memo`]; clones share its table.
+    /// Never serialised: whoever installs the model rebuilds it.
+    pub(crate) group_memo: Option<GroupMemo>,
     /// Default scan precision for top-N retrieval from this model.
     pub(crate) precision: Precision,
 }
@@ -188,7 +193,7 @@ impl FrozenModel {
             }
             SecondOrder::Dot => {}
         }
-        Self { w0, w, v, second, lowp: None, precision: Precision::F64 }
+        Self { w0, w, v, second, lowp: None, group_memo: None, precision: Precision::F64 }
     }
 
     /// Sets the default top-N scan [`Precision`], building the
@@ -206,6 +211,26 @@ impl FrozenModel {
             self.lowp = LowPrec::build(&self.v, &self.second);
         }
         self.precision = precision;
+        self
+    }
+
+    /// Precomputes, for every item of `items`, the second-order pairs
+    /// *within* its feature group (item id × its attributes) — the part
+    /// of a top-N score that depends on the model and the item but not
+    /// on the user — so [`TopNRanker::score`] and
+    /// [`TopNRanker::score_block`] read it instead of re-evaluating it
+    /// per candidate per request. One pass over the catalogue (≈ 60 ns
+    /// per item), 8 B plus 4 B per attribute slot per item.
+    ///
+    /// Scores do not change by a bit: an entry is the value the scan
+    /// would compute, and it is used only for a candidate whose whole
+    /// feature group equals the one it was computed for — ranking a
+    /// different catalogue with this model is correct, just unmemoised.
+    /// Models and catalogues the memo cannot serve (TransFM, single-slot
+    /// items, sparse id ranges, groups of more than 2048 embedding
+    /// values) are returned unchanged.
+    pub fn with_group_memo<S: ItemFeatureSource + ?Sized>(mut self, items: &S) -> Self {
+        self.group_memo = GroupMemo::build(&self, items);
         self
     }
 

@@ -118,8 +118,10 @@ pub trait ItemFeatureSource: Sync {
     /// fields worth materialising dense delta tables for
     /// ([`TopNRanker::score_block`]); `None` only costs that
     /// optimisation. The default implementation scans every group —
-    /// `O(items · slots)` — so sources that are asked repeatedly
-    /// should cache (as `gmlfm_service::Catalog` does).
+    /// `O(items · slots)` — on every call, and the block scan calls once
+    /// per ranking request: a source that serves requests should compute
+    /// the ranges once and hand back the stored value (as
+    /// `gmlfm_service::Catalog` does, where it is assembled).
     fn slot_ranges(&self) -> Option<Vec<(u32, u32)>> {
         let n = self.item_count();
         if n == 0 {

@@ -16,7 +16,10 @@
 //! score once, and each candidate pays only its `O(|ctx|·k)` cross pairs
 //! against the fixed context plus its within-group pairs. No mode
 //! re-evaluates the full spliced template, and no mode allocates per
-//! score.
+//! score. The within-group pairs depend on the model and the item only,
+//! so a model memoised for the catalogue
+//! ([`FrozenModel::with_group_memo`]) reads them instead (every mode but
+//! TransFM, whose pairs are oriented by the request's slot positions).
 //!
 //! A candidate is a *group* of features (the item id plus its attribute
 //! values), declared as slot positions in a template instance, so
@@ -29,6 +32,7 @@ use crate::kernel;
 use crate::lowp::{LowPrec, Precision};
 use gmlfm_core::Distance;
 use gmlfm_tensor::Matrix;
+use std::sync::Arc;
 
 /// Context-side scoring state, by second-order mode. Each variant
 /// carries the model tables its delta formula reads, attached when the
@@ -379,8 +383,12 @@ impl<'m> TopNRanker<'m> {
                     out += cross_delta(model, &self.ctx, cross, f);
                 }
                 // Pairs within the candidate group (item id × its
-                // attributes).
-                out + group_pairs(model, &mut self.scratch, item_feats)
+                // attributes): a model-and-item constant, read from the
+                // generation's memo when it holds this exact group.
+                out + match model.group_memo.as_ref().and_then(|memo| memo.get(item_feats)) {
+                    Some(pairs) => pairs,
+                    None => group_pairs(model, &mut self.scratch, item_feats),
+                }
             }
         }
     }
@@ -444,6 +452,7 @@ impl<'m> TopNRanker<'m> {
             let tables = tables.get_or_insert_with(|| {
                 ScanTables::build(model, ctx, cross, scratch, item_slots.len(), items)
             });
+            let memo = model.group_memo.as_ref();
             for &id in ids {
                 let feats = items.features_of(id);
                 assert_eq!(
@@ -466,7 +475,10 @@ impl<'m> TopNRanker<'m> {
                         SlotTable::Direct => cross_delta(model, ctx, cross, f),
                     };
                 }
-                s += group_pairs_tabled(model, scratch, &tables.pairs, feats);
+                s += match memo.and_then(|memo| memo.get(feats)) {
+                    Some(pairs) => pairs,
+                    None => group_pairs_tabled(model, scratch, &tables.pairs, feats),
+                };
                 out.push(s);
             }
         }
@@ -623,6 +635,149 @@ fn group_pairs_tabled(model: &FrozenModel, scratch: &mut [f64], pairs: &[PairTab
             out
         }
         _ => model.second_order(feats),
+    }
+}
+
+/// The within-group pair term of every catalogue item, computed once per
+/// model generation ([`FrozenModel::with_group_memo`]): `Σ_{a<b} w_ab ·
+/// D(v̂_a, v̂_b)` over an item's own feature group depends on the model
+/// and the item only — never on the user — so the scan need not
+/// re-evaluate it per request.
+///
+/// A dense table keyed by the feature id of the widest item slot (the
+/// item id, in every catalogue this workspace builds). Each entry holds
+/// the *other* slots' feature ids and [`group_pairs`] of the whole
+/// group, computed by the very kernel calls the scan makes. A lookup
+/// compares the stored ids with the candidate's and answers only on a
+/// full match, so the memo is a verified cache of a pure function of
+/// the model: scanned against another catalogue, a colliding key or an
+/// out-of-range id it misses — and the caller evaluates directly — but
+/// it cannot return another group's bits.
+///
+/// Cloning shares the table. The three scalars sit in the model itself
+/// and the table is the memo's one heap allocation — see
+/// [`GroupMemo::build`] for why it makes no other.
+#[derive(Clone)]
+pub(crate) struct GroupMemo {
+    /// Features per group (`≥ 2`).
+    n_slots: usize,
+    /// The item slot whose feature id keys the table (`< n_slots`).
+    key_slot: usize,
+    /// Smallest key-slot feature id: entry `f − lo` belongs to key `f`.
+    lo: u32,
+    /// `n_slots + 1` words per entry: the group's features outside the
+    /// key slot, in slot order ([`GroupMemo::EMPTY`] where no item
+    /// carries the key), then the low and high halves of
+    /// [`group_pairs`]' bits — ids and value side by side, so a lookup
+    /// from the index's scattered re-rank touches one cache line.
+    table: Arc<[u32]>,
+}
+
+impl GroupMemo {
+    /// Marks an entry no item filled. Never a feature id of the model
+    /// the memo was built over ([`GroupMemo::build`] declines a model
+    /// that wide), so a filled entry never starts with it.
+    const EMPTY: u32 = u32::MAX;
+
+    /// The build stages a group's `h ⊙ v` rows (`n_slots · k` values)
+    /// on the stack; wider groups get no memo.
+    const STAGE_MAX: usize = 2048;
+
+    /// Builds the memo over `items`, or `None` where it cannot pay or
+    /// cannot be keyed: TransFM (its pairs depend on the slot
+    /// *positions*, which belong to the request's template), fewer than
+    /// two item slots (no pairs), more than [`GroupMemo::STAGE_MAX`]
+    /// staged values per group, unknown or ragged slot ranges, a key
+    /// range sparser than one item per two keys, or a feature outside
+    /// the model.
+    ///
+    /// The table is allocated once, at its final size, and filled in
+    /// place, and the staging rows are a stack buffer: the build puts
+    /// one block on the heap and nothing beside it. That is on purpose.
+    /// It runs at install, after a process has freed the model's and
+    /// the index's construction temporaries, so the heap is a few large
+    /// holes; a small block of a size nothing has freed before is carved
+    /// out of the middle of one and, freed, stays parked in the
+    /// allocator's per-thread cache, splitting it. A process that
+    /// rebuilds its snapshot then no longer fits the next generation's
+    /// tables into the holes of the last (`bench_e2e` sets up three
+    /// times: with a boxed header and a heap scratch here, the peak RSS
+    /// of `req_topn_ivf` read 87 or 103 MB by the length of the
+    /// executable's path; with neither, 103 in every cell tried).
+    pub(crate) fn build<S: ItemFeatureSource + ?Sized>(model: &FrozenModel, items: &S) -> Option<Self> {
+        if matches!(model.second, SecondOrder::Translated { .. }) {
+            return None;
+        }
+        let dim = model.w.len();
+        let ranges = items.slot_ranges()?;
+        let n_slots = ranges.len();
+        if n_slots < 2 || dim > Self::EMPTY as usize {
+            return None;
+        }
+        let (key_slot, &(lo, hi)) =
+            ranges.iter().enumerate().max_by_key(|&(_, &(lo, hi))| hi.saturating_sub(lo))?;
+        let keys = hi.checked_sub(lo)? as usize + 1;
+        if keys > items.item_count().saturating_mul(2) {
+            return None;
+        }
+        let width = n_slots + 1;
+        let mut table: Arc<[u32]> = std::iter::repeat_n(Self::EMPTY, keys * width).collect();
+        let cells = Arc::get_mut(&mut table)?;
+        let mut staging = [0.0; Self::STAGE_MAX];
+        let scratch = staging.get_mut(..n_slots * model.k())?;
+        for item in 0..items.item_count() as u32 {
+            let feats = items.features_of(item);
+            if feats.len() != n_slots || feats.iter().any(|&f| f as usize >= dim) {
+                return None;
+            }
+            let key = feats[key_slot].wrapping_sub(lo) as usize;
+            let entry = cells.get_mut(key * width..(key + 1) * width)?;
+            let (before, after) = feats.split_at(key_slot);
+            entry[..key_slot].copy_from_slice(before);
+            entry[key_slot..n_slots - 1].copy_from_slice(&after[1..]);
+            let bits = group_pairs(model, scratch, feats).to_bits();
+            entry[n_slots - 1] = bits as u32;
+            entry[n_slots] = (bits >> 32) as u32;
+        }
+        Some(Self { n_slots, key_slot, lo, table })
+    }
+
+    /// [`group_pairs`] of `feats` when the memo holds exactly this
+    /// group — bitwise what the direct evaluation returns — and `None`
+    /// on any mismatch.
+    #[inline]
+    fn get(&self, feats: &[u32]) -> Option<f64> {
+        if feats.len() != self.n_slots {
+            return None;
+        }
+        let key = feats.get(self.key_slot)?.wrapping_sub(self.lo) as usize;
+        let width = self.n_slots + 1;
+        let entry = self.table.get(key.checked_mul(width)?..)?.get(..width)?;
+        let (stored, bits) = entry.split_at(self.n_slots - 1);
+        let (before, after) = feats.split_at(self.key_slot);
+        (stored.first() != Some(&Self::EMPTY)
+            && stored[..self.key_slot] == *before
+            && stored[self.key_slot..] == after[1..])
+            .then(|| f64::from_bits(u64::from(bits[1]) << 32 | u64::from(bits[0])))
+    }
+
+    /// How many of `items`' groups the memo answers.
+    #[cfg(test)]
+    pub(crate) fn hits<S: ItemFeatureSource + ?Sized>(&self, items: &S) -> usize {
+        (0..items.item_count() as u32)
+            .filter(|&i| self.get(items.features_of(i)).is_some())
+            .count()
+    }
+}
+
+/// A summary: the tables are as long as the catalogue.
+impl std::fmt::Debug for GroupMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroupMemo")
+            .field("key_slot", &self.key_slot)
+            .field("lo", &self.lo)
+            .field("keys", &(self.table.len() / (self.n_slots + 1)))
+            .finish_non_exhaustive()
     }
 }
 
@@ -1178,6 +1333,79 @@ mod tests {
             (vec![1, 0, 0], vec![1, 2])
         };
         (FrozenModel::from_parts(0.1, w, v, second), items, template, item_slots)
+    }
+
+    /// Every item of a `generate_scale` catalogue (the three-slot
+    /// `[item id, category, condition]` groups the benchmark serves) is
+    /// answered from the memo — a count, so it repeats exactly.
+    #[test]
+    fn group_memo_answers_every_item_of_a_scale_catalogue() {
+        use gmlfm_data::{generate_scale, FieldMask, ScaleConfig};
+        let dataset = generate_scale(&ScaleConfig::new(8, 500, 7));
+        let mask = FieldMask::all(&dataset.schema);
+        let items: Vec<Vec<u32>> = (0..dataset.n_items as u32)
+            .map(|i| {
+                let full = dataset.feats(0, i, &mask);
+                vec![full[1], full[3], full[4]]
+            })
+            .collect();
+        let model = FrozenModel::synthetic_metric(dataset.schema.total_dim(), 8, 3).with_group_memo(&items);
+        let memo = model.group_memo.as_ref().expect("a three-slot dense-id catalogue is memoised");
+        assert_eq!(memo.hits(&items), items.len());
+        assert_eq!(format!("{memo:?}"), "GroupMemo { key_slot: 0, lo: 8, keys: 500, .. }");
+    }
+
+    /// The lookup answers only for the exact group an entry was built
+    /// from: a changed attribute, a key the table has no entry for, a
+    /// key below the range, another slot count — all miss.
+    #[test]
+    fn group_memo_misses_whatever_it_cannot_verify() {
+        let (model, mut items, ..) = mode_fixture(0, 7, 3);
+        // A key hole: nothing carries item feature 4 + 20.
+        items.remove(20);
+        let memo = GroupMemo::build(&model, &items).expect("dense ids, two slots");
+        let mut scratch = vec![0.0; 2 * model.k()];
+        for feats in &items {
+            let want = group_pairs(&model, &mut scratch, feats);
+            assert_eq!(memo.get(feats).map(f64::to_bits), Some(want.to_bits()));
+        }
+        let [id, attr] = items[5][..] else { panic!("two-slot fixture") };
+        assert_eq!(memo.get(&[id, attr + 1]), None, "same key, another attribute");
+        assert_eq!(memo.get(&[4 + 20, attr]), None, "a key no item carries");
+        assert_eq!(memo.get(&[4 + 20, GroupMemo::EMPTY]), None, "the empty marker is not a group");
+        assert_eq!(memo.get(&[0, attr]), None, "a key below the range");
+        assert_eq!(memo.get(&[u32::MAX, attr]), None, "a key above the range");
+        assert_eq!(memo.get(&[id]), None, "fewer slots");
+        assert_eq!(memo.get(&[id, attr, attr]), None, "more slots");
+        assert_eq!(memo.get(&[]), None);
+        assert_eq!(memo.hits(&items), items.len());
+    }
+
+    /// What the memo declines to build: it is an optimisation, so every
+    /// refusal just leaves the model scoring directly.
+    #[test]
+    fn group_memo_is_declined_where_it_cannot_pay_or_cannot_be_keyed() {
+        let (metric, items, ..) = mode_fixture(0, 4, 1);
+        assert!(GroupMemo::build(&metric, &items).is_some());
+        let (translated, ..) = mode_fixture(7, 4, 1);
+        assert!(GroupMemo::build(&translated, &items).is_none(), "TransFM pairs depend on slot position");
+        // Two slots: `k` = 1024 fills the staging buffer exactly.
+        assert_eq!(GroupMemo::STAGE_MAX, 2 * 1024);
+        let (widest, ..) = mode_fixture(0, 1024, 1);
+        assert_eq!(GroupMemo::build(&widest, &items).map(|memo| memo.hits(&items)), Some(items.len()));
+        let (too_wide, ..) = mode_fixture(0, 1025, 1);
+        assert!(GroupMemo::build(&too_wide, &items).is_none(), "2050 staged values per group");
+        let single: Vec<Vec<u32>> = items.iter().map(|g| vec![g[0]]).collect();
+        assert!(GroupMemo::build(&metric, &single).is_none(), "no pairs in a one-feature group");
+        assert!(GroupMemo::build(&metric, &Vec::<Vec<u32>>::new()).is_none(), "empty catalogue");
+        let sparse: Vec<Vec<u32>> = [4u32, 30].iter().map(|&id| vec![id, 40]).collect();
+        assert!(GroupMemo::build(&metric, &sparse).is_none(), "27 keys for 2 items");
+        let mut outside = items.clone();
+        outside[3][1] = metric.n_features() as u32;
+        assert!(GroupMemo::build(&metric, &outside).is_none(), "a feature the model does not have");
+        let mut ragged = items.clone();
+        ragged[3].push(40);
+        assert!(GroupMemo::build(&metric, &ragged).is_none(), "ragged groups have no slot ranges");
     }
 
     proptest! {

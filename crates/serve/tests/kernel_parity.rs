@@ -18,6 +18,10 @@
 //! 3. **Low-precision tables** — the `f32` scan stays inside its
 //!    documented error bound against the exact scores; the `i8` probe +
 //!    exact re-rank returns scores **bitwise** the `f64` model's.
+//! 4. **Group memo ≡ no memo, bitwise** — a model carrying
+//!    `with_group_memo` returns the memo-less model's ids and score bits
+//!    through every entry (per-item `score`, list scan, full probe),
+//!    and a memo built over one catalogue never answers for another.
 
 use gmlfm_core::Distance;
 use gmlfm_par::Parallelism;
@@ -283,5 +287,94 @@ fn i8_ivf_probe_keeps_scores_bitwise_exact() {
             search(Precision::F64),
             "threads {threads}: full i8 probe matches the exact search here"
         );
+    }
+}
+
+/// Ids and score bits of every entry the memo can reach — per-item
+/// `score`, the list scan and a full-probe index search at threads
+/// {1, 2, 5} — for `model` over `fx`'s catalogue and request.
+fn every_entry(fx: &Fixture, model: &FrozenModel) -> Vec<(u32, u64)> {
+    let mut ranker = model.ranker(&fx.template, &fx.item_slots);
+    let mut out: Vec<(u32, f64)> = fx
+        .items
+        .iter()
+        .enumerate()
+        .map(|(i, feats)| (i as u32, ranker.score(feats)))
+        .collect();
+    let candidates: Vec<u32> = (0..fx.items.len() as u32).collect();
+    let n = fx.items.len().min(10);
+    let opts = IvfBuildOptions { clusters: Some(3), ..IvfBuildOptions::default() };
+    let index = IvfIndex::build(model, &fx.items, &opts, Parallelism::serial());
+    for threads in [1usize, 2, 5] {
+        let par = Parallelism::threads(threads);
+        out.extend(scan_top_n(
+            model,
+            &fx.items,
+            &fx.template,
+            &fx.item_slots,
+            &candidates,
+            n,
+            Precision::F64,
+            par,
+        ));
+        if let Some(index) = &index {
+            out.extend(index.search(
+                model,
+                &fx.items,
+                &fx.template,
+                &fx.item_slots,
+                n,
+                index.n_clusters(),
+                par,
+                &|_| false,
+                Precision::F64,
+            ));
+        }
+    }
+    out.into_iter().map(|(item, score)| (item, score.to_bits())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Layer 4: the memo changes no bit, in any mode (TransFM declines
+    /// it and must still agree), through any entry.
+    #[test]
+    fn group_memo_is_bitwise_the_direct_evaluation(
+        mode in 0usize..9,
+        k_idx in 0usize..KS.len(),
+        count_idx in 0usize..CAND_COUNTS.len(),
+        seed in 0u64..50,
+    ) {
+        let fx = fixture(mode, KS[k_idx], CAND_COUNTS[count_idx], seed);
+        let memoised = fx.model.clone().with_group_memo(&fx.items);
+        prop_assert_eq!(
+            every_entry(&fx, &memoised), every_entry(&fx, &fx.model),
+            "mode {} k {} count {}", mode, KS[k_idx], CAND_COUNTS[count_idx]
+        );
+    }
+
+    /// Layer 4: a memo built over catalogue A, met by catalogue B — same
+    /// size and item ids, attributes permuted, and two items sharing one
+    /// id feature — returns B's own bits: entries whose whole group does
+    /// not match are not used. A memo built over B itself (where the
+    /// shared id keeps one of the two groups) agrees as well.
+    #[test]
+    fn group_memo_cannot_answer_for_another_catalogue(
+        mode in 0usize..9,
+        k_idx in 0usize..KS.len(),
+        seed in 0u64..50,
+    ) {
+        let mut fx = fixture(mode, KS[k_idx], 65, seed);
+        let over_a = fx.model.clone().with_group_memo(&fx.items);
+        let attr_lo = (N_USERS + fx.items.len()) as u32;
+        for (i, feats) in fx.items.iter_mut().enumerate() {
+            feats[1] = attr_lo + ((i * 5 + 1) % N_ATTRS) as u32;
+        }
+        fx.items[40][0] = fx.items[12][0];
+        let want = every_entry(&fx, &fx.model);
+        prop_assert_eq!(every_entry(&fx, &over_a), want.clone(), "memo over A, mode {}", mode);
+        let over_b = fx.model.clone().with_group_memo(&fx.items);
+        prop_assert_eq!(every_entry(&fx, &over_b), want, "memo over B, mode {}", mode);
     }
 }

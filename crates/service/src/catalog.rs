@@ -34,6 +34,9 @@ pub struct Catalog {
     /// Item count — not derivable from `item_feats` when there are no
     /// item slots (rows are zero-width).
     n_items: usize,
+    /// Per-slot `(min, max)` feature id over `item_feats`, computed once
+    /// at assembly: the block scan asks on every ranking request.
+    slot_ranges: Option<Vec<(u32, u32)>>,
 }
 
 impl Catalog {
@@ -59,7 +62,19 @@ impl Catalog {
         );
         let n_items = item_feats.len();
         let item_feats = item_feats.into_iter().flatten().collect();
-        Self { item_slots, user_templates, item_feats, n_items }
+        Self::assemble(item_slots, user_templates, item_feats, n_items)
+    }
+
+    /// The one place a catalog is put together: `item_feats` is the flat
+    /// row-major table, `item_slots.len()` values per item.
+    fn assemble(
+        item_slots: Vec<usize>,
+        user_templates: Vec<Vec<u32>>,
+        item_feats: Vec<u32>,
+        n_items: usize,
+    ) -> Self {
+        let slot_ranges = scan_slot_ranges(&item_feats, item_slots.len(), n_items);
+        Self { item_slots, user_templates, item_feats, n_items, slot_ranges }
     }
 
     /// Extracts the serving catalog from a dataset under an attribute
@@ -73,7 +88,7 @@ impl Catalog {
             let full = dataset.feats(0, i as u32, mask);
             item_feats.extend(item_slots.iter().map(|&s| full[s]));
         }
-        Self { item_slots, user_templates, item_feats, n_items: dataset.n_items }
+        Self::assemble(item_slots, user_templates, item_feats, dataset.n_items)
     }
 
     /// Number of users in the catalog.
@@ -145,28 +160,31 @@ impl gmlfm_serve::ItemFeatureSource for Catalog {
         &self.item_feats[i * w..(i + 1) * w]
     }
 
-    /// One pass over the flat item table (rectangular by construction,
-    /// so no ragged check is needed). Called once per ranking request
-    /// when the block scan materialises its dense delta tables — a read
-    /// per item-group value, amortised over the scan it accelerates.
+    /// The ranges stored when the catalog was assembled — no scan.
     fn slot_ranges(&self) -> Option<Vec<(u32, u32)>> {
-        let w = self.item_slots.len();
-        if self.n_items == 0 {
-            return None;
-        }
-        if w == 0 {
-            return Some(Vec::new());
-        }
-        let mut groups = self.item_feats.chunks_exact(w);
-        let mut ranges: Vec<(u32, u32)> = groups.next()?.iter().map(|&f| (f, f)).collect();
-        for group in groups {
-            for (r, &f) in ranges.iter_mut().zip(group) {
-                r.0 = r.0.min(f);
-                r.1 = r.1.max(f);
-            }
-        }
-        Some(ranges)
+        self.slot_ranges.clone()
     }
+}
+
+/// Per-slot `(min, max)` over a flat `n_items × w` item table: one pass,
+/// rectangular by construction so no ragged check is needed. `None` for
+/// an empty catalogue, no ranges for zero-width groups.
+fn scan_slot_ranges(item_feats: &[u32], w: usize, n_items: usize) -> Option<Vec<(u32, u32)>> {
+    if n_items == 0 {
+        return None;
+    }
+    if w == 0 {
+        return Some(Vec::new());
+    }
+    let mut groups = item_feats.chunks_exact(w);
+    let mut ranges: Vec<(u32, u32)> = groups.next()?.iter().map(|&f| (f, f)).collect();
+    for group in groups {
+        for (r, &f) in ranges.iter_mut().zip(group) {
+            r.0 = r.0.min(f);
+            r.1 = r.1.max(f);
+        }
+    }
+    Some(ranges)
 }
 
 /// Wire-compatible with the former derived impl over nested
@@ -212,7 +230,7 @@ impl Deserialize for Catalog {
         }
         let n_items = groups.len();
         let item_feats = groups.into_iter().flatten().collect();
-        Ok(Self { item_slots, user_templates, item_feats, n_items })
+        Ok(Self::assemble(item_slots, user_templates, item_feats, n_items))
     }
 }
 
@@ -269,6 +287,13 @@ impl SeenItems {
     /// outside the recorded range).
     pub fn items(&self, user: u32) -> &[u32] {
         self.per_user.get(user as usize).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// The largest item id any user's seen set names (`None` when all
+    /// are empty) — what server construction checks against the
+    /// catalog's item count.
+    pub(crate) fn max_item(&self) -> Option<u32> {
+        self.per_user.iter().flatten().copied().max()
     }
 
     /// Whether `user` interacted with `item` during training.
@@ -379,6 +404,46 @@ mod tests {
         assert_eq!(catalog.feats(3, 0), None);
         assert_eq!(catalog.feats(0, 4), None);
         assert_eq!(catalog.max_feature(), Some(6));
+    }
+
+    /// The stored slot ranges are the trait's default full scan, however
+    /// the catalog was assembled.
+    #[test]
+    fn stored_slot_ranges_equal_the_full_scan_for_every_constructor() {
+        use gmlfm_serve::ItemFeatureSource;
+
+        /// The same item table without the override.
+        struct Scanned<'a>(&'a Catalog);
+        impl ItemFeatureSource for Scanned<'_> {
+            fn item_count(&self) -> usize {
+                self.0.n_items()
+            }
+            fn features_of(&self, item: u32) -> &[u32] {
+                self.0.features_of(item)
+            }
+        }
+
+        let dataset = gmlfm_data::generate_scale(&gmlfm_data::ScaleConfig::new(5, 40, 11));
+        let from_dataset = Catalog::from_dataset(&dataset, &FieldMask::all(&dataset.schema));
+        let mut wire = String::new();
+        from_dataset.serialize_json(&mut wire);
+        let round_trip =
+            Catalog::deserialize_json(&json::parse(&wire).expect("valid JSON")).expect("a catalog");
+        let hand_built = Catalog::new(
+            vec![2, 0],
+            vec![vec![0, 50, 0]; 2],
+            vec![vec![9, 30], vec![7, 31], vec![9, 12], vec![8, 44]],
+        );
+        let empty = Catalog::new(vec![1], vec![vec![0, 0]], vec![]);
+        let no_slots = Catalog::new(vec![], vec![vec![0, 1]], vec![vec![], vec![]]);
+        for catalog in [&from_dataset, &round_trip, &hand_built, &empty, &no_slots] {
+            assert_eq!(catalog.slot_ranges(), Scanned(catalog).slot_ranges());
+        }
+        assert_eq!(from_dataset.slot_ranges().map(|r| r.len()), Some(3));
+        assert_eq!(round_trip.slot_ranges(), from_dataset.slot_ranges());
+        assert_eq!(hand_built.slot_ranges(), Some(vec![(7, 9), (12, 44)]));
+        assert_eq!(empty.slot_ranges(), None);
+        assert_eq!(no_slots.slot_ranges(), Some(vec![]));
     }
 
     #[test]

@@ -180,7 +180,9 @@ impl ScoringBackend for IndexedModel<'_> {
         }
         // Below these sizes the probe bookkeeping costs more than the
         // scan it saves — serve exactly.
-        let surviving = catalog.n_items() - excluded.len();
+        // Saturating: `excluded` is the caller's and may name ids the
+        // catalogue does not have.
+        let surviving = catalog.n_items().saturating_sub(excluded.len());
         if surviving < index.min_candidates() || n.saturating_mul(4) > surviving {
             return None;
         }
@@ -394,14 +396,30 @@ fn fill_excluded(seen: Option<&SeenItems>, live: &[u32], req: &TopNRequest, out:
 
 /// Fills `out` with the surviving candidates of a *validated* request:
 /// the requested set (or the whole catalogue) minus `excluded`
-/// ([`fill_excluded`]). Order of the surviving candidates is preserved.
+/// ([`fill_excluded`]: sorted ascending, deduplicated). Order of the
+/// surviving candidates is preserved.
+///
+/// The whole catalogue minus a handful of exclusions is a handful of id
+/// runs: one walk over `excluded` emits the run below each exclusion
+/// and the tail after the last — no per-item membership test.
 fn fill_candidates(catalog: &Catalog, excluded: &[u32], req: &TopNRequest, out: &mut Vec<u32>) {
     out.clear();
-    let keep = |item: &u32| excluded.binary_search(item).is_err();
-    match &req.candidates {
-        Some(candidates) => out.extend(candidates.iter().copied().filter(keep)),
-        None => out.extend((0..catalog.n_items() as u32).filter(keep)),
+    if let Some(candidates) = &req.candidates {
+        out.extend(candidates.iter().copied().filter(|item| excluded.binary_search(item).is_err()));
+        return;
     }
+    let n_items = u32::try_from(catalog.n_items()).unwrap_or(u32::MAX);
+    let mut next = 0u32;
+    for &e in excluded {
+        // Ascending, so nothing after an id outside the catalogue is
+        // inside it.
+        if e >= n_items {
+            break;
+        }
+        out.extend(next..e);
+        next = e + 1;
+    }
+    out.extend(next..n_items);
 }
 
 /// Validates and runs a [`TopNRequest`] through `backend`, returning
@@ -556,5 +574,88 @@ fn check_item(catalog: &Catalog, item: u32) -> Result<(), RequestError> {
         Ok(())
     } else {
         Err(RequestError::UnknownItem { item, n_items: catalog.n_items() })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const N_ITEMS: u32 = 40;
+
+    fn catalog() -> Catalog {
+        Catalog::new(vec![1], vec![vec![0, 1]], (0..N_ITEMS).map(|i| vec![1 + i]).collect())
+    }
+
+    /// The candidates [`execute_topn`] would scan for `req`, next to the
+    /// per-item membership filter the run emission replaced.
+    fn candidates_and_reference(seen: &SeenItems, live: &[u32], req: &TopNRequest) -> (Vec<u32>, Vec<u32>) {
+        let catalog = catalog();
+        let (mut excluded, mut got) = (Vec::new(), Vec::new());
+        fill_excluded(Some(seen), live, req, &mut excluded);
+        fill_candidates(&catalog, &excluded, req, &mut got);
+        let keep = |item: &u32| excluded.binary_search(item).is_err();
+        let want = match &req.candidates {
+            Some(candidates) => candidates.iter().copied().filter(keep).collect(),
+            None => (0..N_ITEMS).filter(keep).collect(),
+        };
+        (got, want)
+    }
+
+    #[test]
+    fn run_emission_handles_the_named_exclusion_shapes() {
+        let nothing_seen = SeenItems::new(vec![]);
+        let survivors = |exclude: Vec<u32>| {
+            let req = TopNRequest::new(0, 5).exclude(exclude);
+            let (got, want) = candidates_and_reference(&nothing_seen, &[], &req);
+            assert_eq!(got, want);
+            got
+        };
+        assert_eq!(survivors(vec![]), (0..N_ITEMS).collect::<Vec<_>>());
+        assert_eq!(survivors(vec![N_ITEMS - 1, 0]), (1..N_ITEMS - 1).collect::<Vec<_>>());
+        assert_eq!(survivors(vec![3, 4, 5, 4]), (0..3).chain(6..N_ITEMS).collect::<Vec<_>>());
+        assert!(survivors((0..N_ITEMS).rev().collect()).is_empty());
+        // Ids the catalogue does not have — `u32::MAX` among them — end
+        // the walk; they neither overflow nor swallow the tail.
+        assert_eq!(survivors(vec![u32::MAX, N_ITEMS, 7, N_ITEMS + 1]), {
+            let mut all: Vec<u32> = (0..N_ITEMS).collect();
+            all.remove(7);
+            all
+        });
+        assert!(survivors((0..=N_ITEMS).chain([u32::MAX]).collect()).is_empty());
+
+        // The same item through all three sources is excluded once.
+        let seen = SeenItems::new(vec![vec![2, 9, 9]]);
+        let req = TopNRequest::new(0, 5).exclude(vec![9, 2, 30]);
+        let (got, want) = candidates_and_reference(&seen, &[2, 9, 11], &req);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), N_ITEMS as usize - 4);
+        let (got, want) = candidates_and_reference(&seen, &[2, 9, 11], &req.candidates(vec![11, 12, 9, 12]));
+        assert_eq!((got, want), (vec![12, 12], vec![12, 12]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn run_emission_equals_the_membership_filter(
+            seen in proptest::collection::vec(0u32..N_ITEMS, 0..20),
+            live in proptest::collection::vec(0u32..N_ITEMS, 0..6),
+            exclude in proptest::collection::vec(
+                prop_oneof![0u32..N_ITEMS, N_ITEMS..N_ITEMS + 4, Just(u32::MAX)], 0..50,
+            ),
+            candidates in proptest::option::of(proptest::collection::vec(0u32..N_ITEMS, 0..30)),
+            exclude_seen in any::<bool>(),
+        ) {
+            let mut live = live;
+            live.sort_unstable();
+            live.dedup();
+            let mut req = TopNRequest::new(0, 5).exclude(exclude);
+            req.candidates = candidates;
+            req.exclude_seen = exclude_seen;
+            let (got, want) = candidates_and_reference(&SeenItems::new(vec![seen]), &live, &req);
+            prop_assert_eq!(got, want);
+        }
     }
 }

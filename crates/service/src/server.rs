@@ -160,6 +160,7 @@ impl ModelServer {
     /// [`swap`]: ModelServer::swap
     pub fn new(snap: ModelSnapshot) -> Result<Self, RequestError> {
         check_snapshot(&snap)?;
+        let snap = with_group_memo(snap);
         Ok(Self {
             slot: Arc::new(Slot {
                 first: State { generation: 1, snap },
@@ -270,12 +271,17 @@ impl ModelServer {
     /// a typed [`RequestError`] is returned and nothing changes.
     pub fn swap(&self, snap: ModelSnapshot) -> Result<u64, RequestError> {
         check_snapshot(&snap)?;
+        // Every installed generation passed this same check, so they
+        // all carry one schema and whichever serves now stands for it —
+        // no need to hold the writer lock to compare.
+        check_schema_compatible(&self.state().snap.schema, &snap.schema)?;
+        // One pass over the catalogue, still outside the lock: readers
+        // and other writers are not delayed by it.
+        let snap = with_group_memo(snap);
         let mut installed = self.slot.lock_installed();
         // Writers are serialised by the lock, so `current` cannot move
         // under us here; readers may still load it concurrently.
-        let current = self.state();
-        check_schema_compatible(&current.snap.schema, &snap.schema)?;
-        let generation = current.generation + 1;
+        let generation = self.state().generation + 1;
         // `n` generations are installed, so this is swap number `n`.
         let n = *installed;
         let (bucket, offset) = locate(n);
@@ -384,6 +390,16 @@ impl std::fmt::Debug for ModelServer {
     }
 }
 
+/// Attaches the generation's within-group pair memo
+/// ([`FrozenModel::with_group_memo`]) to a checked snapshot that carries
+/// a catalog — eagerly, at install, so no request waits on it.
+fn with_group_memo(mut snap: ModelSnapshot) -> ModelSnapshot {
+    if let Some(catalog) = &snap.catalog {
+        snap.frozen = snap.frozen.with_group_memo(catalog);
+    }
+    snap
+}
+
 /// Internal-consistency checks every installed snapshot must pass, so
 /// request execution can index the frozen tables without bounds panics.
 fn check_snapshot(snap: &ModelSnapshot) -> Result<(), RequestError> {
@@ -400,6 +416,16 @@ fn check_snapshot(snap: &ModelSnapshot) -> Result<(), RequestError> {
                     reason: format!("catalog feature index {max} outside the model's {n} features"),
                 });
             }
+        }
+    }
+    if let (Some(catalog), Some(seen)) = (&snap.catalog, &snap.seen) {
+        if let Some(item) = seen.max_item().filter(|&item| item as usize >= catalog.n_items()) {
+            return Err(RequestError::SchemaMismatch {
+                reason: format!(
+                    "seen set names item {item} outside the catalog's {} items",
+                    catalog.n_items()
+                ),
+            });
         }
     }
     if let Some(index) = &snap.index {

@@ -402,3 +402,48 @@ fn excluding_everything_yields_the_empty_ranking() {
     let listed = base.candidates(vec![5, 5, 200, 0]);
     assert!(server.top_n(&listed).expect("well-formed").value.is_empty());
 }
+
+/// Regression: a snapshot's seen sets are outside input too (an artifact
+/// on disk, an online fold). A row naming every item *plus one id the
+/// catalogue does not have* made the exclusion list longer than the
+/// catalogue, and the index gate's `n_items − excluded.len()`
+/// underflowed — a panic in overflow-checked builds, a wrapped count
+/// that waved the request into the index in release. Install refuses
+/// such a snapshot with the typed error, and the gate itself — public,
+/// and handed any `excluded` — saturates.
+#[test]
+fn a_seen_set_longer_than_the_catalogue_neither_installs_nor_underflows_the_index_gate() {
+    let (_, snap) = wide_fixture().snapshot();
+    let mut hostile = snap.clone();
+    hostile.seen = Some(SeenItems::new(vec![(0..=WIDE_ITEMS as u32).collect()]));
+    let server = ModelServer::new(snap.clone()).expect("consistent snapshot");
+    for refused in [ModelServer::new(hostile.clone()).map(|s| s.generation()), server.swap(hostile)] {
+        match refused {
+            Err(RequestError::SchemaMismatch { reason }) => {
+                assert!(reason.contains(&format!("item {WIDE_ITEMS}")), "{reason}")
+            }
+            other => panic!("expected a schema mismatch, got {other:?}"),
+        }
+    }
+    assert_eq!(server.generation(), 1, "a refused swap changes nothing");
+
+    let catalog = snap.catalog.as_ref().expect("catalog");
+    let template = catalog.template(0).expect("user in range");
+    let backend = IndexedModel { frozen: &snap.frozen, index: snap.index.as_ref() };
+    let indexed = |excluded: &[u32]| {
+        backend.select_top_n_indexed(
+            catalog,
+            template,
+            10,
+            None,
+            excluded,
+            Precision::F64,
+            Parallelism::serial(),
+        )
+    };
+    let over_long: Vec<u32> = (0..=WIDE_ITEMS as u32).chain([u32::MAX]).collect();
+    assert_eq!(indexed(&over_long), None, "nothing survives: the exact path answers");
+    let outside_only = [WIDE_ITEMS as u32, WIDE_ITEMS as u32 + 1, u32::MAX];
+    assert_eq!(indexed(&outside_only), indexed(&[]), "ids the catalogue lacks exclude nothing");
+    assert_eq!(indexed(&[]).map(|ranked| ranked.len()), Some(10));
+}
