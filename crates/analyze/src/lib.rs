@@ -13,7 +13,8 @@
 //! * **L2 panic-freedom** — no `unwrap`/`expect`/`panic!`-family in the
 //!   serving hot paths (`gmlfm-service`, `gmlfm-serve`'s scoring/
 //!   retrieval files, `gmlfm-net`'s frame/wire codecs and connection
-//!   loops, and `gmlfm-online`'s ingest + trainer loop): a malformed
+//!   loops, the JSON reader every wire byte goes through, and
+//!   `gmlfm-online`'s ingest + trainer loop): a malformed
 //!   request — or a hostile byte stream, or a degenerate event batch —
 //!   must surface as a typed error, never tear down a worker.
 //! * **L3 determinism** — no `HashMap`/`HashSet` where iteration order
@@ -52,15 +53,27 @@ pub fn workspace_root() -> PathBuf {
 /// All first-party `.rs` files, sorted by path for deterministic output.
 /// Scans `src/`, `crates/`, `examples/`, `tests/`; `vendor/` (offline
 /// dependency stand-ins, not ours to lint) and `target/` are outside the
-/// roots, and hidden directories are skipped.
+/// roots, and hidden directories are skipped — except
+/// [`VENDORED_FIRST_PARTY`].
 pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     for top in ["src", "crates", "examples", "tests"] {
         collect_rs(&root.join(top), &mut out);
     }
+    out.extend(
+        VENDORED_FIRST_PARTY
+            .iter()
+            .map(|rel| root.join(rel))
+            .filter(|path| path.is_file()),
+    );
     out.sort();
     out
 }
+
+/// The one file under `vendor/` this repository wrote rather than
+/// stood in for: the JSON reader. Every wire byte is read by it before
+/// `gmlfm-net` sees a value, so it is linted as serving hot path.
+pub const VENDORED_FIRST_PARTY: [&str; 1] = ["vendor/serde/src/json.rs"];
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
@@ -117,6 +130,7 @@ pub fn scope_for(rel: &str) -> LintScope {
         panic_freedom: rel.starts_with("crates/service/src/")
             || SERVE_HOT_PATH.contains(&rel)
             || NET_HOT_PATH.contains(&rel)
+            || VENDORED_FIRST_PARTY.contains(&rel)
             || ONLINE_HOT_PATH.contains(&rel),
         no_hash_collections: rel.starts_with("crates/serve/src/")
             || rel.starts_with("crates/online/src/")
@@ -233,6 +247,11 @@ mod tests {
         assert!(scope_for("crates/net/src/server.rs").ordering_justification);
         assert!(scope_for("crates/net/src/frame.rs").ordering_justification);
         assert!(!scope_for("crates/net/src/wire.rs").ordering_justification);
+        // The JSON reader under the wire codec is hot path too; the rest
+        // of the vendored serde stand-in is not ours.
+        assert!(scope_for("vendor/serde/src/json.rs").panic_freedom);
+        assert!(!scope_for("vendor/serde/src/lib.rs").panic_freedom);
+        assert!(!scope_for("vendor/serde/src/json.rs").no_hash_collections);
         // The online loop's hot path: ingest + trainer are panic-free,
         // the whole crate is hash-free (BTreeSet for the dedup ids),
         // and the trainer justifies every atomic ordering.
@@ -255,9 +274,11 @@ mod tests {
             "scan must include first-party sources"
         );
         assert!(
-            !files.iter().any(|p| p.to_string_lossy().contains("/vendor/")),
+            !files.iter().any(|p| p.to_string_lossy().contains("/vendor/")
+                && !VENDORED_FIRST_PARTY.iter().any(|rel| p.ends_with(rel))),
             "scan must not descend into vendor/"
         );
+        assert!(files.iter().any(|p| p.ends_with("vendor/serde/src/json.rs")), "the JSON reader is ours");
         // Deterministic order.
         let again = workspace_sources(&root);
         assert_eq!(files, again);

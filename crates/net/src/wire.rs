@@ -9,8 +9,24 @@
 //!
 //! Decoding is **total**: any byte payload — non-UTF-8, malformed JSON,
 //! wrong shapes, absurd numbers — yields a typed [`WireError`], never a
-//! panic (this module is in the `gmlfm-analyze` L2 panic-freedom scope,
-//! and `tests/frame_proptest.rs` drives arbitrary bytes through it).
+//! panic (this module and the JSON reader under it are in the
+//! `gmlfm-analyze` L2 panic-freedom scope, and `tests/frame_proptest.rs`
+//! drives arbitrary bytes through it).
+//!
+//! Decoding reads the payload's bytes once with `serde::json::Reader`;
+//! no `Value` tree is built. Scalars and discriminants cost no
+//! allocation (strings are borrowed unless escaped), so a batch of pair
+//! scores allocates its request list and nothing per member. What it
+//! accepts is fixed by the tree-based decoder it replaced, which
+//! `tests/wire_oracle.rs` keeps as a differential oracle:
+//!
+//! * members may come in any order, the discriminant included;
+//! * of a duplicated key the first wins;
+//! * the whole payload is validated — syntax, UTF-8, nesting depth,
+//!   trailing bytes — including members no shape reads;
+//! * a member the discriminant does not read is not type-checked
+//!   (`"fields": "junk"` on a pair score is accepted);
+//! * errors name the member: `field 'n': …`, `missing field 'n' …`.
 //!
 //! One deliberate lossy corner: [`ScoreRequest::Instance`] encodes as a
 //! `"feats"` request, because scoring ignores the instance label — the
@@ -23,8 +39,9 @@ use gmlfm_serve::{Precision, RetrievalStrategy};
 use gmlfm_service::{
     BatchRequest, FeedAck, Interaction, Reply, Request, RequestError, ScoreRequest, TopNRequest,
 };
-use serde::json::{self, Value};
+use serde::json::{self, Kind, Reader, Value};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Stable error codes owned by the transport itself (request-validation
 /// codes come from [`RequestError::code`]).
@@ -341,126 +358,293 @@ pub fn encode_error(code: &str, message: &str) -> String {
 // Decoding
 // ---------------------------------------------------------------------
 
-fn parse_payload(payload: &[u8]) -> Result<Value, WireError> {
+// One pass over the payload with `json::Reader`, no `Value` tree. The
+// members of each object are collected before any is interpreted, since
+// the discriminant may come last: the first of a duplicated key wins, and
+// each member is decoded in place as the type its name has on every
+// shape. The discriminant then takes the members its shape reads. The
+// others were validated and their type errors are dropped.
+
+/// A member decoded in place: a value, or the error its shape reports if
+/// the discriminant reads it. (Syntax errors do not wait: they end the
+/// decode.)
+type Typed<T> = Result<T, WireError>;
+
+/// A member type read straight off the reader, accepting what its
+/// `Deserialize` impl accepts. `decode` always consumes and validates
+/// the whole value.
+trait Decode<'a>: Sized {
+    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error>;
+}
+
+macro_rules! decode_scalar {
+    ($($t:ty),*) => {$(
+        impl Decode<'_> for $t {
+            fn decode(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+                // Scalars come whole, so the `Deserialize` impl decides
+                // exactness, range and kind as it does on a parsed tree.
+                Ok(<$t>::deserialize_json(&r.shallow()?).map_err(WireError::from))
+            }
+        }
+    )*};
+}
+
+decode_scalar!(bool, u32, u64, usize, f64);
+
+impl<'a, T: Decode<'a>> Decode<'a> for Option<T> {
+    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
+        if r.next_kind()? == Kind::Null {
+            r.shallow()?;
+            return Ok(Ok(None));
+        }
+        Ok(T::decode(r)?.map(Some))
+    }
+}
+
+impl<'a> Decode<'a> for Cow<'a, str> {
+    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
+        if r.next_kind()? == Kind::String {
+            return Ok(Ok(r.string()?));
+        }
+        Ok(Err(mismatch("string", r.shallow()?)))
+    }
+}
+
+impl Decode<'_> for String {
+    fn decode(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        Ok(Cow::decode(r)?.map(Cow::into_owned))
+    }
+}
+
+impl<'a, T: Decode<'a>> Decode<'a> for Vec<T> {
+    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
+        if r.next_kind()? != Kind::Array {
+            return Ok(Err(mismatch("array", r.shallow()?)));
+        }
+        r.begin_array()?;
+        let mut items = Ok(Vec::new());
+        while r.next_element()? {
+            items = match (items, T::decode(r)?) {
+                (Ok(mut items), Ok(item)) => {
+                    items.push(item);
+                    Ok(items)
+                }
+                (Err(e), _) | (_, Err(e)) => Err(e),
+            };
+        }
+        Ok(items)
+    }
+}
+
+impl<'a, A: Decode<'a>, B: Decode<'a>> Decode<'a> for (A, B) {
+    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
+        if r.next_kind()? != Kind::Array {
+            return Ok(Err(mismatch("2-tuple array", r.shallow()?)));
+        }
+        r.begin_array()?;
+        let (mut a, mut b, mut n) = (None, None, 0usize);
+        while r.next_element()? {
+            match n {
+                0 => a = Some(A::decode(r)?),
+                1 => b = Some(B::decode(r)?),
+                _ => r.skip()?,
+            }
+            n += 1;
+        }
+        Ok(match (a, b) {
+            (Some(a), Some(b)) if n == 2 => a.and_then(|a| Ok((a, b?))),
+            _ => Err(WireError::new(format!("expected 2 elements, found {n}"))),
+        })
+    }
+}
+
+impl Decode<'_> for RetrievalStrategy {
+    fn decode(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        if r.next_kind()? != Kind::Object {
+            let found = r.shallow()?;
+            return Ok(Err(WireError::new(format!("missing field 'kind' in {}", found.kind()))));
+        }
+        let (mut kind, mut nprobe) = (None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "kind" => first::<Cow<str>>(&mut kind, r)?,
+                "nprobe" => first::<Option<usize>>(&mut nprobe, r)?,
+                _ => r.skip()?,
+            }
+        }
+        Ok(required(&mut kind, "kind").and_then(|kind| match &*kind {
+            "exact" => Ok(RetrievalStrategy::Exact),
+            "ivf" => Ok(RetrievalStrategy::Ivf { nprobe: optional(&mut nprobe, "nprobe")?.flatten() }),
+            other => Err(WireError::new(format!("unknown retrieval strategy '{other}'"))),
+        }))
+    }
+}
+
+/// The error a `Deserialize` impl gives a value of the wrong kind.
+fn mismatch(expected: &str, found: Value) -> WireError {
+    WireError::new(format!("expected {expected}, found {}", found.kind()))
+}
+
+/// Decodes a member into `slot`, unless an earlier member of the same
+/// key filled it: then the value is only validated.
+fn first<'a, T: Decode<'a>>(slot: &mut Option<Typed<T>>, r: &mut Reader<'a>) -> Result<(), json::Error> {
+    match slot {
+        Some(_) => r.skip(),
+        None => {
+            *slot = Some(T::decode(r)?);
+            Ok(())
+        }
+    }
+}
+
+/// A member the shape may omit, `None` when absent.
+fn optional<T>(slot: &mut Option<Typed<T>>, name: &str) -> Result<Option<T>, WireError> {
+    slot.take()
+        .transpose()
+        .map_err(|e| WireError::new(format!("field '{name}': {}", e.message)))
+}
+
+/// A member the shape requires.
+fn required<T>(slot: &mut Option<Typed<T>>, name: &str) -> Result<T, WireError> {
+    optional(slot, name)?.ok_or_else(|| WireError::new(format!("missing field '{name}' in object")))
+}
+
+fn reader(payload: &[u8]) -> Result<Reader<'_>, WireError> {
     let text =
         std::str::from_utf8(payload).map_err(|e| WireError::new(format!("payload is not UTF-8: {e}")))?;
-    Ok(json::parse(text)?)
+    Ok(Reader::new(text))
 }
 
-fn decode_score(v: &Value) -> Result<ScoreRequest, WireError> {
-    let mode: String = json::field(v, "mode")?;
-    match mode.as_str() {
-        "feats" => Ok(ScoreRequest::Feats(json::field(v, "feats")?)),
-        "pair" => Ok(ScoreRequest::Pair { user: json::field(v, "user")?, item: json::field(v, "item")? }),
-        "cold" => Ok(ScoreRequest::Cold { item: json::field(v, "item")?, fields: json::field(v, "fields")? }),
-        other => Err(WireError::new(format!("unknown score mode '{other}'"))),
-    }
+/// The members of one request object that some request shape reads.
+#[derive(Default)]
+struct RequestMembers<'a> {
+    op: Option<Typed<Cow<'a, str>>>,
+    mode: Option<Typed<Cow<'a, str>>>,
+    feats: Option<Typed<Vec<u32>>>,
+    user: Option<Typed<u32>>,
+    item: Option<Typed<u32>>,
+    fields: Option<Typed<Vec<(String, usize)>>>,
+    n: Option<Typed<usize>>,
+    candidates: Option<Typed<Option<Vec<u32>>>>,
+    exclude: Option<Typed<Vec<u32>>>,
+    exclude_seen: Option<Typed<bool>>,
+    par: Option<Typed<Option<usize>>>,
+    strategy: Option<Typed<Option<RetrievalStrategy>>>,
+    precision: Option<Typed<Option<Cow<'a, str>>>>,
+    rating: Option<Typed<Option<f64>>>,
+    id: Option<Typed<Option<u64>>>,
+    /// Read on a payload's own object only: nothing reads a batch
+    /// member's `requests`.
+    requests: Option<Typed<Vec<Request>>>,
 }
 
-fn decode_strategy(v: &Value) -> Result<Option<RetrievalStrategy>, WireError> {
-    let Some(s) = v.get("strategy") else { return Ok(None) };
-    if s.is_null() {
-        return Ok(None);
+impl<'a> RequestMembers<'a> {
+    /// Collects the object at the cursor; `top` for the payload's own.
+    fn read(&mut self, r: &mut Reader<'a>, top: bool) -> Result<Typed<()>, json::Error> {
+        if r.next_kind()? != Kind::Object {
+            let found = r.shallow()?;
+            return Ok(Err(WireError::new(format!("missing field 'op' in {}", found.kind()))));
+        }
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "op" => first(&mut self.op, r)?,
+                "mode" => first(&mut self.mode, r)?,
+                "feats" => first(&mut self.feats, r)?,
+                "user" => first(&mut self.user, r)?,
+                "item" => first(&mut self.item, r)?,
+                "fields" => first(&mut self.fields, r)?,
+                "n" => first(&mut self.n, r)?,
+                "candidates" => first(&mut self.candidates, r)?,
+                "exclude" => first(&mut self.exclude, r)?,
+                "exclude_seen" => first(&mut self.exclude_seen, r)?,
+                "par" => first(&mut self.par, r)?,
+                "strategy" => first(&mut self.strategy, r)?,
+                "precision" => first(&mut self.precision, r)?,
+                "rating" => first(&mut self.rating, r)?,
+                "id" => first(&mut self.id, r)?,
+                "requests" if top => first(&mut self.requests, r)?,
+                _ => r.skip()?,
+            }
+        }
+        Ok(Ok(()))
     }
-    let kind: String = json::field(s, "kind")?;
-    match kind.as_str() {
-        "exact" => Ok(Some(RetrievalStrategy::Exact)),
-        "ivf" => {
-            let nprobe = match s.get("nprobe") {
+
+    /// A request as a batch member.
+    fn member(&mut self) -> Result<Request, WireError> {
+        match &*required(&mut self.op, "op")? {
+            "score" => Ok(Request::Score(self.score()?)),
+            "topn" => Ok(Request::TopN(self.topn()?)),
+            "batch" => Err(WireError::new("batch requests cannot nest")),
+            "feed" => Err(WireError::new("feed requests cannot ride in a batch")),
+            other => Err(WireError::new(format!("unknown op '{other}'"))),
+        }
+    }
+
+    fn score(&mut self) -> Result<ScoreRequest, WireError> {
+        match &*required(&mut self.mode, "mode")? {
+            "feats" => Ok(ScoreRequest::Feats(required(&mut self.feats, "feats")?)),
+            "pair" => Ok(ScoreRequest::Pair {
+                user: required(&mut self.user, "user")?,
+                item: required(&mut self.item, "item")?,
+            }),
+            "cold" => Ok(ScoreRequest::Cold {
+                item: required(&mut self.item, "item")?,
+                fields: required(&mut self.fields, "fields")?,
+            }),
+            other => Err(WireError::new(format!("unknown score mode '{other}'"))),
+        }
+    }
+
+    fn topn(&mut self) -> Result<TopNRequest, WireError> {
+        let candidates = optional(&mut self.candidates, "candidates")?.flatten();
+        let exclude = optional(&mut self.exclude, "exclude")?.unwrap_or_default();
+        let exclude_seen = optional(&mut self.exclude_seen, "exclude_seen")?.unwrap_or(true);
+        Ok(TopNRequest {
+            user: required(&mut self.user, "user")?,
+            n: required(&mut self.n, "n")?,
+            candidates,
+            exclude,
+            exclude_seen,
+            par: self.par()?,
+            strategy: optional(&mut self.strategy, "strategy")?.flatten(),
+            precision: match optional(&mut self.precision, "precision")?.flatten() {
                 None => None,
-                Some(n) => Option::<usize>::deserialize_json_helper(n)?,
-            };
-            Ok(Some(RetrievalStrategy::Ivf { nprobe }))
-        }
-        other => Err(WireError::new(format!("unknown retrieval strategy '{other}'"))),
+                Some(name) => Some(
+                    Precision::from_name(&name)
+                        .ok_or_else(|| WireError::new(format!("unknown precision '{name}'")))?,
+                ),
+            },
+        })
+    }
+
+    /// `par` on a topn or a batch. threads(0) clamps to 1 by the
+    /// Parallelism contract, so any wire integer maps to a valid worker
+    /// count; the server bounds it by its pool before executing
+    /// (`server::bound_par`).
+    fn par(&mut self) -> Result<Option<Parallelism>, WireError> {
+        Ok(optional(&mut self.par, "par")?.flatten().map(Parallelism::threads))
+    }
+
+    fn feed(&mut self) -> Result<Interaction, WireError> {
+        let rating = optional(&mut self.rating, "rating")?.flatten();
+        let fields = optional(&mut self.fields, "fields")?.unwrap_or_default();
+        let id = optional(&mut self.id, "id")?.flatten();
+        Ok(Interaction {
+            user: required(&mut self.user, "user")?,
+            item: required(&mut self.item, "item")?,
+            rating,
+            fields,
+            id,
+        })
     }
 }
 
-fn decode_precision(v: &Value) -> Result<Option<Precision>, WireError> {
-    let Some(p) = v.get("precision") else { return Ok(None) };
-    if p.is_null() {
-        return Ok(None);
-    }
-    let name = String::deserialize_json(p).map_err(WireError::from)?;
-    Precision::from_name(&name)
-        .map(Some)
-        .ok_or_else(|| WireError::new(format!("unknown precision '{name}'")))
-}
-
-/// `Option<T>` deserialisation on a borrowed member (the derive-less
-/// equivalent of `json::field` for members that may be absent).
-trait OptionalMember: Sized {
-    fn deserialize_json_helper(v: &Value) -> Result<Self, WireError>;
-}
-
-impl<T: serde::Deserialize> OptionalMember for Option<T> {
-    fn deserialize_json_helper(v: &Value) -> Result<Self, WireError> {
-        if v.is_null() {
-            Ok(None)
-        } else {
-            Ok(Some(T::deserialize_json(v).map_err(WireError::from)?))
-        }
-    }
-}
-
-fn decode_par(v: &Value) -> Result<Option<Parallelism>, WireError> {
-    let Some(p) = v.get("par") else { return Ok(None) };
-    let n = Option::<usize>::deserialize_json_helper(p)?;
-    // threads(0) clamps to 1 by the Parallelism contract, so any wire
-    // integer maps to a valid worker count; the server bounds it by its
-    // pool before executing (`server::bound_par`).
-    Ok(n.map(Parallelism::threads))
-}
-
-fn decode_topn(v: &Value) -> Result<TopNRequest, WireError> {
-    let candidates = match v.get("candidates") {
-        None => None,
-        Some(c) => Option::<Vec<u32>>::deserialize_json_helper(c)?,
-    };
-    let exclude = match v.get("exclude") {
-        None => Vec::new(),
-        Some(e) => Vec::<u32>::deserialize_json(e).map_err(WireError::from)?,
-    };
-    let exclude_seen = match v.get("exclude_seen") {
-        None => true,
-        Some(b) => bool::deserialize_json(b).map_err(WireError::from)?,
-    };
-    Ok(TopNRequest {
-        user: json::field(v, "user")?,
-        n: json::field(v, "n")?,
-        candidates,
-        exclude,
-        exclude_seen,
-        par: decode_par(v)?,
-        strategy: decode_strategy(v)?,
-        precision: decode_precision(v)?,
-    })
-}
-
-fn decode_feed(v: &Value) -> Result<Interaction, WireError> {
-    let rating = match v.get("rating") {
-        None => None,
-        Some(r) => Option::<f64>::deserialize_json_helper(r)?,
-    };
-    let fields = match v.get("fields") {
-        None => Vec::new(),
-        Some(fs) => Vec::<(String, usize)>::deserialize_json(fs).map_err(WireError::from)?,
-    };
-    let id = match v.get("id") {
-        None => None,
-        Some(i) => Option::<u64>::deserialize_json_helper(i)?,
-    };
-    Ok(Interaction { user: json::field(v, "user")?, item: json::field(v, "item")?, rating, fields, id })
-}
-
-fn decode_one(v: &Value) -> Result<Request, WireError> {
-    let op: String = json::field(v, "op")?;
-    match op.as_str() {
-        "score" => Ok(Request::Score(decode_score(v)?)),
-        "topn" => Ok(Request::TopN(decode_topn(v)?)),
-        "batch" => Err(WireError::new("batch requests cannot nest")),
-        "feed" => Err(WireError::new("feed requests cannot ride in a batch")),
-        other => Err(WireError::new(format!("unknown op '{other}'"))),
+impl<'a> Decode<'a> for Request {
+    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
+        let mut m = RequestMembers::default();
+        Ok(m.read(r, false)?.and_then(|()| m.member()))
     }
 }
 
@@ -468,70 +652,116 @@ fn decode_one(v: &Value) -> Result<Request, WireError> {
 /// typed [`WireError`] — non-UTF-8 bytes, JSON syntax errors, missing
 /// fields, unknown discriminants, numbers out of range.
 pub fn decode_request(payload: &[u8]) -> Result<NetRequest, WireError> {
-    let v = parse_payload(payload)?;
-    let op: String = json::field(&v, "op")?;
-    match op.as_str() {
-        "score" => Ok(NetRequest::Score(decode_score(&v)?)),
-        "topn" => Ok(NetRequest::TopN(decode_topn(&v)?)),
+    let mut r = reader(payload)?;
+    let mut m = RequestMembers::default();
+    let read = m.read(&mut r, true)?;
+    r.finish()?;
+    read?;
+    match &*required(&mut m.op, "op")? {
+        "score" => Ok(NetRequest::Score(m.score()?)),
+        "topn" => Ok(NetRequest::TopN(m.topn()?)),
         "batch" => {
-            let members = v
-                .get("requests")
-                .and_then(Value::as_array)
-                .ok_or_else(|| WireError::new("batch without a 'requests' array"))?;
-            let requests = members.iter().map(decode_one).collect::<Result<Vec<_>, _>>()?;
-            Ok(NetRequest::Batch(BatchRequest { requests, par: decode_par(&v)? }))
+            let requests = required(&mut m.requests, "requests")?;
+            Ok(NetRequest::Batch(BatchRequest { requests, par: m.par()? }))
         }
-        "feed" => Ok(NetRequest::Feed(decode_feed(&v)?)),
+        "feed" => Ok(NetRequest::Feed(m.feed()?)),
         other => Err(WireError::new(format!("unknown op '{other}'"))),
     }
 }
 
-fn decode_reply_fields(v: &Value, allow_batch: bool) -> Result<NetReply, WireError> {
-    let kind: String = json::field(v, "kind")?;
-    match kind.as_str() {
-        "score" => Ok(NetReply::Score(json::field(v, "value")?)),
-        "topn" => Ok(NetReply::TopN(json::field(v, "items")?)),
-        "batch" if allow_batch => {
-            let members = v
-                .get("results")
-                .and_then(Value::as_array)
-                .ok_or_else(|| WireError::new("batch reply without a 'results' array"))?;
-            let slots = members
-                .iter()
-                .map(|m| {
-                    Ok(match json::field::<bool>(m, "ok")? {
-                        true => Ok(decode_reply_fields(m, false)?),
-                        false => Err(decode_error_fields(m)?),
-                    })
-                })
-                .collect::<Result<Vec<_>, WireError>>()?;
-            Ok(NetReply::Batch(slots))
+/// The members of one reply object that some reply shape reads.
+#[derive(Default)]
+struct ReplyMembers<'a> {
+    ok: Option<Typed<bool>>,
+    generation: Option<Typed<u64>>,
+    kind: Option<Typed<Cow<'a, str>>>,
+    value: Option<Typed<f64>>,
+    items: Option<Typed<Vec<(u32, f64)>>>,
+    accepted: Option<Typed<bool>>,
+    pending: Option<Typed<usize>>,
+    code: Option<Typed<Cow<'a, str>>>,
+    message: Option<Typed<Cow<'a, str>>>,
+    /// Read on a payload's own object only: a batch slot cannot hold a
+    /// batch.
+    results: Option<Typed<Vec<Result<NetReply, NetError>>>>,
+}
+
+impl<'a> ReplyMembers<'a> {
+    /// Collects the object at the cursor; `top` for the payload's own.
+    fn read(&mut self, r: &mut Reader<'a>, top: bool) -> Result<Typed<()>, json::Error> {
+        if r.next_kind()? != Kind::Object {
+            let found = r.shallow()?;
+            return Ok(Err(WireError::new(format!("missing field 'ok' in {}", found.kind()))));
         }
-        "batch" => Err(WireError::new("batch replies cannot nest")),
-        "feed" => Ok(NetReply::Feed(FeedAck {
-            accepted: json::field(v, "accepted")?,
-            pending: json::field(v, "pending")?,
-        })),
-        other => Err(WireError::new(format!("unknown reply kind '{other}'"))),
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "ok" => first(&mut self.ok, r)?,
+                "generation" => first(&mut self.generation, r)?,
+                "kind" => first(&mut self.kind, r)?,
+                "value" => first(&mut self.value, r)?,
+                "items" => first(&mut self.items, r)?,
+                "accepted" => first(&mut self.accepted, r)?,
+                "pending" => first(&mut self.pending, r)?,
+                "code" => first(&mut self.code, r)?,
+                "message" => first(&mut self.message, r)?,
+                "results" if top => first(&mut self.results, r)?,
+                _ => r.skip()?,
+            }
+        }
+        Ok(Ok(()))
+    }
+
+    /// The payload of an `"ok": true` object; `top` for the payload's own.
+    fn reply(&mut self, top: bool) -> Result<NetReply, WireError> {
+        match &*required(&mut self.kind, "kind")? {
+            "score" => Ok(NetReply::Score(required(&mut self.value, "value")?)),
+            "topn" => Ok(NetReply::TopN(required(&mut self.items, "items")?)),
+            "batch" if top => Ok(NetReply::Batch(required(&mut self.results, "results")?)),
+            "batch" => Err(WireError::new("batch replies cannot nest")),
+            "feed" => Ok(NetReply::Feed(FeedAck {
+                accepted: required(&mut self.accepted, "accepted")?,
+                pending: required(&mut self.pending, "pending")?,
+            })),
+            other => Err(WireError::new(format!("unknown reply kind '{other}'"))),
+        }
+    }
+
+    /// The error of an `"ok": false` object.
+    fn error(&mut self) -> Result<NetError, WireError> {
+        Ok(NetError {
+            code: required(&mut self.code, "code")?.into_owned(),
+            message: required(&mut self.message, "message")?.into_owned(),
+        })
     }
 }
 
-fn decode_error_fields(v: &Value) -> Result<NetError, WireError> {
-    Ok(NetError { code: json::field(v, "code")?, message: json::field(v, "message")? })
+impl<'a> Decode<'a> for Result<NetReply, NetError> {
+    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
+        let mut m = ReplyMembers::default();
+        Ok(m.read(r, false)?.and_then(|()| match required(&mut m.ok, "ok")? {
+            true => Ok(Ok(m.reply(false)?)),
+            false => Ok(Err(m.error()?)),
+        }))
+    }
 }
 
 /// Decodes a reply envelope: `Ok(Ok(..))` is a successful response,
 /// `Ok(Err(..))` a typed server-side error reply, `Err(..)` a payload
 /// that is not a well-formed envelope at all.
 pub fn decode_response(payload: &[u8]) -> Result<Result<NetResponse, NetError>, WireError> {
-    let v = parse_payload(payload)?;
-    match json::field::<bool>(&v, "ok")? {
+    let mut r = reader(payload)?;
+    let mut m = ReplyMembers::default();
+    let read = m.read(&mut r, true)?;
+    r.finish()?;
+    read?;
+    Ok(match required(&mut m.ok, "ok")? {
         true => {
-            let generation: u64 = json::field(&v, "generation")?;
-            Ok(Ok(NetResponse { generation, reply: decode_reply_fields(&v, true)? }))
+            let generation = required(&mut m.generation, "generation")?;
+            Ok(NetResponse { generation, reply: m.reply(true)? })
         }
-        false => Ok(Err(decode_error_fields(&v)?)),
-    }
+        false => Err(m.error()?),
+    })
 }
 
 #[cfg(test)]

@@ -2,8 +2,11 @@
 //! from the service hot-swap suite (every score of generation `g` is
 //! exactly `g * 1000.0`, so any response whose value disagrees with
 //! `marker(response.generation)` proves a torn or cross-generation
-//! read), plus a fast-timeout server config for fault injection.
+//! read), plus a fast-timeout server config for fault injection, and
+//! the tree-based wire decoders the byte-level ones are checked against.
 #![allow(dead_code)]
+
+pub mod tree_decode;
 
 use std::sync::Arc;
 use std::time::Duration;
