@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 /// The `unsafe` sites of one source file, with its repo-relative path.
 #[derive(Debug, Clone)]
 pub struct FileInventory {
-    /// Forward-slash, repo-relative path (`crates/par/src/pool.rs`).
+    /// Forward-slash, repo-relative path (`crates/net/tests/decode_allocations.rs`).
     pub path: String,
     pub sites: Vec<UnsafeSite>,
 }

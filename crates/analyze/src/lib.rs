@@ -1,8 +1,8 @@
 //! `gmlfm-analyze` — the workspace's correctness tooling: a token-level
 //! lint suite for the invariants `rustc` and clippy don't know about,
-//! plus a bounded deterministic model checker for the unsafe
-//! concurrency protocol. Std-only by design: the analyzer gates CI, so
-//! it builds before — and independently of — everything it checks.
+//! plus the committed inventory of every `unsafe` site. Std-only by
+//! design: the analyzer gates CI, so it builds before — and
+//! independently of — everything it checks.
 //!
 //! Four lints (see [`lints`] for the rules, [`scope_for`] for which
 //! files each applies to):
@@ -24,22 +24,13 @@
 //! * **L4 atomic-ordering discipline** — every `Ordering::…` in the
 //!   concurrency core carries a `// ORDERING:` justification naming its
 //!   pairing.
-//!
-//! The model checker ([`sched`]) exhaustively enumerates thread
-//! interleavings of the one unsafe protocol ([`models`]): the pool's
-//! completion latch with help-draining. A deliberately broken hazard
-//! variant proves the checker can fail — a suite whose failure path is
-//! untested is a rubber stamp.
 #![forbid(unsafe_code)]
 
 pub mod inventory;
 pub mod lexer;
 pub mod lints;
-pub mod models;
-pub mod sched;
 
 use lints::{FileReport, LintScope};
-use sched::Verdict;
 use std::path::{Path, PathBuf};
 
 /// The workspace root, resolved from this crate's own manifest dir
@@ -137,8 +128,7 @@ pub fn scope_for(rel: &str) -> LintScope {
             || rel == "crates/par/src/lib.rs"
             || rel == "crates/service/src/exec.rs",
         no_available_parallelism: !AVAILABLE_PARALLELISM_ALLOWLIST.contains(&rel),
-        ordering_justification: rel == "crates/par/src/pool.rs"
-            || rel == "crates/service/src/server.rs"
+        ordering_justification: rel == "crates/service/src/server.rs"
             || rel == "crates/net/src/server.rs"
             || rel == "crates/net/src/frame.rs"
             || rel == "crates/online/src/trainer.rs",
@@ -176,52 +166,6 @@ pub fn unsafe_inventory(files: &[LintedFile]) -> Vec<inventory::FileInventory> {
         .collect()
 }
 
-/// One protocol model's checked outcome.
-#[derive(Debug)]
-pub struct ProtocolCheck {
-    pub name: &'static str,
-    /// True for the real protocols; false for the hazard variants,
-    /// which the checker is *required* to fail (calibration: a checker
-    /// that can't find the planted bug proves nothing by passing).
-    pub expect_pass: bool,
-    pub verdict: Verdict,
-}
-
-impl ProtocolCheck {
-    /// The verdict matches the expectation (and is never a budget blowout).
-    pub fn ok(&self) -> bool {
-        match &self.verdict {
-            Verdict::Pass(_) => self.expect_pass,
-            Verdict::Fail { .. } => !self.expect_pass,
-            Verdict::BudgetExceeded { .. } => false,
-        }
-    }
-}
-
-/// Runs the interleaving suite: the real protocol (must pass
-/// exhaustively) and its planted-bug variant (must fail). Model sizes
-/// are fixed small so the full space fits a CI-friendly budget; the
-/// regression tests run larger instances.
-pub fn run_interleave_suite(budget: usize) -> Vec<ProtocolCheck> {
-    vec![
-        ProtocolCheck {
-            name: "completion latch + help-drain (pool Scope)",
-            expect_pass: true,
-            verdict: sched::check(&models::LatchModel::new(2, 2), budget),
-        },
-        ProtocolCheck {
-            name: "hazard: park on stale check (lost wakeup)",
-            expect_pass: false,
-            verdict: sched::check(&models::LostWakeupLatchModel::new(1, 1), budget),
-        },
-    ]
-}
-
-/// Schedule budget for the CI-facing suite. The largest fixed model
-/// (the latch with its retry interleavings) explores well under this;
-/// hitting it means a model grew, which should be an explicit decision.
-pub const CI_SCHEDULE_BUDGET: usize = 500_000;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,8 +179,8 @@ mod tests {
         assert!(scope_for("crates/serve/src/topn.rs").no_hash_collections);
         assert!(!scope_for("crates/engine/src/pipeline.rs").no_hash_collections);
         assert!(!scope_for("crates/par/src/lib.rs").no_available_parallelism);
-        assert!(scope_for("crates/par/src/pool.rs").no_available_parallelism);
-        assert!(scope_for("crates/par/src/pool.rs").ordering_justification);
+        assert!(scope_for("crates/service/src/server.rs").no_available_parallelism);
+        assert!(scope_for("crates/service/src/server.rs").ordering_justification);
         assert!(!scope_for("crates/serve/src/frozen.rs").ordering_justification);
         // The network serving hot path: codec + connection loops are
         // panic-free; the files with atomics justify every ordering.
@@ -298,18 +242,5 @@ mod tests {
             })
             .collect();
         assert!(findings.is_empty(), "lint findings:\n{}", findings.join("\n"));
-    }
-
-    #[test]
-    fn interleave_suite_is_calibrated() {
-        for check in run_interleave_suite(CI_SCHEDULE_BUDGET) {
-            assert!(
-                check.ok(),
-                "{}: expected {} but got {:?}",
-                check.name,
-                if check.expect_pass { "pass" } else { "fail" },
-                check.verdict
-            );
-        }
     }
 }

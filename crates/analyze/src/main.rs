@@ -1,19 +1,15 @@
 //! CLI for the workspace correctness tooling.
 //!
 //! ```text
-//! cargo run -p gmlfm-analyze -- check              # lints + UNSAFETY.md freshness + interleave suite (CI gate)
+//! cargo run -p gmlfm-analyze -- check              # lints + UNSAFETY.md freshness (CI gate)
 //! cargo run -p gmlfm-analyze -- lint               # lints only
 //! cargo run -p gmlfm-analyze -- unsafety [--write] # print or write UNSAFETY.md
-//! cargo run -p gmlfm-analyze -- interleave         # model-check the unsafe protocol
 //! ```
 //!
-//! Exit code 0 = clean; 1 = findings / stale inventory / checker
-//! failure; 2 = usage error.
+//! Exit code 0 = clean; 1 = findings / stale inventory; 2 = usage error.
+#![forbid(unsafe_code)]
 
-use gmlfm_analyze::sched::Verdict;
-use gmlfm_analyze::{
-    inventory, run_interleave_suite, run_lints, unsafe_inventory, workspace_root, CI_SCHEDULE_BUDGET,
-};
+use gmlfm_analyze::{inventory, run_lints, unsafe_inventory, workspace_root};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -23,9 +19,8 @@ fn main() -> ExitCode {
         Some("check") => check(),
         Some("lint") => lint(),
         Some("unsafety") => unsafety(args.iter().any(|a| a == "--write")),
-        Some("interleave") => interleave(),
         _ => {
-            eprintln!("usage: gmlfm-analyze <check|lint|unsafety [--write]|interleave>");
+            eprintln!("usage: gmlfm-analyze <check|lint|unsafety [--write]>");
             ExitCode::from(2)
         }
     }
@@ -73,44 +68,8 @@ fn unsafety(write: bool) -> ExitCode {
     }
 }
 
-/// Runs the interleaving suite and prints one line per protocol;
-/// returns the number of miscalibrated outcomes.
-fn report_interleave() -> usize {
-    let mut bad = 0usize;
-    for check in run_interleave_suite(CI_SCHEDULE_BUDGET) {
-        let status = match (&check.verdict, check.ok()) {
-            (Verdict::Pass(stats), true) => {
-                format!("ok (pass: {} schedules, {} steps)", stats.schedules, stats.steps)
-            }
-            (Verdict::Fail { schedule, error }, true) => {
-                format!("ok (found as required: {error}; schedule {schedule:?})")
-            }
-            (Verdict::Pass(_), false) => "MISCALIBRATED: planted bug not found".to_string(),
-            (Verdict::Fail { schedule, error }, false) => {
-                format!("FAILED: {error}; schedule {schedule:?}")
-            }
-            (Verdict::BudgetExceeded { budget }, _) => {
-                format!("BUDGET EXCEEDED at {budget} schedules — shrink the model or raise the budget")
-            }
-        };
-        if !check.ok() {
-            bad += 1;
-        }
-        println!("interleave: {} — {status}", check.name);
-    }
-    bad
-}
-
-fn interleave() -> ExitCode {
-    if report_interleave() == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// The CI gate: lints, inventory freshness, interleave suite. Runs all
-/// three even when an early one fails, so CI output shows everything.
+/// The CI gate: lints, then inventory freshness. Runs both even when
+/// the first fails, so CI output shows everything.
 fn check() -> ExitCode {
     let root = workspace_root();
     let mut failed = false;
@@ -131,14 +90,6 @@ fn check() -> ExitCode {
             println!("check: UNSAFETY.md — {e}");
             failed = true;
         }
-    }
-
-    let bad = report_interleave();
-    if bad > 0 {
-        println!("check: interleave — {bad} protocol(s) off expectation");
-        failed = true;
-    } else {
-        println!("check: interleave — all protocols as expected");
     }
 
     if failed {

@@ -164,7 +164,7 @@ impl EngineBuilder {
 
     /// Serving/eval parallelism for the resulting [`Recommender`]:
     /// batch scoring, `top_n` and holdout evaluation partition their
-    /// work across this many pool workers. Defaults to
+    /// work across this many threads. Defaults to
     /// [`Parallelism::auto`] (`GMLFM_THREADS` or the machine's core
     /// count); `threads(1)` is the deterministic serial escape hatch —
     /// though parallel results are bit-identical to serial anyway,
@@ -641,9 +641,8 @@ impl Recommender {
     /// Leave-one-out metrics through the request path, shared with
     /// [`gmlfm_eval::evaluate_topn_service`] via
     /// [`evaluate_topn_backend`]: each case is a candidate-restricted
-    /// ranking request against **one** pinned snapshot, fanned across
-    /// the pool one contiguous block of cases per worker and merged in
-    /// case order.
+    /// ranking request against **one** pinned snapshot, fanned out one
+    /// contiguous block of cases per thread and merged in case order.
     fn topn_metrics(&self, cases: &[LooTestCase], k: usize) -> Result<TopnMetrics, EngineError> {
         if cases.is_empty() {
             // Align with gmlfm_eval's protocols, which reject empty test
@@ -755,8 +754,8 @@ impl std::fmt::Debug for Recommender {
 
 impl Scorer for Recommender {
     /// Batch scoring over trusted, pre-validated instances (the holdout
-    /// evaluation path): frozen recommenders fan the batch across the
-    /// pool against the server's *current* snapshot; public
+    /// evaluation path): frozen recommenders fan the batch across
+    /// threads against the server's *current* snapshot; public
     /// per-request entry points go through [`Recommender::handle_score`]
     /// instead, which validates.
     fn scores(&self, instances: &[Instance]) -> Vec<f64> {

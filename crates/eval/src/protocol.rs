@@ -31,7 +31,7 @@ pub struct RatingMetrics {
 ///
 /// The test set is handed to the scorer in one call, so scorers with a
 /// parallel batch path (notably [`FrozenModel::scores`], which fans the
-/// batch out across the `gmlfm-par` pool) parallelise the whole
+/// batch out with `gmlfm-par`) parallelise the whole
 /// evaluation; the metrics are computed from the ordered score vector
 /// and are bit-identical at every thread count.
 pub fn evaluate_rating<S: Scorer + ?Sized>(scorer: &S, test: &[Instance]) -> RatingMetrics {

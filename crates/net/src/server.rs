@@ -358,12 +358,13 @@ fn reply(inner: &Inner, stream: &mut TcpStream, payload: &str) -> Result<(), Fra
     )
 }
 
-/// Caps every client-chosen `par` at the pool's worker count. On the
+/// Caps every client-chosen `par` at [`Parallelism::auto`]. On the
 /// wire `par` is an arbitrary integer, and it sets the number of scan
-/// shards (one scanner, one heap and one pool job each) or batch
-/// blocks. The global pool owns exactly [`Parallelism::auto`] workers,
-/// so a wider fan-out can never run concurrently — it only multiplies
-/// the per-shard set-up, by a factor the client would get to choose.
+/// shards (one scanner and one heap each) or batch blocks, and every
+/// block past the first runs on an OS thread spawned for this request.
+/// Uncapped, the client would choose how many threads one frame spawns;
+/// beyond `auto` the extra threads only share the same cores and
+/// multiply spawn and per-shard set-up cost.
 fn bound_par(req: &mut NetRequest) {
     fn cap(par: &mut Option<Parallelism>) {
         if let Some(p) = par {
@@ -450,9 +451,9 @@ mod tests {
     }
 
     #[test]
-    fn wire_par_is_bounded_by_the_pool() {
+    fn wire_par_is_bounded_by_auto_threads() {
         let auto = Parallelism::auto();
-        // The hostile frame: far more shards than the pool has workers.
+        // The hostile frame: far more threads than `auto` allows.
         assert_eq!(served_par("4294967295"), Some(auto));
         // In-range values pass through, `0` means 1, absent stays the
         // server's default.

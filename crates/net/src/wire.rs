@@ -621,8 +621,8 @@ impl<'a> RequestMembers<'a> {
 
     /// `par` on a topn or a batch. threads(0) clamps to 1 by the
     /// Parallelism contract, so any wire integer maps to a valid worker
-    /// count; the server bounds it by its pool before executing
-    /// (`server::bound_par`).
+    /// count; the server caps it at `Parallelism::auto` before
+    /// executing (`server::bound_par`).
     fn par(&mut self) -> Result<Option<Parallelism>, WireError> {
         Ok(optional(&mut self.par, "par")?.flatten().map(Parallelism::threads))
     }

@@ -80,8 +80,8 @@ fn decode_par(v: &Value) -> Result<Option<Parallelism>, WireError> {
     let Some(p) = v.get("par") else { return Ok(None) };
     let n = Option::<usize>::deserialize_json_helper(p)?;
     // threads(0) clamps to 1 by the Parallelism contract, so any wire
-    // integer maps to a valid worker count; the server bounds it by its
-    // pool before executing (`server::bound_par`).
+    // integer maps to a valid worker count; the server caps it at
+    // `Parallelism::auto` before executing (`server::bound_par`).
     Ok(n.map(Parallelism::threads))
 }
 

@@ -1,15 +1,15 @@
 //! # gmlfm-par
 //!
-//! Std-only parallel execution for the GML-FM workspace: a persistent
-//! scoped thread pool (private to this crate) and two order-preserving
-//! data-parallel helpers over it.
+//! Std-only parallel execution for the GML-FM workspace: two
+//! order-preserving data-parallel helpers on [`std::thread::scope`].
 //!
 //! The vendored dependency set has no rayon, so this crate provides the
 //! minimal primitives the serving/eval hot paths need:
 //!
 //! * [`par_blocks`] — the one fan-out primitive: splits `0..n` into
-//!   contiguous blocks (one per requested thread), runs them on the
-//!   pool and concatenates the per-block outputs in input order. Use it
+//!   contiguous blocks (one per requested thread), runs the first on
+//!   the calling thread and each other on a scoped thread of its own,
+//!   and concatenates the per-block outputs in input order. Use it
 //!   directly when each worker wants its own scratch state (e.g. a
 //!   `TopNRanker` per block of users).
 //! * [`par_map`] — the per-element map over a slice, a one-line wrapper
@@ -24,35 +24,29 @@
 //! to [`Parallelism::auto`]: the `GMLFM_THREADS` environment variable
 //! when set, otherwise [`std::thread::available_parallelism`]. Passing
 //! [`Parallelism::serial`] (or any count of 1) makes that call run
-//! inline on the calling thread without touching the pool. Setting
-//! `GMLFM_THREADS=1` serialises every *defaulted* call the same way and
-//! shrinks the global pool to one worker — but a caller that passes an
-//! explicit `Parallelism::threads(n > 1)` still partitions its work and
-//! dispatches to the (single-worker, hence sequentially draining) pool;
-//! the env var changes defaults, it does not override explicit
-//! requests. Results are unaffected either way.
-#![deny(unsafe_op_in_unsafe_fn)]
-
-mod pool;
-
-use pool::ThreadPool;
+//! inline on the calling thread. Setting `GMLFM_THREADS=1` serialises
+//! every *defaulted* call the same way; a caller that passes an explicit
+//! `Parallelism::threads(n > 1)` still spawns `n - 1` threads — the env
+//! var changes defaults, it does not override explicit requests.
+//! Results are unaffected either way.
+//!
+//! A spawned thread costs tens of microseconds per call, so a fan-out
+//! pays only for work well above that; callers with less work pass
+//! [`Parallelism::serial`].
+#![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Environment variable that sets the workspace's default parallelism
-/// — the [`Parallelism::auto`] value and the global pool size.
-/// `GMLFM_THREADS=1` makes every defaulted call run inline and leaves a
-/// one-worker pool for explicit requests; read once per process.
+/// Environment variable that sets the workspace's default parallelism,
+/// the [`Parallelism::auto`] value. `GMLFM_THREADS=1` makes every
+/// defaulted call run inline; read once per process.
 pub const THREADS_ENV: &str = "GMLFM_THREADS";
 
-/// How many threads a parallel helper may use for one call.
-///
-/// This is a *request*, independent of the global pool's size: work
-/// is partitioned into this many blocks, and the pool schedules the
-/// blocks on however many workers it owns. Results of the order-
-/// preserving helpers do not depend on either number.
+/// How many threads a parallel helper may use for one call: work is
+/// partitioned into this many blocks, one thread each. Results of the
+/// order-preserving helpers do not depend on the number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism(NonZeroUsize);
 
@@ -84,7 +78,7 @@ impl Parallelism {
         Self(NonZeroUsize::new(n.max(1)).expect("max(1) is non-zero"))
     }
 
-    /// The single-threaded escape hatch: helpers run inline, no pool.
+    /// The single-threaded escape hatch: helpers run inline.
     pub fn serial() -> Self {
         Self::threads(1)
     }
@@ -104,13 +98,6 @@ impl Default for Parallelism {
     fn default() -> Self {
         Self::auto()
     }
-}
-
-/// The process-wide pool the `par_*` helpers run on, built on first use
-/// with [`Parallelism::auto`] workers.
-fn global() -> &'static ThreadPool {
-    static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-    GLOBAL.get_or_init(|| ThreadPool::new(NonZeroUsize::new(Parallelism::auto().get()).expect("non-zero")))
 }
 
 /// Splits `0..n` into at most `blocks` contiguous, near-equal ranges in
@@ -148,25 +135,35 @@ pub fn par_map<T: Sync, R: Send>(par: Parallelism, items: &[T], f: impl Fn(&T) -
 /// reusable buffers) and stream through its range. Output order — and
 /// therefore the merged result for pure `f` — matches the serial
 /// `f(0..n)` evaluation exactly.
+///
+/// The first block runs on the calling thread, every other block on a
+/// scoped thread of its own. A panic in any block is re-raised here
+/// once every block has finished.
 pub fn par_blocks<R: Send>(par: Parallelism, n: usize, f: impl Fn(Range<usize>) -> Vec<R> + Sync) -> Vec<R> {
     if par.is_serial() || n < 2 {
         return f(0..n);
     }
-    let blocks = block_ranges(n, par.get());
-    let mut outs: Vec<Vec<R>> = Vec::new();
-    outs.resize_with(blocks.len(), Vec::new);
+    let mut blocks = block_ranges(n, par.get()).into_iter();
+    let first = blocks.next().expect("n >= 2 gives at least one block");
     let f = &f;
-    global().scoped(|s| {
-        for (range, out) in blocks.into_iter().zip(outs.iter_mut()) {
-            s.spawn(move || *out = f(range));
+    std::thread::scope(|s| {
+        let rest: Vec<_> = blocks.map(|range| s.spawn(move || f(range))).collect();
+        let mut out = f(first);
+        for handle in rest {
+            match handle.join() {
+                Ok(block) => out.extend(block),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
-    });
-    outs.into_iter().flatten().collect()
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn block_ranges_cover_the_input_in_order() {
@@ -218,8 +215,51 @@ mod tests {
     }
 
     #[test]
-    fn global_pool_is_usable() {
-        let out = par_map(Parallelism::threads(2), &[1, 2, 3], |x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
+    fn a_block_panic_reraises_after_every_other_block_finishes() {
+        // Every other block finishes only after block 1 has started to
+        // panic, so a caller that re-raised early would count fewer.
+        let panicking = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            par_blocks(Parallelism::threads(11), 11, |range| {
+                if range.start == 1 {
+                    panicking.store(true, Ordering::SeqCst);
+                    panic!("boom");
+                }
+                while !panicking.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                vec![range.start]
+            })
+        }));
+        assert!(result.is_err(), "the block's panic must reach the caller");
+        assert_eq!(finished.load(Ordering::SeqCst), 10, "every other block ran to completion first");
+    }
+
+    #[test]
+    fn nested_par_blocks_return_the_serial_result() {
+        let got = par_blocks(Parallelism::threads(4), 8, |outer| {
+            outer
+                .flat_map(|i| par_map(Parallelism::threads(3), &[0usize, 1, 2, 3, 4], move |j| i * 10 + j))
+                .collect()
+        });
+        let want: Vec<usize> = (0..8).flat_map(|i| (0..5).map(move |j| i * 10 + j)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn the_first_block_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = par_blocks(Parallelism::threads(3), 3, |_| vec![std::thread::current().id()]);
+        assert_eq!(ids[0], caller);
+        assert!(ids[1..].iter().all(|id| *id != caller), "other blocks run on spawned threads");
+    }
+
+    #[test]
+    fn more_blocks_than_cores_all_run_in_order() {
+        let got = par_blocks(Parallelism::threads(16), 16, |range| range.map(|i| i * i).collect());
+        let want: Vec<usize> = (0..16).map(|i| i * i).collect();
+        assert_eq!(got, want);
     }
 }

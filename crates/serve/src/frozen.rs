@@ -274,8 +274,8 @@ impl FrozenModel {
         self.predict_feats(&inst.feats)
     }
 
-    /// [`FrozenModel::predict`] over a batch, fanned across `par` pool
-    /// workers and merged in input order: prediction is a pure
+    /// [`FrozenModel::predict`] over a batch, fanned across `par`
+    /// threads and merged in input order: prediction is a pure
     /// per-instance map, so the output is bit-identical to the serial
     /// loop at every thread count.
     pub fn scores_with(&self, instances: &[Instance], par: Parallelism) -> Vec<f64> {

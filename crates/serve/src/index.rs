@@ -403,7 +403,7 @@ impl IvfIndex {
         let n_groups = ((n_clusters as f64).sqrt().ceil() as usize).clamp(1, n_clusters);
         let (group_centroids, groups) = group_centroids(&centroids, n_groups);
 
-        // 4. Full assignment pass, fanned across the pool. Pure per
+        // 4. Full assignment pass, fanned across `par` threads. Pure per
         //    item, so the result is identical at every thread count.
         let assignments: Vec<u32> = gmlfm_par::par_blocks(par, n, |range| {
             let mut psi = vec![0.0f64; psi_dim];

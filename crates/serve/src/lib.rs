@@ -18,8 +18,8 @@
 //! * [`FrozenModel`] — tape-free scoring of sparse instances; implements
 //!   [`gmlfm_train::Scorer`], so every evaluation protocol in
 //!   `gmlfm-eval` consumes it unchanged. Batch scoring
-//!   ([`FrozenModel::scores_with`]) fans the instances out across the
-//!   `gmlfm-par` pool; results are bit-identical to serial at every
+//!   ([`FrozenModel::scores_with`]) fans the instances out with
+//!   `gmlfm-par`; results are bit-identical to serial at every
 //!   thread count, and `GMLFM_THREADS=1` forces the serial path. The
 //!   precomputed tables live in the packed [`HatQ`] layout
 //!   (`[v̂ᵢ | qᵢ]` rows), so each worker's candidate delta is one

@@ -25,8 +25,8 @@ use std::cell::RefCell;
 ///
 /// Implementations may ignore `par` (the engine's live estimators score
 /// through their own batch path); the frozen implementation partitions
-/// candidates across the `gmlfm-par` pool with one
-/// [`gmlfm_serve::TopNRanker`] per worker block, merged in candidate
+/// candidates into `gmlfm-par` blocks with one
+/// [`gmlfm_serve::TopNRanker`] per block, merged in candidate
 /// order — bit-identical to serial at every thread count.
 pub trait ScoringBackend {
     /// Scores one validated feature vector.
@@ -525,7 +525,7 @@ pub fn execute_topn<B: ScoringBackend + ?Sized>(
     Ok(value)
 }
 
-/// Fans a [`BatchRequest`] across the pool. Each sub-request validates
+/// Fans a [`BatchRequest`] across threads. Each sub-request validates
 /// and fails independently; top-n sub-requests default to serial inside
 /// the batch (the batch itself is the fan-out) unless they carry an
 /// explicit [`TopNRequest::parallelism`].

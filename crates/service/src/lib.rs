@@ -13,7 +13,7 @@
 //!   named side features), [`TopNRequest`] (candidate subsets, explicit
 //!   exclusions, default seen-item filtering, per-request
 //!   [`gmlfm_par::Parallelism`]), and [`BatchRequest`] fanning many
-//!   requests across the pool. Every request is validated against the
+//!   requests across threads. Every request is validated against the
 //!   snapshot's [`gmlfm_data::Schema`] and [`Catalog`] into a typed
 //!   [`RequestError`] — out-of-range indices and unknown ids are
 //!   rejected, never scored as garbage and never a panic. Ranking

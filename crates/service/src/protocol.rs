@@ -203,7 +203,7 @@ pub enum Reply {
 
 /// Many requests answered against **one** model snapshot.
 ///
-/// The batch is fanned across the `gmlfm-par` pool and every sub-request
+/// The batch is fanned out with `gmlfm-par` and every sub-request
 /// is validated independently: one malformed request yields its own
 /// [`crate::RequestError`] slot without failing the batch. All replies
 /// share the single generation stamped on the enclosing [`Response`].

@@ -347,7 +347,7 @@ impl ModelServer {
     }
 
     /// Answers every sub-request of a [`BatchRequest`] against **one**
-    /// snapshot, fanned across the pool. Malformed sub-requests fail
+    /// snapshot, fanned across threads. Malformed sub-requests fail
     /// individually; the batch itself always succeeds.
     pub fn batch(&self, req: &BatchRequest) -> Response<Vec<Result<Reply, RequestError>>> {
         let state = self.state();
