@@ -161,25 +161,54 @@ impl Transform {
         }
     }
 
-    /// Applies the transform to a `B×k` node.
-    pub fn build(&self, g: &mut Graph, params: &ParamSet, v: Var, training: bool, rng: &mut StdRng) -> Var {
+    /// Applies the transform to the `U×k` node `u` of a field's distinct
+    /// embeddings and returns the `B×k` batch, row `b` being `ψ(u[inv[b]])`.
+    ///
+    /// `ψ` reads one row at a time, so it runs on the `U ≤ B` distinct rows
+    /// and is gathered to the batch afterwards — training's counterpart of
+    /// freezing `V̂ = ψ(V)` once per feature. Dropout masks are drawn per
+    /// batch row, so a DNN gathers before its first dropout and finishes
+    /// its layers on `B` rows. Each row's arithmetic is that of running
+    /// `ψ` on the gathered batch; the backward sums duplicate rows before
+    /// the layer products, so gradients agree with it to rounding only.
+    pub fn build(
+        &self,
+        g: &mut Graph,
+        params: &ParamSet,
+        u: Var,
+        inv: &[usize],
+        training: bool,
+        rng: &mut StdRng,
+    ) -> Var {
         match self {
-            Transform::Identity => v,
+            Transform::Identity => g.gather_rows(u, inv),
             Transform::Mahalanobis { l } => {
                 let lm = g.param(params, *l);
-                g.matmul(v, lm)
+                let ul = g.matmul(u, lm);
+                g.gather_rows(ul, inv)
             }
             Transform::Dnn { weights, biases, dropout } => {
-                let mut x = v;
+                let drop = training && *dropout > 0.0;
+                let mut x = u;
+                // `Some` while `x` still has the distinct rows.
+                let mut pending = Some(inv);
                 for (w_id, b_id) in weights.iter().zip(biases) {
                     let w = g.param(params, *w_id);
                     let b = g.param(params, *b_id);
                     let h = g.matmul(x, w);
                     let h = g.add_row_broadcast(h, b);
-                    let h = g.tanh(h);
-                    x = if training && *dropout > 0.0 { g.dropout(h, *dropout, rng) } else { h };
+                    x = g.tanh(h);
+                    if drop {
+                        if let Some(inv) = pending.take() {
+                            x = g.gather_rows(x, inv);
+                        }
+                        x = g.dropout(x, *dropout, rng);
+                    }
                 }
-                x
+                match pending {
+                    Some(inv) => g.gather_rows(x, inv),
+                    None => x,
+                }
             }
         }
     }
@@ -312,7 +341,7 @@ mod tests {
         let vv = g.constant(Matrix::row_vector(&v));
         let mut drng = seeded_rng(6);
         // Evaluation mode: dropout off.
-        let out = t.build(&mut g, &params, vv, false, &mut drng);
+        let out = t.build(&mut g, &params, vv, &[0], false, &mut drng);
         for (got, want) in g.value(out).row(0).iter().zip(&scalar) {
             assert!((got - want).abs() < 1e-12);
         }

@@ -5,7 +5,7 @@ use gmlfm_autograd::{Graph, ParamId, ParamSet, Var};
 use gmlfm_data::Instance;
 use gmlfm_tensor::init::normal;
 use gmlfm_tensor::{seeded_rng, Matrix};
-use gmlfm_train::{field_index_columns, GraphModel};
+use gmlfm_train::{field_index_columns, unique_with_inverse, GraphModel};
 use rand::rngs::StdRng;
 
 /// Which transform family to instantiate.
@@ -267,17 +267,23 @@ impl GraphModel for GmlFm {
         let w0 = g.param(params, self.w0);
         let linear = g.add_row_broadcast(linear, w0);
 
-        // Field embeddings and their transforms.
+        // Field embeddings and their transforms: one gather of `V` per
+        // field, at its distinct features, so ψ runs once per feature.
         let v = g.param(params, self.v);
-        let embeds: Vec<Var> = cols.iter().map(|col| g.gather_rows(v, col)).collect();
-        let transformed: Vec<Var> = embeds
-            .iter()
-            .map(|&e| self.transform.build(g, params, e, training, rng))
-            .collect();
         let h = self.h.map(|h_id| g.param(params, h_id));
+        let mut embeds = Vec::with_capacity(cols.len());
+        let mut transformed = Vec::with_capacity(cols.len());
+        for col in &cols {
+            let (uniq, inv) = unique_with_inverse(col);
+            let u = g.gather_rows(v, &uniq);
+            if h.is_some() {
+                embeds.push(g.gather_rows(u, &inv));
+            }
+            transformed.push(self.transform.build(g, params, u, &inv, training, rng));
+        }
 
         // Σ_{i<j} w_ij · D(v̂_i, v̂_j).
-        let m = embeds.len();
+        let m = transformed.len();
         let mut acc: Option<Var> = None;
         for i in 0..m {
             for j in i + 1..m {
@@ -321,6 +327,188 @@ mod tests {
             ("cosine", GmlFmConfig::dnn(6, 1).with_distance(Distance::Cosine)),
             ("md_no_weight", GmlFmConfig::mahalanobis(6).without_weight()),
         ]
+    }
+
+    /// The per-row graph `forward_batch` replaced: every field gathers
+    /// `V` at all `B` rows and runs ψ on each of them. Kept as the oracle
+    /// for the distinct-row body.
+    fn forward_batch_per_row(
+        model: &GmlFm,
+        g: &mut Graph,
+        params: &ParamSet,
+        batch: &[&Instance],
+        training: bool,
+        rng: &mut StdRng,
+    ) -> Var {
+        let cols = field_index_columns(batch);
+        let w = g.param(params, model.w);
+        let mut linear: Option<Var> = None;
+        for col in &cols {
+            let gathered = g.gather_rows(w, col);
+            linear = Some(match linear {
+                Some(acc) => g.add(acc, gathered),
+                None => gathered,
+            });
+        }
+        let w0 = g.param(params, model.w0);
+        let linear = g.add_row_broadcast(linear.expect("at least one field"), w0);
+        let v = g.param(params, model.v);
+        let embeds: Vec<Var> = cols.iter().map(|col| g.gather_rows(v, col)).collect();
+        let transformed: Vec<Var> = embeds
+            .iter()
+            .map(|&e| match &model.transform {
+                Transform::Identity => e,
+                Transform::Mahalanobis { l } => {
+                    let lm = g.param(params, *l);
+                    g.matmul(e, lm)
+                }
+                Transform::Dnn { weights, biases, dropout } => {
+                    let mut x = e;
+                    for (w_id, b_id) in weights.iter().zip(biases) {
+                        let w = g.param(params, *w_id);
+                        let b = g.param(params, *b_id);
+                        let h = g.matmul(x, w);
+                        let h = g.add_row_broadcast(h, b);
+                        let h = g.tanh(h);
+                        x = if training && *dropout > 0.0 { g.dropout(h, *dropout, rng) } else { h };
+                    }
+                    x
+                }
+            })
+            .collect();
+        let h = model.h.map(|h_id| g.param(params, h_id));
+        let mut acc: Option<Var> = None;
+        for i in 0..embeds.len() {
+            for j in i + 1..embeds.len() {
+                let dist = model.distance.build(g, transformed[i], transformed[j]);
+                let term = match h {
+                    Some(h) => {
+                        let prod = g.mul(embeds[i], embeds[j]);
+                        let w_ij = g.matmul(prod, h);
+                        g.mul(w_ij, dist)
+                    }
+                    None => dist,
+                };
+                acc = Some(match acc {
+                    Some(a) => g.add(a, term),
+                    None => term,
+                });
+            }
+        }
+        match acc {
+            Some(pair) => g.add(linear, pair),
+            None => linear,
+        }
+    }
+
+    /// Field sizes of the `train_fit` fixture's six fields.
+    const MIX_FIELDS: [usize; 6] = [227, 220, 2, 7, 21, 17];
+
+    /// Three batch shapes over [`MIX_FIELDS`]' `n` features, by name: every
+    /// field value distinct, one instance 256 times, and 256 rows drawn
+    /// skewed towards low values (duplicates in every field).
+    fn batch_shapes() -> Vec<(&'static str, Vec<Instance>)> {
+        use rand::Rng;
+        let offsets: Vec<usize> =
+            MIX_FIELDS.iter().scan(0, |o, &n| Some(std::mem::replace(o, *o + n))).collect();
+        let inst = |vals: &[usize], label| {
+            Instance::new(vals.iter().zip(&offsets).map(|(v, o)| (o + v) as u32).collect(), label)
+        };
+        let distinct = (0..2).map(|b| inst(&[b; 6], b as f64)).collect();
+        let copies = vec![inst(&[3, 1, 1, 4, 9, 16], 0.5); 256];
+        let mut rng = seeded_rng(29);
+        let mix = (0..256)
+            .map(|_| {
+                let vals: Vec<usize> = MIX_FIELDS
+                    .iter()
+                    .map(|&n| {
+                        let x: f64 = rng.gen();
+                        ((x * x * n as f64) as usize).min(n - 1)
+                    })
+                    .collect();
+                inst(&vals, rng.gen_range(-1.0..1.0))
+            })
+            .collect();
+        vec![("distinct", distinct), ("copies", copies), ("mix", mix)]
+    }
+
+    /// Prediction values and every parameter's gradient of the MSE loss.
+    fn values_and_gradients(
+        model: &GmlFm,
+        batch: &[&Instance],
+        training: bool,
+        forward: impl Fn(&GmlFm, &mut Graph, &ParamSet, &[&Instance], bool, &mut StdRng) -> Var,
+    ) -> (Vec<f64>, Vec<Option<Matrix>>) {
+        let mut g = Graph::new();
+        let mut rng = seeded_rng(71);
+        let pred = forward(model, &mut g, model.params(), batch, training, &mut rng);
+        let values = g.value(pred).as_slice().to_vec();
+        let target = g.constant(gmlfm_train::labels_column(batch));
+        let loss = g.mse(pred, target);
+        let grads = g.backward(loss);
+        let per_param = model.params().iter().map(|(id, _)| grads.get(id).cloned()).collect();
+        (values, per_param)
+    }
+
+    #[test]
+    fn distinct_row_forward_is_bitwise_the_per_row_graph_and_gradients_agree() {
+        let n: usize = MIX_FIELDS.iter().sum();
+        for (name, cfg) in variants() {
+            let model = GmlFm::new(n, &cfg.with_seed(13));
+            for (shape, instances) in batch_shapes() {
+                let batch: Vec<&Instance> = instances.iter().collect();
+                for training in [false, true] {
+                    let at = format!("{name}/{shape}/training={training}");
+                    let (got, got_grads) =
+                        values_and_gradients(&model, &batch, training, GmlFm::forward_batch);
+                    let (want, want_grads) =
+                        values_and_gradients(&model, &batch, training, forward_batch_per_row);
+                    assert!(got == want, "{at}: forward differs");
+                    for ((id, _), (gg, wg)) in model.params().iter().zip(got_grads.iter().zip(&want_grads)) {
+                        let pname = model.params().name(id);
+                        let (gg, wg) = (gg.as_ref().expect(pname), wg.as_ref().expect(pname));
+                        let scale = wg.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+                        let err = gg
+                            .as_slice()
+                            .iter()
+                            .zip(wg.as_slice())
+                            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+                        assert!(
+                            err <= 1e-12 * scale,
+                            "{at}: {pname} gradient off by {err:e} at scale {scale:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gmlfm_loss_gradients_pass_finite_differences_on_repeated_rows() {
+        use gmlfm_autograd::gradient_check;
+        let mut dnn = GmlFmConfig::dnn(3, 2);
+        dnn.dropout = 0.0;
+        for (name, cfg) in [
+            ("md", GmlFmConfig::mahalanobis(3)),
+            ("dnn2", dnn),
+            ("euclidean_plain", GmlFmConfig::euclidean_plain(3)),
+        ] {
+            let model = GmlFm::new(9, &cfg.with_seed(17).with_init_std(0.5));
+            let instances = [
+                Instance::new(vec![0, 4, 7], 0.5),
+                Instance::new(vec![1, 4, 8], -1.0),
+                Instance::new(vec![0, 4, 7], 0.5),
+                Instance::new(vec![0, 5, 7], 1.5),
+            ];
+            let batch: Vec<&Instance> = instances.iter().collect();
+            let mut params = model.params().clone();
+            let report = gradient_check(&mut params, 1e-6, |g, p| {
+                let pred = model.forward_batch(g, p, &batch, true, &mut seeded_rng(3));
+                let target = g.constant(gmlfm_train::labels_column(&batch));
+                g.mse(pred, target)
+            });
+            assert!(report.passes(1e-7), "{name}: {report:?}");
+        }
     }
 
     #[test]

@@ -29,6 +29,21 @@ pub fn field_index_columns(batch: &[&Instance]) -> Vec<Vec<usize>> {
     cols
 }
 
+/// The sorted distinct values of one index column and, for each row, the
+/// position of its value among them: `col[b] == uniq[inv[b]]`. A model
+/// whose per-row work depends only on the row's feature computes it once
+/// per entry of `uniq` and gathers the result back with `inv`.
+pub fn unique_with_inverse(col: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let mut uniq = col.to_vec();
+    uniq.sort_unstable();
+    uniq.dedup();
+    let inv = col
+        .iter()
+        .map(|x| uniq.binary_search(x).expect("value taken from col"))
+        .collect();
+    (uniq, inv)
+}
+
 /// Labels of a batch as a `B x 1` column.
 pub fn labels_column(batch: &[&Instance]) -> Matrix {
     Matrix::from_vec(batch.len(), 1, batch.iter().map(|i| i.label).collect())
@@ -53,6 +68,29 @@ mod tests {
     fn empty_batch_yields_no_columns() {
         let cols = field_index_columns(&[]);
         assert!(cols.is_empty());
+    }
+
+    #[test]
+    fn unique_with_inverse_of_empty_duplicate_and_unique_columns() {
+        let cases: [(&[usize], (Vec<usize>, Vec<usize>)); 3] = [
+            (&[], (vec![], vec![])),
+            (&[7; 5], (vec![7], vec![0; 5])),
+            (&[4, 1, 9], (vec![1, 4, 9], vec![1, 0, 2])),
+        ];
+        for (col, want) in cases {
+            assert_eq!(unique_with_inverse(col), want, "{col:?}");
+        }
+    }
+
+    #[test]
+    fn unique_with_inverse_reconstructs_the_column() {
+        let col = [5, 3, 5, 12, 0, 3, 3, 12, 8];
+        let (uniq, inv) = unique_with_inverse(&col);
+        assert!(uniq.windows(2).all(|w| w[0] < w[1]), "{uniq:?} not strictly sorted");
+        assert_eq!(inv.len(), col.len());
+        for (b, &x) in col.iter().enumerate() {
+            assert_eq!(uniq[inv[b]], x);
+        }
     }
 
     #[test]

@@ -21,6 +21,6 @@ pub mod loss;
 pub mod optim;
 pub mod trainer;
 
-pub use batch::{field_index_columns, labels_column};
+pub use batch::{field_index_columns, labels_column, unique_with_inverse};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use trainer::{fit_bpr, fit_regression, GraphModel, Scorer, TrainConfig, TrainReport};

@@ -40,9 +40,7 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut ParamSet, grads: &Gradients) {
-        let ids: Vec<_> = grads.iter().map(|(id, _)| id).collect();
-        for id in ids {
-            let g = grads.get(id).expect("id from iter");
+        for (id, g) in grads.iter() {
             if self.weight_decay > 0.0 {
                 let decay = 1.0 - self.lr * self.weight_decay;
                 params.get_mut(id).scale_inplace(decay);
