@@ -13,8 +13,8 @@
 //! * **L2 panic-freedom** — no `unwrap`/`expect`/`panic!`-family in the
 //!   serving hot paths (`gmlfm-service`, `gmlfm-serve`'s scoring/
 //!   retrieval files, `gmlfm-net`'s frame/wire codecs and connection
-//!   loops, the JSON reader every wire byte goes through, and
-//!   `gmlfm-online`'s ingest + trainer loop): a malformed
+//!   loops, the JSON reader and decoders every wire byte and artifact
+//!   goes through, and `gmlfm-online`'s ingest + trainer loop): a malformed
 //!   request — or a hostile byte stream, or a degenerate event batch —
 //!   must surface as a typed error, never tear down a worker.
 //! * **L3 determinism** — no `HashMap`/`HashSet` where iteration order
@@ -61,10 +61,11 @@ pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// The one file under `vendor/` this repository wrote rather than
-/// stood in for: the JSON reader. Every wire byte is read by it before
-/// `gmlfm-net` sees a value, so it is linted as serving hot path.
-pub const VENDORED_FIRST_PARTY: [&str; 1] = ["vendor/serde/src/json.rs"];
+/// The files under `vendor/` this repository wrote rather than stood in
+/// for: the JSON reader and the one decoding trait's impls. Every wire
+/// byte and every artifact member is decoded by them before `gmlfm-net`
+/// or `gmlfm-engine` sees a value, so they are linted as serving hot path.
+pub const VENDORED_FIRST_PARTY: [&str; 2] = ["vendor/serde/src/json.rs", "vendor/serde/src/lib.rs"];
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
@@ -191,10 +192,10 @@ mod tests {
         assert!(scope_for("crates/net/src/server.rs").ordering_justification);
         assert!(scope_for("crates/net/src/frame.rs").ordering_justification);
         assert!(!scope_for("crates/net/src/wire.rs").ordering_justification);
-        // The JSON reader under the wire codec is hot path too; the rest
-        // of the vendored serde stand-in is not ours.
+        // The JSON reader and the decoding trait's impls under the wire
+        // codec and the artifact loader are hot path too.
         assert!(scope_for("vendor/serde/src/json.rs").panic_freedom);
-        assert!(!scope_for("vendor/serde/src/lib.rs").panic_freedom);
+        assert!(scope_for("vendor/serde/src/lib.rs").panic_freedom);
         assert!(!scope_for("vendor/serde/src/json.rs").no_hash_collections);
         // The online loop's hot path: ingest + trainer are panic-free,
         // the whole crate is hash-free (BTreeSet for the dedup ids),
@@ -223,6 +224,7 @@ mod tests {
             "scan must not descend into vendor/"
         );
         assert!(files.iter().any(|p| p.ends_with("vendor/serde/src/json.rs")), "the JSON reader is ours");
+        assert!(files.iter().any(|p| p.ends_with("vendor/serde/src/lib.rs")), "so are its decoders");
         // Deterministic order.
         let again = workspace_sources(&root);
         assert_eq!(files, again);

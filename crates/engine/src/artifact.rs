@@ -39,7 +39,7 @@ use gmlfm_data::{FieldKind, Schema};
 use gmlfm_serve::{FrozenModel, IvfIndex, Precision, SecondOrder};
 use gmlfm_service::{ModelSnapshot, SeenItems};
 use gmlfm_tensor::Matrix;
-use serde::json::{self, Value};
+use serde::json::{self, first, optional, required, Reader, Typed, Value};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::Path;
@@ -51,11 +51,36 @@ pub const ARTIFACT_VERSION: u32 = 4;
 pub const MIN_ARTIFACT_VERSION: u32 = 1;
 
 /// A dense matrix in serialisable form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct MatrixRepr {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Serialize for MatrixRepr {
+    fn serialize_json(&self, out: &mut String) {
+        json::write_object(out, &[("rows", &self.rows), ("cols", &self.cols), ("data", &self.data)]);
+    }
+}
+
+impl Deserialize<'_> for MatrixRepr {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        let (mut rows, mut cols, mut data) = (None, None, None);
+        let read = json::object(r, "rows", |key, r| match key {
+            "rows" => first(&mut rows, r),
+            "cols" => first(&mut cols, r),
+            "data" => first(&mut data, r),
+            _ => r.skip(),
+        })?;
+        Ok(read.and_then(|()| {
+            Ok(Self {
+                rows: required(&mut rows, "rows")?,
+                cols: required(&mut cols, "cols")?,
+                data: required(&mut data, "data")?,
+            })
+        }))
+    }
 }
 
 impl MatrixRepr {
@@ -87,51 +112,81 @@ pub(crate) enum SecondRepr {
 impl Serialize for SecondRepr {
     fn serialize_json(&self, out: &mut String) {
         match self {
-            SecondRepr::Dot => out.push_str("{\"kind\":\"dot\"}"),
-            SecondRepr::Metric { v_hat, q, h, distance } => {
-                out.push_str("{\"kind\":\"metric\",\"v_hat\":");
-                v_hat.serialize_json(out);
-                out.push_str(",\"q\":");
-                q.serialize_json(out);
-                out.push_str(",\"h\":");
-                h.serialize_json(out);
-                out.push_str(",\"distance\":");
-                distance.serialize_json(out);
-                out.push('}');
-            }
+            SecondRepr::Dot => json::write_object(out, &[("kind", &"dot")]),
+            SecondRepr::Metric { v_hat, q, h, distance } => json::write_object(
+                out,
+                &[("kind", &"metric"), ("v_hat", v_hat), ("q", q), ("h", h), ("distance", distance)],
+            ),
             SecondRepr::Translated { v_trans } => {
-                out.push_str("{\"kind\":\"translated\",\"v_trans\":");
-                v_trans.serialize_json(out);
-                out.push('}');
+                json::write_object(out, &[("kind", &"translated"), ("v_trans", v_trans)])
             }
         }
     }
 }
 
-impl Deserialize for SecondRepr {
-    fn deserialize_json(v: &Value) -> Result<Self, json::Error> {
-        let kind: String = json::field(v, "kind")?;
-        match kind.as_str() {
+impl Deserialize<'_> for SecondRepr {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        let (mut kind, mut v_hat, mut q, mut h, mut distance, mut v_trans) = Default::default();
+        let read = json::object(r, "kind", |key, r| match key {
+            "kind" => first(&mut kind, r),
+            "v_hat" => first(&mut v_hat, r),
+            "q" => first(&mut q, r),
+            "h" => first(&mut h, r),
+            "distance" => first(&mut distance, r),
+            "v_trans" => first(&mut v_trans, r),
+            _ => r.skip(),
+        })?;
+        Ok(read.and_then(|()| match required::<String>(&mut kind, "kind")?.as_str() {
             "dot" => Ok(SecondRepr::Dot),
             "metric" => Ok(SecondRepr::Metric {
-                v_hat: json::field(v, "v_hat")?,
-                q: json::field(v, "q")?,
-                h: json::field(v, "h")?,
-                distance: json::field(v, "distance")?,
+                v_hat: required(&mut v_hat, "v_hat")?,
+                q: required(&mut q, "q")?,
+                h: required(&mut h, "h")?,
+                distance: required(&mut distance, "distance")?,
             }),
-            "translated" => Ok(SecondRepr::Translated { v_trans: json::field(v, "v_trans")? }),
+            "translated" => Ok(SecondRepr::Translated { v_trans: required(&mut v_trans, "v_trans")? }),
             other => Err(json::Error::new(format!("unknown second-order kind '{other}'"))),
-        }
+        }))
     }
 }
 
 /// Serialisable form of a [`FrozenModel`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct FrozenRepr {
     w0: f64,
     w: Vec<f64>,
     v: MatrixRepr,
     second: SecondRepr,
+}
+
+impl Serialize for FrozenRepr {
+    fn serialize_json(&self, out: &mut String) {
+        json::write_object(
+            out,
+            &[("w0", &self.w0), ("w", &self.w), ("v", &self.v), ("second", &self.second)],
+        );
+    }
+}
+
+impl Deserialize<'_> for FrozenRepr {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        let (mut w0, mut w, mut v, mut second) = (None, None, None, None);
+        let read = json::object(r, "w0", |key, r| match key {
+            "w0" => first(&mut w0, r),
+            "w" => first(&mut w, r),
+            "v" => first(&mut v, r),
+            "second" => first(&mut second, r),
+            _ => r.skip(),
+        })?;
+        Ok(read.and_then(|()| {
+            Ok(Self {
+                w0: required(&mut w0, "w0")?,
+                w: required(&mut w, "w")?,
+                v: required(&mut v, "v")?,
+                second: required(&mut second, "second")?,
+            })
+        }))
+    }
 }
 
 impl FrozenRepr {
@@ -201,17 +256,62 @@ impl FrozenRepr {
 }
 
 /// One schema field in serialisable form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct FieldRepr {
     name: String,
     cardinality: usize,
     kind: String,
 }
 
+impl Serialize for FieldRepr {
+    fn serialize_json(&self, out: &mut String) {
+        json::write_object(
+            out,
+            &[("name", &self.name), ("cardinality", &self.cardinality), ("kind", &self.kind)],
+        );
+    }
+}
+
+impl Deserialize<'_> for FieldRepr {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        let (mut name, mut cardinality, mut kind) = (None, None, None);
+        let read = json::object(r, "name", |key, r| match key {
+            "name" => first(&mut name, r),
+            "cardinality" => first(&mut cardinality, r),
+            "kind" => first(&mut kind, r),
+            _ => r.skip(),
+        })?;
+        Ok(read.and_then(|()| {
+            Ok(Self {
+                name: required(&mut name, "name")?,
+                cardinality: required(&mut cardinality, "cardinality")?,
+                kind: required(&mut kind, "kind")?,
+            })
+        }))
+    }
+}
+
 /// Serialisable form of a [`Schema`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct SchemaRepr {
     fields: Vec<FieldRepr>,
+}
+
+impl Serialize for SchemaRepr {
+    fn serialize_json(&self, out: &mut String) {
+        json::write_object(out, &[("fields", &self.fields)]);
+    }
+}
+
+impl Deserialize<'_> for SchemaRepr {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        let mut fields = None;
+        let read = json::object(r, "fields", |key, r| match key {
+            "fields" => first(&mut fields, r),
+            _ => r.skip(),
+        })?;
+        Ok(read.and_then(|()| Ok(Self { fields: required(&mut fields, "fields")? })))
+    }
 }
 
 fn kind_name(kind: FieldKind) -> &'static str {
@@ -266,7 +366,7 @@ impl SchemaRepr {
 /// Serialisable form of an [`IvfIndex`] (v3+): the per-cluster means
 /// plus the per-item cluster assignment and deviation-norm vectors,
 /// from which the member lists and cluster radii are rebuilt on load.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct IndexRepr {
     kind: String,
     k: usize,
@@ -275,6 +375,51 @@ pub(crate) struct IndexRepr {
     assignments: Vec<u32>,
     default_nprobe: usize,
     min_candidates: usize,
+}
+
+impl Serialize for IndexRepr {
+    fn serialize_json(&self, out: &mut String) {
+        json::write_object(
+            out,
+            &[
+                ("kind", &self.kind),
+                ("k", &self.k),
+                ("phi_mean", &self.phi_mean),
+                ("item_norms", &self.item_norms),
+                ("assignments", &self.assignments),
+                ("default_nprobe", &self.default_nprobe),
+                ("min_candidates", &self.min_candidates),
+            ],
+        );
+    }
+}
+
+impl Deserialize<'_> for IndexRepr {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        let (mut kind, mut k, mut phi_mean, mut item_norms, mut assignments, mut nprobe, mut min) =
+            Default::default();
+        let read = json::object(r, "kind", |key, r| match key {
+            "kind" => first(&mut kind, r),
+            "k" => first(&mut k, r),
+            "phi_mean" => first(&mut phi_mean, r),
+            "item_norms" => first(&mut item_norms, r),
+            "assignments" => first(&mut assignments, r),
+            "default_nprobe" => first(&mut nprobe, r),
+            "min_candidates" => first(&mut min, r),
+            _ => r.skip(),
+        })?;
+        Ok(read.and_then(|()| {
+            Ok(Self {
+                kind: required(&mut kind, "kind")?,
+                k: required(&mut k, "k")?,
+                phi_mean: required(&mut phi_mean, "phi_mean")?,
+                item_norms: required(&mut item_norms, "item_norms")?,
+                assignments: required(&mut assignments, "assignments")?,
+                default_nprobe: required(&mut nprobe, "default_nprobe")?,
+                min_candidates: required(&mut min, "min_candidates")?,
+            })
+        }))
+    }
 }
 
 impl IndexRepr {
@@ -311,7 +456,7 @@ pub use gmlfm_service::Catalog;
 
 /// A saved, versioned, servable model: spec + schema + frozen matrices
 /// (+ optional catalog and seen sets) in one JSON document.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Artifact {
     /// Format version; checked before the body is decoded.
     pub format_version: u32,
@@ -331,28 +476,21 @@ pub struct Artifact {
     pub(crate) precision: Option<String>,
 }
 
-// Hand-written (the derive requires every key): the `seen` field did not
-// exist before format version 2, nor `index` before 3, nor `precision`
-// before 4, so all decode as `None` when absent.
-impl Deserialize for Artifact {
-    fn deserialize_json(v: &Value) -> Result<Self, json::Error> {
-        fn optional<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, json::Error> {
-            match v.get(name) {
-                Some(value) => Option::<T>::deserialize_json(value)
-                    .map_err(|e| json::Error::new(format!("field '{name}': {e}"))),
-                None => Ok(None),
-            }
-        }
-        Ok(Self {
-            format_version: json::field(v, "format_version")?,
-            spec: json::field(v, "spec")?,
-            schema: json::field(v, "schema")?,
-            frozen: json::field(v, "frozen")?,
-            catalog: json::field(v, "catalog")?,
-            seen: optional(v, "seen")?,
-            index: optional(v, "index")?,
-            precision: optional(v, "precision")?,
-        })
+impl Serialize for Artifact {
+    fn serialize_json(&self, out: &mut String) {
+        json::write_object(
+            out,
+            &[
+                ("format_version", &self.format_version),
+                ("spec", &self.spec),
+                ("schema", &self.schema),
+                ("frozen", &self.frozen),
+                ("catalog", &self.catalog),
+                ("seen", &self.seen),
+                ("index", &self.index),
+                ("precision", &self.precision),
+            ],
+        );
     }
 }
 
@@ -408,17 +546,38 @@ impl Artifact {
 
     /// Serialises to a JSON string.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("artifact serialisation is infallible")
+        json::to_string(self)
     }
 
-    /// Parses an artifact, validating `format_version` before decoding
-    /// the body.
+    /// Parses an artifact, validating `format_version` before any type
+    /// error in the body is reported.
+    ///
+    /// One pass over the text reads every member in place — syntax
+    /// errors anywhere end it — and the gate then reads the version as
+    /// whatever number it is. The `seen` member did not exist before
+    /// format version 2, nor `index` before 3, nor `precision` before 4,
+    /// so all decode as `None` when absent.
     pub fn from_json(text: &str) -> Result<Self, EngineError> {
-        let value = json::parse(text).map_err(EngineError::Json)?;
-        let raw = value
-            .get("format_version")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| EngineError::BadArtifact("missing format_version".into()))?;
+        let mut r = Reader::new(text);
+        let (mut version, mut spec, mut schema, mut frozen) = (None, None, None, None);
+        let (mut catalog, mut seen, mut index, mut precision) = (None, None, None, None);
+        let read = json::object(&mut r, "format_version", |key, r| match key {
+            "format_version" => first(&mut version, r),
+            "spec" => first(&mut spec, r),
+            "schema" => first(&mut schema, r),
+            "frozen" => first(&mut frozen, r),
+            "catalog" => first(&mut catalog, r),
+            "seen" => first(&mut seen, r),
+            "index" => first(&mut index, r),
+            "precision" => first(&mut precision, r),
+            _ => r.skip(),
+        })?;
+        r.finish()?;
+        let raw = match (read, version) {
+            (Ok(()), Some(Ok(v))) => Value::as_f64(&v),
+            _ => None,
+        };
+        let raw = raw.ok_or_else(|| EngineError::BadArtifact("missing format_version".into()))?;
         if raw.fract() != 0.0 || !(0.0..=u32::MAX as f64).contains(&raw) {
             return Err(EngineError::BadArtifact(format!("format_version {raw} is not a u32")));
         }
@@ -426,7 +585,16 @@ impl Artifact {
         if !(MIN_ARTIFACT_VERSION..=ARTIFACT_VERSION).contains(&version) {
             return Err(EngineError::UnsupportedVersion { found: version, supported: ARTIFACT_VERSION });
         }
-        Artifact::deserialize_json(&value).map_err(EngineError::Json)
+        Ok(Self {
+            format_version: version,
+            spec: required(&mut spec, "spec")?,
+            schema: required(&mut schema, "schema")?,
+            frozen: required(&mut frozen, "frozen")?,
+            catalog: required(&mut catalog, "catalog")?,
+            seen: optional(&mut seen, "seen")?.flatten(),
+            index: optional(&mut index, "index")?.flatten(),
+            precision: optional(&mut precision, "precision")?.flatten(),
+        })
     }
 
     /// Writes the artifact as JSON, creating parent directories.
@@ -538,8 +706,7 @@ mod tests {
             ("cat", 3, FieldKind::Category),
         ]);
         let repr = SchemaRepr::from_schema(&schema);
-        let json = serde_json::to_string(&repr).unwrap();
-        let back: SchemaRepr = serde_json::from_str(&json).unwrap();
+        let back: SchemaRepr = json::from_str(&json::to_string(&repr)).unwrap();
         let restored = back.into_schema().unwrap();
         assert_eq!(restored.total_dim(), schema.total_dim());
         assert_eq!(restored.fields()[2].kind, FieldKind::Category);

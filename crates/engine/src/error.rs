@@ -10,7 +10,7 @@ pub enum EngineError {
     /// Filesystem failure while saving or loading an artifact.
     Io(std::io::Error),
     /// Malformed artifact JSON (syntax, missing fields, bad tags).
-    Json(serde_json::Error),
+    Json(serde::json::Error),
     /// The artifact's `format_version` is not one this build reads.
     UnsupportedVersion {
         /// Version recorded in the artifact.
@@ -120,8 +120,8 @@ impl From<std::io::Error> for EngineError {
     }
 }
 
-impl From<serde_json::Error> for EngineError {
-    fn from(e: serde_json::Error) -> Self {
+impl From<serde::json::Error> for EngineError {
+    fn from(e: serde::json::Error) -> Self {
         EngineError::Json(e)
     }
 }

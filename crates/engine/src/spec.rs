@@ -42,8 +42,9 @@ use gmlfm_models::ncf::NcfConfig;
 use gmlfm_models::nfm::NfmConfig;
 use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_models::xdeepfm::XDeepFmConfig;
-use serde::json::{self, Value};
+use serde::json::{self, first, required, Reader, Typed};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A declarative, serialisable model constructor — see the [module
 /// docs](self) for the task / serving support matrix.
@@ -207,19 +208,7 @@ pub(crate) fn distance_from_name(name: &str) -> Result<Distance, json::Error> {
     }
 }
 
-/// Writes a tagged JSON object: `{"model": <tag>, <fields>...}`.
-fn write_tagged(out: &mut String, tag: &str, fields: &[(&str, &dyn Serialize)]) {
-    out.push_str("{\"model\":");
-    json::write_escaped(tag, out);
-    for (name, value) in fields {
-        out.push(',');
-        json::write_escaped(name, out);
-        out.push(':');
-        value.serialize_json(out);
-    }
-    out.push('}');
-}
-
+/// A spec is a tagged JSON object: `{"model": <tag>, <fields>...}`.
 impl Serialize for ModelSpec {
     fn serialize_json(&self, out: &mut String) {
         match self {
@@ -229,16 +218,14 @@ impl Serialize for ModelSpec {
                     TransformKind::Mahalanobis => ("mahalanobis", 0),
                     TransformKind::Dnn(l) => ("dnn", l),
                 };
-                let transform = transform.to_string();
-                let distance = distance_name(config.distance).to_string();
-                write_tagged(
+                json::write_object(
                     out,
-                    "gml_fm",
                     &[
+                        ("model", &"gml_fm"),
                         ("k", &config.k),
                         ("transform", &transform),
                         ("dnn_layers", &dnn_layers),
-                        ("distance", &distance),
+                        ("distance", &distance_name(config.distance)),
                         ("use_weight", &config.use_weight),
                         ("dropout", &config.dropout),
                         ("init_std", &config.init_std),
@@ -246,10 +233,10 @@ impl Serialize for ModelSpec {
                     ],
                 );
             }
-            ModelSpec::Fm { config } => write_tagged(
+            ModelSpec::Fm { config } => json::write_object(
                 out,
-                "fm",
                 &[
+                    ("model", &"fm"),
                     ("k", &config.k),
                     ("lr", &config.lr),
                     ("reg", &config.reg),
@@ -258,56 +245,35 @@ impl Serialize for ModelSpec {
                 ],
             ),
             ModelSpec::TransFm { config } => {
-                write_tagged(out, "trans_fm", &[("k", &config.k), ("seed", &config.seed)])
+                json::write_object(out, &[("model", &"trans_fm"), ("k", &config.k), ("seed", &config.seed)])
             }
             ModelSpec::Mf { config } => write_mf(out, "mf", config),
             ModelSpec::Pmf { config } => write_mf(out, "pmf", config),
             ModelSpec::BprMf { config } => write_mf(out, "bpr_mf", config),
             ModelSpec::Ngcf { config } => write_mf(out, "ngcf", config),
-            ModelSpec::Ncf { config } => write_tagged(
+            ModelSpec::Ncf { config } => {
+                write_deep(out, "ncf", config.k, config.layers, config.dropout, config.seed)
+            }
+            ModelSpec::Nfm { config } => {
+                write_deep(out, "nfm", config.k, config.layers, config.dropout, config.seed)
+            }
+            ModelSpec::Afm { config } => json::write_object(
                 out,
-                "ncf",
                 &[
-                    ("k", &config.k),
-                    ("layers", &config.layers),
-                    ("dropout", &config.dropout),
-                    ("seed", &config.seed),
-                ],
-            ),
-            ModelSpec::Nfm { config } => write_tagged(
-                out,
-                "nfm",
-                &[
-                    ("k", &config.k),
-                    ("layers", &config.layers),
-                    ("dropout", &config.dropout),
-                    ("seed", &config.seed),
-                ],
-            ),
-            ModelSpec::Afm { config } => write_tagged(
-                out,
-                "afm",
-                &[
+                    ("model", &"afm"),
                     ("k", &config.k),
                     ("attention_size", &config.attention_size),
                     ("dropout", &config.dropout),
                     ("seed", &config.seed),
                 ],
             ),
-            ModelSpec::DeepFm { config } => write_tagged(
+            ModelSpec::DeepFm { config } => {
+                write_deep(out, "deep_fm", config.k, config.layers, config.dropout, config.seed)
+            }
+            ModelSpec::XDeepFm { config } => json::write_object(
                 out,
-                "deep_fm",
                 &[
-                    ("k", &config.k),
-                    ("layers", &config.layers),
-                    ("dropout", &config.dropout),
-                    ("seed", &config.seed),
-                ],
-            ),
-            ModelSpec::XDeepFm { config } => write_tagged(
-                out,
-                "x_deep_fm",
-                &[
+                    ("model", &"x_deep_fm"),
                     ("k", &config.k),
                     ("cin_maps", &config.cin_maps),
                     ("cin_depth", &config.cin_depth),
@@ -322,10 +288,10 @@ impl Serialize for ModelSpec {
 
 /// The four MF-family variants share one field layout.
 fn write_mf(out: &mut String, tag: &str, config: &MfConfig) {
-    write_tagged(
+    json::write_object(
         out,
-        tag,
         &[
+            ("model", &tag),
             ("k", &config.k),
             ("lr", &config.lr),
             ("reg", &config.reg),
@@ -335,102 +301,153 @@ fn write_mf(out: &mut String, tag: &str, config: &MfConfig) {
     );
 }
 
-fn read_mf(v: &Value) -> Result<MfConfig, json::Error> {
-    Ok(MfConfig {
-        k: json::field(v, "k")?,
-        lr: json::field(v, "lr")?,
-        reg: json::field(v, "reg")?,
-        epochs: json::field(v, "epochs")?,
-        seed: json::field(v, "seed")?,
-    })
+/// NCF, NFM and DeepFM share one field layout too.
+fn write_deep(out: &mut String, tag: &str, k: usize, layers: usize, dropout: f64, seed: u64) {
+    json::write_object(
+        out,
+        &[("model", &tag), ("k", &k), ("layers", &layers), ("dropout", &dropout), ("seed", &seed)],
+    );
 }
 
-impl Deserialize for ModelSpec {
-    fn deserialize_json(v: &Value) -> Result<Self, json::Error> {
-        let tag: String = json::field(v, "model")?;
-        match tag.as_str() {
+/// The members of a spec object: every key some tag reads, each decoded
+/// as the one type it has under every tag.
+#[derive(Default)]
+struct SpecMembers<'a> {
+    model: Option<Typed<Cow<'a, str>>>,
+    k: Option<Typed<usize>>,
+    transform: Option<Typed<Cow<'a, str>>>,
+    dnn_layers: Option<Typed<usize>>,
+    distance: Option<Typed<Cow<'a, str>>>,
+    use_weight: Option<Typed<bool>>,
+    dropout: Option<Typed<f64>>,
+    init_std: Option<Typed<f64>>,
+    seed: Option<Typed<u64>>,
+    lr: Option<Typed<f64>>,
+    reg: Option<Typed<f64>>,
+    epochs: Option<Typed<usize>>,
+    layers: Option<Typed<usize>>,
+    attention_size: Option<Typed<usize>>,
+    cin_maps: Option<Typed<usize>>,
+    cin_depth: Option<Typed<usize>>,
+}
+
+impl SpecMembers<'_> {
+    /// The spec its `model` tag names, from the members that tag reads.
+    fn spec(&mut self) -> Typed<ModelSpec> {
+        Ok(match &*required(&mut self.model, "model")? {
             "gml_fm" => {
-                let transform: String = json::field(v, "transform")?;
-                let dnn_layers: usize = json::field(v, "dnn_layers")?;
-                let transform = match transform.as_str() {
+                let dnn_layers = required(&mut self.dnn_layers, "dnn_layers")?;
+                let transform = match &*required(&mut self.transform, "transform")? {
                     "identity" => TransformKind::Identity,
                     "mahalanobis" => TransformKind::Mahalanobis,
                     "dnn" => TransformKind::Dnn(dnn_layers),
                     other => return Err(json::Error::new(format!("unknown transform '{other}'"))),
                 };
-                let distance_name: String = json::field(v, "distance")?;
-                Ok(ModelSpec::GmlFm {
+                ModelSpec::GmlFm {
                     config: GmlFmConfig {
-                        k: json::field(v, "k")?,
+                        k: required(&mut self.k, "k")?,
                         transform,
-                        distance: distance_from_name(&distance_name)?,
-                        use_weight: json::field(v, "use_weight")?,
-                        dropout: json::field(v, "dropout")?,
-                        init_std: json::field(v, "init_std")?,
-                        seed: json::field(v, "seed")?,
+                        distance: distance_from_name(&required(&mut self.distance, "distance")?)?,
+                        use_weight: required(&mut self.use_weight, "use_weight")?,
+                        dropout: required(&mut self.dropout, "dropout")?,
+                        init_std: required(&mut self.init_std, "init_std")?,
+                        seed: required(&mut self.seed, "seed")?,
                     },
-                })
+                }
             }
-            "fm" => Ok(ModelSpec::Fm {
-                config: FmConfig {
-                    k: json::field(v, "k")?,
-                    lr: json::field(v, "lr")?,
-                    reg: json::field(v, "reg")?,
-                    epochs: json::field(v, "epochs")?,
-                    seed: json::field(v, "seed")?,
+            "fm" => {
+                let MfConfig { k, lr, reg, epochs, seed } = self.mf()?;
+                ModelSpec::Fm { config: FmConfig { k, lr, reg, epochs, seed } }
+            }
+            "trans_fm" => ModelSpec::TransFm {
+                config: TransFmConfig {
+                    k: required(&mut self.k, "k")?,
+                    seed: required(&mut self.seed, "seed")?,
                 },
-            }),
-            "trans_fm" => Ok(ModelSpec::TransFm {
-                config: TransFmConfig { k: json::field(v, "k")?, seed: json::field(v, "seed")? },
-            }),
-            "mf" => Ok(ModelSpec::Mf { config: read_mf(v)? }),
-            "pmf" => Ok(ModelSpec::Pmf { config: read_mf(v)? }),
-            "bpr_mf" => Ok(ModelSpec::BprMf { config: read_mf(v)? }),
-            "ngcf" => Ok(ModelSpec::Ngcf { config: read_mf(v)? }),
-            "ncf" => Ok(ModelSpec::Ncf {
-                config: NcfConfig {
-                    k: json::field(v, "k")?,
-                    layers: json::field(v, "layers")?,
-                    dropout: json::field(v, "dropout")?,
-                    seed: json::field(v, "seed")?,
-                },
-            }),
-            "nfm" => Ok(ModelSpec::Nfm {
-                config: NfmConfig {
-                    k: json::field(v, "k")?,
-                    layers: json::field(v, "layers")?,
-                    dropout: json::field(v, "dropout")?,
-                    seed: json::field(v, "seed")?,
-                },
-            }),
-            "afm" => Ok(ModelSpec::Afm {
+            },
+            "mf" => ModelSpec::Mf { config: self.mf()? },
+            "pmf" => ModelSpec::Pmf { config: self.mf()? },
+            "bpr_mf" => ModelSpec::BprMf { config: self.mf()? },
+            "ngcf" => ModelSpec::Ngcf { config: self.mf()? },
+            "ncf" => {
+                let (k, layers, dropout, seed) = self.deep()?;
+                ModelSpec::Ncf { config: NcfConfig { k, layers, dropout, seed } }
+            }
+            "nfm" => {
+                let (k, layers, dropout, seed) = self.deep()?;
+                ModelSpec::Nfm { config: NfmConfig { k, layers, dropout, seed } }
+            }
+            "afm" => ModelSpec::Afm {
                 config: AfmConfig {
-                    k: json::field(v, "k")?,
-                    attention_size: json::field(v, "attention_size")?,
-                    dropout: json::field(v, "dropout")?,
-                    seed: json::field(v, "seed")?,
+                    k: required(&mut self.k, "k")?,
+                    attention_size: required(&mut self.attention_size, "attention_size")?,
+                    dropout: required(&mut self.dropout, "dropout")?,
+                    seed: required(&mut self.seed, "seed")?,
                 },
-            }),
-            "deep_fm" => Ok(ModelSpec::DeepFm {
-                config: DeepFmConfig {
-                    k: json::field(v, "k")?,
-                    layers: json::field(v, "layers")?,
-                    dropout: json::field(v, "dropout")?,
-                    seed: json::field(v, "seed")?,
-                },
-            }),
-            "x_deep_fm" => Ok(ModelSpec::XDeepFm {
+            },
+            "deep_fm" => {
+                let (k, layers, dropout, seed) = self.deep()?;
+                ModelSpec::DeepFm { config: DeepFmConfig { k, layers, dropout, seed } }
+            }
+            "x_deep_fm" => ModelSpec::XDeepFm {
                 config: XDeepFmConfig {
-                    k: json::field(v, "k")?,
-                    cin_maps: json::field(v, "cin_maps")?,
-                    cin_depth: json::field(v, "cin_depth")?,
-                    layers: json::field(v, "layers")?,
-                    dropout: json::field(v, "dropout")?,
-                    seed: json::field(v, "seed")?,
+                    k: required(&mut self.k, "k")?,
+                    cin_maps: required(&mut self.cin_maps, "cin_maps")?,
+                    cin_depth: required(&mut self.cin_depth, "cin_depth")?,
+                    layers: required(&mut self.layers, "layers")?,
+                    dropout: required(&mut self.dropout, "dropout")?,
+                    seed: required(&mut self.seed, "seed")?,
                 },
-            }),
-            other => Err(json::Error::new(format!("unknown model spec tag '{other}'"))),
-        }
+            },
+            other => return Err(json::Error::new(format!("unknown model spec tag '{other}'"))),
+        })
+    }
+
+    /// What [`write_mf`] writes (FM's layout too).
+    fn mf(&mut self) -> Typed<MfConfig> {
+        Ok(MfConfig {
+            k: required(&mut self.k, "k")?,
+            lr: required(&mut self.lr, "lr")?,
+            reg: required(&mut self.reg, "reg")?,
+            epochs: required(&mut self.epochs, "epochs")?,
+            seed: required(&mut self.seed, "seed")?,
+        })
+    }
+
+    /// What [`write_deep`] writes: `k`, `layers`, `dropout`, `seed`.
+    fn deep(&mut self) -> Typed<(usize, usize, f64, u64)> {
+        Ok((
+            required(&mut self.k, "k")?,
+            required(&mut self.layers, "layers")?,
+            required(&mut self.dropout, "dropout")?,
+            required(&mut self.seed, "seed")?,
+        ))
+    }
+}
+
+impl<'a> Deserialize<'a> for ModelSpec {
+    fn deserialize(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
+        let mut m = SpecMembers::default();
+        let read = json::object(r, "model", |key, r| match key {
+            "model" => first(&mut m.model, r),
+            "k" => first(&mut m.k, r),
+            "transform" => first(&mut m.transform, r),
+            "dnn_layers" => first(&mut m.dnn_layers, r),
+            "distance" => first(&mut m.distance, r),
+            "use_weight" => first(&mut m.use_weight, r),
+            "dropout" => first(&mut m.dropout, r),
+            "init_std" => first(&mut m.init_std, r),
+            "seed" => first(&mut m.seed, r),
+            "lr" => first(&mut m.lr, r),
+            "reg" => first(&mut m.reg, r),
+            "epochs" => first(&mut m.epochs, r),
+            "layers" => first(&mut m.layers, r),
+            "attention_size" => first(&mut m.attention_size, r),
+            "cin_maps" => first(&mut m.cin_maps, r),
+            "cin_depth" => first(&mut m.cin_depth, r),
+            _ => r.skip(),
+        })?;
+        Ok(read.and_then(|()| m.spec()))
     }
 }
 
@@ -464,16 +481,16 @@ mod tests {
     #[test]
     fn every_spec_round_trips_through_json() {
         for spec in all_specs() {
-            let json = serde_json::to_string(&spec).unwrap();
-            let back: ModelSpec = serde_json::from_str(&json).unwrap();
-            let json2 = serde_json::to_string(&back).unwrap();
+            let json = json::to_string(&spec);
+            let back: ModelSpec = json::from_str(&json).unwrap();
+            let json2 = json::to_string(&back);
             assert_eq!(json, json2, "{} drifted through JSON", spec.display_name());
         }
     }
 
     #[test]
     fn unknown_tag_is_a_typed_parse_error() {
-        let err = serde_json::from_str::<ModelSpec>("{\"model\":\"word2vec\"}").unwrap_err();
+        let err = json::from_str::<ModelSpec>("{\"model\":\"word2vec\"}").unwrap_err();
         assert!(err.to_string().contains("word2vec"), "{err}");
     }
 

@@ -236,9 +236,9 @@ mod tests {
         let cfg = ExpConfig::default();
         for kind in ModelKind::TOPN.iter().chain(&ModelKind::RATING) {
             let spec = kind.spec(&cfg);
-            let json = serde_json::to_string(&spec).unwrap();
-            let back: ModelSpec = serde_json::from_str(&json).unwrap();
-            assert_eq!(json, serde_json::to_string(&back).unwrap(), "{}", kind.name());
+            let json = serde::json::to_string(&spec);
+            let back: ModelSpec = serde::json::from_str(&json).unwrap();
+            assert_eq!(json, serde::json::to_string(&back), "{}", kind.name());
         }
     }
 }

@@ -9,15 +9,16 @@
 //!
 //! Decoding is **total**: any byte payload — non-UTF-8, malformed JSON,
 //! wrong shapes, absurd numbers — yields a typed [`WireError`], never a
-//! panic (this module and the JSON reader under it are in the
-//! `gmlfm-analyze` L2 panic-freedom scope, and `tests/frame_proptest.rs`
-//! drives arbitrary bytes through it).
+//! panic (this module and the JSON reader and decoders under it are in
+//! the `gmlfm-analyze` L2 panic-freedom scope, and
+//! `tests/frame_proptest.rs` drives arbitrary bytes through it).
 //!
-//! Decoding reads the payload's bytes once with `serde::json::Reader`;
-//! no `Value` tree is built. Scalars and discriminants cost no
-//! allocation (strings are borrowed unless escaped), so a batch of pair
-//! scores allocates its request list and nothing per member. What it
-//! accepts is fixed by the tree-based decoder it replaced, which
+//! Decoding reads the payload's bytes once with `serde::json::Reader`,
+//! through `serde::Deserialize` and `serde::json`'s member protocol; no
+//! `Value` tree is built. Scalars and discriminants cost no allocation
+//! (strings are borrowed unless escaped), so a batch of pair scores
+//! allocates its request list and nothing per member. What it accepts
+//! is fixed by the tree-based decoder it replaced, which
 //! `tests/wire_oracle.rs` keeps as a differential oracle:
 //!
 //! * members may come in any order, the discriminant included;
@@ -39,7 +40,7 @@ use gmlfm_serve::{Precision, RetrievalStrategy};
 use gmlfm_service::{
     BatchRequest, FeedAck, Interaction, Reply, Request, RequestError, ScoreRequest, TopNRequest,
 };
-use serde::json::{self, Kind, Reader, Value};
+use serde::json::{self, first, optional, required, Reader, Typed};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -358,156 +359,30 @@ pub fn encode_error(code: &str, message: &str) -> String {
 // Decoding
 // ---------------------------------------------------------------------
 
-// One pass over the payload with `json::Reader`, no `Value` tree. The
-// members of each object are collected before any is interpreted, since
-// the discriminant may come last: the first of a duplicated key wins, and
-// each member is decoded in place as the type its name has on every
-// shape. The discriminant then takes the members its shape reads. The
-// others were validated and their type errors are dropped.
+// One pass over the payload with `json::Reader`, no `Value` tree, under
+// `serde::json`'s member protocol: the members of each object are
+// collected before any is interpreted, since the discriminant may come
+// last. The discriminant then takes the members its shape reads.
 
-/// A member decoded in place: a value, or the error its shape reports if
-/// the discriminant reads it. (Syntax errors do not wait: they end the
-/// decode.)
-type Typed<T> = Result<T, WireError>;
+/// `strategy` on a topn request.
+struct Strategy(RetrievalStrategy);
 
-/// A member type read straight off the reader, accepting what its
-/// `Deserialize` impl accepts. `decode` always consumes and validates
-/// the whole value.
-trait Decode<'a>: Sized {
-    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error>;
-}
-
-macro_rules! decode_scalar {
-    ($($t:ty),*) => {$(
-        impl Decode<'_> for $t {
-            fn decode(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
-                // Scalars come whole, so the `Deserialize` impl decides
-                // exactness, range and kind as it does on a parsed tree.
-                Ok(<$t>::deserialize_json(&r.shallow()?).map_err(WireError::from))
-            }
-        }
-    )*};
-}
-
-decode_scalar!(bool, u32, u64, usize, f64);
-
-impl<'a, T: Decode<'a>> Decode<'a> for Option<T> {
-    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
-        if r.next_kind()? == Kind::Null {
-            r.shallow()?;
-            return Ok(Ok(None));
-        }
-        Ok(T::decode(r)?.map(Some))
-    }
-}
-
-impl<'a> Decode<'a> for Cow<'a, str> {
-    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
-        if r.next_kind()? == Kind::String {
-            return Ok(Ok(r.string()?));
-        }
-        Ok(Err(mismatch("string", r.shallow()?)))
-    }
-}
-
-impl Decode<'_> for String {
-    fn decode(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
-        Ok(Cow::decode(r)?.map(Cow::into_owned))
-    }
-}
-
-impl<'a, T: Decode<'a>> Decode<'a> for Vec<T> {
-    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
-        if r.next_kind()? != Kind::Array {
-            return Ok(Err(mismatch("array", r.shallow()?)));
-        }
-        r.begin_array()?;
-        let mut items = Ok(Vec::new());
-        while r.next_element()? {
-            items = match (items, T::decode(r)?) {
-                (Ok(mut items), Ok(item)) => {
-                    items.push(item);
-                    Ok(items)
-                }
-                (Err(e), _) | (_, Err(e)) => Err(e),
-            };
-        }
-        Ok(items)
-    }
-}
-
-impl<'a, A: Decode<'a>, B: Decode<'a>> Decode<'a> for (A, B) {
-    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
-        if r.next_kind()? != Kind::Array {
-            return Ok(Err(mismatch("2-tuple array", r.shallow()?)));
-        }
-        r.begin_array()?;
-        let (mut a, mut b, mut n) = (None, None, 0usize);
-        while r.next_element()? {
-            match n {
-                0 => a = Some(A::decode(r)?),
-                1 => b = Some(B::decode(r)?),
-                _ => r.skip()?,
-            }
-            n += 1;
-        }
-        Ok(match (a, b) {
-            (Some(a), Some(b)) if n == 2 => a.and_then(|a| Ok((a, b?))),
-            _ => Err(WireError::new(format!("expected 2 elements, found {n}"))),
-        })
-    }
-}
-
-impl Decode<'_> for RetrievalStrategy {
-    fn decode(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
-        if r.next_kind()? != Kind::Object {
-            let found = r.shallow()?;
-            return Ok(Err(WireError::new(format!("missing field 'kind' in {}", found.kind()))));
-        }
+impl Deserialize<'_> for Strategy {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
         let (mut kind, mut nprobe) = (None, None);
-        r.begin_object()?;
-        while let Some(key) = r.next_key()? {
-            match &*key {
-                "kind" => first::<Cow<str>>(&mut kind, r)?,
-                "nprobe" => first::<Option<usize>>(&mut nprobe, r)?,
-                _ => r.skip()?,
+        let read = json::object(r, "kind", |key, r| match key {
+            "kind" => first::<Cow<str>>(&mut kind, r),
+            "nprobe" => first::<Option<usize>>(&mut nprobe, r),
+            _ => r.skip(),
+        })?;
+        Ok(read.and_then(|()| match &*required(&mut kind, "kind")? {
+            "exact" => Ok(Strategy(RetrievalStrategy::Exact)),
+            "ivf" => {
+                Ok(Strategy(RetrievalStrategy::Ivf { nprobe: optional(&mut nprobe, "nprobe")?.flatten() }))
             }
-        }
-        Ok(required(&mut kind, "kind").and_then(|kind| match &*kind {
-            "exact" => Ok(RetrievalStrategy::Exact),
-            "ivf" => Ok(RetrievalStrategy::Ivf { nprobe: optional(&mut nprobe, "nprobe")?.flatten() }),
-            other => Err(WireError::new(format!("unknown retrieval strategy '{other}'"))),
+            other => Err(json::Error::new(format!("unknown retrieval strategy '{other}'"))),
         }))
     }
-}
-
-/// The error a `Deserialize` impl gives a value of the wrong kind.
-fn mismatch(expected: &str, found: Value) -> WireError {
-    WireError::new(format!("expected {expected}, found {}", found.kind()))
-}
-
-/// Decodes a member into `slot`, unless an earlier member of the same
-/// key filled it: then the value is only validated.
-fn first<'a, T: Decode<'a>>(slot: &mut Option<Typed<T>>, r: &mut Reader<'a>) -> Result<(), json::Error> {
-    match slot {
-        Some(_) => r.skip(),
-        None => {
-            *slot = Some(T::decode(r)?);
-            Ok(())
-        }
-    }
-}
-
-/// A member the shape may omit, `None` when absent.
-fn optional<T>(slot: &mut Option<Typed<T>>, name: &str) -> Result<Option<T>, WireError> {
-    slot.take()
-        .transpose()
-        .map_err(|e| WireError::new(format!("field '{name}': {}", e.message)))
-}
-
-/// A member the shape requires.
-fn required<T>(slot: &mut Option<Typed<T>>, name: &str) -> Result<T, WireError> {
-    optional(slot, name)?.ok_or_else(|| WireError::new(format!("missing field '{name}' in object")))
 }
 
 fn reader(payload: &[u8]) -> Result<Reader<'_>, WireError> {
@@ -530,59 +405,51 @@ struct RequestMembers<'a> {
     exclude: Option<Typed<Vec<u32>>>,
     exclude_seen: Option<Typed<bool>>,
     par: Option<Typed<Option<usize>>>,
-    strategy: Option<Typed<Option<RetrievalStrategy>>>,
+    strategy: Option<Typed<Option<Strategy>>>,
     precision: Option<Typed<Option<Cow<'a, str>>>>,
     rating: Option<Typed<Option<f64>>>,
     id: Option<Typed<Option<u64>>>,
     /// Read on a payload's own object only: nothing reads a batch
     /// member's `requests`.
-    requests: Option<Typed<Vec<Request>>>,
+    requests: Option<Typed<Vec<BatchMember>>>,
 }
 
 impl<'a> RequestMembers<'a> {
     /// Collects the object at the cursor; `top` for the payload's own.
     fn read(&mut self, r: &mut Reader<'a>, top: bool) -> Result<Typed<()>, json::Error> {
-        if r.next_kind()? != Kind::Object {
-            let found = r.shallow()?;
-            return Ok(Err(WireError::new(format!("missing field 'op' in {}", found.kind()))));
-        }
-        r.begin_object()?;
-        while let Some(key) = r.next_key()? {
-            match &*key {
-                "op" => first(&mut self.op, r)?,
-                "mode" => first(&mut self.mode, r)?,
-                "feats" => first(&mut self.feats, r)?,
-                "user" => first(&mut self.user, r)?,
-                "item" => first(&mut self.item, r)?,
-                "fields" => first(&mut self.fields, r)?,
-                "n" => first(&mut self.n, r)?,
-                "candidates" => first(&mut self.candidates, r)?,
-                "exclude" => first(&mut self.exclude, r)?,
-                "exclude_seen" => first(&mut self.exclude_seen, r)?,
-                "par" => first(&mut self.par, r)?,
-                "strategy" => first(&mut self.strategy, r)?,
-                "precision" => first(&mut self.precision, r)?,
-                "rating" => first(&mut self.rating, r)?,
-                "id" => first(&mut self.id, r)?,
-                "requests" if top => first(&mut self.requests, r)?,
-                _ => r.skip()?,
-            }
-        }
-        Ok(Ok(()))
+        json::object(r, "op", |key, r| match key {
+            "op" => first(&mut self.op, r),
+            "mode" => first(&mut self.mode, r),
+            "feats" => first(&mut self.feats, r),
+            "user" => first(&mut self.user, r),
+            "item" => first(&mut self.item, r),
+            "fields" => first(&mut self.fields, r),
+            "n" => first(&mut self.n, r),
+            "candidates" => first(&mut self.candidates, r),
+            "exclude" => first(&mut self.exclude, r),
+            "exclude_seen" => first(&mut self.exclude_seen, r),
+            "par" => first(&mut self.par, r),
+            "strategy" => first(&mut self.strategy, r),
+            "precision" => first(&mut self.precision, r),
+            "rating" => first(&mut self.rating, r),
+            "id" => first(&mut self.id, r),
+            "requests" if top => first(&mut self.requests, r),
+            _ => r.skip(),
+        })
     }
 
     /// A request as a batch member.
-    fn member(&mut self) -> Result<Request, WireError> {
+    fn member(&mut self) -> Typed<Request> {
         match &*required(&mut self.op, "op")? {
             "score" => Ok(Request::Score(self.score()?)),
             "topn" => Ok(Request::TopN(self.topn()?)),
-            "batch" => Err(WireError::new("batch requests cannot nest")),
-            "feed" => Err(WireError::new("feed requests cannot ride in a batch")),
-            other => Err(WireError::new(format!("unknown op '{other}'"))),
+            "batch" => Err(json::Error::new("batch requests cannot nest")),
+            "feed" => Err(json::Error::new("feed requests cannot ride in a batch")),
+            other => Err(json::Error::new(format!("unknown op '{other}'"))),
         }
     }
 
-    fn score(&mut self) -> Result<ScoreRequest, WireError> {
+    fn score(&mut self) -> Typed<ScoreRequest> {
         match &*required(&mut self.mode, "mode")? {
             "feats" => Ok(ScoreRequest::Feats(required(&mut self.feats, "feats")?)),
             "pair" => Ok(ScoreRequest::Pair {
@@ -593,11 +460,11 @@ impl<'a> RequestMembers<'a> {
                 item: required(&mut self.item, "item")?,
                 fields: required(&mut self.fields, "fields")?,
             }),
-            other => Err(WireError::new(format!("unknown score mode '{other}'"))),
+            other => Err(json::Error::new(format!("unknown score mode '{other}'"))),
         }
     }
 
-    fn topn(&mut self) -> Result<TopNRequest, WireError> {
+    fn topn(&mut self) -> Typed<TopNRequest> {
         let candidates = optional(&mut self.candidates, "candidates")?.flatten();
         let exclude = optional(&mut self.exclude, "exclude")?.unwrap_or_default();
         let exclude_seen = optional(&mut self.exclude_seen, "exclude_seen")?.unwrap_or(true);
@@ -608,12 +475,12 @@ impl<'a> RequestMembers<'a> {
             exclude,
             exclude_seen,
             par: self.par()?,
-            strategy: optional(&mut self.strategy, "strategy")?.flatten(),
+            strategy: optional(&mut self.strategy, "strategy")?.flatten().map(|Strategy(s)| s),
             precision: match optional(&mut self.precision, "precision")?.flatten() {
                 None => None,
                 Some(name) => Some(
                     Precision::from_name(&name)
-                        .ok_or_else(|| WireError::new(format!("unknown precision '{name}'")))?,
+                        .ok_or_else(|| json::Error::new(format!("unknown precision '{name}'")))?,
                 ),
             },
         })
@@ -623,11 +490,11 @@ impl<'a> RequestMembers<'a> {
     /// Parallelism contract, so any wire integer maps to a valid worker
     /// count; the server caps it at `Parallelism::auto` before
     /// executing (`server::bound_par`).
-    fn par(&mut self) -> Result<Option<Parallelism>, WireError> {
+    fn par(&mut self) -> Typed<Option<Parallelism>> {
         Ok(optional(&mut self.par, "par")?.flatten().map(Parallelism::threads))
     }
 
-    fn feed(&mut self) -> Result<Interaction, WireError> {
+    fn feed(&mut self) -> Typed<Interaction> {
         let rating = optional(&mut self.rating, "rating")?.flatten();
         let fields = optional(&mut self.fields, "fields")?.unwrap_or_default();
         let id = optional(&mut self.id, "id")?.flatten();
@@ -641,10 +508,13 @@ impl<'a> RequestMembers<'a> {
     }
 }
 
-impl<'a> Decode<'a> for Request {
-    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
+/// A `requests` member of a batch.
+struct BatchMember(Request);
+
+impl<'a> Deserialize<'a> for BatchMember {
+    fn deserialize(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
         let mut m = RequestMembers::default();
-        Ok(m.read(r, false)?.and_then(|()| m.member()))
+        Ok(m.read(r, false)?.and_then(|()| m.member()).map(BatchMember))
     }
 }
 
@@ -661,7 +531,10 @@ pub fn decode_request(payload: &[u8]) -> Result<NetRequest, WireError> {
         "score" => Ok(NetRequest::Score(m.score()?)),
         "topn" => Ok(NetRequest::TopN(m.topn()?)),
         "batch" => {
-            let requests = required(&mut m.requests, "requests")?;
+            let requests = required(&mut m.requests, "requests")?
+                .into_iter()
+                .map(|BatchMember(r)| r)
+                .collect();
             Ok(NetRequest::Batch(BatchRequest { requests, par: m.par()? }))
         }
         "feed" => Ok(NetRequest::Feed(m.feed()?)),
@@ -683,52 +556,49 @@ struct ReplyMembers<'a> {
     message: Option<Typed<Cow<'a, str>>>,
     /// Read on a payload's own object only: a batch slot cannot hold a
     /// batch.
-    results: Option<Typed<Vec<Result<NetReply, NetError>>>>,
+    results: Option<Typed<Vec<BatchSlot>>>,
 }
 
 impl<'a> ReplyMembers<'a> {
     /// Collects the object at the cursor; `top` for the payload's own.
     fn read(&mut self, r: &mut Reader<'a>, top: bool) -> Result<Typed<()>, json::Error> {
-        if r.next_kind()? != Kind::Object {
-            let found = r.shallow()?;
-            return Ok(Err(WireError::new(format!("missing field 'ok' in {}", found.kind()))));
-        }
-        r.begin_object()?;
-        while let Some(key) = r.next_key()? {
-            match &*key {
-                "ok" => first(&mut self.ok, r)?,
-                "generation" => first(&mut self.generation, r)?,
-                "kind" => first(&mut self.kind, r)?,
-                "value" => first(&mut self.value, r)?,
-                "items" => first(&mut self.items, r)?,
-                "accepted" => first(&mut self.accepted, r)?,
-                "pending" => first(&mut self.pending, r)?,
-                "code" => first(&mut self.code, r)?,
-                "message" => first(&mut self.message, r)?,
-                "results" if top => first(&mut self.results, r)?,
-                _ => r.skip()?,
-            }
-        }
-        Ok(Ok(()))
+        json::object(r, "ok", |key, r| match key {
+            "ok" => first(&mut self.ok, r),
+            "generation" => first(&mut self.generation, r),
+            "kind" => first(&mut self.kind, r),
+            "value" => first(&mut self.value, r),
+            "items" => first(&mut self.items, r),
+            "accepted" => first(&mut self.accepted, r),
+            "pending" => first(&mut self.pending, r),
+            "code" => first(&mut self.code, r),
+            "message" => first(&mut self.message, r),
+            "results" if top => first(&mut self.results, r),
+            _ => r.skip(),
+        })
     }
 
     /// The payload of an `"ok": true` object; `top` for the payload's own.
-    fn reply(&mut self, top: bool) -> Result<NetReply, WireError> {
+    fn reply(&mut self, top: bool) -> Typed<NetReply> {
         match &*required(&mut self.kind, "kind")? {
             "score" => Ok(NetReply::Score(required(&mut self.value, "value")?)),
             "topn" => Ok(NetReply::TopN(required(&mut self.items, "items")?)),
-            "batch" if top => Ok(NetReply::Batch(required(&mut self.results, "results")?)),
-            "batch" => Err(WireError::new("batch replies cannot nest")),
+            "batch" if top => Ok(NetReply::Batch(
+                required(&mut self.results, "results")?
+                    .into_iter()
+                    .map(|BatchSlot(s)| s)
+                    .collect(),
+            )),
+            "batch" => Err(json::Error::new("batch replies cannot nest")),
             "feed" => Ok(NetReply::Feed(FeedAck {
                 accepted: required(&mut self.accepted, "accepted")?,
                 pending: required(&mut self.pending, "pending")?,
             })),
-            other => Err(WireError::new(format!("unknown reply kind '{other}'"))),
+            other => Err(json::Error::new(format!("unknown reply kind '{other}'"))),
         }
     }
 
     /// The error of an `"ok": false` object.
-    fn error(&mut self) -> Result<NetError, WireError> {
+    fn error(&mut self) -> Typed<NetError> {
         Ok(NetError {
             code: required(&mut self.code, "code")?.into_owned(),
             message: required(&mut self.message, "message")?.into_owned(),
@@ -736,12 +606,15 @@ impl<'a> ReplyMembers<'a> {
     }
 }
 
-impl<'a> Decode<'a> for Result<NetReply, NetError> {
-    fn decode(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
+/// A `results` slot of a batch reply.
+struct BatchSlot(Result<NetReply, NetError>);
+
+impl<'a> Deserialize<'a> for BatchSlot {
+    fn deserialize(r: &mut Reader<'a>) -> Result<Typed<Self>, json::Error> {
         let mut m = ReplyMembers::default();
         Ok(m.read(r, false)?.and_then(|()| match required(&mut m.ok, "ok")? {
-            true => Ok(Ok(m.reply(false)?)),
-            false => Ok(Err(m.error()?)),
+            true => Ok(BatchSlot(Ok(m.reply(false)?))),
+            false => Ok(BatchSlot(Err(m.error()?))),
         }))
     }
 }

@@ -6,6 +6,7 @@
 //! the tree-based wire decoders the byte-level ones are checked against.
 #![allow(dead_code)]
 
+pub mod json_tree;
 pub mod tree_decode;
 
 use std::sync::Arc;

@@ -1,15 +1,15 @@
 //! The wire decoders as they were before `wire` read bytes directly:
 //! parse the payload into a `json::Value` tree, then look each member up
 //! with `json::field` / `Value::get`. Kept verbatim — only renamed, with
-//! `WireError::new` spelled as a struct literal — as the oracle the
-//! byte-level decoders are differential-tested against.
+//! `WireError::new` spelled as a struct literal and the tree taken from
+//! `json_tree.rs` — as the oracle the byte-level decoders are
+//! differential-tested against.
 
+use super::json_tree::{self as json, Deserialize, Value};
 use gmlfm_net::wire::{NetError, NetReply, NetRequest, NetResponse, WireError};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{Precision, RetrievalStrategy};
 use gmlfm_service::{BatchRequest, FeedAck, Interaction, Request, ScoreRequest, TopNRequest};
-use serde::json::{self, Value};
-use serde::Deserialize;
 
 fn wire_error(message: impl Into<String>) -> WireError {
     WireError { message: message.into() }
@@ -66,7 +66,7 @@ trait OptionalMember: Sized {
     fn deserialize_json_helper(v: &Value) -> Result<Self, WireError>;
 }
 
-impl<T: serde::Deserialize> OptionalMember for Option<T> {
+impl<T: Deserialize> OptionalMember for Option<T> {
     fn deserialize_json_helper(v: &Value) -> Result<Self, WireError> {
         if v.is_null() {
             Ok(None)

@@ -9,6 +9,7 @@
 
 mod common;
 
+use common::json_tree::{self as json, Value};
 use common::tree_decode::{tree_decode_request, tree_decode_response};
 use gmlfm_net::wire::{self, NetError, NetReply, NetRequest, NetResponse};
 use gmlfm_par::Parallelism;
@@ -17,7 +18,6 @@ use gmlfm_service::{BatchRequest, FeedAck, Interaction, Request, ScoreRequest, T
 use proptest::collection::vec;
 use proptest::option;
 use proptest::prelude::*;
-use serde::json::{self, Value};
 use serde::Serialize;
 
 fn arb_f64() -> impl Strategy<Value = f64> {

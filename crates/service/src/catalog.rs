@@ -3,7 +3,8 @@
 //! behind default seen-item exclusion in top-n requests.
 
 use gmlfm_data::{Dataset, FieldKind, FieldMask};
-use serde::{json, Deserialize, Serialize};
+use serde::json::{self, first, required, Reader, Typed};
+use serde::{Deserialize, Serialize};
 
 /// The item/user feature tables a ranking request needs: per-user context
 /// templates and per-item candidate feature groups, mask-resolved into
@@ -20,7 +21,8 @@ use serde::{json, Deserialize, Serialize};
 /// per candidate, and a flat table makes that a sequential slice read
 /// instead of a pointer chase through a `Vec<Vec<u32>>`. The JSON wire
 /// format keeps the original array-of-arrays shape (hand-written impls
-/// below), so artifacts are unaffected by the layout.
+/// below, which read it straight into the flat table), so artifacts are
+/// unaffected by the layout.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     /// Template positions that carry item-side values.
@@ -188,49 +190,69 @@ fn scan_slot_ranges(item_feats: &[u32], w: usize, n_items: usize) -> Option<Vec<
 }
 
 /// Wire-compatible with the former derived impl over nested
-/// `Vec<Vec<u32>>` item groups: the flat table is re-chunked into an
-/// array of per-item arrays, so artifacts written before and after the
+/// `Vec<Vec<u32>>` item groups: the flat table is written as an array of
+/// per-item arrays, so artifacts written before and after the
 /// flat-layout change are byte-identical.
 impl Serialize for Catalog {
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"item_slots\":");
-        self.item_slots.serialize_json(out);
-        out.push_str(",\"user_templates\":");
-        self.user_templates.serialize_json(out);
-        out.push_str(",\"item_feats\":[");
         let w = self.item_slots.len();
-        for i in 0..self.n_items {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, f) in self.item_feats[i * w..(i + 1) * w].iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                f.serialize_json(out);
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
+        let groups: Vec<&[u32]> = (0..self.n_items).map(|i| &self.item_feats[i * w..(i + 1) * w]).collect();
+        json::write_object(
+            out,
+            &[
+                ("item_slots", &self.item_slots),
+                ("user_templates", &self.user_templates),
+                ("item_feats", &groups),
+            ],
+        );
     }
 }
 
-impl Deserialize for Catalog {
-    fn deserialize_json(v: &json::Value) -> Result<Self, json::Error> {
-        let item_slots: Vec<usize> = json::field(v, "item_slots")?;
-        let user_templates: Vec<Vec<u32>> = json::field(v, "user_templates")?;
-        let groups: Vec<Vec<u32>> = json::field(v, "item_feats")?;
-        let w = item_slots.len();
-        if let Some(bad) = groups.iter().find(|g| g.len() != w) {
-            return Err(json::Error::new(format!(
-                "catalog item group has {} values, expected {w} (one per item slot)",
-                bad.len()
-            )));
-        }
-        let n_items = groups.len();
-        let item_feats = groups.into_iter().flatten().collect();
-        Ok(Self::assemble(item_slots, user_templates, item_feats, n_items))
+impl Deserialize<'_> for Catalog {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        let (mut item_slots, mut user_templates, mut item_feats) = (None, None, None);
+        let read = json::object(r, "item_slots", |key, r| match key {
+            "item_slots" => first(&mut item_slots, r),
+            "user_templates" => first(&mut user_templates, r),
+            "item_feats" => first(&mut item_feats, r),
+            _ => r.skip(),
+        })?;
+        Ok(read.and_then(|()| {
+            let item_slots: Vec<usize> = required(&mut item_slots, "item_slots")?;
+            let user_templates = required(&mut user_templates, "user_templates")?;
+            let ItemGroups { flat, n_items, width } = required(&mut item_feats, "item_feats")?;
+            let w = item_slots.len();
+            if n_items > 0 && width != Some(w) {
+                return Err(json::Error::new(format!(
+                    "catalog item groups do not all have {w} values (one per item slot)"
+                )));
+            }
+            Ok(Self::assemble(item_slots, user_templates, flat, n_items))
+        }))
+    }
+}
+
+/// `item_feats` as it arrives: every per-item array appended to one flat
+/// table, so a catalogue costs no allocation per item.
+struct ItemGroups {
+    flat: Vec<u32>,
+    n_items: usize,
+    /// The values per item, `None` once two groups disagree.
+    width: Option<usize>,
+}
+
+impl Deserialize<'_> for ItemGroups {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        let mut groups = ItemGroups { flat: Vec::new(), n_items: 0, width: None };
+        let read = json::elements(r, |r| {
+            let start = groups.flat.len();
+            let group = json::elements(r, |r| Ok(u32::deserialize(r)?.map(|f| groups.flat.push(f))))?;
+            let width = groups.flat.len() - start;
+            groups.width = (groups.n_items == 0 || groups.width == Some(width)).then_some(width);
+            groups.n_items += 1;
+            Ok(group)
+        })?;
+        Ok(read.map(|()| groups))
     }
 }
 
@@ -257,10 +279,30 @@ fn item_side_slots(dataset: &Dataset, mask: &FieldMask) -> Vec<usize> {
 /// binary search. Users outside the recorded range simply have an empty
 /// seen set, so a catalog larger than the training population degrades
 /// gracefully.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeenItems {
     /// Sorted, deduplicated seen items per user id.
     per_user: Vec<Vec<u32>>,
+}
+
+impl Serialize for SeenItems {
+    fn serialize_json(&self, out: &mut String) {
+        json::write_object(out, &[("per_user", &self.per_user)]);
+    }
+}
+
+/// Built through [`SeenItems::new`]: membership binary-searches each
+/// list, so a hand-edited or corrupted artifact's lists are sorted and
+/// deduplicated on the way in, like a trained one's.
+impl Deserialize<'_> for SeenItems {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Typed<Self>, json::Error> {
+        let mut per_user = None;
+        let read = json::object(r, "per_user", |key, r| match key {
+            "per_user" => first(&mut per_user, r),
+            _ => r.skip(),
+        })?;
+        Ok(read.and_then(|()| required(&mut per_user, "per_user")).map(SeenItems::new))
+    }
 }
 
 impl SeenItems {
@@ -427,8 +469,7 @@ mod tests {
         let from_dataset = Catalog::from_dataset(&dataset, &FieldMask::all(&dataset.schema));
         let mut wire = String::new();
         from_dataset.serialize_json(&mut wire);
-        let round_trip =
-            Catalog::deserialize_json(&json::parse(&wire).expect("valid JSON")).expect("a catalog");
+        let round_trip: Catalog = json::from_str(&wire).expect("a catalog");
         let hand_built = Catalog::new(
             vec![2, 0],
             vec![vec![0, 50, 0]; 2],

@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn unique_with_inverse_of_empty_duplicate_and_unique_columns() {
-        let cases: [(&[usize], (Vec<usize>, Vec<usize>)); 3] = [
+        let cases: [(&[usize], (Vec<usize>, _)); 3] = [
             (&[], (vec![], vec![])),
             (&[7; 5], (vec![7], vec![0; 5])),
             (&[4, 1, 9], (vec![1, 4, 9], vec![1, 0, 2])),
