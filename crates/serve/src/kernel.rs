@@ -18,6 +18,12 @@
 //! deliberately avoided — baseline x86-64 has no FMA, so `mul_add`
 //! lowers to a libm call and changes results besides being slow.
 //!
+//! The transposed multi-dot [`dot_columns`] keeps the same contract
+//! across its columns: it vectorizes across four dots instead of along
+//! one, but each column reduces in [`dot`]'s order — lane sums chunk by
+//! chunk, the same pairwise tree, the serial tail added last — so each
+//! column has the bits [`dot`] gives that column.
+//!
 //! The naive single-accumulator references (`naive_*`) are test-only:
 //! the parity oracle for the ≤1e-12 kernel tests here and for the
 //! scalar-loop ranker reference in `rank.rs`'s tests.
@@ -65,6 +71,82 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         tail += x * y;
     }
     reduce(acc) + tail
+}
+
+/// Columns of one transposed lane row of [`dot_columns`].
+pub const COLS: usize = 4;
+
+/// Four dot products in one pass over a transposed block: lane row `d`
+/// of `rows` is `[a₀[d], a₁[d], b₀[d], b₁[d]]`, and the result is
+/// `[a₀·x, a₁·x, b₀·y, b₁·y]`, each column bitwise [`dot`] of that
+/// column with its operand (`rows`, `x` and `y` all `k` long).
+///
+/// The SIMD direction runs across the four dots, so [`dot`]'s lane
+/// accumulators and its pairwise tree become vertical adds — no
+/// horizontal reduction per dot. For `k` a multiple of [`LANES`] up to
+/// 64 the chunk count is a literal (each arm inlines the body with its
+/// own constant, so the chunk loop unrolls fully and the tail loop
+/// vanishes); any other `k` runs the same body with runtime counts.
+#[inline]
+pub fn dot_columns(rows: &[[f64; COLS]], x: &[f64], y: &[f64]) -> [f64; COLS] {
+    match rows.len() {
+        8 => dot_columns_body::<false>(1, rows, x, y),
+        16 => dot_columns_body::<false>(2, rows, x, y),
+        24 => dot_columns_body::<false>(3, rows, x, y),
+        32 => dot_columns_body::<false>(4, rows, x, y),
+        40 => dot_columns_body::<false>(5, rows, x, y),
+        48 => dot_columns_body::<false>(6, rows, x, y),
+        56 => dot_columns_body::<false>(7, rows, x, y),
+        64 => dot_columns_body::<false>(8, rows, x, y),
+        k => dot_columns_body::<true>(k / LANES, rows, x, y),
+    }
+}
+
+/// [`dot_columns`] over `chunks` full [`LANES`] windows, plus the tail
+/// rows past them when `TAIL` (the arms whose `k` is a multiple of
+/// [`LANES`] leave it out, so no loop keeps their lanes live).
+///
+/// Each column follows [`dot`]'s order: lane `l` sums chunk by chunk,
+/// the lanes collapse through [`reduce`]'s tree, the tail sums serially
+/// from `0.0` and is added last. One difference is free: the lanes
+/// start at the first chunk's products instead of at `0.0 + product`.
+/// That changes a lane only where a product is `−0.0`, and then only
+/// the sign of a zero; a zero's sign survives an add only into another
+/// zero, and the final `+ tail` — never `−0.0`, since it starts at
+/// `+0.0` and a sum is `−0.0` only when both addends are — turns a
+/// `−0.0` tree into `+0.0` exactly as it turns [`dot`]'s `+0.0` tree.
+#[inline(always)]
+fn dot_columns_body<const TAIL: bool>(
+    chunks: usize,
+    rows: &[[f64; COLS]],
+    x: &[f64],
+    y: &[f64],
+) -> [f64; COLS] {
+    let split = chunks * LANES;
+    let (rh, rt) = rows.split_at(split);
+    let (xh, xt) = x.split_at(split);
+    let (yh, yt) = y.split_at(split);
+    let (rw, xw, yw) = (rh.as_chunks::<LANES>().0, xh.as_chunks::<LANES>().0, yh.as_chunks::<LANES>().0);
+    let mut acc = [[0.0f64; COLS]; LANES];
+    for (n, ((r, x), y)) in rw.iter().zip(xw).zip(yw).enumerate() {
+        for l in 0..LANES {
+            let m = [x[l], x[l], y[l], y[l]];
+            for c in 0..COLS {
+                let p = r[l][c] * m[c];
+                acc[l][c] = if n == 0 { p } else { acc[l][c] + p };
+            }
+        }
+    }
+    let mut tail = [0.0f64; COLS];
+    if TAIL {
+        for ((r, &x), &y) in rt.iter().zip(xt).zip(yt) {
+            let m = [x, x, y, y];
+            for c in 0..COLS {
+                tail[c] += r[c] * m[c];
+            }
+        }
+    }
+    std::array::from_fn(|c| reduce(std::array::from_fn(|l| acc[l][c])) + tail[c])
 }
 
 /// Chunked squared Euclidean distance `Σ (aᵢ−bᵢ)²`.
@@ -229,6 +311,33 @@ mod tests {
             let b = random_vec(len, 8);
             assert_eq!(dot(&a, &b).to_bits(), naive_dot(&a, &b).to_bits(), "dot len={len}");
             assert_eq!(sq_dist(&a, &b).to_bits(), naive_sq_dist(&a, &b).to_bits(), "sq_dist len={len}");
+        }
+    }
+
+    /// [`dot_columns`] is [`dot`] per column, bit for bit, at every `k`
+    /// from empty to one past the last literal arm — including a column
+    /// whose every product is `−0.0` (its lanes start at `−0.0` where
+    /// [`dot`]'s start at `0.0 + −0.0 = +0.0`) and one that mixes zeros
+    /// of both signs with ordinary values.
+    #[test]
+    fn dot_columns_is_dot_per_column_bitwise() {
+        for k in 0..=73 {
+            for seed in 0..3 {
+                let x = random_vec(k, 200 + seed);
+                let y = random_vec(k, 300 + seed);
+                let mut cols: [Vec<f64>; COLS] =
+                    std::array::from_fn(|c| random_vec(k, 400 + 8 * seed + c as u64));
+                cols[1] = x.iter().map(|&v| if v >= 0.0 { -0.0 } else { 0.0 }).collect();
+                for (d, v) in cols[3].iter_mut().enumerate().filter(|(d, _)| d % 3 != 1) {
+                    *v = if d % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let rows: Vec<[f64; COLS]> = (0..k).map(|d| std::array::from_fn(|c| cols[c][d])).collect();
+                let got = dot_columns(&rows, &x, &y);
+                let want = [dot(&cols[0], &x), dot(&cols[1], &x), dot(&cols[2], &y), dot(&cols[3], &y)];
+                for c in 0..COLS {
+                    assert_eq!(got[c].to_bits(), want[c].to_bits(), "k={k} seed={seed} column {c}");
+                }
+            }
         }
     }
 

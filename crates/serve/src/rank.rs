@@ -60,11 +60,15 @@ enum Cross<'m> {
     /// Weighted metric with a narrow context: cross pairs iterated
     /// directly over the context features — `O(|ctx|·k)` per candidate
     /// feature, allocation-free, cheaper than the `O(k²)` partials when
-    /// `|ctx| < k`. The context side is staged once as flat SoA rows —
-    /// `hw` holds `h ⊙ vᵢ`, `vh` the `v̂ᵢ` rows, `q` the norms — so the
-    /// per-candidate loop is contiguous kernel dots with no per-pair
-    /// `h` re-multiplication or row gather.
-    MetricWeightedDirect { hat: &'m HatQ, hw: Vec<f64>, vh: Vec<f64>, q: Vec<f64> },
+    /// `|ctx| < k`. The context side is staged once, transposed: context
+    /// features `2b` and `2b + 1` share block `b` of `lanes` (`k` lane
+    /// rows), whose lane `d` holds `[hw₂ᵦ[d], hw₂ᵦ₊₁[d], vh₂ᵦ[d],
+    /// vh₂ᵦ₊₁[d]]` with `hwᵢ = h ⊙ vᵢ` and `vhᵢ = v̂ᵢ` (zero columns past an
+    /// odd context's last feature), and `q` holds the norms. One
+    /// [`kernel::dot_columns`] pass over the candidate's `vⱼ`/`v̂ⱼ` rows
+    /// yields a block's four dots `wᵢⱼ = hwᵢ·vⱼ` and `vhᵢ·v̂ⱼ`, each with
+    /// [`kernel::dot`]'s bits.
+    MetricWeightedDirect { hat: &'m HatQ, lanes: Vec<[f64; kernel::COLS]>, q: Vec<f64> },
     /// Unweighted metric: `s = Σ v̂_f`, `u = Σ q_f` — `O(k)` per
     /// candidate feature. Built only for wide contexts (`|ctx| > k`),
     /// where the decoupled form's speedup outweighs its cancellation
@@ -293,17 +297,19 @@ impl<'m> TopNRanker<'m> {
             SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } => {
                 if let Some(h) = h.as_deref() {
                     if ctx.len() <= k {
-                        let mut hw = Vec::with_capacity(ctx.len() * k);
-                        let mut vh = Vec::with_capacity(ctx.len() * k);
+                        let mut lanes = vec![[0.0; kernel::COLS]; ctx.len().div_ceil(2) * k];
                         let mut q = Vec::with_capacity(ctx.len());
-                        for &i in ctx {
+                        for (p, &i) in ctx.iter().enumerate() {
+                            let block = &mut lanes[p / 2 * k..(p / 2 + 1) * k];
                             let vi = model.v.row(i as usize);
-                            hw.extend(h.iter().zip(vi).map(|(&hx, &vx)| hx * vx));
                             let (vhi, qi) = hat.row(i as usize);
-                            vh.extend_from_slice(vhi);
+                            for (d, lane) in block.iter_mut().enumerate() {
+                                lane[p % 2] = h[d] * vi[d];
+                                lane[2 + p % 2] = vhi[d];
+                            }
                             q.push(qi);
                         }
-                        return State::Decoupled(Cross::MetricWeightedDirect { hat, hw, vh, q });
+                        return State::Decoupled(Cross::MetricWeightedDirect { hat, lanes, q });
                     }
                     let (a, b, c) = model.metric_partials(ctx, hat);
                     State::Decoupled(Cross::MetricWeighted { a, b, c, hat, h })
@@ -489,6 +495,7 @@ impl<'m> TopNRanker<'m> {
 /// the context partial sums (or, in the pairwise modes, the context
 /// features directly) — free-standing so the block scan can call it
 /// while holding the slot memos mutably.
+#[inline]
 fn cross_delta(model: &FrozenModel, ctx: &[u32], cross: &Cross<'_>, j: u32) -> f64 {
     let k = model.k();
     let vj = model.v.row(j as usize);
@@ -520,13 +527,18 @@ fn cross_delta(model: &FrozenModel, ctx: &[u32], cross: &Cross<'_>, j: u32) -> f
             }
             out
         }
-        Cross::MetricWeightedDirect { hat, hw, vh, q, .. } => {
+        Cross::MetricWeightedDirect { hat, lanes, q } => {
             let (vhj, qj) = hat.row(j as usize);
             let mut out = 0.0;
-            for (i, &qi) in q.iter().enumerate() {
-                let w_ij = kernel::dot(&hw[i * k..(i + 1) * k], vj);
-                let d = qi + qj - 2.0 * kernel::dot(&vh[i * k..(i + 1) * k], vhj);
-                out += w_ij * d;
+            let mut rest = lanes.as_slice();
+            for qs in q.chunks(2) {
+                let (block, next) = rest.split_at(k);
+                rest = next;
+                let [w0, w1, d0, d1] = kernel::dot_columns(block, vj, vhj);
+                out += w0 * (qs[0] + qj - 2.0 * d0);
+                if let Some(&q1) = qs.get(1) {
+                    out += w1 * (q1 + qj - 2.0 * d1);
+                }
             }
             out
         }
@@ -754,11 +766,15 @@ impl GroupMemo {
         let width = self.n_slots + 1;
         let entry = self.table.get(key.checked_mul(width)?..)?.get(..width)?;
         let (stored, bits) = entry.split_at(self.n_slots - 1);
+        let (stored_before, stored_after) = stored.split_at(self.key_slot);
         let (before, after) = feats.split_at(self.key_slot);
+        // Element by element: a group is a few ids, and slice `==` on
+        // `u32` is a `bcmp` call.
+        let same = |a: &[u32], b: &[u32]| a.iter().zip(b).all(|(x, y)| x == y);
         (stored.first() != Some(&Self::EMPTY)
-            && stored[..self.key_slot] == *before
-            && stored[self.key_slot..] == after[1..])
-            .then(|| f64::from_bits(u64::from(bits[1]) << 32 | u64::from(bits[0])))
+            && same(stored_before, before)
+            && same(stored_after, &after[1..]))
+        .then(|| f64::from_bits(u64::from(bits[1]) << 32 | u64::from(bits[0])))
     }
 
     /// How many of `items`' groups the memo answers.
@@ -1120,6 +1136,77 @@ mod tests {
         }
     }
 
+    /// The per-row form of the narrow weighted cross delta that
+    /// [`Cross::MetricWeightedDirect`]'s transposed pass replaced: per
+    /// context feature `i`, `wᵢⱼ = kernel::dot(h ⊙ vᵢ, vⱼ)` and
+    /// `qᵢ + qⱼ − 2·kernel::dot(v̂ᵢ, v̂ⱼ)`, summed in context order.
+    fn weighted_direct_per_row(model: &FrozenModel, ctx: &[u32], j: u32) -> f64 {
+        let SecondOrder::Metric { hat, h: Some(h), .. } = &model.second else { unreachable!() };
+        let (vhj, qj) = hat.row(j as usize);
+        let mut out = 0.0;
+        for &i in ctx {
+            let hw: Vec<f64> = h.iter().zip(model.v.row(i as usize)).map(|(&hx, &vx)| hx * vx).collect();
+            let (vhi, qi) = hat.row(i as usize);
+            let w_ij = kernel::dot(&hw, model.v.row(j as usize));
+            let d = qi + qj - 2.0 * kernel::dot(vhi, vhj);
+            out += w_ij * d;
+        }
+        out
+    }
+
+    /// The transposed cross delta is the per-row one, `to_bits()` for
+    /// `to_bits()`: at `k` below, at, one past and several chunks of the
+    /// kernel width, contexts of one feature up to `k`, odd and even (an
+    /// odd one leaves a zero column in its last block). `h` and the
+    /// candidates' `v`/`v̂` rows carry zeros of both signs, so every
+    /// candidate's dots include `−0.0` products and one candidate's are
+    /// all `±0`.
+    #[test]
+    fn transposed_cross_delta_is_bitwise_the_per_row_dots() {
+        for k in [1usize, 2, 7, 8, 9, 16, 17, 24, 64, 65, 72] {
+            let (n_ctx, n_cand) = (k + 1, 12usize);
+            let n = n_ctx + n_cand;
+            let mut rng = seeded_rng(k as u64);
+            let mut v = normal(&mut rng, n, k, 0.0, 0.5);
+            let mut v_hat = normal(&mut rng, n, k, 0.0, 0.5);
+            let mut h = normal(&mut rng, 1, k, 0.0, 0.5).into_vec();
+            h[k / 2] = -0.0;
+            for (c, r) in (n_ctx..n).enumerate() {
+                for d in (c % 3..k).step_by(3) {
+                    v.row_mut(r)[d] = if d % 2 == 0 { 0.0 } else { -0.0 };
+                    v_hat.row_mut(r)[d] = if d % 2 == 0 { -0.0 } else { 0.0 };
+                }
+            }
+            v.row_mut(n - 1).fill(-0.0);
+            v_hat.row_mut(n - 1).fill(0.0);
+            let q: Vec<f64> = (0..n).map(|r| dot(v_hat.row(r), v_hat.row(r))).collect();
+            let w = vec![0.0; n];
+            let model = FrozenModel::from_parts(
+                0.0,
+                w,
+                v,
+                SecondOrder::metric(v_hat, q, Some(h), Distance::SquaredEuclidean),
+            );
+            for m in [1, 2, 3, 4, 5, k].into_iter().filter(|&m| m <= k) {
+                let mut template: Vec<u32> = (0..m as u32).collect();
+                template.push(0);
+                let ranker = model.ranker(&template, &[m]);
+                let State::Decoupled(cross @ Cross::MetricWeightedDirect { .. }) = &ranker.state else {
+                    panic!("k {k}, |ctx| {m}: a narrow weighted context stages the direct form")
+                };
+                for j in n_ctx as u32..n as u32 {
+                    let got = cross_delta(&model, &ranker.ctx, cross, j);
+                    let want = weighted_direct_per_row(&model, &ranker.ctx, j);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "k {k}, |ctx| {m}, candidate {j}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
     fn metric_model(weighted: bool, distance: Distance, seed: u64) -> FrozenModel {
         let n = 40;
         let k = 5;
@@ -1379,6 +1466,41 @@ mod tests {
         assert_eq!(memo.get(&[id, attr, attr]), None, "more slots");
         assert_eq!(memo.get(&[]), None);
         assert_eq!(memo.hits(&items), items.len());
+    }
+
+    /// The key need not be slot 0: three-slot groups whose widest id
+    /// range (the item id) sits in the middle slot, then in the last.
+    /// Every group is answered with [`group_pairs`]' bits, and a
+    /// changed id in any non-key slot — before the key or after it —
+    /// misses.
+    #[test]
+    fn group_memo_keys_on_a_middle_or_last_slot() {
+        let (model, two_slot, ..) = mode_fixture(0, 7, 5);
+        let attr_lo = two_slot.iter().map(|g| g[1]).min().expect("non-empty");
+        let other_attr = |a: u32| attr_lo + (a - attr_lo + 4) % 9;
+        for key_slot in [1usize, 2] {
+            let items: Vec<Vec<u32>> = two_slot
+                .iter()
+                .map(|g| {
+                    let mut group = vec![g[1], other_attr(g[1])];
+                    group.insert(key_slot, g[0]);
+                    group
+                })
+                .collect();
+            let memo = GroupMemo::build(&model, &items).expect("dense ids, three slots");
+            assert_eq!(memo.key_slot, key_slot);
+            let mut scratch = vec![0.0; 3 * model.k()];
+            for feats in &items {
+                let want = group_pairs(&model, &mut scratch, feats);
+                assert_eq!(memo.get(feats).map(f64::to_bits), Some(want.to_bits()), "key slot {key_slot}");
+                for slot in (0..3).filter(|&s| s != key_slot) {
+                    let mut changed = feats.clone();
+                    changed[slot] = other_attr(changed[slot]);
+                    assert_eq!(memo.get(&changed), None, "key slot {key_slot}, slot {slot} changed");
+                }
+            }
+            assert_eq!(memo.hits(&items), items.len());
+        }
     }
 
     /// What the memo declines to build: it is an optimisation, so every

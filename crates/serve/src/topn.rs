@@ -120,7 +120,11 @@ impl TopNHeap {
             return true;
         }
         // Full: reject unless strictly better than the worst retained.
-        if rank_cmp(&entry, &self.heap[0]) != Ordering::Less {
+        // The plain `<` settles most rejections in one compare and is
+        // exact: it is false on NaN and between ±0, which fall through
+        // to `rank_cmp`'s `total_cmp`.
+        let root = self.heap[0];
+        if score < root.1 || rank_cmp(&entry, &root) != Ordering::Less {
             return false;
         }
         self.heap[0] = entry;
@@ -304,6 +308,7 @@ pub fn scan_top_n<S: ItemFeatureSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Full-sort reference: stable sort of all scored candidates by the
     /// shared total order, truncated.
@@ -329,6 +334,36 @@ mod tests {
                 heap.push(i, s);
             }
             assert_eq!(heap.into_sorted(), full_sort(&scored, n), "n={n}");
+        }
+    }
+
+    /// Scores where IEEE `<` and `total_cmp` part ways or tie: NaNs of
+    /// both signs, both zeros, both infinities, and three ordinary
+    /// values drawn often enough to tie at the threshold.
+    const HARD_SCORES: [f64; 9] =
+        [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.0, 1.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The heap — its `<` pre-check included — ranks like the full
+        /// sort, ids and score bits, on hard scores (index
+        /// `HARD_SCORES.len()` draws an ordinary one instead) under ids
+        /// that repeat and arrive out of order.
+        #[test]
+        fn heap_matches_full_sort_on_nan_signed_zero_and_ties(
+            n_idx in 0usize..3,
+            picks in proptest::collection::vec((0usize..HARD_SCORES.len() + 1, 0u32..24, -3.0f64..3.0), 1..60),
+        ) {
+            let n = [1usize, 3, 10][n_idx];
+            let scored: Vec<(u32, f64)> =
+                picks.iter().map(|&(s, id, plain)| (id, HARD_SCORES.get(s).copied().unwrap_or(plain))).collect();
+            let mut heap = TopNHeap::new(n);
+            for &(i, s) in &scored {
+                heap.push(i, s);
+            }
+            let bits = |ranked: Vec<(u32, f64)>| ranked.into_iter().map(|(i, s)| (i, s.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(bits(heap.into_sorted()), bits(full_sort(&scored, n)), "n {}: {:?}", n, scored);
         }
     }
 

@@ -8,8 +8,9 @@
 //! 1. **Block scan ≡ per-item scan, bitwise** — `score_block` (the
 //!    `CAND_BLOCK`-wide entry the list scan uses) must reproduce the
 //!    per-item `score` loop bit for bit across every metric mode, factor
-//!    widths straddling the kernel lane width, and candidate counts
-//!    straddling the block width (remainder-loop coverage on both axes).
+//!    widths around the kernel lane width, context widths from one
+//!    feature to `k`, and candidate counts straddling the block width
+//!    (remainder-loop coverage on every axis).
 //! 2. **Scan driver ≡ full sort, bitwise** — both candidate sources of
 //!    the one driver (`scan_top_n` over a candidate list, a full-probe
 //!    `IvfIndex::search`) at `F64` and `I8`, threads {1, 2, 5}, equal
@@ -38,8 +39,17 @@ const N_ATTRS: usize = 9;
 /// — plus 1 and 4, fewer candidates than a 5-thread scan has shards.
 const CAND_COUNTS: [usize; 6] = [1, 4, 31, 32, 33, 65];
 
-/// Factor widths straddling the 8-lane kernel chunk.
-const KS: [usize; 4] = [1, 2, 7, 16];
+/// Factor widths around the 8-lane kernel chunk: below one chunk, one
+/// chunk (the serving fixture's k), one past it, two and three chunks.
+const KS: [usize; 7] = [1, 2, 7, 8, 9, 16, 24];
+
+/// Context widths of the narrow fixtures, by index: one feature, two
+/// (the serving fixture's), three (odd, so the transposed weighted
+/// kernel's last block has an empty half), and `k` (the widest context
+/// the narrow delta forms take).
+fn ctx_width(idx: usize, k: usize) -> usize {
+    [1, 2, 3, k][idx]
+}
 
 struct Fixture {
     model: FrozenModel,
@@ -51,8 +61,9 @@ struct Fixture {
 /// A model + catalogue in every second-order mode the ranker serves.
 /// `mode` also selects the context width: the weighted and unweighted
 /// SquaredEuclidean forms have distinct narrow (`ctx ≤ k`) and wide
-/// (`ctx > k`) delta paths, so both get their own fixture.
-fn fixture(mode: usize, k: usize, n_items: usize, seed: u64) -> Fixture {
+/// (`ctx > k`) delta paths, so both get their own fixture; every other
+/// mode has a context of `ctx` features.
+fn fixture(mode: usize, k: usize, n_items: usize, seed: u64, ctx: usize) -> Fixture {
     let dim = N_USERS + n_items + N_ATTRS;
     let mut rng = seeded_rng(seed);
     let v = normal(&mut rng, dim, k, 0.0, 0.4);
@@ -76,17 +87,14 @@ fn fixture(mode: usize, k: usize, n_items: usize, seed: u64) -> Fixture {
     let items: Vec<Vec<u32>> = (0..n_items)
         .map(|i| vec![(N_USERS + i) as u32, (N_USERS + n_items + (i * 7 + 3) % N_ATTRS) as u32])
         .collect();
-    // Wide contexts exceed any k in KS: 17 user-side features before
-    // the two item slots (attribute indices repeat, which is legal).
-    let (template, item_slots) = if wide_ctx {
-        let mut t = vec![1u32];
-        t.extend((0..16).map(|a| (N_USERS + n_items + a % N_ATTRS) as u32));
-        t.extend([0, 0]); // item slots, filled per candidate
-        let slots = vec![17usize, 18];
-        (t, slots)
-    } else {
-        (vec![1u32, 0, 0], vec![1usize, 2])
-    };
+    // The template: the user, user-side attributes up to the context
+    // width (indices repeat, which is legal; wide contexts exceed any k
+    // in KS), then the two item slots, filled per candidate.
+    let width = if wide_ctx { 25 } else { ctx };
+    let mut template = vec![1u32];
+    template.extend((1..width).map(|a| (N_USERS + n_items + a % N_ATTRS) as u32));
+    template.extend([0, 0]);
+    let item_slots = vec![width, width + 1];
     Fixture { model, items, template, item_slots }
 }
 
@@ -133,10 +141,11 @@ proptest! {
         mode in 0usize..9,
         k_idx in 0usize..KS.len(),
         count_idx in 0usize..CAND_COUNTS.len(),
+        ctx_idx in 0usize..4,
         seed in 0u64..50,
     ) {
         let count = CAND_COUNTS[count_idx];
-        let fx = fixture(mode, KS[k_idx], count, seed);
+        let fx = fixture(mode, KS[k_idx], count, seed, ctx_width(ctx_idx, KS[k_idx]));
         let candidates: Vec<u32> = (0..count as u32).collect();
         let mut per_item = fx.model.ranker(&fx.template, &fx.item_slots);
         let mut blocked = fx.model.ranker(&fx.template, &fx.item_slots);
@@ -149,7 +158,8 @@ proptest! {
             let p = per_item.score(&fx.items[item as usize]);
             prop_assert_eq!(
                 p.to_bits(), b.to_bits(),
-                "mode {} k {} count {} item {}: per-item {} vs blocked {}", mode, KS[k_idx], count, item, p, b
+                "mode {} k {} |ctx| {} count {} item {}: per-item {} vs blocked {}",
+                mode, KS[k_idx], fx.template.len() - 2, count, item, p, b
             );
         }
     }
@@ -166,10 +176,11 @@ proptest! {
         k_idx in 0usize..KS.len(),
         count_idx in 0usize..CAND_COUNTS.len(),
         n_kind in 0usize..5,
+        ctx_idx in 0usize..4,
         seed in 0u64..50,
     ) {
         let count = CAND_COUNTS[count_idx];
-        let mut fx = fixture(mode, KS[k_idx], count, seed);
+        let mut fx = fixture(mode, KS[k_idx], count, seed, ctx_width(ctx_idx, KS[k_idx]));
         fx.model = fx.model.with_precision(Precision::I8);
         // `usize::MAX` is what the wire decodes a hostile `n` to.
         let n = [1, 10, count, count + 10, usize::MAX][n_kind];
@@ -182,7 +193,8 @@ proptest! {
         for precision in [Precision::F64, Precision::I8] {
             for threads in [1usize, 2, 5] {
                 let what = format!(
-                    "mode {mode} k {} count {count} n {n} {precision:?} threads {threads}", KS[k_idx]
+                    "mode {mode} k {} |ctx| {} count {count} n {n} {precision:?} threads {threads}",
+                    KS[k_idx], fx.template.len() - 2
                 );
                 assert_same_ranking(&fx.scan(n, precision, threads), &want, &format!("list, {what}"))?;
                 let Some(index) = &index else { continue };
@@ -208,7 +220,7 @@ proptest! {
 #[test]
 fn f32_scan_is_error_bounded_against_f64() {
     for seed in [3u64, 17, 40] {
-        let mut fx = fixture(0, 8, 200, seed);
+        let mut fx = fixture(0, 8, 200, seed, 1);
         fx.model = fx.model.with_precision(Precision::F32);
         assert_eq!(fx.model.precision(), Precision::F32);
         let got = fx.scan(200, Precision::F32, 2);
@@ -234,7 +246,7 @@ fn f32_scan_is_error_bounded_against_f64() {
 #[test]
 fn i8_scan_returns_bitwise_exact_scores() {
     for seed in [5u64, 23, 41] {
-        let mut fx = fixture(0, 8, 300, seed);
+        let mut fx = fixture(0, 8, 300, seed, 1);
         fx.model = fx.model.with_precision(Precision::I8);
         let n = 10;
         let got = fx.scan(n, Precision::I8, 3);
@@ -257,7 +269,7 @@ fn i8_scan_returns_bitwise_exact_scores() {
 /// scan still reproduces the exact retrieval on this fixture.
 #[test]
 fn i8_ivf_probe_keeps_scores_bitwise_exact() {
-    let mut fx = fixture(0, 8, 300, 13);
+    let mut fx = fixture(0, 8, 300, 13, 1);
     fx.model = fx.model.with_precision(Precision::I8);
     let opts = IvfBuildOptions { clusters: Some(12), ..IvfBuildOptions::default() };
     let index = IvfIndex::build(&fx.model, &fx.items, &opts, Parallelism::serial()).expect("metric model");
@@ -344,9 +356,10 @@ proptest! {
         mode in 0usize..9,
         k_idx in 0usize..KS.len(),
         count_idx in 0usize..CAND_COUNTS.len(),
+        ctx_idx in 0usize..4,
         seed in 0u64..50,
     ) {
-        let fx = fixture(mode, KS[k_idx], CAND_COUNTS[count_idx], seed);
+        let fx = fixture(mode, KS[k_idx], CAND_COUNTS[count_idx], seed, ctx_width(ctx_idx, KS[k_idx]));
         let memoised = fx.model.clone().with_group_memo(&fx.items);
         prop_assert_eq!(
             every_entry(&fx, &memoised), every_entry(&fx, &fx.model),
@@ -363,9 +376,10 @@ proptest! {
     fn group_memo_cannot_answer_for_another_catalogue(
         mode in 0usize..9,
         k_idx in 0usize..KS.len(),
+        ctx_idx in 0usize..4,
         seed in 0u64..50,
     ) {
-        let mut fx = fixture(mode, KS[k_idx], 65, seed);
+        let mut fx = fixture(mode, KS[k_idx], 65, seed, ctx_width(ctx_idx, KS[k_idx]));
         let over_a = fx.model.clone().with_group_memo(&fx.items);
         let attr_lo = (N_USERS + fx.items.len()) as u32;
         for (i, feats) in fx.items.iter_mut().enumerate() {
