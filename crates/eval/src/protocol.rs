@@ -102,8 +102,8 @@ pub fn item_side_slots(dataset: &Dataset, mask: &FieldMask) -> Vec<usize> {
 }
 
 /// Leave-one-out evaluation through the frozen serving path: one
-/// [`gmlfm_serve::TopNRanker`] per test case computes the user/context
-/// partial sums once and scores the positive plus its sampled negatives
+/// [`gmlfm_serve::TopNRanker`] per test case stages the user/context
+/// side once and scores the positive plus its sampled negatives
 /// by item delta only. Metrics match [`evaluate_topn`] on the same
 /// frozen model.
 ///

@@ -18,13 +18,14 @@
 //! memory-bound instead of latency-bound.)
 //!
 //! Prediction over a sparse [`Instance`] with `m` active fields then
-//! evaluates the decoupled sums of Eq. 10/11 directly on the active
-//! features — `O(m·k²)` and allocation-light — instead of replaying the
-//! `O(m²)` pair loop through an autograd graph as
-//! [`gmlfm_train::GraphModel::predict`] does. Distances without a
-//! decoupled form (Manhattan, Chebyshev, cosine) and TransFM's
-//! order-dependent translated distance fall back to a tape-free pairwise
-//! loop, still far cheaper than the graph path.
+//! evaluates the second-order term directly on the active features,
+//! instead of replaying the pair loop through an autograd graph as
+//! [`gmlfm_train::GraphModel::predict`] does: the unweighted metric and
+//! vanilla FM through their `O(m·k)` decoupled sums, every other mode
+//! through a tape-free, allocation-free pairwise loop. Served instances
+//! carry a few fields against a `k` of 8–16, where that loop is cheaper
+//! than the paper's `O(m·k²)` weighted Eq. 10/11 form, which lives in
+//! `gmlfm_core::efficient`.
 
 use gmlfm_core::Distance;
 use gmlfm_data::Instance;
@@ -126,8 +127,8 @@ pub enum SecondOrder {
     /// trick.
     Dot,
     /// GML-FM family: `Σ_{i<j} w_ij · D(v̂ᵢ, v̂ⱼ)` with frozen transformed
-    /// embeddings. Squared Euclidean uses the Eq. 10/11 decoupled sums;
-    /// other distances use the pairwise loop.
+    /// embeddings. Unweighted squared Euclidean uses the decoupled
+    /// `m·u − ‖s‖²`; every other form uses the pairwise loop.
     Metric {
         /// Packed `[v̂ᵢ | qᵢ]` table (see [`HatQ`]).
         hat: HatQ,
@@ -359,37 +360,21 @@ impl FrozenModel {
         Self::from_parts(0.1, w, v, SecondOrder::metric(v_hat, q, h, Distance::SquaredEuclidean))
     }
 
-    /// The second-order term for a set of active features, choosing the
-    /// cheapest exact evaluation.
+    /// The second-order term for a set of active features: one exact
+    /// form per mode, whatever the number of features `m`.
     ///
-    /// The weighted Eq. 10/11 decoupled form costs `O(m·k²)` against the
-    /// pairwise loop's `O(m²·k)`: the decoupling is the right call in the
-    /// paper's many-active-features regime (`m > k`), while the sparse
-    /// one-hot instances the datasets produce (`m` of a few fields) are
-    /// cheaper — and allocation-free — through the pair loop. Both are
-    /// exact, so the switch is purely a cost model.
+    /// Vanilla FM takes the `O(m·k)` sum-of-squares trick and the
+    /// unweighted metric `m·u − ‖s‖²`. The weighted metric takes the
+    /// pairwise loop, allocation-free and `O(m²·k)`: the instances
+    /// served here are a few one-hot fields against a `k` of 8–16, below
+    /// the `m > k` regime where the paper's `O(m·k²)` Eq. 10/11 form
+    /// (`gmlfm_core::efficient`) would pay.
     pub(crate) fn second_order(&self, feats: &[u32]) -> f64 {
         match &self.second {
             SecondOrder::Dot => self.dot_decoupled(feats),
-            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } => match h {
-                Some(h) if feats.len() > self.k() => self.metric_decoupled_weighted(feats, hat, h),
-                Some(_) => self.second_order_pairwise(feats),
-                None => self.metric_decoupled_unweighted(feats, hat),
-            },
-            _ => self.second_order_pairwise(feats),
-        }
-    }
-
-    /// The Eq. 10/11 decoupled evaluation, forced (no size heuristic).
-    /// Exposed so tests can pin it against the pairwise reference in the
-    /// small-`m` regime too.
-    pub fn second_order_decoupled(&self, feats: &[u32]) -> f64 {
-        match &self.second {
-            SecondOrder::Dot => self.dot_decoupled(feats),
-            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } => match h {
-                Some(h) => self.metric_decoupled_weighted(feats, hat, h),
-                None => self.metric_decoupled_unweighted(feats, hat),
-            },
+            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h: None } => {
+                self.metric_decoupled_unweighted(feats, hat)
+            }
             _ => self.second_order_pairwise(feats),
         }
     }
@@ -467,56 +452,6 @@ impl FrozenModel {
             pair += s * s - s2;
         }
         0.5 * pair
-    }
-
-    /// Accumulates the Eq. 10/11 partial sums over a feature set:
-    /// `a = Σ v_f`, `b = Σ q_f v_f`, `C = Σ v_f v̂_fᵀ`. Shared by the
-    /// decoupled evaluator and the ranker's wide-context state.
-    pub(crate) fn metric_partials(&self, feats: &[u32], hat: &HatQ) -> (Vec<f64>, Vec<f64>, Matrix) {
-        let k = self.k();
-        let mut a = vec![0.0; k];
-        let mut b = vec![0.0; k];
-        let mut c = Matrix::zeros(k, k);
-        for &f in feats {
-            let f = f as usize;
-            let vf = self.v.row(f);
-            let (vhf, qf) = hat.row(f);
-            for d in 0..k {
-                a[d] += vf[d];
-                b[d] += qf * vf[d];
-            }
-            for (r, &vfr) in vf.iter().enumerate() {
-                if vfr == 0.0 {
-                    continue;
-                }
-                let c_row = c.row_mut(r);
-                for (slot, &vh) in c_row.iter_mut().zip(vhf) {
-                    *slot += vfr * vh;
-                }
-            }
-        }
-        (a, b, c)
-    }
-
-    /// Eq. 10/11 over the active features, unified through `V̂`:
-    /// `f = Σ_d h_d a_d b_d − Σ_f v_fᵀ diag(h) C v̂_f` with
-    /// `a = Σ v_f`, `b = Σ q_f v_f`, `C = Σ v_f v̂_fᵀ`.
-    fn metric_decoupled_weighted(&self, feats: &[u32], hat: &HatQ, h: &[f64]) -> f64 {
-        let k = self.k();
-        let (a, b, c) = self.metric_partials(feats, hat);
-        let first: f64 = h.iter().zip(&a).zip(&b).map(|((hv, av), bv)| hv * av * bv).sum();
-        let mut second = 0.0;
-        let mut cv = vec![0.0; k];
-        for &f in feats {
-            let f = f as usize;
-            let vf = self.v.row(f);
-            let vhf = hat.v_hat(f);
-            for (r, slot) in cv.iter_mut().enumerate() {
-                *slot = dot(c.row(r), vhf);
-            }
-            second += vf.iter().zip(h).zip(&cv).map(|((vv, hv), cvv)| vv * hv * cvv).sum::<f64>();
-        }
-        first - second
     }
 
     /// The `w_ij = 1` special case: `Σ_{i<j} ‖v̂ᵢ−v̂ⱼ‖² = m·u − ‖s‖²`
@@ -599,20 +534,15 @@ pub(crate) mod tests {
         for weighted in [false, true] {
             for seed in 0..10 {
                 let model = random_metric_model(40, 6, weighted, Distance::SquaredEuclidean, seed);
-                // Below the m > k crossover (heuristic may route pairwise)…
+                // Fewer active features than k, and more.
                 let small = Instance::new(vec![1, 7, 19, 33], 1.0);
-                // …and above it (decoupled is the asymptotic winner).
                 let large = Instance::new(vec![0, 3, 5, 8, 13, 17, 21, 26, 31, 38], 1.0);
                 for inst in [&small, &large] {
                     let auto = model.predict(inst);
                     let slow = model.predict_pairwise(inst);
-                    let forced = model.second_order_decoupled(&inst.feats)
-                        + model.w0
-                        + inst.feats.iter().map(|&f| model.w[f as usize]).sum::<f64>();
-                    let tol = 1e-9 * slow.abs().max(1.0);
                     assert!(
-                        (auto - slow).abs() <= tol && (forced - slow).abs() <= tol,
-                        "weighted={weighted} seed={seed} m={}: auto {auto} forced {forced} vs {slow}",
+                        (auto - slow).abs() <= 1e-9 * slow.abs().max(1.0),
+                        "weighted={weighted} seed={seed} m={}: auto {auto} vs {slow}",
                         inst.feats.len()
                     );
                 }

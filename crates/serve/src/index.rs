@@ -17,8 +17,7 @@
 //!   `t₀ = Σ_f w_f + second-order(item feats)`, `t₁ = Σ_f h⊙v_f`,
 //!   `t₂ = Σ_f q_f·(h⊙v_f)`, `t₃ = Σ_f (h⊙v_f) v̂_fᵀ`, and
 //!   `g = [1 | b | a | −2·vec(C)]` from the context partial sums
-//!   `a = Σ v_i`, `b = Σ q_i v_i`, `C = Σ v_i v̂_iᵀ`
-//!   (`FrozenModel::metric_partials`);
+//!   `a = Σ v_i`, `b = Σ q_i v_i`, `C = Σ v_i v̂_iᵀ`;
 //! * unweighted metric — `φ = [t₀ | m | Σ q_f | Σ v̂_f]` of dimension
 //!   `3 + k` and `g = [1 | u | |ctx| | −2s]` with `s = Σ v̂_i`,
 //!   `u = Σ q_i`.
@@ -853,7 +852,7 @@ fn query_vector(model: &FrozenModel, tables: &MetricTables<'_>, ctx: &[u32]) -> 
             g[2] = ctx.len() as f64;
         }
         MetricTables::Weighted { hat, .. } => {
-            let (a, b, c) = model.metric_partials(ctx, hat);
+            let (a, b, c) = metric_partials(model, ctx, hat);
             g[1..1 + k].copy_from_slice(&b);
             g[1 + k..1 + 2 * k].copy_from_slice(&a);
             for r in 0..k {
@@ -864,6 +863,34 @@ fn query_vector(model: &FrozenModel, tables: &MetricTables<'_>, ctx: &[u32]) -> 
         }
     }
     g
+}
+
+/// The Eq. 10/11 partial sums over the context features: `a = Σ v_f`,
+/// `b = Σ q_f v_f`, `C = Σ v_f v̂_fᵀ`.
+fn metric_partials(model: &FrozenModel, ctx: &[u32], hat: &HatQ) -> (Vec<f64>, Vec<f64>, Matrix) {
+    let k = model.k();
+    let mut a = vec![0.0; k];
+    let mut b = vec![0.0; k];
+    let mut c = Matrix::zeros(k, k);
+    for &f in ctx {
+        let f = f as usize;
+        let vf = model.v.row(f);
+        let (vhf, qf) = hat.row(f);
+        for d in 0..k {
+            a[d] += vf[d];
+            b[d] += qf * vf[d];
+        }
+        for (r, &vfr) in vf.iter().enumerate() {
+            if vfr == 0.0 {
+                continue;
+            }
+            let c_row = c.row_mut(r);
+            for (slot, &vh) in c_row.iter_mut().zip(vhf) {
+                *slot += vfr * vh;
+            }
+        }
+    }
+    (a, b, c)
 }
 
 fn sqdist(a: &[f64], b: &[f64]) -> f64 {

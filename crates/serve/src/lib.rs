@@ -4,10 +4,11 @@
 //! to the paper's efficiency claim (Section 3.3).
 //!
 //! Training needs the tape — every batch builds a reverse-mode graph.
-//! Serving does not: a trained model is just numbers, and the paper's
-//! Eq. 10/11 decoupled sums evaluate its second-order term directly on a
-//! sparse instance's active features. This crate freezes any supported
-//! model into that form and routes all inference through it:
+//! Serving does not: a trained model is just numbers, and its
+//! second-order term evaluates directly on a sparse instance's active
+//! features, with one exact form per mode whatever their number. This
+//! crate freezes any supported model into that form and routes all
+//! inference through it:
 //!
 //! * [`Freeze`] — extracts a [`FrozenModel`] from a trained
 //!   [`gmlfm_core::GmlFm`] (all transform/distance/weight variants), a
@@ -24,10 +25,10 @@
 //!   precomputed tables live in the packed [`HatQ`] layout
 //!   (`[v̂ᵢ | qᵢ]` rows), so each worker's candidate delta is one
 //!   linear scan.
-//! * [`TopNRanker`] — leave-one-out ranking with the context-side
-//!   partial sums computed once per user and only an `O(k²)` (or `O(k)`)
-//!   delta per candidate item; every distance, the order-dependent
-//!   TransFM mode included, scores by item delta.
+//! * [`TopNRanker`] — leave-one-out ranking with the context staged once
+//!   per user and only an `O(|ctx|·k)` (vanilla FM: `O(k)`) delta per
+//!   candidate feature; every distance, the order-dependent TransFM mode
+//!   included, scores by item delta.
 //! * [`topn`] — top-N retrieval: the one sharded scan driver
 //!   (per-shard scanner + bounded [`TopNHeap`], threshold-rejecting,
 //!   merged under the deterministic [`rank_cmp`] total order — score

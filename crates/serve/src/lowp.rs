@@ -274,15 +274,13 @@ impl QuantHatQ {
 /// [`FrozenModel::with_precision`](crate::FrozenModel::with_precision)
 /// and shared behind an [`Arc`].
 ///
-/// `v32`/`qv` (the narrowed `V` used by the weighted pair-weight dot)
-/// are only built for weighted models; `h32` narrows the transformation
-/// weights once so the scan never re-converts them.
+/// `v32` (the narrowed `V` used by the weighted pair-weight dot) is only
+/// built for weighted models.
 #[derive(Debug, Clone)]
 pub struct LowPrec {
     pub(crate) hat32: HatQ32,
     pub(crate) qhat: QuantHatQ,
     pub(crate) v32: Option<Vec<f32>>,
-    pub(crate) h32: Option<Vec<f32>>,
 }
 
 impl LowPrec {
@@ -300,7 +298,6 @@ impl LowPrec {
             hat32: HatQ32::from_hat(hat),
             qhat: QuantHatQ::from_tables(hat, weighted.then_some(v)),
             v32: weighted.then(|| v.as_slice().iter().map(|&x| x as f32).collect()),
-            h32: h.as_ref().map(|h| h.iter().map(|&x| x as f32).collect()),
         }))
     }
 
@@ -388,7 +385,7 @@ mod tests {
         assert!(LowPrec::build(man.factors(), man.second_order_kind()).is_none());
         let unweighted = random_metric_model(8, 3, false, Distance::SquaredEuclidean, 1);
         let lp = LowPrec::build(unweighted.factors(), unweighted.second_order_kind()).unwrap();
-        assert!(lp.v32.is_none() && lp.h32.is_none() && !lp.qhat.paired());
+        assert!(lp.v32.is_none() && !lp.qhat.paired());
     }
 
     #[test]

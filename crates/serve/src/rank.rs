@@ -3,21 +3,18 @@
 //! Leave-one-out ranking scores one context (user + side attributes)
 //! against hundreds of candidate items. The autograd path rebuilds the
 //! full forward for every candidate — `O(items × full-forward)`. The
-//! ranker here computes the context-side partial sums of Eq. 10/11
-//! (`a`, `b`, `C` — or `s`, `u` without the transformation weight) once,
-//! then scores each candidate with only the item-side delta:
-//! `O(full-forward + items × item-delta)`, the delta being `O(k²)` per
-//! candidate item feature (and `O(k)` in the unweighted and vanilla-FM
-//! cases).
-//!
-//! Modes without a decoupled form — the non-Euclidean metric distances
-//! and TransFM's order-dependent translated distance — still score by
-//! item delta: the context-side pairs are folded into the cached context
-//! score once, and each candidate pays only its `O(|ctx|·k)` cross pairs
-//! against the fixed context plus its within-group pairs. No mode
-//! re-evaluates the full spliced template, and no mode allocates per
-//! score. The within-group pairs depend on the model and the item only,
-//! so a model memoised for the catalogue
+//! ranker here folds the context-side pairs into a cached context score
+//! once, then scores each candidate with only the item-side delta: its
+//! cross pairs against the fixed context — `O(|ctx|·k)` per candidate
+//! feature (`O(k)` for vanilla FM, through `a = Σ_ctx v_f`) — plus its
+//! within-group pairs. Each mode has one delta form, chosen by the model
+//! alone and never by how many features a request carries: a serving
+//! context holds a few features against a `k` of 8–16, where the
+//! paper's Eq. 10/11 partial sums (`O(k²)` per candidate feature; see
+//! `gmlfm_core::efficient`) cost more than the pairs they replace. No
+//! mode re-evaluates the full spliced template, and no mode allocates
+//! per score. The within-group pairs depend on the model and the item
+//! only, so a model memoised for the catalogue
 //! ([`FrozenModel::with_group_memo`]) reads them instead (every mode but
 //! TransFM, whose pairs are oriented by the request's slot positions).
 //!
@@ -48,19 +45,14 @@ enum State<'m> {
     Translated { v_trans: &'m Matrix },
 }
 
-/// Context-side partial sums for the decoupled modes.
+/// Context-side state for the modes whose cross pairs decouple per
+/// candidate feature.
 enum Cross<'m> {
     /// Vanilla FM: `a = Σ_ctx v_f` — `O(k)` per candidate feature.
     Dot { a: Vec<f64> },
-    /// Weighted metric (Eq. 10/11) partial sums: `a = Σ v_f`,
-    /// `b = Σ q_f v_f`, `C = Σ v_f v̂_fᵀ` — `O(k²)` per candidate
-    /// feature, independent of the context size. Built when the context
-    /// is wide (`|ctx| > k`).
-    MetricWeighted { a: Vec<f64>, b: Vec<f64>, c: Matrix, hat: &'m HatQ, h: &'m [f64] },
-    /// Weighted metric with a narrow context: cross pairs iterated
-    /// directly over the context features — `O(|ctx|·k)` per candidate
-    /// feature, allocation-free, cheaper than the `O(k²)` partials when
-    /// `|ctx| < k`. The context side is staged once, transposed: context
+    /// Weighted metric: cross pairs iterated directly over the context
+    /// features — `O(|ctx|·k)` per candidate feature, allocation-free.
+    /// The context side is staged once, transposed: context
     /// features `2b` and `2b + 1` share block `b` of `lanes` (`k` lane
     /// rows), whose lane `d` holds `[hw₂ᵦ[d], hw₂ᵦ₊₁[d], vh₂ᵦ[d],
     /// vh₂ᵦ₊₁[d]]` with `hwᵢ = h ⊙ vᵢ` and `vhᵢ = v̂ᵢ` (zero columns past an
@@ -69,22 +61,16 @@ enum Cross<'m> {
     /// yields a block's four dots `wᵢⱼ = hwᵢ·vⱼ` and `vhᵢ·v̂ⱼ`, each with
     /// [`kernel::dot`]'s bits.
     MetricWeightedDirect { hat: &'m HatQ, lanes: Vec<[f64; kernel::COLS]>, q: Vec<f64> },
-    /// Unweighted metric: `s = Σ v̂_f`, `u = Σ q_f` — `O(k)` per
-    /// candidate feature. Built only for wide contexts (`|ctx| > k`),
-    /// where the decoupled form's speedup outweighs its cancellation
-    /// (see [`Cross::MetricUnweightedDirect`]).
-    MetricUnweighted { s: Vec<f64>, u: f64, hat: &'m HatQ },
-    /// Unweighted metric with a narrow context (`|ctx| <= k`): each
-    /// cross pair evaluated as a direct difference-form squared
-    /// distance — `O(|ctx|·k)` per candidate feature. The expanded
-    /// `u + m·qⱼ − 2⟨s, v̂ⱼ⟩` form suffers catastrophic cancellation on
-    /// near-duplicate embeddings (the true distance is `O(δ²)` but the
-    /// expansion rounds at `O(ε·‖v̂‖²)`, wiping out the ranking between
-    /// near-identical items); [`kernel::sq_dist`] subtracts before
-    /// squaring, so those items keep their true order. Mirrors the
-    /// weighted `|ctx| <= k` crossover. The context `v̂ᵢ` rows are
-    /// staged once as flat SoA rows in `vh`, so the per-candidate loop
-    /// runs [`kernel::sq_dist`] over contiguous memory.
+    /// Unweighted metric: each cross pair evaluated as a direct
+    /// difference-form squared distance — `O(|ctx|·k)` per candidate
+    /// feature. The expanded `u + m·qⱼ − 2⟨s, v̂ⱼ⟩` form suffers
+    /// catastrophic cancellation on near-duplicate embeddings (the true
+    /// distance is `O(δ²)` but the expansion rounds at `O(ε·‖v̂‖²)`,
+    /// wiping out the ranking between near-identical items);
+    /// [`kernel::sq_dist`] subtracts before squaring, so those items
+    /// keep their true order. The context `v̂ᵢ` rows are staged once as
+    /// flat SoA rows in `vh`, so the per-candidate loop runs
+    /// [`kernel::sq_dist`] over contiguous memory.
     MetricUnweightedDirect { hat: &'m HatQ, vh: Vec<f64> },
     /// Metric distances without a decoupled form (Manhattan, Chebyshev,
     /// cosine): cross pairs evaluated directly against the fixed context
@@ -109,151 +95,85 @@ pub struct TopNRanker<'m> {
     /// `item_slots.len() × k` staging rows for the candidate group's
     /// `h ⊙ v_a` vectors (see [`group_pairs`]).
     scratch: Vec<f64>,
-    /// Dense per-request delta tables for the block scan, built on its
-    /// first [`TopNRanker::score_block`] call (`None` until then and
-    /// for non-decoupled modes).
-    tables: Option<ScanTables>,
+    /// Per-request cross-delta tables, one per item slot: empty until the
+    /// first [`TopNRanker::score_block`] call materialises them.
+    tables: ScanTables,
 }
 
 /// Widest slot range materialised as a dense cross-delta table.
 const DENSE_SLOT_CAP: u32 = 512;
 
-/// Largest `width_a × width_b` product materialised as a dense
-/// within-group pair table.
-const DENSE_PAIR_CAP: u64 = 4096;
-
-/// A slot (or slot pair) must repeat at least this many times on
-/// average across the catalogue before its table pays for itself —
-/// below that, eager materialisation does more delta evaluations than
-/// the scan it serves.
+/// A slot must repeat at least this many times on average across the
+/// catalogue before its table pays for itself — below that, eager
+/// materialisation does more delta evaluations than the scan it serves.
 const DENSE_MIN_REPEAT: u64 = 4;
 
-/// Dense per-request scoring tables for the block scan, materialised
-/// from the item source's [`ItemFeatureSource::slot_ranges`].
+/// Dense per-request cross-delta tables, one [`SlotTable`] per item slot
+/// in slot order, materialised from the item source's
+/// [`ItemFeatureSource::slot_ranges`] by the block scan.
 ///
 /// Candidate *attribute* features (category, condition, …) draw from a
 /// few dozen ids repeated across the whole catalogue, so their
-/// context × candidate cross deltas — and the attribute × attribute
-/// within-group pair terms — are request constants. Materialising them
-/// once turns the per-candidate cost into one array read per attribute
-/// slot plus the item-id work that is genuinely unique per candidate.
-/// High-cardinality slots (the item id) and out-of-range lookups fall
-/// back to direct evaluation, so a table is never required for
-/// correctness. Every table entry holds the exact bits the direct
-/// evaluation produces, so the block scan stays bitwise identical to
-/// [`TopNRanker::score`].
+/// context × candidate cross deltas are request constants.
+/// Materialising them once turns the per-candidate cost into one array
+/// read per attribute slot plus the item-id work that is genuinely
+/// unique per candidate. High-cardinality slots (the item id),
+/// out-of-range lookups and TransFM (whose pairs are oriented by slot
+/// position) fall back to direct evaluation, so a table is never
+/// required for correctness. Every table entry holds the exact bits the
+/// direct evaluation produces, so a score reads the same bits with the
+/// tables as without them.
 struct ScanTables {
-    /// One [`SlotTable`] per item slot, in slot order.
     slots: Vec<SlotTable>,
-    /// One [`PairTable`] per slot pair, in the `(0,1), (0,2), …, (1,2),
-    /// …` pair-loop order of [`group_pairs`].
-    pairs: Vec<PairTable>,
+    /// Whether `slots` were materialised from an item source (before,
+    /// every table is empty).
+    built: bool,
 }
 
-/// Cross deltas for one item slot.
-enum SlotTable {
-    /// `vals[f - lo] = cross_delta(f)` for the slot's whole id range.
-    Dense { lo: u32, vals: Vec<f64> },
-    /// Slot too wide (or ranges unknown): evaluate per candidate.
-    Direct,
-}
-
-/// Within-group pair terms `w_ab · D(v̂_a, v̂_b)` for one slot pair.
-enum PairTable {
-    /// `vals[(fa - lo_a) · wb + (fb - lo_b)]` over both id ranges.
-    Dense { lo_a: u32, lo_b: u32, wb: u32, vals: Vec<f64> },
-    /// Pair product too wide (or no decoupled pair form): evaluate per
-    /// candidate.
-    Direct,
+/// Cross deltas for one item slot: `vals[f - lo] = cross_delta(f)` over
+/// the slot's whole id range, or no values where the slot is too wide to
+/// table (every lookup then misses and evaluates directly).
+struct SlotTable {
+    lo: u32,
+    vals: Vec<f64>,
 }
 
 impl ScanTables {
-    /// Materialises the tables for one ranking request. `scratch` is
-    /// the ranker's `h ⊙ v` staging row (clobbered).
+    /// `n_slots` empty tables: every lookup evaluates directly.
+    fn empty(n_slots: usize) -> ScanTables {
+        let slots = (0..n_slots).map(|_| SlotTable { lo: 0, vals: Vec::new() }).collect();
+        ScanTables { slots, built: false }
+    }
+
+    /// Materialises the tables for one ranking request: all empty
+    /// without a decoupled cross form or known slot ranges.
     fn build<S: ItemFeatureSource + ?Sized>(
         model: &FrozenModel,
         ctx: &[u32],
-        cross: &Cross<'_>,
-        scratch: &mut [f64],
+        state: &State<'_>,
         n_slots: usize,
         items: &S,
     ) -> ScanTables {
-        let n_pairs = n_slots * n_slots.saturating_sub(1) / 2;
-        let direct = || ScanTables {
-            slots: (0..n_slots).map(|_| SlotTable::Direct).collect(),
-            pairs: (0..n_pairs).map(|_| PairTable::Direct).collect(),
+        let ranges = items.slot_ranges().filter(|ranges| ranges.len() == n_slots);
+        let (State::Decoupled(cross), Some(ranges)) = (state, ranges) else {
+            return ScanTables { built: true, ..ScanTables::empty(n_slots) };
         };
-        let Some(ranges) = items.slot_ranges() else { return direct() };
-        if ranges.len() != n_slots {
-            return direct();
-        }
         let n_items = items.item_count() as u64;
         let dim = model.w.len() as u32;
-        let width =
-            |&(lo, hi): &(u32, u32)| -> Option<u64> { (lo <= hi && hi < dim).then(|| (hi - lo) as u64 + 1) };
         let slots = ranges
             .iter()
-            .map(|r| match width(r) {
-                Some(w) if w <= DENSE_SLOT_CAP as u64 && w * DENSE_MIN_REPEAT <= n_items => {
-                    let vals = (r.0..=r.1).map(|f| cross_delta(model, ctx, cross, f)).collect();
-                    SlotTable::Dense { lo: r.0, vals }
-                }
-                _ => SlotTable::Direct,
+            .map(|&(lo, hi)| {
+                let width = (lo <= hi && hi < dim).then(|| (hi - lo) as u64 + 1);
+                let vals = match width {
+                    Some(w) if w <= DENSE_SLOT_CAP as u64 && w * DENSE_MIN_REPEAT <= n_items => {
+                        (lo..=hi).map(|f| cross_delta(model, ctx, cross, f)).collect()
+                    }
+                    _ => Vec::new(),
+                };
+                SlotTable { lo, vals }
             })
             .collect();
-        // Pair tables exist only for the decoupled squared-Euclidean
-        // group form the kernel path evaluates; everything else scores
-        // pairs per candidate.
-        let pair_form = match model.second_order_kind() {
-            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } if n_slots <= model.k() => {
-                Some((hat, h))
-            }
-            _ => None,
-        };
-        let k = model.k();
-        let mut pairs = Vec::with_capacity(n_pairs);
-        for a in 0..n_slots {
-            for b in a + 1..n_slots {
-                let table = match (pair_form, width(&ranges[a]), width(&ranges[b])) {
-                    (Some((hat, h)), Some(wa), Some(wb))
-                        if wa * wb <= DENSE_PAIR_CAP && wa * wb * DENSE_MIN_REPEAT <= n_items =>
-                    {
-                        let (lo_a, hi_a) = ranges[a];
-                        let (lo_b, hi_b) = ranges[b];
-                        let mut vals = Vec::with_capacity((wa * wb) as usize);
-                        for fa in lo_a..=hi_a {
-                            if let Some(h) = h {
-                                stage_hv(&mut scratch[..k], h, model.v.row(fa as usize));
-                            }
-                            for fb in lo_b..=hi_b {
-                                vals.push(match h {
-                                    Some(_) => {
-                                        let w_ab = kernel::dot(&scratch[..k], model.v.row(fb as usize));
-                                        let d =
-                                            kernel::sq_dist(hat.v_hat(fa as usize), hat.v_hat(fb as usize));
-                                        w_ab * d
-                                    }
-                                    None => kernel::sq_dist(hat.v_hat(fa as usize), hat.v_hat(fb as usize)),
-                                });
-                            }
-                        }
-                        PairTable::Dense { lo_a, lo_b, wb: wb as u32, vals }
-                    }
-                    _ => PairTable::Direct,
-                };
-                pairs.push(table);
-            }
-        }
-        ScanTables { slots, pairs }
-    }
-}
-
-/// Writes `h ⊙ v` into `row` — the staging step shared by the group
-/// pair paths, kept as one function so every path produces the same
-/// bits.
-fn stage_hv(row: &mut [f64], h: &[f64], v: &[f64]) {
-    for ((o, &hx), &vx) in row.iter_mut().zip(h).zip(v) {
-        *o = hx * vx;
+        ScanTables { slots, built: true }
     }
 }
 
@@ -279,7 +199,8 @@ impl<'m> TopNRanker<'m> {
         ctx_score += model.second_order(&ctx);
         let state = Self::build_state(model, &ctx);
         let scratch = vec![0.0; item_slots.len() * model.k()];
-        Self { model, item_slots: item_slots.to_vec(), ctx, ctx_pos, ctx_score, state, scratch, tables: None }
+        let tables = ScanTables::empty(item_slots.len());
+        Self { model, item_slots: item_slots.to_vec(), ctx, ctx_pos, ctx_score, state, scratch, tables }
     }
 
     fn build_state(model: &'m FrozenModel, ctx: &[u32]) -> State<'m> {
@@ -294,44 +215,27 @@ impl<'m> TopNRanker<'m> {
                 }
                 State::Decoupled(Cross::Dot { a })
             }
-            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } => {
-                if let Some(h) = h.as_deref() {
-                    if ctx.len() <= k {
-                        let mut lanes = vec![[0.0; kernel::COLS]; ctx.len().div_ceil(2) * k];
-                        let mut q = Vec::with_capacity(ctx.len());
-                        for (p, &i) in ctx.iter().enumerate() {
-                            let block = &mut lanes[p / 2 * k..(p / 2 + 1) * k];
-                            let vi = model.v.row(i as usize);
-                            let (vhi, qi) = hat.row(i as usize);
-                            for (d, lane) in block.iter_mut().enumerate() {
-                                lane[p % 2] = h[d] * vi[d];
-                                lane[2 + p % 2] = vhi[d];
-                            }
-                            q.push(qi);
-                        }
-                        return State::Decoupled(Cross::MetricWeightedDirect { hat, lanes, q });
+            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h: Some(h) } => {
+                let mut lanes = vec![[0.0; kernel::COLS]; ctx.len().div_ceil(2) * k];
+                let mut q = Vec::with_capacity(ctx.len());
+                for (p, &i) in ctx.iter().enumerate() {
+                    let block = &mut lanes[p / 2 * k..(p / 2 + 1) * k];
+                    let vi = model.v.row(i as usize);
+                    let (vhi, qi) = hat.row(i as usize);
+                    for (d, lane) in block.iter_mut().enumerate() {
+                        lane[p % 2] = h[d] * vi[d];
+                        lane[2 + p % 2] = vhi[d];
                     }
-                    let (a, b, c) = model.metric_partials(ctx, hat);
-                    State::Decoupled(Cross::MetricWeighted { a, b, c, hat, h })
-                } else {
-                    if ctx.len() <= k {
-                        let mut vh = Vec::with_capacity(ctx.len() * k);
-                        for &i in ctx {
-                            vh.extend_from_slice(hat.v_hat(i as usize));
-                        }
-                        return State::Decoupled(Cross::MetricUnweightedDirect { hat, vh });
-                    }
-                    let mut s = vec![0.0; k];
-                    let mut u = 0.0;
-                    for &f in ctx {
-                        let (vhf, qf) = hat.row(f as usize);
-                        u += qf;
-                        for (slot, &vh) in s.iter_mut().zip(vhf) {
-                            *slot += vh;
-                        }
-                    }
-                    State::Decoupled(Cross::MetricUnweighted { s, u, hat })
+                    q.push(qi);
                 }
+                State::Decoupled(Cross::MetricWeightedDirect { hat, lanes, q })
+            }
+            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h: None } => {
+                let mut vh = Vec::with_capacity(ctx.len() * k);
+                for &i in ctx {
+                    vh.extend_from_slice(hat.v_hat(i as usize));
+                }
+                State::Decoupled(Cross::MetricUnweightedDirect { hat, vh })
             }
             SecondOrder::Metric { distance, hat, h } => {
                 State::Decoupled(Cross::MetricPairwise { hat, h: h.as_deref(), distance: *distance })
@@ -362,39 +266,24 @@ impl<'m> TopNRanker<'m> {
     /// (same order). Equal to [`FrozenModel::predict`] on the substituted
     /// instance, up to float re-association in the delta paths.
     pub fn score(&mut self, item_feats: &[u32]) -> f64 {
-        assert_eq!(
-            item_feats.len(),
-            self.item_slots.len(),
-            "TopNRanker::score: candidate has {} features, template has {} item slots",
-            item_feats.len(),
-            self.item_slots.len()
-        );
-        let model = self.model;
-        let mut out = self.ctx_score;
-        for &f in item_feats {
-            out += model.w[f as usize];
-        }
-        // Cross pairs (context × candidate), per candidate feature.
         match &self.state {
+            State::Decoupled(cross) => candidate_score(
+                self.model,
+                &self.ctx,
+                self.ctx_score,
+                cross,
+                &self.tables.slots,
+                &mut self.scratch,
+                item_feats,
+            ),
             State::Translated { v_trans } => {
+                let mut out = first_order(self.model, self.ctx_score, item_feats, self.item_slots.len());
                 for (&slot, &f) in self.item_slots.iter().zip(item_feats) {
                     out += self.translated_cross_delta(v_trans, slot, f);
                 }
                 // Pairs within the candidate group, oriented by slot
                 // position.
                 out + self.translated_candidate_pairs(v_trans, item_feats)
-            }
-            State::Decoupled(cross) => {
-                for &f in item_feats {
-                    out += cross_delta(model, &self.ctx, cross, f);
-                }
-                // Pairs within the candidate group (item id × its
-                // attributes): a model-and-item constant, read from the
-                // generation's memo when it holds this exact group.
-                out + match model.group_memo.as_ref().and_then(|memo| memo.get(item_feats)) {
-                    Some(pairs) => pairs,
-                    None => group_pairs(model, &mut self.scratch, item_feats),
-                }
             }
         }
     }
@@ -438,87 +327,84 @@ impl<'m> TopNRanker<'m> {
     /// `out` — bitwise identical to calling [`TopNRanker::score`] on
     /// each id in order. This is the batched entry the sharded scan
     /// loops drive in [`kernel::CAND_BLOCK`]-sized runs: the state
-    /// dispatch is hoisted out of the per-candidate loop, and the
-    /// decoupled modes read repeated attribute-feature deltas from the
-    /// dense `ScanTables` materialised on the first block (table
-    /// entries hold the bits the direct evaluation produces, so the
-    /// tables cannot change a score).
+    /// dispatch is hoisted out of the per-candidate loop, and the first
+    /// block materialises the dense slot tables from `items`, which every
+    /// later score reads (table entries hold the bits the direct
+    /// evaluation produces, so the tables cannot change a score).
     pub fn score_block<S: ItemFeatureSource + ?Sized>(&mut self, items: &S, ids: &[u32], out: &mut Vec<f64>) {
-        out.reserve(ids.len());
-        if !matches!(self.state, State::Decoupled(_)) {
-            for &id in ids {
-                let score = self.score(items.features_of(id));
-                out.push(score);
-            }
-            return;
+        if !self.tables.built {
+            self.tables = ScanTables::build(self.model, &self.ctx, &self.state, self.item_slots.len(), items);
         }
-        let Self { model, item_slots, ctx, ctx_score, state, scratch, tables, .. } = self;
-        let model = *model;
-        if let State::Decoupled(cross) = state {
-            let tables = tables.get_or_insert_with(|| {
-                ScanTables::build(model, ctx, cross, scratch, item_slots.len(), items)
-            });
-            let memo = model.group_memo.as_ref();
-            for &id in ids {
-                let feats = items.features_of(id);
-                assert_eq!(
-                    feats.len(),
-                    item_slots.len(),
-                    "TopNRanker::score_block: candidate has {} features, template has {} item slots",
-                    feats.len(),
-                    item_slots.len()
-                );
-                let mut s = *ctx_score;
-                for &f in feats {
-                    s += model.w[f as usize];
-                }
-                for (table, &f) in tables.slots.iter().zip(feats) {
-                    s += match table {
-                        SlotTable::Dense { lo, vals } => match vals.get(f.wrapping_sub(*lo) as usize) {
-                            Some(&v) => v,
-                            None => cross_delta(model, ctx, cross, f),
-                        },
-                        SlotTable::Direct => cross_delta(model, ctx, cross, f),
-                    };
-                }
-                s += match memo.and_then(|memo| memo.get(feats)) {
-                    Some(pairs) => pairs,
-                    None => group_pairs_tabled(model, scratch, &tables.pairs, feats),
-                };
-                out.push(s);
-            }
-        }
+        let State::Decoupled(cross) = &self.state else {
+            return out.extend(ids.iter().map(|&id| self.score(items.features_of(id))));
+        };
+        let (model, ctx, ctx_score) = (self.model, self.ctx.as_slice(), self.ctx_score);
+        let (slots, scratch) = (self.tables.slots.as_slice(), self.scratch.as_mut_slice());
+        out.extend(
+            ids.iter().map(|&id| {
+                candidate_score(model, ctx, ctx_score, cross, slots, scratch, items.features_of(id))
+            }),
+        );
+    }
+}
+
+/// `ctx_score + Σ w[f]` over a candidate's features, after checking it
+/// fills the template's `n_slots` item slots.
+#[inline]
+fn first_order(model: &FrozenModel, ctx_score: f64, item_feats: &[u32], n_slots: usize) -> f64 {
+    assert_eq!(
+        item_feats.len(),
+        n_slots,
+        "TopNRanker::score: candidate has {} features, template has {} item slots",
+        item_feats.len(),
+        n_slots
+    );
+    let mut out = ctx_score;
+    for &f in item_feats {
+        out += model.w[f as usize];
+    }
+    out
+}
+
+/// The one per-candidate body of the decoupled modes, behind both
+/// [`TopNRanker::score`] and [`TopNRanker::score_block`]: a candidate
+/// feature whose slot table holds it reads its cross delta from there
+/// (the bits [`cross_delta`] returns), every other feature evaluates it.
+#[inline(always)]
+fn candidate_score(
+    model: &FrozenModel,
+    ctx: &[u32],
+    ctx_score: f64,
+    cross: &Cross<'_>,
+    slots: &[SlotTable],
+    scratch: &mut [f64],
+    item_feats: &[u32],
+) -> f64 {
+    let mut out = first_order(model, ctx_score, item_feats, slots.len());
+    for (table, &f) in slots.iter().zip(item_feats) {
+        out += match table.vals.get(f.wrapping_sub(table.lo) as usize) {
+            Some(&v) => v,
+            None => cross_delta(model, ctx, cross, f),
+        };
+    }
+    // Pairs within the candidate group (item id × its attributes): a
+    // model-and-item constant, read from the generation's memo when it
+    // holds this exact group.
+    out + match model.group_memo.as_ref().and_then(|memo| memo.get(item_feats)) {
+        Some(pairs) => pairs,
+        None => group_pairs(model, scratch, item_feats),
     }
 }
 
 /// `Σ_{i ∈ ctx} w_ij · D(v̂ᵢ, v̂ⱼ)` for one candidate feature `j`, from
-/// the context partial sums (or, in the pairwise modes, the context
-/// features directly) — free-standing so the block scan can call it
-/// while holding the slot memos mutably.
+/// the staged context — free-standing so the table build can call it
+/// without a ranker.
 #[inline]
 fn cross_delta(model: &FrozenModel, ctx: &[u32], cross: &Cross<'_>, j: u32) -> f64 {
     let k = model.k();
     let vj = model.v.row(j as usize);
     match cross {
         Cross::Dot { a } => dot(a, vj),
-        Cross::MetricWeighted { a, b, c, hat, h } => {
-            let (vhj, qj) = hat.row(j as usize);
-            let mut first = 0.0; // (h⊙vⱼ)·b + qⱼ (h⊙vⱼ)·a
-            let mut cross = 0.0; // (h⊙vⱼ)ᵀ C v̂ⱼ
-            for r in 0..k {
-                let hv = h[r] * vj[r];
-                if hv == 0.0 {
-                    continue;
-                }
-                first += hv * (b[r] + qj * a[r]);
-                cross += hv * dot(c.row(r), vhj);
-            }
-            first - 2.0 * cross
-        }
-        Cross::MetricUnweighted { s, u, hat } => {
-            let (vhj, qj) = hat.row(j as usize);
-            u + ctx.len() as f64 * qj - 2.0 * dot(s, vhj)
-        }
         Cross::MetricUnweightedDirect { hat, vh } => {
             let vhj = hat.v_hat(j as usize);
             let mut out = 0.0;
@@ -567,12 +453,15 @@ fn cross_delta(model: &FrozenModel, ctx: &[u32], cross: &Cross<'_>, j: u32) -> f
 fn group_pairs(model: &FrozenModel, scratch: &mut [f64], feats: &[u32]) -> f64 {
     let k = model.k();
     match model.second_order_kind() {
-        SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } if feats.len() <= k => {
+        SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } => {
             let mut out = 0.0;
             match h {
                 Some(h) => {
                     for (a, &fa) in feats.iter().enumerate() {
-                        stage_hv(&mut scratch[a * k..(a + 1) * k], h, model.v.row(fa as usize));
+                        let row = &mut scratch[a * k..(a + 1) * k];
+                        for ((o, &hx), &vx) in row.iter_mut().zip(h).zip(model.v.row(fa as usize)) {
+                            *o = hx * vx;
+                        }
                     }
                     for (a, &fa) in feats.iter().enumerate() {
                         for &fb in &feats[a + 1..] {
@@ -588,60 +477,6 @@ fn group_pairs(model: &FrozenModel, scratch: &mut [f64], feats: &[u32]) -> f64 {
                             out += kernel::sq_dist(hat.v_hat(fa as usize), hat.v_hat(fb as usize));
                         }
                     }
-                }
-            }
-            out
-        }
-        _ => model.second_order(feats),
-    }
-}
-
-/// [`group_pairs`] reading dense [`PairTable`]s where they exist: a
-/// tabled pair term was computed with the identical kernel calls at
-/// materialisation, so the sum accumulates the same values in the same
-/// order — bitwise equal to [`group_pairs`]. `pairs` holds
-/// `len(feats)·(len(feats)−1)/2` entries in the pair-loop order
-/// `(0,1), (0,2), …, (1,2), …`; [`PairTable::Direct`] entries (and
-/// out-of-range lookups) evaluate in place, staging each `h ⊙ v_a` row
-/// at most once per candidate.
-fn group_pairs_tabled(model: &FrozenModel, scratch: &mut [f64], pairs: &[PairTable], feats: &[u32]) -> f64 {
-    let k = model.k();
-    match model.second_order_kind() {
-        SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } if feats.len() <= k => {
-            let mut out = 0.0;
-            let mut p = 0;
-            // Which `h ⊙ v_a` rows are staged for this candidate (slots
-            // past the mask width restage every pair — idempotent, just
-            // slower).
-            let mut staged = 0u64;
-            for (a, &fa) in feats.iter().enumerate() {
-                for &fb in &feats[a + 1..] {
-                    let table = &pairs[p];
-                    p += 1;
-                    if let PairTable::Dense { lo_a, lo_b, wb, vals } = table {
-                        let ib = fb.wrapping_sub(*lo_b) as u64;
-                        let idx = fa.wrapping_sub(*lo_a) as u64 * *wb as u64 + ib;
-                        if ib < *wb as u64 {
-                            if let Some(&v) = vals.get(idx as usize) {
-                                out += v;
-                                continue;
-                            }
-                        }
-                    }
-                    out += match h {
-                        Some(h) => {
-                            if a >= 64 || staged & (1 << a) == 0 {
-                                if a < 64 {
-                                    staged |= 1 << a;
-                                }
-                                stage_hv(&mut scratch[a * k..(a + 1) * k], h, model.v.row(fa as usize));
-                            }
-                            let w_ab = kernel::dot(&scratch[a * k..(a + 1) * k], model.v.row(fb as usize));
-                            let d = kernel::sq_dist(hat.v_hat(fa as usize), hat.v_hat(fb as usize));
-                            w_ab * d
-                        }
-                        None => kernel::sq_dist(hat.v_hat(fa as usize), hat.v_hat(fb as usize)),
-                    };
                 }
             }
             out
@@ -846,17 +681,13 @@ impl<'m> ScanMode<'m> {
 enum LowCross {
     /// Unweighted decoupled form: `u + m·qⱼ − 2⟨s, v̂ⱼ⟩` in f32.
     Unweighted { s: Vec<f32>, u: f32, m: f32 },
-    /// Weighted narrow-context form: per context feature `i`, the
-    /// precomputed `h ⊙ vᵢ` row, the `v̂ᵢ` row, and `qᵢ` — flattened
-    /// `|ctx| × k` row-major.
+    /// Weighted form: per context feature `i`, the precomputed `h ⊙ vᵢ`
+    /// row, the `v̂ᵢ` row, and `qᵢ` — flattened `|ctx| × k` row-major.
     WeightedDirect { hv: Vec<f32>, vh: Vec<f32>, q: Vec<f32>, k: usize },
-    /// Weighted wide-context partials `a`, `b`, `C` (row-major `k × k`)
-    /// and the narrowed transformation weights.
-    Weighted { a: Vec<f32>, b: Vec<f32>, c: Vec<f32>, h: Vec<f32>, k: usize },
 }
 
 impl LowCross {
-    fn new(base: &TopNRanker<'_>, lp: &LowPrec, hat: &HatQ, h: Option<&[f64]>) -> Self {
+    fn new(base: &TopNRanker<'_>, hat: &HatQ, h: Option<&[f64]>) -> Self {
         let model = base.model;
         let k = model.k();
         let Some(h) = h else {
@@ -875,28 +706,17 @@ impl LowCross {
                 m: base.ctx.len() as f32,
             };
         };
-        if base.ctx.len() <= k {
-            let mut hv = Vec::with_capacity(base.ctx.len() * k);
-            let mut vh = Vec::with_capacity(base.ctx.len() * k);
-            let mut q = Vec::with_capacity(base.ctx.len());
-            for &i in &base.ctx {
-                let vi = model.v.row(i as usize);
-                hv.extend(h.iter().zip(vi).map(|(&hr, &vr)| (hr * vr) as f32));
-                let (vhi, qi) = hat.row(i as usize);
-                vh.extend(vhi.iter().map(|&x| x as f32));
-                q.push(qi as f32);
-            }
-            LowCross::WeightedDirect { hv, vh, q, k }
-        } else {
-            let (a, b, c) = model.metric_partials(&base.ctx, hat);
-            LowCross::Weighted {
-                a: a.iter().map(|&x| x as f32).collect(),
-                b: b.iter().map(|&x| x as f32).collect(),
-                c: c.as_slice().iter().map(|&x| x as f32).collect(),
-                h: lp.h32.clone().unwrap_or_else(|| h.iter().map(|&x| x as f32).collect()),
-                k,
-            }
+        let mut hv = Vec::with_capacity(base.ctx.len() * k);
+        let mut vh = Vec::with_capacity(base.ctx.len() * k);
+        let mut q = Vec::with_capacity(base.ctx.len());
+        for &i in &base.ctx {
+            let vi = model.v.row(i as usize);
+            hv.extend(h.iter().zip(vi).map(|(&hr, &vr)| (hr * vr) as f32));
+            let (vhi, qi) = hat.row(i as usize);
+            vh.extend(vhi.iter().map(|&x| x as f32));
+            q.push(qi as f32);
         }
+        LowCross::WeightedDirect { hv, vh, q, k }
     }
 }
 
@@ -936,7 +756,7 @@ impl<'m> Scanner<'m> {
         let low = match mode {
             ScanMode::Exact => None,
             ScanMode::Low { lp, hat, h, quantized } => Some(Low {
-                cross: LowCross::new(&base, lp, hat, h),
+                cross: LowCross::new(&base, hat, h),
                 lp,
                 dequant: quantized.then(|| vec![0.0f32; lp.qhat.row_width()]),
             }),
@@ -978,11 +798,7 @@ impl<'m> Scanner<'m> {
         if self.low.is_none() {
             return self.base.score_block(items, ids, out);
         }
-        out.reserve(ids.len());
-        for &id in ids {
-            let score = self.score(items.features_of(id));
-            out.push(score);
-        }
+        out.extend(ids.iter().map(|&id| self.score(items.features_of(id))));
     }
 }
 
@@ -1014,20 +830,6 @@ impl Low<'_> {
                     out += w_ij * d;
                 }
                 out
-            }
-            LowCross::Weighted { a, b, c, h, k } => {
-                let Some(vj) = vj else { return 0.0 };
-                let mut first = 0.0f32;
-                let mut cross = 0.0f32;
-                for r in 0..*k {
-                    let hv = h[r] * vj[r];
-                    if hv == 0.0 {
-                        continue;
-                    }
-                    first += hv * (b[r] + qj * a[r]);
-                    cross += hv * kernel::dot_f32(&c[r * k..(r + 1) * k], vhj);
-                }
-                first - 2.0 * cross
             }
         }
     }
@@ -1081,28 +883,9 @@ mod tests {
         /// formulas evaluated the way the pre-kernel code did.
         fn cross_delta_scalar(&self, cross: &Cross<'m>, j: u32) -> f64 {
             let model = self.model;
-            let k = model.k();
             let vj = model.v.row(j as usize);
             match cross {
                 Cross::Dot { a } => kernel::naive_dot(a, vj),
-                Cross::MetricWeighted { a, b, c, hat, h } => {
-                    let (vhj, qj) = hat.row(j as usize);
-                    let mut first = 0.0;
-                    let mut cross = 0.0;
-                    for r in 0..k {
-                        let hv = h[r] * vj[r];
-                        if hv == 0.0 {
-                            continue;
-                        }
-                        first += hv * (b[r] + qj * a[r]);
-                        cross += hv * kernel::naive_dot(c.row(r), vhj);
-                    }
-                    first - 2.0 * cross
-                }
-                Cross::MetricUnweighted { s, u, hat } => {
-                    let (vhj, qj) = hat.row(j as usize);
-                    u + self.ctx.len() as f64 * qj - 2.0 * kernel::naive_dot(s, vhj)
-                }
                 Cross::MetricUnweightedDirect { hat, .. } => {
                     let vhj = hat.v_hat(j as usize);
                     let mut out = 0.0;
@@ -1136,7 +919,7 @@ mod tests {
         }
     }
 
-    /// The per-row form of the narrow weighted cross delta that
+    /// The per-row form of the weighted cross delta that
     /// [`Cross::MetricWeightedDirect`]'s transposed pass replaced: per
     /// context feature `i`, `wᵢⱼ = kernel::dot(h ⊙ vᵢ, vⱼ)` and
     /// `qᵢ + qⱼ − 2·kernel::dot(v̂ᵢ, v̂ⱼ)`, summed in context order.
@@ -1156,15 +939,16 @@ mod tests {
 
     /// The transposed cross delta is the per-row one, `to_bits()` for
     /// `to_bits()`: at `k` below, at, one past and several chunks of the
-    /// kernel width, contexts of one feature up to `k`, odd and even (an
-    /// odd one leaves a zero column in its last block). `h` and the
+    /// kernel width, contexts of one feature up to `k + 3`, odd and even
+    /// (an odd one leaves a zero column in its last block), wider than
+    /// `k` included — one form serves every width. `h` and the
     /// candidates' `v`/`v̂` rows carry zeros of both signs, so every
     /// candidate's dots include `−0.0` products and one candidate's are
     /// all `±0`.
     #[test]
     fn transposed_cross_delta_is_bitwise_the_per_row_dots() {
         for k in [1usize, 2, 7, 8, 9, 16, 17, 24, 64, 65, 72] {
-            let (n_ctx, n_cand) = (k + 1, 12usize);
+            let (n_ctx, n_cand) = (k + 3, 12usize);
             let n = n_ctx + n_cand;
             let mut rng = seeded_rng(k as u64);
             let mut v = normal(&mut rng, n, k, 0.0, 0.5);
@@ -1187,12 +971,12 @@ mod tests {
                 v,
                 SecondOrder::metric(v_hat, q, Some(h), Distance::SquaredEuclidean),
             );
-            for m in [1, 2, 3, 4, 5, k].into_iter().filter(|&m| m <= k) {
+            for m in [1, 2, 3, 4, 5].into_iter().filter(|&m| m < k).chain([k, k + 1, k + 3]) {
                 let mut template: Vec<u32> = (0..m as u32).collect();
                 template.push(0);
                 let ranker = model.ranker(&template, &[m]);
                 let State::Decoupled(cross @ Cross::MetricWeightedDirect { .. }) = &ranker.state else {
-                    panic!("k {k}, |ctx| {m}: a narrow weighted context stages the direct form")
+                    panic!("k {k}, |ctx| {m}: a weighted context stages the direct form")
                 };
                 for j in n_ctx as u32..n as u32 {
                     let got = cross_delta(&model, &ranker.ctx, cross, j);
@@ -1281,10 +1065,10 @@ mod tests {
         }
     }
 
-    /// Contexts wider than `k` switch to the Eq. 10/11 partial sums; the
-    /// scores must still match full predictions.
+    /// Contexts wider than `k` score through the same delta forms as
+    /// narrow ones; the scores must still match full predictions.
     #[test]
-    fn wide_context_uses_partial_sums_and_matches() {
+    fn wide_context_matches_full_prediction() {
         let n = 40;
         let k = 3; // narrower than the 5-field context below
         let mut rng = seeded_rng(8);
@@ -1324,11 +1108,12 @@ mod tests {
     /// differ in ONE low-order mantissa bit must keep their true order.
     /// The expanded `u + m·q_j − 2⟨s, v̂_j⟩` form loses the distinction
     /// — its three O(‖v̂‖²) terms round independently, burying a
-    /// one-ulp item difference under rounding noise — so narrow
-    /// contexts take the direct `Σᵢ ‖v̂ᵢ − v̂ⱼ‖²` path, which subtracts
-    /// before squaring: the duplicate's distance is exactly 0 and the
-    /// perturbed item's exactly δ², matching the pairwise reference
-    /// bitwise.
+    /// one-ulp item difference under rounding noise — so contexts of
+    /// every width take the direct `Σᵢ ‖v̂ᵢ − v̂ⱼ‖²` path, which
+    /// subtracts before squaring: the duplicate's distance is exactly 0
+    /// and the perturbed item's exactly δ² per context copy, matching the
+    /// pairwise reference bitwise. A context of `k + 1` copies of the
+    /// row is as exact as a context of one.
     #[test]
     fn near_duplicate_items_keep_their_true_order() {
         let n = 8;
@@ -1347,28 +1132,30 @@ mod tests {
         v_hat.row_mut(3)[0] = perturbed;
         let delta = v_hat.row(0)[0] - perturbed;
         let q: Vec<f64> = (0..n).map(|r| dot(v_hat.row(r), v_hat.row(r))).collect();
-        // Zero bias and linear weights: with a single-member context the
-        // whole score is the one cross distance, so nothing can absorb
-        // the δ² the fix is meant to preserve.
+        // Zero bias and linear weights: the whole score is the cross
+        // distances (the context's own pairs join copies of one row and
+        // sum to 0 here), so nothing can absorb the δ² the direct form
+        // preserves.
         let model = FrozenModel::from_parts(
             0.0,
             vec![0.0; n],
             v,
             SecondOrder::metric(v_hat, q, None, Distance::SquaredEuclidean),
         );
-        let template = vec![0u32, 2];
-        let mut ranker = model.ranker(&template, &[1]);
-        let dup = ranker.score(&[2]);
-        let near = ranker.score(&[3]);
-        assert_ne!(dup.to_bits(), near.to_bits(), "a one-ulp V-hat difference must survive the delta scan");
-        // Subtract-before-square is exact here, not merely close: the
-        // duplicate's distance is 0 and the perturbed item's exactly δ².
-        assert_eq!(dup, 0.0, "exact duplicate of the context row scores a zero distance");
-        assert_eq!(
-            near.to_bits(),
-            (delta * delta).to_bits(),
-            "the perturbed item's distance is exactly δ²: {near}"
-        );
+        for copies in [1, k + 1] {
+            let mut template = vec![0u32; copies];
+            template.push(2);
+            let mut ranker = model.ranker(&template, &[copies]);
+            let dup = ranker.score(&[2]);
+            let near = ranker.score(&[3]);
+            assert_ne!(dup.to_bits(), near.to_bits(), "{copies} copies: a one-ulp difference must survive");
+            // Subtract-before-square is exact here, not merely close: the
+            // duplicate's distance is 0 and the perturbed item's exactly δ²
+            // per copy.
+            assert_eq!(dup, 0.0, "{copies} copies: an exact duplicate of the context row scores zero");
+            let want = (0..copies).fold(0.0, |sum, _| sum + delta * delta);
+            assert_eq!(near.to_bits(), want.to_bits(), "{copies} copies: the perturbed item scores {near}");
+        }
     }
 
     #[test]
@@ -1388,8 +1175,8 @@ mod tests {
 
     /// A 33-item catalogue (one candidate block plus a remainder) of
     /// `[item id, attribute]` groups under every second-order mode the
-    /// ranker serves; modes 1 and 3 put 17 features in the context, so
-    /// the wide (`ctx > k`) delta forms run for every `k` swept below.
+    /// ranker serves; modes 1 and 3 put 17 features in the context, wider
+    /// than every `k` swept below.
     fn mode_fixture(mode: usize, k: usize, seed: u64) -> (FrozenModel, Vec<Vec<u32>>, Vec<u32>, Vec<usize>) {
         let (n_users, n_items, n_attrs) = (4usize, 33usize, 9usize);
         let dim = n_users + n_items + n_attrs;

@@ -9,7 +9,7 @@
 //!    `CAND_BLOCK`-wide entry the list scan uses) must reproduce the
 //!    per-item `score` loop bit for bit across every metric mode, factor
 //!    widths around the kernel lane width, context widths from one
-//!    feature to `k`, and candidate counts straddling the block width
+//!    feature to past `k`, and candidate counts straddling the block width
 //!    (remainder-loop coverage on every axis).
 //! 2. **Scan driver ≡ full sort, bitwise** — both candidate sources of
 //!    the one driver (`scan_top_n` over a candidate list, a full-probe
@@ -43,10 +43,9 @@ const CAND_COUNTS: [usize; 6] = [1, 4, 31, 32, 33, 65];
 /// chunk (the serving fixture's k), one past it, two and three chunks.
 const KS: [usize; 7] = [1, 2, 7, 8, 9, 16, 24];
 
-/// Context widths of the narrow fixtures, by index: one feature, two
-/// (the serving fixture's), three (odd, so the transposed weighted
-/// kernel's last block has an empty half), and `k` (the widest context
-/// the narrow delta forms take).
+/// Context widths of the fixtures that are not wide, by index: one
+/// feature, two (the serving fixture's), three (odd, so the transposed
+/// weighted kernel's last block has an empty half), and `k`.
 fn ctx_width(idx: usize, k: usize) -> usize {
     [1, 2, 3, k][idx]
 }
@@ -59,10 +58,10 @@ struct Fixture {
 }
 
 /// A model + catalogue in every second-order mode the ranker serves.
-/// `mode` also selects the context width: the weighted and unweighted
-/// SquaredEuclidean forms have distinct narrow (`ctx ≤ k`) and wide
-/// (`ctx > k`) delta paths, so both get their own fixture; every other
-/// mode has a context of `ctx` features.
+/// `mode` also selects the context width: modes 1 and 3 run the weighted
+/// and unweighted SquaredEuclidean direct delta forms at 25 context
+/// features, wider than any `k` in `KS`; every other mode has a
+/// context of `ctx` features.
 fn fixture(mode: usize, k: usize, n_items: usize, seed: u64, ctx: usize) -> Fixture {
     let dim = N_USERS + n_items + N_ATTRS;
     let mut rng = seeded_rng(seed);
@@ -88,8 +87,8 @@ fn fixture(mode: usize, k: usize, n_items: usize, seed: u64, ctx: usize) -> Fixt
         .map(|i| vec![(N_USERS + i) as u32, (N_USERS + n_items + (i * 7 + 3) % N_ATTRS) as u32])
         .collect();
     // The template: the user, user-side attributes up to the context
-    // width (indices repeat, which is legal; wide contexts exceed any k
-    // in KS), then the two item slots, filled per candidate.
+    // width (indices repeat, which is legal), then the two item slots,
+    // filled per candidate.
     let width = if wide_ctx { 25 } else { ctx };
     let mut template = vec![1u32];
     template.extend((1..width).map(|a| (N_USERS + n_items + a % N_ATTRS) as u32));

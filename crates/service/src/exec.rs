@@ -215,8 +215,8 @@ impl ScoringBackend for FrozenModel {
     ) -> Vec<f64> {
         let item_slots = catalog.item_slots();
         gmlfm_par::par_blocks(par, candidates.len(), |range| {
-            // One ranker per worker block: the context partial sums are
-            // computed once and reused for every candidate in the block.
+            // One ranker per worker block: the context side is staged
+            // once and reused for every candidate in the block.
             let mut ranker = self.ranker(template, item_slots);
             candidates[range]
                 .iter()
