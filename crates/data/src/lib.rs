@@ -26,6 +26,8 @@
 //! laptop-runnable; the resulting statistics are printed by the `repro
 //! table2` command next to the paper's originals.
 #![forbid(unsafe_code)]
+// Hash sets here answer membership only; every walk into a Vec sorts first.
+#![allow(clippy::disallowed_types)]
 
 pub mod dataset;
 pub mod instance;

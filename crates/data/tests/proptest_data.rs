@@ -1,5 +1,7 @@
 //! Property tests on the data substrate: encoding round-trips, split
 //! invariants and generator guarantees across random configurations.
+// The one hash set checks distinctness; nothing iterates it.
+#![allow(clippy::disallowed_types)]
 
 use gmlfm_data::{generate, loo_split, rating_split, DatasetSpec, FieldKind, FieldMask, Schema};
 use proptest::prelude::*;

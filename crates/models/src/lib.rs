@@ -42,6 +42,8 @@
 //!   thresholds) is adapted to that substrate and stated in
 //!   `gmlfm_experiments::fig4`.
 #![forbid(unsafe_code)]
+// BPR and NGCF take the split's per-user item sets, read for membership only.
+#![allow(clippy::disallowed_types)]
 
 pub mod afm;
 pub mod bpr;

@@ -28,6 +28,14 @@
 //! a **clean close** ([`FrameError::Closed`]) — how well-behaved peers
 //! hang up — and is distinguished from a mid-frame EOF
 //! ([`FrameError::Truncated`]), which is a fault.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;

@@ -24,10 +24,18 @@
 //!
 //! ## Panic containment
 //!
-//! The connection loop itself is panic-free (enforced by the
-//! `gmlfm-analyze` L2 lint over this file), but a handler thread could
+//! The connection loop itself is panic-free (enforced by clippy through
+//! the `deny` line below), but a handler thread could
 //! still die to a bug below it; the drain counts such deaths in
 //! [`DrainReport::worker_panics`] instead of hanging or hiding them.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

@@ -9,8 +9,8 @@
 //!
 //! Decoding is **total**: any byte payload — non-UTF-8, malformed JSON,
 //! wrong shapes, absurd numbers — yields a typed [`WireError`], never a
-//! panic (this module and the JSON reader and decoders under it are in
-//! the `gmlfm-analyze` L2 panic-freedom scope, and
+//! panic (this module and the JSON reader and decoders under it deny
+//! clippy's panicking lints — see the `deny` line below — and
 //! `tests/frame_proptest.rs` drives arbitrary bytes through it).
 //!
 //! Decoding reads the payload's bytes once with `serde::json::Reader`,
@@ -34,6 +34,14 @@
 //! two are indistinguishable to the server, and the wire keeps the
 //! smaller shape. Integers — ids, counts, generation stamps — decode
 //! from the literal's text, exactly, over each type's full range.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{Precision, RetrievalStrategy};

@@ -1,4 +1,12 @@
 //! The in-process ingest endpoint of the online loop.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 use crate::log::{InteractionLog, PushOutcome};
 use gmlfm_service::{exec, FeedAck, FeedSink, Interaction, ModelServer, RequestError, Response};

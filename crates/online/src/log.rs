@@ -9,6 +9,14 @@
 //! already accepted is acknowledged as a duplicate, not enqueued twice
 //! (the retrying `gmlfm-net` client may deliver an ambiguous-failure
 //! feed more than once).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 use gmlfm_service::{Interaction, RequestError};
 use std::collections::BTreeSet;

@@ -1,5 +1,13 @@
 //! Warm-start retraining on a background thread, published through the
 //! eval gate.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 use crate::error::OnlineError;
 use crate::gate::{EvalGate, GateMetrics, GateReport};

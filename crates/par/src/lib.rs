@@ -60,6 +60,7 @@ impl Parallelism {
     /// would dominate small serving batches if paid per request. Set
     /// `GMLFM_THREADS` before the process starts; later changes to the
     /// environment are not observed.
+    #[allow(clippy::disallowed_methods)] // the one cached read
     pub fn auto() -> Self {
         static AUTO: OnceLock<Parallelism> = OnceLock::new();
         *AUTO.get_or_init(|| {

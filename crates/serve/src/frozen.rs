@@ -26,6 +26,14 @@
 //! carry a few fields against a `k` of 8–16, where that loop is cheaper
 //! than the paper's `O(m·k²)` weighted Eq. 10/11 form, which lives in
 //! `gmlfm_core::efficient`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 use gmlfm_core::Distance;
 use gmlfm_data::Instance;

@@ -51,6 +51,14 @@
 //! TransFM's translated distance, Manhattan/Chebyshev/cosine — have no
 //! affine linearisation here; [`IvfIndex::build`] returns `None` for
 //! them and callers fall back to the exact sharded-heap path.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 use crate::frozen::{dot, FrozenModel, HatQ, SecondOrder};
 use crate::lowp::Precision;
@@ -1017,7 +1025,9 @@ mod tests {
             // Rebuild the synthetic model without `h` for the
             // unweighted linearisation.
             let m = FrozenModel::synthetic_metric(dim, 6, seed);
-            let SecondOrder::Metric { hat, .. } = m.second_order_kind().clone() else { unreachable!() };
+            let SecondOrder::Metric { hat, .. } = m.second_order_kind().clone() else {
+                panic!("not a metric model")
+            };
             FrozenModel::from_parts(
                 m.bias(),
                 m.linear_weights().to_vec(),

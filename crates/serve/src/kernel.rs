@@ -27,6 +27,14 @@
 //! The naive single-accumulator references (`naive_*`) are test-only:
 //! the parity oracle for the ≤1e-12 kernel tests here and for the
 //! scalar-loop ranker reference in `rank.rs`'s tests.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 /// Accumulator width of the chunked kernels.
 ///

@@ -25,6 +25,14 @@
 //! [`FrozenModel::with_precision`](crate::FrozenModel::with_precision)
 //! and shared behind an `Arc`, so cloning a model (snapshot hot-swap,
 //! per-shard workers) never copies them.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 use std::sync::Arc;
 
@@ -326,7 +334,7 @@ mod tests {
     #[test]
     fn hatq32_narrows_rows_exactly() {
         let model = random_metric_model(12, 5, true, Distance::SquaredEuclidean, 9);
-        let SecondOrder::Metric { hat, .. } = model.second_order_kind() else { unreachable!() };
+        let SecondOrder::Metric { hat, .. } = model.second_order_kind() else { panic!("not a metric model") };
         let t32 = HatQ32::from_hat(hat);
         assert_eq!((t32.n(), t32.k()), (hat.n(), hat.k()));
         for i in 0..hat.n() {
@@ -343,7 +351,7 @@ mod tests {
     fn quantized_rows_reconstruct_within_half_a_step() {
         // Weighted: rows pack [v̂ | v] under one shared scale.
         let model = random_metric_model(20, 7, true, Distance::SquaredEuclidean, 11);
-        let SecondOrder::Metric { hat, .. } = model.second_order_kind() else { unreachable!() };
+        let SecondOrder::Metric { hat, .. } = model.second_order_kind() else { panic!("not a metric model") };
         let qt = QuantHatQ::from_tables(hat, Some(model.factors()));
         assert!(qt.paired());
         assert_eq!(qt.row_width(), 14);

@@ -22,6 +22,14 @@
 //! values), declared as slot positions in a template instance, so
 //! datasets with item-side attributes rank exactly like plain
 //! user × item ones.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 use crate::frozen::{dot, FrozenModel, HatQ, SecondOrder};
 use crate::index::ItemFeatureSource;
@@ -895,7 +903,7 @@ mod tests {
                     out
                 }
                 Cross::MetricWeightedDirect { hat, .. } => {
-                    let SecondOrder::Metric { h, .. } = &model.second else { unreachable!() };
+                    let SecondOrder::Metric { h, .. } = &model.second else { panic!("not a metric model") };
                     let (vhj, qj) = hat.row(j as usize);
                     let mut out = 0.0;
                     for &i in &self.ctx {
@@ -924,7 +932,9 @@ mod tests {
     /// context feature `i`, `wᵢⱼ = kernel::dot(h ⊙ vᵢ, vⱼ)` and
     /// `qᵢ + qⱼ − 2·kernel::dot(v̂ᵢ, v̂ⱼ)`, summed in context order.
     fn weighted_direct_per_row(model: &FrozenModel, ctx: &[u32], j: u32) -> f64 {
-        let SecondOrder::Metric { hat, h: Some(h), .. } = &model.second else { unreachable!() };
+        let SecondOrder::Metric { hat, h: Some(h), .. } = &model.second else {
+            panic!("not a weighted metric model")
+        };
         let (vhj, qj) = hat.row(j as usize);
         let mut out = 0.0;
         for &i in ctx {

@@ -41,6 +41,14 @@
 //! its `score*`/`top_n`/holdout-evaluation methods all route through
 //! [`exec`].
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 pub mod catalog;
 pub mod error;
