@@ -202,7 +202,6 @@ fn default_nprobe_recall_at_10_is_at_least_095_on_10k_items() {
             catalog.item_slots(),
             n,
             index.default_nprobe(),
-            Parallelism::auto(),
             &|_| false,
             Precision::F64,
         );
@@ -267,7 +266,6 @@ fn index_round_trips_through_current_artifacts() {
                 catalog.item_slots(),
                 10,
                 idx.default_nprobe(),
-                Parallelism::serial(),
                 &|_| false,
                 Precision::F64,
             )

@@ -633,21 +633,27 @@ impl IvfIndex {
     /// the scan driver ([`crate::topn`]): rank clusters by their
     /// centroid score, visit at most `nprobe` of them (best first),
     /// prune clusters and members whose slackened Cauchy–Schwarz bound
-    /// cannot strictly beat the current heap threshold, and score every
-    /// surviving member — skipping items for which `skip` returns `true`
-    /// (exclusions, seen items).
+    /// cannot strictly beat the heap threshold read at the cluster's
+    /// start, and score each cluster's survivors as one block
+    /// ([`TopNRanker::score_block`], the list scan's entry and its
+    /// attribute tables) — skipping items for which `skip` returns
+    /// `true` (exclusions, seen items).
     ///
-    /// Results follow the retrieval total order ([`crate::rank_cmp`])
-    /// and are identical at every thread count: the probe list is fixed
-    /// before the scan fans out, per-shard pruning is sound (a pruned
-    /// cluster cannot contribute to the final top `n`), and scores are
+    /// The probe list is scanned as one shard on the calling thread:
+    /// it is ordered best-centroid first, so a contiguous split would
+    /// hand the last shard the worst clusters and an empty heap, which
+    /// barely prunes — slower than serial, not faster.
+    ///
+    /// Results follow the retrieval total order ([`crate::rank_cmp`]):
+    /// pruning is sound (a pruned cluster or member cannot enter the
+    /// final top `n`, whenever the threshold rose), and scores are
     /// bitwise [`TopNRanker::score`]'s. With `nprobe >= n_clusters()`
     /// and [`Precision::F64`] the result is item-for-item the exhaustive
     /// scan over the non-skipped items.
     ///
     /// With `Precision::F32`/`Precision::I8` (and a model carrying the
     /// low-precision tables), the member delta scan runs over the
-    /// narrowed tables into an over-fetched pool per shard, and the
+    /// narrowed tables into an over-fetched pool, and the
     /// pooled survivors are re-scored by the exact f64 ranker — so
     /// returned scores are *always* bitwise the model's, whatever the
     /// probe precision; only which items survive the probe is
@@ -666,7 +672,6 @@ impl IvfIndex {
         item_slots: &[usize],
         n: usize,
         nprobe: usize,
-        par: Parallelism,
         skip: &(impl Fn(u32) -> bool + Sync),
         precision: Precision,
     ) -> Vec<(u32, f64)> {
@@ -683,10 +688,12 @@ impl IvfIndex {
         };
         let probe = self.probe_order(model, &tables, template, item_slots, nprobe);
         let ctx_score = probe.ctx_score;
-        let scan = Scan { model, items, template, item_slots, n, precision, par };
+        let scan = Scan { model, items, template, item_slots, n, precision, par: Parallelism::serial() };
         scan.run(true, &probe.clusters, |scanner, clusters, heap| {
+            let (mut ids, mut scores) = (Vec::new(), Vec::new());
             for &(c, mean_score, ub) in clusters {
-                if let Some((_, threshold)) = heap.threshold() {
+                let threshold = heap.threshold().map(|(_, threshold)| threshold);
+                if let Some(threshold) = threshold {
                     // Slackened Cauchy–Schwarz prune: only a *strict*
                     // miss is safe — at equality a member tying the
                     // threshold score could still win on item id.
@@ -694,28 +701,36 @@ impl IvfIndex {
                         continue;
                     }
                 }
+                ids.clear();
                 for (&item, &norm) in self.members[c].iter().zip(&self.member_norms[c]) {
-                    if skip(item) {
-                        continue;
-                    }
-                    if let Some((_, threshold)) = heap.threshold() {
+                    if let Some(threshold) = threshold {
                         // The member's own norm bound — one multiply
                         // against the stored deviation norm, far
                         // cheaper than the delta-scan score it saves.
+                        // Strict for the same reason as the cluster's.
                         let item_ub = mean_score + probe.norm_g * norm;
                         if ctx_score + item_ub + bound_slack(ctx_score, item_ub) < threshold {
                             continue;
                         }
                     }
-                    heap.push(item, scanner.score(items.features_of(item)));
+                    if !skip(item) {
+                        ids.push(item);
+                    }
+                }
+                scores.clear();
+                scanner.score_block(items, &ids, &mut scores);
+                for (&item, &score) in ids.iter().zip(&scores) {
+                    heap.push(item, score);
                 }
             }
         })
     }
 
-    /// The probe list for a query context: clusters ranked by their
-    /// **centroid score** `⟨g, φ̄_c⟩` descending (ties by cluster
-    /// index) and capped at `nprobe` — the classic IVF visiting order.
+    /// The probe list for a query context: the `nprobe` clusters with
+    /// the best **centroid score** `⟨g, φ̄_c⟩` (ties by cluster index),
+    /// selected in linear time and only then sorted, best first — the
+    /// classic IVF visiting order. The comparator is a total order, so
+    /// the list is exactly the first `nprobe` of a full sort.
     /// Each entry also carries the Cauchy–Schwarz upper bound
     /// `⟨g, φ̄_c⟩ + ‖g‖·r_c` for threshold pruning during the scan (the
     /// bound is too radius-dominated to *rank* by, but sound to *prune*
@@ -738,8 +753,13 @@ impl IvfIndex {
                 (c, mean_score, mean_score + norm_g * self.radius[c])
             })
             .collect();
-        clusters.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        clusters.truncate(nprobe.max(1));
+        let by_centroid =
+            |a: &(usize, f64, f64), b: &(usize, f64, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        // `search` never probes an index without clusters.
+        let keep = nprobe.clamp(1, clusters.len());
+        clusters.select_nth_unstable_by(keep - 1, by_centroid);
+        clusters.truncate(keep);
+        clusters.sort_unstable_by(by_centroid);
         ProbeList { ctx_score, norm_g, clusters }
     }
 }
@@ -1059,21 +1079,9 @@ mod tests {
         index: &IvfIndex,
         n: usize,
         nprobe: usize,
-        threads: usize,
         skip: impl Fn(u32) -> bool + Sync,
     ) -> Vec<(u32, f64)> {
-        let par = Parallelism::threads(threads);
-        index.search(
-            &fx.model,
-            &fx.items,
-            &fx.template,
-            &fx.item_slots,
-            n,
-            nprobe,
-            par,
-            &skip,
-            Precision::F64,
-        )
+        index.search(&fx.model, &fx.items, &fx.template, &fx.item_slots, n, nprobe, &skip, Precision::F64)
     }
 
     #[test]
@@ -1106,14 +1114,71 @@ mod tests {
                 IvfIndex::build(&fx.model, &fx.items, &opts, Parallelism::serial()).expect("metric model");
             assert_eq!(index.n_items(), 300);
             for n in [1usize, 10, 300] {
-                for threads in [1usize, 3] {
-                    let got = search(&fx, &index, n, index.n_clusters(), threads, |_| false);
-                    let want = reference_top_n(&fx, n, |_| false);
-                    assert_eq!(got.len(), want.len(), "weighted={weighted} n={n}");
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.0, w.0, "weighted={weighted} n={n}");
-                        assert_eq!(g.1.to_bits(), w.1.to_bits(), "weighted={weighted} n={n}");
-                    }
+                let got = search(&fx, &index, n, index.n_clusters(), |_| false);
+                let want = reference_top_n(&fx, n, |_| false);
+                assert_eq!(got.len(), want.len(), "weighted={weighted} n={n}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.0, w.0, "weighted={weighted} n={n}");
+                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "weighted={weighted} n={n}");
+                }
+            }
+        }
+    }
+
+    /// A partial probe returns exactly the top `n` of the members of the
+    /// clusters it probed: ids and score bits of a full sort of
+    /// per-item [`TopNRanker::score`] over those members, and the probe
+    /// list is the first `nprobe` of a full centroid-score sort. The
+    /// attribute slot (11 ids over 300 items) is dense enough for the
+    /// block re-rank to read tables. The second model's infinite bias
+    /// ties every score at +∞, where no slack separates a bound from
+    /// the threshold: only the prunes' strict `<` keeps a tying member
+    /// that wins on item id.
+    #[test]
+    fn partial_probe_returns_top_n_of_probed_members() {
+        let base = fixture(300, 11, true, 7);
+        let tied = Fixture {
+            model: FrozenModel::from_parts(
+                f64::INFINITY,
+                base.model.linear_weights().to_vec(),
+                base.model.factors().clone(),
+                base.model.second_order_kind().clone(),
+            ),
+            items: base.items.clone(),
+            template: base.template.clone(),
+            item_slots: base.item_slots.clone(),
+        };
+        let skip = |item: u32| item % 5 == 2;
+        let bits = |ranked: &[(u32, f64)]| ranked.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>();
+        for fx in [base, tied] {
+            let opts = IvfBuildOptions { clusters: Some(12), ..IvfBuildOptions::default() };
+            let index =
+                IvfIndex::build(&fx.model, &fx.items, &opts, Parallelism::serial()).expect("metric model");
+            let tables = MetricTables::of(&fx.model).expect("metric model");
+            let mut ranker = fx.model.ranker(&fx.template, &fx.item_slots);
+            let g = query_vector(&fx.model, &tables, ranker.context_features());
+            let centroid = |c: usize| dot(&g, index.phi_mean.row(c));
+            let mut by_centroid: Vec<usize> = (0..index.n_clusters()).collect();
+            by_centroid.sort_by(|&a, &b| centroid(b).total_cmp(&centroid(a)).then(a.cmp(&b)));
+            for nprobe in [1, 2, index.n_clusters() / 2, index.n_clusters()] {
+                let probe = index.probe_order(&fx.model, &tables, &fx.template, &fx.item_slots, nprobe);
+                let probed: Vec<usize> = probe.clusters.iter().map(|&(c, ..)| c).collect();
+                assert_eq!(probed, by_centroid[..nprobe], "nprobe {nprobe}");
+                let mut want: Vec<(u32, f64)> = probed
+                    .iter()
+                    .flat_map(|&c| index.members[c].iter().copied())
+                    .filter(|&item| !skip(item))
+                    .map(|item| (item, ranker.score(&fx.items[item as usize])))
+                    .collect();
+                want.sort_by(rank_cmp);
+                for n in [1, 10, fx.items.len() + 5] {
+                    let got = search(&fx, &index, n, nprobe, skip);
+                    let bias = fx.model.bias();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want[..n.min(want.len())]),
+                        "bias {bias} nprobe {nprobe} n {n}"
+                    );
                 }
             }
         }
@@ -1147,7 +1212,7 @@ mod tests {
             let index =
                 IvfIndex::build(&fx.model, &fx.items, &opts, Parallelism::serial()).expect("metric model");
             for n in [1usize, 10, 50] {
-                let got = search(&fx, &index, n, index.n_clusters(), 1, |_| false);
+                let got = search(&fx, &index, n, index.n_clusters(), |_| false);
                 let want = reference_top_n(&fx, n, |_| false);
                 assert_eq!(got.len(), want.len(), "weighted={weighted} n={n}");
                 for (g, w) in got.iter().zip(&want) {
@@ -1170,7 +1235,7 @@ mod tests {
         )
         .expect("metric model");
         let skip = |item: u32| item.is_multiple_of(3);
-        let got = search(&fx, &index, 15, index.n_clusters(), 1, skip);
+        let got = search(&fx, &index, 15, index.n_clusters(), skip);
         assert!(got.iter().all(|(i, _)| i % 3 != 0));
         assert_eq!(got, reference_top_n(&fx, 15, skip));
     }
@@ -1212,7 +1277,6 @@ mod tests {
             &item_slots,
             10,
             index.default_nprobe(),
-            Parallelism::serial(),
             &|_| false,
             Precision::F64,
         );
@@ -1244,7 +1308,7 @@ mod tests {
         assert_eq!(rebuilt.members, index.members);
         assert_eq!(rebuilt.member_norms, index.member_norms);
         assert_eq!(rebuilt.radius, index.radius, "radius re-derives from the member norms");
-        assert_eq!(search(&fx, &index, 7, 3, 1, |_| false), search(&fx, &rebuilt, 7, 3, 1, |_| false));
+        assert_eq!(search(&fx, &index, 7, 3, |_| false), search(&fx, &rebuilt, 7, 3, |_| false));
     }
 
     #[test]

@@ -118,7 +118,9 @@ const DENSE_MIN_REPEAT: u64 = 4;
 
 /// Dense per-request cross-delta tables, one [`SlotTable`] per item slot
 /// in slot order, materialised from the item source's
-/// [`ItemFeatureSource::slot_ranges`] by the block scan.
+/// [`ItemFeatureSource::slot_ranges`] by the first
+/// [`TopNRanker::score_block`] call — the list scan's first run, or the
+/// IVF re-rank's first probed cluster.
 ///
 /// Candidate *attribute* features (category, condition, …) draw from a
 /// few dozen ids repeated across the whole catalogue, so their
@@ -333,8 +335,9 @@ impl<'m> TopNRanker<'m> {
 
     /// Scores a block of candidate items, appending one score per id to
     /// `out` — bitwise identical to calling [`TopNRanker::score`] on
-    /// each id in order. This is the batched entry the sharded scan
-    /// loops drive in [`kernel::CAND_BLOCK`]-sized runs: the state
+    /// each id in order. This is the batched entry of both scan sources:
+    /// the list scan drives it in [`kernel::CAND_BLOCK`]-sized runs and
+    /// the IVF re-rank once per probed cluster's survivors. The state
     /// dispatch is hoisted out of the per-candidate loop, and the first
     /// block materialises the dense slot tables from `items`, which every
     /// later score reads (table entries hold the bits the direct

@@ -18,8 +18,9 @@
 //! low-precision probe — so it exists once, as the private `Scan::run`
 //! driver. The two candidate sources are expressed over it: an explicit
 //! candidate list scored in [`kernel::CAND_BLOCK`] runs
-//! ([`scan_top_n`]), and an IVF probe list scored per member under the
-//! Cauchy–Schwarz bounds ([`crate::IvfIndex::search`]).
+//! ([`scan_top_n`]), and an IVF probe list, one shard, whose clusters'
+//! Cauchy–Schwarz survivors are scored one block per cluster
+//! ([`crate::IvfIndex::search`]).
 //!
 //! Three guarantees make the fast path a drop-in replacement for the
 //! full sort, not an approximation of it:

@@ -204,7 +204,6 @@ proptest! {
                     &fx.item_slots,
                     n,
                     index.n_clusters(),
-                    Parallelism::threads(threads),
                     &|_| false,
                     precision,
                 );
@@ -282,7 +281,6 @@ fn i8_ivf_probe_keeps_scores_bitwise_exact() {
                 &fx.item_slots,
                 n,
                 index.n_clusters(),
-                Parallelism::threads(threads),
                 &|_| false,
                 precision,
             )
@@ -336,7 +334,6 @@ fn every_entry(fx: &Fixture, model: &FrozenModel) -> Vec<(u32, u64)> {
                 &fx.item_slots,
                 n,
                 index.n_clusters(),
-                par,
                 &|_| false,
                 Precision::F64,
             ));

@@ -96,7 +96,9 @@ pub trait ScoringBackend {
     /// exact ranker's at every `precision` (a low-precision probe only
     /// picks the candidate pool; survivors are re-scored in `f64`).
     /// `excluded` is the **sorted, deduplicated** union of the request's
-    /// explicit exclusions and the user's seen items.
+    /// explicit exclusions and the user's seen items. `par` is unused:
+    /// the probe list is scanned on the calling thread (see
+    /// [`gmlfm_serve::IvfIndex::search`]).
     ///
     /// Returns `None` when the backend holds no usable index for this
     /// request (no index, candidate pool below the index's
@@ -172,7 +174,7 @@ impl ScoringBackend for IndexedModel<'_> {
         nprobe: Option<usize>,
         excluded: &[u32],
         precision: Precision,
-        par: Parallelism,
+        _par: Parallelism,
     ) -> Option<Vec<(u32, f64)>> {
         let index = self.index?;
         if index.n_items() != catalog.n_items() {
@@ -194,7 +196,6 @@ impl ScoringBackend for IndexedModel<'_> {
             catalog.item_slots(),
             n,
             nprobe,
-            par,
             &|item| excluded.binary_search(&item).is_ok(),
             precision,
         ))
