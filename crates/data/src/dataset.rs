@@ -100,6 +100,23 @@ impl Dataset {
         }
     }
 
+    /// Positions (within the active fields of `mask`) that carry
+    /// item-side values and therefore change between ranking candidates:
+    /// the `item_slots` of a template built by [`Dataset::feats`] under
+    /// the same mask.
+    pub fn item_side_slots(&self, mask: &FieldMask) -> Vec<usize> {
+        self.schema
+            .fields()
+            .iter()
+            .enumerate()
+            .filter(|(field, _)| mask.is_active(*field))
+            .map(|(_, f)| f.kind)
+            .enumerate()
+            .filter(|(_, kind)| !matches!(kind, FieldKind::User | FieldKind::UserAttr))
+            .map(|(slot, _)| slot)
+            .collect()
+    }
+
     /// Instance for `(user, item)` with a label, over all fields.
     pub fn instance(&self, user: u32, item: u32, label: f64) -> Instance {
         self.instance_masked(user, item, label, &FieldMask::all(&self.schema))

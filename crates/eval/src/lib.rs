@@ -22,7 +22,7 @@ pub mod table;
 pub use metrics::{auc, hit_ratio_at, mae, ndcg_at, reciprocal_rank, rmse};
 pub use protocol::{
     evaluate_rating, evaluate_topn, evaluate_topn_backend, evaluate_topn_frozen, evaluate_topn_frozen_with,
-    evaluate_topn_service, evaluate_topn_service_with, item_side_slots, RatingMetrics, TopnMetrics,
+    evaluate_topn_service, evaluate_topn_service_with, RatingMetrics, TopnMetrics,
 };
 pub use stats::{welch_t_test, TTestResult};
 pub use table::Table;

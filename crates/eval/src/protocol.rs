@@ -10,7 +10,7 @@
 //! the experiment runners use.
 
 use crate::metrics::{hit_ratio_at, mae, ndcg_at, rmse, topk_case_metrics};
-use gmlfm_data::{Dataset, FieldKind, FieldMask, Instance, LooTestCase};
+use gmlfm_data::{Dataset, FieldMask, Instance, LooTestCase};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{FrozenModel, TopNHeap};
 use gmlfm_service::{exec, Catalog, ModelServer, RequestError, ScoringBackend, SeenItems, TopNRequest};
@@ -83,24 +83,6 @@ pub fn evaluate_topn<S: Scorer + ?Sized>(
     TopnMetrics { hr, ndcg, per_user_hr, per_user_ndcg }
 }
 
-/// Positions (within the active fields of `mask`) that carry item-side
-/// values and therefore change between ranking candidates. These are the
-/// `item_slots` to hand to [`FrozenModel::ranker`] for instances built by
-/// [`Dataset::feats`] under the same mask.
-pub fn item_side_slots(dataset: &Dataset, mask: &FieldMask) -> Vec<usize> {
-    dataset
-        .schema
-        .fields()
-        .iter()
-        .enumerate()
-        .filter(|(field, _)| mask.is_active(*field))
-        .map(|(_, f)| f.kind)
-        .enumerate()
-        .filter(|(_, kind)| !matches!(kind, FieldKind::User | FieldKind::UserAttr))
-        .map(|(slot, _)| slot)
-        .collect()
-}
-
 /// Leave-one-out evaluation through the frozen serving path: one
 /// [`gmlfm_serve::TopNRanker`] per test case stages the user/context
 /// side once and scores the positive plus its sampled negatives
@@ -139,7 +121,7 @@ pub fn evaluate_topn_frozen_with(
     par: Parallelism,
 ) -> TopnMetrics {
     assert!(!cases.is_empty(), "evaluate_topn_frozen: no test cases");
-    let item_slots = item_side_slots(dataset, mask);
+    let item_slots = dataset.item_side_slots(mask);
     let per_user: Vec<(f64, f64)> = gmlfm_par::par_blocks(par, cases.len(), |range| {
         // Per-worker scratch, reused across the whole block.
         let mut out = Vec::with_capacity(range.len());

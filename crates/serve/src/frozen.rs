@@ -20,11 +20,15 @@
 //! Prediction over a sparse [`Instance`] with `m` active fields then
 //! evaluates the second-order term directly on the active features,
 //! instead of replaying the pair loop through an autograd graph as
-//! [`gmlfm_train::GraphModel::predict`] does: the unweighted metric and
-//! vanilla FM through their `O(m·k)` decoupled sums, every other mode
-//! through a tape-free, allocation-free pairwise loop. Served instances
-//! carry a few fields against a `k` of 8–16, where that loop is cheaper
-//! than the paper's `O(m·k²)` weighted Eq. 10/11 form, which lives in
+//! [`gmlfm_train::GraphModel::predict`] does: one per-pair term per mode
+//! (`FrozenModel::pair_term`), summed over the set's pairs by one
+//! tape-free, allocation-free loop that every serving path shares —
+//! Score replies, the ranker's context score and within-group term, the
+//! group memo, the low-precision scan and the IVF linearisation. No mode
+//! takes an expanded `m·u − ‖s‖²`-style sum: it cancels catastrophically
+//! on near-duplicate embeddings. Served instances carry a few fields
+//! against a `k` of 8–16, where the `O(m²·k)` pair loop is cheaper than
+//! the paper's `O(m·k²)` weighted Eq. 10/11 form, which lives in
 //! `gmlfm_core::efficient`.
 #![deny(
     clippy::unwrap_used,
@@ -131,12 +135,10 @@ impl HatQ {
 /// How the second-order interaction term is evaluated.
 #[derive(Debug, Clone)]
 pub enum SecondOrder {
-    /// Vanilla FM: `Σ_{i<j} ⟨vᵢ, vⱼ⟩`, via the `O(k·m)` sum-of-squares
-    /// trick.
+    /// Vanilla FM: `Σ_{i<j} ⟨vᵢ, vⱼ⟩`.
     Dot,
     /// GML-FM family: `Σ_{i<j} w_ij · D(v̂ᵢ, v̂ⱼ)` with frozen transformed
-    /// embeddings. Unweighted squared Euclidean uses the decoupled
-    /// `m·u − ‖s‖²`; every other form uses the pairwise loop.
+    /// embeddings.
     Metric {
         /// Packed `[v̂ᵢ | qᵢ]` table (see [`HatQ`]).
         hat: HatQ,
@@ -147,7 +149,7 @@ pub enum SecondOrder {
         distance: Distance,
     },
     /// TransFM: `Σ_{i<j} ‖(vᵢ + v'ᵢ) − vⱼ‖²` — order-dependent in the
-    /// field positions, so always pairwise.
+    /// field positions.
     Translated {
         /// Translation table `V' ∈ R^{n×k}`.
         v_trans: Matrix,
@@ -236,8 +238,7 @@ impl FrozenModel {
     /// feature group equals the one it was computed for — ranking a
     /// different catalogue with this model is correct, just unmemoised.
     /// Models and catalogues the memo cannot serve (TransFM, single-slot
-    /// items, sparse id ranges, groups of more than 2048 embedding
-    /// values) are returned unchanged.
+    /// items, sparse id ranges) are returned unchanged.
     pub fn with_group_memo<S: ItemFeatureSource + ?Sized>(mut self, items: &S) -> Self {
         self.group_memo = GroupMemo::build(&self, items);
         self
@@ -300,9 +301,9 @@ impl FrozenModel {
         out + self.second_order(feats)
     }
 
-    /// Scores one instance using only the pairwise reference loops, never
-    /// the decoupled sums. Exposed so tests can pin the decoupled paths
-    /// against it.
+    /// Scores one instance through the serial pairwise reference loop
+    /// (no chunked kernels), an evaluation independent of the served one
+    /// that tests pin [`FrozenModel::predict`] against.
     pub fn predict_pairwise(&self, inst: &Instance) -> f64 {
         let mut out = self.w0;
         for &f in &inst.feats {
@@ -368,22 +369,44 @@ impl FrozenModel {
         Self::from_parts(0.1, w, v, SecondOrder::metric(v_hat, q, h, Distance::SquaredEuclidean))
     }
 
-    /// The second-order term for a set of active features: one exact
-    /// form per mode, whatever the number of features `m`.
-    ///
-    /// Vanilla FM takes the `O(m·k)` sum-of-squares trick and the
-    /// unweighted metric `m·u − ‖s‖²`. The weighted metric takes the
-    /// pairwise loop, allocation-free and `O(m²·k)`: the instances
-    /// served here are a few one-hot fields against a `k` of 8–16, below
-    /// the `m > k` regime where the paper's `O(m·k²)` Eq. 10/11 form
-    /// (`gmlfm_core::efficient`) would pay.
+    /// The second-order term of a feature set: [`FrozenModel::pair_term`]
+    /// over its pairs `a < b` in position order, allocation-free and
+    /// `O(m²·k)`. The one sum every served score takes.
     pub(crate) fn second_order(&self, feats: &[u32]) -> f64 {
-        match &self.second {
-            SecondOrder::Dot => self.dot_decoupled(feats),
-            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h: None } => {
-                self.metric_decoupled_unweighted(feats, hat)
+        let mut out = 0.0;
+        for (p, &a) in feats.iter().enumerate() {
+            for &b in &feats[p + 1..] {
+                out += self.pair_term(a, b);
             }
-            _ => self.second_order_pairwise(feats),
+        }
+        out
+    }
+
+    /// The second-order term of one ordered pair through the chunked
+    /// kernels: `⟨v_a, v_b⟩` for vanilla FM; `w_ab · D(v̂_a, v̂_b)` for
+    /// the metric family, with the weight `(v_a ⊙ v_b)·h` (1 without `h`)
+    /// and [`kernel::sq_dist`] as the squared-Euclidean `D` — subtract
+    /// before squaring, so near-duplicate embeddings keep their digits;
+    /// [`FrozenModel::translated_pair`] for TransFM. Below
+    /// [`kernel::LANES`] the kernels are the serial loops, so the term has
+    /// [`FrozenModel::second_order_pairwise`]'s bits there.
+    #[inline]
+    pub(crate) fn pair_term(&self, a: u32, b: u32) -> f64 {
+        let (va, vb) = (self.v.row(a as usize), self.v.row(b as usize));
+        match &self.second {
+            SecondOrder::Dot => dot(va, vb),
+            SecondOrder::Metric { hat, h, distance } => {
+                let (vha, vhb) = (hat.v_hat(a as usize), hat.v_hat(b as usize));
+                let d = match distance {
+                    Distance::SquaredEuclidean => kernel::sq_dist(vha, vhb),
+                    _ => distance.eval(vha, vhb),
+                };
+                match h {
+                    Some(h) => kernel::dot3(va, vb, h) * d,
+                    None => d,
+                }
+            }
+            SecondOrder::Translated { v_trans } => self.translated_pair(v_trans, a, b),
         }
     }
 
@@ -444,39 +467,6 @@ impl FrozenModel {
             None => 1.0,
         }
     }
-
-    /// Vanilla FM sum-of-squares trick: `½ Σ_d [(Σ_f v_fd)² − Σ_f v_fd²]`.
-    fn dot_decoupled(&self, feats: &[u32]) -> f64 {
-        let k = self.k();
-        let mut pair = 0.0;
-        for d in 0..k {
-            let mut s = 0.0;
-            let mut s2 = 0.0;
-            for &f in feats {
-                let vfd = self.v[(f as usize, d)];
-                s += vfd;
-                s2 += vfd * vfd;
-            }
-            pair += s * s - s2;
-        }
-        0.5 * pair
-    }
-
-    /// The `w_ij = 1` special case: `Σ_{i<j} ‖v̂ᵢ−v̂ⱼ‖² = m·u − ‖s‖²`
-    /// with `u = Σ q_f` and `s = Σ v̂_f` — `O(m·k)`.
-    fn metric_decoupled_unweighted(&self, feats: &[u32], hat: &HatQ) -> f64 {
-        let k = self.k();
-        let mut s = vec![0.0; k];
-        let mut u = 0.0;
-        for &f in feats {
-            let (vhf, qf) = hat.row(f as usize);
-            u += qf;
-            for (slot, &vh) in s.iter_mut().zip(vhf) {
-                *slot += vh;
-            }
-        }
-        feats.len() as f64 * u - dot(&s, &s)
-    }
 }
 
 impl Scorer for FrozenModel {
@@ -486,7 +476,7 @@ impl Scorer for FrozenModel {
 }
 
 /// Workspace-wide dot product for the serving paths: the chunked
-/// [`kernel::dot`]. Every scoring route (decoupled sums, cross deltas,
+/// [`kernel::dot`]. Every scoring route (pair terms, cross deltas,
 /// probe geometry, stored `q` norms) shares this one definition, so
 /// precomputed norms and live scans always agree bit-for-bit.
 pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -555,6 +545,74 @@ pub(crate) mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The served pair sum against the serial pairwise reference in
+    /// every mode, with fewer active features than `k` and more:
+    /// `to_bits()` equal below [`kernel::LANES`], where every kernel is
+    /// the serial loop, and within 1e-12 relative at and above it.
+    #[test]
+    fn pair_sum_matches_pairwise_reference_in_every_mode() {
+        use Distance::{Chebyshev, Cosine, Manhattan, SquaredEuclidean};
+        let small = Instance::new(vec![1, 7, 19, 33], 1.0);
+        let large = Instance::new(vec![0, 3, 5, 8, 13, 17, 21, 26, 31, 38], 1.0);
+        for k in [3, 7, 8, 16, 17] {
+            for seed in 0..4 {
+                let mut models = vec![];
+                for distance in [SquaredEuclidean, Manhattan, Chebyshev, Cosine] {
+                    for weighted in [true, false] {
+                        let name = format!("{distance:?} weighted={weighted}");
+                        models.push((name, random_metric_model(40, k, weighted, distance, seed)));
+                    }
+                }
+                let mut rng = seeded_rng(100 + seed);
+                let v = normal(&mut rng, 40, k, 0.0, 0.4);
+                let v_trans = normal(&mut rng, 40, k, 0.0, 0.3);
+                let w = normal(&mut rng, 1, 40, 0.0, 0.1).into_vec();
+                let dot_fm = FrozenModel::from_parts(-0.2, w.clone(), v.clone(), SecondOrder::Dot);
+                let trans_fm = FrozenModel::from_parts(0.3, w, v, SecondOrder::Translated { v_trans });
+                models.extend([("dot".into(), dot_fm), ("translated".into(), trans_fm)]);
+                for (name, model) in &models {
+                    for inst in [&small, &large] {
+                        let (got, want) = (model.predict(inst), model.predict_pairwise(inst));
+                        let m = inst.feats.len();
+                        if k < kernel::LANES {
+                            assert_eq!(got.to_bits(), want.to_bits(), "{name} k={k} seed={seed} m={m}");
+                        } else {
+                            let ok = (got - want).abs() <= 1e-12 * want.abs();
+                            assert!(ok, "{name} k={k} seed={seed} m={m}: {got} vs {want}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Near-duplicate embeddings keep their digits in a Score reply: an
+    /// unweighted squared-Euclidean model whose `v̂` rows have norm ≈ 10³
+    /// and sit `10⁻⁶` and `2·10⁻⁶` (per coordinate) from the context
+    /// row. The pair terms are `8·10⁻¹²` and `3.2·10⁻¹¹`; an expanded
+    /// `m·u − ‖s‖²` rounds at `ε·10⁶` and can return a negative distance.
+    #[test]
+    fn near_duplicate_pairs_keep_their_order_and_digits() {
+        let k = 8;
+        let mut rng = seeded_rng(21);
+        let mut v_hat = normal(&mut rng, 3, k, 0.0, 1e3 / (k as f64).sqrt());
+        for (r, offset) in [(1, 1e-6), (2, 2e-6)] {
+            let shifted: Vec<f64> = v_hat.row(0).iter().map(|x| x + offset).collect();
+            v_hat.row_mut(r).copy_from_slice(&shifted);
+        }
+        let q: Vec<f64> = (0..3).map(|r| dot(v_hat.row(r), v_hat.row(r))).collect();
+        let second = SecondOrder::metric(v_hat, q, None, Distance::SquaredEuclidean);
+        let model = FrozenModel::from_parts(0.0, vec![0.0; 3], Matrix::zeros(3, k), second);
+        let pairs = [Instance::new(vec![0, 1], 1.0), Instance::new(vec![0, 2], 1.0)];
+        let served = pairs.each_ref().map(|inst| model.predict(inst));
+        let reference = pairs.each_ref().map(|inst| model.predict_pairwise(inst));
+        assert!(reference[0] > 0.0 && reference[0] < reference[1], "reference {reference:?}");
+        assert!(served[0] < served[1], "served {served:?} against reference {reference:?}");
+        for (got, want) in served.iter().zip(&reference) {
+            assert!((got - want).abs() <= 1e-9 * want.abs(), "served {got} vs reference {want}");
         }
     }
 

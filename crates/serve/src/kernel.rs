@@ -1,8 +1,8 @@
 //! Fixed-width chunked scoring kernels for the serving hot loops.
 //!
 //! Every dot product, squared distance, and scaled accumulation on the
-//! candidate-scan path (`rank.rs` cross deltas, `frozen.rs` decoupled
-//! sums, `index.rs` probe geometry) funnels through this module. The
+//! candidate-scan path (`rank.rs` cross deltas, `frozen.rs` pair terms,
+//! `index.rs` probe geometry) funnels through this module. The
 //! kernels are plain safe Rust — no intrinsics, no `unsafe` — but they
 //! are *shaped* so LLVM auto-vectorizes them: the inner loop runs over
 //! [`LANES`]-wide `chunks_exact` windows into [`LANES`] independent
@@ -77,6 +77,25 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     let mut tail = 0.0;
     for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
         tail += x * y;
+    }
+    reduce(acc) + tail
+}
+
+/// Chunked three-operand dot `Σ (aᵢ·bᵢ)·cᵢ` — the metric pair weight
+/// `(vₐ ⊙ v_b)·h` — in [`dot`]'s lane order and tree, so below [`LANES`]
+/// it is the serial loop.
+#[inline]
+pub fn dot3(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    let (mut ca, mut cb, mut cc) = (a.chunks_exact(LANES), b.chunks_exact(LANES), c.chunks_exact(LANES));
+    for ((xa, xb), xc) in (&mut ca).zip(&mut cb).zip(&mut cc) {
+        for l in 0..LANES {
+            acc[l] += xa[l] * xb[l] * xc[l];
+        }
+    }
+    let mut tail = 0.0;
+    for ((x, y), z) in ca.remainder().iter().zip(cb.remainder()).zip(cc.remainder()) {
+        tail += x * y * z;
     }
     reduce(acc) + tail
 }
@@ -254,6 +273,12 @@ pub(crate) fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// Single-accumulator reference for [`dot3`].
+#[cfg(test)]
+pub(crate) fn naive_dot3(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
+    a.iter().zip(b).zip(c).map(|((x, y), z)| x * y * z).sum()
+}
+
 /// Single-accumulator reference for [`sq_dist`].
 #[cfg(test)]
 pub(crate) fn naive_sq_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -289,6 +314,13 @@ mod tests {
                 let want = naive_dot(&a, &b);
                 let tol = 1e-12 * want.abs().max(1.0);
                 assert!((got - want).abs() <= tol, "len={len} seed={seed}: chunked {got} vs naive {want}");
+                let c = random_vec(len, seed * 2 + 50);
+                let (got, want) = (dot3(&a, &b, &c), naive_dot3(&a, &b, &c));
+                let tol = 1e-12 * want.abs().max(1.0);
+                assert!(
+                    (got - want).abs() <= tol,
+                    "len={len} seed={seed}: chunked dot3 {got} vs naive {want}"
+                );
             }
         }
     }
@@ -317,7 +349,9 @@ mod tests {
         for len in 1..LANES {
             let a = random_vec(len, 7);
             let b = random_vec(len, 8);
+            let c = random_vec(len, 9);
             assert_eq!(dot(&a, &b).to_bits(), naive_dot(&a, &b).to_bits(), "dot len={len}");
+            assert_eq!(dot3(&a, &b, &c).to_bits(), naive_dot3(&a, &b, &c).to_bits(), "dot3 len={len}");
             assert_eq!(sq_dist(&a, &b).to_bits(), naive_sq_dist(&a, &b).to_bits(), "sq_dist len={len}");
         }
     }

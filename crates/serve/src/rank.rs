@@ -13,7 +13,15 @@
 //! paper's Eq. 10/11 partial sums (`O(k²)` per candidate feature; see
 //! `gmlfm_core::efficient`) cost more than the pairs they replace. No
 //! mode re-evaluates the full spliced template, and no mode allocates
-//! per score. The within-group pairs depend on the model and the item
+//! per score.
+//!
+//! There is one pair form: outside the two staged cross deltas (vanilla
+//! FM's `a`, the weighted squared-Euclidean transposed pass), every pair
+//! the ranker evaluates is the model's `FrozenModel::pair_term` — the
+//! context score and the within-group term are
+//! `FrozenModel::second_order` of the context and of the candidate
+//! group, and every other metric's cross pairs are summed over the
+//! context. The within-group pairs depend on the model and the item
 //! only, so a model memoised for the catalogue
 //! ([`FrozenModel::with_group_memo`]) reads them instead (every mode but
 //! TransFM, whose pairs are oriented by the request's slot positions).
@@ -69,21 +77,15 @@ enum Cross<'m> {
     /// yields a block's four dots `wᵢⱼ = hwᵢ·vⱼ` and `vhᵢ·v̂ⱼ`, each with
     /// [`kernel::dot`]'s bits.
     MetricWeightedDirect { hat: &'m HatQ, lanes: Vec<[f64; kernel::COLS]>, q: Vec<f64> },
-    /// Unweighted metric: each cross pair evaluated as a direct
-    /// difference-form squared distance — `O(|ctx|·k)` per candidate
-    /// feature. The expanded `u + m·qⱼ − 2⟨s, v̂ⱼ⟩` form suffers
-    /// catastrophic cancellation on near-duplicate embeddings (the true
-    /// distance is `O(δ²)` but the expansion rounds at `O(ε·‖v̂‖²)`,
-    /// wiping out the ranking between near-identical items);
-    /// [`kernel::sq_dist`] subtracts before squaring, so those items
-    /// keep their true order. The context `v̂ᵢ` rows are staged once as
-    /// flat SoA rows in `vh`, so the per-candidate loop runs
-    /// [`kernel::sq_dist`] over contiguous memory.
-    MetricUnweightedDirect { hat: &'m HatQ, vh: Vec<f64> },
-    /// Metric distances without a decoupled form (Manhattan, Chebyshev,
-    /// cosine): cross pairs evaluated directly against the fixed context
-    /// — `O(|ctx|·k)` per candidate feature, allocation-free.
-    MetricPairwise { hat: &'m HatQ, h: Option<&'m [f64]>, distance: Distance },
+    /// Every other metric (unweighted squared Euclidean, Manhattan,
+    /// Chebyshev, cosine): [`FrozenModel::pair_term`] against each
+    /// context feature, read from the model's rows — `O(|ctx|·k)` per
+    /// candidate feature, allocation-free. The unweighted
+    /// squared-Euclidean term is a difference-form [`kernel::sq_dist`],
+    /// never the expanded `u + m·qⱼ − 2⟨s, v̂ⱼ⟩`: that form rounds at
+    /// `O(ε·‖v̂‖²)` where the true distance is `O(δ²)`, and loses the order
+    /// of near-identical items.
+    MetricPairwise,
 }
 
 /// Scores candidate items against a fixed context in `O(item-delta)` per
@@ -100,9 +102,6 @@ pub struct TopNRanker<'m> {
     /// `w₀ + Σ_ctx w[f] + second-order(ctx)`.
     ctx_score: f64,
     state: State<'m>,
-    /// `item_slots.len() × k` staging rows for the candidate group's
-    /// `h ⊙ v_a` vectors (see [`group_pairs`]).
-    scratch: Vec<f64>,
     /// Per-request cross-delta tables, one per item slot: empty until the
     /// first [`TopNRanker::score_block`] call materialises them.
     tables: ScanTables,
@@ -208,9 +207,8 @@ impl<'m> TopNRanker<'m> {
         }
         ctx_score += model.second_order(&ctx);
         let state = Self::build_state(model, &ctx);
-        let scratch = vec![0.0; item_slots.len() * model.k()];
         let tables = ScanTables::empty(item_slots.len());
-        Self { model, item_slots: item_slots.to_vec(), ctx, ctx_pos, ctx_score, state, scratch, tables }
+        Self { model, item_slots: item_slots.to_vec(), ctx, ctx_pos, ctx_score, state, tables }
     }
 
     fn build_state(model: &'m FrozenModel, ctx: &[u32]) -> State<'m> {
@@ -240,16 +238,7 @@ impl<'m> TopNRanker<'m> {
                 }
                 State::Decoupled(Cross::MetricWeightedDirect { hat, lanes, q })
             }
-            SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h: None } => {
-                let mut vh = Vec::with_capacity(ctx.len() * k);
-                for &i in ctx {
-                    vh.extend_from_slice(hat.v_hat(i as usize));
-                }
-                State::Decoupled(Cross::MetricUnweightedDirect { hat, vh })
-            }
-            SecondOrder::Metric { distance, hat, h } => {
-                State::Decoupled(Cross::MetricPairwise { hat, h: h.as_deref(), distance: *distance })
-            }
+            SecondOrder::Metric { .. } => State::Decoupled(Cross::MetricPairwise),
             SecondOrder::Translated { v_trans } => State::Translated { v_trans },
         }
     }
@@ -277,15 +266,9 @@ impl<'m> TopNRanker<'m> {
     /// instance, up to float re-association in the delta paths.
     pub fn score(&mut self, item_feats: &[u32]) -> f64 {
         match &self.state {
-            State::Decoupled(cross) => candidate_score(
-                self.model,
-                &self.ctx,
-                self.ctx_score,
-                cross,
-                &self.tables.slots,
-                &mut self.scratch,
-                item_feats,
-            ),
+            State::Decoupled(cross) => {
+                candidate_score(self.model, &self.ctx, self.ctx_score, cross, &self.tables.slots, item_feats)
+            }
             State::Translated { v_trans } => {
                 let mut out = first_order(self.model, self.ctx_score, item_feats, self.item_slots.len());
                 for (&slot, &f) in self.item_slots.iter().zip(item_feats) {
@@ -349,12 +332,11 @@ impl<'m> TopNRanker<'m> {
         let State::Decoupled(cross) = &self.state else {
             return out.extend(ids.iter().map(|&id| self.score(items.features_of(id))));
         };
-        let (model, ctx, ctx_score) = (self.model, self.ctx.as_slice(), self.ctx_score);
-        let (slots, scratch) = (self.tables.slots.as_slice(), self.scratch.as_mut_slice());
+        let (model, ctx, ctx_score, slots) =
+            (self.model, self.ctx.as_slice(), self.ctx_score, &self.tables.slots);
         out.extend(
-            ids.iter().map(|&id| {
-                candidate_score(model, ctx, ctx_score, cross, slots, scratch, items.features_of(id))
-            }),
+            ids.iter()
+                .map(|&id| candidate_score(model, ctx, ctx_score, cross, slots, items.features_of(id))),
         );
     }
 }
@@ -388,7 +370,6 @@ fn candidate_score(
     ctx_score: f64,
     cross: &Cross<'_>,
     slots: &[SlotTable],
-    scratch: &mut [f64],
     item_feats: &[u32],
 ) -> f64 {
     let mut out = first_order(model, ctx_score, item_feats, slots.len());
@@ -403,7 +384,7 @@ fn candidate_score(
     // holds this exact group.
     out + match model.group_memo.as_ref().and_then(|memo| memo.get(item_feats)) {
         Some(pairs) => pairs,
-        None => group_pairs(model, scratch, item_feats),
+        None => model.second_order(item_feats),
     }
 }
 
@@ -416,14 +397,6 @@ fn cross_delta(model: &FrozenModel, ctx: &[u32], cross: &Cross<'_>, j: u32) -> f
     let vj = model.v.row(j as usize);
     match cross {
         Cross::Dot { a } => dot(a, vj),
-        Cross::MetricUnweightedDirect { hat, vh } => {
-            let vhj = hat.v_hat(j as usize);
-            let mut out = 0.0;
-            for row in vh.chunks_exact(k) {
-                out += kernel::sq_dist(row, vhj);
-            }
-            out
-        }
         Cross::MetricWeightedDirect { hat, lanes, q } => {
             let (vhj, qj) = hat.row(j as usize);
             let mut out = 0.0;
@@ -439,60 +412,7 @@ fn cross_delta(model: &FrozenModel, ctx: &[u32], cross: &Cross<'_>, j: u32) -> f
             }
             out
         }
-        Cross::MetricPairwise { hat, h, distance } => {
-            let vhj = hat.v_hat(j as usize);
-            let mut out = 0.0;
-            for &i in ctx {
-                let w_ij = model.pair_weight(*h, i, j);
-                out += w_ij * distance.eval(hat.v_hat(i as usize), vhj);
-            }
-            out
-        }
-    }
-}
-
-/// Pairs within the candidate group (`Σ_{a<b} w_ab · D(v̂_a, v̂_b)`),
-/// evaluated with the chunked kernels for the squared-Euclidean forms:
-/// the group's `h ⊙ v_a` rows are staged once in `scratch`, so each
-/// pair costs two contiguous kernel calls ([`kernel::dot`] for the
-/// weight, [`kernel::sq_dist`] for the distance) instead of a three-way
-/// serial fold. The difference-form distance also keeps near-duplicate
-/// group members cancellation-free, matching the cross-delta paths.
-/// Other second-order modes fall back to the model's own evaluation.
-/// Agrees with [`FrozenModel::second_order`] within reassociation
-/// rounding (≤ 1e-12 relative).
-fn group_pairs(model: &FrozenModel, scratch: &mut [f64], feats: &[u32]) -> f64 {
-    let k = model.k();
-    match model.second_order_kind() {
-        SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h } => {
-            let mut out = 0.0;
-            match h {
-                Some(h) => {
-                    for (a, &fa) in feats.iter().enumerate() {
-                        let row = &mut scratch[a * k..(a + 1) * k];
-                        for ((o, &hx), &vx) in row.iter_mut().zip(h).zip(model.v.row(fa as usize)) {
-                            *o = hx * vx;
-                        }
-                    }
-                    for (a, &fa) in feats.iter().enumerate() {
-                        for &fb in &feats[a + 1..] {
-                            let w_ab = kernel::dot(&scratch[a * k..(a + 1) * k], model.v.row(fb as usize));
-                            let d = kernel::sq_dist(hat.v_hat(fa as usize), hat.v_hat(fb as usize));
-                            out += w_ab * d;
-                        }
-                    }
-                }
-                None => {
-                    for (a, &fa) in feats.iter().enumerate() {
-                        for &fb in &feats[a + 1..] {
-                            out += kernel::sq_dist(hat.v_hat(fa as usize), hat.v_hat(fb as usize));
-                        }
-                    }
-                }
-            }
-            out
-        }
-        _ => model.second_order(feats),
+        Cross::MetricPairwise => ctx.iter().fold(0.0, |out, &i| out + model.pair_term(i, j)),
     }
 }
 
@@ -504,8 +424,8 @@ fn group_pairs(model: &FrozenModel, scratch: &mut [f64], feats: &[u32]) -> f64 {
 ///
 /// A dense table keyed by the feature id of the widest item slot (the
 /// item id, in every catalogue this workspace builds). Each entry holds
-/// the *other* slots' feature ids and [`group_pairs`] of the whole
-/// group, computed by the very kernel calls the scan makes. A lookup
+/// the *other* slots' feature ids and [`FrozenModel::second_order`] of
+/// the whole group, the pair sum a memo-less scan evaluates. A lookup
 /// compares the stored ids with the candidate's and answers only on a
 /// full match, so the memo is a verified cache of a pure function of
 /// the model: scanned against another catalogue, a colliding key or an
@@ -525,8 +445,8 @@ pub(crate) struct GroupMemo {
     lo: u32,
     /// `n_slots + 1` words per entry: the group's features outside the
     /// key slot, in slot order ([`GroupMemo::EMPTY`] where no item
-    /// carries the key), then the low and high halves of
-    /// [`group_pairs`]' bits — ids and value side by side, so a lookup
+    /// carries the key), then the low and high halves of the group
+    /// term's bits — ids and value side by side, so a lookup
     /// from the index's scattered re-rank touches one cache line.
     table: Arc<[u32]>,
 }
@@ -537,21 +457,16 @@ impl GroupMemo {
     /// that wide), so a filled entry never starts with it.
     const EMPTY: u32 = u32::MAX;
 
-    /// The build stages a group's `h ⊙ v` rows (`n_slots · k` values)
-    /// on the stack; wider groups get no memo.
-    const STAGE_MAX: usize = 2048;
-
     /// Builds the memo over `items`, or `None` where it cannot pay or
     /// cannot be keyed: TransFM (its pairs depend on the slot
     /// *positions*, which belong to the request's template), fewer than
-    /// two item slots (no pairs), more than [`GroupMemo::STAGE_MAX`]
-    /// staged values per group, unknown or ragged slot ranges, a key
+    /// two item slots (no pairs), unknown or ragged slot ranges, a key
     /// range sparser than one item per two keys, or a feature outside
     /// the model.
     ///
     /// The table is allocated once, at its final size, and filled in
-    /// place, and the staging rows are a stack buffer: the build puts
-    /// one block on the heap and nothing beside it. That is on purpose.
+    /// place, and the pair sum allocates nothing: the build puts one
+    /// block on the heap and nothing beside it. That is on purpose.
     /// It runs at install, after a process has freed the model's and
     /// the index's construction temporaries, so the heap is a few large
     /// holes; a small block of a size nothing has freed before is carved
@@ -561,7 +476,7 @@ impl GroupMemo {
     /// tables into the holes of the last (`bench_e2e` sets up three
     /// times: with a boxed header and a heap scratch here, the peak RSS
     /// of `req_topn_ivf` read 87 or 103 MB by the length of the
-    /// executable's path; with neither, 103 in every cell tried).
+    /// executable's path).
     pub(crate) fn build<S: ItemFeatureSource + ?Sized>(model: &FrozenModel, items: &S) -> Option<Self> {
         if matches!(model.second, SecondOrder::Translated { .. }) {
             return None;
@@ -581,8 +496,6 @@ impl GroupMemo {
         let width = n_slots + 1;
         let mut table: Arc<[u32]> = std::iter::repeat_n(Self::EMPTY, keys * width).collect();
         let cells = Arc::get_mut(&mut table)?;
-        let mut staging = [0.0; Self::STAGE_MAX];
-        let scratch = staging.get_mut(..n_slots * model.k())?;
         for item in 0..items.item_count() as u32 {
             let feats = items.features_of(item);
             if feats.len() != n_slots || feats.iter().any(|&f| f as usize >= dim) {
@@ -593,16 +506,16 @@ impl GroupMemo {
             let (before, after) = feats.split_at(key_slot);
             entry[..key_slot].copy_from_slice(before);
             entry[key_slot..n_slots - 1].copy_from_slice(&after[1..]);
-            let bits = group_pairs(model, scratch, feats).to_bits();
+            let bits = model.second_order(feats).to_bits();
             entry[n_slots - 1] = bits as u32;
             entry[n_slots] = (bits >> 32) as u32;
         }
         Some(Self { n_slots, key_slot, lo, table })
     }
 
-    /// [`group_pairs`] of `feats` when the memo holds exactly this
-    /// group — bitwise what the direct evaluation returns — and `None`
-    /// on any mismatch.
+    /// [`FrozenModel::second_order`] of `feats` when the memo holds
+    /// exactly this group — bitwise what the direct evaluation returns —
+    /// and `None` on any mismatch.
     #[inline]
     fn get(&self, feats: &[u32]) -> Option<f64> {
         if feats.len() != self.n_slots {
@@ -885,7 +798,7 @@ mod tests {
                     for &f in item_feats {
                         out += self.cross_delta_scalar(cross, f);
                     }
-                    out + model.second_order(item_feats)
+                    out + model.second_order_pairwise(item_feats)
                 }
             }
         }
@@ -897,14 +810,6 @@ mod tests {
             let vj = model.v.row(j as usize);
             match cross {
                 Cross::Dot { a } => kernel::naive_dot(a, vj),
-                Cross::MetricUnweightedDirect { hat, .. } => {
-                    let vhj = hat.v_hat(j as usize);
-                    let mut out = 0.0;
-                    for &i in &self.ctx {
-                        out += kernel::naive_sq_dist(hat.v_hat(i as usize), vhj);
-                    }
-                    out
-                }
                 Cross::MetricWeightedDirect { hat, .. } => {
                     let SecondOrder::Metric { h, .. } = &model.second else { panic!("not a metric model") };
                     let (vhj, qj) = hat.row(j as usize);
@@ -917,12 +822,10 @@ mod tests {
                     }
                     out
                 }
-                Cross::MetricPairwise { hat, h, distance } => {
-                    let vhj = hat.v_hat(j as usize);
+                Cross::MetricPairwise => {
                     let mut out = 0.0;
                     for &i in &self.ctx {
-                        let w_ij = model.pair_weight(*h, i, j);
-                        out += w_ij * distance.eval(hat.v_hat(i as usize), vhj);
+                        out += model.second_order_pairwise(&[i, j]);
                     }
                     out
                 }
@@ -1251,9 +1154,8 @@ mod tests {
         // A key hole: nothing carries item feature 4 + 20.
         items.remove(20);
         let memo = GroupMemo::build(&model, &items).expect("dense ids, two slots");
-        let mut scratch = vec![0.0; 2 * model.k()];
         for feats in &items {
-            let want = group_pairs(&model, &mut scratch, feats);
+            let want = model.second_order(feats);
             assert_eq!(memo.get(feats).map(f64::to_bits), Some(want.to_bits()));
         }
         let [id, attr] = items[5][..] else { panic!("two-slot fixture") };
@@ -1270,9 +1172,9 @@ mod tests {
 
     /// The key need not be slot 0: three-slot groups whose widest id
     /// range (the item id) sits in the middle slot, then in the last.
-    /// Every group is answered with [`group_pairs`]' bits, and a
-    /// changed id in any non-key slot — before the key or after it —
-    /// misses.
+    /// Every group is answered with [`FrozenModel::second_order`]'s
+    /// bits, and a changed id in any non-key slot — before the key or
+    /// after it — misses.
     #[test]
     fn group_memo_keys_on_a_middle_or_last_slot() {
         let (model, two_slot, ..) = mode_fixture(0, 7, 5);
@@ -1289,9 +1191,8 @@ mod tests {
                 .collect();
             let memo = GroupMemo::build(&model, &items).expect("dense ids, three slots");
             assert_eq!(memo.key_slot, key_slot);
-            let mut scratch = vec![0.0; 3 * model.k()];
             for feats in &items {
-                let want = group_pairs(&model, &mut scratch, feats);
+                let want = model.second_order(feats);
                 assert_eq!(memo.get(feats).map(f64::to_bits), Some(want.to_bits()), "key slot {key_slot}");
                 for slot in (0..3).filter(|&s| s != key_slot) {
                     let mut changed = feats.clone();
@@ -1311,12 +1212,9 @@ mod tests {
         assert!(GroupMemo::build(&metric, &items).is_some());
         let (translated, ..) = mode_fixture(7, 4, 1);
         assert!(GroupMemo::build(&translated, &items).is_none(), "TransFM pairs depend on slot position");
-        // Two slots: `k` = 1024 fills the staging buffer exactly.
-        assert_eq!(GroupMemo::STAGE_MAX, 2 * 1024);
-        let (widest, ..) = mode_fixture(0, 1024, 1);
-        assert_eq!(GroupMemo::build(&widest, &items).map(|memo| memo.hits(&items)), Some(items.len()));
-        let (too_wide, ..) = mode_fixture(0, 1025, 1);
-        assert!(GroupMemo::build(&too_wide, &items).is_none(), "2050 staged values per group");
+        // No width cap: the pair sum stages nothing.
+        let (wide, ..) = mode_fixture(0, 1025, 1);
+        assert_eq!(GroupMemo::build(&wide, &items).map(|memo| memo.hits(&items)), Some(items.len()));
         let single: Vec<Vec<u32>> = items.iter().map(|g| vec![g[0]]).collect();
         assert!(GroupMemo::build(&metric, &single).is_none(), "no pairs in a one-feature group");
         assert!(GroupMemo::build(&metric, &Vec::<Vec<u32>>::new()).is_none(), "empty catalogue");

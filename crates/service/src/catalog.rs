@@ -2,7 +2,7 @@
 //! item)` ids into one-hot feature vectors, and the [`SeenItems`] sets
 //! behind default seen-item exclusion in top-n requests.
 
-use gmlfm_data::{Dataset, FieldKind, FieldMask};
+use gmlfm_data::{Dataset, FieldMask};
 use serde::json::{self, first, required, Reader, Typed};
 use serde::{Deserialize, Serialize};
 
@@ -82,7 +82,7 @@ impl Catalog {
     /// Extracts the serving catalog from a dataset under an attribute
     /// mask.
     pub fn from_dataset(dataset: &Dataset, mask: &FieldMask) -> Self {
-        let item_slots = item_side_slots(dataset, mask);
+        let item_slots = dataset.item_side_slots(mask);
         let user_templates: Vec<Vec<u32>> =
             (0..dataset.n_users).map(|u| dataset.feats(u as u32, 0, mask)).collect();
         let mut item_feats = Vec::with_capacity(dataset.n_items * item_slots.len());
@@ -254,22 +254,6 @@ impl Deserialize<'_> for ItemGroups {
         })?;
         Ok(read.map(|()| groups))
     }
-}
-
-/// Positions (within the active fields of `mask`) that carry item-side
-/// values and therefore change between ranking candidates.
-fn item_side_slots(dataset: &Dataset, mask: &FieldMask) -> Vec<usize> {
-    dataset
-        .schema
-        .fields()
-        .iter()
-        .enumerate()
-        .filter(|(field, _)| mask.is_active(*field))
-        .map(|(_, f)| f.kind)
-        .enumerate()
-        .filter(|(_, kind)| !matches!(kind, FieldKind::User | FieldKind::UserAttr))
-        .map(|(slot, _)| slot)
-        .collect()
 }
 
 /// Per-user sets of items interacted with during training, backing the
