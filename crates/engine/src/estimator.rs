@@ -83,7 +83,7 @@ pub trait Estimator: Send + Sync {
 
     /// The trained model as a scorer (the autograd path for graph
     /// models). Prefer [`Estimator::freeze_if_supported`] for serving.
-    fn scorer(&self) -> &dyn Scorer;
+    fn scorer(&self) -> &(dyn Scorer + Sync);
 
     /// Extracts the tape-free frozen serving form, for the models that
     /// have one (GML-FM, FM, TransFM). `None` for models whose
@@ -154,7 +154,7 @@ impl<M: Scorer + Send + Sync> Estimator for Adapter<M> {
             },
         }
     }
-    fn scorer(&self) -> &dyn Scorer {
+    fn scorer(&self) -> &(dyn Scorer + Sync) {
         &self.model
     }
     fn freeze_if_supported(&self) -> Option<FrozenModel> {

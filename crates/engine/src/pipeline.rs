@@ -27,14 +27,14 @@ use crate::error::EngineError;
 use crate::estimator::{Estimator, FitData};
 use crate::spec::ModelSpec;
 use gmlfm_data::{loo_split, rating_split, Dataset, FieldKind, FieldMask, Instance, LooTestCase, Schema};
-use gmlfm_eval::{evaluate_rating, evaluate_topn_backend, RatingMetrics, TopnMetrics};
+use gmlfm_eval::{evaluate_rating, evaluate_topn_backend, RatingMetrics, ScorerBackend, TopnMetrics};
 use gmlfm_net::{NetServer, ServerConfig as NetServerConfig};
 use gmlfm_online::{OnlineConfig, OnlineError, OnlineModel, OnlineServing};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
 use gmlfm_service::{
-    exec, BatchRequest, ModelServer, ModelSnapshot, Reply, RequestError, Response, ScoreRequest,
-    ScoringBackend, SeenItems, TopNRequest,
+    exec, BatchRequest, ModelServer, ModelSnapshot, Reply, RequestError, Response, ScoreRequest, SeenItems,
+    TopNRequest,
 };
 use gmlfm_train::{Scorer, TrainConfig, TrainReport};
 use std::path::Path;
@@ -345,32 +345,6 @@ impl OnlineModel for EstimatorModel {
     }
 }
 
-/// A [`ScoringBackend`] over a live estimator, so non-freezable models
-/// answer the exact same request protocol as frozen ones. Holds the
-/// (`Sync`) estimator rather than its scorer so batches can fan out.
-struct LiveBackend<'a>(&'a dyn Estimator);
-
-impl ScoringBackend for LiveBackend<'_> {
-    fn score_feats(&self, feats: &[u32]) -> f64 {
-        self.0.scorer().score_one(&Instance::new(feats.to_vec(), 0.0))
-    }
-
-    fn candidate_scores(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        _par: Parallelism,
-    ) -> Vec<f64> {
-        use gmlfm_serve::ItemFeatureSource;
-        let instances: Vec<Instance> = candidates
-            .iter()
-            .map(|&item| Instance::new(catalog.splice(template, catalog.features_of(item)), 0.0))
-            .collect();
-        self.0.scorer().scores(&instances)
-    }
-}
-
 /// A trained, servable model: typed request handling, catalog-wide top-n
 /// ranking, holdout evaluation and artifact persistence behind one
 /// handle. Freezable models are backed by a hot-swappable
@@ -539,7 +513,7 @@ impl Recommender {
         match &self.serving {
             Serving::Service(server) => Ok(server.score(req)?),
             Serving::Live { est, catalog, .. } => {
-                let backend = LiveBackend(est.as_ref());
+                let backend = ScorerBackend(est.scorer());
                 let value = exec::execute_score(&backend, &self.schema, catalog.as_ref(), req)?;
                 Ok(Response { generation: LIVE_GENERATION, value })
             }
@@ -554,7 +528,7 @@ impl Recommender {
         match &self.serving {
             Serving::Service(server) => Ok(server.top_n(&self.with_par(req))?),
             Serving::Live { est, catalog, seen } => {
-                let backend = LiveBackend(est.as_ref());
+                let backend = ScorerBackend(est.scorer());
                 let value =
                     exec::execute_topn(&backend, catalog.as_ref(), seen.as_ref(), &[], req, self.par)?;
                 Ok(Response { generation: LIVE_GENERATION, value })
@@ -572,7 +546,7 @@ impl Recommender {
         match &self.serving {
             Serving::Service(server) => server.batch(&req),
             Serving::Live { est, catalog, seen } => {
-                let backend = LiveBackend(est.as_ref());
+                let backend = ScorerBackend(est.scorer());
                 let value =
                     exec::execute_batch(&backend, &self.schema, catalog.as_ref(), seen.as_ref(), None, &req);
                 Response { generation: LIVE_GENERATION, value }
@@ -638,9 +612,8 @@ impl Recommender {
         }
     }
 
-    /// Leave-one-out metrics through the request path, shared with
-    /// [`gmlfm_eval::evaluate_topn_service`] via
-    /// [`evaluate_topn_backend`]: each case is a candidate-restricted
+    /// Leave-one-out metrics through [`evaluate_topn_backend`], the one
+    /// protocol: each case is a candidate-restricted
     /// ranking request against **one** pinned snapshot, fanned out one
     /// contiguous block of cases per thread and merged in case order.
     fn topn_metrics(&self, cases: &[LooTestCase], k: usize) -> Result<TopnMetrics, EngineError> {
@@ -662,7 +635,7 @@ impl Recommender {
                 )
             }
             Serving::Live { est, catalog, seen } => evaluate_topn_backend(
-                &LiveBackend(est.as_ref()),
+                &ScorerBackend(est.scorer()),
                 catalog.as_ref(),
                 seen.as_ref(),
                 cases,

@@ -4,7 +4,8 @@
 //! published round hot-reloads every handle, and — the checkpointing
 //! contract — `artifact`/`save` persist the *current* snapshot including
 //! the live overlay, so fed interactions survive a save → load round
-//! trip instead of silently reappearing in top-n results.
+//! trip instead of silently reappearing in top-n results. A published
+//! round rebuilds the IVF index with the serving index's settings.
 
 use gmlfm_data::{generate, DatasetSpec};
 use gmlfm_engine::{
@@ -12,6 +13,7 @@ use gmlfm_engine::{
     TopNRequest,
 };
 use gmlfm_models::fm::FmConfig;
+use gmlfm_serve::RetrievalStrategy;
 use gmlfm_train::TrainConfig;
 
 fn spec() -> ModelSpec {
@@ -136,4 +138,32 @@ fn online_loop_publishes_and_checkpoints_persist_the_overlay() {
     let status = serving.shutdown();
     assert_eq!(status.published, 1);
     assert_eq!(status.rejected, 0);
+}
+
+#[test]
+fn a_published_round_keeps_the_index_settings() {
+    let dataset = generate(&DatasetSpec::AmazonAuto.config(83).scaled(0.15));
+    let mut rec = Engine::builder()
+        .dataset(dataset)
+        .split(SplitPlan::topn(5))
+        .spec(ModelSpec::gml_fm_md(4))
+        .train_config(TrainConfig { epochs: 1, ..TrainConfig::default() })
+        .retrieval(RetrievalStrategy::Ivf { nprobe: Some(2) })
+        .online(true)
+        .fit()
+        .expect("fits");
+    let settings = |rec: &Recommender| {
+        let index = rec.index().expect("a metric model over the catalog is indexed");
+        (index.default_nprobe(), index.min_candidates())
+    };
+    let before = settings(&rec);
+    assert_eq!(before.0, 2);
+    let serving = rec.serve_online(online_cfg()).expect("opt-in + top-n holdout");
+    serving.handle().feed(&Interaction::new(0, 0)).expect("feed validates");
+    match serving.trainer().run_once() {
+        RoundOutcome::Published { generation, .. } => assert_eq!(generation, 2),
+        other => panic!("expected a published round, got {other:?}"),
+    }
+    assert_eq!(settings(&rec), before, "the republished index keeps nprobe and min_candidates");
+    serving.shutdown();
 }

@@ -1,18 +1,18 @@
 //! End-to-end evaluation protocols over a trained [`Scorer`].
 //!
-//! Two top-n paths are provided: the generic [`evaluate_topn`], which
-//! scores every candidate through whatever [`Scorer`] it is given, and
-//! [`evaluate_topn_frozen`], which exploits a frozen model's
-//! [`gmlfm_serve::TopNRanker`] to compute each user's context partial
-//! sums once and
-//! score candidates by item delta only. Both produce identical metrics
-//! for the same model (pinned by tests here); the frozen path is the one
-//! the experiment runners use.
+//! There is one leave-one-out protocol, [`evaluate_topn_backend`]: each
+//! test case is a candidate-restricted ranking request (`[positive] +
+//! negatives`) answered through the serving request path
+//! ([`exec::execute_candidate_scores`]) by any [`ScoringBackend`]. The
+//! other top-n entry points only pick the backend and the catalog: a
+//! frozen model ([`evaluate_topn_frozen_with`]), a served snapshot
+//! ([`evaluate_topn_service_with`]), or any [`Scorer`] behind
+//! [`ScorerBackend`] ([`evaluate_topn`]).
 
-use crate::metrics::{hit_ratio_at, mae, ndcg_at, rmse, topk_case_metrics};
+use crate::metrics::{mae, rmse, topk_case_metrics};
 use gmlfm_data::{Dataset, FieldMask, Instance, LooTestCase};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{FrozenModel, TopNHeap};
+use gmlfm_serve::{FrozenModel, ItemFeatureSource, TopNHeap};
 use gmlfm_service::{exec, Catalog, ModelServer, RequestError, ScoringBackend, SeenItems, TopNRequest};
 use gmlfm_train::Scorer;
 
@@ -54,64 +54,52 @@ pub struct TopnMetrics {
     pub per_user_ndcg: Vec<f64>,
 }
 
-/// Leave-one-out evaluation: for each test case, scores the positive item
-/// against its sampled negatives and truncates the ranking at `k`
-/// (k = 10 in the paper).
-pub fn evaluate_topn<S: Scorer + ?Sized>(
+/// A [`ScoringBackend`] over any [`Scorer`], so models without a frozen
+/// form answer the same request protocol as frozen ones. Each request
+/// is one [`Scorer::scores`] call over the candidates' full feature
+/// rows (the user's template with each candidate's item group spliced
+/// in); `par` is ignored — the scorer's own batch path decides.
+pub struct ScorerBackend<'a, S: Scorer + ?Sized>(pub &'a S);
+
+impl<S: Scorer + ?Sized> ScoringBackend for ScorerBackend<'_, S> {
+    fn score_feats(&self, feats: &[u32]) -> f64 {
+        self.0.score_one(&Instance::new(feats.to_vec(), 0.0))
+    }
+
+    fn candidate_scores(
+        &self,
+        catalog: &Catalog,
+        template: &[u32],
+        candidates: &[u32],
+        _par: Parallelism,
+    ) -> Vec<f64> {
+        let instances: Vec<Instance> = candidates
+            .iter()
+            .map(|&item| Instance::new(catalog.splice(template, catalog.features_of(item)), 0.0))
+            .collect();
+        self.0.scores(&instances)
+    }
+}
+
+/// Leave-one-out evaluation of any scorer: for each test case, scores
+/// the positive item against its sampled negatives and truncates the
+/// ranking at `k` (k = 10 in the paper). Serial; the scorer sees one
+/// batch per case.
+pub fn evaluate_topn<S: Scorer + Sync + ?Sized>(
     scorer: &S,
     dataset: &Dataset,
     mask: &FieldMask,
     cases: &[LooTestCase],
     k: usize,
 ) -> TopnMetrics {
-    assert!(!cases.is_empty(), "evaluate_topn: no test cases");
-    let mut per_user_hr = Vec::with_capacity(cases.len());
-    let mut per_user_ndcg = Vec::with_capacity(cases.len());
-    let mut candidates: Vec<Instance> = Vec::new();
-    for case in cases {
-        candidates.clear();
-        candidates.push(dataset.instance_masked(case.user, case.pos_item, 1.0, mask));
-        for &neg in &case.negatives {
-            candidates.push(dataset.instance_masked(case.user, neg, 0.0, mask));
-        }
-        let scores = scorer.scores(&candidates);
-        per_user_hr.push(hit_ratio_at(&scores, k));
-        per_user_ndcg.push(ndcg_at(&scores, k));
-    }
-    let hr = per_user_hr.iter().sum::<f64>() / per_user_hr.len() as f64;
-    let ndcg = per_user_ndcg.iter().sum::<f64>() / per_user_ndcg.len() as f64;
-    TopnMetrics { hr, ndcg, per_user_hr, per_user_ndcg }
+    let catalog = Catalog::from_dataset(dataset, mask);
+    evaluate_topn_backend(&ScorerBackend(scorer), Some(&catalog), None, cases, k, Parallelism::serial())
+        .expect("leave-one-out cases come from the dataset")
 }
 
-/// Leave-one-out evaluation through the frozen serving path: one
-/// [`gmlfm_serve::TopNRanker`] per test case stages the user/context
-/// side once and scores the positive plus its sampled negatives
-/// by item delta only. Metrics match [`evaluate_topn`] on the same
-/// frozen model.
-///
-/// Runs with [`Parallelism::auto`]; see [`evaluate_topn_frozen_with`]
-/// for an explicit thread count.
-pub fn evaluate_topn_frozen(
-    model: &FrozenModel,
-    dataset: &Dataset,
-    mask: &FieldMask,
-    cases: &[LooTestCase],
-    k: usize,
-) -> TopnMetrics {
-    evaluate_topn_frozen_with(model, dataset, mask, cases, k, Parallelism::auto())
-}
-
-/// [`evaluate_topn_frozen`] with an explicit [`Parallelism`]: the test
-/// cases are split into one contiguous block per requested thread, each
-/// worker evaluates its block with its own scratch buffers and
-/// [`gmlfm_serve::TopNRanker`] state, and the per-user metric vectors
-/// are merged in input order — so the result is **bit-identical** to the
-/// serial evaluation at every thread count.
-///
-/// Per case, the negatives run through a bounded top-`k` [`TopNHeap`] —
-/// the same selection the serving retrieval path uses — instead of a
-/// materialised score vector; [`topk_case_metrics`] proves the metrics
-/// identical to the full scan, conservative tie handling included.
+/// Leave-one-out evaluation of a frozen model with an explicit
+/// [`Parallelism`] over the test cases; per case, the ranker stages the
+/// user/context side once and scores each candidate by item delta only.
 pub fn evaluate_topn_frozen_with(
     model: &FrozenModel,
     dataset: &Dataset,
@@ -120,75 +108,39 @@ pub fn evaluate_topn_frozen_with(
     k: usize,
     par: Parallelism,
 ) -> TopnMetrics {
-    assert!(!cases.is_empty(), "evaluate_topn_frozen: no test cases");
-    let item_slots = dataset.item_side_slots(mask);
-    let per_user: Vec<(f64, f64)> = gmlfm_par::par_blocks(par, cases.len(), |range| {
-        // Per-worker scratch, reused across the whole block.
-        let mut out = Vec::with_capacity(range.len());
-        let mut feats: Vec<u32> = Vec::new();
-        let mut item_feats: Vec<u32> = Vec::new();
-        for case in &cases[range] {
-            let template = dataset.feats(case.user, case.pos_item, mask);
-            let mut ranker = model.ranker(&template, &item_slots);
-            item_feats.clear();
-            item_feats.extend(item_slots.iter().map(|&s| template[s]));
-            let pos_score = ranker.score(&item_feats);
-            let mut heap = TopNHeap::new(k);
-            for (i, &neg) in case.negatives.iter().enumerate() {
-                dataset.feats_into(case.user, neg, mask, &mut feats);
-                item_feats.clear();
-                item_feats.extend(item_slots.iter().map(|&s| feats[s]));
-                heap.push(i as u32, ranker.score(&item_feats));
-            }
-            out.push(topk_case_metrics(pos_score, heap.retained(), k));
-        }
-        out
-    });
-    let (per_user_hr, per_user_ndcg): (Vec<f64>, Vec<f64>) = per_user.into_iter().unzip();
-    let hr = per_user_hr.iter().sum::<f64>() / per_user_hr.len() as f64;
-    let ndcg = per_user_ndcg.iter().sum::<f64>() / per_user_ndcg.len() as f64;
-    TopnMetrics { hr, ndcg, per_user_hr, per_user_ndcg }
+    let catalog = Catalog::from_dataset(dataset, mask);
+    evaluate_topn_backend(model, Some(&catalog), None, cases, k, par)
+        .expect("leave-one-out cases come from the dataset")
 }
 
-/// Leave-one-out evaluation through the online serving API: each test
-/// case becomes a candidate-restricted ranking request (`[positive] +
-/// negatives`, seen-exclusion off — the protocol fixes the candidate
-/// set) answered by the [`ModelServer`], so the evaluated path is the
-/// *same* request path production traffic takes.
-///
-/// Metrics match [`evaluate_topn_frozen`] for the same frozen model;
-/// runs with [`Parallelism::auto`] — see
-/// [`evaluate_topn_service_with`] for an explicit thread count.
-pub fn evaluate_topn_service(server: &ModelServer, cases: &[LooTestCase], k: usize) -> TopnMetrics {
-    evaluate_topn_service_with(server, cases, k, Parallelism::auto())
-}
-
-/// [`evaluate_topn_service`] with an explicit [`Parallelism`]. The whole
-/// evaluation is pinned to **one** model snapshot up front, so a hot
-/// swap racing the evaluation cannot mix generations into one metric
-/// vector.
+/// Leave-one-out evaluation through a [`ModelServer`], pinned to
+/// **one** model snapshot up front, so a hot swap racing the evaluation
+/// cannot mix generations into one metric vector.
 pub fn evaluate_topn_service_with(
     server: &ModelServer,
     cases: &[LooTestCase],
     k: usize,
     par: Parallelism,
 ) -> TopnMetrics {
-    assert!(!cases.is_empty(), "evaluate_topn_service: no test cases");
     let (_, snap) = server.snapshot();
     evaluate_topn_backend(&snap.frozen, snap.catalog.as_ref(), snap.seen.as_ref(), cases, k, par)
         .expect("leave-one-out cases come from the served catalog")
 }
 
-/// The shared request-path leave-one-out core: evaluates `cases` through
-/// [`exec::execute_candidate_scores`] over any [`ScoringBackend`]
-/// (frozen snapshot or the engine's live estimators). Cases are split
-/// into one contiguous block per requested thread (each request itself
-/// runs serially) and the per-user metric vectors are merged in input
-/// order — bit-identical to the serial evaluation at every thread count.
+/// The leave-one-out protocol: evaluates `cases` through
+/// [`exec::execute_candidate_scores`] over any [`ScoringBackend`] (a
+/// frozen model, a served snapshot, or a [`ScorerBackend`]). Each case
+/// is a request for `[positive] + negatives` with seen-exclusion off —
+/// the protocol fixes the candidate set. Cases are split into one
+/// contiguous block per requested thread (each request itself runs
+/// serially) and the per-user metric vectors are merged in input order
+/// — bit-identical to the serial evaluation at every thread count.
 /// A case whose user or items fall outside the catalog is a typed
 /// [`RequestError`]. Per case, the positive's rank comes from a bounded
 /// top-`k` [`TopNHeap`] over the negatives ([`topk_case_metrics`]) —
-/// the serving retrieval selection, with full-scan-identical metrics.
+/// the serving retrieval selection, with metrics identical to
+/// [`crate::hit_ratio_at`]/[`crate::ndcg_at`] over the full score
+/// vector, conservative tie handling included.
 pub fn evaluate_topn_backend<B: ScoringBackend + Sync + ?Sized>(
     backend: &B,
     catalog: Option<&Catalog>,
@@ -233,7 +185,12 @@ pub fn evaluate_topn_backend<B: ScoringBackend + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{hit_ratio_at, ndcg_at};
     use gmlfm_data::{generate, loo_split, DatasetSpec};
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     /// A scorer that knows the ground truth: scores the held-out positive
     /// item of each user highest.
@@ -301,8 +258,8 @@ mod tests {
         assert_eq!(m.n, 2);
     }
 
-    /// The frozen ranking protocol must produce the same metrics as the
-    /// generic candidate-scoring protocol for the same frozen model.
+    /// A frozen model's item-delta ranker and its full-vector scorer
+    /// give the same metrics, to the bit.
     #[test]
     fn frozen_protocol_matches_generic_protocol() {
         use gmlfm_core::{GmlFm, GmlFmConfig};
@@ -313,19 +270,16 @@ mod tests {
         let model = GmlFm::new(d.schema.total_dim(), &GmlFmConfig::mahalanobis(6).with_seed(9));
         let frozen = model.freeze();
         let generic = evaluate_topn(&frozen, &d, &mask, &split.test, 10);
-        let fast = evaluate_topn_frozen(&frozen, &d, &mask, &split.test, 10);
+        let fast = evaluate_topn_frozen_with(&frozen, &d, &mask, &split.test, 10, Parallelism::auto());
         assert_eq!(fast.per_user_hr, generic.per_user_hr);
-        for (a, b) in fast.per_user_ndcg.iter().zip(&generic.per_user_ndcg) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        assert_eq!(bits(&fast.per_user_ndcg), bits(&generic.per_user_ndcg));
         // And both agree with the autograd path's metrics.
         let graph = evaluate_topn(&model, &d, &mask, &split.test, 10);
         assert_eq!(fast.per_user_hr, graph.per_user_hr);
     }
 
-    /// The serving-API protocol must match the frozen protocol
-    /// bit-for-bit: both rank the same candidates through the same
-    /// ranker machinery, one addressed by request, one by dataset.
+    /// The served snapshot and the dataset-addressed frozen model give
+    /// the same bits: one catalog from the same dataset, one protocol.
     #[test]
     fn service_protocol_matches_frozen_protocol() {
         use gmlfm_core::{GmlFm, GmlFmConfig};
@@ -336,7 +290,7 @@ mod tests {
         let split = loo_split(&d, &mask, 2, 20, 5);
         let model = GmlFm::new(d.schema.total_dim(), &GmlFmConfig::dnn(6, 1).with_seed(11));
         let frozen = model.freeze();
-        let fast = evaluate_topn_frozen(&frozen, &d, &mask, &split.test, 10);
+        let fast = evaluate_topn_frozen_with(&frozen, &d, &mask, &split.test, 10, Parallelism::auto());
         let server = ModelServer::new(ModelSnapshot {
             schema: d.schema.clone(),
             frozen,
@@ -345,12 +299,9 @@ mod tests {
             index: None,
         })
         .expect("consistent snapshot");
-        let served = evaluate_topn_service(&server, &split.test, 10);
+        let served = evaluate_topn_service_with(&server, &split.test, 10, Parallelism::auto());
         assert_eq!(served.per_user_hr, fast.per_user_hr);
-        assert_eq!(
-            served.per_user_ndcg.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            fast.per_user_ndcg.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(bits(&served.per_user_ndcg), bits(&fast.per_user_ndcg));
         // And explicit thread counts do not change a bit.
         for t in [1usize, 2, 5] {
             let par = evaluate_topn_service_with(&server, &split.test, 10, Parallelism::threads(t));
@@ -387,5 +338,52 @@ mod tests {
         // HR@10 ≈ 10/21 in expectation; allow wide slack.
         assert!(m.hr > 0.2 && m.hr < 0.8, "random HR {0}", m.hr);
         assert!(m.ndcg < m.hr, "NDCG discounts position, so it must not exceed HR");
+    }
+
+    /// A scorer that hashes every feature of the row, so any slot the
+    /// protocol filled wrongly moves the score.
+    struct RowHash;
+    impl Scorer for RowHash {
+        fn scores(&self, instances: &[Instance]) -> Vec<f64> {
+            instances
+                .iter()
+                .map(|i| {
+                    let mix = i.feats.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &f| {
+                        (h ^ u64::from(f)).wrapping_mul(0x0000_0100_0000_01B3)
+                    });
+                    (mix >> 11) as f64 / (1u64 << 53) as f64
+                })
+                .collect()
+        }
+    }
+
+    /// Under masks that hide a user-side and an item-side field (Table
+    /// 6), the protocol scores exactly the masked rows a full-vector
+    /// oracle builds from the dataset.
+    #[test]
+    fn masked_protocol_matches_full_vector_oracle() {
+        use gmlfm_data::{generate_scale, FieldKind, ScaleConfig};
+        use FieldKind::{Category, Condition, Item, User, UserAttr};
+        // user | item | segment (user attr) | category | condition
+        let d = generate_scale(&ScaleConfig::new(60, 400, 139));
+        let masks = [
+            FieldMask::of_kinds(&d.schema, &[User, Item, Category]),
+            FieldMask::of_kinds(&d.schema, &[User, Item, UserAttr, Condition]),
+        ];
+        for mask in &masks {
+            let split = loo_split(&d, mask, 2, 20, 7);
+            let mut oracle_hr = Vec::new();
+            let mut oracle_ndcg = Vec::new();
+            for case in &split.test {
+                let mut rows = vec![d.instance_masked(case.user, case.pos_item, 1.0, mask)];
+                rows.extend(case.negatives.iter().map(|&neg| d.instance_masked(case.user, neg, 0.0, mask)));
+                let scores = RowHash.scores(&rows);
+                oracle_hr.push(hit_ratio_at(&scores, 10));
+                oracle_ndcg.push(ndcg_at(&scores, 10));
+            }
+            let m = evaluate_topn(&RowHash, &d, mask, &split.test, 10);
+            assert_eq!(bits(&m.per_user_hr), bits(&oracle_hr), "{mask:?}");
+            assert_eq!(bits(&m.per_user_ndcg), bits(&oracle_ndcg), "{mask:?}");
+        }
     }
 }

@@ -11,8 +11,8 @@
 use gmlfm_core::GmlFmConfig;
 use gmlfm_data::{Dataset, FieldMask, LooSplit, RatingSplit};
 use gmlfm_engine::{FitData, ModelSpec};
-use gmlfm_eval::{evaluate_rating, evaluate_topn, evaluate_topn_service, RatingMetrics, TopnMetrics};
-use gmlfm_service::{Catalog, ModelServer, ModelSnapshot};
+use gmlfm_eval::{evaluate_rating, evaluate_topn, evaluate_topn_frozen_with, RatingMetrics, TopnMetrics};
+use gmlfm_par::Parallelism;
 use gmlfm_train::{Scorer, TrainConfig};
 
 pub use crate::paper::ModelKind;
@@ -117,12 +117,11 @@ pub fn run_rating_spec(
     (metrics, sq_errors)
 }
 
-/// Trains any spec for top-n and evaluates leave-one-out HR/NDCG at 10.
-/// Freezable models are stood up behind a [`ModelServer`] and evaluated
-/// through the online serving API's request path — the exact code path
-/// production traffic takes (context partials once per user, item delta
-/// per candidate, no tape); the rest score candidates through their own
-/// scorer.
+/// Trains any spec for top-n and evaluates leave-one-out HR/NDCG at 10
+/// through the one protocol ([`gmlfm_eval::evaluate_topn_backend`]):
+/// freezable models rank frozen (context partials once per case, item
+/// delta per candidate, no tape, cases fanned out across threads); the
+/// rest score candidates through their own scorer.
 pub fn run_topn_spec(
     spec: &ModelSpec,
     dataset: &Dataset,
@@ -136,15 +135,7 @@ pub fn run_topn_spec(
         .unwrap_or_else(|e| panic!("{}: {e}", spec.display_name()));
     match estimator.freeze_if_supported() {
         Some(frozen) => {
-            let server = ModelServer::new(ModelSnapshot {
-                schema: dataset.schema.clone(),
-                frozen,
-                catalog: Some(Catalog::from_dataset(dataset, mask)),
-                seen: None,
-                index: None,
-            })
-            .expect("a freshly frozen estimator is schema-consistent");
-            evaluate_topn_service(&server, &split.test, 10)
+            evaluate_topn_frozen_with(&frozen, dataset, mask, &split.test, 10, Parallelism::auto())
         }
         None => evaluate_topn(estimator.scorer(), dataset, mask, &split.test, 10),
     }

@@ -493,12 +493,16 @@ fn retrain_and_publish(
     seen.merge(&shared.server.overlay_seen());
 
     // Metric-mode snapshots rebuild their IVF index at the candidate's
-    // weights — sublinear retrieval must never serve a stale index.
-    let index = if snap.index.is_some() {
-        IvfIndex::build(&frozen, &catalog, &IvfBuildOptions::default(), shared.cfg.par)
-    } else {
-        None
-    };
+    // weights — sublinear retrieval must never serve a stale index — with
+    // the serving index's own probe budget and exact-fallback threshold.
+    let index = snap.index.as_ref().and_then(|served| {
+        let opts = IvfBuildOptions {
+            nprobe: Some(served.default_nprobe()),
+            min_candidates: served.min_candidates(),
+            ..IvfBuildOptions::default()
+        };
+        IvfIndex::build(&frozen, &catalog, &opts, shared.cfg.par)
+    });
 
     // Gate: candidate vs (cached) baseline on the pinned holdout.
     let baseline = match st.baseline {

@@ -116,7 +116,7 @@ struct Slot {
     /// Lock holds are a few comparisons — never a retrain, never a
     /// scan — so readers are delayed by at most one tiny critical
     /// section, not blocked behind training.
-    overlay: Mutex<Vec<Vec<u32>>>,
+    overlay: Mutex<SeenItems>,
 }
 
 impl Slot {
@@ -138,7 +138,7 @@ impl Slot {
     /// Locks the live seen overlay, recovering from poisoning for the
     /// same reason as [`Slot::lock_installed`]: every mutation is a
     /// single sorted insert, so no invariant can be torn mid-update.
-    fn lock_overlay(&self) -> std::sync::MutexGuard<'_, Vec<Vec<u32>>> {
+    fn lock_overlay(&self) -> std::sync::MutexGuard<'_, SeenItems> {
         self.overlay.lock().unwrap_or_else(|poison| poison.into_inner())
     }
 }
@@ -167,7 +167,7 @@ impl ModelServer {
                 buckets: std::array::from_fn(|_| OnceLock::new()),
                 current: AtomicUsize::new(0),
                 installed: Mutex::new(NonZeroUsize::MIN),
-                overlay: Mutex::new(Vec::new()),
+                overlay: Mutex::new(SeenItems::new(Vec::new())),
             }),
         })
     }
@@ -230,36 +230,21 @@ impl ModelServer {
         if item as usize >= catalog.n_items() {
             return Err(RequestError::UnknownItem { item, n_items: catalog.n_items() });
         }
-        let mut overlay = self.slot.lock_overlay();
-        let idx = user as usize;
-        if idx >= overlay.len() {
-            overlay.resize_with(idx + 1, Vec::new);
-        }
-        let value = match overlay[idx].binary_search(&item) {
-            Ok(_) => false,
-            Err(pos) => {
-                overlay[idx].insert(pos, item);
-                true
-            }
-        };
+        let value = self.slot.lock_overlay().insert(user, item);
         Ok(Response { generation: state.generation, value })
     }
 
     /// The user's live overlay items (sorted ascending; empty when none
     /// were recorded) — a clone, so the lock is released before scoring.
     fn live_seen(&self, user: u32) -> Vec<u32> {
-        let overlay = self.slot.lock_overlay();
-        overlay.get(user as usize).cloned().unwrap_or_default()
+        self.slot.lock_overlay().items(user).to_vec()
     }
 
     /// A point-in-time copy of the whole live seen overlay as a
     /// [`SeenItems`] table — what a retrain merges into the candidate
     /// snapshot's seen sets, and what checkpointing persists.
     pub fn overlay_seen(&self) -> SeenItems {
-        let rows = self.slot.lock_overlay().clone();
-        // Rows are maintained sorted/deduplicated, so this is a plain
-        // move into the table (`SeenItems::new` re-sorting is a no-op).
-        SeenItems::new(rows)
+        self.slot.lock_overlay().clone()
     }
 
     /// Installs a new snapshot mid-traffic and returns its generation.
@@ -354,7 +339,7 @@ impl ModelServer {
         let backend = IndexedModel { frozen: &state.snap.frozen, index: state.snap.index.as_ref() };
         // One point-in-time overlay copy for the whole batch, so every
         // sub-request filters against the same live state.
-        let live = if self.slot.lock_overlay().is_empty() { None } else { Some(self.overlay_seen()) };
+        let live = if self.slot.lock_overlay().n_users() == 0 { None } else { Some(self.overlay_seen()) };
         let value = exec::execute_batch(
             &backend,
             &state.snap.schema,
