@@ -261,26 +261,33 @@ impl DenseGmlFm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Distance;
     use gmlfm_tensor::init::normal;
     use gmlfm_tensor::seeded_rng;
     use proptest::prelude::*;
 
-    fn random_model(n: usize, k: usize, transform: u8, seed: u64) -> DenseGmlFm {
+    /// A random dense model and its `v̂` rows: `V`, `V·Lᵀ` with `M = LᵀL`,
+    /// or the MLP image of `V`.
+    fn random_model(n: usize, k: usize, transform: u8, seed: u64) -> (DenseGmlFm, Matrix) {
         let mut rng = seeded_rng(seed);
         let v = normal(&mut rng, n, k, 0.0, 0.7);
         let h: Vec<f64> = normal(&mut rng, 1, k, 0.0, 0.7).into_vec();
-        let transform = match transform % 3 {
-            0 => DenseTransform::Identity,
+        let (transform, v_hat) = match transform % 3 {
+            0 => (DenseTransform::Identity, v.clone()),
             1 => {
                 let l = normal(&mut rng, k, k, 0.0, 0.5);
-                DenseTransform::Mahalanobis(l.matmul_tn(&l)) // M = LᵀL ⪰ 0
+                (DenseTransform::Mahalanobis(l.matmul_tn(&l)), v.matmul_nt(&l)) // M = LᵀL ⪰ 0
             }
-            _ => DenseTransform::Dnn(DnnTransform {
-                weights: vec![normal(&mut rng, k, k, 0.0, 0.5), normal(&mut rng, k, k, 0.0, 0.5)],
-                biases: vec![normal(&mut rng, 1, k, 0.0, 0.1), normal(&mut rng, 1, k, 0.0, 0.1)],
-            }),
+            _ => {
+                let dnn = DnnTransform {
+                    weights: vec![normal(&mut rng, k, k, 0.0, 0.5), normal(&mut rng, k, k, 0.0, 0.5)],
+                    biases: vec![normal(&mut rng, 1, k, 0.0, 0.1), normal(&mut rng, 1, k, 0.0, 0.1)],
+                };
+                let v_hat = dnn.apply_rows(&v);
+                (DenseTransform::Dnn(dnn), v_hat)
+            }
         };
-        DenseGmlFm { v, h, transform }
+        (DenseGmlFm { v, h, transform }, v_hat)
     }
 
     proptest! {
@@ -291,7 +298,7 @@ mod tests {
             seed in 0u64..1000,
             n in 3usize..12,
         ) {
-            let model = random_model(n, 4, transform, seed);
+            let (model, _) = random_model(n, 4, transform, seed);
             let mut rng = seeded_rng(seed + 1);
             let x: Vec<f64> = normal(&mut rng, 1, n, 0.0, 1.0).into_vec();
             let naive = model.second_order_naive(&x);
@@ -309,7 +316,7 @@ mod tests {
             seed in 0u64..500,
             active in proptest::collection::btree_set(0usize..20, 2..6),
         ) {
-            let model = random_model(20, 4, transform, seed);
+            let (model, v_hat) = random_model(20, 4, transform, seed);
             let mut x = vec![0.0; 20];
             for &i in &active {
                 x[i] = 1.0;
@@ -317,12 +324,20 @@ mod tests {
             let naive = model.second_order_naive(&x);
             let efficient = model.second_order_efficient(&x);
             prop_assert!((naive - efficient).abs() < 1e-9 * naive.abs().max(1.0));
+            // The dense form over 0/1 inputs is the one reference's pair
+            // sum over the active rows.
+            let active: Vec<usize> = active.into_iter().collect();
+            let (v, hat) = (|p: usize| model.v.row(active[p]), |p: usize| v_hat.row(active[p]));
+            let want = crate::reference::pair_sum(active.len(), |p, q| {
+                crate::reference::gml(v(p), v(q), Some(&model.h), Distance::SquaredEuclidean, hat(p), hat(q))
+            });
+            prop_assert!((naive - want).abs() < 1e-9 * want.abs().max(1.0), "naive {} vs reference {}", naive, want);
         }
     }
 
     #[test]
     fn identity_equals_mahalanobis_with_identity_matrix() {
-        let model_id = random_model(8, 4, 0, 9);
+        let (model_id, _) = random_model(8, 4, 0, 9);
         let model_m = DenseGmlFm {
             v: model_id.v.clone(),
             h: model_id.h.clone(),
@@ -336,7 +351,7 @@ mod tests {
 
     #[test]
     fn zero_input_gives_zero() {
-        let model = random_model(10, 4, 1, 3);
+        let (model, _) = random_model(10, 4, 1, 3);
         let x = vec![0.0; 10];
         assert_eq!(model.second_order_naive(&x), 0.0);
         assert_eq!(model.second_order_efficient(&x), 0.0);
@@ -345,7 +360,7 @@ mod tests {
     #[test]
     fn single_active_feature_gives_zero() {
         // D(v, v) = 0, so one active feature produces no pair term.
-        let model = random_model(10, 4, 2, 4);
+        let (model, _) = random_model(10, 4, 2, 4);
         let mut x = vec![0.0; 10];
         x[3] = 2.5;
         assert_eq!(model.second_order_naive(&x), 0.0);
@@ -354,7 +369,7 @@ mod tests {
 
     #[test]
     fn dnn_transform_rows_match_per_row_application() {
-        let model = random_model(6, 4, 2, 5);
+        let (model, _) = random_model(6, 4, 2, 5);
         let DenseTransform::Dnn(dnn) = &model.transform else { panic!("dnn expected") };
         let all = dnn.apply_rows(&model.v);
         for r in 0..model.n() {

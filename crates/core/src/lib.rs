@@ -37,11 +37,16 @@
 //! With `w_ij = 1`, `D` squared Euclidean, and all embeddings constrained
 //! to equal norm, GML-FM reduces to a vanilla FM up to affine constants —
 //! verified numerically in [`relation`].
+//!
+//! [`reference`](mod@reference) is the one slow evaluator of Eq. 3 (and
+//! of the FM and TransFM pair terms) that every fast path is tested
+//! against.
 #![forbid(unsafe_code)]
 
 pub mod distance;
 pub mod efficient;
 pub mod model;
+pub mod reference;
 pub mod relation;
 
 pub use distance::{Distance, Transform};

@@ -201,37 +201,18 @@ impl GmlFm {
         self.distance
     }
 
-    /// Scalar reference prediction: evaluates Eq. 3 for one instance with
-    /// an explicit pair loop over active fields. This is the ground truth
-    /// the batched graph forward is tested against.
+    /// Scalar reference prediction: Eq. 3 for one instance through
+    /// [`crate::reference`], with `ψ` applied by [`Transform::eval`]. This
+    /// is the ground truth the batched graph forward is tested against.
     pub fn predict_reference(&self, inst: &Instance) -> f64 {
         let v = self.params.get(self.v);
-        let w = self.params.get(self.w);
-        let mut out = self.params.get(self.w0)[(0, 0)];
-        for &f in &inst.feats {
-            out += w[(f as usize, 0)];
-        }
         let rows: Vec<&[f64]> = inst.feats.iter().map(|&f| v.row(f as usize)).collect();
-        let transformed: Vec<Vec<f64>> = rows.iter().map(|r| self.transform.eval(&self.params, r)).collect();
-        for i in 0..rows.len() {
-            for j in i + 1..rows.len() {
-                let d = self.distance.eval(&transformed[i], &transformed[j]);
-                let w_ij = match self.h {
-                    Some(h_id) => {
-                        let h = self.params.get(h_id);
-                        rows[i]
-                            .iter()
-                            .zip(rows[j])
-                            .enumerate()
-                            .map(|(d_idx, (a, b))| a * b * h[(d_idx, 0)])
-                            .sum::<f64>()
-                    }
-                    None => 1.0,
-                };
-                out += w_ij * d;
-            }
-        }
-        out
+        let hat: Vec<Vec<f64>> = rows.iter().map(|r| self.transform.eval(&self.params, r)).collect();
+        let h = self.transform_weight().map(Matrix::as_slice);
+        let w = self.linear_weights().as_slice();
+        crate::reference::score(self.bias(), w, &inst.feats, |p, q| {
+            crate::reference::gml(rows[p], rows[q], h, self.distance, &hat[p], &hat[q])
+        })
     }
 }
 

@@ -12,36 +12,28 @@
 //! the identity numerically, making this (to our knowledge, as the paper
 //! notes) the first *executable* check of the theorem.
 
+use crate::{reference, Distance};
 use gmlfm_tensor::Matrix;
 
 /// The constants `(c₁, c₂)` of Eq. 15 for an instance with `m` active
 /// one-hot fields and common squared norm `c`.
 pub fn fm_equivalence_constants(c: f64, m: usize) -> (f64, f64) {
-    (-2.0, c * (m * (m - 1)) as f64)
+    (-2.0, c * (m * m.saturating_sub(1)) as f64)
 }
 
 /// Second-order term of an unweighted squared-Euclidean GML-FM over
 /// one-hot active rows: `Σ_{i<j} ‖vᵢ−vⱼ‖²`.
 pub fn gml_second_order(v: &Matrix, active: &[usize]) -> f64 {
-    let mut out = 0.0;
-    for (a, &i) in active.iter().enumerate() {
-        for &j in active.iter().skip(a + 1) {
-            out += v.row(i).iter().zip(v.row(j)).map(|(x, y)| (x - y) * (x - y)).sum::<f64>();
-        }
-    }
-    out
+    let row = |p: usize| v.row(active[p]);
+    reference::pair_sum(active.len(), |p, q| {
+        reference::gml(row(p), row(q), None, Distance::SquaredEuclidean, row(p), row(q))
+    })
 }
 
 /// Second-order term of a vanilla FM over one-hot active rows:
 /// `Σ_{i<j} ⟨vᵢ,vⱼ⟩`.
 pub fn fm_second_order(v: &Matrix, active: &[usize]) -> f64 {
-    let mut out = 0.0;
-    for (a, &i) in active.iter().enumerate() {
-        for &j in active.iter().skip(a + 1) {
-            out += v.row(i).iter().zip(v.row(j)).map(|(x, y)| x * y).sum::<f64>();
-        }
-    }
-    out
+    reference::pair_sum(active.len(), |p, q| reference::fm(v.row(active[p]), v.row(active[q])))
 }
 
 /// Projects every row of `v` onto the sphere of squared norm `c`
@@ -125,9 +117,12 @@ mod tests {
 
     #[test]
     fn constants_match_pair_count() {
-        // 4 active fields → 6 pairs, each contributing 2c.
-        let (c1, c2) = fm_equivalence_constants(1.5, 4);
-        assert_eq!(c1, -2.0);
-        assert_eq!(c2, 1.5 * 12.0);
+        // 4 active fields → 6 pairs, each contributing 2c; no field or
+        // one field → no pairs.
+        for (m, pairs_times_two) in [(4, 12.0), (1, 0.0), (0, 0.0)] {
+            let (c1, c2) = fm_equivalence_constants(1.5, m);
+            assert_eq!(c1, -2.0);
+            assert_eq!(c2, 1.5 * pairs_times_two, "m = {m}");
+        }
     }
 }

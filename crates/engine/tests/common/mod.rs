@@ -4,6 +4,8 @@
 //! the tree-based artifact loader the byte-level one is checked against.
 #![allow(dead_code)]
 
+#[path = "../../../serve/tests/common/top_n_reference.rs"]
+mod top_n_reference;
 pub mod tree_artifact;
 
 use gmlfm_core::{Distance, GmlFmConfig};
@@ -12,9 +14,10 @@ use gmlfm_engine::{Artifact, ModelSpec, Precision, SeenItems};
 use gmlfm_models::fm::FmConfig;
 use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{rank_cmp, FrozenModel, IvfBuildOptions, IvfIndex, SecondOrder};
+use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, SecondOrder};
 use gmlfm_service::Catalog;
 use gmlfm_tensor::Matrix;
+use top_n_reference::full_sort_top_n;
 
 /// Every spec whose estimator has a frozen serving form, covering all
 /// transform/distance/weight corners of GML-FM plus FM and TransFM.
@@ -33,17 +36,10 @@ pub fn freezable_specs() -> Vec<ModelSpec> {
     ]
 }
 
-/// The exact reference: one ranker over the whole catalogue, stable
-/// sort under the shared total order, truncate.
+/// The exact reference over the whole catalogue: the shared full sort.
 pub fn reference_top_n(model: &FrozenModel, catalog: &Catalog, user: u32, n: usize) -> Vec<(u32, f64)> {
     let template = catalog.template(user).expect("user in catalog");
-    let mut ranker = model.ranker(template, catalog.item_slots());
-    let mut scored: Vec<(u32, f64)> = (0..catalog.n_items() as u32)
-        .map(|item| (item, ranker.score(catalog.item_features(item).expect("item in catalog"))))
-        .collect();
-    scored.sort_by(rank_cmp);
-    scored.truncate(n);
-    scored
+    full_sort_top_n(model, catalog, template, catalog.item_slots(), 0..catalog.n_items() as u32, n)
 }
 
 /// A GML-FM_md artifact assembled by hand, no training: `n_users` users,

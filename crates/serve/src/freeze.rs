@@ -92,6 +92,33 @@ mod tests {
         }
     }
 
+    /// Freezing applies `ψ` with the reference's own `Transform::eval`, and
+    /// both slow evaluations go through `gmlfm_core::reference`, so a
+    /// frozen model keeps its source model's reference score bit for bit.
+    #[test]
+    fn freezing_preserves_the_reference_score_bitwise() {
+        for cfg in [
+            GmlFmConfig::mahalanobis(6),
+            GmlFmConfig::dnn(6, 2),
+            GmlFmConfig::euclidean_plain(6),
+            GmlFmConfig::mahalanobis(6).without_weight(),
+        ] {
+            for seed in 0..5 {
+                let mut model = GmlFm::new(30, &cfg.clone().with_seed(seed));
+                let ids: Vec<_> = model.params().iter().map(|(id, _)| id).collect();
+                for id in ids {
+                    model.params_mut().get_mut(id).map_inplace(|x| x + 0.1);
+                }
+                let frozen = model.freeze();
+                for feats in [vec![2, 11, 27], vec![0, 4, 7, 12, 16, 21, 25, 29]] {
+                    let inst = Instance::new(feats, 1.0);
+                    let (got, want) = (frozen.predict_pairwise(&inst), model.predict_reference(&inst));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{cfg:?} seed {seed}: {got} vs {want}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn frozen_fm_matches_predict_one() {
         let fm = FactorizationMachine::new(25, FmConfig { k: 5, ..FmConfig::default() });

@@ -30,16 +30,8 @@
 //! against a `k` of 8–16, where the `O(m²·k)` pair loop is cheaper than
 //! the paper's `O(m·k²)` weighted Eq. 10/11 form, which lives in
 //! `gmlfm_core::efficient`.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::unreachable
-)]
 
-use gmlfm_core::Distance;
+use gmlfm_core::{reference, Distance};
 use gmlfm_data::Instance;
 use gmlfm_par::Parallelism;
 use gmlfm_tensor::Matrix;
@@ -301,15 +293,23 @@ impl FrozenModel {
         out + self.second_order(feats)
     }
 
-    /// Scores one instance through the serial pairwise reference loop
-    /// (no chunked kernels), an evaluation independent of the served one
-    /// that tests pin [`FrozenModel::predict`] against.
+    /// Scores one instance through [`gmlfm_core::reference`], the one
+    /// slow evaluator of Eq. 3 (serial loops, no chunked kernels): an
+    /// evaluation independent of the served one that tests pin
+    /// [`FrozenModel::predict`] against.
     pub fn predict_pairwise(&self, inst: &Instance) -> f64 {
-        let mut out = self.w0;
-        for &f in &inst.feats {
-            out += self.w[f as usize];
-        }
-        out + self.second_order_pairwise(&inst.feats)
+        let feats = &inst.feats;
+        reference::score(self.w0, &self.w, feats, |p, q| {
+            let (a, b) = (feats[p] as usize, feats[q] as usize);
+            let (va, vb) = (self.v.row(a), self.v.row(b));
+            match &self.second {
+                SecondOrder::Dot => reference::fm(va, vb),
+                SecondOrder::Metric { hat, h, distance } => {
+                    reference::gml(va, vb, h.as_deref(), *distance, hat.v_hat(a), hat.v_hat(b))
+                }
+                SecondOrder::Translated { v_trans } => reference::trans(va, v_trans.row(a), vb),
+            }
+        })
     }
 
     /// Builds a top-N ranker over a template instance whose `item_slots`
@@ -389,7 +389,7 @@ impl FrozenModel {
     /// before squaring, so near-duplicate embeddings keep their digits;
     /// [`FrozenModel::translated_pair`] for TransFM. Below
     /// [`kernel::LANES`] the kernels are the serial loops, so the term has
-    /// [`FrozenModel::second_order_pairwise`]'s bits there.
+    /// [`gmlfm_core::reference`]'s bits there.
     #[inline]
     pub(crate) fn pair_term(&self, a: u32, b: u32) -> f64 {
         let (va, vb) = (self.v.row(a as usize), self.v.row(b as usize));
@@ -410,38 +410,6 @@ impl FrozenModel {
         }
     }
 
-    /// Pairwise reference evaluation of the second-order term.
-    pub(crate) fn second_order_pairwise(&self, feats: &[u32]) -> f64 {
-        let mut out = 0.0;
-        match &self.second {
-            SecondOrder::Dot => {
-                for (p, &fi) in feats.iter().enumerate() {
-                    for &fj in &feats[p + 1..] {
-                        out += dot(self.v.row(fi as usize), self.v.row(fj as usize));
-                    }
-                }
-            }
-            SecondOrder::Metric { hat, h, distance } => {
-                for (p, &fi) in feats.iter().enumerate() {
-                    for &fj in &feats[p + 1..] {
-                        let d = distance.eval(hat.v_hat(fi as usize), hat.v_hat(fj as usize));
-                        out += self.pair_weight(h.as_deref(), fi, fj) * d;
-                    }
-                }
-            }
-            SecondOrder::Translated { v_trans } => {
-                // TransFM pairs are ordered: (vᵢ + v'ᵢ) vs vⱼ for i < j in
-                // field-position order.
-                for (p, &fi) in feats.iter().enumerate() {
-                    for &fj in &feats[p + 1..] {
-                        out += self.translated_pair(v_trans, fi, fj);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// One ordered TransFM pair: `‖(vᵢ + v'ᵢ) − vⱼ‖²`.
     pub(crate) fn translated_pair(&self, v_trans: &Matrix, fi: u32, fj: u32) -> f64 {
         let vi = self.v.row(fi as usize);
@@ -455,17 +423,6 @@ impl FrozenModel {
                 diff * diff
             })
             .sum::<f64>()
-    }
-
-    /// `w_ij = hᵀ(vᵢ ⊙ vⱼ)`, or 1 without the transformation weight.
-    pub(crate) fn pair_weight(&self, h: Option<&[f64]>, fi: u32, fj: u32) -> f64 {
-        match h {
-            Some(h) => {
-                let (vi, vj) = (self.v.row(fi as usize), self.v.row(fj as usize));
-                vi.iter().zip(vj).zip(h).map(|((a, b), hv)| a * b * hv).sum()
-            }
-            None => 1.0,
-        }
     }
 }
 
@@ -527,38 +484,17 @@ pub(crate) mod tests {
         assert_eq!(HatQ::from_v_hat(v_hat.clone()).q_vec(), q);
     }
 
-    #[test]
-    fn decoupled_paths_match_pairwise_reference() {
-        for weighted in [false, true] {
-            for seed in 0..10 {
-                let model = random_metric_model(40, 6, weighted, Distance::SquaredEuclidean, seed);
-                // Fewer active features than k, and more.
-                let small = Instance::new(vec![1, 7, 19, 33], 1.0);
-                let large = Instance::new(vec![0, 3, 5, 8, 13, 17, 21, 26, 31, 38], 1.0);
-                for inst in [&small, &large] {
-                    let auto = model.predict(inst);
-                    let slow = model.predict_pairwise(inst);
-                    assert!(
-                        (auto - slow).abs() <= 1e-9 * slow.abs().max(1.0),
-                        "weighted={weighted} seed={seed} m={}: auto {auto} vs {slow}",
-                        inst.feats.len()
-                    );
-                }
-            }
-        }
-    }
-
-    /// The served pair sum against the serial pairwise reference in
-    /// every mode, with fewer active features than `k` and more:
-    /// `to_bits()` equal below [`kernel::LANES`], where every kernel is
-    /// the serial loop, and within 1e-12 relative at and above it.
+    /// The served pair sum against the one reference in every mode, with
+    /// fewer active features than `k` and more: `to_bits()` equal below
+    /// [`kernel::LANES`], where every kernel is the serial loop, and
+    /// within 1e-12 relative at and above it.
     #[test]
     fn pair_sum_matches_pairwise_reference_in_every_mode() {
         use Distance::{Chebyshev, Cosine, Manhattan, SquaredEuclidean};
         let small = Instance::new(vec![1, 7, 19, 33], 1.0);
         let large = Instance::new(vec![0, 3, 5, 8, 13, 17, 21, 26, 31, 38], 1.0);
-        for k in [3, 7, 8, 16, 17] {
-            for seed in 0..4 {
+        for k in [3, 4, 5, 6, 7, 8, 16, 17] {
+            for seed in 0..10 {
                 let mut models = vec![];
                 for distance in [SquaredEuclidean, Manhattan, Chebyshev, Cosine] {
                     for weighted in [true, false] {
@@ -622,27 +558,6 @@ pub(crate) mod tests {
         let inst = Instance::new(vec![4], 1.0);
         let expected = model.w0 + model.w[4];
         assert!((model.predict(&inst) - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn non_euclidean_distances_use_pairwise_exactly() {
-        for distance in [Distance::Manhattan, Distance::Chebyshev, Distance::Cosine] {
-            let model = random_metric_model(20, 4, true, distance, 5);
-            let inst = Instance::new(vec![0, 9, 17], 1.0);
-            assert_eq!(model.predict(&inst), model.predict_pairwise(&inst));
-        }
-    }
-
-    #[test]
-    fn dot_trick_matches_pairwise() {
-        let mut rng = seeded_rng(11);
-        let v = normal(&mut rng, 25, 5, 0.0, 0.4);
-        let w = normal(&mut rng, 1, 25, 0.0, 0.1).into_vec();
-        let model = FrozenModel::from_parts(-0.2, w, v, SecondOrder::Dot);
-        let inst = Instance::new(vec![2, 8, 14, 21], 1.0);
-        let fast = model.predict(&inst);
-        let slow = model.predict_pairwise(&inst);
-        assert!((fast - slow).abs() <= 1e-9 * slow.abs().max(1.0), "{fast} vs {slow}");
     }
 
     #[test]

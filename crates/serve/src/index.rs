@@ -51,14 +51,6 @@
 //! TransFM's translated distance, Manhattan/Chebyshev/cosine — have no
 //! affine linearisation here; [`IvfIndex::build`] returns `None` for
 //! them and callers fall back to the exact sharded-heap path.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::unreachable
-)]
 
 use crate::frozen::{dot, FrozenModel, HatQ, SecondOrder};
 use crate::lowp::Precision;

@@ -24,17 +24,8 @@
 //! chunk, the same pairwise tree, the serial tail added last — so each
 //! column has the bits [`dot`] gives that column.
 //!
-//! The naive single-accumulator references (`naive_*`) are test-only:
-//! the parity oracle for the ≤1e-12 kernel tests here and for the
-//! scalar-loop ranker reference in `rank.rs`'s tests.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::unreachable
-)]
+//! The tests hold each kernel to a naive single-accumulator loop
+//! (`naive_*`): bitwise below [`LANES`], within 1e-12 above.
 
 /// Accumulator width of the chunked kernels.
 ///
@@ -267,37 +258,33 @@ pub fn dequant_into(codes: &[i8], lo: f32, scale: f32, out: &mut [f32]) {
     }
 }
 
-/// Single-accumulator reference for [`dot`]: the historical serial loop.
-#[cfg(test)]
-pub(crate) fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Single-accumulator reference for [`dot3`].
-#[cfg(test)]
-pub(crate) fn naive_dot3(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
-    a.iter().zip(b).zip(c).map(|((x, y), z)| x * y * z).sum()
-}
-
-/// Single-accumulator reference for [`sq_dist`].
-#[cfg(test)]
-pub(crate) fn naive_sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Single-accumulator reference for [`axpy`].
-#[cfg(test)]
-pub(crate) fn naive_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    for (y, x) in y.iter_mut().zip(x) {
-        *y += alpha * x;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gmlfm_tensor::init::standard_normal;
     use gmlfm_tensor::seeded_rng;
+
+    /// Single-accumulator reference for [`dot`]: the historical serial loop.
+    fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
+
+    /// Single-accumulator reference for [`dot3`].
+    fn naive_dot3(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
+        a.iter().zip(b).zip(c).map(|((x, y), z)| x * y * z).sum()
+    }
+
+    /// Single-accumulator reference for [`sq_dist`].
+    fn naive_sq_dist(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    }
+
+    /// Single-accumulator reference for [`axpy`].
+    fn naive_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+        for (y, x) in y.iter_mut().zip(x) {
+            *y += alpha * x;
+        }
+    }
 
     fn random_vec(len: usize, seed: u64) -> Vec<f64> {
         let mut rng = seeded_rng(seed);

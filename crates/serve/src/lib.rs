@@ -46,7 +46,9 @@
 //!   [`Precision`] scan knob.
 //!
 //! Parity with the autograd path is pinned to ≤1e-9 by the tests in this
-//! crate and by `tests/frozen_parity.rs`; `bench_e2e` in `gmlfm-bench`
+//! crate and by `tests/frozen_parity.rs`. The slow side of every served
+//! score check is [`FrozenModel::predict_pairwise`], which evaluates Eq. 3
+//! through [`gmlfm_core::reference`]; `bench_e2e` in `gmlfm-bench`
 //! measures the frozen path (`serve.predict_ns`, `eval.topn_cases_per_s`).
 #![forbid(unsafe_code)]
 

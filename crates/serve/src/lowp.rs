@@ -25,14 +25,6 @@
 //! [`FrozenModel::with_precision`](crate::FrozenModel::with_precision)
 //! and shared behind an `Arc`, so cloning a model (snapshot hot-swap,
 //! per-shard workers) never copies them.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::unreachable
-)]
 
 use std::sync::Arc;
 

@@ -30,14 +30,6 @@
 //! values), declared as slot positions in a template instance, so
 //! datasets with item-side attributes rank exactly like plain
 //! user × item ones.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::unreachable
-)]
 
 use crate::frozen::{dot, FrozenModel, HatQ, SecondOrder};
 use crate::index::ItemFeatureSource;
@@ -767,72 +759,6 @@ mod tests {
     use gmlfm_tensor::seeded_rng;
     use proptest::prelude::*;
 
-    /// The scalar-loop reference the chunked kernels are pinned against
-    /// (a test oracle, not a serving entry point).
-    impl<'m> TopNRanker<'m> {
-        /// [`TopNRanker::score`] computed with the single-accumulator
-        /// reference kernels ([`kernel::naive_dot`] and friends) instead of
-        /// the chunked ones: the same formulas evaluated the way the
-        /// pre-kernel code did.
-        fn score_scalar(&mut self, item_feats: &[u32]) -> f64 {
-            assert_eq!(
-                item_feats.len(),
-                self.item_slots.len(),
-                "TopNRanker::score_scalar: candidate has {} features, template has {} item slots",
-                item_feats.len(),
-                self.item_slots.len()
-            );
-            let model = self.model;
-            let mut out = self.ctx_score;
-            for &f in item_feats {
-                out += model.w[f as usize];
-            }
-            match &self.state {
-                State::Translated { v_trans } => {
-                    for (&slot, &f) in self.item_slots.iter().zip(item_feats) {
-                        out += self.translated_cross_delta(v_trans, slot, f);
-                    }
-                    out + self.translated_candidate_pairs(v_trans, item_feats)
-                }
-                State::Decoupled(cross) => {
-                    for &f in item_feats {
-                        out += self.cross_delta_scalar(cross, f);
-                    }
-                    out + model.second_order_pairwise(item_feats)
-                }
-            }
-        }
-
-        /// [`cross_delta`] with naive single-accumulator loops: the same
-        /// formulas evaluated the way the pre-kernel code did.
-        fn cross_delta_scalar(&self, cross: &Cross<'m>, j: u32) -> f64 {
-            let model = self.model;
-            let vj = model.v.row(j as usize);
-            match cross {
-                Cross::Dot { a } => kernel::naive_dot(a, vj),
-                Cross::MetricWeightedDirect { hat, .. } => {
-                    let SecondOrder::Metric { h, .. } = &model.second else { panic!("not a metric model") };
-                    let (vhj, qj) = hat.row(j as usize);
-                    let mut out = 0.0;
-                    for &i in &self.ctx {
-                        let w_ij = model.pair_weight(h.as_deref(), i, j);
-                        let (vhi, qi) = hat.row(i as usize);
-                        let d = qi + qj - 2.0 * kernel::naive_dot(vhi, vhj);
-                        out += w_ij * d;
-                    }
-                    out
-                }
-                Cross::MetricPairwise => {
-                    let mut out = 0.0;
-                    for &i in &self.ctx {
-                        out += model.second_order_pairwise(&[i, j]);
-                    }
-                    out
-                }
-            }
-        }
-    }
-
     /// The per-row form of the weighted cross delta that
     /// [`Cross::MetricWeightedDirect`]'s transposed pass replaced: per
     /// context feature `i`, `wᵢⱼ = kernel::dot(h ⊙ vᵢ, vⱼ)` and
@@ -1231,21 +1157,25 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Chunked kernels vs the naive scalar accumulation — at most
-        /// pairwise-reassociation rounding apart, in every mode and at
-        /// factor widths straddling the 8-lane kernel chunk.
+        /// The ranker's chunked deltas vs the one reference, Eq. 3 over
+        /// the spliced instance — at most reassociation rounding apart, in
+        /// every mode and at factor widths straddling the 8-lane kernel
+        /// chunk.
         #[test]
         fn chunked_scores_match_the_scalar_loop(mode in 0usize..9, k_idx in 0usize..4, seed in 0u64..50) {
             let k = [1usize, 2, 7, 16][k_idx];
             let (model, items, template, item_slots) = mode_fixture(mode, k, seed);
-            let mut chunked = model.ranker(&template, &item_slots);
-            let mut scalar = model.ranker(&template, &item_slots);
+            let mut ranker = model.ranker(&template, &item_slots);
             for (item, feats) in items.iter().enumerate() {
-                let a = chunked.score(feats);
-                let b = scalar.score_scalar(feats);
+                let mut spliced = template.clone();
+                for (&slot, &f) in item_slots.iter().zip(feats) {
+                    spliced[slot] = f;
+                }
+                let a = ranker.score(feats);
+                let b = model.predict_pairwise(&Instance::new(spliced, 1.0));
                 prop_assert!(
                     (a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                    "mode {} k {} item {}: chunked {} vs scalar {}", mode, k, item, a, b
+                    "mode {} k {} item {}: ranker {} vs reference {}", mode, k, item, a, b
                 );
             }
         }

@@ -38,14 +38,6 @@
 //!    is independent of shard count and thread count — pinned by the
 //!    `kernel_parity` and `retrieval_parity` proptests across threads
 //!    {1, 2, 5}.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::unreachable
-)]
 
 use crate::frozen::FrozenModel;
 use crate::index::ItemFeatureSource;

@@ -1,9 +1,8 @@
 //! Kernel-parity sweep for the chunked scoring hot path and the top-N
 //! scan driver over it.
 //!
-//! Three layers of pinning, from strictest to loosest (the ≤1e-12
-//! "chunked kernels vs the scalar loop" layer lives beside its
-//! test-only scalar reference, in `rank.rs`'s unit tests):
+//! Four layers of pinning (the ≤1e-12 layer that holds the per-item
+//! ranker to `gmlfm_core::reference` lives in `rank.rs`'s unit tests):
 //!
 //! 1. **Block scan ≡ per-item scan, bitwise** — `score_block` (the
 //!    `CAND_BLOCK`-wide entry the list scan uses) must reproduce the
@@ -14,8 +13,8 @@
 //! 2. **Scan driver ≡ full sort, bitwise** — both candidate sources of
 //!    the one driver (`scan_top_n` over a candidate list, a full-probe
 //!    `IvfIndex::search`) at `F64` and `I8`, threads {1, 2, 5}, equal
-//!    the full sort of per-item `TopNRanker::score` under `rank_cmp`:
-//!    ids and score bits.
+//!    the shared full sort (`tests/common/top_n_reference.rs`): ids and
+//!    score bits.
 //! 3. **Low-precision tables** — the `f32` scan stays inside its
 //!    documented error bound against the exact scores; the `i8` probe +
 //!    exact re-rank returns scores **bitwise** the `f64` model's.
@@ -26,10 +25,14 @@
 
 use gmlfm_core::Distance;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{rank_cmp, scan_top_n, FrozenModel, IvfBuildOptions, IvfIndex, Precision, SecondOrder};
+use gmlfm_serve::{scan_top_n, FrozenModel, IvfBuildOptions, IvfIndex, Precision, SecondOrder};
 use gmlfm_tensor::init::normal;
 use gmlfm_tensor::seeded_rng;
 use proptest::prelude::*;
+use top_n_reference::full_sort_top_n;
+
+#[path = "common/top_n_reference.rs"]
+mod top_n_reference;
 
 const N_USERS: usize = 4;
 const N_ATTRS: usize = 9;
@@ -98,20 +101,11 @@ fn fixture(mode: usize, k: usize, n_items: usize, seed: u64, ctx: usize) -> Fixt
 }
 
 impl Fixture {
-    /// The slow, obviously-right oracle every fast path is held to: one
-    /// ranker's per-item `score` over the whole catalogue, fully sorted
-    /// under `rank_cmp`, truncated.
+    /// The slow, obviously-right oracle every fast path is held to: the
+    /// shared full sort over the whole catalogue.
     fn full_sort(&self, n: usize) -> Vec<(u32, f64)> {
-        let mut ranker = self.model.ranker(&self.template, &self.item_slots);
-        let mut scored: Vec<(u32, f64)> = self
-            .items
-            .iter()
-            .enumerate()
-            .map(|(i, feats)| (i as u32, ranker.score(feats)))
-            .collect();
-        scored.sort_by(rank_cmp);
-        scored.truncate(n);
-        scored
+        let all = 0..self.items.len() as u32;
+        full_sort_top_n(&self.model, &self.items, &self.template, &self.item_slots, all, n)
     }
 
     fn scan(&self, n: usize, precision: Precision, threads: usize) -> Vec<(u32, f64)> {

@@ -26,10 +26,14 @@ use gmlfm_data::{FieldKind, Schema};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{rank_cmp, FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
 use gmlfm_service::{
-    exec, BatchRequest, Catalog, IndexedModel, ModelServer, ModelSnapshot, Reply, Request, RequestError,
+    BatchRequest, Catalog, IndexedModel, ModelServer, ModelSnapshot, Reply, Request, RequestError,
     ScoreRequest, ScoringBackend, SeenItems, TopNRequest,
 };
 use proptest::prelude::*;
+use top_n_reference::full_sort_top_n;
+
+#[path = "../../serve/tests/common/top_n_reference.rs"]
+mod top_n_reference;
 
 const N_USERS: usize = 6;
 const N_ITEMS: usize = 9;
@@ -214,18 +218,11 @@ proptest! {
         for &(item, _) in &got {
             prop_assert!(survivors.contains(&item), "item {} not among surviving candidates", item);
         }
-        // Bit-equal to the full-sort reference over the same request.
+        // Bit-equal to the full-sort reference over the same survivors.
         let (_, snap) = server.snapshot();
-        let mut reference = exec::execute_candidate_scores(
-            &snap.frozen,
-            snap.catalog.as_ref(),
-            snap.seen.as_ref(),
-            &[],
-            &req,
-            Parallelism::serial(),
-        ).expect("same validation");
-        reference.sort_by(rank_cmp);
-        reference.truncate(req.n);
+        let catalog = snap.catalog.as_ref().expect("catalog");
+        let template = catalog.template(req.user).expect("user in range");
+        let reference = full_sort_top_n(&snap.frozen, catalog, template, catalog.item_slots(), survivors, req.n);
         prop_assert_eq!(got, reference, "heap path drifted from the full-sort reference");
     }
 
@@ -349,13 +346,7 @@ proptest! {
         let excluded = |i: u32| exclude.contains(&i) || (exclude_seen && seen.contains(user, i));
         let survivors: Vec<u32> = (0..WIDE_ITEMS as u32).filter(|&i| !excluded(i)).collect();
         let template = catalog.template(user).expect("user in range");
-        let mut ranker = snap.frozen.ranker(template, catalog.item_slots());
-        let mut want: Vec<(u32, f64)> = survivors
-            .iter()
-            .map(|&i| (i, ranker.score(catalog.item_features(i).expect("item in range"))))
-            .collect();
-        want.sort_by(rank_cmp);
-        want.truncate(n);
+        let want = full_sort_top_n(&snap.frozen, catalog, template, catalog.item_slots(), survivors.iter().copied(), n);
 
         let exact = server.top_n(&base.clone().strategy(RetrievalStrategy::Exact)).expect("well-formed").value;
         let probed = server.top_n(&base.clone().strategy(full_probe)).expect("well-formed").value;

@@ -1,8 +1,8 @@
 //! Edge cases of the exclusion ↔ retrieval interaction: every scenario
-//! runs through both the sharded bounded-heap path (`ModelServer::top_n`
-//! / `exec::execute_topn`) and the old full-sort path (re-implemented
-//! from `exec::execute_candidate_scores` + sort + truncate) and must
-//! agree item-for-item, scores bitwise.
+//! runs through the sharded bounded-heap path (`ModelServer::top_n` /
+//! `exec::execute_topn`) and must agree item-for-item, scores bitwise,
+//! with the shared full sort over the survivors this file computes from
+//! the request itself.
 //!
 //! Filtering runs **pre-heap** (the exclusion set is applied before
 //! selection), so excluded and seen items never occupy heap slots —
@@ -11,8 +11,12 @@
 
 use gmlfm_data::{FieldKind, Schema};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{rank_cmp, FrozenModel};
-use gmlfm_service::{exec, Catalog, ModelServer, ModelSnapshot, SeenItems, TopNRequest};
+use gmlfm_serve::FrozenModel;
+use gmlfm_service::{Catalog, ModelServer, ModelSnapshot, SeenItems, TopNRequest};
+use top_n_reference::full_sort_top_n;
+
+#[path = "../../serve/tests/common/top_n_reference.rs"]
+mod top_n_reference;
 
 const N_USERS: usize = 5;
 const N_ITEMS: usize = 20;
@@ -41,23 +45,17 @@ fn seen_fixture() -> SeenItems {
     SeenItems::new(per_user)
 }
 
-/// The old full-sort path over the identical request: all surviving
-/// candidates scored in order, stable-sorted under the shared total
-/// order, truncated.
+/// The shared full sort over the request's survivors: its candidates
+/// (or the whole catalogue) minus its exclusions and, unless opted out,
+/// the user's seen items.
 fn full_sort_reference(server: &ModelServer, req: &TopNRequest) -> Vec<(u32, f64)> {
     let (_, snap) = server.snapshot();
-    let mut scored = exec::execute_candidate_scores(
-        &snap.frozen,
-        snap.catalog.as_ref(),
-        snap.seen.as_ref(),
-        &[],
-        req,
-        Parallelism::serial(),
-    )
-    .expect("edge-case requests are well-formed");
-    scored.sort_by(rank_cmp);
-    scored.truncate(req.n);
-    scored
+    let (catalog, seen) = (snap.catalog.as_ref().expect("catalog"), snap.seen.as_ref().expect("seen"));
+    let keep = |i: &u32| !req.exclude.contains(i) && (!req.exclude_seen || !seen.contains(req.user, *i));
+    let all: Vec<u32> = (0..N_ITEMS as u32).collect();
+    let survivors = req.candidates.as_ref().unwrap_or(&all).iter().copied().filter(keep);
+    let template = catalog.template(req.user).expect("user in catalog");
+    full_sort_top_n(&snap.frozen, catalog, template, catalog.item_slots(), survivors, req.n)
 }
 
 fn assert_paths_agree(server: &ModelServer, req: &TopNRequest) -> Vec<(u32, f64)> {
