@@ -61,12 +61,6 @@ impl<'a> FitData<'a> {
     pub fn instances(train: &'a [Instance]) -> Self {
         Self { train, val: None, pairs: None, user_items: None }
     }
-
-    /// Replaces the validation set.
-    pub fn with_val(mut self, val: &'a [Instance]) -> Self {
-        self.val = Some(val);
-        self
-    }
 }
 
 /// An untrained-or-trained model behind the unified engine interface.

@@ -32,10 +32,7 @@ use gmlfm_net::{NetServer, ServerConfig as NetServerConfig};
 use gmlfm_online::{OnlineConfig, OnlineError, OnlineModel, OnlineServing};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
-use gmlfm_service::{
-    exec, BatchRequest, ModelServer, ModelSnapshot, Reply, RequestError, Response, ScoreRequest, SeenItems,
-    TopNRequest,
-};
+use gmlfm_service::{exec, ModelServer, ModelSnapshot, Response, ScoreRequest, SeenItems, TopNRequest};
 use gmlfm_train::{Scorer, TrainConfig, TrainReport};
 use std::path::Path;
 
@@ -168,7 +165,7 @@ impl EngineBuilder {
     /// [`Parallelism::auto`] (`GMLFM_THREADS` or the machine's core
     /// count); `threads(1)` is the deterministic serial escape hatch —
     /// though parallel results are bit-identical to serial anyway,
-    /// pinned by the `parallel_parity` tests.
+    /// pinned by the engine's `parity` tests.
     pub fn threads(mut self, n: usize) -> Self {
         self.par = Parallelism::threads(n);
         self
@@ -536,24 +533,6 @@ impl Recommender {
         }
     }
 
-    /// Answers a [`BatchRequest`] against one model snapshot; each
-    /// sub-request validates and fails independently. Like the other
-    /// wrappers, a batch without its own [`BatchRequest::parallelism`]
-    /// fans out across this recommender's configured worker count.
-    pub fn handle_batch(&self, req: &BatchRequest) -> Response<Vec<Result<Reply, RequestError>>> {
-        let mut req = req.clone();
-        req.par = Some(req.par.unwrap_or(self.par));
-        match &self.serving {
-            Serving::Service(server) => server.batch(&req),
-            Serving::Live { est, catalog, seen } => {
-                let backend = ScorerBackend(est.scorer());
-                let value =
-                    exec::execute_batch(&backend, &self.schema, catalog.as_ref(), seen.as_ref(), None, &req);
-                Response { generation: LIVE_GENERATION, value }
-            }
-        }
-    }
-
     /// Scores one instance. Out-of-range feature indices are a typed
     /// [`EngineError::Request`], never a panic.
     pub fn score(&self, instance: &Instance) -> Result<f64, EngineError> {
@@ -578,10 +557,13 @@ impl Recommender {
     /// user's training-time items, candidate subsets or explicit
     /// exclusions.
     ///
-    /// Retrieval is the sharded bounded-heap path — never a full
-    /// catalogue sort — under the deterministic total order documented
-    /// on [`TopNRequest`]: score descending, equal scores broken by
-    /// ascending item id.
+    /// Retrieval follows the snapshot like any [`TopNRequest`]: the
+    /// sharded bounded-heap scan — never a full catalogue sort — or,
+    /// for a model fit with [`EngineBuilder::retrieval`]`(Ivf)`, an
+    /// index probe whose candidate set, and so its answer, is
+    /// approximate. Either way the order is the deterministic one
+    /// documented on [`TopNRequest`]: score descending, equal scores
+    /// broken by ascending item id.
     pub fn top_n(&self, user: u32, n: usize) -> Result<Vec<(u32, f64)>, EngineError> {
         let req = TopNRequest::new(user, n).include_seen().parallelism(self.par);
         Ok(self.handle_top_n(&req)?.value)

@@ -1,11 +1,12 @@
 //! Property tests for the artifact round trip: `save → load → score`
 //! must be bit-identical (well under the 1e-12 budget) to the in-memory
 //! recommender for every freezable [`ModelSpec`] variant, and version
-//! mismatches must fail with a typed error, not a panic.
+//! mismatches must fail with a typed error, not a panic. The reloaded
+//! recommender is held to the full-sort reference in `parity.rs`.
 
 mod common;
 
-use common::freezable_specs;
+use common::{fit_topn, freezable_specs};
 use gmlfm_data::{generate, DatasetSpec, Instance};
 use gmlfm_engine::{Engine, EngineError, ModelSpec, Recommender, SplitPlan, ARTIFACT_VERSION};
 use gmlfm_models::mf::MfConfig;
@@ -31,13 +32,7 @@ fn fixtures() -> &'static [Fixture] {
             .into_iter()
             .map(|spec| {
                 let name = spec.display_name();
-                let trained = Engine::builder()
-                    .dataset(dataset.clone())
-                    .split(SplitPlan::topn(5))
-                    .spec(spec)
-                    .train_config(TrainConfig { epochs: 1, ..TrainConfig::default() })
-                    .fit()
-                    .expect("freezable specs support the top-n task");
+                let trained = fit_topn(&dataset, spec);
                 let json = trained.artifact().expect("freezable").to_json();
                 let reloaded = Engine::load_json(&json).expect("round trip");
                 Fixture { name, n_features, trained, reloaded }

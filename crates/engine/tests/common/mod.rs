@@ -1,7 +1,8 @@
 //! Shared scaffolding for the engine's integration suites: the list of
-//! freezable specs every parity suite sweeps, the full-sort top-N
-//! reference the retrieval suites are held to, a hand-built artifact, and
-//! the tree-based artifact loader the byte-level one is checked against.
+//! freezable specs the parity suites sweep, the one-epoch fit their
+//! fixtures train with, the full-sort top-N reference every serving
+//! route is held to, a hand-built artifact, and the tree-based artifact
+//! loader the byte-level one is checked against.
 #![allow(dead_code)]
 
 #[path = "../../../serve/tests/common/top_n_reference.rs"]
@@ -9,14 +10,15 @@ mod top_n_reference;
 pub mod tree_artifact;
 
 use gmlfm_core::{Distance, GmlFmConfig};
-use gmlfm_data::{FieldKind, Schema};
-use gmlfm_engine::{Artifact, ModelSpec, Precision, SeenItems};
+use gmlfm_data::{Dataset, FieldKind, Schema};
+use gmlfm_engine::{Artifact, Engine, ModelSpec, Precision, Recommender, SeenItems, SplitPlan};
 use gmlfm_models::fm::FmConfig;
 use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, SecondOrder};
 use gmlfm_service::Catalog;
 use gmlfm_tensor::Matrix;
+use gmlfm_train::TrainConfig;
 use top_n_reference::full_sort_top_n;
 
 /// Every spec whose estimator has a frozen serving form, covering all
@@ -34,6 +36,17 @@ pub fn freezable_specs() -> Vec<ModelSpec> {
         ModelSpec::fm(FmConfig { k: 6, epochs: 1, ..FmConfig::default() }),
         ModelSpec::trans_fm(TransFmConfig { k: 6, seed: 29 }),
     ]
+}
+
+/// `spec` trained for one epoch on `dataset` under the top-n split.
+pub fn fit_topn(dataset: &Dataset, spec: ModelSpec) -> Recommender {
+    Engine::builder()
+        .dataset(dataset.clone())
+        .split(SplitPlan::topn(5))
+        .spec(spec)
+        .train_config(TrainConfig { epochs: 1, ..TrainConfig::default() })
+        .fit()
+        .expect("freezable specs support the top-n task")
 }
 
 /// The exact reference over the whole catalogue: the shared full sort.

@@ -12,7 +12,7 @@
 //! 3. Measured recall@10 at the default `nprobe` knob is ≥ 0.95 on a
 //!    seeded 10k-item catalogue, and every returned score is bitwise
 //!    the true model score.
-//! 4. Artifacts: the index round-trips through format v3 (cluster
+//! 4. Artifacts: the index round-trips through the current format (cluster
 //!    means, radii, assignments and knobs all bit-preserved), and v2
 //!    artifacts — which predate the `index` field — still load, with
 //!    no index and exact serving.
@@ -217,7 +217,7 @@ fn default_nprobe_recall_at_10_is_at_least_095_on_10k_items() {
     assert!(recall >= 0.95, "recall@10 = {recall:.3} at nprobe = {}", index.default_nprobe());
 }
 
-/// Property 4a: the index round-trips through the v3 artifact — every
+/// Property 4a: the index round-trips through the current artifact — every
 /// cluster mean, radius, assignment and knob bit-preserved, and the
 /// reloaded index searches identically.
 #[test]

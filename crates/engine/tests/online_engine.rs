@@ -5,14 +5,16 @@
 //! contract — `artifact`/`save` persist the *current* snapshot including
 //! the live overlay, so fed interactions survive a save → load round
 //! trip instead of silently reappearing in top-n results. A published
-//! round rebuilds the IVF index with the serving index's settings.
+//! round rebuilds the IVF index with the serving index's settings, and a
+//! non-finite rating never reaches a round.
 
 use gmlfm_data::{generate, DatasetSpec};
 use gmlfm_engine::{
-    Engine, EngineError, Interaction, ModelSpec, OnlineConfig, Recommender, RoundOutcome, SplitPlan,
-    TopNRequest,
+    Engine, EngineError, Interaction, ModelSpec, OnlineConfig, Recommender, RequestError, RoundOutcome,
+    SplitPlan, TopNRequest,
 };
 use gmlfm_models::fm::FmConfig;
+use gmlfm_net::{wire, NetRequest};
 use gmlfm_serve::RetrievalStrategy;
 use gmlfm_train::TrainConfig;
 
@@ -165,5 +167,37 @@ fn a_published_round_keeps_the_index_settings() {
         other => panic!("expected a published round, got {other:?}"),
     }
     assert_eq!(settings(&rec), before, "the republished index keeps nprobe and min_candidates");
+    serving.shutdown();
+}
+
+/// An infinite or NaN rating would train every weight to NaN, so `feed`
+/// refuses it before it is folded or enqueued — in process, and as the
+/// wire frame whose `1e999` decodes to `+inf`.
+#[test]
+fn a_non_finite_rating_is_a_typed_error() {
+    let dataset = generate(&DatasetSpec::AmazonAuto.config(84).scaled(0.15));
+    let mut rec = Engine::builder()
+        .dataset(dataset)
+        .split(SplitPlan::topn(5))
+        .spec(spec())
+        .online(true)
+        .fit()
+        .expect("fits");
+    let serving = rec.serve_online(online_cfg()).expect("opt-in + top-n holdout");
+    let frame = br#"{"op":"feed","user":0,"item":1,"rating":1e999}"#;
+    let decoded = match wire::decode_request(frame) {
+        Ok(NetRequest::Feed(event)) => event,
+        other => panic!("expected a feed request, got {other:?}"),
+    };
+    assert_eq!(decoded.rating, Some(f64::INFINITY));
+    let events =
+        [Interaction::new(0, 1).rating(f64::INFINITY), Interaction::new(0, 1).rating(f64::NAN), decoded];
+    for event in &events {
+        let err = serving.handle().feed(event).expect_err("non-finite rating");
+        assert_eq!(err, RequestError::NonFiniteRating, "{event:?}");
+        assert_eq!(err.code(), "non_finite_rating");
+    }
+    assert_eq!(serving.handle().log().pending(), 0, "nothing was enqueued");
+    assert!(!rec.serve().expect("freezable").overlay_seen().contains(0, 1), "nothing was folded");
     serving.shutdown();
 }

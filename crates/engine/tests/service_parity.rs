@@ -10,11 +10,12 @@
 //!
 //! Plus the engine-level serving lifecycle: seen sets built by `fit` and
 //! persisted in v2 artifacts (with the v1 decode fallback), and hot
-//! swaps through `Recommender::serve()`.
+//! swaps through `Recommender::serve()`. The reloaded, indexed and wire
+//! routes are held to the same references in `parity.rs`.
 
 mod common;
 
-use common::{freezable_specs, reference_top_n};
+use common::{fit_topn, freezable_specs, reference_top_n};
 use gmlfm_core::GmlFmConfig;
 use gmlfm_data::{generate, DatasetSpec};
 use gmlfm_engine::{
@@ -39,13 +40,7 @@ fn fixtures() -> &'static [Fixture] {
             .into_iter()
             .map(|spec| {
                 let name = spec.display_name();
-                let rec = Engine::builder()
-                    .dataset(dataset.clone())
-                    .split(SplitPlan::topn(5))
-                    .spec(spec)
-                    .train_config(TrainConfig { epochs: 1, ..TrainConfig::default() })
-                    .fit()
-                    .expect("freezable specs support the top-n task");
+                let rec = fit_topn(&dataset, spec);
                 Fixture { name, n_features, rec }
             })
             .collect()

@@ -45,7 +45,7 @@ pub fn ndcg_at(scores: &[f64], k: usize) -> f64 {
 /// Reciprocal rank of the positive item (index 0): `1 / (rank + 1)`.
 /// The mean over users is MRR.
 pub fn reciprocal_rank(scores: &[f64]) -> f64 {
-    1.0 / (rank_of_first(scores) + 1) as f64
+    1.0 / rank_of_first(scores).saturating_add(1) as f64
 }
 
 /// AUC for a single ranking case with one positive at index 0: the
@@ -67,9 +67,14 @@ pub fn auc(scores: &[f64]) -> f64 {
 
 /// 0-based rank of the item at index 0 among all scores (number of other
 /// items with a score `>=` the positive's — conservative tie handling).
+/// A NaN positive compares `>=` to nothing, so it would rank first; it
+/// ranks last (`usize::MAX`) instead, a miss at every cutoff.
 fn rank_of_first(scores: &[f64]) -> usize {
     assert!(!scores.is_empty(), "rank_of_first: empty scores");
     let pos = scores[0];
+    if pos.is_nan() {
+        return usize::MAX;
+    }
     scores[1..].iter().filter(|&&s| s >= pos).count()
 }
 
@@ -87,10 +92,11 @@ fn rank_of_first(scores: &[f64]) -> usize {
 /// provably retained *all* such negatives — making the result identical,
 /// tie handling included, to [`hit_ratio_at`]/[`ndcg_at`] over the full
 /// vector. A count of `k` means the positive fell off the cut, which is
-/// exactly the full-scan miss case.
+/// exactly the full-scan miss case. A NaN positive is a miss, as in
+/// [`hit_ratio_at`].
 pub fn topk_case_metrics(pos_score: f64, topk_negatives: &[(u32, f64)], k: usize) -> (f64, f64) {
     let rank = topk_negatives.iter().filter(|&&(_, s)| s >= pos_score).count();
-    if rank < k {
+    if rank < k && !pos_score.is_nan() {
         (1.0, 1.0 / ((rank + 2) as f64).log2())
     } else {
         (0.0, 0.0)
@@ -175,6 +181,9 @@ mod tests {
             &[9.0, 1.0, 2.0],           // clean hit at rank 0
             &[0.0, 1.0, 2.0, 3.0, 4.0], // clean miss
             &[1.0],                     // no negatives at all
+            &[f64::NAN, 1.0, 2.0],      // a NaN positive is a miss
+            &[f64::NAN, f64::NAN],      // ... also against NaN negatives
+            &[f64::NAN],                // ... and against none
         ];
         for scores in cases {
             for k in 0..=6usize {
@@ -185,6 +194,9 @@ mod tests {
                 let (hr, ndcg) = topk_case_metrics(scores[0], heap.retained(), k);
                 assert_eq!(hr, hit_ratio_at(scores, k), "hr {scores:?} k={k}");
                 assert_eq!(ndcg, ndcg_at(scores, k), "ndcg {scores:?} k={k}");
+                if scores[0].is_nan() {
+                    assert_eq!((hr, ndcg), (0.0, 0.0), "{scores:?} k={k}");
+                }
             }
         }
     }

@@ -63,11 +63,6 @@ impl EvalGate {
         Ok(Self { cases, k, tolerance: tolerance.max(0.0) })
     }
 
-    /// Number of pinned holdout cases.
-    pub fn n_cases(&self) -> usize {
-        self.cases.len()
-    }
-
     /// The gate's ranking cutoff.
     pub fn k(&self) -> usize {
         self.k
@@ -111,6 +106,32 @@ mod tests {
         // Either metric regressing past the tolerance rejects.
         assert!(!g.judge(base, GateMetrics { hr: 0.40, ndcg: 0.30 }).passed);
         assert!(!g.judge(base, GateMetrics { hr: 0.50, ndcg: 0.20 }).passed);
+    }
+
+    /// A NaN positive compares `>=` to no negative; it must score as a
+    /// miss, or a diverged retrain would read HR = NDCG = 1 and publish.
+    #[test]
+    fn an_all_nan_candidate_is_rejected() {
+        use gmlfm_serve::{FrozenModel, SecondOrder};
+        use gmlfm_tensor::Matrix;
+        // User feature 0, items 1..=4; item 3 scores highest.
+        let catalog = Catalog::new(vec![1], vec![vec![0, 1]], (0..4u32).map(|i| vec![1 + i]).collect());
+        let model = |w0: f64| {
+            FrozenModel::from_parts(
+                w0,
+                (0..5).map(f64::from).collect(),
+                Matrix::zeros(5, 2),
+                SecondOrder::Dot,
+            )
+        };
+        let case = LooTestCase { user: 0, pos_item: 3, negatives: vec![0, 1, 2] };
+        let g = EvalGate::new(vec![case], 1, 0.01).expect("valid gate");
+        let score =
+            |w0: f64| g.score(&model(w0), Some(&catalog), Parallelism::serial()).expect("valid cases");
+        let report = g.judge(score(0.0), score(f64::NAN));
+        assert_eq!(report.baseline, GateMetrics { hr: 1.0, ndcg: 1.0 });
+        assert_eq!(report.candidate, GateMetrics { hr: 0.0, ndcg: 0.0 });
+        assert!(!report.passed);
     }
 
     #[test]

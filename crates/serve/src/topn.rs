@@ -36,7 +36,7 @@
 //! 3. **Deterministic merge.** Shard results are concatenated in shard
 //!    order and resolved by the same total order, so the final ranking
 //!    is independent of shard count and thread count — pinned by the
-//!    `kernel_parity` and `retrieval_parity` proptests across threads
+//!    `kernel_parity` and the engine's `parity` proptests across threads
 //!    {1, 2, 5}.
 
 use crate::frozen::FrozenModel;

@@ -65,6 +65,9 @@ pub enum RequestError {
         /// Human-readable description of the incompatibility.
         reason: String,
     },
+    /// A feed event whose explicit rating is NaN or infinite: training
+    /// on it would turn every weight into NaN.
+    NonFiniteRating,
     /// A feed event arrived while the bounded interaction log was full.
     /// Transient: the event's seen-set fold (if any) is retained, but
     /// the event was not enqueued for retraining — retry after the next
@@ -90,6 +93,7 @@ impl RequestError {
             RequestError::ItemSideField { .. } => "item_side_field",
             RequestError::MissingCatalog => "missing_catalog",
             RequestError::SchemaMismatch { .. } => "schema_mismatch",
+            RequestError::NonFiniteRating => "non_finite_rating",
             RequestError::Backpressure { .. } => "backpressure",
         }
     }
@@ -123,6 +127,7 @@ impl fmt::Display for RequestError {
                 write!(f, "model is served without a catalog; only feature-index requests are possible")
             }
             RequestError::SchemaMismatch { reason } => write!(f, "incompatible model snapshot: {reason}"),
+            RequestError::NonFiniteRating => write!(f, "the interaction's rating is not a finite number"),
             RequestError::Backpressure { capacity } => {
                 write!(f, "interaction log full ({capacity} events); retry after the next retrain")
             }

@@ -327,14 +327,18 @@ fn push_user_fields(
 }
 
 /// Validates a streamed [`Interaction`] against the snapshot's schema
-/// and catalog and resolves the full training feature vector it
-/// contributes: the catalog's `(user, item)` splice plus any validated
-/// extra user-side fields, sorted into schema field order.
+/// and catalog, and its rating as finite, and resolves the full training
+/// feature vector it contributes: the catalog's `(user, item)` splice
+/// plus any validated extra user-side fields, sorted into schema field
+/// order.
 pub fn resolve_interaction(
     schema: &Schema,
     catalog: Option<&Catalog>,
     event: &Interaction,
 ) -> Result<Vec<u32>, RequestError> {
+    if event.rating.is_some_and(|r| !r.is_finite()) {
+        return Err(RequestError::NonFiniteRating);
+    }
     let catalog = catalog.ok_or(RequestError::MissingCatalog)?;
     let template = user_template(catalog, event.user)?;
     let group = item_group(catalog, event.item)?;

@@ -314,23 +314,6 @@ impl ModelServer {
         Ok(Response { generation: state.generation, value })
     }
 
-    /// [`ModelServer::top_n`] without the final sort/truncation: `(item,
-    /// score)` pairs in candidate order (`req.n` is ignored). This is
-    /// the shape the leave-one-out evaluation protocols consume.
-    pub fn candidate_scores(&self, req: &TopNRequest) -> Result<Response<Vec<(u32, f64)>>, RequestError> {
-        let state = self.state();
-        let live = if req.exclude_seen { self.live_seen(req.user) } else { Vec::new() };
-        let value = exec::execute_candidate_scores(
-            &state.snap.frozen,
-            state.snap.catalog.as_ref(),
-            state.snap.seen.as_ref(),
-            &live,
-            req,
-            Parallelism::auto(),
-        )?;
-        Ok(Response { generation: state.generation, value })
-    }
-
     /// Answers every sub-request of a [`BatchRequest`] against **one**
     /// snapshot, fanned across threads. Malformed sub-requests fail
     /// individually; the batch itself always succeeds.

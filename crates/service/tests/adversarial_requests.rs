@@ -26,7 +26,7 @@ use gmlfm_data::{FieldKind, Schema};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{rank_cmp, FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
 use gmlfm_service::{
-    BatchRequest, Catalog, IndexedModel, ModelServer, ModelSnapshot, Reply, Request, RequestError,
+    exec, BatchRequest, Catalog, IndexedModel, ModelServer, ModelSnapshot, Reply, Request, RequestError,
     ScoreRequest, ScoringBackend, SeenItems, TopNRequest,
 };
 use proptest::prelude::*;
@@ -372,7 +372,10 @@ proptest! {
 
         // Explicit candidates keep their order through the filter.
         let listed: Vec<u32> = (0..WIDE_ITEMS as u32).rev().step_by(3).collect();
-        let scored = server.candidate_scores(&base.clone().candidates(listed.clone())).expect("well-formed").value;
+        let listed_req = base.clone().candidates(listed.clone());
+        let serial = Parallelism::serial();
+        let scored = exec::execute_candidate_scores(&snap.frozen, Some(catalog), Some(seen), &[], &listed_req, serial);
+        let scored = scored.expect("well-formed");
         let kept: Vec<u32> = listed.into_iter().filter(|&i| !excluded(i)).collect();
         prop_assert_eq!(scored.iter().map(|&(i, _)| i).collect::<Vec<_>>(), kept);
     }
@@ -389,7 +392,16 @@ fn excluding_everything_yields_the_empty_ranking() {
         let got = server.top_n(&base.clone().strategy(strategy)).expect("well-formed").value;
         assert!(got.is_empty(), "{strategy:?}: {got:?}");
     }
-    assert!(server.candidate_scores(&base).expect("well-formed").value.is_empty());
+    let (_, snap) = server.snapshot();
+    let scored = exec::execute_candidate_scores(
+        &snap.frozen,
+        snap.catalog.as_ref(),
+        snap.seen.as_ref(),
+        &[],
+        &base,
+        Parallelism::serial(),
+    );
+    assert!(scored.expect("well-formed").is_empty());
     let listed = base.candidates(vec![5, 5, 200, 0]);
     assert!(server.top_n(&listed).expect("well-formed").value.is_empty());
 }

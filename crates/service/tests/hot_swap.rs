@@ -10,10 +10,11 @@
 //! mixing two generations.
 
 use gmlfm_data::{FieldKind, Schema};
+use gmlfm_par::Parallelism;
 use gmlfm_serve::{FrozenModel, SecondOrder};
 use gmlfm_service::{
-    BatchRequest, Catalog, ModelServer, ModelSnapshot, Reply, Request, RequestError, ScoreRequest, SeenItems,
-    TopNRequest,
+    exec, BatchRequest, Catalog, ModelServer, ModelSnapshot, Reply, Request, RequestError, ScoreRequest,
+    SeenItems, TopNRequest,
 };
 use gmlfm_tensor::Matrix;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -325,10 +326,17 @@ fn topn_excludes_seen_items_by_default_with_an_opt_out() {
 
     // Candidate subsets are filtered the same way, preserving request
     // order before the sort.
-    let ranked = server
-        .candidate_scores(&TopNRequest::new(2, N_ITEMS).candidates(vec![9, 3, 0]))
-        .expect("valid request")
-        .value;
+    let (_, snap) = server.snapshot();
+    let req = TopNRequest::new(2, N_ITEMS).candidates(vec![9, 3, 0]);
+    let ranked = exec::execute_candidate_scores(
+        &snap.frozen,
+        snap.catalog.as_ref(),
+        snap.seen.as_ref(),
+        &[],
+        &req,
+        Parallelism::serial(),
+    )
+    .expect("valid request");
     assert_eq!(ranked.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![9, 0], "3 is seen");
 
     // Other users have no seen items: nothing is excluded for them.

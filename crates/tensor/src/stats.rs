@@ -18,11 +18,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Pearson correlation of two equal-length slices; 0 when degenerate.
 pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len(), "pearson: length mismatch");
