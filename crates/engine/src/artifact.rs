@@ -25,18 +25,17 @@
 //!   assignments), so load → serve needs no index rebuild. v1/v2
 //!   artifacts still load (the `index` field decodes as absent, so
 //!   top-n requests serve through the exact sharded-heap path).
-//! * **v4** — adds the optional default scoring `precision`
-//!   ([`gmlfm_serve::Precision`] name: `"f64"` / `"f32"` / `"i8"`).
-//!   Only the *setting* is stored; the low-precision tables themselves
-//!   are rebuilt on load from the exact matrices, so artifacts don't
-//!   grow. v1–v3 artifacts still load (the field decodes as absent,
-//!   meaning exact `f64` serving — exactly their old behaviour).
+//! * **v4** — added an optional default scoring `precision` name
+//!   (`"f64"` / `"f32"` / `"i8"`). Serving is exact f64 only now: the
+//!   member is no longer written, and a v4 artifact that carries it
+//!   loads with the member skipped like any unknown one. A v4 artifact
+//!   written today is a v3 one with the version bumped.
 
 use crate::error::EngineError;
 use crate::spec::{distance_from_name, distance_name, ModelSpec};
 use gmlfm_data::schema::Field;
 use gmlfm_data::{FieldKind, Schema};
-use gmlfm_serve::{FrozenModel, IvfIndex, Precision, SecondOrder};
+use gmlfm_serve::{FrozenModel, IvfIndex, SecondOrder};
 use gmlfm_service::{ModelSnapshot, SeenItems};
 use gmlfm_tensor::Matrix;
 use serde::json::{self, first, optional, required, Reader, Typed, Value};
@@ -471,9 +470,6 @@ pub struct Artifact {
     pub seen: Option<SeenItems>,
     /// IVF retrieval index (v3+), rebuilt into a [`IvfIndex`] on load.
     pub(crate) index: Option<IndexRepr>,
-    /// Default scoring precision by [`Precision::name`] (v4+); the
-    /// low-precision tables are rebuilt on load, not stored.
-    pub(crate) precision: Option<String>,
 }
 
 impl Serialize for Artifact {
@@ -488,7 +484,6 @@ impl Serialize for Artifact {
                 ("catalog", &self.catalog),
                 ("seen", &self.seen),
                 ("index", &self.index),
-                ("precision", &self.precision),
             ],
         );
     }
@@ -514,13 +509,6 @@ impl Artifact {
             catalog,
             seen,
             index: index.map(IndexRepr::from_index),
-            // The f64 default is omitted rather than written, keeping
-            // v4 artifacts of exact models byte-identical in spirit to
-            // v3 (and absent == "f64" on load either way).
-            precision: match frozen.precision() {
-                Precision::F64 => None,
-                p => Some(p.name().to_string()),
-            },
         }
     }
 
@@ -530,14 +518,9 @@ impl Artifact {
     /// [`gmlfm_service::ModelServer::swap`] for a zero-downtime model
     /// refresh.
     pub fn into_snapshot(self) -> Result<ModelSnapshot, EngineError> {
-        let precision = match &self.precision {
-            None => Precision::F64,
-            Some(name) => Precision::from_name(name)
-                .ok_or_else(|| EngineError::BadArtifact(format!("unknown precision '{name}'")))?,
-        };
         Ok(ModelSnapshot {
             schema: self.schema.into_schema()?,
-            frozen: self.frozen.into_frozen()?.with_precision(precision),
+            frozen: self.frozen.into_frozen()?,
             catalog: self.catalog,
             seen: self.seen,
             index: self.index.map(IndexRepr::into_index).transpose()?,
@@ -555,12 +538,12 @@ impl Artifact {
     /// One pass over the text reads every member in place — syntax
     /// errors anywhere end it — and the gate then reads the version as
     /// whatever number it is. The `seen` member did not exist before
-    /// format version 2, nor `index` before 3, nor `precision` before 4,
-    /// so all decode as `None` when absent.
+    /// format version 2, nor `index` before 3, so both decode as `None`
+    /// when absent; v4's retired `precision` member is skipped.
     pub fn from_json(text: &str) -> Result<Self, EngineError> {
         let mut r = Reader::new(text);
         let (mut version, mut spec, mut schema, mut frozen) = (None, None, None, None);
-        let (mut catalog, mut seen, mut index, mut precision) = (None, None, None, None);
+        let (mut catalog, mut seen, mut index) = (None, None, None);
         let read = json::object(&mut r, "format_version", |key, r| match key {
             "format_version" => first(&mut version, r),
             "spec" => first(&mut spec, r),
@@ -569,7 +552,6 @@ impl Artifact {
             "catalog" => first(&mut catalog, r),
             "seen" => first(&mut seen, r),
             "index" => first(&mut index, r),
-            "precision" => first(&mut precision, r),
             _ => r.skip(),
         })?;
         r.finish()?;
@@ -593,7 +575,6 @@ impl Artifact {
             catalog: required(&mut catalog, "catalog")?,
             seen: optional(&mut seen, "seen")?.flatten(),
             index: optional(&mut index, "index")?.flatten(),
-            precision: optional(&mut precision, "precision")?.flatten(),
         })
     }
 

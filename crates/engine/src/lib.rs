@@ -55,10 +55,6 @@ pub use estimator::{Estimator, FitData};
 pub use pipeline::{Engine, EngineBuilder, Recommender, SplitPlan};
 pub use spec::ModelSpec;
 
-// The scoring-precision knob `EngineBuilder::precision` takes, so engine
-// users pick a table precision without a separate `gmlfm_serve` import.
-pub use gmlfm_serve::Precision;
-
 // The serving protocol the `Recommender` wrappers route through, so
 // engine users build requests without a separate `gmlfm_service` import.
 pub use gmlfm_service::{

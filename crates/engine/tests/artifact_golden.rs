@@ -1,14 +1,15 @@
 //! The artifact format, pinned by bytes. `fixtures/gml_fm_md_i8.json` is
-//! a hand-built v4 artifact (`common::hand_built_artifact(4, 6)`: metric
-//! GML-FM with a catalogue, seen sets, an IVF index and `i8` precision),
-//! written by the build that still decoded artifacts through a JSON tree.
-//! It must load and write back byte for byte, and its v1–v3 shapes must
-//! load with the members they lack absent.
+//! a hand-built v4 compatibility fixture (`common::hand_built_artifact(4,
+//! 6)`: metric GML-FM with a catalogue, seen sets, an IVF index and the
+//! `"precision":"i8"` member serving no longer reads), written by the
+//! build that still decoded artifacts through a JSON tree. It must load,
+//! write back as itself minus its `precision` member, and serve the exact
+//! top-N; its v1–v3 shapes must load with the members they lack absent.
 
 mod common;
 
 use common::tree_artifact::TreeArtifact;
-use gmlfm_engine::{Artifact, Engine, Precision, TopNRequest};
+use gmlfm_engine::{Artifact, Engine, TopNRequest};
 
 const GOLDEN: &str = include_str!("fixtures/gml_fm_md_i8.json");
 
@@ -18,27 +19,60 @@ fn without_last(text: &str, name: &str) -> String {
     format!("{}}}", &text[..at])
 }
 
+/// The fixture as this build writes it: the same bytes without the
+/// retired `precision` member, its last.
+fn current() -> String {
+    without_last(GOLDEN, "precision")
+}
+
 #[test]
 fn the_committed_artifact_writes_back_byte_for_byte() {
+    assert!(GOLDEN.ends_with(",\"precision\":\"i8\"}"), "the fixture is committed as written");
     let artifact = Artifact::from_json(GOLDEN).expect("the fixture loads");
-    assert_eq!(artifact.to_json(), GOLDEN);
-    assert_eq!(TreeArtifact::from_json(GOLDEN).expect("the oracle loads it too").to_json(), GOLDEN);
+    assert_eq!(artifact.to_json(), current());
+    assert_eq!(TreeArtifact::from_json(GOLDEN).expect("the oracle loads it too").to_json(), current());
     // This build writes the same bytes for the same hand-built model.
-    assert_eq!(common::hand_built_artifact(4, 6).to_json(), GOLDEN);
+    assert_eq!(common::hand_built_artifact(4, 6).to_json(), current());
     let snapshot = artifact.into_snapshot().expect("servable");
     assert!(snapshot.seen.is_some() && snapshot.index.is_some());
-    assert_eq!(snapshot.frozen.precision(), Precision::I8);
+}
+
+/// Whatever precision the fixture names, it is served by the exact f64
+/// scan: every user's whole-catalogue ranking is the full-sort
+/// reference's, ids and score bits.
+#[test]
+fn the_committed_artifact_serves_the_exact_top_n() {
+    let snapshot = Artifact::from_json(GOLDEN).expect("loads").into_snapshot().expect("servable");
+    let catalog = snapshot.catalog.as_ref().expect("a catalogue");
+    let served = Engine::load_json(GOLDEN).expect("loads");
+    for user in 0..catalog.n_users() as u32 {
+        let n = catalog.n_items();
+        let want = common::reference_top_n(&snapshot.frozen, catalog, user, n);
+        let got = served
+            .handle_top_n(&TopNRequest::new(user, n).include_seen())
+            .expect("valid request")
+            .value;
+        let bits = |ranking: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            ranking.iter().map(|&(item, score)| (item, score.to_bits())).collect()
+        };
+        assert_eq!(bits(&got), bits(&want), "user {user}");
+    }
 }
 
 #[test]
 fn older_shapes_load_with_the_members_they_lack_absent() {
-    let current = Artifact::from_json(GOLDEN).expect("loads").into_snapshot().expect("servable");
+    let current_text = current();
+    let current = Artifact::from_json(&current_text)
+        .expect("loads")
+        .into_snapshot()
+        .expect("servable");
     let probe = [0, 4, 10];
-    // v1 lacks all three, v2 the last two, v3 only `precision`.
-    let added = ["seen", "index", "precision"];
+    // v1 lacks both, v2 only `index`, v3 neither.
+    let added = ["seen", "index"];
     for version in 1..=3u32 {
-        let lacks = &added[version as usize - 1..];
-        let mut shape = GOLDEN.replacen("\"format_version\":4", &format!("\"format_version\":{version}"), 1);
+        let lacks = &added[(version as usize - 1).min(added.len())..];
+        let mut shape =
+            current_text.replacen("\"format_version\":4", &format!("\"format_version\":{version}"), 1);
         for name in lacks.iter().rev() {
             shape = without_last(&shape, name);
         }
@@ -49,7 +83,6 @@ fn older_shapes_load_with_the_members_they_lack_absent() {
         let snapshot = artifact.into_snapshot().unwrap_or_else(|e| panic!("v{version}: {e}"));
         assert_eq!(snapshot.seen.is_some(), version >= 2, "v{version}");
         assert_eq!(snapshot.index.is_some(), version >= 3, "v{version}");
-        assert_eq!(snapshot.frozen.precision(), Precision::F64, "v{version}");
         assert_eq!(
             snapshot.frozen.predict_feats(&probe).to_bits(),
             current.frozen.predict_feats(&probe).to_bits(),

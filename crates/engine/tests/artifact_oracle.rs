@@ -12,15 +12,15 @@ use common::freezable_specs;
 use common::tree_artifact::json_tree::{parse, Value};
 use common::tree_artifact::TreeArtifact;
 use gmlfm_data::{generate, DatasetSpec};
-use gmlfm_engine::{Artifact, Engine, EngineError, Precision, SplitPlan};
+use gmlfm_engine::{Artifact, Engine, EngineError, SplitPlan};
 use gmlfm_serve::RetrievalStrategy;
 use gmlfm_train::TrainConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 /// One trained artifact per freezable spec. Even-numbered specs are fit
-/// with IVF retrieval (the metric ones build an index) and `i8`
-/// precision, so each optional member occurs both present and `null`.
+/// with IVF retrieval (the metric ones build an index), so the optional
+/// `index` member occurs both present and `null`.
 fn artifacts() -> &'static [String] {
     static ARTIFACTS: OnceLock<Vec<String>> = OnceLock::new();
     ARTIFACTS.get_or_init(|| {
@@ -29,9 +29,9 @@ fn artifacts() -> &'static [String] {
             .into_iter()
             .enumerate()
             .map(|(i, spec)| {
-                let (retrieval, precision) = match i % 2 {
-                    0 => (RetrievalStrategy::Ivf { nprobe: None }, Precision::I8),
-                    _ => (RetrievalStrategy::Exact, Precision::F64),
+                let retrieval = match i % 2 {
+                    0 => RetrievalStrategy::Ivf { nprobe: None },
+                    _ => RetrievalStrategy::Exact,
                 };
                 let rec = Engine::builder()
                     .dataset(dataset.clone())
@@ -39,7 +39,6 @@ fn artifacts() -> &'static [String] {
                     .spec(spec)
                     .train_config(TrainConfig { epochs: 1, ..TrainConfig::default() })
                     .retrieval(retrieval)
-                    .precision(precision)
                     .fit()
                     .expect("freezable specs fit the top-n task");
                 rec.artifact().expect("freezable").to_json()
@@ -256,9 +255,7 @@ proptest! {
 
 #[test]
 fn each_optional_member_occurs_present_and_null() {
-    for member in
-        ["\"index\":{", "\"index\":null", "\"precision\":\"i8\"", "\"precision\":null", "\"seen\":{"]
-    {
+    for member in ["\"index\":{", "\"index\":null", "\"seen\":{"] {
         assert!(artifacts().iter().any(|a| a.contains(member)), "no artifact has {member}");
     }
 }

@@ -10,7 +10,6 @@ use common::{fit_topn, freezable_specs};
 use gmlfm_data::{generate, DatasetSpec, Instance};
 use gmlfm_engine::{Engine, EngineError, ModelSpec, Recommender, SplitPlan, ARTIFACT_VERSION};
 use gmlfm_models::mf::MfConfig;
-use gmlfm_train::TrainConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -130,51 +129,6 @@ fn out_of_range_item_is_reported_as_unknown_item_not_user() {
     let n_users = fixture.trained.catalog().expect("catalog").n_users() as u32;
     let err = fixture.trained.score_pair(n_users + 5, 0).unwrap_err();
     assert!(matches!(err, EngineError::Request(RequestError::UnknownUser { .. })), "{err}");
-}
-
-/// A non-default scoring precision survives `save → load` (the v4
-/// artifact stores the name; tables are rebuilt at load), and the
-/// quantized default still serves rankings with scores bitwise the
-/// exact `f64` model's — the i8 probe re-ranks exactly by contract.
-#[test]
-fn precision_survives_the_round_trip_and_keeps_scores_exact() {
-    use gmlfm_engine::Precision;
-    let dataset = generate(&DatasetSpec::AmazonAuto.config(81).scaled(0.15));
-    let fit = |precision: Precision| {
-        Engine::builder()
-            .dataset(dataset.clone())
-            .split(SplitPlan::topn(5))
-            .spec(ModelSpec::gml_fm_md(6))
-            .train_config(TrainConfig { epochs: 1, ..TrainConfig::default() })
-            .precision(precision)
-            .fit()
-            .expect("gml_fm_md fits the top-n task")
-    };
-    let exact = fit(Precision::F64);
-    let quant = fit(Precision::I8);
-    let json = quant.artifact().expect("freezable").to_json();
-    assert!(json.contains("\"precision\":\"i8\""), "v4 artifact records the precision name: {json}");
-    assert!(
-        !exact.artifact().expect("freezable").to_json().contains("\"precision\":\"i8\""),
-        "the f64 default is omitted from the artifact"
-    );
-    let reloaded = Engine::load_json(&json).expect("round trip");
-    assert_eq!(reloaded.frozen().expect("freezable").precision(), Precision::I8);
-    // Same dataset, spec and seed: training is deterministic, so the
-    // two recommenders hold the same parameters and the i8-served
-    // ranking (probe + exact re-rank) must be bitwise the f64 one.
-    let n_users = exact.catalog().expect("catalog").n_users() as u32;
-    for user in [0u32, 7 % n_users, n_users - 1] {
-        let want = exact.top_n(user, 10).expect("rank");
-        for served in [&quant, &reloaded] {
-            let got = served.top_n(user, 10).expect("rank");
-            assert_eq!(got.len(), want.len(), "user {user}");
-            for ((gi, gs), (wi, ws)) in got.iter().zip(&want) {
-                assert_eq!(gi, wi, "user {user}");
-                assert_eq!(gs.to_bits(), ws.to_bits(), "user {user} item {gi}: {gs} vs {ws}");
-            }
-        }
-    }
 }
 
 #[test]

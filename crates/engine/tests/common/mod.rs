@@ -11,7 +11,7 @@ pub mod tree_artifact;
 
 use gmlfm_core::{Distance, GmlFmConfig};
 use gmlfm_data::{Dataset, FieldKind, Schema};
-use gmlfm_engine::{Artifact, Engine, ModelSpec, Precision, Recommender, SeenItems, SplitPlan};
+use gmlfm_engine::{Artifact, Engine, ModelSpec, Recommender, SeenItems, SplitPlan};
 use gmlfm_models::fm::FmConfig;
 use gmlfm_models::transfm::TransFmConfig;
 use gmlfm_par::Parallelism;
@@ -57,8 +57,9 @@ pub fn reference_top_n(model: &FrozenModel, catalog: &Catalog, user: u32, n: usi
 
 /// A GML-FM_md artifact assembled by hand, no training: `n_users` users,
 /// `n_items` items in three categories, `k = 3`, with a catalogue, seen
-/// sets, an IVF index and `i8` precision — every optional member present.
-/// `hand_built_artifact(4, 6)` is what `fixtures/gml_fm_md_i8.json` holds.
+/// sets and an IVF index — every optional member present.
+/// `hand_built_artifact(4, 6)` is what `fixtures/gml_fm_md_i8.json` holds,
+/// less the retired `precision` member the fixture still carries.
 pub fn hand_built_artifact(n_users: usize, n_items: usize) -> Artifact {
     let (n_cats, k) = (3usize, 3usize);
     let schema = Schema::from_specs(&[
@@ -74,7 +75,7 @@ pub fn hand_built_artifact(n_users: usize, n_items: usize) -> Artifact {
     let h = Some((0..k).map(|j| 1.0 / (j as f64 + 3.0)).collect());
     let w = (0..n).map(|f| value(f, 5) / 3.0).collect();
     let second = SecondOrder::metric(v_hat, q, h, Distance::SquaredEuclidean);
-    let frozen = FrozenModel::from_parts(0.25, w, v, second).with_precision(Precision::I8);
+    let frozen = FrozenModel::from_parts(0.25, w, v, second);
     let (item0, cat0) = (n_users as u32, (n_users + n_items) as u32);
     let catalog = Catalog::new(
         vec![1, 2],

@@ -9,8 +9,10 @@
 //!   impls the derive generated for them written out;
 //! * what was decoded is re-encoded in the artifact's layout
 //!   ([`TreeArtifact::to_json`]), so the two loaders compare by text;
-//! * the seen sets are built through `SeenItems::new`, which sorts them:
-//!   the one intended difference, since membership binary-searches.
+//! * the seen sets are built through `SeenItems::new`, which sorts them,
+//!   since membership binary-searches;
+//! * v4's `precision` member is left unread, as the artifact now skips
+//!   it: serving is exact f64 only.
 
 #[path = "../../../net/tests/common/json_tree.rs"]
 pub mod json_tree;
@@ -290,7 +292,6 @@ pub struct TreeArtifact {
     catalog: Option<CatalogRepr>,
     pub seen: Option<SeenItems>,
     index: Option<IndexRepr>,
-    precision: Option<String>,
 }
 
 impl Deserialize for TreeArtifact {
@@ -310,7 +311,6 @@ impl Deserialize for TreeArtifact {
             catalog: json::field(v, "catalog")?,
             seen: optional(v, "seen")?,
             index: optional(v, "index")?,
-            precision: optional(v, "precision")?,
         })
     }
 }
@@ -419,7 +419,6 @@ impl Serialize for TreeArtifact {
                 ("catalog", &self.catalog),
                 ("seen", &self.seen),
                 ("index", &self.index),
-                ("precision", &self.precision),
             ],
         );
     }

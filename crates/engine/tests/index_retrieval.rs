@@ -203,7 +203,6 @@ fn default_nprobe_recall_at_10_is_at_least_095_on_10k_items() {
             n,
             index.default_nprobe(),
             &|_| false,
-            Precision::F64,
         );
         assert_eq!(got.len(), n, "complete result for user {user}");
         for (item, score) in &got {
@@ -259,16 +258,7 @@ fn index_round_trips_through_current_artifacts() {
     for user in 0..4u32 {
         let template = catalog.template(user).expect("user in catalog");
         let search = |idx: &IvfIndex| {
-            idx.search(
-                frozen,
-                catalog,
-                template,
-                catalog.item_slots(),
-                10,
-                idx.default_nprobe(),
-                &|_| false,
-                Precision::F64,
-            )
+            idx.search(frozen, catalog, template, catalog.item_slots(), 10, idx.default_nprobe(), &|_| false)
         };
         assert_eq!(search(index), search(loaded), "user {user}");
     }
@@ -289,10 +279,9 @@ fn v2_artifacts_without_an_index_field_still_load() {
     let json = rec.artifact().expect("freezable").to_json();
     assert!(json.contains(",\"index\":null"), "Exact pipelines persist no index");
 
-    let v2 = json
-        .replacen("\"format_version\":4", "\"format_version\":2", 1)
-        .replacen(",\"index\":null", "", 1)
-        .replacen(",\"precision\":null", "", 1);
+    let v2 =
+        json.replacen("\"format_version\":4", "\"format_version\":2", 1)
+            .replacen(",\"index\":null", "", 1);
     assert!(!v2.contains("\"index\""), "index field must be gone from the v2 fixture");
     let legacy = Engine::load_json(&v2).expect("v2 artifacts still load");
     assert!(legacy.index().is_none(), "v2 artifacts carry no index");

@@ -3,14 +3,16 @@
 //!
 //! ## Retry policy
 //!
-//! Every request in the protocol is an **idempotent read** — scoring and
-//! ranking mutate nothing — so retrying after an ambiguous failure (a
-//! timeout whose request may or may not have been processed) is always
-//! safe. The client therefore retries on connect failures, transport
-//! errors, timeouts, and the server's `overloaded` / `shutting_down`
-//! codes, reconnecting each time (a failed exchange leaves the old
-//! stream's framing in an unknown state). Request-validation errors
-//! (`unknown_user`, …) are deterministic and are **not** retried.
+//! Connect failures and the server's transient codes (`overloaded`,
+//! `shutting_down`, `backpressure`) mean the request was not acted on,
+//! so they are retried, reconnecting each time (a failed exchange
+//! leaves the old stream's framing in an unknown state). A transport
+//! failure or timeout after the frame went out is ambiguous: the server
+//! may have acted on it. Such a failure is retried only for idempotent
+//! requests — scores, top-n, batches, and feeds carrying an `id`, which
+//! the online log deduplicates. An id-less feed would be enqueued and
+//! trained once per attempt, so it is not retried. Request-validation
+//! errors (`unknown_user`, …) are deterministic and are **not** retried.
 //!
 //! Backoff is exponential with **full jitter**: attempt `k` sleeps
 //! `min(max_backoff, base · 2^(k-1)) · u` with `u` uniform in
@@ -89,9 +91,9 @@ impl ClientError {
     /// Whether retrying could help: transport-level failures and the
     /// server's transient codes — `overloaded`, `shutting_down`, and the
     /// online loop's `backpressure` (the interaction log drains at the
-    /// next retrain; retried feeds carrying an id are deduplicated
-    /// server-side, so the retry is safe even after an ambiguous
-    /// failure). Validation errors are deterministic and final.
+    /// next retrain). Validation errors are deterministic and final.
+    /// Whether a transport failure may be retried also depends on the
+    /// request ([`NetClient::request`]).
     pub fn is_retryable(&self) -> bool {
         match self {
             ClientError::Connect(_) | ClientError::Transport(_) => true,
@@ -141,10 +143,13 @@ impl NetClient {
     }
 
     /// Sends one request, retrying retryable failures up to
-    /// `max_attempts` with jittered exponential backoff. `Ok` carries
-    /// the generation-stamped response; `Err` the final typed failure.
+    /// `max_attempts` with jittered exponential backoff — a transport
+    /// failure only when `req` is idempotent (see the module docs). `Ok`
+    /// carries the generation-stamped response; `Err` the final typed
+    /// failure.
     pub fn request(&mut self, req: &NetRequest) -> Result<NetResponse, ClientError> {
         let payload = wire::encode_request(req);
+        let idempotent = !matches!(req, NetRequest::Feed(event) if event.id.is_none());
         let mut last = None;
         for attempt in 1..=self.config.max_attempts.max(1) {
             if attempt > 1 {
@@ -152,7 +157,9 @@ impl NetClient {
             }
             match self.attempt(&payload) {
                 Ok(resp) => return Ok(resp),
-                Err(e) if e.is_retryable() => last = Some(e),
+                Err(e) if e.is_retryable() && (idempotent || !matches!(e, ClientError::Transport(_))) => {
+                    last = Some(e)
+                }
                 Err(e) => return Err(e),
             }
         }

@@ -17,8 +17,8 @@
 //! * [`server`] — threaded accept loop, connection budget with typed
 //!   `overloaded` shedding, per-connection deadlines, graceful drain.
 //! * [`client`] — blocking client with connect/request timeouts and
-//!   jittered exponential-backoff retries (safe: every request is an
-//!   idempotent read).
+//!   jittered exponential-backoff retries (after an ambiguous transport
+//!   failure, only of idempotent requests).
 //!
 //! See the README's "Network serving" section for the wire grammar and
 //! the failure-mode table.

@@ -44,7 +44,7 @@
 )]
 
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{Precision, RetrievalStrategy};
+use gmlfm_serve::RetrievalStrategy;
 use gmlfm_service::{
     BatchRequest, FeedAck, Interaction, Reply, Request, RequestError, ScoreRequest, TopNRequest,
 };
@@ -232,16 +232,6 @@ fn push_topn_fields(req: &TopNRequest, out: &mut String) {
     req.par.map(|p| p.get()).serialize_json(out);
     out.push_str(",\"strategy\":");
     push_strategy(&req.strategy, out);
-    out.push_str(",\"precision\":");
-    match req.precision {
-        None => out.push_str("null"),
-        // Precision names contain no JSON-escapable characters.
-        Some(p) => {
-            out.push('"');
-            out.push_str(p.name());
-            out.push('"');
-        }
-    }
 }
 
 fn push_request(req: &Request, out: &mut String) {
@@ -414,7 +404,6 @@ struct RequestMembers<'a> {
     exclude_seen: Option<Typed<bool>>,
     par: Option<Typed<Option<usize>>>,
     strategy: Option<Typed<Option<Strategy>>>,
-    precision: Option<Typed<Option<Cow<'a, str>>>>,
     rating: Option<Typed<Option<f64>>>,
     id: Option<Typed<Option<u64>>>,
     /// Read on a payload's own object only: nothing reads a batch
@@ -438,7 +427,6 @@ impl<'a> RequestMembers<'a> {
             "exclude_seen" => first(&mut self.exclude_seen, r),
             "par" => first(&mut self.par, r),
             "strategy" => first(&mut self.strategy, r),
-            "precision" => first(&mut self.precision, r),
             "rating" => first(&mut self.rating, r),
             "id" => first(&mut self.id, r),
             "requests" if top => first(&mut self.requests, r),
@@ -484,13 +472,6 @@ impl<'a> RequestMembers<'a> {
             exclude_seen,
             par: self.par()?,
             strategy: optional(&mut self.strategy, "strategy")?.flatten().map(|Strategy(s)| s),
-            precision: match optional(&mut self.precision, "precision")?.flatten() {
-                None => None,
-                Some(name) => Some(
-                    Precision::from_name(&name)
-                        .ok_or_else(|| json::Error::new(format!("unknown precision '{name}'")))?,
-                ),
-            },
         })
     }
 
@@ -664,8 +645,6 @@ mod tests {
                     .parallelism(Parallelism::threads(2))
                     .strategy(RetrievalStrategy::Ivf { nprobe: Some(4) }),
             ),
-            NetRequest::TopN(TopNRequest::new(2, 5).precision(Precision::I8)),
-            NetRequest::TopN(TopNRequest::new(2, 5).precision(Precision::F32)),
             NetRequest::Batch(
                 BatchRequest::new(vec![
                     Request::Score(ScoreRequest::pair(0, 1)),
@@ -681,15 +660,17 @@ mod tests {
         }
     }
 
+    /// Clients that predate the exact-only protocol still send a
+    /// `precision` member; it is skipped like any member no shape reads,
+    /// whatever it holds.
     #[test]
-    fn unknown_precision_is_a_typed_error() {
-        let err = decode_request(br#"{"op":"topn","user":1,"n":2,"precision":"f16"}"#)
-            .expect_err("unknown precision name must not decode");
-        assert!(err.message.contains("precision"), "message: {}", err.message);
-        // Absent and null both mean "snapshot default".
-        let absent = decode_request(br#"{"op":"topn","user":1,"n":2}"#).unwrap();
-        let null = decode_request(br#"{"op":"topn","user":1,"n":2,"precision":null}"#).unwrap();
-        assert_eq!(absent, null);
+    fn a_precision_member_is_skipped_like_any_unknown_member() {
+        let plain = decode_request(br#"{"op":"topn","user":1,"n":2}"#).unwrap();
+        for value in [r#""i8""#, r#""f16""#, "null"] {
+            let text = format!(r#"{{"op":"topn","user":1,"n":2,"precision":{value}}}"#);
+            assert_eq!(decode_request(text.as_bytes()).unwrap(), plain, "wire text: {text}");
+        }
+        assert!(!encode_request(&plain).contains("precision"));
     }
 
     #[test]

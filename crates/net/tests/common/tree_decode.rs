@@ -1,14 +1,15 @@
 //! The wire decoders as they were before `wire` read bytes directly:
 //! parse the payload into a `json::Value` tree, then look each member up
 //! with `json::field` / `Value::get`. Kept verbatim — only renamed, with
-//! `WireError::new` spelled as a struct literal and the tree taken from
-//! `json_tree.rs` — as the oracle the byte-level decoders are
+//! `WireError::new` spelled as a struct literal, the tree taken from
+//! `json_tree.rs`, and a top-n's `precision` member left unread now that
+//! the protocol skips it — as the oracle the byte-level decoders are
 //! differential-tested against.
 
 use super::json_tree::{self as json, Deserialize, Value};
 use gmlfm_net::wire::{NetError, NetReply, NetRequest, NetResponse, WireError};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{Precision, RetrievalStrategy};
+use gmlfm_serve::RetrievalStrategy;
 use gmlfm_service::{BatchRequest, FeedAck, Interaction, Request, ScoreRequest, TopNRequest};
 
 fn wire_error(message: impl Into<String>) -> WireError {
@@ -47,17 +48,6 @@ fn decode_strategy(v: &Value) -> Result<Option<RetrievalStrategy>, WireError> {
         }
         other => Err(wire_error(format!("unknown retrieval strategy '{other}'"))),
     }
-}
-
-fn decode_precision(v: &Value) -> Result<Option<Precision>, WireError> {
-    let Some(p) = v.get("precision") else { return Ok(None) };
-    if p.is_null() {
-        return Ok(None);
-    }
-    let name = String::deserialize_json(p).map_err(WireError::from)?;
-    Precision::from_name(&name)
-        .map(Some)
-        .ok_or_else(|| wire_error(format!("unknown precision '{name}'")))
 }
 
 /// `Option<T>` deserialisation on a borrowed member (the derive-less
@@ -106,7 +96,6 @@ fn decode_topn(v: &Value) -> Result<TopNRequest, WireError> {
         exclude_seen,
         par: decode_par(v)?,
         strategy: decode_strategy(v)?,
-        precision: decode_precision(v)?,
     })
 }
 

@@ -7,16 +7,20 @@
 
 mod common;
 
-use common::{fast_config, marker, snapshot, start, N_ITEMS, N_USERS};
-use gmlfm_net::frame::{read_frame, DEFAULT_MAX_FRAME_BYTES};
+use common::{fast_config, marker, snapshot, start};
+use gmlfm_net::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
 use gmlfm_net::wire::{self, code};
-use gmlfm_net::{ClientConfig, NetClient, NetReply, NetRequest, NetServer, ServerConfig};
+use gmlfm_net::{ClientConfig, ClientError, NetClient, NetReply, NetRequest, NetServer, ServerConfig};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{FrozenModel, Precision};
-use gmlfm_service::{BatchRequest, ModelServer, ModelSnapshot, Request, ScoreRequest, TopNRequest};
+use gmlfm_service::{
+    BatchRequest, FeedAck, FeedSink, Interaction, ModelServer, Request, RequestError, Response, ScoreRequest,
+    TopNRequest,
+};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn score_payload() -> String {
@@ -243,24 +247,6 @@ fn a_hostile_par_is_answered_like_the_request_without_it() {
 }
 
 #[test]
-fn a_hostile_n_on_an_i8_scan_is_answered_like_the_whole_catalogue() {
-    // The marker model's dot form carries no low-precision tables and
-    // would scan exact f64; the metric form builds them.
-    let frozen = FrozenModel::synthetic_metric(N_USERS + N_ITEMS, 4, 7).with_precision(Precision::I8);
-    let model = ModelServer::new(ModelSnapshot { frozen, ..snapshot(1) }).expect("consistent snapshot");
-    let server = NetServer::bind(Arc::new(model), "127.0.0.1:0", fast_config()).expect("bind loopback");
-    let mut client = NetClient::connect(server.local_addr()).expect("resolve");
-    // `"n":18446744073709551615` on the wire: the i8 probe over-fetches
-    // a multiple of the request's `n` for the exact re-rank.
-    let hostile = top_bits(&mut client, TopNRequest::new(0, usize::MAX).precision(Precision::I8));
-    let whole = top_bits(&mut client, TopNRequest::new(0, N_ITEMS).precision(Precision::I8));
-    assert_eq!(hostile.len(), N_ITEMS);
-    assert_eq!(hostile, whole);
-
-    assert_eq!(server.shutdown().worker_panics, 0);
-}
-
-#[test]
 fn hot_swaps_racing_requests_never_mix_generations_on_the_wire() {
     let server = start(ServerConfig { max_connections: 32, ..fast_config() });
     let addr = server.local_addr();
@@ -376,4 +362,90 @@ fn shutdown_mid_traffic_drains_without_panics_or_hangs() {
     let total: u64 = clients.into_iter().map(|c| c.join().expect("client thread")).sum();
     assert!(total > 0, "traffic flowed before the shutdown");
     assert!(report.served >= total, "every acknowledged reply was counted: {report:?} vs {total}");
+}
+
+/// A feed sink that accepts every interaction and counts them.
+struct CountingSink {
+    model: Arc<ModelServer>,
+    feeds: AtomicUsize,
+}
+
+impl CountingSink {
+    fn feeds(&self) -> usize {
+        // ORDERING: Relaxed — read after the client's request returned,
+        // which the reply-less close orders after the sink's increment.
+        self.feeds.load(Ordering::Relaxed)
+    }
+}
+
+impl FeedSink for CountingSink {
+    fn feed(&self, _event: &Interaction) -> Result<Response<FeedAck>, RequestError> {
+        // ORDERING: Relaxed — test counter only.
+        let pending = self.feeds.fetch_add(1, Ordering::Relaxed) + 1;
+        Ok(Response { generation: self.model.generation(), value: FeedAck { accepted: true, pending } })
+    }
+}
+
+/// A front that passes each connection's first frame to `upstream`,
+/// waits for the server's reply and drops it with the connection: the
+/// server has acted on the request, and the client sees a transport
+/// failure. Runs until a connection arrives after `stop` is set.
+fn lossy_front(upstream: SocketAddr, stop: Arc<AtomicBool>) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let front = std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            // ORDERING: SeqCst, paired with the store the test makes
+            // before its waking connect, which this accept returns after.
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let Ok(mut conn) = conn else { continue };
+            let Ok(payload) = read_frame(&mut conn, DEFAULT_MAX_FRAME_BYTES) else { continue };
+            let mut server = TcpStream::connect(upstream).expect("upstream accepts");
+            write_frame(&mut server, &payload, DEFAULT_MAX_FRAME_BYTES).expect("upstream reads");
+            read_frame(&mut server, DEFAULT_MAX_FRAME_BYTES).expect("upstream replies");
+        }
+    });
+    (addr, front)
+}
+
+#[test]
+fn a_lost_reply_is_not_retried_for_an_id_less_feed() {
+    let model = Arc::new(ModelServer::new(snapshot(1)).expect("consistent snapshot"));
+    let sink = Arc::new(CountingSink { model: Arc::clone(&model), feeds: AtomicUsize::new(0) });
+    let server = NetServer::bind_with_feed(
+        model,
+        Arc::clone(&sink) as Arc<dyn FeedSink>,
+        "127.0.0.1:0",
+        fast_config(),
+    )
+    .expect("bind loopback");
+    let stop = Arc::new(AtomicBool::new(false));
+    let (front, handle) = lossy_front(server.local_addr(), Arc::clone(&stop));
+    let config =
+        ClientConfig { max_attempts: 3, base_backoff: Duration::from_millis(1), ..ClientConfig::default() };
+    let mut client = NetClient::with_config(front, config).expect("resolve");
+
+    // The server enqueued it and the reply was lost: a retry would
+    // enqueue it again, and nothing downstream could tell the copies
+    // apart.
+    let err = client
+        .request(&NetRequest::Feed(Interaction::new(0, 1)))
+        .expect_err("every reply is lost");
+    assert!(matches!(err, ClientError::Transport(_)), "{err}");
+    assert_eq!(sink.feeds(), 1, "an id-less feed is sent once");
+
+    // With an id the log deduplicates, so the feed is idempotent and
+    // retried like a read.
+    client
+        .request(&NetRequest::Feed(Interaction::new(0, 2).id(7)))
+        .expect_err("every reply is lost");
+    assert_eq!(sink.feeds(), 1 + 3, "a feed with an id is retried");
+
+    // ORDERING: SeqCst — the connect below wakes the front after it.
+    stop.store(true, Ordering::SeqCst);
+    drop(TcpStream::connect(front));
+    handle.join().expect("front thread");
+    assert_eq!(server.shutdown().worker_panics, 0);
 }

@@ -13,7 +13,7 @@ use common::json_tree::{self as json, Value};
 use common::tree_decode::{tree_decode_request, tree_decode_response};
 use gmlfm_net::wire::{self, NetError, NetReply, NetRequest, NetResponse};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{Precision, RetrievalStrategy};
+use gmlfm_serve::RetrievalStrategy;
 use gmlfm_service::{BatchRequest, FeedAck, Interaction, Request, ScoreRequest, TopNRequest};
 use proptest::collection::vec;
 use proptest::option;
@@ -48,27 +48,18 @@ fn arb_topn() -> impl Strategy<Value = TopNRequest> {
         Just(Some(RetrievalStrategy::Exact)),
         option::of(any::<usize>()).prop_map(|nprobe| Some(RetrievalStrategy::Ivf { nprobe })),
     ];
-    let precision = prop_oneof![
-        Just(None),
-        Just(Some(Precision::F64)),
-        Just(Some(Precision::F32)),
-        Just(Some(Precision::I8))
-    ];
     (
         (any::<u32>(), any::<usize>(), option::of(vec(any::<u32>(), 0..5))),
-        (vec(any::<u32>(), 0..4), any::<bool>(), option::of(any::<usize>()), strategy, precision),
+        (vec(any::<u32>(), 0..4), any::<bool>(), option::of(any::<usize>()), strategy),
     )
-        .prop_map(|((user, n, candidates), (exclude, exclude_seen, par, strategy, precision))| {
-            TopNRequest {
-                user,
-                n,
-                candidates,
-                exclude,
-                exclude_seen,
-                par: par.map(Parallelism::threads),
-                strategy,
-                precision,
-            }
+        .prop_map(|((user, n, candidates), (exclude, exclude_seen, par, strategy))| TopNRequest {
+            user,
+            n,
+            candidates,
+            exclude,
+            exclude_seen,
+            par: par.map(Parallelism::threads),
+            strategy,
         })
 }
 

@@ -175,8 +175,6 @@ pub struct FrozenModel {
     /// by [`FrozenModel::with_group_memo`]; clones share its table.
     /// Never serialised: whoever installs the model rebuilds it.
     pub(crate) group_memo: Option<GroupMemo>,
-    /// Default scan precision for top-N retrieval from this model.
-    pub(crate) precision: Precision,
 }
 
 impl FrozenModel {
@@ -196,24 +194,21 @@ impl FrozenModel {
             }
             SecondOrder::Dot => {}
         }
-        Self { w0, w, v, second, lowp: None, group_memo: None, precision: Precision::F64 }
+        Self { w0, w, v, second, lowp: None, group_memo: None }
     }
 
-    /// Sets the default top-N scan [`Precision`], building the
-    /// low-precision candidate tables when `precision` needs them.
+    /// Builds the low-precision candidate tables [`scan_top_n`] reads at
+    /// `precision` (none at [`Precision::F64`]). They exist only for the
+    /// decoupled squared-Euclidean metric form; every other
+    /// second-order strategy is returned unchanged, and its scans stay
+    /// exact f64. Once built, the tables ride along behind an `Arc`, so
+    /// clones never copy them.
     ///
-    /// Tables only exist for the decoupled squared-Euclidean metric
-    /// form; for every other second-order strategy (plain dot FMs,
-    /// pairwise-only distances, TransFM) the requested precision is
-    /// remembered but scans silently stay exact f64. Once built, the
-    /// tables ride along behind an `Arc`, so a model frozen with
-    /// `Precision::F64` can still serve per-request `f32`/`i8`
-    /// overrides cheaply after one `with_precision` call.
+    /// [`scan_top_n`]: crate::scan_top_n
     pub fn with_precision(mut self, precision: Precision) -> Self {
         if precision != Precision::F64 && self.lowp.is_none() {
             self.lowp = LowPrec::build(&self.v, &self.second);
         }
-        self.precision = precision;
         self
     }
 
@@ -234,11 +229,6 @@ impl FrozenModel {
     pub fn with_group_memo<S: ItemFeatureSource + ?Sized>(mut self, items: &S) -> Self {
         self.group_memo = GroupMemo::build(&self, items);
         self
-    }
-
-    /// The default top-N scan precision (see [`FrozenModel::with_precision`]).
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Number of one-hot features `n`.

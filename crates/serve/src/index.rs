@@ -619,21 +619,8 @@ impl IvfIndex {
     /// pruning is sound (a pruned cluster or member cannot enter the
     /// final top `n`, whenever the threshold rose), and scores are
     /// bitwise [`TopNRanker::score`]'s. With `nprobe >= n_clusters()`
-    /// and [`Precision::F64`] the result is item-for-item the exhaustive
-    /// scan over the non-skipped items.
-    ///
-    /// With `Precision::F32`/`Precision::I8` (and a model carrying the
-    /// low-precision tables), the member delta scan runs over the
-    /// narrowed tables into an over-fetched pool, and the
-    /// pooled survivors are re-scored by the exact f64 ranker — so
-    /// returned scores are *always* bitwise the model's, whatever the
-    /// probe precision; only which items survive the probe is
-    /// approximate. The Cauchy–Schwarz bounds stay exact f64; they are
-    /// compared against the approximate pool threshold, which the pool
-    /// margin cushions (quantization bias in the threshold can still
-    /// prune a borderline true member — the residual recall gap vs the
-    /// f64 probe). When the model has no tables for the requested
-    /// precision the scan silently runs exact.
+    /// the result is item-for-item the exhaustive scan over the
+    /// non-skipped items.
     #[allow(clippy::too_many_arguments)]
     pub fn search<S: ItemFeatureSource + ?Sized>(
         &self,
@@ -644,7 +631,6 @@ impl IvfIndex {
         n: usize,
         nprobe: usize,
         skip: &(impl Fn(u32) -> bool + Sync),
-        precision: Precision,
     ) -> Vec<(u32, f64)> {
         debug_assert!(self.compatible_with(model, items.item_count()).is_ok());
         if n == 0 || self.members.is_empty() {
@@ -659,8 +645,9 @@ impl IvfIndex {
         };
         let probe = self.probe_order(model, &tables, template, item_slots, nprobe);
         let ctx_score = probe.ctx_score;
-        let scan = Scan { model, items, template, item_slots, n, precision, par: Parallelism::serial() };
-        scan.run(true, &probe.clusters, |scanner, clusters, heap| {
+        let (precision, par) = (Precision::F64, Parallelism::serial());
+        let scan = Scan { model, items, template, item_slots, n, precision, par };
+        scan.run(&probe.clusters, |scanner, clusters, heap| {
             let (mut ids, mut scores) = (Vec::new(), Vec::new());
             for &(c, mean_score, ub) in clusters {
                 let threshold = heap.threshold().map(|(_, threshold)| threshold);
@@ -1232,7 +1219,7 @@ mod tests {
         nprobe: usize,
         skip: impl Fn(u32) -> bool + Sync,
     ) -> Vec<(u32, f64)> {
-        index.search(&fx.model, &fx.items, &fx.template, &fx.item_slots, n, nprobe, &skip, Precision::F64)
+        index.search(&fx.model, &fx.items, &fx.template, &fx.item_slots, n, nprobe, &skip)
     }
 
     #[test]
@@ -1421,16 +1408,8 @@ mod tests {
             (0..n_items as u32).map(|i| (i, ranker.score(&items[i as usize]))).collect();
         scored.sort_by(rank_cmp);
         let truth: Vec<u32> = scored[..10].iter().map(|p| p.0).collect();
-        let got = index.search(
-            &model,
-            &items,
-            &template,
-            &item_slots,
-            10,
-            index.default_nprobe(),
-            &|_| false,
-            Precision::F64,
-        );
+        let got =
+            index.search(&model, &items, &template, &item_slots, 10, index.default_nprobe(), &|_| false);
         let hits = got.iter().filter(|(i, _)| truth.contains(i)).count();
         assert!(hits >= 9, "recall@10 {}/10 at default nprobe {}", hits, index.default_nprobe());
     }

@@ -42,8 +42,10 @@
 //!   ([`RetrievalStrategy`] selects between the two sources).
 //! * [`kernel`] — the fixed-width chunked `dot`/`axpy`/`sq_dist`
 //!   primitives every scoring loop runs on.
-//! * [`lowp`] — the opt-in `f32`/`i8` candidate tables behind the
-//!   [`Precision`] scan knob.
+//! * [`lowp`] — the `f32`/`i8` candidate tables [`scan_top_n`] reads
+//!   at a narrow [`Precision`]. No serving surface selects them: they
+//!   remain only for `bench_e2e`'s `serve.lowp.*` probes, and every
+//!   served reply comes from the exact f64 scan.
 //!
 //! Parity with the autograd path is pinned to ≤1e-9 by the tests in this
 //! crate and by `tests/frozen_parity.rs`. The slow side of every served

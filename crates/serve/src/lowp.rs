@@ -19,12 +19,12 @@
 //!   are re-scored by the exact f64 ranker, so returned scores stay
 //!   bitwise the model's (the same contract the IVF index keeps).
 //!
-//! Which table a request uses is the [`Precision`] knob, settable at
-//! freeze time (`Engine::builder().precision(..)`) and per request
-//! (`TopNRequest`). Tables are built once by
+//! Only [`scan_top_n`](crate::scan_top_n)'s [`Precision`] argument
+//! reads these tables; no request, wire frame, engine option or artifact
+//! can select them, so every served reply is exact f64. They remain for
+//! `bench_e2e`'s `serve.lowp.*` probes. Tables are built once by
 //! [`FrozenModel::with_precision`](crate::FrozenModel::with_precision)
-//! and shared behind an `Arc`, so cloning a model (snapshot hot-swap,
-//! per-shard workers) never copies them.
+//! and shared behind an `Arc`, so cloning a model never copies them.
 
 use std::sync::Arc;
 
@@ -55,7 +55,7 @@ pub enum Precision {
 }
 
 impl Precision {
-    /// Stable wire/artifact name.
+    /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
             Precision::F64 => "f64",

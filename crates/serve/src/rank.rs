@@ -580,15 +580,10 @@ impl<'m> ScanMode<'m> {
     }
 
     /// Whether the scanned pool must be re-scored by the exact f64
-    /// ranker before it is returned: always after an i8 scan (the
-    /// quantized tables are probe-only), after an f32 scan when the
-    /// caller's contract is `exact_scores` (index probes), never after
-    /// an exact scan.
-    pub(crate) fn reranks(self, exact_scores: bool) -> bool {
-        match self {
-            ScanMode::Exact => false,
-            ScanMode::Low { quantized, .. } => quantized || exact_scores,
-        }
+    /// ranker before it is returned: after an i8 scan (the quantized
+    /// tables are probe-only), never after an f32 or exact scan.
+    pub(crate) fn reranks(self) -> bool {
+        matches!(self, ScanMode::Low { quantized: true, .. })
     }
 }
 

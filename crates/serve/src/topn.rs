@@ -14,8 +14,7 @@
 //!
 //! Every retrieval mode is the same loop — cut the work into shards,
 //! give each shard one scanner and one [`TopNHeap`], merge under
-//! [`rank_cmp`], re-score the pool exactly when the scan was a
-//! low-precision probe — so it exists once, as the private `Scan::run`
+//! [`rank_cmp`] — so it exists once, as the private `Scan::run`
 //! driver. The two candidate sources are expressed over it: an explicit
 //! candidate list scored in [`kernel::CAND_BLOCK`] runs
 //! ([`scan_top_n`]), and an IVF probe list, one shard, whose clusters'
@@ -193,15 +192,11 @@ fn merge_sharded(n: usize, shards: impl IntoIterator<Item = Vec<(u32, f64)>>) ->
     all
 }
 
-/// How many candidates a low-precision probe keeps for the exact f64
-/// re-rank: an 8x (and at least `n + 64`) pool absorbs
-/// quantization-induced reordering near the cutoff — including the
-/// compounding with IVF pruning, whose skip threshold tracks the
-/// approximate probe heap — so recall stays at the exact scan's level
-/// while returned scores stay bitwise the model's. The re-rank itself is
-/// a few dozen exact scores per request, noise next to the catalogue
-/// scan. Saturating: `n` is the request's, and the wire decodes any
-/// `usize`.
+/// How many candidates an i8 probe keeps for the exact f64 re-rank: an
+/// 8x (and at least `n + 64`) pool absorbs quantization-induced
+/// reordering near the cutoff, so returned scores stay bitwise the
+/// model's. The re-rank itself is a few dozen exact scores per request,
+/// noise next to the catalogue scan. Saturating: `n` is the caller's.
 fn rerank_pool(n: usize) -> usize {
     n.saturating_mul(8).max(n.saturating_add(64))
 }
@@ -231,19 +226,17 @@ impl<S: ItemFeatureSource + ?Sized> Scan<'_, S> {
     /// scores at every thread count.
     ///
     /// The scan reads the tables [`ScanMode::choose`] picks for
-    /// `self.precision`. When that mode re-ranks — `exact_scores` is
-    /// the caller's contract that returned scores are the f64 model's
-    /// — the heaps keep a [`rerank_pool`]-sized pool and the merged
-    /// pool is re-scored by the exact ranker, which is what makes every
-    /// approximate probe's returned scores bitwise the model's.
+    /// `self.precision`. When that mode re-ranks (the i8 probe), the
+    /// heaps keep a [`rerank_pool`]-sized pool and the merged pool is
+    /// re-scored by the exact ranker, so its returned scores are
+    /// bitwise the model's.
     pub(crate) fn run<W: Sync>(
         &self,
-        exact_scores: bool,
         work: &[W],
         scan_shard: impl Fn(&mut Scanner<'_>, &[W], &mut TopNHeap) + Sync,
     ) -> Vec<(u32, f64)> {
         let mode = ScanMode::choose(self.model, self.precision);
-        let rerank = mode.reranks(exact_scores);
+        let rerank = mode.reranks();
         let pool_n = if rerank { rerank_pool(self.n) } else { self.n };
         let ranges = gmlfm_par::block_ranges(work.len(), self.par.get());
         let shard_tops = gmlfm_par::par_map(self.par, &ranges, |range| {
@@ -277,8 +270,7 @@ impl<S: ItemFeatureSource + ?Sized> Scan<'_, S> {
 ///   for ([`FrozenModel::with_precision`]) — is the exact scan:
 ///   item-for-item the full sort of the per-item scores.
 /// * [`Precision::F32`] returns the approximate table scores directly
-///   (error bound and tie-order caveat: README "Vectorized kernels &
-///   scan precision").
+///   (~1e-6 relative; near-ties may reorder).
 /// * [`Precision::I8`] scans the quantized tables into an over-fetched
 ///   pool, then re-scores the pool exactly — returned scores are
 ///   bitwise the model's.
@@ -294,7 +286,7 @@ pub fn scan_top_n<S: ItemFeatureSource + ?Sized>(
     par: Parallelism,
 ) -> Vec<(u32, f64)> {
     let scan = Scan { model, items, template, item_slots, n, precision, par };
-    scan.run(false, candidates, |scanner, ids, heap| {
+    scan.run(candidates, |scanner, ids, heap| {
         let mut scores = Vec::with_capacity(kernel::CAND_BLOCK);
         for block in ids.chunks(kernel::CAND_BLOCK) {
             scores.clear();

@@ -48,28 +48,19 @@ pub trait ScoringBackend {
         par: Parallelism,
     ) -> Vec<f64>;
 
-    /// The precision this backend serves at when a request doesn't pin
-    /// its own ([`TopNRequest::precision`] is `None`). The default —
-    /// and every backend without low-precision scoring tables — is
-    /// [`Precision::F64`]: exact scores.
-    fn default_precision(&self) -> Precision {
-        Precision::F64
-    }
-
     /// Selects the top `n` of resolved `candidates` for the user with
     /// feature `template` under the retrieval total order
     /// ([`gmlfm_serve::rank_cmp`]: score descending, ties by ascending
-    /// item id), best first, scanning at the given scoring-table
-    /// [`Precision`].
+    /// item id), best first. Every served request passes
+    /// [`Precision::F64`]; a narrower one reaches the frozen model's
+    /// low-precision tables only through a direct call.
     ///
-    /// The default implementation — backends without low-precision
-    /// tables, which serve every precision exactly — scores everything
+    /// The default implementation scores everything
     /// through [`candidate_scores`] and selects with one bounded
     /// [`TopNHeap`]: `O(C·log n)` selection, never a full sort. The
     /// frozen implementation is the sharded scan driver
     /// ([`gmlfm_serve::scan_top_n`]), which also skips materialising the
-    /// `O(C)` score vector and applies the `precision` contract
-    /// documented there. At [`Precision::F64`] both produce
+    /// `O(C)` score vector. At [`Precision::F64`] both produce
     /// item-for-item identical rankings.
     ///
     /// [`candidate_scores`]: ScoringBackend::candidate_scores
@@ -92,13 +83,11 @@ pub trait ScoringBackend {
 
     /// Index-backed whole-catalogue retrieval, when this backend can
     /// serve it: the top `n` non-excluded items via an IVF probe
-    /// ([`gmlfm_serve::IvfIndex::search`]), scores bitwise the
-    /// exact ranker's at every `precision` (a low-precision probe only
-    /// picks the candidate pool; survivors are re-scored in `f64`).
-    /// `excluded` is the **sorted, deduplicated** union of the request's
-    /// explicit exclusions and the user's seen items. `par` is unused:
-    /// the probe list is scanned on the calling thread (see
-    /// [`gmlfm_serve::IvfIndex::search`]).
+    /// ([`gmlfm_serve::IvfIndex::search`]), scores bitwise the exact
+    /// ranker's. `excluded` is the **sorted, deduplicated** union of the
+    /// request's explicit exclusions and the user's seen items.
+    /// `_precision` and `_par` are unused: the probe scans exact f64 on
+    /// the calling thread (see [`gmlfm_serve::IvfIndex::search`]).
     ///
     /// Returns `None` when the backend holds no usable index for this
     /// request (no index, candidate pool below the index's
@@ -149,10 +138,6 @@ impl ScoringBackend for IndexedModel<'_> {
         self.frozen.candidate_scores(catalog, template, candidates, par)
     }
 
-    fn default_precision(&self) -> Precision {
-        self.frozen.precision()
-    }
-
     fn select_top_n_prec(
         &self,
         catalog: &Catalog,
@@ -173,7 +158,7 @@ impl ScoringBackend for IndexedModel<'_> {
         n: usize,
         nprobe: Option<usize>,
         excluded: &[u32],
-        precision: Precision,
+        _precision: Precision,
         _par: Parallelism,
     ) -> Option<Vec<(u32, f64)>> {
         let index = self.index?;
@@ -189,16 +174,9 @@ impl ScoringBackend for IndexedModel<'_> {
             return None;
         }
         let nprobe = nprobe.unwrap_or_else(|| index.default_nprobe()).clamp(1, index.n_clusters());
-        Some(index.search(
-            self.frozen,
-            catalog,
-            template,
-            catalog.item_slots(),
-            n,
-            nprobe,
-            &|item| excluded.binary_search(&item).is_ok(),
-            precision,
-        ))
+        Some(index.search(self.frozen, catalog, template, catalog.item_slots(), n, nprobe, &|item| {
+            excluded.binary_search(&item).is_ok()
+        }))
     }
 }
 
@@ -224,10 +202,6 @@ impl ScoringBackend for FrozenModel {
                 .map(|&item| ranker.score(catalog.features_of(item)))
                 .collect()
         })
-    }
-
-    fn default_precision(&self) -> Precision {
-        self.precision()
     }
 
     /// The sharded scan driver over the candidate list
@@ -501,7 +475,6 @@ pub fn execute_topn<B: ScoringBackend + ?Sized>(
     let catalog = catalog.ok_or(RequestError::MissingCatalog)?;
     let template = validate_topn(catalog, req)?;
     let par = req.par.unwrap_or(default_par);
-    let precision = req.precision.unwrap_or_else(|| backend.default_precision());
     let mut scratch = TOPN_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
     fill_excluded(seen, live, req, &mut scratch.excluded);
 
@@ -514,7 +487,7 @@ pub fn execute_topn<B: ScoringBackend + ?Sized>(
             Some(RetrievalStrategy::Ivf { nprobe }) => nprobe,
             _ => None,
         };
-        backend.select_top_n_indexed(catalog, template, req.n, nprobe, &scratch.excluded, precision, par)
+        backend.select_top_n_indexed(catalog, template, req.n, nprobe, &scratch.excluded, Precision::F64, par)
     } else {
         None
     };
@@ -522,7 +495,7 @@ pub fn execute_topn<B: ScoringBackend + ?Sized>(
         Some(value) => value,
         None => {
             fill_candidates(catalog, &scratch.excluded, req, &mut scratch.candidates);
-            backend.select_top_n_prec(catalog, template, &scratch.candidates, req.n, precision, par)
+            backend.select_top_n_prec(catalog, template, &scratch.candidates, req.n, Precision::F64, par)
         }
     };
 
@@ -535,22 +508,26 @@ pub fn execute_topn<B: ScoringBackend + ?Sized>(
 /// the batch (the batch itself is the fan-out) unless they carry an
 /// explicit [`TopNRequest::parallelism`].
 ///
-/// `live` is a point-in-time copy of the server's live seen overlay
-/// (`None` for callers without one), consulted per sub-request user
-/// under the same `exclude_seen` semantics as the snapshot seen sets.
+/// `live` holds the live seen overlay rows of the batch's users as
+/// `(user, sorted items)`, sorted by user — one point-in-time copy, so
+/// every sub-request filters against the same live state (empty for
+/// callers without an overlay). A user without a row has no live items;
+/// rows are consulted under the same `exclude_seen` semantics as the
+/// snapshot seen sets.
 pub fn execute_batch<B: ScoringBackend + Sync + ?Sized>(
     backend: &B,
     schema: &Schema,
     catalog: Option<&Catalog>,
     seen: Option<&SeenItems>,
-    live: Option<&SeenItems>,
+    live: &[(u32, Vec<u32>)],
     req: &BatchRequest,
 ) -> Vec<Result<Reply, RequestError>> {
     let par = req.par.unwrap_or_else(Parallelism::auto);
     gmlfm_par::par_map(par, &req.requests, |request| match request {
         Request::Score(score) => execute_score(backend, schema, catalog, score).map(Reply::Score),
         Request::TopN(topn) => {
-            let user_live = live.map(|l| l.items(topn.user)).unwrap_or(&[]);
+            let row = live.binary_search_by_key(&topn.user, |(user, _)| *user);
+            let user_live = row.map_or(&[][..], |i| &live[i].1);
             execute_topn(backend, catalog, seen, user_live, topn, Parallelism::serial()).map(Reply::TopN)
         }
     })

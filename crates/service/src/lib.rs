@@ -59,7 +59,7 @@ pub mod server;
 pub use catalog::{Catalog, SeenItems};
 pub use error::RequestError;
 pub use exec::{IndexedModel, ScoringBackend};
-pub use gmlfm_serve::{Precision, RetrievalStrategy};
+pub use gmlfm_serve::RetrievalStrategy;
 pub use protocol::{
     BatchRequest, FeedAck, FeedSink, Interaction, Reply, Request, Response, ScoreRequest, TopNRequest,
 };

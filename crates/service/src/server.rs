@@ -20,11 +20,12 @@
 //! written once and never moved or freed until the last handle drops,
 //! and a `&ModelSnapshot` lent from `&self` therefore stays valid across
 //! any number of later swaps — the compiler checks the lifetime, no
-//! reference counting or epoch scheme. A model refresh is a rare,
-//! heavyweight event (retraining cadence, not request cadence), so
-//! retaining superseded generations — observable via
-//! [`ModelServer::retained`] — trades a few megabytes for wait-free
-//! reads on the hot path.
+//! reference counting or epoch scheme. The price is memory: no
+//! superseded generation is freed while the server lives, and each
+//! holds its frozen tables, catalog, seen sets and IVF index — tens of
+//! MB at 100k–300k items — so a server that publishes on a cadence
+//! grows by one snapshot per publish. [`ModelServer::retained`] counts
+//! the generations held (README, "Generation semantics", known limit).
 //!
 //! Swaps are validated: the incoming snapshot must carry a schema
 //! **identical** to the serving one (field names, cardinalities and
@@ -35,7 +36,7 @@
 use crate::catalog::{Catalog, SeenItems};
 use crate::error::RequestError;
 use crate::exec::{self, IndexedModel};
-use crate::protocol::{BatchRequest, Reply, Response, ScoreRequest, TopNRequest};
+use crate::protocol::{BatchRequest, Reply, Request, Response, ScoreRequest, TopNRequest};
 use gmlfm_data::Schema;
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{FrozenModel, IvfIndex};
@@ -240,6 +241,34 @@ impl ModelServer {
         self.slot.lock_overlay().items(user).to_vec()
     }
 
+    /// The live overlay rows of the users `req`'s exclude-seen top-n
+    /// members name, as `(user, items)` sorted by user, copied in one
+    /// lock hold: one point-in-time view for the whole batch, whose cost
+    /// is the rows it names however many users the overlay holds.
+    fn live_rows(&self, req: &BatchRequest) -> Vec<(u32, Vec<u32>)> {
+        let mut users: Vec<u32> = req
+            .requests
+            .iter()
+            .filter_map(|request| match request {
+                Request::TopN(topn) if topn.exclude_seen => Some(topn.user),
+                _ => None,
+            })
+            .collect();
+        if users.is_empty() {
+            return Vec::new();
+        }
+        users.sort_unstable();
+        users.dedup();
+        let overlay = self.slot.lock_overlay();
+        users
+            .into_iter()
+            .filter_map(|user| {
+                let items = overlay.items(user);
+                (!items.is_empty()).then(|| (user, items.to_vec()))
+            })
+            .collect()
+    }
+
     /// A point-in-time copy of the whole live seen overlay as a
     /// [`SeenItems`] table — what a retrain merges into the candidate
     /// snapshot's seen sets, and what checkpointing persists.
@@ -320,15 +349,13 @@ impl ModelServer {
     pub fn batch(&self, req: &BatchRequest) -> Response<Vec<Result<Reply, RequestError>>> {
         let state = self.state();
         let backend = IndexedModel { frozen: &state.snap.frozen, index: state.snap.index.as_ref() };
-        // One point-in-time overlay copy for the whole batch, so every
-        // sub-request filters against the same live state.
-        let live = if self.slot.lock_overlay().n_users() == 0 { None } else { Some(self.overlay_seen()) };
+        let live = self.live_rows(req);
         let value = exec::execute_batch(
             &backend,
             &state.snap.schema,
             state.snap.catalog.as_ref(),
             state.snap.seen.as_ref(),
-            live.as_ref(),
+            &live,
             req,
         );
         Response { generation: state.generation, value }
