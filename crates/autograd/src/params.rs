@@ -67,11 +67,6 @@ impl ParamSet {
         self.mats.iter().enumerate().map(|(i, m)| (ParamId(i), m))
     }
 
-    /// Total number of scalar parameters across all matrices.
-    pub fn scalar_count(&self) -> usize {
-        self.mats.iter().map(Matrix::len).sum()
-    }
-
     /// Sum of squared entries over all parameters (for L2 reporting).
     pub fn norm_sq(&self) -> f64 {
         self.mats.iter().map(Matrix::norm_sq).sum()
@@ -165,7 +160,6 @@ mod tests {
         assert_eq!(ps.name(a), "a");
         assert_eq!(ps.name(b), "b");
         assert_eq!(ps.get(a).shape(), (2, 3));
-        assert_eq!(ps.scalar_count(), 10);
         ps.get_mut(a).as_mut_slice()[0] = 5.0;
         assert_eq!(ps.get(a).as_slice()[0], 5.0);
     }

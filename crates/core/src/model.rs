@@ -92,12 +92,6 @@ impl GmlFmConfig {
         self
     }
 
-    /// Overrides the factor-table init scale.
-    pub fn with_init_std(mut self, init_std: f64) -> Self {
-        self.init_std = init_std;
-        self
-    }
-
     /// Overrides the distance function (Table 5's distance block).
     pub fn with_distance(mut self, distance: Distance) -> Self {
         self.distance = distance;
@@ -474,7 +468,7 @@ mod tests {
             ("dnn2", dnn),
             ("euclidean_plain", GmlFmConfig::euclidean_plain(3)),
         ] {
-            let model = GmlFm::new(9, &cfg.with_seed(17).with_init_std(0.5));
+            let model = GmlFm::new(9, &GmlFmConfig { init_std: 0.5, ..cfg.with_seed(17) });
             let instances = [
                 Instance::new(vec![0, 4, 7], 0.5),
                 Instance::new(vec![1, 4, 8], -1.0),

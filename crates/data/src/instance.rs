@@ -31,16 +31,6 @@ impl Instance {
     pub fn sparse(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.feats.iter().map(|&i| (i as usize, 1.0))
     }
-
-    /// Densifies into a length-`n` vector (test helper; never used in
-    /// training loops).
-    pub fn to_dense(&self, n: usize) -> Vec<f64> {
-        let mut x = vec![0.0; n];
-        for &i in &self.feats {
-            x[i as usize] = 1.0;
-        }
-        x
-    }
 }
 
 #[cfg(test)]
@@ -51,10 +41,6 @@ mod tests {
     fn sparse_view_and_densify_agree() {
         let inst = Instance::new(vec![0, 3, 7], 1.0);
         assert_eq!(inst.n_fields(), 3);
-        let dense = inst.to_dense(10);
-        assert_eq!(dense.iter().filter(|&&v| v == 1.0).count(), 3);
-        for (i, v) in inst.sparse() {
-            assert_eq!(dense[i], v);
-        }
+        assert_eq!(inst.sparse().collect::<Vec<_>>(), vec![(0, 1.0), (3, 1.0), (7, 1.0)]);
     }
 }

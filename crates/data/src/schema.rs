@@ -121,16 +121,6 @@ impl Schema {
     pub fn field_of_kind(&self, kind: FieldKind) -> Option<usize> {
         self.fields.iter().position(|f| f.kind == kind)
     }
-
-    /// All field indices with the given kind.
-    pub fn fields_of_kind(&self, kind: FieldKind) -> Vec<usize> {
-        self.fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.kind == kind)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// A subset of a schema's fields, used for the attribute-effect study
@@ -228,7 +218,6 @@ mod tests {
     fn kind_lookup() {
         let s = movielens_like();
         assert_eq!(s.field_of_kind(FieldKind::Item), Some(1));
-        assert_eq!(s.fields_of_kind(FieldKind::UserAttr), vec![2]);
         assert_eq!(s.field_of_kind(FieldKind::Shipping), None);
     }
 

@@ -38,15 +38,13 @@ pub enum EngineError {
     },
     /// `fit` was called with zero training instances.
     EmptyTrainingSet,
-    /// `save` on a model with no frozen serving form (deep models keep
-    /// their interactions inside an autograd forward).
+    /// A request, `serve` or `save` on a model with no frozen serving
+    /// form (deep models keep their interactions inside an autograd
+    /// forward); such a model only evaluates on its holdout.
     NotFreezable {
         /// Display name of the offending model.
         model: String,
     },
-    /// `top_n`/`score_pair` on a recommender without a catalog (an
-    /// artifact saved without one).
-    MissingCatalog,
     /// `evaluate_*` on a recommender whose holdout does not match (or
     /// one restored from an artifact, which has no holdout at all).
     MissingHoldout {
@@ -92,10 +90,7 @@ impl fmt::Display for EngineError {
             }
             EngineError::EmptyTrainingSet => write!(f, "empty training set"),
             EngineError::NotFreezable { model } => {
-                write!(f, "{model} has no frozen serving form and cannot be saved")
-            }
-            EngineError::MissingCatalog => {
-                write!(f, "recommender has no catalog (artifact saved without one)")
+                write!(f, "{model} has no frozen serving form and cannot be served or saved")
             }
             EngineError::MissingHoldout { expected } => {
                 write!(f, "recommender has no {expected} holdout to evaluate on")

@@ -1,11 +1,15 @@
 //! The fluent engine pipeline: dataset → split → spec → train config →
 //! [`Recommender`], and artifact load on the serving side.
 //!
-//! A fitted (or loaded) freezable recommender is backed by a
-//! [`gmlfm_service::ModelServer`]: every `score*`/`top_n`/holdout-
-//! evaluation call routes through the typed request path, and
-//! [`Recommender::serve`] hands out the underlying hot-swappable handle
-//! for a serving process to share across threads.
+//! A [`gmlfm_service::ModelServer`] is the one route by which a
+//! [`Recommender`] answers a request: a fitted (or loaded) freezable
+//! model (GML-FM, FM, TransFM) is backed by one, every `score*`/`top_n`/
+//! `handle_*` call goes through its typed request path, and
+//! [`Recommender::serve`] hands out the same hot-swappable handle for a
+//! serving process to share across threads. The other Section 4.2
+//! baselines have no frozen form: they evaluate on their holdout through
+//! the trained estimator's scorer, and every request, `serve` and
+//! `artifact` on them is [`EngineError::NotFreezable`].
 //!
 //! ```
 //! use gmlfm_engine::{Engine, ModelSpec, SplitPlan};
@@ -32,13 +36,9 @@ use gmlfm_net::{NetServer, ServerConfig as NetServerConfig};
 use gmlfm_online::{OnlineConfig, OnlineError, OnlineModel, OnlineServing};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, RetrievalStrategy};
-use gmlfm_service::{exec, ModelServer, ModelSnapshot, Response, ScoreRequest, SeenItems, TopNRequest};
+use gmlfm_service::{ModelServer, ModelSnapshot, Response, ScoreRequest, SeenItems, TopNRequest};
 use gmlfm_train::{Scorer, TrainConfig, TrainReport};
 use std::path::Path;
-
-/// The generation stamped on responses from live (non-freezable,
-/// non-swappable) recommenders: they serve exactly one model, forever.
-const LIVE_GENERATION: u64 = 1;
 
 /// How the engine splits a dataset before training.
 #[derive(Debug, Clone, Copy)]
@@ -254,7 +254,7 @@ impl EngineBuilder {
                 let online = base.map(|base| OnlineSeed { est: estimator, base });
                 (Serving::Service(server), online)
             }
-            None => (Serving::Live { est: estimator, catalog: Some(catalog), seen }, None),
+            None => (Serving::Live { est: estimator, catalog, seen }, None),
         };
         Ok(Recommender {
             spec,
@@ -268,19 +268,20 @@ impl EngineBuilder {
     }
 }
 
-/// How a recommender answers scoring requests.
+/// What a recommender scores with.
 enum Serving {
     /// The hot-swappable serving handle over the frozen snapshot
-    /// (GML-FM, FM, TransFM).
+    /// (GML-FM, FM, TransFM): answers requests and evaluations.
     Service(ModelServer),
-    /// The trained estimator itself (models without a frozen form),
-    /// answering the same request protocol through its own scorer.
+    /// The trained estimator itself (models without a frozen form):
+    /// evaluates on the holdout through its own scorer and answers no
+    /// requests.
     Live {
         /// The trained estimator.
         est: Box<dyn Estimator>,
-        /// Serving catalog, when fit from a dataset.
-        catalog: Option<Catalog>,
-        /// Training-time seen sets, when fit from a dataset.
+        /// The dataset's catalog the holdout cases rank against.
+        catalog: Catalog,
+        /// Training-time seen sets.
         seen: Option<SeenItems>,
     },
 }
@@ -324,10 +325,11 @@ impl OnlineModel for EstimatorModel {
     }
 }
 
-/// A trained, servable model: typed request handling, catalog-wide top-n
-/// ranking, holdout evaluation and artifact persistence behind one
-/// handle. Freezable models are backed by a hot-swappable
-/// [`ModelServer`] ([`Recommender::serve`] shares it).
+/// A trained model: holdout evaluation behind one handle, and for a
+/// freezable model typed request handling, catalog-wide top-n ranking
+/// and artifact persistence through its hot-swappable [`ModelServer`]
+/// ([`Recommender::serve`] shares it). Every request method on a model
+/// without a frozen form returns [`EngineError::NotFreezable`].
 pub struct Recommender {
     spec: ModelSpec,
     schema: Schema,
@@ -357,12 +359,6 @@ impl Recommender {
         })
     }
 
-    /// Overrides the serving/eval parallelism (loaded artifacts start at
-    /// [`Parallelism::auto`]); `1` forces the serial path.
-    pub fn set_threads(&mut self, n: usize) {
-        self.par = Parallelism::threads(n);
-    }
-
     /// The serving/eval worker count this recommender uses.
     pub fn threads(&self) -> usize {
         self.par.get()
@@ -381,15 +377,15 @@ impl Recommender {
     /// The serving catalog, when present.
     pub fn catalog(&self) -> Option<&Catalog> {
         match &self.serving {
-            Serving::Service(server) => server.catalog(),
-            Serving::Live { catalog, .. } => catalog.as_ref(),
+            Serving::Service(server) => server.snapshot().1.catalog.as_ref(),
+            Serving::Live { catalog, .. } => Some(catalog),
         }
     }
 
     /// The per-user training-time seen sets, when present.
     pub fn seen(&self) -> Option<&SeenItems> {
         match &self.serving {
-            Serving::Service(server) => server.seen(),
+            Serving::Service(server) => server.snapshot().1.seen.as_ref(),
             Serving::Live { seen, .. } => seen.as_ref(),
         }
     }
@@ -401,20 +397,14 @@ impl Recommender {
 
     /// The frozen serving model, when the spec supports freezing.
     pub fn frozen(&self) -> Option<&FrozenModel> {
-        match &self.serving {
-            Serving::Service(server) => Some(server.frozen()),
-            Serving::Live { .. } => None,
-        }
+        Some(&self.server().ok()?.snapshot().1.frozen)
     }
 
     /// The IVF retrieval index of the current snapshot, when the
     /// pipeline built one ([`EngineBuilder::retrieval`]) or the loaded
     /// artifact carried one.
     pub fn index(&self) -> Option<&IvfIndex> {
-        match &self.serving {
-            Serving::Service(server) => server.snapshot().1.index.as_ref(),
-            Serving::Live { .. } => None,
-        }
+        self.server().ok()?.snapshot().1.index.as_ref()
     }
 
     /// The shared, hot-swappable serving handle backing this recommender
@@ -427,8 +417,14 @@ impl Recommender {
     /// `self.score*`/`top_n` answer — that is the zero-downtime refresh
     /// path, not a side effect.
     pub fn serve(&self) -> Result<ModelServer, EngineError> {
+        self.server().cloned()
+    }
+
+    /// The serving handle every request goes through;
+    /// [`EngineError::NotFreezable`] for a model without a frozen form.
+    fn server(&self) -> Result<&ModelServer, EngineError> {
         match &self.serving {
-            Serving::Service(server) => Ok(server.clone()),
+            Serving::Service(server) => Ok(server),
             Serving::Live { .. } => {
                 Err(EngineError::NotFreezable { model: self.spec.display_name().to_string() })
             }
@@ -487,32 +483,19 @@ impl Recommender {
     }
 
     /// Answers a typed [`ScoreRequest`] (the path every `score*`
-    /// convenience wrapper routes through).
+    /// convenience wrapper routes through). [`EngineError::NotFreezable`]
+    /// for a model without a frozen form.
     pub fn handle_score(&self, req: &ScoreRequest) -> Result<Response<f64>, EngineError> {
-        match &self.serving {
-            Serving::Service(server) => Ok(server.score(req)?),
-            Serving::Live { est, catalog, .. } => {
-                let backend = ScorerBackend(est.scorer());
-                let value = exec::execute_score(&backend, &self.schema, catalog.as_ref(), req)?;
-                Ok(Response { generation: LIVE_GENERATION, value })
-            }
-        }
+        Ok(self.server()?.score(req)?)
     }
 
     /// Answers a typed [`TopNRequest`]: `(item, score)` pairs, best
     /// first, ties broken by ascending item id. Unlike the
     /// [`Recommender::top_n`] convenience wrapper, the request's own
     /// seen-item exclusion default (exclude) applies.
+    /// [`EngineError::NotFreezable`] for a model without a frozen form.
     pub fn handle_top_n(&self, req: &TopNRequest) -> Result<Response<Vec<(u32, f64)>>, EngineError> {
-        match &self.serving {
-            Serving::Service(server) => Ok(server.top_n(&self.with_par(req))?),
-            Serving::Live { est, catalog, seen } => {
-                let backend = ScorerBackend(est.scorer());
-                let value =
-                    exec::execute_topn(&backend, catalog.as_ref(), seen.as_ref(), &[], req, self.par)?;
-                Ok(Response { generation: LIVE_GENERATION, value })
-            }
-        }
+        Ok(self.server()?.top_n(&self.with_par(req))?)
     }
 
     /// Scores one instance. Out-of-range feature indices are a typed
@@ -600,7 +583,7 @@ impl Recommender {
             }
             Serving::Live { est, catalog, seen } => evaluate_topn_backend(
                 &ScorerBackend(est.scorer()),
-                catalog.as_ref(),
+                Some(catalog),
                 seen.as_ref(),
                 cases,
                 k,
@@ -619,30 +602,24 @@ impl Recommender {
     /// Fails with [`EngineError::NotFreezable`] for models without a
     /// frozen serving form.
     pub fn artifact(&self) -> Result<Artifact, EngineError> {
-        match &self.serving {
-            Serving::Service(server) => {
-                let (_, snap) = server.snapshot();
-                let overlay = server.overlay_seen();
-                let seen = if overlay.total() == 0 {
-                    snap.seen.clone()
-                } else {
-                    let mut merged = snap.seen.clone().unwrap_or_else(|| SeenItems::new(Vec::new()));
-                    merged.merge(&overlay);
-                    Some(merged)
-                };
-                Ok(Artifact::new(
-                    self.spec.clone(),
-                    &snap.schema,
-                    &snap.frozen,
-                    snap.catalog.clone(),
-                    seen,
-                    snap.index.as_ref(),
-                ))
-            }
-            Serving::Live { .. } => {
-                Err(EngineError::NotFreezable { model: self.spec.display_name().to_string() })
-            }
-        }
+        let server = self.server()?;
+        let (_, snap) = server.snapshot();
+        let overlay = server.overlay_seen();
+        let seen = if overlay.total() == 0 {
+            snap.seen.clone()
+        } else {
+            let mut merged = snap.seen.clone().unwrap_or_else(|| SeenItems::new(Vec::new()));
+            merged.merge(&overlay);
+            Some(merged)
+        };
+        Ok(Artifact::new(
+            self.spec.clone(),
+            &snap.schema,
+            &snap.frozen,
+            snap.catalog.clone(),
+            seen,
+            snap.index.as_ref(),
+        ))
     }
 
     /// Saves the artifact as JSON (see [`Recommender::artifact`]).
@@ -682,7 +659,7 @@ impl std::fmt::Debug for Recommender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recommender")
             .field("spec", &self.spec)
-            .field("frozen", &matches!(self.serving, Serving::Service(_)))
+            .field("frozen", &self.server().is_ok())
             .field("has_catalog", &self.catalog().is_some())
             .field("has_holdout", &self.holdout.is_some())
             .finish_non_exhaustive()

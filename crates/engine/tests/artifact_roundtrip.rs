@@ -10,6 +10,7 @@ use common::{fit_topn, freezable_specs};
 use gmlfm_data::{generate, DatasetSpec, Instance};
 use gmlfm_engine::{Engine, EngineError, ModelSpec, Recommender, SplitPlan, ARTIFACT_VERSION};
 use gmlfm_models::mf::MfConfig;
+use gmlfm_service::{ScoreRequest, TopNRequest};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -141,6 +142,13 @@ fn non_freezable_models_refuse_to_save() {
         .fit()
         .expect("BPR-MF fits the top-n task");
     assert!(matches!(rec.artifact(), Err(EngineError::NotFreezable { .. })));
+    // No frozen form, no request route: every request is refused the
+    // same way, while the holdout still evaluates through the scorer.
+    assert!(matches!(rec.score_pair(0, 0), Err(EngineError::NotFreezable { .. })));
+    assert!(matches!(rec.top_n(0, 10), Err(EngineError::NotFreezable { .. })));
+    assert!(matches!(rec.handle_score(&ScoreRequest::pair(0, 0)), Err(EngineError::NotFreezable { .. })));
+    assert!(matches!(rec.handle_top_n(&TopNRequest::new(0, 10)), Err(EngineError::NotFreezable { .. })));
+    assert!(rec.evaluate_topn(10).is_ok(), "a live recommender still evaluates");
 }
 
 #[test]

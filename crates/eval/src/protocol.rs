@@ -55,7 +55,7 @@ pub struct TopnMetrics {
 }
 
 /// A [`ScoringBackend`] over any [`Scorer`], so models without a frozen
-/// form answer the same request protocol as frozen ones. Each request
+/// form run the same leave-one-out protocol as frozen ones. Each case
 /// is one [`Scorer::scores`] call over the candidates' full feature
 /// rows (the user's template with each candidate's item group spliced
 /// in); `par` is ignored — the scorer's own batch path decides.

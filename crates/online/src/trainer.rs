@@ -15,7 +15,7 @@ use crate::handle::OnlineHandle;
 use crate::log::InteractionLog;
 use gmlfm_data::{Instance, LooTestCase};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{Freeze, FrozenModel, IvfBuildOptions, IvfIndex};
+use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex};
 use gmlfm_service::{exec, Interaction, ModelServer, ModelSnapshot, SeenItems};
 use gmlfm_train::TrainConfig;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,11 +30,10 @@ use std::time::{Duration, Instant};
 /// the published weights — the warm start — and
 /// [`freeze`](OnlineModel::freeze) extracts the next serving candidate.
 ///
-/// `gmlfm-engine` adapts its `Estimator`s onto this trait; the direct
-/// implementation for [`FactorizationMachine`] serves tests, benches and
-/// engine-free deployments.
-///
-/// [`FactorizationMachine`]: gmlfm_models::FactorizationMachine
+/// `gmlfm-engine` adapts its `Estimator`s onto this trait, so
+/// `Recommender::serve_online` retrains the model it serves; an
+/// engine-free deployment, a test or a bench implements it on its own
+/// model.
 pub trait OnlineModel: Send {
     /// Continues training from the current parameters over `train`
     /// (base + accumulated interactions). `cfg` carries the per-round
@@ -44,21 +43,6 @@ pub trait OnlineModel: Send {
 
     /// Extracts the frozen serving candidate at the current weights.
     fn freeze(&self) -> Result<FrozenModel, OnlineError>;
-}
-
-impl OnlineModel for gmlfm_models::FactorizationMachine {
-    fn warm_fit(&mut self, train: &[Instance], _cfg: &TrainConfig) -> Result<(), OnlineError> {
-        if train.is_empty() {
-            return Err(OnlineError::Train("empty training set".into()));
-        }
-        // Epochs/lr come from the FM's own `FmConfig`.
-        self.fit(train);
-        Ok(())
-    }
-
-    fn freeze(&self) -> Result<FrozenModel, OnlineError> {
-        Ok(Freeze::freeze(self))
-    }
 }
 
 /// Tuning knobs of the online loop.
@@ -234,7 +218,7 @@ impl OnlineTrainer {
         holdout: Vec<LooTestCase>,
         cfg: OnlineConfig,
     ) -> Result<Self, OnlineError> {
-        if server.catalog().is_none() {
+        if server.snapshot().1.catalog.is_none() {
             return Err(OnlineError::Launch("serving snapshot carries no catalog".into()));
         }
         if base.is_empty() {
@@ -400,25 +384,29 @@ fn run_round(shared: &Shared) -> RoundOutcome {
     // baseline is its frozen model.
     let (generation, snap) = shared.server.snapshot();
     let drained = shared.log.drain();
-    let had_new = !drained.is_empty();
-    for event in &drained {
-        match fold_event(&mut st, shared, snap, event) {
-            Ok(()) => {}
-            Err(_) => {
-                // The event validated at feed time but not against the
-                // round's snapshot (e.g. an operator swapped in a
-                // different catalog since): drop it, counted.
-                // ORDERING: Relaxed — monitoring counter.
-                shared.skipped_events.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
     let retry_rejected = matches!(*shared.lock_last(), Some(RoundOutcome::Rejected { .. }));
-    if !had_new && !retry_rejected {
+    if drained.is_empty() && !retry_rejected {
         return RoundOutcome::Skipped;
     }
 
-    let outcome = retrain_and_publish(&mut st, shared, generation, snap);
+    // The round's seen sets: the snapshot's, folded with the overlay.
+    // Read after the drain, the overlay holds every drained event (a
+    // feed records it there before enqueueing it), so negatives are
+    // drawn from items the user has not fed either, and the candidate
+    // publishes the same sets.
+    let mut seen = snap.seen.clone().unwrap_or_else(|| SeenItems::new(Vec::new()));
+    seen.merge(&shared.server.overlay_seen());
+    for event in &drained {
+        if fold_event(&mut st, shared, snap, &seen, event).is_err() {
+            // The event validated at feed time but not against the
+            // round's snapshot (e.g. an operator swapped in a different
+            // catalog since): drop it, counted.
+            // ORDERING: Relaxed — monitoring counter.
+            shared.skipped_events.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    let outcome = retrain_and_publish(&mut st, shared, generation, snap, seen);
     match &outcome {
         RoundOutcome::Published { .. } => {
             // ORDERING: Relaxed — monitoring counter.
@@ -435,11 +423,12 @@ fn run_round(shared: &Shared) -> RoundOutcome {
 }
 
 /// Converts one drained event into training instances: the validated
-/// positive plus `negatives_per_event` sampled unseen negatives.
+/// positive plus `negatives_per_event` sampled negatives outside `seen`.
 fn fold_event(
     st: &mut RoundState,
     shared: &Shared,
     snap: &ModelSnapshot,
+    seen: &SeenItems,
     event: &Interaction,
 ) -> Result<(), OnlineError> {
     let feats = exec::resolve_interaction(&snap.schema, snap.catalog.as_ref(), event)?;
@@ -454,9 +443,7 @@ fn fold_event(
         // negative is simply skipped rather than looping unboundedly.
         for _ in 0..8 {
             let candidate = (next_u64(&mut st.neg_rng) % u64::from(n_items)) as u32;
-            let seen = candidate == event.item
-                || snap.seen.as_ref().is_some_and(|s| s.contains(event.user, candidate));
-            if seen {
+            if candidate == event.item || seen.contains(event.user, candidate) {
                 continue;
             }
             if let Some(neg_feats) = catalog.feats(event.user, candidate) {
@@ -468,12 +455,14 @@ fn fold_event(
     Ok(())
 }
 
-/// Warm-fit, freeze, rebuild the index, judge, publish.
+/// Warm-fit, freeze, rebuild the index, judge, publish with the
+/// round's `seen` sets.
 fn retrain_and_publish(
     st: &mut RoundState,
     shared: &Shared,
     generation: u64,
     snap: &ModelSnapshot,
+    seen: SeenItems,
 ) -> RoundOutcome {
     if let Err(e) = st.model.warm_fit(&st.train, &shared.cfg.train) {
         return RoundOutcome::Failed { error: e.to_string() };
@@ -486,11 +475,6 @@ fn retrain_and_publish(
         Some(catalog) => catalog,
         None => return RoundOutcome::Failed { error: "round snapshot carries no catalog".into() },
     };
-
-    // Candidate seen sets: the snapshot's, folded with everything the
-    // overlay accumulated (which includes every fed event).
-    let mut seen = snap.seen.clone().unwrap_or_else(|| SeenItems::new(Vec::new()));
-    seen.merge(&shared.server.overlay_seen());
 
     // Metric-mode snapshots rebuild their IVF index at the candidate's
     // weights — sublinear retrieval must never serve a stale index — with

@@ -1,8 +1,9 @@
 //! End-to-end tests of the online loop: ingest folds exclusions before
-//! any retrain, warm-start rounds publish only through the eval gate, a
-//! planted regression is refused with a typed report, and readers
-//! hammering the serving handle through real trainer-driven swaps never
-//! block or observe a torn generation.
+//! any retrain, warm-start rounds publish only through the eval gate,
+//! sampled negatives avoid every item the user fed, a planted regression
+//! is refused with a typed report, and readers hammering the serving
+//! handle through real trainer-driven swaps never block or observe a
+//! torn generation.
 
 use gmlfm_data::{FieldKind, Instance, LooTestCase, Schema};
 use gmlfm_models::fm::FmConfig;
@@ -15,7 +16,7 @@ use gmlfm_service::{
 use gmlfm_tensor::Matrix;
 use gmlfm_train::TrainConfig;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const N_USERS: usize = 6;
@@ -75,9 +76,24 @@ fn holdout() -> Vec<LooTestCase> {
         .collect()
 }
 
+/// An FM that keeps training in place: each round is one more `fit`
+/// under its own `FmConfig` (epochs, learning rate).
+struct WarmFm(FactorizationMachine);
+
+impl OnlineModel for WarmFm {
+    fn warm_fit(&mut self, train: &[Instance], _cfg: &TrainConfig) -> Result<(), OnlineError> {
+        self.0.fit(train);
+        Ok(())
+    }
+
+    fn freeze(&self) -> Result<FrozenModel, OnlineError> {
+        Ok(Freeze::freeze(&self.0))
+    }
+}
+
 /// A warm-fitted FM plus the snapshot frozen from its current weights —
 /// the invariant `OnlineTrainer::launch` documents.
-fn fitted_fm(base: &[Instance]) -> (FactorizationMachine, ModelSnapshot) {
+fn fitted_fm(base: &[Instance]) -> (WarmFm, ModelSnapshot) {
     let mut fm =
         FactorizationMachine::new(N_FEATS, FmConfig { k: 4, lr: 0.05, reg: 0.01, epochs: 5, seed: 7 });
     fm.fit(base);
@@ -88,7 +104,7 @@ fn fitted_fm(base: &[Instance]) -> (FactorizationMachine, ModelSnapshot) {
         seen: Some(base_seen()),
         index: None,
     };
-    (fm, snapshot)
+    (WarmFm(fm), snapshot)
 }
 
 fn topn_items(server: &ModelServer, user: u32, n: usize) -> Vec<u32> {
@@ -291,6 +307,71 @@ fn a_planted_regression_is_refused_with_a_typed_report() {
     let status = serving.shutdown();
     assert_eq!(status.published, 0);
     assert_eq!(status.rejected, 2);
+}
+
+/// A trainer that keeps a copy of every training set it is handed and
+/// always freezes to the same model.
+struct Recorder {
+    fits: Arc<Mutex<Vec<Vec<Instance>>>>,
+    frozen: FrozenModel,
+}
+
+impl OnlineModel for Recorder {
+    fn warm_fit(&mut self, train: &[Instance], _cfg: &TrainConfig) -> Result<(), OnlineError> {
+        self.fits.lock().expect("recorder lock").push(train.to_vec());
+        Ok(())
+    }
+
+    fn freeze(&self) -> Result<FrozenModel, OnlineError> {
+        Ok(self.frozen.clone())
+    }
+}
+
+#[test]
+fn sampled_negatives_never_repeat_an_item_the_user_fed() {
+    // User 0 has seen {0, 1} and feeds seven more items in one round;
+    // only item 5 is left unseen. A negative drawn from any fed item
+    // would train (0, item, +1) and (0, item, -1) in the same round.
+    let frozen = linear_items(f64::from);
+    let snapshot = ModelSnapshot {
+        schema: schema(),
+        frozen: frozen.clone(),
+        catalog: Some(catalog()),
+        seen: Some(base_seen()),
+        index: None,
+    };
+    let server = ModelServer::new(snapshot).expect("consistent snapshot");
+    let fits = Arc::new(Mutex::new(Vec::new()));
+    let model = Recorder { fits: Arc::clone(&fits), frozen };
+    let cfg = OnlineConfig {
+        background: false,
+        gate_tolerance: 1.0,
+        negatives_per_event: 2,
+        ..OnlineConfig::default()
+    };
+    let base = base_train();
+    let base_len = base.len();
+    let serving =
+        OnlineServing::launch(server, Box::new(model), base, holdout(), cfg).expect("launch validates");
+    let fed = [2u32, 3, 4, 6, 7, 8, 9];
+    for (id, &item) in fed.iter().enumerate() {
+        serving
+            .handle()
+            .feed(&Interaction::new(0, item).id(id as u64))
+            .expect("feed validates");
+    }
+    assert!(matches!(serving.trainer().run_once(), RoundOutcome::Published { .. }));
+
+    let fits = fits.lock().expect("recorder lock");
+    let folded = &fits.last().expect("the round warm-fits")[base_len..];
+    let item_of = |inst: &Instance| inst.feats[1] - N_USERS as u32;
+    let positives: Vec<u32> = folded.iter().filter(|i| i.label > 0.0).map(item_of).collect();
+    assert_eq!(positives, fed, "every fed event trains as a positive");
+    let negatives: Vec<u32> = folded.iter().filter(|i| i.label < 0.0).map(item_of).collect();
+    assert!(!negatives.is_empty(), "the round samples negatives");
+    for item in negatives {
+        assert_eq!(item, 5, "negative {item} is seen or fed by user 0");
+    }
 }
 
 /// A trainer whose warm fit announces itself and then parks until the

@@ -71,12 +71,6 @@ impl HatQ {
         Self { table }
     }
 
-    /// Packs a transformed embedding table, computing `qᵢ = ‖v̂ᵢ‖²`.
-    pub fn from_v_hat(v_hat: Matrix) -> Self {
-        let q: Vec<f64> = (0..v_hat.rows()).map(|r| dot(v_hat.row(r), v_hat.row(r))).collect();
-        Self::new(v_hat, q)
-    }
-
     /// Number of features `n`.
     pub fn n(&self) -> usize {
         self.table.rows()
@@ -469,9 +463,6 @@ pub(crate) mod tests {
         }
         assert_eq!(hat.v_hat_matrix(), v_hat);
         assert_eq!(hat.q_vec(), q);
-        // And the norm-computing constructor agrees bit-for-bit with the
-        // shared scoring kernel's dot product.
-        assert_eq!(HatQ::from_v_hat(v_hat.clone()).q_vec(), q);
     }
 
     /// The served pair sum against the one reference in every mode, with

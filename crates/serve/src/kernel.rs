@@ -226,26 +226,6 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     reduce_f32(acc) + tail
 }
 
-/// f32 twin of [`sq_dist`].
-#[inline]
-pub fn sq_dist_f32(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for l in 0..LANES {
-            let d = xa[l] - xb[l];
-            acc[l] += d * d;
-        }
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        let d = x - y;
-        tail += d * d;
-    }
-    reduce_f32(acc) + tail
-}
-
 /// Dequantizes one i8 row with per-row affine parameters into `out`:
 /// `out[d] = lo + scale·(code[d] + 128)`.
 ///
@@ -405,7 +385,6 @@ mod tests {
             let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
             let scale = dot(&a, &a).abs().max(dot(&b, &b).abs()).max(1.0);
             assert!((dot_f32(&a32, &b32) as f64 - dot(&a, &b)).abs() <= 1e-5 * scale);
-            assert!((sq_dist_f32(&a32, &b32) as f64 - sq_dist(&a, &b)).abs() <= 1e-5 * scale);
         }
     }
 

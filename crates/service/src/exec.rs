@@ -3,10 +3,11 @@
 //!
 //! Validation is pure over the snapshot's [`Schema`] and [`Catalog`];
 //! scoring goes through the [`ScoringBackend`] trait so the frozen
-//! serving path and the engine's live (non-freezable) estimators answer
-//! the same requests with identical semantics. [`crate::ModelServer`]
-//! wires these functions to its current snapshot; `gmlfm-engine`'s
-//! `Recommender` wires them to whichever serving form it holds.
+//! serving path and the leave-one-out protocol's scorer adapter
+//! (`gmlfm_eval::ScorerBackend`, for models without a frozen form)
+//! rank candidates with identical semantics. [`crate::ModelServer`]
+//! wires these functions to its current snapshot; it is the only
+//! request route of `gmlfm-engine`'s `Recommender`.
 
 use crate::catalog::{Catalog, SeenItems};
 use crate::error::RequestError;
@@ -23,9 +24,9 @@ use std::cell::RefCell;
 /// catalogue candidate scoring for the evaluation protocols, and
 /// bounded-heap top-N selection for ranking requests.
 ///
-/// Implementations may ignore `par` (the engine's live estimators score
-/// through their own batch path); the frozen implementation partitions
-/// candidates into `gmlfm-par` blocks with one
+/// Implementations may ignore `par` (a scorer-backed evaluation scores
+/// through the model's own batch path); the frozen implementation
+/// partitions candidates into `gmlfm-par` blocks with one
 /// [`gmlfm_serve::TopNRanker`] per block, merged in candidate
 /// order — bit-identical to serial at every thread count.
 pub trait ScoringBackend {

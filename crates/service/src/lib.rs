@@ -33,13 +33,12 @@
 //!   mid-traffic after a schema-compatibility check, bumping the
 //!   generation stamped into every [`Response`].
 //! * **[`exec`]** — the shared validation/execution path, generic over a
-//!   [`ScoringBackend`] so `gmlfm-engine`'s live (non-freezable)
-//!   estimators answer the same protocol with the same semantics.
+//!   [`ScoringBackend`] so the leave-one-out protocol ranks the
+//!   candidates of models without a frozen form with the same semantics.
 //!
 //! The engine's `Recommender` is a thin wrapper over this crate:
 //! `Recommender::serve()` hands out the underlying [`ModelServer`], and
-//! its `score*`/`top_n`/holdout-evaluation methods all route through
-//! [`exec`].
+//! its `score*`/`top_n`/`handle_*` methods all go through it.
 #![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,

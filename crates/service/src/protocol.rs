@@ -84,9 +84,10 @@ impl ScoreRequest {
 /// descending, equal scores broken by **ascending item id**
 /// ([`gmlfm_serve::rank_cmp`]). The same order applies on every
 /// execution path — the sharded bounded-heap retrieval of frozen
-/// snapshots, the single-heap selection of live estimators, and the
-/// full-sort references the parity tests pin against — so equal-score
-/// ordering is a contract, not a sort-implementation accident.
+/// snapshots, the default single-heap selection of a
+/// [`ScoringBackend`](crate::ScoringBackend), and the full-sort
+/// references the parity tests pin against — so equal-score ordering is
+/// a contract, not a sort-implementation accident.
 ///
 /// `n = 0` yields an empty ranking; `n` larger than the surviving
 /// candidate count (after exclusions and seen-item filtering, which run

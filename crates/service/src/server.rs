@@ -186,26 +186,6 @@ impl ModelServer {
         self.state().generation
     }
 
-    /// The schema of the current snapshot.
-    pub fn schema(&self) -> &Schema {
-        &self.state().snap.schema
-    }
-
-    /// The frozen model of the current snapshot.
-    pub fn frozen(&self) -> &FrozenModel {
-        &self.state().snap.frozen
-    }
-
-    /// The catalog of the current snapshot, when it carries one.
-    pub fn catalog(&self) -> Option<&Catalog> {
-        self.state().snap.catalog.as_ref()
-    }
-
-    /// The seen sets of the current snapshot, when it carries them.
-    pub fn seen(&self) -> Option<&SeenItems> {
-        self.state().snap.seen.as_ref()
-    }
-
     /// How many generations the slot retains (== the number of
     /// successful installs, including the first).
     pub fn retained(&self) -> usize {

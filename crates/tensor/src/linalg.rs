@@ -59,18 +59,6 @@ pub fn quadratic_form(a: &Matrix, x: &[f64]) -> f64 {
     total
 }
 
-/// Symmetrises a matrix in place: `A <- (A + Aᵀ)/2`.
-pub fn symmetrize(a: &mut Matrix) {
-    assert_eq!(a.rows(), a.cols(), "symmetrize: matrix must be square");
-    for i in 0..a.rows() {
-        for j in 0..i {
-            let avg = 0.5 * (a[(i, j)] + a[(j, i)]);
-            a[(i, j)] = avg;
-            a[(j, i)] = avg;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +92,5 @@ mod tests {
         let xm = Matrix::row_vector(&x);
         let expected = xm.matmul(&a).matmul(&xm.transpose())[(0, 0)];
         assert!((quadratic_form(&a, &x) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn symmetrize_averages_off_diagonals() {
-        let mut a = Matrix::from_rows(&[&[1.0, 4.0], &[2.0, 1.0]]);
-        symmetrize(&mut a);
-        assert_eq!(a[(0, 1)], 3.0);
-        assert_eq!(a[(1, 0)], 3.0);
     }
 }

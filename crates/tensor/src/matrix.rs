@@ -102,11 +102,6 @@ impl Matrix {
         Self::from_vec(1, values.len(), values.to_vec())
     }
 
-    /// An `n x 1` column vector.
-    pub fn col_vector(values: &[f64]) -> Self {
-        Self::from_vec(values.len(), 1, values.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -419,15 +414,6 @@ impl Matrix {
         out
     }
 
-    /// Vertical concatenation `[self ; rhs]`.
-    pub fn vcat(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.cols, "vcat: col mismatch {} vs {}", self.cols, rhs.cols);
-        let mut data = Vec::with_capacity((self.rows + rhs.rows) * self.cols);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&rhs.data);
-        Matrix::from_vec(self.rows + rhs.rows, self.cols, data)
-    }
-
     /// Gathers the given rows into a new matrix (embedding lookup).
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);
@@ -527,7 +513,6 @@ mod tests {
         assert_eq!(Matrix::eye(3)[(1, 1)], 1.0);
         assert_eq!(Matrix::eye(3)[(0, 1)], 0.0);
         assert_eq!(Matrix::row_vector(&[1.0, 2.0]).shape(), (1, 2));
-        assert_eq!(Matrix::col_vector(&[1.0, 2.0]).shape(), (2, 1));
         assert_eq!(Matrix::filled(2, 2, 7.0).sum(), 28.0);
     }
 
@@ -600,8 +585,6 @@ mod tests {
         let h = a.hcat(&a);
         assert_eq!(h.shape(), (2, 6));
         assert_eq!(h.row(0), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-        let v = a.vcat(&a);
-        assert_eq!(v.shape(), (4, 3));
         let g = a.gather_rows(&[1, 1, 0]);
         assert_eq!(g.row(0), &[4.0, 5.0, 6.0]);
         assert_eq!(g.row(2), &[1.0, 2.0, 3.0]);

@@ -18,28 +18,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Pearson correlation of two equal-length slices; 0 when degenerate.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "pearson: length mismatch");
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let (mx, my) = (mean(xs), mean(ys));
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx).powi(2);
-        vy += (y - my).powi(2);
-    }
-    if vx <= 0.0 || vy <= 0.0 {
-        0.0
-    } else {
-        cov / (vx.sqrt() * vy.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,17 +33,5 @@ mod tests {
     fn degenerate_inputs_are_zero() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[1.0]), 0.0);
-        assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
-    }
-
-    #[test]
-    fn pearson_detects_perfect_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = ys.iter().map(|y| -y).collect();
-        assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-12);
-        let flat = [3.0, 3.0, 3.0, 3.0];
-        assert_eq!(pearson(&xs, &flat), 0.0);
     }
 }
