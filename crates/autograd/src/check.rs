@@ -176,13 +176,14 @@ mod tests {
     }
 
     #[test]
-    fn check_pow_and_sqrt() {
+    fn check_sqrt() {
         let mut ps = ParamSet::new();
         ps.add("a", Matrix::from_rows(&[&[0.5, 0.7, 1.2], &[2.0, 0.9, 0.4]]));
         let report = gradient_check(&mut ps, EPS, |g, p| {
             let a = g.param(p, id_of(p, 0));
-            let p3 = g.pow_non_neg(a, 3.0);
-            let s = g.sqrt(p3);
+            let a2 = g.mul(a, a);
+            let a3 = g.mul(a2, a);
+            let s = g.sqrt(a3);
             g.sum_all(s)
         });
         assert!(report.passes(TOL), "{report:?}");
@@ -218,6 +219,26 @@ mod tests {
             let out = g.matmul(cat, w); // 3x1
             let sq = g.square(out);
             g.sum_all(sq)
+        });
+        assert!(report.passes(TOL), "{report:?}");
+    }
+
+    #[test]
+    fn check_gather_param() {
+        // In-place gathers of one table, overlapping, beside a dense use
+        // of the same parameter.
+        let mut ps = rand_params(&[("emb", 5, 3), ("w", 3, 1)], 13);
+        let report = gradient_check(&mut ps, EPS, |g, p| {
+            let left = g.gather_param(p, id_of(p, 0), &[0, 2, 4, 2]);
+            let right = g.gather_param(p, id_of(p, 0), &[1, 2, 3, 3]);
+            let prod = g.mul(left, right);
+            let w = g.param(p, id_of(p, 1));
+            let out = g.matmul(prod, w);
+            let emb = g.param(p, id_of(p, 0));
+            let sq = g.square(emb);
+            let s1 = g.sum_all(out);
+            let s2 = g.sum_all(sq);
+            g.add(s1, s2)
         });
         assert!(report.passes(TOL), "{report:?}");
     }

@@ -1,5 +1,6 @@
 //! The tape: eager forward evaluation, reverse-mode backward pass.
 
+use crate::pair::{PairDistance, PairSum};
 use crate::params::{scatter_add_rows, Gradients, ParamId, ParamSet};
 use gmlfm_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -11,12 +12,16 @@ pub struct Var(usize);
 
 /// Recorded operation. Each variant stores the indices of its inputs plus
 /// whatever forward-pass data its backward rule needs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     /// Leaf holding a constant (no gradient flows out).
     Constant,
     /// Leaf holding a copy of a trainable parameter.
     Param(ParamId),
+    /// Leaf holding rows of a parameter table of the given height.
+    GatherParam(ParamId, usize, Vec<usize>),
+    /// `Σ_{i<j} w_ij · D(t_i, t_j)` (see [`Graph::pair_sum`]).
+    PairSum(Box<PairSum>),
     Add(usize, usize),
     Sub(usize, usize),
     /// Element-wise (Hadamard) product.
@@ -35,8 +40,6 @@ enum Op {
     Neg(usize),
     Square(usize),
     Abs(usize),
-    /// `x^p` for `x >= 0` (used after [`Op::Abs`] for Minkowski distances).
-    PowNonNeg(usize, f64),
     Sqrt(usize),
     Tanh(usize),
     Sigmoid(usize),
@@ -124,10 +127,20 @@ impl Graph {
         self.push(Op::Constant, value)
     }
 
-    /// Records a parameter leaf by copying the current parameter value.
+    /// Records a parameter leaf by copying the current parameter value; for
+    /// tables, [`Graph::gather_param`] copies only the rows it reads.
     pub fn param(&mut self, params: &ParamSet, id: ParamId) -> Var {
         self.n_params_seen = self.n_params_seen.max(id.index() + 1);
         self.push(Op::Param(id), params.get(id).clone())
+    }
+
+    /// Embedding lookup read in place: a leaf holding rows `indices` of
+    /// `id`'s value, whose backward scatter-adds into the parameter's entry
+    /// of [`Gradients`] (zero-filled on first touch), so no pass copies it.
+    pub fn gather_param(&mut self, params: &ParamSet, id: ParamId, indices: &[usize]) -> Var {
+        self.n_params_seen = self.n_params_seen.max(id.index() + 1);
+        let table = params.get(id);
+        self.push(Op::GatherParam(id, table.rows(), indices.to_vec()), table.gather_rows(indices))
     }
 
     /// Element-wise sum of two same-shape nodes.
@@ -219,12 +232,6 @@ impl Graph {
     pub fn abs(&mut self, a: Var) -> Var {
         let v = self.nodes[a.0].value.map(f64::abs);
         self.push(Op::Abs(a.0), v)
-    }
-
-    /// Element-wise `x^p` for non-negative inputs.
-    pub fn pow_non_neg(&mut self, a: Var, p: f64) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x.max(0.0).powf(p));
-        self.push(Op::PowNonNeg(a.0, p), v)
     }
 
     /// Element-wise square root of non-negative inputs.
@@ -320,20 +327,38 @@ impl Graph {
         self.push(Op::MaxRows(a.0, argmax), v)
     }
 
-    /// Embedding lookup: gathers `indices` rows of a `[N,k]` node into a
-    /// `[B,k]` node; the backward pass scatter-adds into the source rows.
-    ///
-    /// Gather straight from a [`Graph::param`] leaf when the table is a
-    /// parameter: [`Graph::backward`] then adds the `B` adjoint rows
-    /// directly into the parameter's gradient. From any other node the
-    /// rows go through a zero-filled `[N,k]` adjoint first. Both give the
-    /// same bits when the gathers of a table read disjoint index sets
-    /// (duplicates inside one gather are fine); where gathers share rows
-    /// the two associate the shared rows' sums differently and agree to
-    /// rounding only.
+    /// Row gather from another node: gathers `indices` rows of a `[N,k]`
+    /// node into a `[B,k]` node; the backward pass scatter-adds into a
+    /// zero-filled `[N,k]` adjoint. For a parameter table use
+    /// [`Graph::gather_param`], which skips both the table copy and the
+    /// table-height adjoint. The two give the same bits when the gathers
+    /// of a table read disjoint index sets (duplicates inside one gather
+    /// are fine); where gathers share rows they associate the shared
+    /// rows' sums differently and agree to rounding only.
     pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
         let v = self.nodes[a.0].value.gather_rows(indices);
         self.push(Op::GatherRows(a.0, indices.to_vec()), v)
+    }
+
+    /// GML-FM's pair term (Eq. 3) as one `B×1` node `Σ_{i<j} w_ij·D(t_i, t_j)`
+    /// over `m ≥ 2` `B×k` nodes, `w_ij = (e_i ⊙ e_j) h` for `weight =
+    /// Some((embeds, h))` and `1` for `None`: the bits of `distance`'s ops,
+    /// `mul`, `matmul`, `mul` and `add` per pair in `(i, j)` order when no
+    /// input has another consumer (see [`crate::pair`]).
+    pub fn pair_sum(
+        &mut self,
+        transformed: &[Var],
+        weight: Option<(&[Var], Var)>,
+        distance: impl PairDistance + 'static,
+    ) -> Var {
+        let mut inputs: Vec<usize> = transformed.iter().map(|v| v.0).collect();
+        if let Some((embeds, h)) = weight {
+            assert_eq!(embeds.len(), transformed.len(), "pair_sum: one weight input per field");
+            inputs.extend(embeds.iter().chain([&h]).map(|v| v.0));
+        }
+        let values: Vec<&Matrix> = inputs.iter().map(|&i| &self.nodes[i].value).collect();
+        let (node, value) = PairSum::forward(Box::new(distance), inputs, transformed.len(), &values);
+        self.push(Op::PairSum(Box::new(node)), value)
     }
 
     /// Horizontal concatenation `[a | b]`.
@@ -423,12 +448,12 @@ impl Graph {
     /// descending consumer order, each computed by the product kernels'
     /// fixed summation order, so the pass is deterministic to the bit. A
     /// node's first contribution is moved into its slot, later ones are
-    /// added in place. A [`Graph::gather_rows`] from a parameter leaf
-    /// skips the slot and scatter-adds into [`Gradients`] (see there for
-    /// when that is bit-identical to the dense rule), so no adjoint the
-    /// pass stores has the height of an embedding table: a training
-    /// step's only table-height work is one zero-fill per gathered
-    /// parameter and the optimizer's pass over it.
+    /// added in place. A [`Graph::gather_param`] leaf scatter-adds into
+    /// [`Gradients`] (see [`Graph::gather_rows`] for when that is
+    /// bit-identical to the dense rule), and no leaf holds a table's copy,
+    /// so nothing the tape stores has the height of an embedding table: a
+    /// training step's only table-height work is one zero-fill per
+    /// gathered table and the optimizer's pass over it.
     ///
     /// # Panics
     /// Panics when `loss` is not `1x1`.
@@ -443,6 +468,13 @@ impl Graph {
             match &self.nodes[idx].op {
                 Op::Constant => {}
                 Op::Param(id) => grads.accumulate(*id, &g),
+                Op::GatherParam(id, n, rows) => grads.scatter_add_rows(*id, (*n, g.cols()), rows, &g),
+                Op::PairSum(node) => {
+                    let values: Vec<&Matrix> = node.inputs.iter().map(|&i| &self.nodes[i].value).collect();
+                    for (&i, d) in node.inputs.iter().zip(node.backward(&values, &g)) {
+                        accumulate(&mut adj, i, d);
+                    }
+                }
                 Op::Add(a, b) => {
                     accumulate(&mut adj, *a, g.clone());
                     accumulate(&mut adj, *b, g);
@@ -506,16 +538,6 @@ impl Graph {
                     let da = g.zip_with(&self.nodes[*a].value, |gi, ai| gi * sign(ai));
                     accumulate(&mut adj, *a, da);
                 }
-                Op::PowNonNeg(a, p) => {
-                    let da = g.zip_with(&self.nodes[*a].value, |gi, ai| {
-                        if ai > 0.0 {
-                            gi * p * ai.powf(p - 1.0)
-                        } else {
-                            0.0
-                        }
-                    });
-                    accumulate(&mut adj, *a, da);
-                }
                 Op::Sqrt(a) => {
                     let y = &self.nodes[idx].value;
                     let da = g.zip_with(y, |gi, yi| if yi > 0.0 { gi * 0.5 / yi } else { 0.0 });
@@ -575,14 +597,10 @@ impl Graph {
                     accumulate(&mut adj, *a, da);
                 }
                 Op::GatherRows(a, indices) => {
-                    let src = &self.nodes[*a];
-                    if let Op::Param(id) = src.op {
-                        grads.scatter_add_rows(id, src.value.shape(), indices, &g);
-                    } else {
-                        let mut da = Matrix::zeros(src.value.rows(), src.value.cols());
-                        scatter_add_rows(&mut da, indices, &g);
-                        accumulate(&mut adj, *a, da);
-                    }
+                    let src = &self.nodes[*a].value;
+                    let mut da = Matrix::zeros(src.rows(), src.cols());
+                    scatter_add_rows(&mut da, indices, &g);
+                    accumulate(&mut adj, *a, da);
                 }
                 Op::ConcatCols(a, b) => {
                     let ac = self.nodes[*a].value.cols();
@@ -630,8 +648,9 @@ impl Graph {
     }
 }
 
+/// The subgradient [`Graph::abs`] takes: the sign, `0` at `0`.
 #[inline]
-fn sign(x: f64) -> f64 {
+pub fn sign(x: f64) -> f64 {
     if x > 0.0 {
         1.0
     } else if x < 0.0 {
@@ -729,21 +748,28 @@ mod tests {
     fn gather_rows_scatter_adds() {
         let mut params = ParamSet::new();
         let e = params.add("emb", Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]));
-        let mut g = Graph::new();
-        let ev = g.param(&params, e);
-        let got = g.gather_rows(ev, &[2, 0, 2]);
-        assert_eq!(g.value(got).row(0), &[5.0, 6.0]);
-        let s = g.sum_all(got);
-        let grads = g.backward(s);
-        let ge = grads.get(e).unwrap();
-        // Row 2 gathered twice => grad 2, row 0 once => 1, row 1 never => 0.
-        assert!(approx_eq(ge, &Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 0.0], &[2.0, 2.0]]), 1e-12));
+        // From the table in place, and from a leaf holding its copy.
+        for in_place in [true, false] {
+            let mut g = Graph::new();
+            let got = if in_place {
+                g.gather_param(&params, e, &[2, 0, 2])
+            } else {
+                let ev = g.param(&params, e);
+                g.gather_rows(ev, &[2, 0, 2])
+            };
+            assert_eq!(g.value(got).row(0), &[5.0, 6.0]);
+            let s = g.sum_all(got);
+            let grads = g.backward(s);
+            let ge = grads.get(e).unwrap();
+            // Row 2 gathered twice => grad 2, row 0 once => 1, row 1 never => 0.
+            assert!(approx_eq(ge, &Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 0.0], &[2.0, 2.0]]), 1e-12));
+        }
     }
 
     /// `f64` elements stored into adjoint slots by one backward pass of a
-    /// GML-FM-shaped step (6 fields, B = 256, k = 16: six gathers of an
-    /// `n x k` factor leaf and six of an `n x 1` weight leaf, the fifteen
-    /// weighted pair terms, `mse`) over an `n`-row table.
+    /// GML-FM-shaped step (6 fields, B = 256, k = 16: six in-place gathers
+    /// of an `n x k` factor table and six of an `n x 1` weight table, the
+    /// fifteen weighted pair terms, `mse`) over an `n`-row table.
     fn adjoint_elems_of_a_gmlfm_shaped_step(n: usize) -> usize {
         const FIELDS: usize = 6;
         const B: usize = 256;
@@ -758,11 +784,11 @@ mod tests {
             .collect();
 
         let mut g = Graph::new();
-        let (vv, wv, hv) = (g.param(&params, v), g.param(&params, w), g.param(&params, h));
-        let embeds: Vec<Var> = cols.iter().map(|col| g.gather_rows(vv, col)).collect();
+        let hv = g.param(&params, h);
+        let embeds: Vec<Var> = cols.iter().map(|col| g.gather_param(&params, v, col)).collect();
         let mut pred = g.constant(Matrix::zeros(B, 1));
         for col in &cols {
-            let linear = g.gather_rows(wv, col);
+            let linear = g.gather_param(&params, w, col);
             pred = g.add(pred, linear);
         }
         for i in 0..FIELDS {
@@ -789,8 +815,9 @@ mod tests {
     #[test]
     fn adjoint_traffic_does_not_grow_with_the_table_height() {
         // A count where a clock would flake. With the dense gather rule
-        // each of the twelve gathers stored an `n`-row temporary, so the
-        // count grew by 12 * 17 * 99 000 elements between these two.
+        // (`gather_rows` from a leaf holding the table) each of the twelve
+        // gathers would store an `n`-row temporary, so the count would
+        // grow by 12 * 17 * 99 000 elements between these two.
         let (small, tall) =
             (adjoint_elems_of_a_gmlfm_shaped_step(1_000), adjoint_elems_of_a_gmlfm_shaped_step(100_000));
         assert!(small > 0);

@@ -19,20 +19,21 @@
 //! The operator inventory is deliberately exactly what the workspace's
 //! models require — dense matmul, broadcasting adds/muls, element-wise
 //! non-linearities, reductions, row gathers for embedding lookups, dropout,
-//! and row-wise softmax — rather than a general tensor IR.
+//! row-wise softmax and GML-FM's fused pair term — rather than a general
+//! tensor IR.
 //!
-//! ## Embedding lookups backpropagate row-sparse
+//! ## Parameter tables are read in place
 //!
-//! A [`Graph::gather_rows`] whose source is a parameter leaf — every
-//! embedding lookup of every model in the workspace — does not build a
-//! table-sized adjoint: [`Graph::backward`] scatter-adds its `B` rows
-//! straight into that parameter's entry of [`Gradients`], which is
-//! zero-filled once per parameter per step. When the gathers of one table
+//! [`Graph::gather_param`] — every embedding lookup of every model in the
+//! workspace — copies only the `B` rows it reads, and [`Graph::backward`]
+//! scatter-adds their adjoints straight into that parameter's entry of
+//! [`Gradients`], zero-filled once per parameter per step: no leaf copies
+//! a table and no adjoint has its height. When the gathers of one table
 //! read disjoint index sets (each field of a one-hot schema owns its own
-//! index range) every row is summed in the order the dense rule summed
-//! it, so the gradient is the same bits; gathers that share rows agree
-//! with the dense rule to rounding. `Gradients` still hands out dense
-//! matrices.
+//! index range) every row is summed in the order the dense rule of
+//! [`Graph::gather_rows`] sums it, so the gradient is the same bits;
+//! gathers that share rows agree with the dense rule to rounding.
+//! `Gradients` still hands out dense matrices.
 //!
 //! ```
 //! use gmlfm_autograd::{Graph, ParamSet};
@@ -54,8 +55,10 @@
 
 pub mod check;
 pub mod graph;
+pub mod pair;
 pub mod params;
 
 pub use check::gradient_check;
 pub use graph::{Graph, Var};
+pub use pair::{store_or_add, PairDistance};
 pub use params::{Gradients, ParamId, ParamSet};

@@ -99,8 +99,8 @@ impl Gradients {
 
     /// Scatter-adds the `B` rows of `rows` into rows `indices` of the
     /// parameter's gradient, which is zero-filled at `shape` on first
-    /// touch: the backward rule of a gather taken straight from the
-    /// parameter leaf (see `Graph::backward`).
+    /// touch: the backward rule of an in-place table gather
+    /// (`Graph::gather_param`).
     pub(crate) fn scatter_add_rows(
         &mut self,
         id: ParamId,

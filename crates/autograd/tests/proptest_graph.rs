@@ -1,6 +1,6 @@
 //! Property tests: randomly composed graphs still backpropagate exactly
 //! (finite-difference certified), gradients obey linearity, and the
-//! row-sparse backward rule of a gather taken from a parameter leaf
+//! row-sparse backward rule of an in-place gather of a parameter table
 //! returns the bits of the dense rule it short-cuts.
 
 use gmlfm_autograd::{gradient_check, Graph, ParamSet, Var};
@@ -11,13 +11,13 @@ use rand::Rng;
 
 /// Gradient of an `n x k` table that `index_sets.len()` gathers read,
 /// each gathered block weighted by its own random constant so every
-/// adjoint row is distinct. `through_leaf` gathers straight from the
-/// parameter leaf (the row-sparse rule); otherwise from `scale(leaf, 1.0)`
-/// — `x * 1.0` is exact, so the forward values are the same bits and the
-/// backward pass takes the dense rule (a zero-filled `n x k` temporary per
-/// gather, summed into the leaf's adjoint). With `dense_consumer` the leaf
-/// also feeds `Σ leaf²` directly, so a dense adjoint and the scattered
-/// rows meet in one `Gradients` entry.
+/// adjoint row is distinct. `through_leaf` gathers the table in place
+/// (`gather_param`, the row-sparse rule); otherwise from a leaf holding
+/// its copy (`gather_rows`: the same forward bits, and the dense backward
+/// rule — a zero-filled `n x k` temporary per gather, summed into the
+/// leaf's adjoint). With `dense_consumer` a leaf of the table also feeds
+/// `Σ leaf²` directly, so a dense adjoint and the scattered rows meet in
+/// one `Gradients` entry.
 fn table_gradient(
     seed: u64,
     (n, k): (usize, usize),
@@ -30,10 +30,10 @@ fn table_gradient(
     let table = params.add("table", normal(&mut rng, n, k, 0.0, 1.0));
     let mut g = Graph::new();
     let leaf = g.param(&params, table);
-    let source = if through_leaf { leaf } else { g.scale(leaf, 1.0) };
     let mut loss = g.constant(Matrix::zeros(1, 1));
     for indices in index_sets {
-        let rows = g.gather_rows(source, indices);
+        let rows =
+            if through_leaf { g.gather_param(&params, table, indices) } else { g.gather_rows(leaf, indices) };
         let weights = g.constant(normal(&mut rng, indices.len(), k, 0.0, 1.0));
         let weighted = g.mul(rows, weights);
         let term = g.sum_all(weighted);

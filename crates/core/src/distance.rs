@@ -1,7 +1,9 @@
 //! Distance functions and embedding transforms (paper Sections 3.2 and
-//! 3.5), as autograd graph builders.
+//! 3.5): scalar references, the distances' row rules for
+//! [`Graph::pair_sum`], and the transform's graph builder.
 
-use gmlfm_autograd::{Graph, ParamId, ParamSet, Var};
+use gmlfm_autograd::graph::sign;
+use gmlfm_autograd::{store_or_add, Graph, PairDistance, ParamId, ParamSet, Var};
 use gmlfm_tensor::init::xavier;
 use gmlfm_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -40,40 +42,6 @@ impl Distance {
         }
     }
 
-    /// Builds the `B×1` distance column between two `B×k` nodes.
-    pub fn build(&self, g: &mut Graph, a: Var, b: Var) -> Var {
-        match self {
-            Distance::SquaredEuclidean => {
-                let diff = g.sub(a, b);
-                let sq = g.square(diff);
-                g.sum_rows(sq)
-            }
-            Distance::Manhattan => {
-                let diff = g.sub(a, b);
-                let abs = g.abs(diff);
-                g.sum_rows(abs)
-            }
-            Distance::Chebyshev => {
-                let diff = g.sub(a, b);
-                let abs = g.abs(diff);
-                g.max_rows(abs)
-            }
-            Distance::Cosine => {
-                let prod = g.mul(a, b);
-                let dot = g.sum_rows(prod);
-                let a2 = g.square(a);
-                let na = g.sum_rows(a2);
-                let na = g.sqrt(na);
-                let b2 = g.square(b);
-                let nb = g.sum_rows(b2);
-                let nb = g.sqrt(nb);
-                let denom = g.mul(na, nb);
-                let denom = g.add_scalar(denom, 1e-8);
-                g.div(dot, denom)
-            }
-        }
-    }
-
     /// Scalar reference implementation used by tests and the dense
     /// (non-autograd) evaluation paths.
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
@@ -98,6 +66,60 @@ impl Distance {
         assert!(p >= 1.0, "Minkowski distance requires p >= 1, got {p}");
         let sum: f64 = a.iter().zip(b).map(|(x, y)| (x - y).abs().powf(p)).sum();
         sum.powf(1.0 / p)
+    }
+}
+
+/// The row rule of [`Graph::pair_sum`]: [`Distance::eval`], the bits of
+/// the composed graph for finite input, and that graph's backward ops.
+impl PairDistance for Distance {
+    fn values(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
+        let k = a.len() / out.len().max(1);
+        for ((o, a), b) in out.iter_mut().zip(a.chunks_exact(k)).zip(b.chunks_exact(k)) {
+            *o = self.eval(a, b);
+        }
+    }
+
+    fn backward(&self, a: &[f64], b: &[f64], g: &[f64], da: &mut [f64], db: &mut [f64], [fa, fb]: [bool; 2]) {
+        let k = a.len() / g.len().max(1);
+        for (r, &g) in g.iter().enumerate() {
+            let s = r * k..(r + 1) * k;
+            let (a, b, da, db) = (&a[s.clone()], &b[s.clone()], &mut da[s.clone()], &mut db[s]);
+            // `sub`'s rule: `x` to `a`, `-1 · x` to `b`.
+            let mut sub = |c: usize, x: f64| {
+                store_or_add(&mut da[c], x, fa);
+                store_or_add(&mut db[c], -x, fb);
+            };
+            match self {
+                Distance::SquaredEuclidean => (0..k).for_each(|c| sub(c, 2.0 * (a[c] - b[c]) * g)),
+                Distance::Manhattan => (0..k).for_each(|c| sub(c, g * sign(a[c] - b[c]))),
+                Distance::Chebyshev => {
+                    let (mut arg, mut best) = (0, f64::NEG_INFINITY);
+                    for c in 0..k {
+                        let x = (a[c] - b[c]).abs();
+                        if x > best {
+                            (arg, best) = (c, x);
+                        }
+                    }
+                    (0..k).for_each(|c| sub(c, if c == arg { g } else { 0.0 } * sign(a[c] - b[c])));
+                }
+                Distance::Cosine => {
+                    let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+                    let na = a.iter().map(|x| x * x).sum::<f64>().max(0.0).sqrt();
+                    let nb = b.iter().map(|x| x * x).sum::<f64>().max(0.0).sqrt();
+                    let denom = na * nb + 1e-8;
+                    let (d_dot, d_denom) = (g / denom, -g * dot / (denom * denom));
+                    let sqrt_rule = |d: f64, y: f64| if y > 0.0 { d * 0.5 / y } else { 0.0 };
+                    let (d_na2, d_nb2) = (sqrt_rule(d_denom * nb, na), sqrt_rule(d_denom * na, nb));
+                    // Per entry: `square`'s contribution, then `mul`'s.
+                    for c in 0..k {
+                        store_or_add(&mut db[c], 2.0 * b[c] * d_nb2, fb);
+                        store_or_add(&mut da[c], 2.0 * a[c] * d_na2, fa);
+                        da[c] += d_dot * b[c];
+                        db[c] += d_dot * a[c];
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -161,8 +183,9 @@ impl Transform {
         }
     }
 
-    /// Applies the transform to the `U×k` node `u` of a field's distinct
-    /// embeddings and returns the `B×k` batch, row `b` being `ψ(u[inv[b]])`.
+    /// Applies the transform to each field's `U×k` node `u` of distinct
+    /// embeddings and returns its `B×k` batch, row `b` being `ψ(u[inv[b]])`.
+    /// `L`, or each layer's `W` and `b`, is recorded once for all fields.
     ///
     /// `ψ` reads one row at a time, so it runs on the `U ≤ B` distinct rows
     /// and is gathered to the batch afterwards — training's counterpart of
@@ -175,42 +198,51 @@ impl Transform {
         &self,
         g: &mut Graph,
         params: &ParamSet,
-        u: Var,
-        inv: &[usize],
+        fields: &[(Var, Vec<usize>)],
         training: bool,
         rng: &mut StdRng,
-    ) -> Var {
-        match self {
-            Transform::Identity => g.gather_rows(u, inv),
-            Transform::Mahalanobis { l } => {
-                let lm = g.param(params, *l);
-                let ul = g.matmul(u, lm);
-                g.gather_rows(ul, inv)
-            }
-            Transform::Dnn { weights, biases, dropout } => {
-                let drop = training && *dropout > 0.0;
-                let mut x = u;
-                // `Some` while `x` still has the distinct rows.
-                let mut pending = Some(inv);
-                for (w_id, b_id) in weights.iter().zip(biases) {
-                    let w = g.param(params, *w_id);
-                    let b = g.param(params, *b_id);
-                    let h = g.matmul(x, w);
-                    let h = g.add_row_broadcast(h, b);
-                    x = g.tanh(h);
-                    if drop {
-                        if let Some(inv) = pending.take() {
-                            x = g.gather_rows(x, inv);
+    ) -> Vec<Var> {
+        let leaves: Vec<Var> = match self {
+            Transform::Identity => Vec::new(),
+            Transform::Mahalanobis { l } => vec![g.param(params, *l)],
+            Transform::Dnn { weights, biases, .. } => weights
+                .iter()
+                .zip(biases)
+                .flat_map(|(w, b)| [g.param(params, *w), g.param(params, *b)])
+                .collect(),
+        };
+        let mut out = Vec::with_capacity(fields.len());
+        for (u, inv) in fields {
+            out.push(match self {
+                Transform::Identity => g.gather_rows(*u, inv),
+                Transform::Mahalanobis { .. } => {
+                    let ul = g.matmul(*u, leaves[0]);
+                    g.gather_rows(ul, inv)
+                }
+                Transform::Dnn { dropout, .. } => {
+                    let drop = training && *dropout > 0.0;
+                    let mut x = *u;
+                    // `Some` while `x` still has the distinct rows.
+                    let mut pending = Some(inv);
+                    for layer in leaves.chunks_exact(2) {
+                        let h = g.matmul(x, layer[0]);
+                        let h = g.add_row_broadcast(h, layer[1]);
+                        x = g.tanh(h);
+                        if drop {
+                            if let Some(inv) = pending.take() {
+                                x = g.gather_rows(x, inv);
+                            }
+                            x = g.dropout(x, *dropout, rng);
                         }
-                        x = g.dropout(x, *dropout, rng);
+                    }
+                    match pending {
+                        Some(inv) => g.gather_rows(x, inv),
+                        None => x,
                     }
                 }
-                match pending {
-                    Some(inv) => g.gather_rows(x, inv),
-                    None => x,
-                }
-            }
+            });
         }
+        out
     }
 
     /// Scalar reference: applies the transform to one embedding row using
@@ -306,12 +338,54 @@ mod tests {
                 let mut g = Graph::new();
                 let av = g.constant(Matrix::row_vector(&a));
                 let bv = g.constant(Matrix::row_vector(&b));
-                let d = dist.build(&mut g, av, bv);
+                let d = g.pair_sum(&[av, bv], None, dist);
                 let got = g.value(d)[(0, 0)];
                 let want = dist.eval(&a, &b);
                 prop_assert!((got - want).abs() < 1e-9, "{dist:?}: {got} vs {want}");
             }
         }
+    }
+
+    /// The fused pair node's backward rule against central differences,
+    /// for every distance with and without the weight: three fields of
+    /// four rows, `k = 3`, every input a parameter of its own.
+    #[test]
+    fn pair_sum_passes_gradient_check_for_every_distance() {
+        use gmlfm_autograd::gradient_check;
+        use gmlfm_tensor::init::normal;
+        for dist in Distance::ALL {
+            for weighted in [false, true] {
+                let mut rng = seeded_rng(23);
+                let mut params = ParamSet::new();
+                let t: Vec<ParamId> = (0..3)
+                    .map(|f| params.add(format!("t{f}"), normal(&mut rng, 4, 3, 0.0, 1.0)))
+                    .collect();
+                let e: Vec<ParamId> = (0..3)
+                    .map(|f| params.add(format!("e{f}"), normal(&mut rng, 4, 3, 0.0, 1.0)))
+                    .collect();
+                let h = params.add("h", normal(&mut rng, 3, 1, 0.0, 1.0));
+                let target = Matrix::from_fn(4, 1, |r, _| r as f64 - 1.5);
+                let report = gradient_check(&mut params, 1e-6, |g, p| {
+                    let tv: Vec<Var> = t.iter().map(|&id| g.param(p, id)).collect();
+                    let ev: Vec<Var> = e.iter().map(|&id| g.param(p, id)).collect();
+                    let hv = g.param(p, h);
+                    let pair = g.pair_sum(&tv, weighted.then_some((&ev[..], hv)), dist);
+                    let target = g.constant(target.clone());
+                    g.mse(pair, target)
+                });
+                assert!(report.passes(1e-7), "{dist:?} weighted={weighted}: {report:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pair_sum: every field must be B×k")]
+    fn pair_sum_rejects_a_weight_input_of_another_width() {
+        let mut g = Graph::new();
+        let t: Vec<Var> = (0..2).map(|_| g.constant(Matrix::zeros(4, 3))).collect();
+        let e: Vec<Var> = (0..2).map(|_| g.constant(Matrix::zeros(4, 2))).collect();
+        let h = g.constant(Matrix::zeros(3, 1));
+        g.pair_sum(&t, Some((&e[..], h)), Distance::SquaredEuclidean);
     }
 
     #[test]
@@ -341,7 +415,7 @@ mod tests {
         let vv = g.constant(Matrix::row_vector(&v));
         let mut drng = seeded_rng(6);
         // Evaluation mode: dropout off.
-        let out = t.build(&mut g, &params, vv, &[0], false, &mut drng);
+        let out = t.build(&mut g, &params, &[(vv, vec![0])], false, &mut drng)[0];
         for (got, want) in g.value(out).row(0).iter().zip(&scalar) {
             assert!((got - want).abs() < 1e-12);
         }

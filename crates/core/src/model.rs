@@ -229,10 +229,9 @@ impl GraphModel for GmlFm {
     ) -> Var {
         let cols = field_index_columns(batch);
         // Linear term w0 + Σ_f w[x_f].
-        let w = g.param(params, self.w);
         let mut linear: Option<Var> = None;
         for col in &cols {
-            let gathered = g.gather_rows(w, col);
+            let gathered = g.gather_param(params, self.w, col);
             linear = Some(match linear {
                 Some(acc) => g.add(acc, gathered),
                 None => gathered,
@@ -244,43 +243,24 @@ impl GraphModel for GmlFm {
 
         // Field embeddings and their transforms: one gather of `V` per
         // field, at its distinct features, so ψ runs once per feature.
-        let v = g.param(params, self.v);
         let h = self.h.map(|h_id| g.param(params, h_id));
-        let mut embeds = Vec::with_capacity(cols.len());
-        let mut transformed = Vec::with_capacity(cols.len());
-        for col in &cols {
-            let (uniq, inv) = unique_with_inverse(col);
-            let u = g.gather_rows(v, &uniq);
-            if h.is_some() {
-                embeds.push(g.gather_rows(u, &inv));
-            }
-            transformed.push(self.transform.build(g, params, u, &inv, training, rng));
+        let mut fields = Vec::with_capacity(cols.len());
+        for (uniq, inv) in cols.iter().map(|col| unique_with_inverse(col)) {
+            fields.push((g.gather_param(params, self.v, &uniq), inv));
+        }
+        let embeds: Vec<Var> = fields
+            .iter()
+            .filter(|_| h.is_some())
+            .map(|(u, inv)| g.gather_rows(*u, inv))
+            .collect();
+        let transformed = self.transform.build(g, params, &fields, training, rng);
+        if cols.len() < 2 {
+            return linear; // single-field degenerate case
         }
 
         // Σ_{i<j} w_ij · D(v̂_i, v̂_j).
-        let m = transformed.len();
-        let mut acc: Option<Var> = None;
-        for i in 0..m {
-            for j in i + 1..m {
-                let dist = self.distance.build(g, transformed[i], transformed[j]); // B x 1
-                let term = match h {
-                    Some(h) => {
-                        let prod = g.mul(embeds[i], embeds[j]); // B x k
-                        let w_ij = g.matmul(prod, h); // B x 1
-                        g.mul(w_ij, dist)
-                    }
-                    None => dist,
-                };
-                acc = Some(match acc {
-                    Some(a) => g.add(a, term),
-                    None => term,
-                });
-            }
-        }
-        match acc {
-            Some(pair) => g.add(linear, pair),
-            None => linear, // single-field degenerate case
-        }
+        let pair = g.pair_sum(&transformed, h.map(|h| (&embeds[..], h)), self.distance);
+        g.add(linear, pair)
     }
 }
 
@@ -304,6 +284,103 @@ mod tests {
         ]
     }
 
+    /// `Distance::build` before the fused pair node: the `B×1` distance
+    /// column between two `B×k` nodes, composed from tape ops. The
+    /// oracles' distance.
+    fn build_distance(distance: Distance, g: &mut Graph, a: Var, b: Var) -> Var {
+        match distance {
+            Distance::SquaredEuclidean => {
+                let diff = g.sub(a, b);
+                let sq = g.square(diff);
+                g.sum_rows(sq)
+            }
+            Distance::Manhattan => {
+                let diff = g.sub(a, b);
+                let abs = g.abs(diff);
+                g.sum_rows(abs)
+            }
+            Distance::Chebyshev => {
+                let diff = g.sub(a, b);
+                let abs = g.abs(diff);
+                g.max_rows(abs)
+            }
+            Distance::Cosine => {
+                let prod = g.mul(a, b);
+                let dot = g.sum_rows(prod);
+                let a2 = g.square(a);
+                let na = g.sum_rows(a2);
+                let na = g.sqrt(na);
+                let b2 = g.square(b);
+                let nb = g.sum_rows(b2);
+                let nb = g.sqrt(nb);
+                let denom = g.mul(na, nb);
+                let denom = g.add_scalar(denom, 1e-8);
+                g.div(dot, denom)
+            }
+        }
+    }
+
+    /// `forward_batch` with the pair term composed per pair from tape ops
+    /// (the distance's graph, `mul`, `matmul`, `mul`, `add`), as it was
+    /// before [`Graph::pair_sum`]: the bitwise oracle of the fused node.
+    fn forward_batch_composed(
+        model: &GmlFm,
+        g: &mut Graph,
+        params: &ParamSet,
+        batch: &[&Instance],
+        training: bool,
+        rng: &mut StdRng,
+    ) -> Var {
+        let cols = field_index_columns(batch);
+        let mut linear: Option<Var> = None;
+        for col in &cols {
+            let gathered = g.gather_param(params, model.w, col);
+            linear = Some(match linear {
+                Some(acc) => g.add(acc, gathered),
+                None => gathered,
+            });
+        }
+        let w0 = g.param(params, model.w0);
+        let linear = g.add_row_broadcast(linear.expect("at least one field"), w0);
+        let h = model.h.map(|h_id| g.param(params, h_id));
+        let fields: Vec<(Var, Vec<usize>)> = cols
+            .iter()
+            .map(|col| {
+                let (uniq, inv) = unique_with_inverse(col);
+                (g.gather_param(params, model.v, &uniq), inv)
+            })
+            .collect();
+        let embeds: Vec<Var> = fields
+            .iter()
+            .filter(|_| h.is_some())
+            .map(|(u, inv)| g.gather_rows(*u, inv))
+            .collect();
+        let transformed = model.transform.build(g, params, &fields, training, rng);
+        let m = transformed.len();
+        let mut acc: Option<Var> = None;
+        for i in 0..m {
+            for j in i + 1..m {
+                let dist = build_distance(model.distance, g, transformed[i], transformed[j]);
+                let term = match h {
+                    Some(h) => {
+                        let prod = g.mul(embeds[i], embeds[j]);
+                        let w_ij = g.matmul(prod, h);
+                        g.mul(w_ij, dist)
+                    }
+                    None => dist,
+                };
+                acc = Some(match acc {
+                    Some(a) => g.add(a, term),
+                    None => term,
+                });
+            }
+        }
+        match acc {
+            Some(pair) => g.add(linear, pair),
+            None => linear,
+        }
+    }
+
     /// The per-row graph `forward_batch` replaced: every field gathers
     /// `V` at all `B` rows and runs ψ on each of them. Kept as the oracle
     /// for the distinct-row body.
@@ -316,10 +393,9 @@ mod tests {
         rng: &mut StdRng,
     ) -> Var {
         let cols = field_index_columns(batch);
-        let w = g.param(params, model.w);
         let mut linear: Option<Var> = None;
         for col in &cols {
-            let gathered = g.gather_rows(w, col);
+            let gathered = g.gather_param(params, model.w, col);
             linear = Some(match linear {
                 Some(acc) => g.add(acc, gathered),
                 None => gathered,
@@ -327,8 +403,7 @@ mod tests {
         }
         let w0 = g.param(params, model.w0);
         let linear = g.add_row_broadcast(linear.expect("at least one field"), w0);
-        let v = g.param(params, model.v);
-        let embeds: Vec<Var> = cols.iter().map(|col| g.gather_rows(v, col)).collect();
+        let embeds: Vec<Var> = cols.iter().map(|col| g.gather_param(params, model.v, col)).collect();
         let transformed: Vec<Var> = embeds
             .iter()
             .map(|&e| match &model.transform {
@@ -355,7 +430,7 @@ mod tests {
         let mut acc: Option<Var> = None;
         for i in 0..embeds.len() {
             for j in i + 1..embeds.len() {
-                let dist = model.distance.build(g, transformed[i], transformed[j]);
+                let dist = build_distance(model.distance, g, transformed[i], transformed[j]);
                 let term = match h {
                     Some(h) => {
                         let prod = g.mul(embeds[i], embeds[j]);
@@ -423,6 +498,34 @@ mod tests {
         let grads = g.backward(loss);
         let per_param = model.params().iter().map(|(id, _)| grads.get(id).cloned()).collect();
         (values, per_param)
+    }
+
+    /// Every variant, both modes and every batch shape: the fused node's
+    /// prediction and every gradient entry are the composed graph's bits
+    /// (`to_bits`, so a zero's sign counts too).
+    #[test]
+    fn fused_pair_node_is_bitwise_the_composed_graph() {
+        let n: usize = MIX_FIELDS.iter().sum();
+        for (name, cfg) in variants() {
+            let model = GmlFm::new(n, &cfg.with_seed(13));
+            for (shape, instances) in batch_shapes() {
+                let batch: Vec<&Instance> = instances.iter().collect();
+                for training in [false, true] {
+                    let at = format!("{name}/{shape}/training={training}");
+                    let (got, got_grads) =
+                        values_and_gradients(&model, &batch, training, GmlFm::forward_batch);
+                    let (want, want_grads) =
+                        values_and_gradients(&model, &batch, training, forward_batch_composed);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{at}: forward differs");
+                    for ((id, _), (gg, wg)) in model.params().iter().zip(got_grads.iter().zip(&want_grads)) {
+                        let pname = model.params().name(id);
+                        let (gg, wg) = (gg.as_ref().expect(pname), wg.as_ref().expect(pname));
+                        assert!(bits(gg.as_slice()) == bits(wg.as_slice()), "{at}: {pname} gradient differs");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -604,14 +604,7 @@ impl Recommender {
     pub fn artifact(&self) -> Result<Artifact, EngineError> {
         let server = self.server()?;
         let (_, snap) = server.snapshot();
-        let overlay = server.overlay_seen();
-        let seen = if overlay.total() == 0 {
-            snap.seen.clone()
-        } else {
-            let mut merged = snap.seen.clone().unwrap_or_else(|| SeenItems::new(Vec::new()));
-            merged.merge(&overlay);
-            Some(merged)
-        };
+        let seen = server.seen_with_overlay(snap);
         Ok(Artifact::new(
             self.spec.clone(),
             &snap.schema,

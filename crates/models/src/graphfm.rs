@@ -42,10 +42,9 @@ impl FmBase {
 
     /// The linear term `w₀ + Σ_f w[x_f]` as a `B×1` node.
     pub fn linear(&self, g: &mut Graph, params: &ParamSet, cols: &[Vec<usize>]) -> Var {
-        let w = g.param(params, self.w);
         let mut acc: Option<Var> = None;
         for col in cols {
-            let gathered = g.gather_rows(w, col); // B x 1
+            let gathered = g.gather_param(params, self.w, col); // B x 1
             acc = Some(match acc {
                 Some(a) => g.add(a, gathered),
                 None => gathered,
@@ -58,8 +57,7 @@ impl FmBase {
 
     /// The `m` field embedding matrices, each `B×k`.
     pub fn field_embeddings(&self, g: &mut Graph, params: &ParamSet, cols: &[Vec<usize>]) -> Vec<Var> {
-        let v = g.param(params, self.v);
-        cols.iter().map(|col| g.gather_rows(v, col)).collect()
+        cols.iter().map(|col| g.gather_param(params, self.v, col)).collect()
     }
 
     /// Bi-Interaction pooling (NFM Eq. in Section 2.2):

@@ -83,16 +83,12 @@ impl GraphModel for Ncf {
             users.push(u);
             items.push(i);
         }
-        let p_gmf = g.param(params, self.p_gmf);
-        let q_gmf = g.param(params, self.q_gmf);
-        let pu = g.gather_rows(p_gmf, &users);
-        let qi = g.gather_rows(q_gmf, &items);
+        let pu = g.gather_param(params, self.p_gmf, &users);
+        let qi = g.gather_param(params, self.q_gmf, &items);
         let gmf = g.mul(pu, qi); // B x k
 
-        let p_mlp = g.param(params, self.p_mlp);
-        let q_mlp = g.param(params, self.q_mlp);
-        let pu_m = g.gather_rows(p_mlp, &users);
-        let qi_m = g.gather_rows(q_mlp, &items);
+        let pu_m = g.gather_param(params, self.p_mlp, &users);
+        let qi_m = g.gather_param(params, self.q_mlp, &items);
         let cat = g.concat_cols(pu_m, qi_m); // B x 2k
         let mlp_out = self.mlp.forward(g, params, cat, training, rng); // B x k
 

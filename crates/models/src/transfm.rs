@@ -89,8 +89,8 @@ impl GraphModel for TransFm {
         let cols = FmBase::columns(batch);
         let linear = self.base.linear(g, params, &cols);
         let embeds = self.base.field_embeddings(g, params, &cols);
-        let vt = g.param(params, self.v_trans);
-        let translations: Vec<Var> = cols.iter().map(|col| g.gather_rows(vt, col)).collect();
+        let translations: Vec<Var> =
+            cols.iter().map(|col| g.gather_param(params, self.v_trans, col)).collect();
 
         let m = embeds.len();
         let mut acc: Option<Var> = None;

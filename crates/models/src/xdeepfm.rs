@@ -86,7 +86,6 @@ impl XDeepFm {
         let mut pooled: Option<Var> = None;
         let mut prev: Vec<Var> = base_fields.to_vec();
         for w_id in &self.cin_weights {
-            let w = g.param(params, *w_id);
             let h_prev = prev.len();
             let mut next = Vec::with_capacity(self.cin_maps);
             for h in 0..self.cin_maps {
@@ -95,7 +94,7 @@ impl XDeepFm {
                     for (j, &base_j) in base_fields.iter().enumerate() {
                         let prod = g.mul(prev_i, base_j); // B x k
                         let flat = h * (h_prev * m) + i * m + j;
-                        let scalar = g.gather_rows(w, &[flat]); // 1 x 1
+                        let scalar = g.gather_param(params, *w_id, &[flat]); // 1 x 1
                         let col = g.matmul(ones, scalar); // B x 1
                         let term = g.mul_col_broadcast(prod, col);
                         acc = Some(match acc {

@@ -394,8 +394,10 @@ fn run_round(shared: &Shared) -> RoundOutcome {
     // feed records it there before enqueueing it), so negatives are
     // drawn from items the user has not fed either, and the candidate
     // publishes the same sets.
-    let mut seen = snap.seen.clone().unwrap_or_else(|| SeenItems::new(Vec::new()));
-    seen.merge(&shared.server.overlay_seen());
+    let seen = shared
+        .server
+        .seen_with_overlay(snap)
+        .unwrap_or_else(|| SeenItems::new(Vec::new()));
     for event in &drained {
         if fold_event(&mut st, shared, snap, &seen, event).is_err() {
             // The event validated at feed time but not against the

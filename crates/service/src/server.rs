@@ -250,10 +250,23 @@ impl ModelServer {
     }
 
     /// A point-in-time copy of the whole live seen overlay as a
-    /// [`SeenItems`] table — what a retrain merges into the candidate
-    /// snapshot's seen sets, and what checkpointing persists.
+    /// [`SeenItems`] table.
     pub fn overlay_seen(&self) -> SeenItems {
         self.slot.lock_overlay().clone()
+    }
+
+    /// `snap`'s seen sets folded with the live overlay, read at one point
+    /// in time: what a retrain publishes and what a saved artifact
+    /// keeps. `None` only when the snapshot has no seen sets and the
+    /// overlay holds no entry.
+    pub fn seen_with_overlay(&self, snap: &ModelSnapshot) -> Option<SeenItems> {
+        let overlay = self.slot.lock_overlay();
+        if overlay.total() == 0 {
+            return snap.seen.clone();
+        }
+        let mut merged = snap.seen.clone().unwrap_or_else(|| SeenItems::new(Vec::new()));
+        merged.merge(&overlay);
+        Some(merged)
     }
 
     /// Installs a new snapshot mid-traffic and returns its generation.

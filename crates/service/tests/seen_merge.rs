@@ -6,7 +6,9 @@
 //! serving overlay folds events one at a time while retrains merge whole
 //! tables, and both must converge on bitwise-identical seen sets.
 
-use gmlfm_service::SeenItems;
+use gmlfm_data::{FieldKind, Schema};
+use gmlfm_serve::FrozenModel;
+use gmlfm_service::{Catalog, ModelServer, ModelSnapshot, SeenItems};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -110,4 +112,37 @@ proptest! {
         let row = via_merge.items(user);
         prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row not sorted/deduped: {:?}", row);
     }
+}
+
+/// A server over four users and three items, with `seen` as its
+/// snapshot's seen sets.
+fn server(seen: Option<SeenItems>) -> ModelServer {
+    let schema = Schema::from_specs(&[("user", 4, FieldKind::User), ("item", 3, FieldKind::Item)]);
+    let catalog =
+        Catalog::new(vec![1], (0..4).map(|u| vec![u, 4]).collect(), (0..3).map(|i| vec![4 + i]).collect());
+    let frozen = FrozenModel::synthetic_metric(7, 2, 3);
+    ModelServer::new(ModelSnapshot { schema, frozen, catalog: Some(catalog), seen, index: None })
+        .expect("consistent snapshot")
+}
+
+/// The one merge of a snapshot's seen sets with the live overlay, which
+/// both a saved artifact and an online round publish: the union, and
+/// `None` only when neither side holds an entry.
+#[test]
+fn seen_with_overlay_is_the_union_and_none_only_when_both_are_empty() {
+    let fold = |seen: Option<SeenItems>, fed: &[(u32, u32)]| {
+        let server = server(seen);
+        for &(user, item) in fed {
+            server.record_seen(user, item).expect("in range");
+        }
+        server.seen_with_overlay(server.snapshot().1)
+    };
+    assert_eq!(fold(None, &[]), None);
+    let snap_seen = SeenItems::new(vec![vec![2], vec![], vec![0, 1]]);
+    assert_eq!(fold(Some(snap_seen.clone()), &[]), Some(snap_seen.clone()));
+    assert_eq!(fold(None, &[(3, 1), (0, 2)]), Some(SeenItems::new(vec![vec![2], vec![], vec![], vec![1]])));
+    assert_eq!(
+        fold(Some(snap_seen), &[(2, 2), (0, 2), (1, 0)]),
+        Some(SeenItems::new(vec![vec![2], vec![0], vec![0, 1, 2]]))
+    );
 }

@@ -268,11 +268,10 @@ mod tests {
             _training: bool,
             _rng: &mut StdRng,
         ) -> Var {
-            let w = g.param(params, self.w);
             let cols = crate::batch::field_index_columns(batch);
             let mut acc: Option<Var> = None;
             for col in &cols {
-                let gathered = g.gather_rows(w, col); // B x 1
+                let gathered = g.gather_param(params, self.w, col); // B x 1
                 acc = Some(match acc {
                     Some(a) => g.add(a, gathered),
                     None => gathered,
