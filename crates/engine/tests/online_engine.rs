@@ -198,6 +198,8 @@ fn a_non_finite_rating_is_a_typed_error() {
         assert_eq!(err.code(), "non_finite_rating");
     }
     assert_eq!(serving.handle().log().pending(), 0, "nothing was enqueued");
-    assert!(!rec.serve().expect("freezable").overlay_seen().contains(0, 1), "nothing was folded");
+    let server = rec.serve().expect("freezable");
+    let (_, snap) = server.snapshot();
+    assert_eq!(server.seen_with_overlay(snap), snap.seen, "nothing was folded");
     serving.shutdown();
 }

@@ -29,13 +29,8 @@ pub struct OnlineHandle {
 
 impl OnlineHandle {
     /// A handle feeding `log` and folding exclusions into `server`.
-    pub fn new(server: ModelServer, log: Arc<InteractionLog>) -> Self {
+    pub(crate) fn new(server: ModelServer, log: Arc<InteractionLog>) -> Self {
         Self { server, log }
-    }
-
-    /// The serving handle events are validated against.
-    pub fn server(&self) -> &ModelServer {
-        &self.server
     }
 
     /// The shared interaction log.

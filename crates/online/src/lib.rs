@@ -12,9 +12,10 @@
 //!    background thread warm-starts SGD from the serving snapshot's
 //!    weights over base + accumulated interactions;
 //! 3. **Gate + publish** ([`EvalGate`]) — the candidate is scored on a
-//!    pinned holdout and only a non-regressing candidate reaches
+//!    pinned holdout; only a non-regressing one is re-indexed, as the
+//!    [`successor`](gmlfm_service::ModelSnapshot::successor) that reaches
 //!    [`ModelServer::swap`](gmlfm_service::ModelServer::swap); rejected
-//!    candidates come back as a typed [`GateReport`].
+//!    candidates build nothing and come back as a typed [`GateReport`].
 //!
 //! Everything is std-only, mirroring the rest of the workspace.
 #![forbid(unsafe_code)]

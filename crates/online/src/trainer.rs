@@ -15,7 +15,7 @@ use crate::handle::OnlineHandle;
 use crate::log::InteractionLog;
 use gmlfm_data::{Instance, LooTestCase};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex};
+use gmlfm_serve::FrozenModel;
 use gmlfm_service::{exec, Interaction, ModelServer, ModelSnapshot, SeenItems};
 use gmlfm_train::TrainConfig;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -191,26 +191,22 @@ impl Shared {
 
 /// The retrain half of the online loop: drains the [`InteractionLog`],
 /// warm-starts the model from its current (published) weights over the
-/// base plus accumulated interactions, rebuilds the IVF index for
-/// metric-mode snapshots, and publishes via [`ModelServer::swap`]
-/// **only** when the [`EvalGate`] passes the candidate. Readers are
-/// never blocked: all heavy work happens off the request path, and the
-/// swap itself is one cell write and one index store in the server.
+/// base plus accumulated interactions, freezes the candidate and has
+/// the [`EvalGate`] judge it. **Only** a passed candidate becomes the
+/// pinned snapshot's [`successor`](ModelSnapshot::successor) — which
+/// rebuilds the IVF index of a metric-mode snapshot — and is published
+/// via [`ModelServer::swap`]; a rejected round builds nothing. Readers
+/// are never blocked: all heavy work happens off the request path, and
+/// the swap itself is one cell write and one index store in the server.
 pub struct OnlineTrainer {
     shared: Arc<Shared>,
     worker: Option<std::thread::JoinHandle<()>>,
 }
 
 impl OnlineTrainer {
-    /// Launches the loop over an already-serving `server`.
-    ///
-    /// `model` must hold the weights the serving snapshot was frozen
-    /// from (that is what makes re-fitting a *warm* start); `base` is
-    /// the original training set new interactions accumulate onto.
-    /// Fails typed when the server has no catalog (events could never
-    /// validate), the gate holdout is empty, `base` is, or
-    /// `cfg.train.batch_size` is 0.
-    pub fn launch(
+    /// Launches the trainer over `server`, draining `log`; validates
+    /// what [`OnlineServing::launch`] documents.
+    pub(crate) fn launch(
         server: ModelServer,
         log: Arc<InteractionLog>,
         model: Box<dyn OnlineModel>,
@@ -457,8 +453,8 @@ fn fold_event(
     Ok(())
 }
 
-/// Warm-fit, freeze, rebuild the index, judge, publish with the
-/// round's `seen` sets.
+/// Warm-fit, freeze, judge, and only on a pass publish the pinned
+/// snapshot's successor with the round's `seen` sets.
 fn retrain_and_publish(
     st: &mut RoundState,
     shared: &Shared,
@@ -473,24 +469,9 @@ fn retrain_and_publish(
         Ok(frozen) => frozen,
         Err(e) => return RoundOutcome::Failed { error: e.to_string() },
     };
-    let catalog = match snap.catalog.clone() {
-        Some(catalog) => catalog,
-        None => return RoundOutcome::Failed { error: "round snapshot carries no catalog".into() },
-    };
 
-    // Metric-mode snapshots rebuild their IVF index at the candidate's
-    // weights — sublinear retrieval must never serve a stale index — with
-    // the serving index's own probe budget and exact-fallback threshold.
-    let index = snap.index.as_ref().and_then(|served| {
-        let opts = IvfBuildOptions {
-            nprobe: Some(served.default_nprobe()),
-            min_candidates: served.min_candidates(),
-            ..IvfBuildOptions::default()
-        };
-        IvfIndex::build(&frozen, &catalog, &opts, shared.cfg.par)
-    });
-
-    // Gate: candidate vs (cached) baseline on the pinned holdout.
+    // Gate: candidate vs (cached) baseline on the pinned holdout. A
+    // snapshot without a catalog fails here, typed.
     let baseline = match st.baseline {
         Some((cached_generation, metrics)) if cached_generation == generation => metrics,
         _ => match shared.gate.score(&snap.frozen, snap.catalog.as_ref(), shared.cfg.par) {
@@ -501,7 +482,7 @@ fn retrain_and_publish(
             Err(e) => return RoundOutcome::Failed { error: format!("baseline eval failed: {e}") },
         },
     };
-    let candidate = match shared.gate.score(&frozen, Some(&catalog), shared.cfg.par) {
+    let candidate = match shared.gate.score(&frozen, snap.catalog.as_ref(), shared.cfg.par) {
         Ok(metrics) => metrics,
         Err(e) => return RoundOutcome::Failed { error: format!("candidate eval failed: {e}") },
     };
@@ -510,14 +491,8 @@ fn retrain_and_publish(
         return RoundOutcome::Rejected { report };
     }
 
-    let snapshot = ModelSnapshot {
-        schema: snap.schema.clone(),
-        frozen,
-        catalog: Some(catalog),
-        seen: Some(seen),
-        index,
-    };
-    match shared.server.swap(snapshot) {
+    // Only a passed candidate is re-indexed (metric-mode snapshots).
+    match shared.server.swap(snap.successor(frozen, Some(seen), shared.cfg.par)) {
         Ok(new_generation) => {
             st.baseline = Some((new_generation, candidate));
             RoundOutcome::Published { generation: new_generation, report }
@@ -536,17 +511,24 @@ fn next_u64(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// Everything [`OnlineTrainer::launch`] wires together, bundled: the
-/// serving handle, the ingest [`OnlineHandle`], and the trainer. What
-/// `Recommender::serve_online` returns.
+/// The online loop, wired together: the serving handle, the ingest
+/// [`OnlineHandle`] and the [`OnlineTrainer`] over one
+/// [`InteractionLog`]. What `Recommender::serve_online` returns.
 pub struct OnlineServing {
     handle: OnlineHandle,
     trainer: OnlineTrainer,
 }
 
 impl OnlineServing {
-    /// Builds the log + handle + trainer stack over a serving handle.
-    /// See [`OnlineTrainer::launch`] for the validation rules.
+    /// Builds the log + handle + trainer stack over an already-serving
+    /// `server`.
+    ///
+    /// `model` must hold the weights the serving snapshot was frozen
+    /// from (that is what makes re-fitting a *warm* start); `base` is
+    /// the original training set new interactions accumulate onto.
+    /// Fails typed when the server has no catalog (events could never
+    /// validate), the gate holdout is empty, `base` is, or
+    /// `cfg.train.batch_size` is 0.
     pub fn launch(
         server: ModelServer,
         model: Box<dyn OnlineModel>,

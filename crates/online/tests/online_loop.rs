@@ -92,7 +92,7 @@ impl OnlineModel for WarmFm {
 }
 
 /// A warm-fitted FM plus the snapshot frozen from its current weights —
-/// the invariant `OnlineTrainer::launch` documents.
+/// the invariant `OnlineServing::launch` documents.
 fn fitted_fm(base: &[Instance]) -> (WarmFm, ModelSnapshot) {
     let mut fm =
         FactorizationMachine::new(N_FEATS, FmConfig { k: 4, lr: 0.05, reg: 0.01, epochs: 5, seed: 7 });
@@ -229,6 +229,33 @@ fn a_zero_batch_size_is_refused_at_launch() {
     };
     let refused = OnlineServing::launch(server, Box::new(fm), base, holdout(), cfg);
     assert!(matches!(refused, Err(OnlineError::Launch(_))), "batch_size 0 must not launch a trainer");
+}
+
+#[test]
+fn a_round_over_a_snapshot_without_a_catalog_fails_and_publishes_nothing() {
+    let base = base_train();
+    let (fm, snapshot) = fitted_fm(&base);
+    let server = ModelServer::new(snapshot.clone()).expect("consistent snapshot");
+    let cfg = OnlineConfig { background: false, gate_tolerance: 1.0, ..OnlineConfig::default() };
+    let serving =
+        OnlineServing::launch(server.clone(), Box::new(fm), base, holdout(), cfg).expect("launch validates");
+    serving.handle().feed(&Interaction::new(0, 5)).expect("feed validates");
+
+    // An operator swaps in a snapshot that carries no catalog: the
+    // drained event no longer validates, and neither side of the gate
+    // can be scored.
+    let generation = server
+        .swap(ModelSnapshot { catalog: None, ..snapshot })
+        .expect("consistent snapshot");
+    match serving.trainer().run_once() {
+        RoundOutcome::Failed { error } => {
+            assert!(error.contains(&RequestError::MissingCatalog.to_string()), "typed cause: {error}")
+        }
+        other => panic!("expected a failed round, got {other:?}"),
+    }
+    assert_eq!(server.generation(), generation, "a failed round publishes nothing");
+    let status = serving.shutdown();
+    assert_eq!((status.published, status.skipped_events), (0, 1));
 }
 
 /// A trainer whose candidate is always the planted `worse` model —

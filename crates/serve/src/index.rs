@@ -323,6 +323,19 @@ impl IvfIndex {
         Self::build_with(model, items, opts, par, sample_kmeans)
     }
 
+    /// [`IvfIndex::build`] for a new `model` under this index's probe
+    /// budget and exact-fallback threshold (the cluster count sized afresh).
+    pub fn rebuild<S: ItemFeatureSource + ?Sized>(
+        &self,
+        model: &FrozenModel,
+        items: &S,
+        par: Parallelism,
+    ) -> Option<IvfIndex> {
+        let nprobe = Some(self.default_nprobe);
+        let opts = IvfBuildOptions { nprobe, min_candidates: self.min_candidates, ..Default::default() };
+        Self::build(model, items, &opts, par)
+    }
+
     /// [`IvfIndex::build`] over a given sample k-means (`sample`,
     /// cluster count) → centroids; the tests pass the exhaustive Lloyd
     /// loop the pruned one must reproduce.

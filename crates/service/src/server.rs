@@ -67,6 +67,17 @@ pub struct ModelSnapshot {
     pub index: Option<IvfIndex>,
 }
 
+impl ModelSnapshot {
+    /// The next generation at `frozen`: this schema and catalog, the
+    /// given `seen` sets, and this index, if any, [rebuilt](IvfIndex::rebuild)
+    /// at `frozen` — sublinear retrieval never serves a stale index.
+    pub fn successor(&self, frozen: FrozenModel, seen: Option<SeenItems>, par: Parallelism) -> ModelSnapshot {
+        let served = self.index.as_ref().zip(self.catalog.as_ref());
+        let index = served.and_then(|(served, catalog)| served.rebuild(&frozen, catalog, par));
+        ModelSnapshot { schema: self.schema.clone(), frozen, catalog: self.catalog.clone(), seen, index }
+    }
+}
+
 /// One installed generation.
 struct State {
     generation: u64,
@@ -247,12 +258,6 @@ impl ModelServer {
                 (!items.is_empty()).then(|| (user, items.to_vec()))
             })
             .collect()
-    }
-
-    /// A point-in-time copy of the whole live seen overlay as a
-    /// [`SeenItems`] table.
-    pub fn overlay_seen(&self) -> SeenItems {
-        self.slot.lock_overlay().clone()
     }
 
     /// `snap`'s seen sets folded with the live overlay, read at one point

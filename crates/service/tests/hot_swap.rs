@@ -11,7 +11,7 @@
 
 use gmlfm_data::{FieldKind, Schema};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{FrozenModel, SecondOrder};
+use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, SecondOrder};
 use gmlfm_service::{
     exec, BatchRequest, Catalog, ModelServer, ModelSnapshot, Reply, Request, RequestError, ScoreRequest,
     SeenItems, TopNRequest,
@@ -342,4 +342,63 @@ fn topn_excludes_seen_items_by_default_with_an_opt_out() {
     // Other users have no seen items: nothing is excluded for them.
     let other = server.top_n(&TopNRequest::new(0, N_ITEMS)).unwrap().value;
     assert_eq!(other.len(), N_ITEMS);
+}
+
+/// The next generation an online round publishes: the predecessor's
+/// schema and catalog, the seen sets it is handed, and — when the
+/// predecessor is indexed — exactly the index `IvfIndex::build` gives
+/// the new model under the served index's options, at every thread
+/// count. An index-free predecessor's successor stays index-free.
+#[test]
+fn a_successor_keeps_the_tables_and_reindexes_under_the_served_options() {
+    const USERS: u32 = 5;
+    const ITEMS: u32 = 400;
+    const CATEGORIES: u32 = 7;
+    let schema = Schema::from_specs(&[
+        ("user", USERS as usize, FieldKind::User),
+        ("item", ITEMS as usize, FieldKind::Item),
+        ("category", CATEGORIES as usize, FieldKind::Category),
+    ]);
+    let category = |i: u32| USERS + ITEMS + i % CATEGORIES;
+    let catalog = Catalog::new(
+        vec![1, 2],
+        (0..USERS).map(|u| vec![u, USERS, category(0)]).collect(),
+        (0..ITEMS).map(|i| vec![USERS + i, category(i)]).collect(),
+    );
+    let served_opts = IvfBuildOptions { nprobe: Some(3), min_candidates: 17, ..IvfBuildOptions::default() };
+    let old = FrozenModel::synthetic_metric(schema.total_dim(), 4, 11);
+    let index = IvfIndex::build(&old, &catalog, &served_opts, Parallelism::serial());
+    let snap = ModelSnapshot {
+        schema,
+        frozen: old,
+        catalog: Some(catalog),
+        seen: Some(SeenItems::new(vec![vec![1, 2]])),
+        index,
+    };
+    let new = FrozenModel::synthetic_metric(snap.schema.total_dim(), 4, 12);
+    let seen = SeenItems::new(vec![vec![1, 2], vec![], vec![9]]);
+    let catalog = snap.catalog.as_ref().expect("indexed snapshots carry a catalog");
+    let expected =
+        IvfIndex::build(&new, catalog, &served_opts, Parallelism::serial()).expect("a metric model");
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let served = snap.index.as_ref().expect("a metric model");
+    assert_ne!(bits(expected.phi_mean().as_slice()), bits(served.phi_mean().as_slice()), "the model moved");
+    for threads in [1, 2] {
+        let next = snap.successor(new.clone(), Some(seen.clone()), Parallelism::threads(threads));
+        assert_eq!(format!("{:?}", next.schema), format!("{:?}", snap.schema));
+        assert_eq!(format!("{:?}", next.catalog), format!("{:?}", snap.catalog));
+        assert_eq!(next.seen.as_ref(), Some(&seen));
+        let index = next.index.as_ref().expect("an indexed snapshot's successor is indexed");
+        assert_eq!(index.assignments(), expected.assignments(), "threads {threads}");
+        assert_eq!(bits(&index.item_norms()), bits(&expected.item_norms()), "threads {threads}");
+        assert_eq!(bits(index.phi_mean().as_slice()), bits(expected.phi_mean().as_slice()));
+        assert_eq!(bits(index.radius()), bits(expected.radius()), "threads {threads}");
+        assert_eq!((index.default_nprobe(), index.min_candidates()), (3, 17), "the served options");
+        let server = ModelServer::new(snap.clone()).expect("consistent snapshot");
+        assert_eq!(server.swap(next), Ok(2), "the successor installs");
+    }
+
+    let unindexed = ModelSnapshot { index: None, seen: None, ..snap };
+    let next = unindexed.successor(new, None, Parallelism::threads(2));
+    assert!(next.index.is_none() && next.seen.is_none(), "nothing to rebuild, nothing invented");
 }
