@@ -294,7 +294,7 @@ enum Holdout {
 
 /// What [`EngineBuilder::online`] retains for warm-start retraining: the
 /// trained estimator (its parameters *are* the published weights) and
-/// the base training instances new interactions accumulate onto.
+/// the base training instances that seed the online replay pool.
 struct OnlineSeed {
     est: Box<dyn Estimator>,
     base: Vec<Instance>,

@@ -10,7 +10,7 @@
 //!    bounded, idempotent log;
 //! 2. **Retrain** ([`OnlineTrainer`]) — on cadence or event count, a
 //!    background thread warm-starts SGD from the serving snapshot's
-//!    weights over base + accumulated interactions;
+//!    weights over the drained events plus a bounded replay sample;
 //! 3. **Gate + publish** ([`EvalGate`]) — the candidate is scored on a
 //!    pinned holdout; only a non-regressing one is re-indexed, as the
 //!    [`successor`](gmlfm_service::ModelSnapshot::successor) that reaches
@@ -30,4 +30,6 @@ pub use error::OnlineError;
 pub use gate::{EvalGate, GateMetrics, GateReport};
 pub use handle::OnlineHandle;
 pub use log::{InteractionLog, LogStats, PushOutcome};
-pub use trainer::{OnlineConfig, OnlineModel, OnlineServing, OnlineStatus, OnlineTrainer, RoundOutcome};
+pub use trainer::{
+    OnlineConfig, OnlineModel, OnlineServing, OnlineStatus, OnlineTrainer, RoundOutcome, REPLAY_RATIO,
+};

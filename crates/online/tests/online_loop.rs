@@ -1,14 +1,15 @@
 //! End-to-end tests of the online loop: ingest folds exclusions before
 //! any retrain, warm-start rounds publish only through the eval gate,
 //! sampled negatives avoid every item the user fed, a planted regression
-//! is refused with a typed report, and readers hammering the serving
-//! handle through real trainer-driven swaps never block or observe a
-//! torn generation.
+//! is refused with a typed report, a round trains on its fresh events
+//! plus a seeded replay sample from a bounded pool, and readers
+//! hammering the serving handle through real trainer-driven swaps never
+//! block or observe a torn generation.
 
 use gmlfm_data::{FieldKind, Instance, LooTestCase, Schema};
 use gmlfm_models::fm::FmConfig;
 use gmlfm_models::FactorizationMachine;
-use gmlfm_online::{OnlineConfig, OnlineError, OnlineModel, OnlineServing, RoundOutcome};
+use gmlfm_online::{OnlineConfig, OnlineError, OnlineModel, OnlineServing, RoundOutcome, REPLAY_RATIO};
 use gmlfm_serve::{Freeze, FrozenModel, SecondOrder};
 use gmlfm_service::{
     Interaction, ModelServer, ModelSnapshot, RequestError, ScoreRequest, SeenItems, TopNRequest,
@@ -354,6 +355,13 @@ impl OnlineModel for Recorder {
     }
 }
 
+/// A round's fresh instances: the first `1 / (1 + REPLAY_RATIO)` of its
+/// training set.
+fn fresh_prefix(round: &[Instance]) -> &[Instance] {
+    assert_eq!(round.len() % (1 + REPLAY_RATIO), 0, "a round is |fresh| × (1 + REPLAY_RATIO) long");
+    &round[..round.len() / (1 + REPLAY_RATIO)]
+}
+
 #[test]
 fn sampled_negatives_never_repeat_an_item_the_user_fed() {
     // User 0 has seen {0, 1} and feeds seven more items in one round;
@@ -376,10 +384,8 @@ fn sampled_negatives_never_repeat_an_item_the_user_fed() {
         negatives_per_event: 2,
         ..OnlineConfig::default()
     };
-    let base = base_train();
-    let base_len = base.len();
-    let serving =
-        OnlineServing::launch(server, Box::new(model), base, holdout(), cfg).expect("launch validates");
+    let serving = OnlineServing::launch(server, Box::new(model), base_train(), holdout(), cfg)
+        .expect("launch validates");
     let fed = [2u32, 3, 4, 6, 7, 8, 9];
     for (id, &item) in fed.iter().enumerate() {
         serving
@@ -390,7 +396,7 @@ fn sampled_negatives_never_repeat_an_item_the_user_fed() {
     assert!(matches!(serving.trainer().run_once(), RoundOutcome::Published { .. }));
 
     let fits = fits.lock().expect("recorder lock");
-    let folded = &fits.last().expect("the round warm-fits")[base_len..];
+    let folded = fresh_prefix(fits.last().expect("the round warm-fits"));
     let item_of = |inst: &Instance| inst.feats[1] - N_USERS as u32;
     let positives: Vec<u32> = folded.iter().filter(|i| i.label > 0.0).map(item_of).collect();
     assert_eq!(positives, fed, "every fed event trains as a positive");
@@ -399,6 +405,191 @@ fn sampled_negatives_never_repeat_an_item_the_user_fed() {
     for item in negatives {
         assert_eq!(item, 5, "negative {item} is seen or fed by user 0");
     }
+}
+
+/// Every bit of a frozen FM's tables.
+fn table_bits(frozen: &FrozenModel) -> Vec<u64> {
+    let tables = frozen.linear_weights().iter().chain(frozen.factors().as_slice());
+    std::iter::once(frozen.bias())
+        .chain(tables.copied())
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// A warm FM that also hands every candidate it freezes to the test.
+struct Tapped {
+    fm: WarmFm,
+    frozen: Arc<Mutex<Vec<Vec<u64>>>>,
+}
+
+impl OnlineModel for Tapped {
+    fn warm_fit(&mut self, train: &[Instance], cfg: &TrainConfig) -> Result<(), OnlineError> {
+        self.fm.warm_fit(train, cfg)
+    }
+
+    fn freeze(&self) -> Result<FrozenModel, OnlineError> {
+        let frozen = self.fm.freeze()?;
+        self.frozen.lock().expect("tap lock").push(table_bits(&frozen));
+        Ok(frozen)
+    }
+}
+
+/// What one launch of three fed rounds left behind.
+#[derive(Debug, PartialEq)]
+struct History {
+    /// Every candidate's table bits.
+    candidates: Vec<Vec<u64>>,
+    /// The served tables' bits and generation after each round.
+    served: Vec<(Vec<u64>, u64)>,
+    /// The final published and rejected counts.
+    counts: (u64, u64),
+}
+
+fn three_rounds(seed: u64) -> History {
+    let base = base_train();
+    let (fm, snapshot) = fitted_fm(&base);
+    let server = ModelServer::new(snapshot).expect("consistent snapshot");
+    let candidates = Arc::new(Mutex::new(Vec::new()));
+    let model = Tapped { fm, frozen: Arc::clone(&candidates) };
+    let cfg = OnlineConfig {
+        background: false,
+        gate_tolerance: 0.0,
+        negatives_per_event: 1,
+        seed,
+        ..OnlineConfig::default()
+    };
+    let serving = OnlineServing::launch(server.clone(), Box::new(model), base, holdout(), cfg)
+        .expect("launch validates");
+    let mut served = Vec::new();
+    for round in 0..3u32 {
+        for user in 0..N_USERS as u32 {
+            let item = (user + 2 + 2 * round) % N_ITEMS as u32;
+            serving.handle().feed(&Interaction::new(user, item)).expect("feed validates");
+        }
+        let outcome = serving.trainer().run_once();
+        assert!(
+            matches!(outcome, RoundOutcome::Published { .. } | RoundOutcome::Rejected { .. }),
+            "{outcome:?}"
+        );
+        let (generation, snap) = server.snapshot();
+        served.push((table_bits(&snap.frozen), generation));
+    }
+    let status = serving.shutdown();
+    let candidates = candidates.lock().expect("tap lock").clone();
+    History { candidates, served, counts: (status.published, status.rejected) }
+}
+
+#[test]
+fn two_launches_with_one_seed_publish_the_same_bits() {
+    let first = three_rounds(11);
+    assert_eq!(first.candidates.len(), 3, "every round freezes a candidate");
+    assert_ne!(first.candidates[0], first.candidates[2], "the rounds train");
+    assert_eq!(three_rounds(11), first, "one seed, one history");
+}
+
+/// `per_user` events per user on items its base set never showed it,
+/// starting at each user's `skip`-th such item.
+fn unseen_events(per_user: u32, skip: u32) -> Vec<Interaction> {
+    (0..per_user)
+        .flat_map(|j| {
+            (0..N_USERS as u32).map(move |u| Interaction::new(u, (u + 2 + skip + j) % N_ITEMS as u32))
+        })
+        .collect()
+}
+
+#[test]
+fn the_replay_pool_stays_at_the_base_length_and_takes_in_folded_events() {
+    let frozen = linear_items(f64::from);
+    let snapshot = ModelSnapshot {
+        schema: schema(),
+        frozen: frozen.clone(),
+        catalog: Some(catalog()),
+        seen: Some(base_seen()),
+        index: None,
+    };
+    let server = ModelServer::new(snapshot).expect("consistent snapshot");
+    let fits = Arc::new(Mutex::new(Vec::new()));
+    let model = Recorder { fits: Arc::clone(&fits), frozen };
+    let cfg = OnlineConfig {
+        background: false,
+        gate_tolerance: 1.0,
+        negatives_per_event: 0,
+        ..OnlineConfig::default()
+    };
+    let base = base_train();
+    let cap = base.len();
+    let serving = OnlineServing::launch(server, Box::new(model), base.clone(), holdout(), cfg)
+        .expect("launch validates");
+    assert_eq!(serving.trainer().status().replay_pool, cap);
+
+    // Round 1 folds more instances than the pool holds; round 2 offers
+    // them to the pool before it draws its replay sample.
+    let first = unseen_events(4, 0);
+    assert!(first.len() > cap);
+    for event in &first {
+        serving.handle().feed(event).expect("feed validates");
+    }
+    assert!(matches!(serving.trainer().run_once(), RoundOutcome::Published { .. }));
+    for event in &unseen_events(2, 4) {
+        serving.handle().feed(event).expect("feed validates");
+    }
+    assert!(matches!(serving.trainer().run_once(), RoundOutcome::Published { .. }));
+    assert_eq!(serving.trainer().status().replay_pool, cap, "the reservoir holds the pool at the cap");
+
+    let fits = fits.lock().expect("recorder lock");
+    let replayed = |round: &[Instance]| round[fresh_prefix(round).len()..].to_vec();
+    assert!(replayed(&fits[0]).iter().all(|inst| base.contains(inst)), "round 1 replays the base set");
+    let folded = fresh_prefix(&fits[0]);
+    assert!(
+        replayed(&fits[1]).iter().any(|inst| folded.contains(inst)),
+        "round 2 replays instances round 1 folded"
+    );
+}
+
+#[test]
+fn a_round_trains_on_its_folds_in_event_order_then_the_replay_sample() {
+    // The candidate reverses the baseline's ranking, so the gate refuses
+    // every round and the no-event rounds retry.
+    let snapshot = ModelSnapshot {
+        schema: schema(),
+        frozen: linear_items(|i| (N_ITEMS as u32 - i) as f64),
+        catalog: Some(catalog()),
+        seen: Some(base_seen()),
+        index: None,
+    };
+    let server = ModelServer::new(snapshot).expect("consistent snapshot");
+    let fits = Arc::new(Mutex::new(Vec::new()));
+    let model = Recorder { fits: Arc::clone(&fits), frozen: linear_items(f64::from) };
+    let cases: Vec<LooTestCase> = (0..N_USERS as u32)
+        .map(|u| LooTestCase { user: u, pos_item: 0, negatives: vec![7, 8, 9] })
+        .collect();
+    let cfg = OnlineConfig {
+        background: false,
+        gate_k: 1,
+        gate_tolerance: 0.0,
+        negatives_per_event: 0,
+        ..OnlineConfig::default()
+    };
+    let serving =
+        OnlineServing::launch(server, Box::new(model), base_train(), cases, cfg).expect("launch validates");
+    let events = [(0u32, 5u32), (3, 9), (1, 7), (2, 4)];
+    for &(user, item) in &events {
+        serving.handle().feed(&Interaction::new(user, item)).expect("feed validates");
+    }
+    assert!(matches!(serving.trainer().run_once(), RoundOutcome::Rejected { .. }));
+    assert!(matches!(serving.trainer().run_once(), RoundOutcome::Rejected { .. }));
+    serving.handle().feed(&Interaction::new(4, 8)).expect("feed validates");
+    assert!(matches!(serving.trainer().run_once(), RoundOutcome::Rejected { .. }));
+
+    let fits = fits.lock().expect("recorder lock");
+    let want: Vec<Instance> = events.iter().map(|&(u, i)| Instance::new(feats(u, i), 1.0)).collect();
+    assert_eq!(fits.len(), 3);
+    assert_eq!(fits[0].len(), events.len() * (1 + REPLAY_RATIO));
+    assert_eq!(&fits[0][..events.len()], want.as_slice(), "the folds lead, in event order");
+    assert_eq!(&fits[1][..events.len()], want.as_slice(), "a retry trains on the same fresh set");
+    assert_eq!(fits[1].len(), fits[0].len());
+    assert_eq!(fits[2].len(), 1 + REPLAY_RATIO, "a round with new events trains on those alone");
+    assert_eq!(fits[2][0], Instance::new(feats(4, 8), 1.0));
 }
 
 /// A trainer whose warm fit announces itself and then parks until the

@@ -219,9 +219,12 @@ impl FrozenModel {
     /// feature group equals the one it was computed for — ranking a
     /// different catalogue with this model is correct, just unmemoised.
     /// Models and catalogues the memo cannot serve (TransFM, single-slot
-    /// items, sparse id ranges) are returned unchanged.
+    /// items, sparse id ranges) are returned unchanged, and so is a model
+    /// that already carries a memo: whoever memoised it did the pass.
     pub fn with_group_memo<S: ItemFeatureSource + ?Sized>(mut self, items: &S) -> Self {
-        self.group_memo = GroupMemo::build(&self, items);
+        if self.group_memo.is_none() {
+            self.group_memo = GroupMemo::build(&self, items);
+        }
         self
     }
 

@@ -14,9 +14,7 @@ use crate::error::RequestError;
 use crate::protocol::{BatchRequest, Interaction, Reply, Request, ScoreRequest, TopNRequest};
 use gmlfm_data::{FieldKind, Schema};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{
-    scan_top_n, FrozenModel, ItemFeatureSource, IvfIndex, Precision, RetrievalStrategy, TopNHeap,
-};
+use gmlfm_serve::{scan_top_n, FrozenModel, IvfIndex, Precision, RetrievalStrategy, TopNHeap};
 use std::borrow::Cow;
 use std::cell::RefCell;
 
@@ -195,13 +193,13 @@ impl ScoringBackend for FrozenModel {
     ) -> Vec<f64> {
         let item_slots = catalog.item_slots();
         gmlfm_par::par_blocks(par, candidates.len(), |range| {
-            // One ranker per worker block: the context side is staged
-            // once and reused for every candidate in the block.
-            let mut ranker = self.ranker(template, item_slots);
-            candidates[range]
-                .iter()
-                .map(|&item| ranker.score(catalog.features_of(item)))
-                .collect()
+            // One ranker per worker block, scored as one block: the
+            // context side and the slot tables are staged once, and the
+            // scores are `score`'s bits.
+            let mut scores = Vec::with_capacity(range.len());
+            self.ranker(template, item_slots)
+                .score_block(catalog, &candidates[range], &mut scores);
+            scores
         })
     }
 

@@ -385,7 +385,10 @@ impl std::fmt::Debug for ModelServer {
 
 /// Attaches the generation's within-group pair memo
 /// ([`FrozenModel::with_group_memo`]) to a checked snapshot that carries
-/// a catalog — eagerly, at install, so no request waits on it.
+/// a catalog — eagerly, at install, so no request waits on it — unless
+/// its model carries one already (an online round memoises its
+/// candidate for the gate). The memo is a verified cache: one built
+/// over another catalogue only misses.
 fn with_group_memo(mut snap: ModelSnapshot) -> ModelSnapshot {
     if let Some(catalog) = &snap.catalog {
         snap.frozen = snap.frozen.with_group_memo(catalog);
