@@ -1,171 +1,28 @@
-//! The IVF retrieval index's four pinned properties:
+//! The IVF retrieval index's pinned properties beyond the route
+//! parity that `parity.rs` holds (every freezable spec's indexed
+//! snapshot, pinned to `Exact` and probing every cluster, returns the
+//! full-sort reference at threads {1, 2, 5}, and an index-less backend
+//! declines the indexed path):
 //!
-//! 1. [`RetrievalStrategy::Exact`] stays **bitwise identical** to the
-//!    sharded bounded-heap path of the pre-index design, across every
-//!    freezable [`ModelSpec`] variant and thread counts {1, 2, 5} —
-//!    with an index installed in the snapshot, pinning `Exact` must
-//!    change nothing.
-//! 2. IVF with `nprobe = n_clusters` is **item-for-item** (scores
-//!    bitwise, tie order included) the exact result: the index only
-//!    narrows the candidate set, never rescores, so probing everything
-//!    is the exhaustive scan.
-//! 3. Measured recall@10 at the default `nprobe` knob is ≥ 0.95 on a
+//! 1. Measured recall@10 at the default `nprobe` knob is ≥ 0.95 on a
 //!    seeded 10k-item catalogue, and every returned score is bitwise
 //!    the true model score.
-//! 4. Artifacts: the index round-trips through the current format (cluster
+//! 2. Artifacts: the index round-trips through the current format (cluster
 //!    means, radii, assignments and knobs all bit-preserved), and v2
 //!    artifacts — which predate the `index` field — still load, with
 //!    no index and exact serving.
 
 mod common;
 
-use common::{freezable_specs, reference_top_n};
+use common::reference_top_n;
 use gmlfm_data::{generate, generate_scale, DatasetSpec, FieldKind, FieldMask, ScaleConfig};
 use gmlfm_engine::{Engine, ModelSpec, SplitPlan, TopNRequest};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
-use gmlfm_service::{Catalog, IndexedModel, ModelServer, ModelSnapshot, ScoringBackend};
+use gmlfm_serve::{FrozenModel, IvfBuildOptions, IvfIndex, RetrievalStrategy};
+use gmlfm_service::Catalog;
 use gmlfm_train::TrainConfig;
-use proptest::prelude::*;
-use std::sync::OnceLock;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 5];
-
-struct Variant {
-    name: &'static str,
-    frozen: FrozenModel,
-    /// Index over the fixture catalogue, `None` for models without the
-    /// metric linearisation. `min_candidates` is lowered so the indexed
-    /// path engages on the small fixture.
-    index: Option<IvfIndex>,
-    /// Server whose snapshot carries the index (when one exists) — the
-    /// post-index serving configuration.
-    indexed: ModelServer,
-    /// Index-less server — exactly the pre-index (PR 5) serving path.
-    plain: ModelServer,
-}
-
-struct Fixture {
-    catalog: Catalog,
-    variants: Vec<Variant>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let dataset = generate(&DatasetSpec::AmazonAuto.config(61).scaled(0.15));
-        let mask = FieldMask::all(&dataset.schema);
-        let catalog = Catalog::from_dataset(&dataset, &mask);
-        // Untrained estimators are enough: retrieval parity is
-        // independent of the parameter values.
-        let variants = freezable_specs()
-            .into_iter()
-            .map(|spec| {
-                let name = spec.display_name();
-                let estimator = spec.build(&dataset.schema, &mask);
-                let frozen = estimator.freeze_if_supported().expect("freezable spec");
-                let opts = IvfBuildOptions { min_candidates: 1, ..IvfBuildOptions::default() };
-                let index = IvfIndex::build(&frozen, &catalog, &opts, Parallelism::auto());
-                let snapshot = |index: Option<IvfIndex>| ModelSnapshot {
-                    schema: dataset.schema.clone(),
-                    frozen: frozen.clone(),
-                    catalog: Some(catalog.clone()),
-                    seen: None,
-                    index,
-                };
-                let indexed = ModelServer::new(snapshot(index.clone())).expect("consistent snapshot");
-                let plain = ModelServer::new(snapshot(None)).expect("consistent snapshot");
-                Variant { name, frozen, index, indexed, plain }
-            })
-            .collect();
-        Fixture { catalog, variants }
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Property 1: pinning `Exact` — even on a snapshot that carries an
-    /// index — answers bitwise identically to the index-less sharded
-    /// heap path, at every thread count.
-    #[test]
-    fn exact_strategy_is_bit_identical_to_sharded_heap_path(
-        variant in 0usize..10,
-        user in 0u32..200,
-        n_kind in 0usize..3,
-    ) {
-        let f = fixture();
-        let v = &f.variants[variant];
-        let user = user % f.catalog.n_users() as u32;
-        let n = [1, 10, f.catalog.n_items()][n_kind];
-        let reference = reference_top_n(&v.frozen, &f.catalog, user, n);
-        for threads in THREAD_COUNTS {
-            let base = TopNRequest::new(user, n)
-                .include_seen()
-                .parallelism(Parallelism::threads(threads));
-            // The pre-index serving path, unchanged.
-            let plain = v.plain.top_n(&base.clone()).expect("valid request").value;
-            prop_assert_eq!(&plain, &reference, "{} plain path drifted (threads={})", v.name, threads);
-            // Exact pinned on the indexed snapshot: same bits.
-            let exact = v.indexed
-                .top_n(&base.strategy(RetrievalStrategy::Exact))
-                .expect("valid request")
-                .value;
-            prop_assert_eq!(&exact, &reference, "{} Exact on indexed snapshot drifted (threads={})", v.name, threads);
-        }
-    }
-
-    /// Property 2: probing every cluster is the exhaustive scan —
-    /// item-for-item, scores bitwise, through both the backend and the
-    /// request path.
-    #[test]
-    fn full_probe_ivf_equals_exact(variant in 0usize..10, user in 0u32..200) {
-        let f = fixture();
-        let v = &f.variants[variant];
-        let Some(index) = &v.index else {
-            // Non-metric models never build an index; the indexed
-            // backend must report ineligibility, not guess.
-            let backend = IndexedModel { frozen: &v.frozen, index: None };
-            let template = f.catalog.template(0).expect("fixture has user 0");
-            prop_assert!(backend
-                .select_top_n_indexed(&f.catalog, template, 10, None, &[], Precision::F64, Parallelism::serial())
-                .is_none());
-            return Ok(());
-        };
-        let user = user % f.catalog.n_users() as u32;
-        let n = 10;
-        prop_assert!(f.catalog.n_items() >= 4 * n, "fixture large enough for the indexed path");
-        let reference = reference_top_n(&v.frozen, &f.catalog, user, n);
-        let backend = IndexedModel { frozen: &v.frozen, index: Some(index) };
-        for threads in THREAD_COUNTS {
-            let got = backend
-                .select_top_n_indexed(
-                    &f.catalog,
-                    f.catalog.template(user).expect("fixture user in range"),
-                    n,
-                    Some(index.n_clusters()),
-                    &[],
-                    Precision::F64,
-                    Parallelism::threads(threads),
-                )
-                .expect("eligible whole-catalogue request takes the indexed path");
-            prop_assert_eq!(got.len(), reference.len(), "{}", v.name);
-            for (g, r) in got.iter().zip(&reference) {
-                prop_assert_eq!(g.0, r.0, "{} item order drifted (threads={})", v.name, threads);
-                prop_assert_eq!(g.1.to_bits(), r.1.to_bits(), "{} score drifted (threads={})", v.name, threads);
-            }
-            // Same through the typed request path.
-            let req = TopNRequest::new(user, n)
-                .include_seen()
-                .parallelism(Parallelism::threads(threads))
-                .strategy(RetrievalStrategy::Ivf { nprobe: Some(index.n_clusters()) });
-            let served = v.indexed.top_n(&req).expect("valid request").value;
-            prop_assert_eq!(&served, &reference, "{} request path drifted (threads={})", v.name, threads);
-        }
-    }
-}
-
-/// Property 3: at the default knob, recall@10 on a seeded 10k-item
+/// Property 1: at the default knob, recall@10 on a seeded 10k-item
 /// catalogue is ≥ 0.95 — and every score the index returns is bitwise
 /// the true model score (the approximation lives only in the candidate
 /// set).
@@ -216,7 +73,7 @@ fn default_nprobe_recall_at_10_is_at_least_095_on_10k_items() {
     assert!(recall >= 0.95, "recall@10 = {recall:.3} at nprobe = {}", index.default_nprobe());
 }
 
-/// Property 4a: the index round-trips through the current artifact — every
+/// Property 2a: the index round-trips through the current artifact — every
 /// cluster mean, radius, assignment and knob bit-preserved, and the
 /// reloaded index searches identically.
 #[test]
@@ -264,7 +121,7 @@ fn index_round_trips_through_current_artifacts() {
     }
 }
 
-/// Property 4b: v2 artifacts predate the `index` field — they still
+/// Property 2b: v2 artifacts predate the `index` field — they still
 /// load, with no index and fully exact serving.
 #[test]
 fn v2_artifacts_without_an_index_field_still_load() {

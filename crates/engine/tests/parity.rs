@@ -285,7 +285,6 @@ fn exact_ties_rank_by_item_id_on_both_paths() {
             catalog.item_slots(),
             &candidates,
             10,
-            Precision::F64,
             Parallelism::threads(threads),
         );
         assert_eq!(got, expected, "threads={threads}");

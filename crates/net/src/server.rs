@@ -368,7 +368,7 @@ fn reply(inner: &Inner, stream: &mut TcpStream, payload: &str) -> Result<(), Fra
 
 /// Caps every client-chosen `par` at [`Parallelism::auto`]. On the
 /// wire `par` is an arbitrary integer, and it sets the number of scan
-/// shards (one scanner and one heap each) or batch blocks, and every
+/// shards (one ranker and one heap each) or batch blocks, and every
 /// block past the first runs on an OS thread spawned for this request.
 /// Uncapped, the client would choose how many threads one frame spawns;
 /// beyond `auto` the extra threads only share the same cores and

@@ -24,9 +24,9 @@
 //! (`FrozenModel::pair_term`), summed over the set's pairs by one
 //! tape-free, allocation-free loop that every serving path shares —
 //! Score replies, the ranker's context score and within-group term, the
-//! group memo, the low-precision scan and the IVF linearisation. No mode
-//! takes an expanded `m·u − ‖s‖²`-style sum: it cancels catastrophically
-//! on near-duplicate embeddings. Served instances carry a few fields
+//! group memo and the IVF linearisation. No mode takes an expanded
+//! `m·u − ‖s‖²`-style sum: it cancels catastrophically on near-duplicate
+//! embeddings. Served instances carry a few fields
 //! against a `k` of 8–16, where the `O(m²·k)` pair loop is cheaper than
 //! the paper's `O(m·k²)` weighted Eq. 10/11 form, which lives in
 //! `gmlfm_core::efficient`.
@@ -39,7 +39,6 @@ use gmlfm_train::Scorer;
 
 use crate::index::ItemFeatureSource;
 use crate::kernel;
-use crate::lowp::{LowPrec, Precision};
 use crate::rank::{GroupMemo, TopNRanker};
 
 /// The packed `V̂`/`q` table: row `i` holds the transformed embedding
@@ -150,6 +149,18 @@ impl SecondOrder {
     }
 }
 
+/// Selects nothing; deleted in the next benchmark window (ROADMAP item
+/// 2). Every scan is exact f64 whichever variant is passed.
+#[derive(Debug, Clone, Copy)]
+pub enum Precision {
+    /// Exact f64.
+    F64,
+    /// Exact f64 too.
+    F32,
+    /// Exact f64 too.
+    I8,
+}
+
 /// A trained model frozen for serving: plain parameters, direct sparse
 /// evaluation, no autograd machinery.
 #[derive(Debug, Clone)]
@@ -162,9 +173,6 @@ pub struct FrozenModel {
     pub(crate) v: Matrix,
     /// Second-order evaluation strategy.
     pub(crate) second: SecondOrder,
-    /// Low-precision candidate tables (f32 + i8), built on demand by
-    /// [`FrozenModel::with_precision`] and shared across clones.
-    pub(crate) lowp: Option<std::sync::Arc<LowPrec>>,
     /// The within-group pair term of every item of one catalogue, built
     /// by [`FrozenModel::with_group_memo`]; clones share its table.
     /// Never serialised: whoever installs the model rebuilds it.
@@ -188,21 +196,12 @@ impl FrozenModel {
             }
             SecondOrder::Dot => {}
         }
-        Self { w0, w, v, second, lowp: None, group_memo: None }
+        Self { w0, w, v, second, group_memo: None }
     }
 
-    /// Builds the low-precision candidate tables [`scan_top_n`] reads at
-    /// `precision` (none at [`Precision::F64`]). They exist only for the
-    /// decoupled squared-Euclidean metric form; every other
-    /// second-order strategy is returned unchanged, and its scans stay
-    /// exact f64. Once built, the tables ride along behind an `Arc`, so
-    /// clones never copy them.
-    ///
-    /// [`scan_top_n`]: crate::scan_top_n
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        if precision != Precision::F64 && self.lowp.is_none() {
-            self.lowp = LowPrec::build(&self.v, &self.second);
-        }
+    /// Selects nothing; deleted in the next benchmark window (ROADMAP
+    /// item 2).
+    pub fn with_precision(self, _precision: Precision) -> Self {
         self
     }
 

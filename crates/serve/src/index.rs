@@ -53,7 +53,6 @@
 //! them and callers fall back to the exact sharded-heap path.
 
 use crate::frozen::{dot, FrozenModel, HatQ, SecondOrder};
-use crate::lowp::Precision;
 #[allow(unused_imports)] // rustdoc links
 use crate::rank::TopNRanker;
 use crate::topn::Scan;
@@ -658,9 +657,8 @@ impl IvfIndex {
         };
         let probe = self.probe_order(model, &tables, template, item_slots, nprobe);
         let ctx_score = probe.ctx_score;
-        let (precision, par) = (Precision::F64, Parallelism::serial());
-        let scan = Scan { model, items, template, item_slots, n, precision, par };
-        scan.run(&probe.clusters, |scanner, clusters, heap| {
+        let scan = Scan { model, template, item_slots, n, par: Parallelism::serial() };
+        scan.run(&probe.clusters, |ranker, clusters, heap| {
             let (mut ids, mut scores) = (Vec::new(), Vec::new());
             for &(c, mean_score, ub) in clusters {
                 let threshold = heap.threshold().map(|(_, threshold)| threshold);
@@ -689,7 +687,7 @@ impl IvfIndex {
                     }
                 }
                 scores.clear();
-                scanner.score_block(items, &ids, &mut scores);
+                ranker.score_block(items, &ids, &mut scores);
                 for (&item, &score) in ids.iter().zip(&scores) {
                     heap.push(item, score);
                 }

@@ -30,7 +30,7 @@
 //!   candidate feature; every distance, the order-dependent TransFM mode
 //!   included, scores by item delta.
 //! * [`topn`] — top-N retrieval: the one sharded scan driver
-//!   (per-shard scanner + bounded [`TopNHeap`], threshold-rejecting,
+//!   (per-shard [`TopNRanker`] + bounded [`TopNHeap`], threshold-rejecting,
 //!   merged under the deterministic [`rank_cmp`] total order — score
 //!   desc, item id asc), so a whole-catalogue request costs
 //!   `O(C·k + C·log n)` instead of a full `O(C·log C)` sort — and
@@ -42,10 +42,6 @@
 //!   ([`RetrievalStrategy`] selects between the two sources).
 //! * [`kernel`] — the fixed-width chunked `dot`/`axpy`/`sq_dist`
 //!   primitives every scoring loop runs on.
-//! * [`lowp`] — the `f32`/`i8` candidate tables [`scan_top_n`] reads
-//!   at a narrow [`Precision`]. No serving surface selects them: they
-//!   remain only for `bench_e2e`'s `serve.lowp.*` probes, and every
-//!   served reply comes from the exact f64 scan.
 //!
 //! Parity with the autograd path is pinned to ≤1e-9 by the tests in this
 //! crate and by `tests/frozen_parity.rs`. The slow side of every served
@@ -58,13 +54,11 @@ pub mod freeze;
 pub mod frozen;
 pub mod index;
 pub mod kernel;
-pub mod lowp;
 pub mod rank;
 pub mod topn;
 
 pub use freeze::Freeze;
-pub use frozen::{FrozenModel, HatQ, SecondOrder};
+pub use frozen::{FrozenModel, HatQ, Precision, SecondOrder};
 pub use index::{ItemFeatureSource, IvfBuildOptions, IvfIndex, RetrievalStrategy};
-pub use lowp::Precision;
 pub use rank::TopNRanker;
 pub use topn::{rank_cmp, scan_top_n, TopNHeap};

@@ -34,7 +34,6 @@
 use crate::frozen::{dot, FrozenModel, HatQ, SecondOrder};
 use crate::index::ItemFeatureSource;
 use crate::kernel;
-use crate::lowp::{LowPrec, Precision};
 use gmlfm_core::Distance;
 use gmlfm_tensor::Matrix;
 use std::sync::Arc;
@@ -545,204 +544,6 @@ impl std::fmt::Debug for GroupMemo {
             .field("lo", &self.lo)
             .field("keys", &(self.table.len() / (self.n_slots + 1)))
             .finish_non_exhaustive()
-    }
-}
-
-/// Which table a request's candidate scan reads. [`ScanMode::choose`] is
-/// the one place that decides between a low-precision scan and the exact
-/// f64 fall-back, [`ScanMode::reranks`] the one place that decides
-/// whether the scanned pool is re-scored exactly; `Low` carries the
-/// resolved tables, so a [`Scanner`] built from it cannot disagree.
-#[derive(Clone, Copy)]
-pub(crate) enum ScanMode<'m> {
-    /// Exact f64 scan through [`TopNRanker`].
-    Exact,
-    /// f32 (or dequantized-i8, when `quantized`) cross deltas over the
-    /// model's low-precision tables.
-    Low { lp: &'m LowPrec, hat: &'m HatQ, h: Option<&'m [f64]>, quantized: bool },
-}
-
-impl<'m> ScanMode<'m> {
-    /// The scan a model serves `precision` with: low precision only when
-    /// it was requested, the model carries the tables
-    /// ([`FrozenModel::with_precision`]) and its second-order form has
-    /// the decoupled squared-Euclidean delta they narrow — exact f64
-    /// otherwise.
-    pub(crate) fn choose(model: &'m FrozenModel, precision: Precision) -> Self {
-        match (precision, model.lowp.as_deref(), &model.second) {
-            (
-                Precision::F32 | Precision::I8,
-                Some(lp),
-                SecondOrder::Metric { distance: Distance::SquaredEuclidean, hat, h },
-            ) => ScanMode::Low { lp, hat, h: h.as_deref(), quantized: precision == Precision::I8 },
-            _ => ScanMode::Exact,
-        }
-    }
-
-    /// Whether the scanned pool must be re-scored by the exact f64
-    /// ranker before it is returned: after an i8 scan (the quantized
-    /// tables are probe-only), never after an f32 or exact scan.
-    pub(crate) fn reranks(self) -> bool {
-        matches!(self, ScanMode::Low { quantized: true, .. })
-    }
-}
-
-/// Context-side partial sums for the low-precision scan, all narrowed
-/// to f32 once at construction.
-enum LowCross {
-    /// Unweighted decoupled form: `u + m·qⱼ − 2⟨s, v̂ⱼ⟩` in f32.
-    Unweighted { s: Vec<f32>, u: f32, m: f32 },
-    /// Weighted form: per context feature `i`, the precomputed `h ⊙ vᵢ`
-    /// row, the `v̂ᵢ` row, and `qᵢ` — flattened `|ctx| × k` row-major.
-    WeightedDirect { hv: Vec<f32>, vh: Vec<f32>, q: Vec<f32>, k: usize },
-}
-
-impl LowCross {
-    fn new(base: &TopNRanker<'_>, hat: &HatQ, h: Option<&[f64]>) -> Self {
-        let model = base.model;
-        let k = model.k();
-        let Some(h) = h else {
-            let mut s = vec![0.0f64; k];
-            let mut u = 0.0f64;
-            for &i in &base.ctx {
-                let (vhi, qi) = hat.row(i as usize);
-                u += qi;
-                for (slot, &x) in s.iter_mut().zip(vhi) {
-                    *slot += x;
-                }
-            }
-            return LowCross::Unweighted {
-                s: s.iter().map(|&x| x as f32).collect(),
-                u: u as f32,
-                m: base.ctx.len() as f32,
-            };
-        };
-        let mut hv = Vec::with_capacity(base.ctx.len() * k);
-        let mut vh = Vec::with_capacity(base.ctx.len() * k);
-        let mut q = Vec::with_capacity(base.ctx.len());
-        for &i in &base.ctx {
-            let vi = model.v.row(i as usize);
-            hv.extend(h.iter().zip(vi).map(|(&hr, &vr)| (hr * vr) as f32));
-            let (vhi, qi) = hat.row(i as usize);
-            vh.extend(vhi.iter().map(|&x| x as f32));
-            q.push(qi as f32);
-        }
-        LowCross::WeightedDirect { hv, vh, q, k }
-    }
-}
-
-/// The one candidate scanner of the top-N scan driver
-/// ([`crate::topn`]): a [`TopNRanker`] scoring exactly, or — under
-/// [`ScanMode::Low`] — the same context state with f32 (or
-/// dequantized-i8) candidate deltas.
-///
-/// The low-precision score keeps the context score, first-order weights
-/// and within-group second-order term in f64 — only the context ×
-/// candidate cross delta (the part that streams the big tables) is low
-/// precision.
-pub(crate) struct Scanner<'m> {
-    base: TopNRanker<'m>,
-    low: Option<Low<'m>>,
-}
-
-/// The low-precision half of a [`Scanner`]: the narrowed context
-/// partials and where the candidate-side f32 rows come from — straight
-/// reads of the f32 tables, or (when `dequant` is set) per-candidate
-/// dequantization of the i8 table into that scratch row (`[v̂ⱼ | vⱼ]`
-/// when the table is paired).
-struct Low<'m> {
-    cross: LowCross,
-    lp: &'m LowPrec,
-    dequant: Option<Vec<f32>>,
-}
-
-impl<'m> Scanner<'m> {
-    pub(crate) fn new(
-        model: &'m FrozenModel,
-        template: &[u32],
-        item_slots: &[usize],
-        mode: ScanMode<'m>,
-    ) -> Self {
-        let base = model.ranker(template, item_slots);
-        let low = match mode {
-            ScanMode::Exact => None,
-            ScanMode::Low { lp, hat, h, quantized } => Some(Low {
-                cross: LowCross::new(&base, hat, h),
-                lp,
-                dequant: quantized.then(|| vec![0.0f32; lp.qhat.row_width()]),
-            }),
-        };
-        Self { base, low }
-    }
-
-    /// Scores one candidate: [`TopNRanker::score`], or its
-    /// low-precision approximation.
-    pub(crate) fn score(&mut self, item_feats: &[u32]) -> f64 {
-        let Some(low) = &mut self.low else { return self.base.score(item_feats) };
-        assert_eq!(
-            item_feats.len(),
-            self.base.item_slots.len(),
-            "Scanner::score: candidate has {} features, template has {} item slots",
-            item_feats.len(),
-            self.base.item_slots.len()
-        );
-        let model = self.base.model;
-        let mut out = self.base.ctx_score;
-        for &f in item_feats {
-            out += model.w[f as usize];
-        }
-        for &f in item_feats {
-            out += low.cross_delta(f) as f64;
-        }
-        out + model.second_order(item_feats)
-    }
-
-    /// Scores a block of candidate items, appending one score per id to
-    /// `out`: [`TopNRanker::score_block`], or [`Scanner::score`] per id
-    /// in order.
-    pub(crate) fn score_block<S: ItemFeatureSource + ?Sized>(
-        &mut self,
-        items: &S,
-        ids: &[u32],
-        out: &mut Vec<f64>,
-    ) {
-        if self.low.is_none() {
-            return self.base.score_block(items, ids, out);
-        }
-        out.extend(ids.iter().map(|&id| self.score(items.features_of(id))));
-    }
-}
-
-impl Low<'_> {
-    /// The f32 cross delta for one candidate feature `j`.
-    fn cross_delta(&mut self, j: u32) -> f32 {
-        let (j, lp) = (j as usize, self.lp);
-        let (vhj, qj, vj): (&[f32], f32, Option<&[f32]>) = match &mut self.dequant {
-            None => {
-                let (vh, q) = lp.hat32.row(j);
-                (vh, q, lp.v32_row(j))
-            }
-            Some(scratch) => {
-                lp.qhat.dequant_into(j, scratch);
-                let (vh, v) = scratch.split_at(lp.qhat.k());
-                (vh, lp.qhat.q(j), lp.qhat.paired().then_some(v))
-            }
-        };
-        match &self.cross {
-            LowCross::Unweighted { s, u, m } => u + m * qj - 2.0 * kernel::dot_f32(s, vhj),
-            LowCross::WeightedDirect { hv, vh, q, k } => {
-                // `vj` is always present here: the weighted cross is only
-                // built when `LowPrec` carries the narrowed `V` tables.
-                let Some(vj) = vj else { return 0.0 };
-                let mut out = 0.0f32;
-                for ((hvi, vhi), &qi) in hv.chunks_exact(*k).zip(vh.chunks_exact(*k)).zip(q) {
-                    let w_ij = kernel::dot_f32(hvi, vj);
-                    let d = qi + qj - 2.0 * kernel::dot_f32(vhi, vhj);
-                    out += w_ij * d;
-                }
-                out
-            }
-        }
     }
 }
 

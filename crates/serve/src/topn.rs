@@ -13,7 +13,7 @@
 //! sort and the 16 MB score vector, every request.
 //!
 //! Every retrieval mode is the same loop — cut the work into shards,
-//! give each shard one scanner and one [`TopNHeap`], merge under
+//! give each shard one [`TopNRanker`] and one [`TopNHeap`], merge under
 //! [`rank_cmp`] — so it exists once, as the private `Scan::run`
 //! driver. The two candidate sources are expressed over it: an explicit
 //! candidate list scored in [`kernel::CAND_BLOCK`] runs
@@ -41,8 +41,7 @@
 use crate::frozen::FrozenModel;
 use crate::index::ItemFeatureSource;
 use crate::kernel;
-use crate::lowp::Precision;
-use crate::rank::{ScanMode, Scanner};
+use crate::rank::TopNRanker;
 use gmlfm_par::Parallelism;
 use std::cmp::Ordering;
 
@@ -192,89 +191,51 @@ fn merge_sharded(n: usize, shards: impl IntoIterator<Item = Vec<(u32, f64)>>) ->
     all
 }
 
-/// How many candidates an i8 probe keeps for the exact f64 re-rank: an
-/// 8x (and at least `n + 64`) pool absorbs quantization-induced
-/// reordering near the cutoff, so returned scores stay bitwise the
-/// model's. The re-rank itself is a few dozen exact scores per request,
-/// noise next to the catalogue scan. Saturating: `n` is the caller's.
-fn rerank_pool(n: usize) -> usize {
-    n.saturating_mul(8).max(n.saturating_add(64))
-}
-
 /// One top-`n` request against a frozen model: what a candidate source
 /// hands the scan driver ([`Scan::run`]). `template` is the user's
 /// feature template, `item_slots` the positions a candidate's features
 /// fill (the [`FrozenModel::ranker`] contract).
-pub(crate) struct Scan<'a, S: ItemFeatureSource + ?Sized> {
+pub(crate) struct Scan<'a> {
     pub(crate) model: &'a FrozenModel,
-    pub(crate) items: &'a S,
     pub(crate) template: &'a [u32],
     pub(crate) item_slots: &'a [usize],
     pub(crate) n: usize,
-    pub(crate) precision: Precision,
     pub(crate) par: Parallelism,
 }
 
-impl<S: ItemFeatureSource + ?Sized> Scan<'_, S> {
+impl Scan<'_> {
     /// The scan driver: `work` is cut into one contiguous shard per
-    /// requested worker, each shard builds its own [`Scanner`] (context
-    /// partials computed once per shard, not once per candidate) and
-    /// lets `scan_shard` push its share of the work into a
-    /// [`TopNHeap`], and the shard heaps are merged under [`rank_cmp`].
-    /// With `scan_shard` pushing pure per-candidate scores the result
-    /// is item-for-item `sort_by(rank_cmp) + truncate(n)` over those
-    /// scores at every thread count.
-    ///
-    /// The scan reads the tables [`ScanMode::choose`] picks for
-    /// `self.precision`. When that mode re-ranks (the i8 probe), the
-    /// heaps keep a [`rerank_pool`]-sized pool and the merged pool is
-    /// re-scored by the exact ranker, so its returned scores are
-    /// bitwise the model's.
+    /// requested worker, each shard builds its own [`TopNRanker`]
+    /// (context partials computed once per shard, not once per
+    /// candidate) and lets `scan_shard` push its share of the work into
+    /// a [`TopNHeap`], and the shard heaps are merged under
+    /// [`rank_cmp`]. With `scan_shard` pushing pure per-candidate scores
+    /// the result is item-for-item `sort_by(rank_cmp) + truncate(n)`
+    /// over those scores at every thread count.
     pub(crate) fn run<W: Sync>(
         &self,
         work: &[W],
-        scan_shard: impl Fn(&mut Scanner<'_>, &[W], &mut TopNHeap) + Sync,
+        scan_shard: impl Fn(&mut TopNRanker<'_>, &[W], &mut TopNHeap) + Sync,
     ) -> Vec<(u32, f64)> {
-        let mode = ScanMode::choose(self.model, self.precision);
-        let rerank = mode.reranks();
-        let pool_n = if rerank { rerank_pool(self.n) } else { self.n };
         let ranges = gmlfm_par::block_ranges(work.len(), self.par.get());
         let shard_tops = gmlfm_par::par_map(self.par, &ranges, |range| {
-            let mut scanner = Scanner::new(self.model, self.template, self.item_slots, mode);
-            let mut heap = TopNHeap::new(pool_n);
-            scan_shard(&mut scanner, &work[range.clone()], &mut heap);
+            let mut ranker = self.model.ranker(self.template, self.item_slots);
+            let mut heap = TopNHeap::new(self.n);
+            scan_shard(&mut ranker, &work[range.clone()], &mut heap);
             heap.into_sorted()
         });
-        let mut pool = merge_sharded(pool_n, shard_tops);
-        if rerank {
-            let mut ranker = self.model.ranker(self.template, self.item_slots);
-            for (item, score) in &mut pool {
-                *score = ranker.score(self.items.features_of(*item));
-            }
-            pool.sort_by(rank_cmp);
-            pool.truncate(self.n);
-        }
-        pool
+        merge_sharded(self.n, shard_tops)
     }
 }
 
 /// Top `n` of an explicit candidate list, best first under
 /// [`rank_cmp`] — the list source of the scan driver: each shard's
 /// candidates are scored in [`kernel::CAND_BLOCK`]-sized runs
-/// ([`crate::TopNRanker::score_block`], bitwise the per-item score) and
-/// pushed into the shard heap in candidate order. `template` and
+/// ([`TopNRanker::score_block`], bitwise the per-item score) and pushed
+/// into the shard heap in candidate order, so the result is
+/// item-for-item the full sort of the per-item scores. `template` and
 /// `item_slots` follow the [`FrozenModel::ranker`] contract; candidate
 /// ids must be in range for `items`.
-///
-/// * [`Precision::F64`] — and any precision the model carries no table
-///   for ([`FrozenModel::with_precision`]) — is the exact scan:
-///   item-for-item the full sort of the per-item scores.
-/// * [`Precision::F32`] returns the approximate table scores directly
-///   (~1e-6 relative; near-ties may reorder).
-/// * [`Precision::I8`] scans the quantized tables into an over-fetched
-///   pool, then re-scores the pool exactly — returned scores are
-///   bitwise the model's.
-#[allow(clippy::too_many_arguments)]
 pub fn scan_top_n<S: ItemFeatureSource + ?Sized>(
     model: &FrozenModel,
     items: &S,
@@ -282,15 +243,14 @@ pub fn scan_top_n<S: ItemFeatureSource + ?Sized>(
     item_slots: &[usize],
     candidates: &[u32],
     n: usize,
-    precision: Precision,
     par: Parallelism,
 ) -> Vec<(u32, f64)> {
-    let scan = Scan { model, items, template, item_slots, n, precision, par };
-    scan.run(candidates, |scanner, ids, heap| {
+    let scan = Scan { model, template, item_slots, n, par };
+    scan.run(candidates, |ranker, ids, heap| {
         let mut scores = Vec::with_capacity(kernel::CAND_BLOCK);
         for block in ids.chunks(kernel::CAND_BLOCK) {
             scores.clear();
-            scanner.score_block(items, block, &mut scores);
+            ranker.score_block(items, block, &mut scores);
             for (&item, &score) in block.iter().zip(&scores) {
                 heap.push(item, score);
             }
@@ -434,7 +394,7 @@ mod tests {
             let reference = full_sort(&scored, n);
             for threads in [1usize, 2, 5] {
                 let par = Parallelism::threads(threads);
-                let got = scan_top_n(&model, &items, &[0, 0], &[1], &candidates, n, Precision::F64, par);
+                let got = scan_top_n(&model, &items, &[0, 0], &[1], &candidates, n, par);
                 assert_eq!(got, reference, "n={n} threads={threads}");
             }
         }
@@ -445,7 +405,7 @@ mod tests {
         let (model, items) = scripted(40, |_| 0.25);
         let candidates: Vec<u32> = (0..40u32).rev().collect();
         let par = Parallelism::threads(4);
-        let got = scan_top_n(&model, &items, &[0, 0], &[1], &candidates, 5, Precision::F64, par);
+        let got = scan_top_n(&model, &items, &[0, 0], &[1], &candidates, 5, par);
         assert_eq!(got, vec![(0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)]);
     }
 }

@@ -1,7 +1,7 @@
 //! Kernel-parity sweep for the chunked scoring hot path and the top-N
 //! scan driver over it.
 //!
-//! Four layers of pinning (the ≤1e-12 layer that holds the per-item
+//! Three layers of pinning (the ≤1e-12 layer that holds the per-item
 //! ranker to `gmlfm_core::reference` lives in `rank.rs`'s unit tests):
 //!
 //! 1. **Block scan ≡ per-item scan, bitwise** — `score_block` (the
@@ -12,20 +12,17 @@
 //!    (remainder-loop coverage on every axis).
 //! 2. **Scan driver ≡ full sort, bitwise** — both candidate sources of
 //!    the one driver (`scan_top_n` over a candidate list, a full-probe
-//!    `IvfIndex::search`), the list at `F64` and `I8` and threads
-//!    {1, 2, 5}, equal the shared full sort
-//!    (`tests/common/top_n_reference.rs`): ids and score bits.
-//! 3. **Low-precision tables** — the `f32` scan stays inside its
-//!    documented error bound against the exact scores; the `i8` probe +
-//!    exact re-rank returns scores **bitwise** the `f64` model's.
-//! 4. **Group memo ≡ no memo, bitwise** — a model carrying
+//!    `IvfIndex::search`), the list at threads {1, 2, 5}, equal the
+//!    shared full sort (`tests/common/top_n_reference.rs`): ids and
+//!    score bits.
+//! 3. **Group memo ≡ no memo, bitwise** — a model carrying
 //!    `with_group_memo` returns the memo-less model's ids and score bits
 //!    through every entry (per-item `score`, list scan, full probe),
 //!    and a memo built over one catalogue never answers for another.
 
 use gmlfm_core::Distance;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{scan_top_n, FrozenModel, IvfBuildOptions, IvfIndex, Precision, SecondOrder};
+use gmlfm_serve::{scan_top_n, FrozenModel, IvfBuildOptions, IvfIndex, SecondOrder};
 use gmlfm_tensor::init::normal;
 use gmlfm_tensor::seeded_rng;
 use proptest::prelude::*;
@@ -108,10 +105,10 @@ impl Fixture {
         full_sort_top_n(&self.model, &self.items, &self.template, &self.item_slots, all, n)
     }
 
-    fn scan(&self, n: usize, precision: Precision, threads: usize) -> Vec<(u32, f64)> {
+    fn scan(&self, n: usize, threads: usize) -> Vec<(u32, f64)> {
         let candidates: Vec<u32> = (0..self.items.len() as u32).collect();
         let par = Parallelism::threads(threads);
-        scan_top_n(&self.model, &self.items, &self.template, &self.item_slots, &candidates, n, precision, par)
+        scan_top_n(&self.model, &self.items, &self.template, &self.item_slots, &candidates, n, par)
     }
 }
 
@@ -159,10 +156,7 @@ proptest! {
 
     /// Layer 2: the one scan driver, through both of its candidate
     /// sources, equals the full sort of per-item scores — the list scan
-    /// at every thread count, and at `I8` as at `F64` (every count here
-    /// fits the i8 probe's over-fetched pool, so the probe drops nothing
-    /// and the exact re-rank must reproduce the oracle; modes without
-    /// the low-precision tables fall back to the exact scan).
+    /// at every thread count.
     #[test]
     fn scan_driver_matches_the_full_sort(
         mode in 0usize..9,
@@ -173,8 +167,7 @@ proptest! {
         seed in 0u64..50,
     ) {
         let count = CAND_COUNTS[count_idx];
-        let mut fx = fixture(mode, KS[k_idx], count, seed, ctx_width(ctx_idx, KS[k_idx]));
-        fx.model = fx.model.with_precision(Precision::I8);
+        let fx = fixture(mode, KS[k_idx], count, seed, ctx_width(ctx_idx, KS[k_idx]));
         // `usize::MAX` is what the wire decodes a hostile `n` to.
         let n = [1, 10, count, count + 10, usize::MAX][n_kind];
         let want = fx.full_sort(n);
@@ -183,14 +176,12 @@ proptest! {
         // Only the squared-Euclidean metric modes have the index's
         // linearisation.
         prop_assert_eq!(index.is_some(), mode < 4);
-        for precision in [Precision::F64, Precision::I8] {
-            for threads in [1usize, 2, 5] {
-                let what = format!(
-                    "mode {mode} k {} |ctx| {} count {count} n {n} {precision:?} threads {threads}",
-                    KS[k_idx], fx.template.len() - 2
-                );
-                assert_same_ranking(&fx.scan(n, precision, threads), &want, &format!("list, {what}"))?;
-            }
+        for threads in [1usize, 2, 5] {
+            let what = format!(
+                "mode {mode} k {} |ctx| {} count {count} n {n} threads {threads}",
+                KS[k_idx], fx.template.len() - 2
+            );
+            assert_same_ranking(&fx.scan(n, threads), &want, &format!("list, {what}"))?;
         }
         if let Some(index) = &index {
             let probed =
@@ -198,54 +189,6 @@ proptest! {
             let what = format!("mode {mode} k {} |ctx| {} count {count} n {n}", KS[k_idx], fx.template.len() - 2);
             assert_same_ranking(&probed, &want, &format!("full probe, {what}"))?;
         }
-    }
-}
-
-/// Layer 3a: the `f32` scan stays inside its documented error bound
-/// against the exact scores of the same items.
-#[test]
-fn f32_scan_is_error_bounded_against_f64() {
-    for seed in [3u64, 17, 40] {
-        let mut fx = fixture(0, 8, 200, seed, 1);
-        fx.model = fx.model.with_precision(Precision::F32);
-        let got = fx.scan(200, Precision::F32, 2);
-        assert_eq!(got.len(), 200);
-        let mut exact = fx.model.ranker(&fx.template, &fx.item_slots);
-        let mut approximated = false;
-        for (item, approx) in &got {
-            let want = exact.score(&fx.items[*item as usize]);
-            approximated |= approx.to_bits() != want.to_bits();
-            assert!(
-                (approx - want).abs() <= 1e-5 * want.abs().max(1.0),
-                "seed {seed} item {item}: f32 {approx} vs f64 {want}"
-            );
-        }
-        assert!(approximated, "seed {seed}: an f32 list scan returns the table scores, not a re-rank");
-    }
-}
-
-/// Layer 3b: the `i8` scan over-fetches and re-ranks exactly, so its
-/// returned scores are **bitwise** the exact ranker's — and with the
-/// 8x pool on a smooth synthetic model, the returned ranking is the
-/// exact top-n itself.
-#[test]
-fn i8_scan_returns_bitwise_exact_scores() {
-    for seed in [5u64, 23, 41] {
-        let mut fx = fixture(0, 8, 300, seed, 1);
-        fx.model = fx.model.with_precision(Precision::I8);
-        let n = 10;
-        let got = fx.scan(n, Precision::I8, 3);
-        assert_eq!(got.len(), n);
-        let mut exact = fx.model.ranker(&fx.template, &fx.item_slots);
-        for (item, score) in &got {
-            let want = exact.score(&fx.items[*item as usize]);
-            assert_eq!(
-                score.to_bits(),
-                want.to_bits(),
-                "seed {seed} item {item}: i8 re-rank must return the exact score"
-            );
-        }
-        assert_eq!(got, fx.full_sort(n), "seed {seed}: 8x pool covers the exact top-{n} here");
     }
 }
 
@@ -266,16 +209,7 @@ fn every_entry(fx: &Fixture, model: &FrozenModel) -> Vec<(u32, u64)> {
     let index = IvfIndex::build(model, &fx.items, &opts, Parallelism::serial());
     for threads in [1usize, 2, 5] {
         let par = Parallelism::threads(threads);
-        out.extend(scan_top_n(
-            model,
-            &fx.items,
-            &fx.template,
-            &fx.item_slots,
-            &candidates,
-            n,
-            Precision::F64,
-            par,
-        ));
+        out.extend(scan_top_n(model, &fx.items, &fx.template, &fx.item_slots, &candidates, n, par));
         if let Some(index) = &index {
             out.extend(index.search(
                 model,
@@ -294,7 +228,7 @@ fn every_entry(fx: &Fixture, model: &FrozenModel) -> Vec<(u32, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Layer 4: the memo changes no bit, in any mode (TransFM declines
+    /// Layer 3: the memo changes no bit, in any mode (TransFM declines
     /// it and must still agree), through any entry.
     #[test]
     fn group_memo_is_bitwise_the_direct_evaluation(
@@ -312,7 +246,7 @@ proptest! {
         );
     }
 
-    /// Layer 4: a memo built over catalogue A, met by catalogue B — same
+    /// Layer 3: a memo built over catalogue A, met by catalogue B — same
     /// size and item ids, attributes permuted, and two items sharing one
     /// id feature — returns B's own bits: entries whose whole group does
     /// not match are not used. A memo built over B itself (where the

@@ -50,17 +50,16 @@ pub trait ScoringBackend {
     /// Selects the top `n` of resolved `candidates` for the user with
     /// feature `template` under the retrieval total order
     /// ([`gmlfm_serve::rank_cmp`]: score descending, ties by ascending
-    /// item id), best first. Every served request passes
-    /// [`Precision::F64`]; a narrower one reaches the frozen model's
-    /// low-precision tables only through a direct call.
+    /// item id), best first. `_precision` selects nothing; deleted in
+    /// the next benchmark window (ROADMAP item 2).
     ///
     /// The default implementation scores everything
     /// through [`candidate_scores`] and selects with one bounded
     /// [`TopNHeap`]: `O(C·log n)` selection, never a full sort. The
     /// frozen implementation is the sharded scan driver
     /// ([`gmlfm_serve::scan_top_n`]), which also skips materialising the
-    /// `O(C)` score vector. At [`Precision::F64`] both produce
-    /// item-for-item identical rankings.
+    /// `O(C)` score vector. Both produce item-for-item identical
+    /// rankings.
     ///
     /// [`candidate_scores`]: ScoringBackend::candidate_scores
     fn select_top_n_prec(
@@ -205,7 +204,7 @@ impl ScoringBackend for FrozenModel {
 
     /// The sharded scan driver over the candidate list
     /// ([`gmlfm_serve::scan_top_n`]): one contiguous candidate shard per
-    /// requested worker, each with its own scanner (context partials
+    /// requested worker, each with its own ranker (context partials
     /// computed once per shard) and bounded [`TopNHeap`], merged in
     /// shard order under [`gmlfm_serve::rank_cmp`]. No full score vector
     /// and no full sort — `O(C·k + C·log n)` per request.
@@ -215,10 +214,10 @@ impl ScoringBackend for FrozenModel {
         template: &[u32],
         candidates: &[u32],
         n: usize,
-        precision: Precision,
+        _precision: Precision,
         par: Parallelism,
     ) -> Vec<(u32, f64)> {
-        scan_top_n(self, catalog, template, catalog.item_slots(), candidates, n, precision, par)
+        scan_top_n(self, catalog, template, catalog.item_slots(), candidates, n, par)
     }
 }
 

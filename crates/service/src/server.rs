@@ -322,7 +322,7 @@ impl ModelServer {
     /// Retrieval is [`exec::execute_topn`] over the snapshot's
     /// [`IndexedModel`]: the IVF probe when the snapshot carries an
     /// index that can serve the request, the candidate-list scan
-    /// otherwise — either way one scanner and one bounded
+    /// otherwise — either way one ranker and one bounded
     /// [`gmlfm_serve::TopNHeap`] per worker shard, merged
     /// deterministically, so a request over a million-item catalogue
     /// never sorts (or even materialises) the full score vector.

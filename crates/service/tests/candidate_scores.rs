@@ -5,11 +5,12 @@
 //! the per-id `TopNRanker::score` bits, in candidate order: in every
 //! second-order mode, with and without the memo, at threads {1, 2}, on
 //! lists with duplicate ids and on lists shorter than an attribute
-//! slot's width.
+//! slot's width. The inert `Precision` shim is held here too: in every
+//! mode, a narrow precision returns the `F64` reply.
 
 use gmlfm_core::Distance;
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{FrozenModel, SecondOrder};
+use gmlfm_serve::{FrozenModel, Precision, SecondOrder};
 use gmlfm_service::{Catalog, ScoringBackend};
 use gmlfm_tensor::init::normal;
 use gmlfm_tensor::seeded_rng;
@@ -108,6 +109,32 @@ fn candidate_scores_are_the_per_id_ranker_bits() {
                             assert_eq!(got, want, "{mode}, {memo}, {list}, user {user}, threads {threads}");
                         }
                     }
+                }
+            }
+        }
+    }
+}
+
+/// `with_precision` and `select_top_n_prec`'s precision select nothing:
+/// at `F32` and at `I8`, on a model passed through
+/// `with_precision(Precision::I8)`, the top 10 is the `F64` reply's ids
+/// and bits.
+#[test]
+fn a_narrow_precision_returns_the_f64_reply() {
+    let catalog = catalog();
+    let lists: [Vec<u32>; 2] = [(0..N_ITEMS).collect(), (0..N_ITEMS).rev().chain([5, 5, 17]).collect()];
+    let bits =
+        |ranked: Vec<(u32, f64)>| ranked.into_iter().map(|(i, s)| (i, s.to_bits())).collect::<Vec<_>>();
+    for (mode, plain) in models(3) {
+        let narrowed = plain.clone().with_precision(Precision::I8);
+        for user in 0..N_USERS {
+            let template = catalog.template(user).expect("user in range");
+            for ids in &lists {
+                let par = Parallelism::serial();
+                let want = bits(plain.select_top_n_prec(&catalog, template, ids, 10, Precision::F64, par));
+                for precision in [Precision::F32, Precision::I8] {
+                    let got = bits(narrowed.select_top_n_prec(&catalog, template, ids, 10, precision, par));
+                    assert_eq!(got, want, "{mode}, user {user}, {precision:?}");
                 }
             }
         }

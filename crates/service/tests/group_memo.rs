@@ -6,7 +6,7 @@
 
 use gmlfm_data::{generate_scale, FieldMask, ScaleConfig};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{scan_top_n, FrozenModel, Precision};
+use gmlfm_serve::{scan_top_n, FrozenModel};
 use gmlfm_service::{Catalog, ModelServer, ModelSnapshot, SeenItems, TopNRequest};
 
 const N_USERS: usize = 6;
@@ -52,16 +52,7 @@ fn assert_served_bits_are_the_plain_scan(server: &ModelServer, plain: &FrozenMod
         let template = catalog.template(user).expect("user in range");
         for threads in [1usize, 2, 5] {
             let par = Parallelism::threads(threads);
-            let want = scan_top_n(
-                plain,
-                catalog,
-                template,
-                catalog.item_slots(),
-                &survivors,
-                10,
-                Precision::F64,
-                par,
-            );
+            let want = scan_top_n(plain, catalog, template, catalog.item_slots(), &survivors, 10, par);
             let got = server
                 .top_n(&TopNRequest::new(user, 10).parallelism(par))
                 .expect("well-formed")
