@@ -24,7 +24,7 @@
 //!   ([`gmlfm_serve::IvfIndex`]: per-cluster φ-means, radii and item
 //!   assignments), so load → serve needs no index rebuild. v1/v2
 //!   artifacts still load (the `index` field decodes as absent, so
-//!   top-n requests serve through the exact sharded-heap path).
+//!   top-n requests serve through the exact list scan).
 //! * **v4** — added an optional default scoring `precision` name
 //!   (`"f64"` / `"f32"` / `"i8"`). Serving is exact f64 only now: the
 //!   member is no longer written, and a v4 artifact that carries it

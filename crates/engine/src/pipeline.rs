@@ -157,13 +157,14 @@ impl EngineBuilder {
         self
     }
 
-    /// Serving/eval parallelism for the resulting [`Recommender`]:
-    /// batch scoring, `top_n` and holdout evaluation partition their
-    /// work across this many threads. Defaults to
-    /// [`Parallelism::auto`] (`GMLFM_THREADS` or the machine's core
-    /// count); `threads(1)` is the deterministic serial escape hatch —
-    /// though parallel results are bit-identical to serial anyway,
-    /// pinned by the engine's `parity` tests.
+    /// Offline parallelism for the resulting [`Recommender`]: batch
+    /// scoring, holdout evaluation and the IVF index build partition
+    /// their work across this many threads. A served request (`top_n`,
+    /// `handle_top_n`) runs on the calling thread whatever this says.
+    /// Defaults to [`Parallelism::auto`] (`GMLFM_THREADS` or the
+    /// machine's core count); `threads(1)` is the deterministic serial
+    /// escape hatch — though parallel results are bit-identical to
+    /// serial anyway, pinned by the engine's `parity` tests.
     pub fn threads(mut self, n: usize) -> Self {
         self.par = Parallelism::threads(n);
         self
@@ -336,7 +337,7 @@ pub struct Recommender {
     serving: Serving,
     holdout: Option<Holdout>,
     report: Option<TrainReport>,
-    /// Worker count for batch scoring, `top_n` and holdout evaluation.
+    /// Worker count for batch scoring and holdout evaluation.
     par: Parallelism,
     /// Warm-start state retained by [`EngineBuilder::online`]; taken by
     /// [`Recommender::serve_online`].
@@ -359,7 +360,9 @@ impl Recommender {
         })
     }
 
-    /// The serving/eval worker count this recommender uses.
+    /// The worker count this recommender's offline work uses: batch
+    /// scoring and holdout evaluation. Requests run on the calling
+    /// thread.
     pub fn threads(&self) -> usize {
         self.par.get()
     }
@@ -495,7 +498,7 @@ impl Recommender {
     /// seen-item exclusion default (exclude) applies.
     /// [`EngineError::NotFreezable`] for a model without a frozen form.
     pub fn handle_top_n(&self, req: &TopNRequest) -> Result<Response<Vec<(u32, f64)>>, EngineError> {
-        Ok(self.server()?.top_n(&self.with_par(req))?)
+        Ok(self.server()?.top_n(req)?)
     }
 
     /// Scores one instance. Out-of-range feature indices are a typed
@@ -523,23 +526,14 @@ impl Recommender {
     /// exclusions.
     ///
     /// Retrieval follows the snapshot like any [`TopNRequest`]: the
-    /// sharded bounded-heap scan — never a full catalogue sort — or,
+    /// bounded-heap scan — never a full catalogue sort — or,
     /// for a model fit with [`EngineBuilder::retrieval`]`(Ivf)`, an
     /// index probe whose candidate set, and so its answer, is
     /// approximate. Either way the order is the deterministic one
     /// documented on [`TopNRequest`]: score descending, equal scores
     /// broken by ascending item id.
     pub fn top_n(&self, user: u32, n: usize) -> Result<Vec<(u32, f64)>, EngineError> {
-        let req = TopNRequest::new(user, n).include_seen().parallelism(self.par);
-        Ok(self.handle_top_n(&req)?.value)
-    }
-
-    /// Fills a request's parallelism with this recommender's configured
-    /// worker count when the request does not pin its own.
-    fn with_par(&self, req: &TopNRequest) -> TopNRequest {
-        let mut req = req.clone();
-        req.par = Some(req.par.unwrap_or(self.par));
-        req
+        Ok(self.handle_top_n(&TopNRequest::new(user, n).include_seen())?.value)
     }
 
     /// RMSE/MAE on the rating holdout this recommender was fit with.

@@ -7,12 +7,13 @@
 //! snapshot carries an [`IvfIndex`] when the model is indexable, and a
 //! loopback [`NetServer`] over the trained recommender's own server.
 //!
-//! * **Top-N.** For every user drawn, `n ∈ {1, 10, C, C + 10}` and
-//!   threads {1, 2, 5}, the wrapper, the reloaded recommender, the
-//!   indexed snapshot pinned to `Exact`, the same snapshot probing every
-//!   cluster, and a wire request return the full-sort reference's ids
-//!   and score bits ([`common::reference_top_n`]: score descending, ties
-//!   by ascending item id).
+//! * **Top-N.** For every user drawn and `n ∈ {1, 10, C, C + 10}`, the
+//!   wrapper, the reloaded recommender, the indexed snapshot pinned to
+//!   `Exact`, the same snapshot probing every cluster, and a wire
+//!   request return the full-sort reference's ids and score bits
+//!   ([`common::reference_top_n`]: score descending, ties by ascending
+//!   item id). A request runs on the thread that received it, so there
+//!   is no request-side thread count to vary.
 //! * **Score.** The same routes, plus the shared server, return the bits
 //!   of [`FrozenModel::predict_feats`].
 //! * **Threads.** Batch scoring and the evaluation protocols give the
@@ -117,25 +118,22 @@ proptest! {
             let c = catalog.n_items();
             for n in [1, 10, c, c + 10] {
                 let want = bits(&reference_top_n(frozen, catalog, user, n));
-                for threads in THREAD_COUNTS {
-                    let par = Parallelism::threads(threads);
-                    let req = TopNRequest::new(user, n).include_seen().parallelism(par);
-                    let on_index = |how| v.indexed.top_n(&req.clone().strategy(how)).expect("valid");
-                    let wire = match over_the_wire(&v.net, NetRequest::TopN(req.clone())) {
-                        NetReply::TopN(ranking) => ranking,
-                        other => panic!("{}: not a top-n reply: {other:?}", v.name),
-                    };
-                    let routes = [
-                        ("wrapper", v.rec.handle_top_n(&req).expect("valid").value),
-                        ("reloaded", v.reloaded.handle_top_n(&req).expect("valid").value),
-                        ("exact", on_index(RetrievalStrategy::Exact).value),
-                        ("full probe", on_index(RetrievalStrategy::Ivf { nprobe: v.n_clusters }).value),
-                        ("wire", wire),
-                    ];
-                    for (route, got) in routes {
-                        let at = format!("{} {route}: user={user} n={n} threads={threads}", v.name);
-                        prop_assert_eq!(bits(&got), want.clone(), "{}", at);
-                    }
+                let req = TopNRequest::new(user, n).include_seen();
+                let on_index = |how| v.indexed.top_n(&req.clone().strategy(how)).expect("valid");
+                let wire = match over_the_wire(&v.net, NetRequest::TopN(req.clone())) {
+                    NetReply::TopN(ranking) => ranking,
+                    other => panic!("{}: not a top-n reply: {other:?}", v.name),
+                };
+                let routes = [
+                    ("wrapper", v.rec.handle_top_n(&req).expect("valid").value),
+                    ("reloaded", v.reloaded.handle_top_n(&req).expect("valid").value),
+                    ("exact", on_index(RetrievalStrategy::Exact).value),
+                    ("full probe", on_index(RetrievalStrategy::Ivf { nprobe: v.n_clusters }).value),
+                    ("wire", wire),
+                ];
+                for (route, got) in routes {
+                    let at = format!("{} {route}: user={user} n={n}", v.name);
+                    prop_assert_eq!(bits(&got), want.clone(), "{}", at);
                 }
             }
         }
@@ -277,18 +275,9 @@ fn exact_ties_rank_by_item_id_on_both_paths() {
     let expected: Vec<(u32, f64)> = (0..10u32).map(|i| (i, 0.5)).collect();
     assert_eq!(reference, expected, "full sort ranks ties by ascending item id");
     let candidates: Vec<u32> = (0..n_items as u32).collect();
-    for threads in THREAD_COUNTS {
-        let got = scan_top_n(
-            &frozen,
-            &catalog,
-            catalog.template(0).expect("user"),
-            catalog.item_slots(),
-            &candidates,
-            10,
-            Parallelism::threads(threads),
-        );
-        assert_eq!(got, expected, "threads={threads}");
-    }
+    let template = catalog.template(0).expect("user");
+    let got = scan_top_n(&frozen, &catalog, template, catalog.item_slots(), &candidates, 10);
+    assert_eq!(got, expected);
 }
 
 /// The engine's builder-level `threads(..)` knob must not change

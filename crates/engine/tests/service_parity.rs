@@ -4,18 +4,17 @@
 //!
 //! * `score_feats` / `ScoreRequest::Feats` ≡ `FrozenModel::predict_feats`
 //!   (which is exactly what the pre-redesign `score_feats` computed);
-//! * `top_n` / `TopNRequest` (seen-exclusion off) ≡ the pre-redesign
-//!   whole-catalogue ranking loop, re-implemented here as the reference;
 //! * malformed requests are typed [`RequestError`]s, never panics.
 //!
 //! Plus the engine-level serving lifecycle: seen sets built by `fit` and
 //! persisted in v2 artifacts (with the v1 decode fallback), and hot
-//! swaps through `Recommender::serve()`. The reloaded, indexed and wire
-//! routes are held to the same references in `parity.rs`.
+//! swaps through `Recommender::serve()`. Every top-N route, and the
+//! reloaded, indexed and wire score routes, are held to the references
+//! in `parity.rs`.
 
 mod common;
 
-use common::{fit_topn, freezable_specs, reference_top_n};
+use common::{fit_topn, freezable_specs};
 use gmlfm_core::GmlFmConfig;
 use gmlfm_data::{generate, DatasetSpec};
 use gmlfm_engine::{
@@ -71,32 +70,6 @@ proptest! {
             .expect("in-range feats");
         prop_assert_eq!(served.value.to_bits(), reference.to_bits(), "{} server drifted", fixture.name);
         prop_assert_eq!(served.generation, 1, "fresh fits serve generation 1");
-    }
-
-    /// The request path ranks the catalogue bit-identically to the
-    /// pre-redesign `top_n` loop at several thread counts.
-    #[test]
-    fn request_path_top_n_is_bit_identical_to_pre_redesign(
-        variant in 0usize..10,
-        user in 0u32..40,
-        threads in 1usize..5,
-    ) {
-        let fixture = &fixtures()[variant];
-        let n_users = fixture.rec.catalog().expect("catalog").n_users() as u32;
-        let user = user % n_users;
-        let reference = reference_top_n(
-            fixture.rec.frozen().expect("freezable spec"),
-            fixture.rec.catalog().expect("fit keeps a catalog"),
-            user,
-            10,
-        );
-        let wrapper = fixture.rec.top_n(user, 10).expect("user in catalog");
-        prop_assert_eq!(&wrapper, &reference, "{} wrapper drifted for user {}", fixture.name, user);
-        let req = TopNRequest::new(user, 10)
-            .include_seen()
-            .parallelism(gmlfm_par::Parallelism::threads(threads));
-        let served = fixture.rec.serve().expect("freezable").top_n(&req).expect("user in catalog");
-        prop_assert_eq!(&served.value, &reference, "{} server drifted for user {}", fixture.name, user);
     }
 }
 

@@ -58,7 +58,7 @@ pub struct TopnMetrics {
 /// form run the same leave-one-out protocol as frozen ones. Each case
 /// is one [`Scorer::scores`] call over the candidates' full feature
 /// rows (the user's template with each candidate's item group spliced
-/// in); `par` is ignored — the scorer's own batch path decides.
+/// in); the scorer's own batch path decides how it runs.
 pub struct ScorerBackend<'a, S: Scorer + ?Sized>(pub &'a S);
 
 impl<S: Scorer + ?Sized> ScoringBackend for ScorerBackend<'_, S> {
@@ -66,13 +66,7 @@ impl<S: Scorer + ?Sized> ScoringBackend for ScorerBackend<'_, S> {
         self.0.score_one(&Instance::new(feats.to_vec(), 0.0))
     }
 
-    fn candidate_scores(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        _par: Parallelism,
-    ) -> Vec<f64> {
+    fn candidate_scores(&self, catalog: &Catalog, template: &[u32], candidates: &[u32]) -> Vec<f64> {
         let instances: Vec<Instance> = candidates
             .iter()
             .map(|&item| Instance::new(catalog.splice(template, catalog.features_of(item)), 0.0))
@@ -132,8 +126,8 @@ pub fn evaluate_topn_service_with(
 /// frozen model, a served snapshot, or a [`ScorerBackend`]). Each case
 /// is a request for `[positive] + negatives` with seen-exclusion off —
 /// the protocol fixes the candidate set. Cases are split into one
-/// contiguous block per requested thread (each request itself runs
-/// serially) and the per-user metric vectors are merged in input order
+/// contiguous block per requested thread (each request runs on its
+/// block's thread) and the per-user metric vectors are merged in input order
 /// — bit-identical to the serial evaluation at every thread count.
 /// A case whose user or items fall outside the catalog is a typed
 /// [`RequestError`]. Per case, the positive's rank comes from a bounded
@@ -158,10 +152,8 @@ pub fn evaluate_topn_backend<B: ScoringBackend + Sync + ?Sized>(
                     .candidates(
                         std::iter::once(case.pos_item).chain(case.negatives.iter().copied()).collect(),
                     )
-                    .include_seen()
-                    .parallelism(Parallelism::serial());
-                let scored =
-                    exec::execute_candidate_scores(backend, catalog, seen, &[], &req, Parallelism::serial())?;
+                    .include_seen();
+                let scored = exec::execute_candidate_scores(backend, catalog, seen, &[], &req)?;
                 let mut heap = TopNHeap::new(k);
                 for (i, &(_, s)) in scored[1..].iter().enumerate() {
                     heap.push(i as u32, s);

@@ -7,7 +7,11 @@
 //! connection is switched to `TCP_NODELAY` and gets its own handler
 //! thread running a strict request-reply loop (one frame in, one frame
 //! out, each reply handed to the socket as one write — see
-//! [`crate::frame`]). Admission is
+//! [`crate::frame`]). A request runs on the handler thread that read
+//! it, so concurrency comes from connections alone. The accept loop
+//! joins handler threads that have exited, so a long-lived server holds
+//! one thread per open connection, not one per connection ever
+//! accepted. Admission is
 //! guarded by a **connection budget**: a connection over the budget
 //! receives a typed `overloaded` reply and a clean close — never a
 //! silent drop — without ever occupying a serving slot.
@@ -44,8 +48,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gmlfm_par::Parallelism;
-use gmlfm_service::{FeedSink, ModelServer, Request};
+use gmlfm_service::{FeedSink, ModelServer};
 
 use crate::frame::{
     read_frame_deadline, write_frame_deadline, Deadlines, FrameError, DEFAULT_MAX_FRAME_BYTES,
@@ -100,10 +103,12 @@ pub struct DrainReport {
     pub served: u64,
     /// Connections shed with an `overloaded` reply.
     pub shed: u64,
-    /// Handler threads joined during shutdown.
+    /// Handler threads joined during shutdown: the connections still
+    /// open, or closed but not yet reaped by the accept loop.
     pub connections_drained: usize,
-    /// Handler threads that died to a panic instead of exiting cleanly
-    /// (always 0 unless a layer below the connection loop has a bug).
+    /// Handler threads that died to a panic instead of exiting cleanly,
+    /// over the server's lifetime (always 0 unless a layer below the
+    /// connection loop has a bug).
     pub worker_panics: usize,
 }
 
@@ -118,6 +123,8 @@ struct Inner {
     served: AtomicU64,
     shed: AtomicU64,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Panics of handler threads the accept loop reaped before shutdown.
+    reaped_panics: AtomicUsize,
 }
 
 /// Decrements the active-connection counter when a handler exits, on
@@ -182,6 +189,7 @@ impl NetServer {
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             workers: Mutex::new(Vec::new()),
+            reaped_panics: AtomicUsize::new(0),
         });
         let accept_inner = Arc::clone(&inner);
         let accept = std::thread::Builder::new()
@@ -232,7 +240,10 @@ impl NetServer {
             std::mem::take(&mut *guard)
         };
         let connections_drained = workers.len();
-        let worker_panics = workers.into_iter().map(|w| w.join()).filter(Result::is_err).count();
+        let worker_panics = workers.into_iter().map(|w| w.join()).filter(Result::is_err).count()
+            // ORDERING: Relaxed — the accept thread, the only writer,
+            // was joined above.
+            + self.inner.reaped_panics.load(Ordering::Relaxed);
         DrainReport {
             // ORDERING: Relaxed — every writer thread was joined above,
             // which synchronises-with this thread; the loads see final
@@ -275,6 +286,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
                 match spawned {
                     Ok(handle) => {
                         let mut guard = inner.workers.lock().unwrap_or_else(|poison| poison.into_inner());
+                        reap_finished(&mut guard, &inner.reaped_panics);
                         guard.push(handle);
                     }
                     // Thread exhaustion: shed at the OS boundary; the
@@ -288,6 +300,21 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
             // Transient accept failures (EMFILE under a storm, aborted
             // handshakes): back off one poll quantum and keep accepting.
             Err(_) => std::thread::sleep(inner.config.poll.max(Duration::from_millis(1))),
+        }
+    }
+}
+
+/// Joins the handler threads that have already exited — each holds a
+/// mapped stack until joined — and counts their panics for the drain
+/// report.
+fn reap_finished(workers: &mut Vec<JoinHandle<()>>, panics: &AtomicUsize) {
+    let mut i = 0;
+    while i < workers.len() {
+        if !workers[i].is_finished() {
+            i += 1;
+        } else if workers.swap_remove(i).join().is_err() {
+            // ORDERING: Relaxed — read only after this thread is joined.
+            panics.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -342,10 +369,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream) {
             // still frame-synchronised, so answer typed and keep the
             // connection.
             Err(e) => wire::encode_error(code::BAD_REQUEST, &e.message),
-            Ok(mut req) => {
-                bound_par(&mut req);
-                answer(&inner.model, inner.feed.as_deref(), &req)
-            }
+            Ok(req) => answer(&inner.model, inner.feed.as_deref(), &req),
         };
         // ORDERING: Relaxed — statistics counter only; final values
         // are read after the drain joins this thread.
@@ -364,33 +388,6 @@ fn reply(inner: &Inner, stream: &mut TcpStream, payload: &str) -> Result<(), Fra
         inner.config.write_timeout,
         inner.config.poll,
     )
-}
-
-/// Caps every client-chosen `par` at [`Parallelism::auto`]. On the
-/// wire `par` is an arbitrary integer, and it sets the number of scan
-/// shards (one ranker and one heap each) or batch blocks, and every
-/// block past the first runs on an OS thread spawned for this request.
-/// Uncapped, the client would choose how many threads one frame spawns;
-/// beyond `auto` the extra threads only share the same cores and
-/// multiply spawn and per-shard set-up cost.
-fn bound_par(req: &mut NetRequest) {
-    fn cap(par: &mut Option<Parallelism>) {
-        if let Some(p) = par {
-            *p = Parallelism::threads(p.get().min(Parallelism::auto().get()));
-        }
-    }
-    match req {
-        NetRequest::TopN(topn) => cap(&mut topn.par),
-        NetRequest::Batch(batch) => {
-            cap(&mut batch.par);
-            for member in &mut batch.requests {
-                if let Request::TopN(topn) = member {
-                    cap(&mut topn.par);
-                }
-            }
-        }
-        NetRequest::Score(_) | NetRequest::Feed(_) => {}
-    }
 }
 
 /// Answers one decoded request against the shared model. Each arm makes
@@ -438,48 +435,5 @@ fn answer(model: &ModelServer, feed: Option<&dyn FeedSink>, req: &NetRequest) ->
                 Err(e) => wire::encode_error(e.code(), &e.to_string()),
             },
         },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gmlfm_service::{BatchRequest, ScoreRequest, TopNRequest};
-
-    /// `par` as the connection loop sees it: decoded from the wire, then
-    /// bounded.
-    fn served_par(wire_par: &str) -> Option<Parallelism> {
-        let text = format!(r#"{{"op":"topn","user":0,"n":10,"par":{wire_par}}}"#);
-        let mut req = wire::decode_request(text.as_bytes()).expect("well-formed request");
-        bound_par(&mut req);
-        match req {
-            NetRequest::TopN(topn) => topn.par,
-            other => panic!("a topn frame decoded to {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wire_par_is_bounded_by_auto_threads() {
-        let auto = Parallelism::auto();
-        // The hostile frame: far more threads than `auto` allows.
-        assert_eq!(served_par("4294967295"), Some(auto));
-        // In-range values pass through, `0` means 1, absent stays the
-        // server's default.
-        assert_eq!(served_par(&auto.get().to_string()), Some(auto));
-        assert_eq!(served_par("1"), Some(Parallelism::serial()));
-        assert_eq!(served_par("0"), Some(Parallelism::serial()));
-        assert_eq!(served_par("null"), None);
-
-        // `batch.par` and the `par` of every member fan out the same way.
-        let hostile = Parallelism::threads(usize::MAX);
-        let members = |par| {
-            vec![
-                Request::Score(ScoreRequest::pair(0, 1)),
-                Request::TopN(TopNRequest::new(1, 2).parallelism(par)),
-            ]
-        };
-        let mut batch = NetRequest::Batch(BatchRequest::new(members(hostile)).parallelism(hostile));
-        bound_par(&mut batch);
-        assert_eq!(batch, NetRequest::Batch(BatchRequest::new(members(auto)).parallelism(auto)));
     }
 }

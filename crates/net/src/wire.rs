@@ -43,7 +43,6 @@
     clippy::unreachable
 )]
 
-use gmlfm_par::Parallelism;
 use gmlfm_serve::RetrievalStrategy;
 use gmlfm_service::{
     BatchRequest, FeedAck, Interaction, Reply, Request, RequestError, ScoreRequest, TopNRequest,
@@ -228,8 +227,6 @@ fn push_topn_fields(req: &TopNRequest, out: &mut String) {
     req.exclude.serialize_json(out);
     out.push_str(",\"exclude_seen\":");
     req.exclude_seen.serialize_json(out);
-    out.push_str(",\"par\":");
-    req.par.map(|p| p.get()).serialize_json(out);
     out.push_str(",\"strategy\":");
     push_strategy(&req.strategy, out);
 }
@@ -264,9 +261,7 @@ pub fn encode_request(req: &NetRequest) -> String {
             out.push('}');
         }
         NetRequest::Batch(b) => {
-            out.push_str("{\"op\":\"batch\",\"par\":");
-            b.par.map(|p| p.get()).serialize_json(&mut out);
-            out.push_str(",\"requests\":[");
+            out.push_str("{\"op\":\"batch\",\"requests\":[");
             for (i, sub) in b.requests.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -402,7 +397,6 @@ struct RequestMembers<'a> {
     candidates: Option<Typed<Option<Vec<u32>>>>,
     exclude: Option<Typed<Vec<u32>>>,
     exclude_seen: Option<Typed<bool>>,
-    par: Option<Typed<Option<usize>>>,
     strategy: Option<Typed<Option<Strategy>>>,
     rating: Option<Typed<Option<f64>>>,
     id: Option<Typed<Option<u64>>>,
@@ -425,7 +419,6 @@ impl<'a> RequestMembers<'a> {
             "candidates" => first(&mut self.candidates, r),
             "exclude" => first(&mut self.exclude, r),
             "exclude_seen" => first(&mut self.exclude_seen, r),
-            "par" => first(&mut self.par, r),
             "strategy" => first(&mut self.strategy, r),
             "rating" => first(&mut self.rating, r),
             "id" => first(&mut self.id, r),
@@ -470,17 +463,8 @@ impl<'a> RequestMembers<'a> {
             candidates,
             exclude,
             exclude_seen,
-            par: self.par()?,
             strategy: optional(&mut self.strategy, "strategy")?.flatten().map(|Strategy(s)| s),
         })
-    }
-
-    /// `par` on a topn or a batch. threads(0) clamps to 1 by the
-    /// Parallelism contract, so any wire integer maps to a valid worker
-    /// count; the server caps it at `Parallelism::auto` before
-    /// executing (`server::bound_par`).
-    fn par(&mut self) -> Typed<Option<Parallelism>> {
-        Ok(optional(&mut self.par, "par")?.flatten().map(Parallelism::threads))
     }
 
     fn feed(&mut self) -> Typed<Interaction> {
@@ -524,7 +508,7 @@ pub fn decode_request(payload: &[u8]) -> Result<NetRequest, WireError> {
                 .into_iter()
                 .map(|BatchMember(r)| r)
                 .collect();
-            Ok(NetRequest::Batch(BatchRequest { requests, par: m.par()? }))
+            Ok(NetRequest::Batch(BatchRequest { requests }))
         }
         "feed" => Ok(NetRequest::Feed(m.feed()?)),
         other => Err(WireError::new(format!("unknown op '{other}'"))),
@@ -642,16 +626,12 @@ mod tests {
                     .candidates(vec![9, 8, 7])
                     .exclude(vec![8])
                     .include_seen()
-                    .parallelism(Parallelism::threads(2))
                     .strategy(RetrievalStrategy::Ivf { nprobe: Some(4) }),
             ),
-            NetRequest::Batch(
-                BatchRequest::new(vec![
-                    Request::Score(ScoreRequest::pair(0, 1)),
-                    Request::TopN(TopNRequest::new(0, 2)),
-                ])
-                .parallelism(Parallelism::serial()),
-            ),
+            NetRequest::Batch(BatchRequest::new(vec![
+                Request::Score(ScoreRequest::pair(0, 1)),
+                Request::TopN(TopNRequest::new(0, 2)),
+            ])),
         ];
         for req in &reqs {
             let text = encode_request(req);
@@ -660,17 +640,29 @@ mod tests {
         }
     }
 
-    /// Clients that predate the exact-only protocol still send a
-    /// `precision` member; it is skipped like any member no shape reads,
-    /// whatever it holds.
+    /// Clients that predate the exact-only, one-thread-per-request
+    /// protocol still send `precision` and `par` members; each is
+    /// skipped like any member no shape reads, whatever it holds — on a
+    /// topn frame, on a batch frame and on a batch member.
     #[test]
     fn a_precision_member_is_skipped_like_any_unknown_member() {
-        let plain = decode_request(br#"{"op":"topn","user":1,"n":2}"#).unwrap();
-        for value in [r#""i8""#, r#""f16""#, "null"] {
-            let text = format!(r#"{{"op":"topn","user":1,"n":2,"precision":{value}}}"#);
-            assert_eq!(decode_request(text.as_bytes()).unwrap(), plain, "wire text: {text}");
+        let topn = r#"{"op":"topn","user":1,"n":2$}"#;
+        let batch = r#"{"op":"batch"$,"requests":[{"op":"score","mode":"pair","user":0,"item":1}]}"#;
+        let member = r#"{"op":"batch","requests":[{"op":"topn","user":1,"n":2$}]}"#;
+        let cases = [
+            ("precision", &[r#""i8""#, r#""f16""#, "null"][..]),
+            ("par", &["4", "4294967295", r#""x""#, "null"][..]),
+        ];
+        for shape in [topn, batch, member] {
+            let plain = decode_request(shape.replace('$', "").as_bytes()).unwrap();
+            for (key, values) in cases {
+                for value in values {
+                    let text = shape.replace('$', &format!(r#","{key}":{value}"#));
+                    assert_eq!(decode_request(text.as_bytes()).unwrap(), plain, "wire text: {text}");
+                }
+                assert!(!encode_request(&plain).contains(&format!(r#""{key}""#)));
+            }
         }
-        assert!(!encode_request(&plain).contains("precision"));
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! parse the payload into a `json::Value` tree, then look each member up
 //! with `json::field` / `Value::get`. Kept verbatim — only renamed, with
 //! `WireError::new` spelled as a struct literal, the tree taken from
-//! `json_tree.rs`, and a top-n's `precision` member left unread now that
-//! the protocol skips it — as the oracle the byte-level decoders are
+//! `json_tree.rs`, and the `precision` and `par` members left unread now
+//! that the protocol skips them — as the oracle the byte-level decoders are
 //! differential-tested against.
 
 use super::json_tree::{self as json, Deserialize, Value};
 use gmlfm_net::wire::{NetError, NetReply, NetRequest, NetResponse, WireError};
-use gmlfm_par::Parallelism;
 use gmlfm_serve::RetrievalStrategy;
 use gmlfm_service::{BatchRequest, FeedAck, Interaction, Request, ScoreRequest, TopNRequest};
 
@@ -66,15 +65,6 @@ impl<T: Deserialize> OptionalMember for Option<T> {
     }
 }
 
-fn decode_par(v: &Value) -> Result<Option<Parallelism>, WireError> {
-    let Some(p) = v.get("par") else { return Ok(None) };
-    let n = Option::<usize>::deserialize_json_helper(p)?;
-    // threads(0) clamps to 1 by the Parallelism contract, so any wire
-    // integer maps to a valid worker count; the server caps it at
-    // `Parallelism::auto` before executing (`server::bound_par`).
-    Ok(n.map(Parallelism::threads))
-}
-
 fn decode_topn(v: &Value) -> Result<TopNRequest, WireError> {
     let candidates = match v.get("candidates") {
         None => None,
@@ -94,7 +84,6 @@ fn decode_topn(v: &Value) -> Result<TopNRequest, WireError> {
         candidates,
         exclude,
         exclude_seen,
-        par: decode_par(v)?,
         strategy: decode_strategy(v)?,
     })
 }
@@ -141,7 +130,7 @@ pub fn tree_decode_request(payload: &[u8]) -> Result<NetRequest, WireError> {
                 .and_then(Value::as_array)
                 .ok_or_else(|| wire_error("batch without a 'requests' array"))?;
             let requests = members.iter().map(decode_one).collect::<Result<Vec<_>, _>>()?;
-            Ok(NetRequest::Batch(BatchRequest { requests, par: decode_par(&v)? }))
+            Ok(NetRequest::Batch(BatchRequest { requests }))
         }
         "feed" => Ok(NetRequest::Feed(decode_feed(&v)?)),
         other => Err(wire_error(format!("unknown op '{other}'"))),

@@ -11,7 +11,6 @@ use common::{fast_config, marker, snapshot, start};
 use gmlfm_net::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
 use gmlfm_net::wire::{self, code};
 use gmlfm_net::{ClientConfig, ClientError, NetClient, NetReply, NetRequest, NetServer, ServerConfig};
-use gmlfm_par::Parallelism;
 use gmlfm_service::{
     BatchRequest, FeedAck, FeedSink, Interaction, ModelServer, Request, RequestError, Response, ScoreRequest,
     TopNRequest,
@@ -223,25 +222,43 @@ fn top_bits(client: &mut NetClient, req: TopNRequest) -> Vec<(u32, u64)> {
     }
 }
 
+/// One raw frame's reply, decoded: for payloads the typed encoder no
+/// longer writes.
+fn raw_exchange(server: &NetServer, payload: &str) -> NetReply {
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    write_frame(&mut stream, payload.as_bytes(), DEFAULT_MAX_FRAME_BYTES).expect("send");
+    let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES).expect("reply");
+    wire::decode_response(&reply).expect("envelope").expect("success").reply
+}
+
 #[test]
 fn a_hostile_par_is_answered_like_the_request_without_it() {
     let server = start(fast_config());
     let mut client = NetClient::connect(server.local_addr()).expect("resolve");
-    // `"par":4294967295` on the wire: one shard per catalogue item if
-    // the server took the client's word for it.
-    let hostile =
-        top_bits(&mut client, TopNRequest::new(0, 10).parallelism(Parallelism::threads(u32::MAX as usize)));
+    // `"par":4294967295` from an old client: it once set how many
+    // threads one request spawned; now it is skipped like any unknown
+    // member.
     let plain = top_bits(&mut client, TopNRequest::new(0, 10));
+    let NetReply::TopN(hostile) = raw_exchange(&server, r#"{"op":"topn","user":0,"n":10,"par":4294967295}"#)
+    else {
+        panic!("topn answered with another kind");
+    };
+    let hostile: Vec<(u32, u64)> = hostile.into_iter().map(|(id, score)| (id, score.to_bits())).collect();
     assert_eq!(hostile.len(), 10);
     assert_eq!(hostile, plain);
 
-    let batch = BatchRequest::new(vec![Request::TopN(TopNRequest::new(1, 3)); 4])
-        .parallelism(Parallelism::threads(u32::MAX as usize));
-    let NetReply::Batch(slots) = client.request(&NetRequest::Batch(batch)).expect("answered").reply else {
+    let member = r#"{"op":"topn","user":1,"n":3,"par":4294967295}"#;
+    let batch =
+        format!(r#"{{"op":"batch","par":4294967295,"requests":[{member},{member},{member},{member}]}}"#);
+    let NetReply::Batch(slots) = raw_exchange(&server, &batch) else {
         panic!("batch answered with another kind");
     };
+    let want = client
+        .request(&NetRequest::TopN(TopNRequest::new(1, 3)))
+        .expect("answered")
+        .reply;
     assert_eq!(slots.len(), 4);
-    assert!(slots.iter().all(|slot| slot == &slots[0] && slot.is_ok()), "slots: {slots:?}");
+    assert!(slots.iter().all(|slot| slot.as_ref() == Ok(&want)), "slots: {slots:?} want {want:?}");
 
     assert_eq!(server.shutdown().worker_panics, 0);
 }

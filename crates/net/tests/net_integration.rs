@@ -329,3 +329,37 @@ fn replies_never_wait_for_a_delayed_ack() {
     let report = server.shutdown();
     assert_eq!((report.served, report.worker_panics), (ROUNDS as u64, 0));
 }
+
+/// A sink with a bug: every feed panics its handler thread.
+struct PanickingSink;
+
+impl FeedSink for PanickingSink {
+    fn feed(&self, _event: &Interaction) -> Result<Response<FeedAck>, RequestError> {
+        panic!("a bug below the connection loop");
+    }
+}
+
+/// `NetClient` opens a connection per request, so a server that kept
+/// every handler's thread until shutdown held one exited thread — and
+/// its mapped stack — per request served. The accept loop reaps them,
+/// and a reaped panic still reaches the drain report.
+#[test]
+fn exited_connection_threads_are_reaped_before_shutdown() {
+    let model = Arc::new(ModelServer::new(common::snapshot(1)).expect("consistent snapshot"));
+    let server = NetServer::bind_with_feed(model, Arc::new(PanickingSink), "127.0.0.1:0", fast_config())
+        .expect("bind");
+    let mut client = client(&server);
+    // An id-less feed is not retried after a transport failure, so the
+    // sink panics exactly once.
+    let err = client
+        .request(&NetRequest::Feed(Interaction::new(0, 1)))
+        .expect_err("the handler died");
+    assert!(matches!(err, ClientError::Transport(_)), "got {err:?}");
+    let score = NetRequest::Score(ScoreRequest::pair(0, 0));
+    for _ in 0..300 {
+        assert_eq!(client.request(&score).expect("score").reply, NetReply::Score(marker(1)));
+    }
+    let report = server.shutdown();
+    assert_eq!(report.worker_panics, 1, "the reaped panic is reported: {report:?}");
+    assert!(report.connections_drained <= 4, "exited handlers were joined early: {report:?}");
+}

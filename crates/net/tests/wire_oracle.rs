@@ -12,7 +12,6 @@ mod common;
 use common::json_tree::{self as json, Value};
 use common::tree_decode::{tree_decode_request, tree_decode_response};
 use gmlfm_net::wire::{self, NetError, NetReply, NetRequest, NetResponse};
-use gmlfm_par::Parallelism;
 use gmlfm_serve::RetrievalStrategy;
 use gmlfm_service::{BatchRequest, FeedAck, Interaction, Request, ScoreRequest, TopNRequest};
 use proptest::collection::vec;
@@ -50,15 +49,14 @@ fn arb_topn() -> impl Strategy<Value = TopNRequest> {
     ];
     (
         (any::<u32>(), any::<usize>(), option::of(vec(any::<u32>(), 0..5))),
-        (vec(any::<u32>(), 0..4), any::<bool>(), option::of(any::<usize>()), strategy),
+        (vec(any::<u32>(), 0..4), any::<bool>(), strategy),
     )
-        .prop_map(|((user, n, candidates), (exclude, exclude_seen, par, strategy))| TopNRequest {
+        .prop_map(|((user, n, candidates), (exclude, exclude_seen, strategy))| TopNRequest {
             user,
             n,
             candidates,
             exclude,
             exclude_seen,
-            par: par.map(Parallelism::threads),
             strategy,
         })
 }
@@ -73,9 +71,7 @@ fn arb_request() -> impl Strategy<Value = NetRequest> {
     prop_oneof![
         arb_score().prop_map(NetRequest::Score),
         arb_topn().prop_map(NetRequest::TopN),
-        (vec(sub, 0..4), option::of(any::<usize>())).prop_map(|(requests, par)| {
-            NetRequest::Batch(BatchRequest { requests, par: par.map(Parallelism::threads) })
-        }),
+        vec(sub, 0..4).prop_map(|requests| NetRequest::Batch(BatchRequest { requests })),
         arb_feed().prop_map(NetRequest::Feed),
     ]
 }

@@ -4,7 +4,7 @@
 //! order-preserving data-parallel helpers on [`std::thread::scope`].
 //!
 //! The vendored dependency set has no rayon, so this crate provides the
-//! minimal primitives the serving/eval hot paths need:
+//! minimal primitives the offline hot paths need:
 //!
 //! * [`par_blocks`] — the one fan-out primitive: splits `0..n` into
 //!   contiguous blocks (one per requested thread), runs the first on
@@ -16,9 +16,12 @@
 //!   over [`par_blocks`].
 //!
 //! Both are **bit-identical** to the serial evaluation for pure
-//! functions, at every thread count. Serving and evaluation ride on
-//! them, which is what lets the eval protocols stay exactly
-//! reproducible while scaling across cores.
+//! functions, at every thread count. Offline work rides on them — the
+//! evaluation protocols' per-case blocks, batch scoring
+//! (`FrozenModel::scores_with`) and the IVF index build — which is what
+//! lets the eval protocols stay exactly reproducible while scaling
+//! across cores. A served request does not: it runs on the connection
+//! thread that received it.
 //!
 //! How many threads run is a per-call [`Parallelism`] value, defaulting
 //! to [`Parallelism::auto`]: the `GMLFM_THREADS` environment variable
@@ -102,12 +105,9 @@ impl Default for Parallelism {
 }
 
 /// Splits `0..n` into at most `blocks` contiguous, near-equal ranges in
-/// order (the first `n % blocks` ranges are one element longer).
-///
-/// This is the partition [`par_blocks`] uses internally; it is public
-/// so callers that need an *explicit* shard structure — notably
-/// serving's sharded top-N scan driver — cut their work the same way.
-pub fn block_ranges(n: usize, blocks: usize) -> Vec<Range<usize>> {
+/// order (the first `n % blocks` ranges are one element longer): the
+/// partition [`par_blocks`] hands its workers.
+fn block_ranges(n: usize, blocks: usize) -> Vec<Range<usize>> {
     let blocks = blocks.min(n).max(1);
     let base = n / blocks;
     let extra = n % blocks;

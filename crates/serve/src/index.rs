@@ -50,12 +50,12 @@
 //! Modes without the decoupled squared-Euclidean form — vanilla-FM dot,
 //! TransFM's translated distance, Manhattan/Chebyshev/cosine — have no
 //! affine linearisation here; [`IvfIndex::build`] returns `None` for
-//! them and callers fall back to the exact sharded-heap path.
+//! them and callers fall back to the exact list scan.
 
 use crate::frozen::{dot, FrozenModel, HatQ, SecondOrder};
 #[allow(unused_imports)] // rustdoc links
 use crate::rank::TopNRanker;
-use crate::topn::Scan;
+use crate::topn::TopNHeap;
 use gmlfm_core::Distance;
 use gmlfm_par::Parallelism;
 use gmlfm_tensor::Matrix;
@@ -85,8 +85,8 @@ use gmlfm_tensor::Matrix;
 ///   automatically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalStrategy {
-    /// Score every candidate (sharded bounded heaps) — exact candidate
-    /// set, exact scores.
+    /// Score every candidate (one bounded heap) — exact candidate set,
+    /// exact scores.
     #[default]
     Exact,
     /// IVF index retrieval: probe the best-bounded item clusters and
@@ -612,8 +612,8 @@ impl IvfIndex {
         Ok(())
     }
 
-    /// Top-`n` retrieval through the index — the probe-list source of
-    /// the scan driver ([`crate::topn`]): rank clusters by their
+    /// Top-`n` retrieval through the index — the probe-list twin of
+    /// [`crate::scan_top_n`], one ranker and one heap: rank clusters by their
     /// centroid score, visit at most `nprobe` of them (best first),
     /// prune clusters and members whose slackened Cauchy–Schwarz bound
     /// cannot strictly beat the heap threshold read at the cluster's
@@ -621,11 +621,6 @@ impl IvfIndex {
     /// ([`TopNRanker::score_block`], the list scan's entry and its
     /// attribute tables) — skipping items for which `skip` returns
     /// `true` (exclusions, seen items).
-    ///
-    /// The probe list is scanned as one shard on the calling thread:
-    /// it is ordered best-centroid first, so a contiguous split would
-    /// hand the last shard the worst clusters and an empty heap, which
-    /// barely prunes — slower than serial, not faster.
     ///
     /// Results follow the retrieval total order ([`crate::rank_cmp`]):
     /// pruning is sound (a pruned cluster or member cannot enter the
@@ -642,7 +637,7 @@ impl IvfIndex {
         item_slots: &[usize],
         n: usize,
         nprobe: usize,
-        skip: &(impl Fn(u32) -> bool + Sync),
+        skip: &impl Fn(u32) -> bool,
     ) -> Vec<(u32, f64)> {
         debug_assert!(self.compatible_with(model, items.item_count()).is_ok());
         if n == 0 || self.members.is_empty() {
@@ -657,42 +652,42 @@ impl IvfIndex {
         };
         let probe = self.probe_order(model, &tables, template, item_slots, nprobe);
         let ctx_score = probe.ctx_score;
-        let scan = Scan { model, template, item_slots, n, par: Parallelism::serial() };
-        scan.run(&probe.clusters, |ranker, clusters, heap| {
-            let (mut ids, mut scores) = (Vec::new(), Vec::new());
-            for &(c, mean_score, ub) in clusters {
-                let threshold = heap.threshold().map(|(_, threshold)| threshold);
+        let mut ranker = model.ranker(template, item_slots);
+        let mut heap = TopNHeap::new(n);
+        let (mut ids, mut scores) = (Vec::new(), Vec::new());
+        for &(c, mean_score, ub) in &probe.clusters {
+            let threshold = heap.threshold().map(|(_, threshold)| threshold);
+            if let Some(threshold) = threshold {
+                // Slackened Cauchy–Schwarz prune: only a *strict* miss
+                // is safe — at equality a member tying the threshold
+                // score could still win on item id.
+                if ctx_score + ub + bound_slack(ctx_score, ub) < threshold {
+                    continue;
+                }
+            }
+            ids.clear();
+            for (&item, &norm) in self.members[c].iter().zip(&self.member_norms[c]) {
                 if let Some(threshold) = threshold {
-                    // Slackened Cauchy–Schwarz prune: only a *strict*
-                    // miss is safe — at equality a member tying the
-                    // threshold score could still win on item id.
-                    if ctx_score + ub + bound_slack(ctx_score, ub) < threshold {
+                    // The member's own norm bound — one multiply against
+                    // the stored deviation norm, far cheaper than the
+                    // delta-scan score it saves. Strict for the same
+                    // reason as the cluster's.
+                    let item_ub = mean_score + probe.norm_g * norm;
+                    if ctx_score + item_ub + bound_slack(ctx_score, item_ub) < threshold {
                         continue;
                     }
                 }
-                ids.clear();
-                for (&item, &norm) in self.members[c].iter().zip(&self.member_norms[c]) {
-                    if let Some(threshold) = threshold {
-                        // The member's own norm bound — one multiply
-                        // against the stored deviation norm, far
-                        // cheaper than the delta-scan score it saves.
-                        // Strict for the same reason as the cluster's.
-                        let item_ub = mean_score + probe.norm_g * norm;
-                        if ctx_score + item_ub + bound_slack(ctx_score, item_ub) < threshold {
-                            continue;
-                        }
-                    }
-                    if !skip(item) {
-                        ids.push(item);
-                    }
-                }
-                scores.clear();
-                ranker.score_block(items, &ids, &mut scores);
-                for (&item, &score) in ids.iter().zip(&scores) {
-                    heap.push(item, score);
+                if !skip(item) {
+                    ids.push(item);
                 }
             }
-        })
+            scores.clear();
+            ranker.score_block(items, &ids, &mut scores);
+            for (&item, &score) in ids.iter().zip(&scores) {
+                heap.push(item, score);
+            }
+        }
+        heap.into_sorted()
     }
 
     /// The probe list for a query context: the `nprobe` clusters with

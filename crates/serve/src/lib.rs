@@ -29,16 +29,15 @@
 //!   per user and only an `O(|ctx|·k)` (vanilla FM: `O(k)`) delta per
 //!   candidate feature; every distance, the order-dependent TransFM mode
 //!   included, scores by item delta.
-//! * [`topn`] — top-N retrieval: the one sharded scan driver
-//!   (per-shard [`TopNRanker`] + bounded [`TopNHeap`], threshold-rejecting,
-//!   merged under the deterministic [`rank_cmp`] total order — score
-//!   desc, item id asc), so a whole-catalogue request costs
-//!   `O(C·k + C·log n)` instead of a full `O(C·log C)` sort — and
-//!   returns the *identical* ranking. [`scan_top_n`] feeds it an
-//!   explicit candidate list.
+//! * [`topn`] — top-N retrieval: one [`TopNRanker`] and one bounded
+//!   [`TopNHeap`] per request on the calling thread, threshold-rejecting
+//!   under the deterministic [`rank_cmp`] total order (score desc, item
+//!   id asc), so a whole-catalogue request costs `O(C·k + C·log n)`
+//!   instead of a full `O(C·log C)` sort — and returns the *identical*
+//!   ranking. [`scan_top_n`] runs it over an explicit candidate list.
 //! * [`index`] — the metric-space [`IvfIndex`]: sublinear candidate
-//!   generation for the squared-Euclidean metric modes, feeding the same
-//!   driver a probe list under sound Cauchy–Schwarz bounds
+//!   generation for the squared-Euclidean metric modes, running the same
+//!   ranker and heap over a probe list under sound Cauchy–Schwarz bounds
 //!   ([`RetrievalStrategy`] selects between the two sources).
 //! * [`kernel`] — the fixed-width chunked `dot`/`axpy`/`sq_dist`
 //!   primitives every scoring loop runs on.

@@ -95,7 +95,7 @@ pub struct TopNRanker<'m> {
     state: State<'m>,
     /// Per-request cross-delta tables, one per item slot: empty until the
     /// first [`TopNRanker::score_block`] call materialises them.
-    tables: ScanTables,
+    tables: SlotTables,
 }
 
 /// Widest slot range materialised as a dense cross-delta table.
@@ -123,7 +123,7 @@ const DENSE_MIN_REPEAT: u64 = 4;
 /// required for correctness. Every table entry holds the exact bits the
 /// direct evaluation produces, so a score reads the same bits with the
 /// tables as without them.
-struct ScanTables {
+struct SlotTables {
     slots: Vec<SlotTable>,
     /// Whether `slots` were materialised from an item source (before,
     /// every table is empty).
@@ -138,11 +138,11 @@ struct SlotTable {
     vals: Vec<f64>,
 }
 
-impl ScanTables {
+impl SlotTables {
     /// `n_slots` empty tables: every lookup evaluates directly.
-    fn empty(n_slots: usize) -> ScanTables {
+    fn empty(n_slots: usize) -> SlotTables {
         let slots = (0..n_slots).map(|_| SlotTable { lo: 0, vals: Vec::new() }).collect();
-        ScanTables { slots, built: false }
+        SlotTables { slots, built: false }
     }
 
     /// Materialises the tables for one ranking request: all empty
@@ -153,10 +153,10 @@ impl ScanTables {
         state: &State<'_>,
         n_slots: usize,
         items: &S,
-    ) -> ScanTables {
+    ) -> SlotTables {
         let ranges = items.slot_ranges().filter(|ranges| ranges.len() == n_slots);
         let (State::Decoupled(cross), Some(ranges)) = (state, ranges) else {
-            return ScanTables { built: true, ..ScanTables::empty(n_slots) };
+            return SlotTables { built: true, ..SlotTables::empty(n_slots) };
         };
         let n_items = items.item_count() as u64;
         let dim = model.w.len() as u32;
@@ -173,7 +173,7 @@ impl ScanTables {
                 SlotTable { lo, vals }
             })
             .collect();
-        ScanTables { slots, built: true }
+        SlotTables { slots, built: true }
     }
 }
 
@@ -198,7 +198,7 @@ impl<'m> TopNRanker<'m> {
         }
         ctx_score += model.second_order(&ctx);
         let state = Self::build_state(model, &ctx);
-        let tables = ScanTables::empty(item_slots.len());
+        let tables = SlotTables::empty(item_slots.len());
         Self { model, item_slots: item_slots.to_vec(), ctx, ctx_pos, ctx_score, state, tables }
     }
 
@@ -318,7 +318,7 @@ impl<'m> TopNRanker<'m> {
     /// evaluation produces, so the tables cannot change a score).
     pub fn score_block<S: ItemFeatureSource + ?Sized>(&mut self, items: &S, ids: &[u32], out: &mut Vec<f64>) {
         if !self.tables.built {
-            self.tables = ScanTables::build(self.model, &self.ctx, &self.state, self.item_slots.len(), items);
+            self.tables = SlotTables::build(self.model, &self.ctx, &self.state, self.item_slots.len(), items);
         }
         let State::Decoupled(cross) = &self.state else {
             return out.extend(ids.iter().map(|&id| self.score(items.features_of(id))));

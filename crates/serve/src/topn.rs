@@ -1,59 +1,52 @@
-//! Top-N retrieval: one sharded bounded-heap scan driver with a
-//! deterministic merge.
+//! Top-N retrieval: one bounded-heap scan with a deterministic total
+//! order.
 //!
 //! The serving workload the paper optimises for (Eq. 10/11 decoupled
 //! scoring) ranks a whole catalogue per request but returns only the
 //! best `n` — and `n` is tiny next to the catalogue. Scoring every
 //! candidate is unavoidable without an index, but *sorting* every
 //! candidate is not: this module selects the top `n` with one bounded
-//! heap per contiguous shard of the work, so a request over `C`
-//! candidates costs `O(C·k + C·log n)` time and `O(shards·n)` selection
-//! memory instead of the full sort's `O(C·k + C·log C)` time and `O(C)`
-//! score buffer. At a million items and `n = 10` the difference is the
-//! sort and the 16 MB score vector, every request.
+//! heap, so a request over `C` candidates costs `O(C·k + C·log n)` time
+//! and `O(n)` selection memory instead of the full sort's
+//! `O(C·k + C·log C)` time and `O(C)` score buffer. At a million items
+//! and `n = 10` the difference is the sort and the 16 MB score vector,
+//! every request.
 //!
-//! Every retrieval mode is the same loop — cut the work into shards,
-//! give each shard one [`TopNRanker`] and one [`TopNHeap`], merge under
-//! [`rank_cmp`] — so it exists once, as the private `Scan::run`
-//! driver. The two candidate sources are expressed over it: an explicit
-//! candidate list scored in [`kernel::CAND_BLOCK`] runs
-//! ([`scan_top_n`]), and an IVF probe list, one shard, whose clusters'
-//! Cauchy–Schwarz survivors are scored one block per cluster
+//! A request runs on the thread that received it: one [`TopNRanker`]
+//! and one [`TopNHeap`] per request, whatever the candidate source — an
+//! explicit candidate list scored in [`kernel::CAND_BLOCK`] runs
+//! ([`scan_top_n`]), or an IVF probe list whose clusters' Cauchy–Schwarz
+//! survivors are scored one block per cluster
 //! ([`crate::IvfIndex::search`]).
 //!
-//! Three guarantees make the fast path a drop-in replacement for the
+//! Two guarantees make the fast path a drop-in replacement for the
 //! full sort, not an approximation of it:
 //!
 //! 1. **Total order.** Ranking uses [`rank_cmp`] — score descending,
-//!    ties broken by ascending item id — everywhere: inside the heaps,
-//!    in the shard merge, and in the full-sort reference the tests pin
-//!    against. Equal-score candidates order identically on every path.
-//! 2. **Threshold rejection.** Once a shard's heap is full, a candidate
-//!    scoring below the shard's current worst retained entry (the
+//!    ties broken by ascending item id — everywhere: inside the heap
+//!    and in the full-sort reference the tests pin against. Equal-score
+//!    candidates order identically on every path, and the result does
+//!    not depend on the order candidates were pushed in.
+//! 2. **Threshold rejection.** Once the heap is full, a candidate
+//!    scoring below its current worst retained entry (the
 //!    [`TopNHeap::threshold`]) is rejected in one comparison without
 //!    entering the heap.
-//! 3. **Deterministic merge.** Shard results are concatenated in shard
-//!    order and resolved by the same total order, so the final ranking
-//!    is independent of shard count and thread count — pinned by the
-//!    `kernel_parity` and the engine's `parity` proptests across threads
-//!    {1, 2, 5}.
 
 use crate::frozen::FrozenModel;
 use crate::index::ItemFeatureSource;
 use crate::kernel;
+#[allow(unused_imports)] // rustdoc links
 use crate::rank::TopNRanker;
-use gmlfm_par::Parallelism;
 use std::cmp::Ordering;
 
 /// The retrieval total order over `(item, score)` pairs, best first:
 /// score descending ([`f64::total_cmp`], so not even NaN breaks
 /// totality), then item id ascending.
 ///
-/// Every ranking surface — [`TopNHeap`], the shard merge, the
-/// request-path sort in `gmlfm-service`, the full-sort references in
-/// tests — uses this one comparator, which is what makes equal-score
-/// ordering an explicit contract instead of a sort-implementation
-/// accident.
+/// Every ranking surface — [`TopNHeap`], the request-path sort in
+/// `gmlfm-service`, the full-sort references in tests — uses this one
+/// comparator, which is what makes equal-score ordering an explicit
+/// contract instead of a sort-implementation accident.
 #[inline]
 pub fn rank_cmp(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
@@ -176,66 +169,14 @@ impl TopNHeap {
     }
 }
 
-/// Merges per-shard top-`n` rankings into the global top `n`:
-/// concatenate in shard order, resolve with [`rank_cmp`], truncate.
-///
-/// Because [`rank_cmp`] is total, the result is the unique global top
-/// `n` — independent of shard boundaries and of the order shards
-/// finished in. (Duplicate candidates are legal and retained: two copies
-/// of one item compare `Equal` and are indistinguishable, so any
-/// interleaving of them is the same ranking.)
-fn merge_sharded(n: usize, shards: impl IntoIterator<Item = Vec<(u32, f64)>>) -> Vec<(u32, f64)> {
-    let mut all: Vec<(u32, f64)> = shards.into_iter().flatten().collect();
-    all.sort_by(rank_cmp);
-    all.truncate(n);
-    all
-}
-
-/// One top-`n` request against a frozen model: what a candidate source
-/// hands the scan driver ([`Scan::run`]). `template` is the user's
-/// feature template, `item_slots` the positions a candidate's features
-/// fill (the [`FrozenModel::ranker`] contract).
-pub(crate) struct Scan<'a> {
-    pub(crate) model: &'a FrozenModel,
-    pub(crate) template: &'a [u32],
-    pub(crate) item_slots: &'a [usize],
-    pub(crate) n: usize,
-    pub(crate) par: Parallelism,
-}
-
-impl Scan<'_> {
-    /// The scan driver: `work` is cut into one contiguous shard per
-    /// requested worker, each shard builds its own [`TopNRanker`]
-    /// (context partials computed once per shard, not once per
-    /// candidate) and lets `scan_shard` push its share of the work into
-    /// a [`TopNHeap`], and the shard heaps are merged under
-    /// [`rank_cmp`]. With `scan_shard` pushing pure per-candidate scores
-    /// the result is item-for-item `sort_by(rank_cmp) + truncate(n)`
-    /// over those scores at every thread count.
-    pub(crate) fn run<W: Sync>(
-        &self,
-        work: &[W],
-        scan_shard: impl Fn(&mut TopNRanker<'_>, &[W], &mut TopNHeap) + Sync,
-    ) -> Vec<(u32, f64)> {
-        let ranges = gmlfm_par::block_ranges(work.len(), self.par.get());
-        let shard_tops = gmlfm_par::par_map(self.par, &ranges, |range| {
-            let mut ranker = self.model.ranker(self.template, self.item_slots);
-            let mut heap = TopNHeap::new(self.n);
-            scan_shard(&mut ranker, &work[range.clone()], &mut heap);
-            heap.into_sorted()
-        });
-        merge_sharded(self.n, shard_tops)
-    }
-}
-
 /// Top `n` of an explicit candidate list, best first under
-/// [`rank_cmp`] — the list source of the scan driver: each shard's
-/// candidates are scored in [`kernel::CAND_BLOCK`]-sized runs
-/// ([`TopNRanker::score_block`], bitwise the per-item score) and pushed
-/// into the shard heap in candidate order, so the result is
-/// item-for-item the full sort of the per-item scores. `template` and
-/// `item_slots` follow the [`FrozenModel::ranker`] contract; candidate
-/// ids must be in range for `items`.
+/// [`rank_cmp`]: one ranker scores the candidates in
+/// [`kernel::CAND_BLOCK`]-sized runs ([`TopNRanker::score_block`],
+/// bitwise the per-item score) and pushes them into one heap in
+/// candidate order, so the result is item-for-item the full sort of the
+/// per-item scores. `template` and `item_slots` follow the
+/// [`FrozenModel::ranker`] contract; candidate ids must be in range for
+/// `items`.
 pub fn scan_top_n<S: ItemFeatureSource + ?Sized>(
     model: &FrozenModel,
     items: &S,
@@ -243,19 +184,18 @@ pub fn scan_top_n<S: ItemFeatureSource + ?Sized>(
     item_slots: &[usize],
     candidates: &[u32],
     n: usize,
-    par: Parallelism,
 ) -> Vec<(u32, f64)> {
-    let scan = Scan { model, template, item_slots, n, par };
-    scan.run(candidates, |ranker, ids, heap| {
-        let mut scores = Vec::with_capacity(kernel::CAND_BLOCK);
-        for block in ids.chunks(kernel::CAND_BLOCK) {
-            scores.clear();
-            ranker.score_block(items, block, &mut scores);
-            for (&item, &score) in block.iter().zip(&scores) {
-                heap.push(item, score);
-            }
+    let mut ranker = model.ranker(template, item_slots);
+    let mut heap = TopNHeap::new(n);
+    let mut scores = Vec::with_capacity(kernel::CAND_BLOCK);
+    for block in candidates.chunks(kernel::CAND_BLOCK) {
+        scores.clear();
+        ranker.score_block(items, block, &mut scores);
+        for (&item, &score) in block.iter().zip(&scores) {
+            heap.push(item, score);
         }
-    })
+    }
+    heap.into_sorted()
 }
 
 #[cfg(test)]
@@ -355,26 +295,6 @@ mod tests {
         assert_eq!(heap.into_sorted(), full_sort(&scored, 3));
     }
 
-    #[test]
-    fn merge_is_shard_count_independent() {
-        let scored: Vec<(u32, f64)> = (0..97u32).map(|i| (i, chunky_score(i))).collect();
-        let reference = full_sort(&scored, 10);
-        for shards in [1usize, 2, 3, 8, 97, 200] {
-            let ranges = gmlfm_par::block_ranges(scored.len(), shards);
-            let tops: Vec<Vec<(u32, f64)>> = ranges
-                .into_iter()
-                .map(|r| {
-                    let mut heap = TopNHeap::new(10);
-                    for &(i, s) in &scored[r] {
-                        heap.push(i, s);
-                    }
-                    heap.into_sorted()
-                })
-                .collect();
-            assert_eq!(merge_sharded(10, tops), reference, "shards={shards}");
-        }
-    }
-
     /// A model whose score for item `i` is exactly `score(i)`: zero
     /// factors, the score in the item feature's first-order weight.
     fn scripted(n_items: u32, score: impl Fn(u32) -> f64) -> (FrozenModel, Vec<Vec<u32>>) {
@@ -386,17 +306,13 @@ mod tests {
     }
 
     #[test]
-    fn scan_matches_full_sort_across_threads() {
+    fn scan_matches_full_sort() {
         let (model, items) = scripted(211, chunky_score);
         let candidates: Vec<u32> = (0..211u32).collect();
         let scored: Vec<(u32, f64)> = candidates.iter().map(|&i| (i, chunky_score(i))).collect();
         for n in [1usize, 5, 211, 221] {
-            let reference = full_sort(&scored, n);
-            for threads in [1usize, 2, 5] {
-                let par = Parallelism::threads(threads);
-                let got = scan_top_n(&model, &items, &[0, 0], &[1], &candidates, n, par);
-                assert_eq!(got, reference, "n={n} threads={threads}");
-            }
+            let got = scan_top_n(&model, &items, &[0, 0], &[1], &candidates, n);
+            assert_eq!(got, full_sort(&scored, n), "n={n}");
         }
     }
 
@@ -404,8 +320,7 @@ mod tests {
     fn all_equal_scores_rank_by_item_id() {
         let (model, items) = scripted(40, |_| 0.25);
         let candidates: Vec<u32> = (0..40u32).rev().collect();
-        let par = Parallelism::threads(4);
-        let got = scan_top_n(&model, &items, &[0, 0], &[1], &candidates, 5, par);
+        let got = scan_top_n(&model, &items, &[0, 0], &[1], &candidates, 5);
         assert_eq!(got, vec![(0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)]);
     }
 }

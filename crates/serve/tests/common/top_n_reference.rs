@@ -1,7 +1,7 @@
 //! The one full-sort top-N reference of the integration suites, included
 //! by `#[path]` from the serve, service and engine tests.
 //!
-//! Every fast top-N path — the sharded heap scan, the block scan, the
+//! Every fast top-N path — the list scan, the block scan, the
 //! group memo, the IVF probe — must return this function's ids and score
 //! bits. It scores with the per-item `TopNRanker::score`, which
 //! `rank.rs`'s unit tests hold to `gmlfm_core::reference` (Eq. 3), so

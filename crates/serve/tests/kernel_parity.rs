@@ -10,11 +10,10 @@
 //!    widths around the kernel lane width, context widths from one
 //!    feature to past `k`, and candidate counts straddling the block width
 //!    (remainder-loop coverage on every axis).
-//! 2. **Scan driver ≡ full sort, bitwise** — both candidate sources of
-//!    the one driver (`scan_top_n` over a candidate list, a full-probe
-//!    `IvfIndex::search`), the list at threads {1, 2, 5}, equal the
-//!    shared full sort (`tests/common/top_n_reference.rs`): ids and
-//!    score bits.
+//! 2. **Scan ≡ full sort, bitwise** — both candidate sources
+//!    (`scan_top_n` over a candidate list, a full-probe
+//!    `IvfIndex::search`) equal the shared full sort
+//!    (`tests/common/top_n_reference.rs`): ids and score bits.
 //! 3. **Group memo ≡ no memo, bitwise** — a model carrying
 //!    `with_group_memo` returns the memo-less model's ids and score bits
 //!    through every entry (per-item `score`, list scan, full probe),
@@ -36,7 +35,7 @@ const N_ATTRS: usize = 9;
 
 /// One candidate count per interesting remainder class of the 32-wide
 /// candidate block — below, at, one past, and two-blocks-plus-remainder
-/// — plus 1 and 4, fewer candidates than a 5-thread scan has shards.
+/// — plus 1 and 4, fewer candidates than `n` asks for at `n = 10`.
 const CAND_COUNTS: [usize; 6] = [1, 4, 31, 32, 33, 65];
 
 /// Factor widths around the 8-lane kernel chunk: below one chunk, one
@@ -105,10 +104,9 @@ impl Fixture {
         full_sort_top_n(&self.model, &self.items, &self.template, &self.item_slots, all, n)
     }
 
-    fn scan(&self, n: usize, threads: usize) -> Vec<(u32, f64)> {
+    fn scan(&self, n: usize) -> Vec<(u32, f64)> {
         let candidates: Vec<u32> = (0..self.items.len() as u32).collect();
-        let par = Parallelism::threads(threads);
-        scan_top_n(&self.model, &self.items, &self.template, &self.item_slots, &candidates, n, par)
+        scan_top_n(&self.model, &self.items, &self.template, &self.item_slots, &candidates, n)
     }
 }
 
@@ -154,9 +152,8 @@ proptest! {
         }
     }
 
-    /// Layer 2: the one scan driver, through both of its candidate
-    /// sources, equals the full sort of per-item scores — the list scan
-    /// at every thread count.
+    /// Layer 2: the scan, through both of its candidate sources, equals
+    /// the full sort of per-item scores.
     #[test]
     fn scan_driver_matches_the_full_sort(
         mode in 0usize..9,
@@ -176,25 +173,19 @@ proptest! {
         // Only the squared-Euclidean metric modes have the index's
         // linearisation.
         prop_assert_eq!(index.is_some(), mode < 4);
-        for threads in [1usize, 2, 5] {
-            let what = format!(
-                "mode {mode} k {} |ctx| {} count {count} n {n} threads {threads}",
-                KS[k_idx], fx.template.len() - 2
-            );
-            assert_same_ranking(&fx.scan(n, threads), &want, &format!("list, {what}"))?;
-        }
+        let what = format!("mode {mode} k {} |ctx| {} count {count} n {n}", KS[k_idx], fx.template.len() - 2);
+        assert_same_ranking(&fx.scan(n), &want, &format!("list, {what}"))?;
         if let Some(index) = &index {
             let probed =
                 index.search(&fx.model, &fx.items, &fx.template, &fx.item_slots, n, index.n_clusters(), &|_| false);
-            let what = format!("mode {mode} k {} |ctx| {} count {count} n {n}", KS[k_idx], fx.template.len() - 2);
             assert_same_ranking(&probed, &want, &format!("full probe, {what}"))?;
         }
     }
 }
 
 /// Ids and score bits of every entry the memo can reach — per-item
-/// `score`, the list scan and a full-probe index search at threads
-/// {1, 2, 5} — for `model` over `fx`'s catalogue and request.
+/// `score`, the list scan and a full-probe index search — for `model`
+/// over `fx`'s catalogue and request.
 fn every_entry(fx: &Fixture, model: &FrozenModel) -> Vec<(u32, u64)> {
     let mut ranker = model.ranker(&fx.template, &fx.item_slots);
     let mut out: Vec<(u32, f64)> = fx
@@ -207,20 +198,17 @@ fn every_entry(fx: &Fixture, model: &FrozenModel) -> Vec<(u32, u64)> {
     let n = fx.items.len().min(10);
     let opts = IvfBuildOptions { clusters: Some(3), ..IvfBuildOptions::default() };
     let index = IvfIndex::build(model, &fx.items, &opts, Parallelism::serial());
-    for threads in [1usize, 2, 5] {
-        let par = Parallelism::threads(threads);
-        out.extend(scan_top_n(model, &fx.items, &fx.template, &fx.item_slots, &candidates, n, par));
-        if let Some(index) = &index {
-            out.extend(index.search(
-                model,
-                &fx.items,
-                &fx.template,
-                &fx.item_slots,
-                n,
-                index.n_clusters(),
-                &|_| false,
-            ));
-        }
+    out.extend(scan_top_n(model, &fx.items, &fx.template, &fx.item_slots, &candidates, n));
+    if let Some(index) = &index {
+        out.extend(index.search(
+            model,
+            &fx.items,
+            &fx.template,
+            &fx.item_slots,
+            n,
+            index.n_clusters(),
+            &|_| false,
+        ));
     }
     out.into_iter().map(|(item, score)| (item, score.to_bits())).collect()
 }

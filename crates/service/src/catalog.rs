@@ -439,8 +439,8 @@ mod tests {
         use gmlfm_serve::ItemFeatureSource;
 
         /// The same item table without the override.
-        struct Scanned<'a>(&'a Catalog);
-        impl ItemFeatureSource for Scanned<'_> {
+        struct FullScan<'a>(&'a Catalog);
+        impl ItemFeatureSource for FullScan<'_> {
             fn item_count(&self) -> usize {
                 self.0.n_items()
             }
@@ -462,7 +462,7 @@ mod tests {
         let empty = Catalog::new(vec![1], vec![vec![0, 0]], vec![]);
         let no_slots = Catalog::new(vec![], vec![vec![0, 1]], vec![vec![], vec![]]);
         for catalog in [&from_dataset, &round_trip, &hand_built, &empty, &no_slots] {
-            assert_eq!(catalog.slot_ranges(), Scanned(catalog).slot_ranges());
+            assert_eq!(catalog.slot_ranges(), FullScan(catalog).slot_ranges());
         }
         assert_eq!(from_dataset.slot_ranges().map(|r| r.len()), Some(3));
         assert_eq!(round_trip.slot_ranges(), from_dataset.slot_ranges());

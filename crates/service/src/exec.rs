@@ -20,13 +20,9 @@ use std::cell::RefCell;
 
 /// What executes a validated request: one score per feature vector,
 /// catalogue candidate scoring for the evaluation protocols, and
-/// bounded-heap top-N selection for ranking requests.
-///
-/// Implementations may ignore `par` (a scorer-backed evaluation scores
-/// through the model's own batch path); the frozen implementation
-/// partitions candidates into `gmlfm-par` blocks with one
-/// [`gmlfm_serve::TopNRanker`] per block, merged in candidate
-/// order — bit-identical to serial at every thread count.
+/// bounded-heap top-N selection for ranking requests. Every method runs
+/// on the calling thread; the frozen implementation scores through one
+/// [`gmlfm_serve::TopNRanker`] per call.
 pub trait ScoringBackend {
     /// Scores one validated feature vector.
     fn score_feats(&self, feats: &[u32]) -> f64;
@@ -39,24 +35,18 @@ pub trait ScoringBackend {
     /// in-range user, so implementations never re-check the user id.
     /// Candidates come out of the request validation against the same
     /// catalog, so their item-table rows are in range by construction.
-    fn candidate_scores(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        par: Parallelism,
-    ) -> Vec<f64>;
+    fn candidate_scores(&self, catalog: &Catalog, template: &[u32], candidates: &[u32]) -> Vec<f64>;
 
     /// Selects the top `n` of resolved `candidates` for the user with
     /// feature `template` under the retrieval total order
     /// ([`gmlfm_serve::rank_cmp`]: score descending, ties by ascending
-    /// item id), best first. `_precision` selects nothing; deleted in
-    /// the next benchmark window (ROADMAP item 2).
+    /// item id), best first. `_precision` and `_par` select nothing;
+    /// deleted in the next benchmark window (ROADMAP item 2).
     ///
     /// The default implementation scores everything
     /// through [`candidate_scores`] and selects with one bounded
     /// [`TopNHeap`]: `O(C·log n)` selection, never a full sort. The
-    /// frozen implementation is the sharded scan driver
+    /// frozen implementation is the list scan
     /// ([`gmlfm_serve::scan_top_n`]), which also skips materialising the
     /// `O(C)` score vector. Both produce item-for-item identical
     /// rankings.
@@ -69,9 +59,9 @@ pub trait ScoringBackend {
         candidates: &[u32],
         n: usize,
         _precision: Precision,
-        par: Parallelism,
+        _par: Parallelism,
     ) -> Vec<(u32, f64)> {
-        let scores = self.candidate_scores(catalog, template, candidates, par);
+        let scores = self.candidate_scores(catalog, template, candidates);
         let mut heap = TopNHeap::new(n);
         for (&item, score) in candidates.iter().zip(scores) {
             heap.push(item, score);
@@ -84,8 +74,8 @@ pub trait ScoringBackend {
     /// ([`gmlfm_serve::IvfIndex::search`]), scores bitwise the exact
     /// ranker's. `excluded` is the **sorted, deduplicated** union of the
     /// request's explicit exclusions and the user's seen items.
-    /// `_precision` and `_par` are unused: the probe scans exact f64 on
-    /// the calling thread (see [`gmlfm_serve::IvfIndex::search`]).
+    /// `_precision` and `_par` select nothing; deleted in the next
+    /// benchmark window (ROADMAP item 2).
     ///
     /// Returns `None` when the backend holds no usable index for this
     /// request (no index, candidate pool below the index's
@@ -126,14 +116,8 @@ impl ScoringBackend for IndexedModel<'_> {
         self.frozen.score_feats(feats)
     }
 
-    fn candidate_scores(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        par: Parallelism,
-    ) -> Vec<f64> {
-        self.frozen.candidate_scores(catalog, template, candidates, par)
+    fn candidate_scores(&self, catalog: &Catalog, template: &[u32], candidates: &[u32]) -> Vec<f64> {
+        self.frozen.candidate_scores(catalog, template, candidates)
     }
 
     fn select_top_n_prec(
@@ -183,31 +167,20 @@ impl ScoringBackend for FrozenModel {
         self.predict_feats(feats)
     }
 
-    fn candidate_scores(
-        &self,
-        catalog: &Catalog,
-        template: &[u32],
-        candidates: &[u32],
-        par: Parallelism,
-    ) -> Vec<f64> {
-        let item_slots = catalog.item_slots();
-        gmlfm_par::par_blocks(par, candidates.len(), |range| {
-            // One ranker per worker block, scored as one block: the
-            // context side and the slot tables are staged once, and the
-            // scores are `score`'s bits.
-            let mut scores = Vec::with_capacity(range.len());
-            self.ranker(template, item_slots)
-                .score_block(catalog, &candidates[range], &mut scores);
-            scores
-        })
+    /// One ranker scores the whole list as one block: the context side
+    /// and the slot tables are staged once, and the scores are
+    /// `score`'s bits.
+    fn candidate_scores(&self, catalog: &Catalog, template: &[u32], candidates: &[u32]) -> Vec<f64> {
+        let mut scores = Vec::with_capacity(candidates.len());
+        self.ranker(template, catalog.item_slots())
+            .score_block(catalog, candidates, &mut scores);
+        scores
     }
 
-    /// The sharded scan driver over the candidate list
-    /// ([`gmlfm_serve::scan_top_n`]): one contiguous candidate shard per
-    /// requested worker, each with its own ranker (context partials
-    /// computed once per shard) and bounded [`TopNHeap`], merged in
-    /// shard order under [`gmlfm_serve::rank_cmp`]. No full score vector
-    /// and no full sort — `O(C·k + C·log n)` per request.
+    /// The list scan ([`gmlfm_serve::scan_top_n`]): one ranker (context
+    /// partials computed once) and one bounded [`TopNHeap`] under
+    /// [`gmlfm_serve::rank_cmp`]. No full score vector and no full sort
+    /// — `O(C·k + C·log n)` per request.
     fn select_top_n_prec(
         &self,
         catalog: &Catalog,
@@ -215,9 +188,9 @@ impl ScoringBackend for FrozenModel {
         candidates: &[u32],
         n: usize,
         _precision: Precision,
-        par: Parallelism,
+        _par: Parallelism,
     ) -> Vec<(u32, f64)> {
-        scan_top_n(self, catalog, template, catalog.item_slots(), candidates, n, par)
+        scan_top_n(self, catalog, template, catalog.item_slots(), candidates, n)
     }
 }
 
@@ -412,15 +385,13 @@ pub fn execute_candidate_scores<B: ScoringBackend + ?Sized>(
     seen: Option<&SeenItems>,
     live: &[u32],
     req: &TopNRequest,
-    default_par: Parallelism,
 ) -> Result<Vec<(u32, f64)>, RequestError> {
     let catalog = catalog.ok_or(RequestError::MissingCatalog)?;
     let template = validate_topn(catalog, req)?;
     let (mut excluded, mut candidates) = (Vec::new(), Vec::new());
     fill_excluded(seen, live, req, &mut excluded);
     fill_candidates(catalog, &excluded, req, &mut candidates);
-    let par = req.par.unwrap_or(default_par);
-    let scores = backend.candidate_scores(catalog, template, &candidates, par);
+    let scores = backend.candidate_scores(catalog, template, &candidates);
     Ok(candidates.into_iter().zip(scores).collect())
 }
 
@@ -450,8 +421,8 @@ thread_local! {
 /// [`ScoringBackend::select_top_n_indexed`] (the IVF path of indexed
 /// snapshots — approximate candidate set, exact scores); everything
 /// else, and any request the index declines, goes through
-/// [`ScoringBackend::select_top_n_prec`] — the sharded scan driver for
-/// frozen snapshots — never a full sort. Exclusion filtering (explicit
+/// [`ScoringBackend::select_top_n_prec`] — the list scan for frozen
+/// snapshots — never a full sort. Exclusion filtering (explicit
 /// lists and seen items) runs **before** selection on both paths, so
 /// excluded items never occupy result slots. `req.n = 0` yields an
 /// empty ranking; `req.n` beyond the surviving candidate count yields
@@ -468,11 +439,10 @@ pub fn execute_topn<B: ScoringBackend + ?Sized>(
     seen: Option<&SeenItems>,
     live: &[u32],
     req: &TopNRequest,
-    default_par: Parallelism,
 ) -> Result<Vec<(u32, f64)>, RequestError> {
     let catalog = catalog.ok_or(RequestError::MissingCatalog)?;
     let template = validate_topn(catalog, req)?;
-    let par = req.par.unwrap_or(default_par);
+    let serial = Parallelism::serial();
     let mut scratch = TOPN_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
     fill_excluded(seen, live, req, &mut scratch.excluded);
 
@@ -485,7 +455,15 @@ pub fn execute_topn<B: ScoringBackend + ?Sized>(
             Some(RetrievalStrategy::Ivf { nprobe }) => nprobe,
             _ => None,
         };
-        backend.select_top_n_indexed(catalog, template, req.n, nprobe, &scratch.excluded, Precision::F64, par)
+        backend.select_top_n_indexed(
+            catalog,
+            template,
+            req.n,
+            nprobe,
+            &scratch.excluded,
+            Precision::F64,
+            serial,
+        )
     } else {
         None
     };
@@ -493,7 +471,7 @@ pub fn execute_topn<B: ScoringBackend + ?Sized>(
         Some(value) => value,
         None => {
             fill_candidates(catalog, &scratch.excluded, req, &mut scratch.candidates);
-            backend.select_top_n_prec(catalog, template, &scratch.candidates, req.n, Precision::F64, par)
+            backend.select_top_n_prec(catalog, template, &scratch.candidates, req.n, Precision::F64, serial)
         }
     };
 
@@ -501,10 +479,8 @@ pub fn execute_topn<B: ScoringBackend + ?Sized>(
     Ok(value)
 }
 
-/// Fans a [`BatchRequest`] across threads. Each sub-request validates
-/// and fails independently; top-n sub-requests default to serial inside
-/// the batch (the batch itself is the fan-out) unless they carry an
-/// explicit [`TopNRequest::parallelism`].
+/// Answers a [`BatchRequest`]'s members in order on the calling thread.
+/// Each sub-request validates and fails independently.
 ///
 /// `live` holds the live seen overlay rows of the batch's users as
 /// `(user, sorted items)`, sorted by user — one point-in-time copy, so
@@ -512,7 +488,7 @@ pub fn execute_topn<B: ScoringBackend + ?Sized>(
 /// callers without an overlay). A user without a row has no live items;
 /// rows are consulted under the same `exclude_seen` semantics as the
 /// snapshot seen sets.
-pub fn execute_batch<B: ScoringBackend + Sync + ?Sized>(
+pub fn execute_batch<B: ScoringBackend + ?Sized>(
     backend: &B,
     schema: &Schema,
     catalog: Option<&Catalog>,
@@ -520,15 +496,17 @@ pub fn execute_batch<B: ScoringBackend + Sync + ?Sized>(
     live: &[(u32, Vec<u32>)],
     req: &BatchRequest,
 ) -> Vec<Result<Reply, RequestError>> {
-    let par = req.par.unwrap_or_else(Parallelism::auto);
-    gmlfm_par::par_map(par, &req.requests, |request| match request {
-        Request::Score(score) => execute_score(backend, schema, catalog, score).map(Reply::Score),
-        Request::TopN(topn) => {
-            let row = live.binary_search_by_key(&topn.user, |(user, _)| *user);
-            let user_live = row.map_or(&[][..], |i| &live[i].1);
-            execute_topn(backend, catalog, seen, user_live, topn, Parallelism::serial()).map(Reply::TopN)
-        }
-    })
+    req.requests
+        .iter()
+        .map(|request| match request {
+            Request::Score(score) => execute_score(backend, schema, catalog, score).map(Reply::Score),
+            Request::TopN(topn) => {
+                let row = live.binary_search_by_key(&topn.user, |(user, _)| *user);
+                let user_live = row.map_or(&[][..], |i| &live[i].1);
+                execute_topn(backend, catalog, seen, user_live, topn).map(Reply::TopN)
+            }
+        })
+        .collect()
 }
 
 /// Resolves a user id to its feature template, or the typed error. The

@@ -11,19 +11,18 @@
 //! * **[`protocol`]** — [`ScoreRequest`] (by instance, by raw feature
 //!   indices, by catalog `(user, item)` pair, or cold-start by item +
 //!   named side features), [`TopNRequest`] (candidate subsets, explicit
-//!   exclusions, default seen-item filtering, per-request
-//!   [`gmlfm_par::Parallelism`]), and [`BatchRequest`] fanning many
-//!   requests across threads. Every request is validated against the
-//!   snapshot's [`gmlfm_data::Schema`] and [`Catalog`] into a typed
-//!   [`RequestError`] — out-of-range indices and unknown ids are
-//!   rejected, never scored as garbage and never a panic. Ranking
-//!   requests run the **sharded bounded-heap retrieval** path: candidate
-//!   filtering (exclusions, seen items) happens before selection, each
-//!   worker shard keeps a size-`n` [`gmlfm_serve::TopNHeap`], and shard
-//!   results merge under the deterministic total order (score desc,
-//!   item id asc) — `O(C·k + C·log n)` per request instead of a full
-//!   `O(C·log C)` catalogue sort, with an item-for-item identical
-//!   ranking.
+//!   exclusions, default seen-item filtering), and [`BatchRequest`]
+//!   answering many requests against one snapshot. Every request is
+//!   validated against the snapshot's [`gmlfm_data::Schema`] and
+//!   [`Catalog`] into a typed [`RequestError`] — out-of-range indices
+//!   and unknown ids are rejected, never scored as garbage and never a
+//!   panic. A request runs on the thread that received it. Ranking
+//!   requests run the **bounded-heap retrieval** path: candidate
+//!   filtering (exclusions, seen items) happens before selection, and
+//!   one size-`n` [`gmlfm_serve::TopNHeap`] selects under the
+//!   deterministic total order (score desc, item id asc) —
+//!   `O(C·k + C·log n)` per request instead of a full `O(C·log C)`
+//!   catalogue sort, with an item-for-item identical ranking.
 //! * **[`ModelServer`]** — a `Clone + Send + Sync` handle over a
 //!   [`ModelSnapshot`] (schema + frozen model + catalog + [`SeenItems`])
 //!   in an append-only table of write-once cells: readers pin the current

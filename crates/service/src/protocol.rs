@@ -83,7 +83,7 @@ impl ScoreRequest {
 /// Results are ranked under a **deterministic total order**: score
 /// descending, equal scores broken by **ascending item id**
 /// ([`gmlfm_serve::rank_cmp`]). The same order applies on every
-/// execution path — the sharded bounded-heap retrieval of frozen
+/// execution path — the bounded-heap list scan and IVF probe of frozen
 /// snapshots, the default single-heap selection of a
 /// [`ScoringBackend`](crate::ScoringBackend), and the full-sort
 /// references the parity tests pin against — so equal-score ordering is
@@ -108,9 +108,6 @@ pub struct TopNRequest {
     /// Whether to exclude the user's training-time seen items
     /// (default `true`; a snapshot without seen sets excludes nothing).
     pub exclude_seen: bool,
-    /// Per-request worker count; `None` uses the server's default
-    /// ([`Parallelism::auto`] standalone, serial inside a batch).
-    pub par: Option<Parallelism>,
     /// Candidate-selection strategy; `None` lets the snapshot decide
     /// (IVF when it carries an index and the request is eligible,
     /// exact otherwise). Scores are exact either way — see
@@ -122,7 +119,7 @@ pub struct TopNRequest {
 impl TopNRequest {
     /// A whole-catalogue, exclude-seen request for `user`'s top `n`.
     pub fn new(user: u32, n: usize) -> Self {
-        Self { user, n, candidates: None, exclude: Vec::new(), exclude_seen: true, par: None, strategy: None }
+        Self { user, n, candidates: None, exclude: Vec::new(), exclude_seen: true, strategy: None }
     }
 
     /// Restricts ranking to this candidate set (kept in the given order
@@ -144,15 +141,16 @@ impl TopNRequest {
         self
     }
 
-    /// Sets an explicit per-request worker count.
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.par = Some(par);
+    /// Returns the request unchanged: a request runs on the thread that
+    /// received it. Selects nothing; deleted in the next benchmark
+    /// window (ROADMAP item 2).
+    pub fn parallelism(self, _par: Parallelism) -> Self {
         self
     }
 
     /// Pins the candidate-selection strategy instead of letting the
     /// snapshot decide ([`RetrievalStrategy::Exact`] forces the full
-    /// sharded-heap scan even when an index is installed).
+    /// list scan even when an index is installed).
     pub fn strategy(mut self, strategy: RetrievalStrategy) -> Self {
         self.strategy = Some(strategy);
         self
@@ -177,32 +175,23 @@ pub enum Reply {
     TopN(Vec<(u32, f64)>),
 }
 
-/// Many requests answered against **one** model snapshot.
+/// Many requests answered in order, on the calling thread, against
+/// **one** model snapshot.
 ///
-/// The batch is fanned out with `gmlfm-par` and every sub-request
-/// is validated independently: one malformed request yields its own
-/// [`crate::RequestError`] slot without failing the batch. All replies
-/// share the single generation stamped on the enclosing [`Response`].
+/// Every sub-request is validated independently: one malformed request
+/// yields its own [`crate::RequestError`] slot without failing the
+/// batch. All replies share the single generation stamped on the
+/// enclosing [`Response`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchRequest {
     /// The sub-requests, answered in order.
     pub requests: Vec<Request>,
-    /// Worker count for the fan-out; `None` uses [`Parallelism::auto`].
-    /// Top-n sub-requests run serially inside the batch unless they set
-    /// their own [`TopNRequest::parallelism`].
-    pub par: Option<Parallelism>,
 }
 
 impl BatchRequest {
-    /// A batch over the given requests with the default fan-out.
+    /// A batch over the given requests.
     pub fn new(requests: Vec<Request>) -> Self {
-        Self { requests, par: None }
-    }
-
-    /// Sets an explicit fan-out worker count.
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.par = Some(par);
-        self
+        Self { requests }
     }
 }
 

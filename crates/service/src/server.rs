@@ -62,7 +62,7 @@ pub struct ModelSnapshot {
     pub seen: Option<SeenItems>,
     /// IVF retrieval index over the catalog
     /// ([`gmlfm_serve::IvfIndex`]); `None` serves every top-n request
-    /// through the exact sharded-heap path. Validated against the
+    /// through the exact list scan. Validated against the
     /// frozen model and catalog at install time.
     pub index: Option<IvfIndex>,
 }
@@ -323,27 +323,21 @@ impl ModelServer {
     /// [`IndexedModel`]: the IVF probe when the snapshot carries an
     /// index that can serve the request, the candidate-list scan
     /// otherwise — either way one ranker and one bounded
-    /// [`gmlfm_serve::TopNHeap`] per worker shard, merged
-    /// deterministically, so a request over a million-item catalogue
-    /// never sorts (or even materialises) the full score vector.
+    /// [`gmlfm_serve::TopNHeap`] on the calling thread, so a request
+    /// over a million-item catalogue never sorts (or even materialises)
+    /// the full score vector.
     pub fn top_n(&self, req: &TopNRequest) -> Result<Response<Vec<(u32, f64)>>, RequestError> {
         let state = self.state();
         let backend = IndexedModel { frozen: &state.snap.frozen, index: state.snap.index.as_ref() };
         let live = if req.exclude_seen { self.live_seen(req.user) } else { Vec::new() };
-        let value = exec::execute_topn(
-            &backend,
-            state.snap.catalog.as_ref(),
-            state.snap.seen.as_ref(),
-            &live,
-            req,
-            Parallelism::auto(),
-        )?;
+        let value =
+            exec::execute_topn(&backend, state.snap.catalog.as_ref(), state.snap.seen.as_ref(), &live, req)?;
         Ok(Response { generation: state.generation, value })
     }
 
-    /// Answers every sub-request of a [`BatchRequest`] against **one**
-    /// snapshot, fanned across threads. Malformed sub-requests fail
-    /// individually; the batch itself always succeeds.
+    /// Answers every sub-request of a [`BatchRequest`] in order, on the
+    /// calling thread, against **one** snapshot. Malformed sub-requests
+    /// fail individually; the batch itself always succeeds.
     pub fn batch(&self, req: &BatchRequest) -> Response<Vec<Result<Reply, RequestError>>> {
         let state = self.state();
         let backend = IndexedModel { frozen: &state.snap.frozen, index: state.snap.index.as_ref() };

@@ -114,14 +114,13 @@ fn topn_request() -> impl Strategy<Value = TopNRequest> {
     let n = prop_oneof![Just(0usize), 1usize..6, Just(N_ITEMS), Just(10_000usize)];
     let candidates = proptest::option::of(proptest::collection::vec(0u32..14, 0..40));
     let exclude = proptest::collection::vec(0u32..14, 0..6);
-    (0u32..9, n, candidates, exclude, any::<bool>(), 1usize..4).prop_map(
-        |(user, n, candidates, exclude, exclude_seen, threads)| TopNRequest {
+    (0u32..9, n, candidates, exclude, any::<bool>()).prop_map(
+        |(user, n, candidates, exclude, exclude_seen)| TopNRequest {
             user,
             n,
             candidates,
             exclude,
             exclude_seen,
-            par: Some(Parallelism::threads(threads)),
             strategy: None,
         },
     )
@@ -332,13 +331,12 @@ proptest! {
         n in 1usize..12,
         exclude in exclude_list(),
         exclude_seen in any::<bool>(),
-        threads in 1usize..4,
     ) {
         let server = wide_fixture();
         let (_, snap) = server.snapshot();
         let (catalog, seen) = (snap.catalog.as_ref().expect("catalog"), snap.seen.as_ref().expect("seen"));
         let index = snap.index.as_ref().expect("index");
-        let base = TopNRequest::new(user, n).exclude(exclude.clone()).parallelism(Parallelism::threads(threads));
+        let base = TopNRequest::new(user, n).exclude(exclude.clone());
         let base = if exclude_seen { base } else { base.include_seen() };
         let full_probe = RetrievalStrategy::Ivf { nprobe: Some(index.n_clusters()) };
 
@@ -372,8 +370,7 @@ proptest! {
         // Explicit candidates keep their order through the filter.
         let listed: Vec<u32> = (0..WIDE_ITEMS as u32).rev().step_by(3).collect();
         let listed_req = base.clone().candidates(listed.clone());
-        let serial = Parallelism::serial();
-        let scored = exec::execute_candidate_scores(&snap.frozen, Some(catalog), Some(seen), &[], &listed_req, serial);
+        let scored = exec::execute_candidate_scores(&snap.frozen, Some(catalog), Some(seen), &[], &listed_req);
         let scored = scored.expect("well-formed");
         let kept: Vec<u32> = listed.into_iter().filter(|&i| !excluded(i)).collect();
         prop_assert_eq!(scored.iter().map(|&(i, _)| i).collect::<Vec<_>>(), kept);
@@ -392,14 +389,8 @@ fn excluding_everything_yields_the_empty_ranking() {
         assert!(got.is_empty(), "{strategy:?}: {got:?}");
     }
     let (_, snap) = server.snapshot();
-    let scored = exec::execute_candidate_scores(
-        &snap.frozen,
-        snap.catalog.as_ref(),
-        snap.seen.as_ref(),
-        &[],
-        &base,
-        Parallelism::serial(),
-    );
+    let scored =
+        exec::execute_candidate_scores(&snap.frozen, snap.catalog.as_ref(), snap.seen.as_ref(), &[], &base);
     assert!(scored.expect("well-formed").is_empty());
     let listed = base.candidates(vec![5, 5, 200, 0]);
     assert!(server.top_n(&listed).expect("well-formed").value.is_empty());

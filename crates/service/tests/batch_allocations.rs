@@ -4,11 +4,10 @@
 //! with the number of users an online loop has fed.
 //!
 //! A test binary of its own, because it installs a counting global
-//! allocator. Counts are per thread, and a serial batch runs on the
-//! calling thread, so the harness's other threads do not leak into them.
+//! allocator. Counts are per thread, and a batch runs on the calling
+//! thread, so the harness's other threads do not leak into them.
 
 use gmlfm_data::{FieldKind, Schema};
-use gmlfm_par::Parallelism;
 use gmlfm_serve::FrozenModel;
 use gmlfm_service::{BatchRequest, Catalog, ModelServer, ModelSnapshot, Reply, Request, TopNRequest};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -73,8 +72,7 @@ fn server() -> ModelServer {
 #[test]
 fn a_batch_allocates_the_same_over_10_and_10_000_recorded_users() {
     let user = 3u32;
-    let batch =
-        BatchRequest::new(vec![Request::TopN(TopNRequest::new(user, 5))]).parallelism(Parallelism::serial());
+    let batch = BatchRequest::new(vec![Request::TopN(TopNRequest::new(user, 5))]);
     let mut costs = Vec::new();
     for recorded in [10u32, N_USERS as u32] {
         let server = server();

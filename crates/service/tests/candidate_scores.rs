@@ -1,12 +1,12 @@
 //! `candidate_scores` of a frozen model — the scorer behind every
-//! evaluation protocol and the online gate — scores each worker's block
-//! through `TopNRanker::score_block`, which builds per-request slot
-//! tables and reads the group memo. Whatever it stages, it must return
-//! the per-id `TopNRanker::score` bits, in candidate order: in every
-//! second-order mode, with and without the memo, at threads {1, 2}, on
-//! lists with duplicate ids and on lists shorter than an attribute
-//! slot's width. The inert `Precision` shim is held here too: in every
-//! mode, a narrow precision returns the `F64` reply.
+//! evaluation protocol and the online gate — scores the list through
+//! `TopNRanker::score_block`, which builds per-request slot tables and
+//! reads the group memo. Whatever it stages, it must return the per-id
+//! `TopNRanker::score` bits, in candidate order: in every second-order
+//! mode, with and without the memo, on lists with duplicate ids and on
+//! lists shorter than an attribute slot's width. The inert `Precision`
+//! and `Parallelism` shims are held here too: in every mode, a narrow
+//! precision or a thread count returns the serial `F64` reply.
 
 use gmlfm_core::Distance;
 use gmlfm_par::Parallelism;
@@ -100,14 +100,12 @@ fn candidate_scores_are_the_per_id_ranker_bits() {
                         .map(|&id| ranker.score(catalog.item_features(id).expect("item in range")).to_bits())
                         .collect();
                     for (memo, model) in [("plain", &plain), ("memoised", &memoised)] {
-                        for threads in [1, 2] {
-                            let got: Vec<u64> = model
-                                .candidate_scores(&catalog, template, ids, Parallelism::threads(threads))
-                                .into_iter()
-                                .map(f64::to_bits)
-                                .collect();
-                            assert_eq!(got, want, "{mode}, {memo}, {list}, user {user}, threads {threads}");
-                        }
+                        let got: Vec<u64> = model
+                            .candidate_scores(&catalog, template, ids)
+                            .into_iter()
+                            .map(f64::to_bits)
+                            .collect();
+                        assert_eq!(got, want, "{mode}, {memo}, {list}, user {user}");
                     }
                 }
             }
@@ -115,10 +113,10 @@ fn candidate_scores_are_the_per_id_ranker_bits() {
     }
 }
 
-/// `with_precision` and `select_top_n_prec`'s precision select nothing:
-/// at `F32` and at `I8`, on a model passed through
-/// `with_precision(Precision::I8)`, the top 10 is the `F64` reply's ids
-/// and bits.
+/// `with_precision` and `select_top_n_prec`'s precision and `par`
+/// select nothing: at `F32` and at `I8`, on a model passed through
+/// `with_precision(Precision::I8)`, and at three threads, the top 10 is
+/// the serial `F64` reply's ids and bits.
 #[test]
 fn a_narrow_precision_returns_the_f64_reply() {
     let catalog = catalog();
@@ -130,11 +128,14 @@ fn a_narrow_precision_returns_the_f64_reply() {
         for user in 0..N_USERS {
             let template = catalog.template(user).expect("user in range");
             for ids in &lists {
-                let par = Parallelism::serial();
-                let want = bits(plain.select_top_n_prec(&catalog, template, ids, 10, Precision::F64, par));
+                let serial = Parallelism::serial();
+                let want = bits(plain.select_top_n_prec(&catalog, template, ids, 10, Precision::F64, serial));
                 for precision in [Precision::F32, Precision::I8] {
-                    let got = bits(narrowed.select_top_n_prec(&catalog, template, ids, 10, precision, par));
-                    assert_eq!(got, want, "{mode}, user {user}, {precision:?}");
+                    for par in [serial, Parallelism::threads(3)] {
+                        let got =
+                            bits(narrowed.select_top_n_prec(&catalog, template, ids, 10, precision, par));
+                        assert_eq!(got, want, "{mode}, user {user}, {precision:?}, {par:?}");
+                    }
                 }
             }
         }

@@ -5,7 +5,6 @@
 //! of the model the caller handed in.
 
 use gmlfm_data::{generate_scale, FieldMask, ScaleConfig};
-use gmlfm_par::Parallelism;
 use gmlfm_serve::{scan_top_n, FrozenModel};
 use gmlfm_service::{Catalog, ModelServer, ModelSnapshot, SeenItems, TopNRequest};
 
@@ -50,17 +49,10 @@ fn assert_served_bits_are_the_plain_scan(server: &ModelServer, plain: &FrozenMod
     for user in 0..N_USERS as u32 {
         let survivors: Vec<u32> = (0..N_ITEMS as u32).filter(|&i| !seen.contains(user, i)).collect();
         let template = catalog.template(user).expect("user in range");
-        for threads in [1usize, 2, 5] {
-            let par = Parallelism::threads(threads);
-            let want = scan_top_n(plain, catalog, template, catalog.item_slots(), &survivors, 10, par);
-            let got = server
-                .top_n(&TopNRequest::new(user, 10).parallelism(par))
-                .expect("well-formed")
-                .value;
-            let bits =
-                |ranked: &[(u32, f64)]| ranked.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "user {user} threads {threads}");
-        }
+        let want = scan_top_n(plain, catalog, template, catalog.item_slots(), &survivors, 10);
+        let got = server.top_n(&TopNRequest::new(user, 10)).expect("well-formed").value;
+        let bits = |ranked: &[(u32, f64)]| ranked.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "user {user}");
     }
 }
 

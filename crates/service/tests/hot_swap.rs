@@ -328,15 +328,9 @@ fn topn_excludes_seen_items_by_default_with_an_opt_out() {
     // order before the sort.
     let (_, snap) = server.snapshot();
     let req = TopNRequest::new(2, N_ITEMS).candidates(vec![9, 3, 0]);
-    let ranked = exec::execute_candidate_scores(
-        &snap.frozen,
-        snap.catalog.as_ref(),
-        snap.seen.as_ref(),
-        &[],
-        &req,
-        Parallelism::serial(),
-    )
-    .expect("valid request");
+    let ranked =
+        exec::execute_candidate_scores(&snap.frozen, snap.catalog.as_ref(), snap.seen.as_ref(), &[], &req)
+            .expect("valid request");
     assert_eq!(ranked.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![9, 0], "3 is seen");
 
     // Other users have no seen items: nothing is excluded for them.

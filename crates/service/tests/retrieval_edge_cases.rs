@@ -1,5 +1,5 @@
 //! Edge cases of the exclusion ↔ retrieval interaction: every scenario
-//! runs through the sharded bounded-heap path (`ModelServer::top_n` /
+//! runs through the bounded-heap path (`ModelServer::top_n` /
 //! `exec::execute_topn`) and must agree item-for-item, scores bitwise,
 //! with the shared full sort over the survivors this file computes from
 //! the request itself.
@@ -10,7 +10,6 @@
 //! than a padded or partial one.
 
 use gmlfm_data::{FieldKind, Schema};
-use gmlfm_par::Parallelism;
 use gmlfm_serve::FrozenModel;
 use gmlfm_service::{Catalog, ModelServer, ModelSnapshot, SeenItems, TopNRequest};
 use top_n_reference::full_sort_top_n;
@@ -60,15 +59,11 @@ fn full_sort_reference(server: &ModelServer, req: &TopNRequest) -> Vec<(u32, f64
 
 fn assert_paths_agree(server: &ModelServer, req: &TopNRequest) -> Vec<(u32, f64)> {
     let reference = full_sort_reference(server, req);
-    for threads in [1usize, 2, 5] {
-        let mut req = req.clone();
-        req.par = Some(Parallelism::threads(threads));
-        let heap = server.top_n(&req).expect("well-formed request").value;
-        assert_eq!(heap.len(), reference.len(), "threads={threads}");
-        for (h, r) in heap.iter().zip(&reference) {
-            assert_eq!(h.0, r.0, "item order drifted at threads={threads}");
-            assert_eq!(h.1.to_bits(), r.1.to_bits(), "score drifted at threads={threads}");
-        }
+    let heap = server.top_n(req).expect("well-formed request").value;
+    assert_eq!(heap.len(), reference.len());
+    for (h, r) in heap.iter().zip(&reference) {
+        assert_eq!(h.0, r.0, "item order drifted");
+        assert_eq!(h.1.to_bits(), r.1.to_bits(), "score drifted");
     }
     reference
 }

@@ -14,9 +14,9 @@
 //! | [`data`] | `gmlfm-data` | schemas, synthetic Table-2 datasets, splits, sampling |
 //! | [`train`] | `gmlfm-train` | SGD/Adam, squared + BPR losses, trainers |
 //! | [`models`] | `gmlfm-models` | the twelve baselines the paper compares against |
-//! | [`par`] | `gmlfm-par` | `Parallelism`, the order-preserving `par_blocks` fan-out and its `par_map` wrapper |
+//! | [`par`] | `gmlfm-par` | `Parallelism`, the order-preserving `par_blocks` fan-out and its `par_map` wrapper, for offline work (eval, batch scoring, index build) |
 //! | [`core`] | `gmlfm-core` | **GML-FM** itself: distances, transforms, efficient evaluation |
-//! | [`serve`] | `gmlfm-serve` | autograd-free serving: `Freeze`, `FrozenModel`, Eq. 10/11 ranking, sharded bounded-heap top-N |
+//! | [`serve`] | `gmlfm-serve` | autograd-free serving: `Freeze`, `FrozenModel`, Eq. 10/11 ranking, bounded-heap top-N on the calling thread |
 //! | [`service`] | `gmlfm-service` | **online serving API**: typed requests/responses, hot-swappable `ModelServer` |
 //! | [`net`] | `gmlfm-net` | **fault-tolerant TCP serving**: length-prefixed JSON frames, deadlines, backpressure, graceful drain |
 //! | [`online`] | `gmlfm-online` | **online learning loop**: streaming ingest, warm-start retraining, eval-gated hot swap |
