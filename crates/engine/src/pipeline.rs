@@ -566,23 +566,11 @@ impl Recommender {
         let metrics = match &self.serving {
             Serving::Service(server) => {
                 let (_, snap) = server.snapshot();
-                evaluate_topn_backend(
-                    &snap.frozen,
-                    snap.catalog.as_ref(),
-                    snap.seen.as_ref(),
-                    cases,
-                    k,
-                    self.par,
-                )
+                evaluate_topn_backend(&snap.frozen, snap.catalog.as_ref(), cases, k, self.par)
             }
-            Serving::Live { est, catalog, seen } => evaluate_topn_backend(
-                &ScorerBackend(est.scorer()),
-                Some(catalog),
-                seen.as_ref(),
-                cases,
-                k,
-                self.par,
-            ),
+            Serving::Live { est, catalog, .. } => {
+                evaluate_topn_backend(&ScorerBackend(est.scorer()), Some(catalog), cases, k, self.par)
+            }
         };
         metrics.map_err(EngineError::from)
     }

@@ -6,8 +6,10 @@
 //!   instances ([`evaluate_rating`]).
 //! * **Top-n recommendation** — leave-one-out HR@10 and NDCG@10 over 99
 //!   sampled negatives per user. One protocol, [`evaluate_topn_backend`],
-//!   runs every case as a candidate-restricted request on the serving
-//!   request path; [`evaluate_topn`] (any scorer, through
+//!   validates every case against the serving catalog and asks its
+//!   backend for the positive's rank capped at `k` — all the two metrics
+//!   read, so a frozen model stops scoring a case once `k` negatives
+//!   reached the positive; [`evaluate_topn`] (any scorer, through
 //!   [`ScorerBackend`]), [`evaluate_topn_frozen_with`] and
 //!   [`evaluate_topn_service_with`] only choose its backend and catalog.
 //! * **Significance** — Welch's two-sided t-test ([`stats::welch_t_test`]),

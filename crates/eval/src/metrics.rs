@@ -23,22 +23,26 @@ pub fn mae(preds: &[f64], targets: &[f64]) -> f64 {
 /// score ranks within the top `k` of `scores` (index 0 is the positive
 /// item; ties are broken against the positive, the conservative choice).
 pub fn hit_ratio_at(scores: &[f64], k: usize) -> f64 {
-    let rank = rank_of_first(scores);
-    if rank < k {
-        1.0
-    } else {
-        0.0
-    }
+    case_metrics(rank_of_first(scores), k).0
 }
 
 /// NDCG@k for a single ranking case with one relevant item at index 0:
 /// `1 / log2(rank + 2)` when ranked within the top `k`, else 0.
 pub fn ndcg_at(scores: &[f64], k: usize) -> f64 {
-    let rank = rank_of_first(scores);
+    case_metrics(rank_of_first(scores), k).1
+}
+
+/// `(HR@k, NDCG@k)` of one case whose positive has the 0-based
+/// conservative `rank` (negatives scoring `>=` it): a hit with
+/// `1 / log2(rank + 2)` below `k`, a miss at `k` or above — so a rank
+/// capped at `k` ([`gmlfm_service::ScoringBackend::case_rank`]) maps
+/// exactly as the full count does. The one mapping behind
+/// [`hit_ratio_at`], [`ndcg_at`] and the leave-one-out protocol.
+pub fn case_metrics(rank: usize, k: usize) -> (f64, f64) {
     if rank < k {
-        1.0 / ((rank + 2) as f64).log2()
+        (1.0, 1.0 / ((rank + 2) as f64).log2())
     } else {
-        0.0
+        (0.0, 0.0)
     }
 }
 
@@ -76,31 +80,6 @@ fn rank_of_first(scores: &[f64]) -> usize {
         return usize::MAX;
     }
     scores[1..].iter().filter(|&&s| s >= pos).count()
-}
-
-/// `(HR@k, NDCG@k)` for one leave-one-out case from a **bounded top-`k`
-/// selection over the negatives** — the same
-/// [`gmlfm_serve::TopNHeap`] machinery the serving retrieval path runs —
-/// instead of the full score vector.
-///
-/// `topk_negatives` must be the `k` best-retained negatives under the
-/// retrieval order (or all of them when fewer than `k` exist), e.g.
-/// [`gmlfm_serve::TopNHeap::retained`]. The positive's conservative rank
-/// is the number of retained negatives scoring `>= pos_score`: every
-/// negative scoring `>=` the positive outranks every negative scoring
-/// below it, so whenever that count is below `k` the bounded selection
-/// provably retained *all* such negatives — making the result identical,
-/// tie handling included, to [`hit_ratio_at`]/[`ndcg_at`] over the full
-/// vector. A count of `k` means the positive fell off the cut, which is
-/// exactly the full-scan miss case. A NaN positive is a miss, as in
-/// [`hit_ratio_at`].
-pub fn topk_case_metrics(pos_score: f64, topk_negatives: &[(u32, f64)], k: usize) -> (f64, f64) {
-    let rank = topk_negatives.iter().filter(|&&(_, s)| s >= pos_score).count();
-    if rank < k && !pos_score.is_nan() {
-        (1.0, 1.0 / ((rank + 2) as f64).log2())
-    } else {
-        (0.0, 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -169,11 +148,46 @@ mod tests {
         let _ = auc(&[1.0]);
     }
 
-    /// The bounded-selection metrics must equal the full-scan metrics on
-    /// every case — tie handling included — for any negative ordering.
+    /// A case's capped rank maps to the full-scan metrics on every
+    /// case — ties and NaNs included — whichever backend ranks it: the
+    /// default `case_rank` (one batch, then a count), the frozen ranker
+    /// loop (which stops scoring once `k` negatives reached the positive)
+    /// and the indexed model that delegates to it. The frozen model
+    /// scores item `i` as `scores[i]`, to the bit: every weight but the
+    /// item's own is zero. The NaN-negative cases guard the count itself:
+    /// positive-sign NaNs rank above every number under `rank_cmp`, so
+    /// counting among the `k` best negatives by that order would call
+    /// `[1, NaN×3, 2×10]` at k = 10 and `[1, NaN, 2]` at k = 1 hits.
     #[test]
-    fn topk_case_metrics_match_full_scan_including_ties() {
-        use gmlfm_serve::TopNHeap;
+    fn capped_rank_metrics_match_full_scan_including_ties_and_nans() {
+        use gmlfm_data::LooTestCase;
+        use gmlfm_serve::{FrozenModel, SecondOrder};
+        use gmlfm_service::{exec, Catalog, IndexedModel, ScoringBackend};
+        use gmlfm_tensor::Matrix;
+
+        /// Scores item `i` as `.0[i]` through the default `case_rank`.
+        struct Fixed<'a>(&'a [f64]);
+        impl ScoringBackend for Fixed<'_> {
+            fn score_feats(&self, _: &[u32]) -> f64 {
+                unreachable!("the protocol scores candidates only")
+            }
+            fn candidate_scores(&self, _: &Catalog, _: &[u32], candidates: &[u32]) -> Vec<f64> {
+                candidates.iter().map(|&i| self.0[i as usize]).collect()
+            }
+        }
+
+        let nan = f64::NAN;
+        let nan_crowd: Vec<f64> = [1.0].into_iter().chain([nan; 3]).chain([2.0; 10]).collect();
+        // Four blocks of negatives, NaNs and ties scattered through them.
+        // 19 of them reach the positive (3.0): k <= 6 stops in the first
+        // block, k = 10 in the second, k = 100 scores all four.
+        let wide: Vec<f64> = (0..100u32)
+            .map(|i| match (i, i % 7) {
+                (0, _) => 3.0,
+                (_, 3) => nan,
+                _ => f64::from(i.wrapping_mul(2_654_435_761) % 13) - 6.5,
+            })
+            .collect();
         let cases: &[&[f64]] = &[
             &[5.0, 7.0, 6.0, 1.0],
             &[5.0, 5.0, 1.0],           // tie counts against the positive
@@ -184,20 +198,34 @@ mod tests {
             &[f64::NAN, 1.0, 2.0],      // a NaN positive is a miss
             &[f64::NAN, f64::NAN],      // ... also against NaN negatives
             &[f64::NAN],                // ... and against none
+            &[1.0, nan, 2.0],           // a NaN negative outranks nothing
+            &nan_crowd,
+            &wide,
         ];
         for scores in cases {
-            for k in 0..=6usize {
-                let mut heap = TopNHeap::new(k);
-                for (i, &s) in scores[1..].iter().enumerate() {
-                    heap.push(i as u32, s);
+            let n = scores.len() as u32;
+            // User feature 0, item `i` is feature `1 + i`.
+            let catalog = Catalog::new(vec![1], vec![vec![0, 1]], (0..n).map(|i| vec![1 + i]).collect());
+            let w = std::iter::once(0.0).chain(scores.iter().copied()).collect();
+            let frozen = FrozenModel::from_parts(0.0, w, Matrix::zeros(n as usize + 1, 2), SecondOrder::Dot);
+            let indexed = IndexedModel { frozen: &frozen, index: None };
+            let case = LooTestCase { user: 0, pos_item: 0, negatives: (1..n).collect() };
+            let backends: [&dyn ScoringBackend; 3] = [&Fixed(scores), &frozen, &indexed];
+            for k in (0..=6usize).chain([10, 100]) {
+                let want = (hit_ratio_at(scores, k), ndcg_at(scores, k));
+                for (b, backend) in backends.iter().enumerate() {
+                    let rank =
+                        exec::execute_case_rank(*backend, Some(&catalog), &case, k).expect("valid case");
+                    assert!(rank <= k, "backend {b} {scores:?} k={k}: rank {rank}");
+                    let (hr, ndcg) = case_metrics(rank, k);
+                    assert_eq!(hr.to_bits(), want.0.to_bits(), "hr backend {b} {scores:?} k={k}");
+                    assert_eq!(ndcg.to_bits(), want.1.to_bits(), "ndcg backend {b} {scores:?} k={k}");
                 }
-                let (hr, ndcg) = topk_case_metrics(scores[0], heap.retained(), k);
-                assert_eq!(hr, hit_ratio_at(scores, k), "hr {scores:?} k={k}");
-                assert_eq!(ndcg, ndcg_at(scores, k), "ndcg {scores:?} k={k}");
                 if scores[0].is_nan() {
-                    assert_eq!((hr, ndcg), (0.0, 0.0), "{scores:?} k={k}");
+                    assert_eq!(want, (0.0, 0.0), "{scores:?} k={k}");
                 }
             }
         }
+        assert_eq!((hit_ratio_at(&nan_crowd, 10), hit_ratio_at(&[1.0, nan, 2.0], 1)), (0.0, 0.0));
     }
 }

@@ -1,19 +1,20 @@
 //! End-to-end evaluation protocols over a trained [`Scorer`].
 //!
 //! There is one leave-one-out protocol, [`evaluate_topn_backend`]: each
-//! test case is a candidate-restricted ranking request (`[positive] +
-//! negatives`) answered through the serving request path
-//! ([`exec::execute_candidate_scores`]) by any [`ScoringBackend`]. The
-//! other top-n entry points only pick the backend and the catalog: a
-//! frozen model ([`evaluate_topn_frozen_with`]), a served snapshot
+//! test case (`[positive] + negatives`) is validated against the catalog
+//! and ranked by any [`ScoringBackend`] through
+//! [`exec::execute_case_rank`], which returns only what HR@k and NDCG@k
+//! read — the positive's rank, capped at `k`. The other top-n entry
+//! points only pick the backend and the catalog: a frozen model
+//! ([`evaluate_topn_frozen_with`]), a served snapshot
 //! ([`evaluate_topn_service_with`]), or any [`Scorer`] behind
 //! [`ScorerBackend`] ([`evaluate_topn`]).
 
-use crate::metrics::{mae, rmse, topk_case_metrics};
+use crate::metrics::{case_metrics, mae, rmse};
 use gmlfm_data::{Dataset, FieldMask, Instance, LooTestCase};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{FrozenModel, ItemFeatureSource, TopNHeap};
-use gmlfm_service::{exec, Catalog, ModelServer, RequestError, ScoringBackend, SeenItems, TopNRequest};
+use gmlfm_serve::{FrozenModel, ItemFeatureSource};
+use gmlfm_service::{exec, Catalog, ModelServer, RequestError, ScoringBackend};
 use gmlfm_train::Scorer;
 
 /// Rating-prediction results (Table 3 reports RMSE).
@@ -87,7 +88,7 @@ pub fn evaluate_topn<S: Scorer + Sync + ?Sized>(
     k: usize,
 ) -> TopnMetrics {
     let catalog = Catalog::from_dataset(dataset, mask);
-    evaluate_topn_backend(&ScorerBackend(scorer), Some(&catalog), None, cases, k, Parallelism::serial())
+    evaluate_topn_backend(&ScorerBackend(scorer), Some(&catalog), cases, k, Parallelism::serial())
         .expect("leave-one-out cases come from the dataset")
 }
 
@@ -103,7 +104,7 @@ pub fn evaluate_topn_frozen_with(
     par: Parallelism,
 ) -> TopnMetrics {
     let catalog = Catalog::from_dataset(dataset, mask);
-    evaluate_topn_backend(model, Some(&catalog), None, cases, k, par)
+    evaluate_topn_backend(model, Some(&catalog), cases, k, par)
         .expect("leave-one-out cases come from the dataset")
 }
 
@@ -117,28 +118,26 @@ pub fn evaluate_topn_service_with(
     par: Parallelism,
 ) -> TopnMetrics {
     let (_, snap) = server.snapshot();
-    evaluate_topn_backend(&snap.frozen, snap.catalog.as_ref(), snap.seen.as_ref(), cases, k, par)
+    evaluate_topn_backend(&snap.frozen, snap.catalog.as_ref(), cases, k, par)
         .expect("leave-one-out cases come from the served catalog")
 }
 
-/// The leave-one-out protocol: evaluates `cases` through
-/// [`exec::execute_candidate_scores`] over any [`ScoringBackend`] (a
-/// frozen model, a served snapshot, or a [`ScorerBackend`]). Each case
-/// is a request for `[positive] + negatives` with seen-exclusion off —
-/// the protocol fixes the candidate set. Cases are split into one
-/// contiguous block per requested thread (each request runs on its
-/// block's thread) and the per-user metric vectors are merged in input order
-/// — bit-identical to the serial evaluation at every thread count.
-/// A case whose user or items fall outside the catalog is a typed
-/// [`RequestError`]. Per case, the positive's rank comes from a bounded
-/// top-`k` [`TopNHeap`] over the negatives ([`topk_case_metrics`]) —
-/// the serving retrieval selection, with metrics identical to
+/// The leave-one-out protocol: evaluates `cases` over any
+/// [`ScoringBackend`] (a frozen model, a served snapshot, or a
+/// [`ScorerBackend`]). Each case is validated — its user, then every
+/// candidate, before any score — and ranked by
+/// [`exec::execute_case_rank`]: the number of negatives scoring `>=` the
+/// positive, capped at `k`, which [`case_metrics`] maps to the bits of
 /// [`crate::hit_ratio_at`]/[`crate::ndcg_at`] over the full score
-/// vector, conservative tie handling included.
+/// vector, conservative tie handling and NaN scores included. Seen
+/// items are not excluded: the protocol fixes the candidate set. Cases
+/// are split into one contiguous block per requested thread and the
+/// per-user metric vectors are merged in input order — bit-identical to
+/// the serial evaluation at every thread count. A case whose user or
+/// items fall outside the catalog is a typed [`RequestError`].
 pub fn evaluate_topn_backend<B: ScoringBackend + Sync + ?Sized>(
     backend: &B,
     catalog: Option<&Catalog>,
-    seen: Option<&SeenItems>,
     cases: &[LooTestCase],
     k: usize,
     par: Parallelism,
@@ -147,19 +146,7 @@ pub fn evaluate_topn_backend<B: ScoringBackend + Sync + ?Sized>(
     let per_user: Vec<Result<(f64, f64), RequestError>> = gmlfm_par::par_blocks(par, cases.len(), |range| {
         cases[range]
             .iter()
-            .map(|case| {
-                let req = TopNRequest::new(case.user, 1 + case.negatives.len())
-                    .candidates(
-                        std::iter::once(case.pos_item).chain(case.negatives.iter().copied()).collect(),
-                    )
-                    .include_seen();
-                let scored = exec::execute_candidate_scores(backend, catalog, seen, &[], &req)?;
-                let mut heap = TopNHeap::new(k);
-                for (i, &(_, s)) in scored[1..].iter().enumerate() {
-                    heap.push(i as u32, s);
-                }
-                Ok(topk_case_metrics(scored[0].1, heap.retained(), k))
-            })
+            .map(|case| exec::execute_case_rank(backend, catalog, case, k).map(|rank| case_metrics(rank, k)))
             .collect()
     });
     let mut per_user_hr = Vec::with_capacity(cases.len());

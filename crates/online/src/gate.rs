@@ -39,9 +39,11 @@ pub struct GateReport {
 /// serving baseline.
 ///
 /// Evaluation goes through the snapshot-pinned eval core
-/// ([`evaluate_topn_backend`]); its per-case requests are candidate-
-/// restricted and opt out of seen filtering, so neither the seen sets
-/// nor the live overlay can skew the comparison.
+/// ([`evaluate_topn_backend`]); each case ranks exactly its own
+/// candidates, with no seen filtering, so neither the seen sets nor the
+/// live overlay can skew the comparison. A case is scored only until
+/// `k` negatives reach its positive: a miss costs no more than the
+/// verdict needs.
 #[derive(Debug, Clone)]
 pub struct EvalGate {
     cases: Vec<LooTestCase>,
@@ -75,7 +77,7 @@ impl EvalGate {
         catalog: Option<&Catalog>,
         par: Parallelism,
     ) -> Result<GateMetrics, RequestError> {
-        let metrics = evaluate_topn_backend(backend, catalog, None, &self.cases, self.k, par)?;
+        let metrics = evaluate_topn_backend(backend, catalog, &self.cases, self.k, par)?;
         Ok(GateMetrics { hr: metrics.hr, ndcg: metrics.ndcg })
     }
 
@@ -129,6 +131,29 @@ mod tests {
         let score =
             |w0: f64| g.score(&model(w0), Some(&catalog), Parallelism::serial()).expect("valid cases");
         let report = g.judge(score(0.0), score(f64::NAN));
+        assert_eq!(report.baseline, GateMetrics { hr: 1.0, ndcg: 1.0 });
+        assert_eq!(report.candidate, GateMetrics { hr: 0.0, ndcg: 0.0 });
+        assert!(!report.passed);
+    }
+
+    /// `f64::NAN` is a positive-sign NaN, which the retrieval order
+    /// ranks above every number. Two negatives that score it must not
+    /// hide the real negative that outranks the positive: at k = 1 the
+    /// candidate misses, and is rejected against a baseline that hits.
+    #[test]
+    fn positive_nan_negatives_do_not_hide_a_miss() {
+        use gmlfm_serve::{FrozenModel, SecondOrder};
+        use gmlfm_tensor::Matrix;
+        // User feature 0, items 0..4 are features 1..=4.
+        let catalog = Catalog::new(vec![1], vec![vec![0, 1]], (0..4u32).map(|i| vec![1 + i]).collect());
+        let model = |w: Vec<f64>| FrozenModel::from_parts(0.0, w, Matrix::zeros(5, 2), SecondOrder::Dot);
+        let baseline = model(vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+        // Items 0 and 1 score NaN, item 2 (5.0) beats the positive (4.0).
+        let candidate = model(vec![0.0, f64::NAN, f64::NAN, 5.0, 4.0]);
+        let case = LooTestCase { user: 0, pos_item: 3, negatives: vec![0, 1, 2] };
+        let g = EvalGate::new(vec![case], 1, 0.01).expect("valid gate");
+        let score = |m: &FrozenModel| g.score(m, Some(&catalog), Parallelism::serial()).expect("valid cases");
+        let report = g.judge(score(&baseline), score(&candidate));
         assert_eq!(report.baseline, GateMetrics { hr: 1.0, ndcg: 1.0 });
         assert_eq!(report.candidate, GateMetrics { hr: 0.0, ndcg: 0.0 });
         assert!(!report.passed);

@@ -12,17 +12,18 @@
 use crate::catalog::{Catalog, SeenItems};
 use crate::error::RequestError;
 use crate::protocol::{BatchRequest, Interaction, Reply, Request, ScoreRequest, TopNRequest};
-use gmlfm_data::{FieldKind, Schema};
+use gmlfm_data::{FieldKind, LooTestCase, Schema};
 use gmlfm_par::Parallelism;
-use gmlfm_serve::{scan_top_n, FrozenModel, IvfIndex, Precision, RetrievalStrategy, TopNHeap};
+use gmlfm_serve::{kernel, scan_top_n, FrozenModel, IvfIndex, Precision, RetrievalStrategy, TopNHeap};
 use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// What executes a validated request: one score per feature vector,
-/// catalogue candidate scoring for the evaluation protocols, and
-/// bounded-heap top-N selection for ranking requests. Every method runs
-/// on the calling thread; the frozen implementation scores through one
-/// [`gmlfm_serve::TopNRanker`] per call.
+/// candidate scoring and a leave-one-out case's capped rank for the
+/// evaluation protocols, and bounded-heap top-N selection for ranking
+/// requests. Every method runs on the calling thread; the frozen
+/// implementation scores through one [`gmlfm_serve::TopNRanker`] per
+/// call.
 pub trait ScoringBackend {
     /// Scores one validated feature vector.
     fn score_feats(&self, feats: &[u32]) -> f64;
@@ -36,6 +37,31 @@ pub trait ScoringBackend {
     /// Candidates come out of the request validation against the same
     /// catalog, so their item-table rows are in range by construction.
     fn candidate_scores(&self, catalog: &Catalog, template: &[u32], candidates: &[u32]) -> Vec<f64>;
+
+    /// The capped rank of one leave-one-out case: how many `negatives`
+    /// score `>=` the `positive` (ties count against it), counted up to
+    /// `k` — all a cutoff-`k` metric reads, since `k` or more is a miss.
+    /// A NaN positive outranks nothing and is a miss: `k`. Ids and
+    /// `template` are validated as for [`candidate_scores`].
+    ///
+    /// The default scores the whole case in one [`candidate_scores`]
+    /// call and counts; the frozen implementation stops scoring once `k`
+    /// negatives have reached the positive.
+    ///
+    /// [`candidate_scores`]: ScoringBackend::candidate_scores
+    fn case_rank(
+        &self,
+        catalog: &Catalog,
+        template: &[u32],
+        positive: u32,
+        negatives: &[u32],
+        k: usize,
+    ) -> usize {
+        let case: Vec<u32> = std::iter::once(positive).chain(negatives.iter().copied()).collect();
+        let scores = self.candidate_scores(catalog, template, &case);
+        let Some((&pos, rest)) = scores.split_first().filter(|(pos, _)| !pos.is_nan()) else { return k };
+        rest.iter().filter(|&&s| s >= pos).take(k).count()
+    }
 
     /// Selects the top `n` of resolved `candidates` for the user with
     /// feature `template` under the retrieval total order
@@ -120,6 +146,17 @@ impl ScoringBackend for IndexedModel<'_> {
         self.frozen.candidate_scores(catalog, template, candidates)
     }
 
+    fn case_rank(
+        &self,
+        catalog: &Catalog,
+        template: &[u32],
+        positive: u32,
+        negatives: &[u32],
+        k: usize,
+    ) -> usize {
+        self.frozen.case_rank(catalog, template, positive, negatives, k)
+    }
+
     fn select_top_n_prec(
         &self,
         catalog: &Catalog,
@@ -175,6 +212,34 @@ impl ScoringBackend for FrozenModel {
         self.ranker(template, catalog.item_slots())
             .score_block(catalog, candidates, &mut scores);
         scores
+    }
+
+    /// One ranker scores the positive, then the negatives in runs of at
+    /// most [`kernel::CAND_BLOCK`], none longer than the `k - rank`
+    /// negatives that could still make the case a miss: scoring stops
+    /// at the negative that does. Every score has `candidate_scores`'
+    /// bits.
+    fn case_rank(
+        &self,
+        catalog: &Catalog,
+        template: &[u32],
+        positive: u32,
+        negatives: &[u32],
+        k: usize,
+    ) -> usize {
+        let mut ranker = self.ranker(template, catalog.item_slots());
+        let mut scores = Vec::with_capacity(kernel::CAND_BLOCK);
+        ranker.score_block(catalog, &[positive], &mut scores);
+        let Some(&pos) = scores.first().filter(|pos| !pos.is_nan()) else { return k };
+        let (mut rank, mut rest) = (0, negatives);
+        while rank < k && !rest.is_empty() {
+            let (run, tail) = rest.split_at(rest.len().min(kernel::CAND_BLOCK).min(k - rank));
+            scores.clear();
+            ranker.score_block(catalog, run, &mut scores);
+            rank += scores.iter().filter(|&&s| s >= pos).count();
+            rest = tail;
+        }
+        rank
     }
 
     /// The list scan ([`gmlfm_serve::scan_top_n`]): one ranker (context
@@ -372,27 +437,22 @@ fn fill_candidates(catalog: &Catalog, excluded: &[u32], req: &TopNRequest, out: 
     out.extend(next..n_items);
 }
 
-/// Validates and runs a [`TopNRequest`] through `backend`, returning
-/// `(item, score)` pairs **in candidate order** (no sort, `n` ignored) —
-/// the shape the leave-one-out evaluation protocols consume.
-///
-/// `live` is the user's sorted live seen overlay (interactions fed since
-/// the snapshot was published; empty for callers without one), excluded
-/// under the same `exclude_seen` semantics as the snapshot seen sets.
-pub fn execute_candidate_scores<B: ScoringBackend + ?Sized>(
+/// Validates one leave-one-out case — its user, then its positive and
+/// every negative, before anything is scored — and returns its capped
+/// rank at cutoff `k` ([`ScoringBackend::case_rank`]). The case fixes
+/// its candidates: nothing is excluded.
+pub fn execute_case_rank<B: ScoringBackend + ?Sized>(
     backend: &B,
     catalog: Option<&Catalog>,
-    seen: Option<&SeenItems>,
-    live: &[u32],
-    req: &TopNRequest,
-) -> Result<Vec<(u32, f64)>, RequestError> {
+    case: &LooTestCase,
+    k: usize,
+) -> Result<usize, RequestError> {
     let catalog = catalog.ok_or(RequestError::MissingCatalog)?;
-    let template = validate_topn(catalog, req)?;
-    let (mut excluded, mut candidates) = (Vec::new(), Vec::new());
-    fill_excluded(seen, live, req, &mut excluded);
-    fill_candidates(catalog, &excluded, req, &mut candidates);
-    let scores = backend.candidate_scores(catalog, template, &candidates);
-    Ok(candidates.into_iter().zip(scores).collect())
+    let template = user_template(catalog, case.user)?;
+    for &item in std::iter::once(&case.pos_item).chain(&case.negatives) {
+        check_item(catalog, item)?;
+    }
+    Ok(backend.case_rank(catalog, template, case.pos_item, &case.negatives, k))
 }
 
 /// Request-scoped scratch reused across the top-n hot path: the

@@ -26,7 +26,7 @@ use gmlfm_data::{FieldKind, Schema};
 use gmlfm_par::Parallelism;
 use gmlfm_serve::{rank_cmp, FrozenModel, IvfBuildOptions, IvfIndex, Precision, RetrievalStrategy};
 use gmlfm_service::{
-    exec, BatchRequest, Catalog, IndexedModel, ModelServer, ModelSnapshot, Reply, Request, RequestError,
+    BatchRequest, Catalog, IndexedModel, ModelServer, ModelSnapshot, Reply, Request, RequestError,
     ScoreRequest, ScoringBackend, SeenItems, TopNRequest,
 };
 use proptest::prelude::*;
@@ -367,13 +367,14 @@ proptest! {
         let tidy = server.top_n(&base.clone().exclude(canonical).strategy(full_probe)).expect("well-formed").value;
         prop_assert_eq!(&tidy, &want);
 
-        // Explicit candidates keep their order through the filter.
+        // Explicit candidates pass the same filter: asked for all of
+        // them, the scan ranks exactly the listed survivors.
         let listed: Vec<u32> = (0..WIDE_ITEMS as u32).rev().step_by(3).collect();
-        let listed_req = base.clone().candidates(listed.clone());
-        let scored = exec::execute_candidate_scores(&snap.frozen, Some(catalog), Some(seen), &[], &listed_req);
-        let scored = scored.expect("well-formed");
+        let mut listed_req = base.clone().candidates(listed.clone());
+        listed_req.n = listed.len();
         let kept: Vec<u32> = listed.into_iter().filter(|&i| !excluded(i)).collect();
-        prop_assert_eq!(scored.iter().map(|&(i, _)| i).collect::<Vec<_>>(), kept);
+        let want = full_sort_top_n(&snap.frozen, catalog, template, catalog.item_slots(), kept.iter().copied(), kept.len());
+        prop_assert_eq!(server.top_n(&listed_req).expect("well-formed").value, want);
     }
 }
 
@@ -388,10 +389,10 @@ fn excluding_everything_yields_the_empty_ranking() {
         let got = server.top_n(&base.clone().strategy(strategy)).expect("well-formed").value;
         assert!(got.is_empty(), "{strategy:?}: {got:?}");
     }
-    let (_, snap) = server.snapshot();
-    let scored =
-        exec::execute_candidate_scores(&snap.frozen, snap.catalog.as_ref(), snap.seen.as_ref(), &[], &base);
-    assert!(scored.expect("well-formed").is_empty());
+    // Nothing survives to be scored, however many items are asked for.
+    let mut all = base.clone().strategy(RetrievalStrategy::Exact);
+    all.n = WIDE_ITEMS;
+    assert!(server.top_n(&all).expect("well-formed").value.is_empty());
     let listed = base.candidates(vec![5, 5, 200, 0]);
     assert!(server.top_n(&listed).expect("well-formed").value.is_empty());
 }
